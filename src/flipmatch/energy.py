@@ -26,11 +26,13 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from flipmatch.errors import (
+    CorruptFile,
     EmptyBatch,
     PartialAssignment,
     SameValue,
     ShapeMismatch,
     TooLarge,
+    read_exact,
 )
 from flipmatch.graph import Dag, UndirectedGraph
 
@@ -501,6 +503,11 @@ class IsingModel(EnergyModel):
         self.edges = tuple(
             (i, j) for i in range(n) for j in range(i + 1, n) if J[i, j] != 0.0
         )
+        nbrs: list[list[int]] = [[] for _ in range(n)]
+        for u, v in self.edges:
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+        self._nbrs = tuple(np.array(sorted(vs), dtype=np.int64) for vs in nbrs)
         factors: list[Factor] = [
             BilinearFactor(u, v, 2.0 * sigma * J[u, v]) for u, v in self.edges
         ]
@@ -521,8 +528,9 @@ class IsingModel(EnergyModel):
         return self.sigma * (np.einsum("ni,ni->n", X @ self.J, X) + X @ self.b)
 
     def local_flip_logits(self, u: int, X: np.ndarray) -> np.ndarray:
-        X = _batch_values(X).astype(np.float64)
-        field = X @ self.J[u] - self.J[u, u] * X[:, u]  # J_uu = 0 anyway
+        # the field reads only u's neighbours; weights come from J at call time
+        nb = self._nbrs[u]
+        field = _batch_values(X)[:, nb] @ self.J[u, nb]
         return self.sigma * (4.0 * field + 2.0 * self.b[u])
 
     def delta_log_reward_batch(self, X, us, new_vals) -> np.ndarray:
@@ -732,15 +740,12 @@ def _write_sidecar(path: str, flat: np.ndarray) -> None:
 
 def _read_sidecar(path: str) -> np.ndarray:
     with open(path, "rb") as fh:
-        header = fh.read(16)
-        magic, version, count = struct.unpack("<4sIQ", header)
+        magic, version, count = struct.unpack("<4sIQ", read_exact(fh, 16, path, "header"))
         if magic != _SIDECAR_MAGIC:
-            raise ValueError(f"{path}: bad magic {magic!r}")
+            raise CorruptFile(f"{path}: bad magic {magic!r}")
         if version != _SIDECAR_VERSION:
-            raise ValueError(f"{path}: unsupported version {version}")
-        data = np.frombuffer(fh.read(count * 4), dtype="<f4")
-        if data.size != count:
-            raise ValueError(f"{path}: truncated payload")
+            raise CorruptFile(f"{path}: unsupported version {version}")
+        data = np.frombuffer(read_exact(fh, count * 4, path, "payload"), dtype="<f4")
     return data.astype(np.float64)
 
 

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import os
+
 
 class FlipmatchError(Exception):
     """Base class for all package-specific errors."""
@@ -55,3 +57,19 @@ class TooFewChildren(FlipmatchError):
 
 class LatentCoversAll(FlipmatchError):
     """Latent-variable training requires at least one observed variable."""
+
+
+class CorruptFile(FlipmatchError, ValueError):
+    """A model sidecar or checkpoint file is truncated or malformed."""
+
+
+def read_exact(fh, size: int, path: str, what: str) -> bytes:
+    """The next ``size`` bytes of binary file ``fh``, or CorruptFile naming ``path``.
+
+    The length is checked against what is left of the file before reading,
+    so a corrupt size field cannot ask for an absurd allocation.
+    """
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if size > left:
+        raise CorruptFile(f"{path}: truncated {what}: needs {size} bytes, {max(left, 0)} left")
+    return fh.read(size)

@@ -1,14 +1,19 @@
 """The masked autoencoder that parametrizes every conditional at once.
 
 One network maps a masked +-1 encoding of the conditioning set (zeros for
-everything not conditioned on) to one logit per variable; logit v is the
-conditional log-odds of X_v = +1 given the visible variables.  Because the
-input masking is what defines "parents", the same weights serve any DAG
-orientation of the graph — that is the whole point.
+everything not conditioned on) to the conditional log-odds of X_v = +1 given
+the visible variables, for any variable v.  Because the input masking is what
+defines "parents", the same weights serve any DAG orientation of the graph —
+that is the whole point.
 
 Architecture: {affine -> layer norm -> nonlinearity} blocks on a constant
 width trunk with residual connections between the equal-width blocks, then an
-affine head to |V| logits.  A separate learnable logit vector handles the
+affine head with one output column per variable.  A conditional reads only
+its own column, so every call names the variable of each row and the head
+computes that one logit per row.  The gradient-free forward can also take
+only the nonzero input columns (a variable's parents and the conditioning
+block) together with their indices, so its first layer reads just those rows
+of the input weights.  A separate learnable logit vector handles the
 no-information case (all-zero input), and an optional scalar head on the same
 trunk provides state-flow estimates for the balance-based objectives.
 Optionally the input is extended with a conditioning block: extra always-on
@@ -22,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from flipmatch.errors import ShapeMismatch
+from flipmatch.errors import CorruptFile, ShapeMismatch, read_exact
 from flipmatch.nn import tape
 from flipmatch.nn.tape import Tensor
 
@@ -130,8 +135,9 @@ class MaeParams:
                 h = h + self._act(tape.layer_norm(z, gamma, beta, self.cfg.ln_eps))
         return h
 
-    def logits(self, trunk: Tensor) -> Tensor:
-        return tape.matmul(trunk, self.w_out) + self.b_out
+    def logits(self, trunk: Tensor, vs: np.ndarray) -> Tensor:
+        """Head logit of variable vs[i] for trunk row i: (B, width) -> (B,)."""
+        return tape.pick_affine(trunk, self.w_out, self.b_out, vs)
 
     def flow(self, trunk: Tensor) -> Tensor:
         """Scalar state-flow estimate per row: (B, width) -> (B,)."""
@@ -145,41 +151,45 @@ class MaeParams:
         )
         return rows + gather_broadcast(self.b_flow, trunk.shape[0])
 
-    def masked_logits(self, x: np.ndarray) -> Tensor:
-        """Logits for a batch of masked inputs, on the gradient tape.
+    def masked_logits(self, x: np.ndarray, vs) -> Tensor:
+        """Logit of variable vs[i] given masked input row i, on the gradient tape.
 
-        Rows carrying no information at all (every coordinate zero) bypass the
-        trunk and read the learnable marginal-logit vector instead, so the
-        root conditionals of an unconditional model have their own direct
-        parameters.
+        Returns shape (B,).  Rows carrying no information at all (every
+        coordinate zero) bypass the trunk and read the learnable marginal-logit
+        vector instead, so the root conditionals of an unconditional model have
+        their own direct parameters.
         """
-        logits = self.logits(self.trunk(x))
+        vs = _row_vars(x, vs)
+        logits = self.logits(self.trunk(x), vs)
         empty = np.abs(x).sum(axis=1) == 0
         if not empty.any():
             return logits
-        return tape.where(empty[:, None], self.marginals, logits)
+        return tape.where(empty, tape.gather_1d(self.marginals, vs), logits)
 
     # -- gradient-free twin, for the sampling inner loop ----------------------
     #
     # Same arithmetic as the tape path, written against raw arrays.  The test
     # suite holds these to exact agreement, so any change here must be
-    # mirrored above (and vice versa).
+    # mirrored above (and vice versa).  ``cols`` additionally lets a caller
+    # pass only some input columns: x[:, k] is input coordinate cols[k], and
+    # every coordinate not listed is zero.
 
     def _act_np(self, x: np.ndarray) -> np.ndarray:
         if self.cfg.activation == "relu":
             return np.where(x > 0, x, 0.0)
         return np.where(x > 0, x, np.exp(np.minimum(x, 0.0)) - 1.0)
 
-    def trunk_np(self, x: np.ndarray) -> np.ndarray:
-        if x.ndim != 2 or x.shape[1] != self.cfg.input_width:
-            raise ShapeMismatch(
-                f"expected (batch, {self.cfg.input_width}) inputs, got {x.shape}"
-            )
+    def trunk_np(self, x: np.ndarray, cols=None) -> np.ndarray:
+        w_in = self.w_in.data
+        if cols is not None:
+            w_in = w_in[np.asarray(cols, dtype=np.int64)]
+        if x.ndim != 2 or x.shape[1] != w_in.shape[0]:
+            raise ShapeMismatch(f"expected (batch, {w_in.shape[0]}) inputs, got {x.shape}")
         eps = self.cfg.ln_eps
         h = None
         for k, (wk, bk, gamma, beta) in enumerate(self.block_weights):
             if k == 0:
-                z = x @ self.w_in.data + self.b_in.data
+                z = x @ w_in + self.b_in.data
             else:
                 z = h @ wk.data + bk.data
             mu = z.mean(axis=-1, keepdims=True)
@@ -190,12 +200,14 @@ class MaeParams:
             h = a if k == 0 else h + a
         return h
 
-    def masked_logits_np(self, x: np.ndarray) -> np.ndarray:
-        logits = self.trunk_np(x) @ self.w_out.data + self.b_out.data
+    def masked_logits_np(self, x: np.ndarray, vs, cols=None) -> np.ndarray:
+        vs = _row_vars(x, vs)
+        h = self.trunk_np(x, cols)
+        logits = np.einsum("ij,ij->i", h, self.w_out.data.T[vs]) + self.b_out.data[vs]
         empty = np.abs(x).sum(axis=1) == 0
         if not empty.any():
             return logits
-        return np.where(empty[:, None], self.marginals.data, logits)
+        return np.where(empty, self.marginals.data[vs], logits)
 
     # -- flat views for checkpoints and finite differences -------------------
 
@@ -215,6 +227,13 @@ class MaeParams:
     def zero_grad(self) -> None:
         for p in self.params:
             p.zero_grad()
+
+
+def _row_vars(x: np.ndarray, vs) -> np.ndarray:
+    vs = np.asarray(vs, dtype=np.int64)
+    if vs.shape != (x.shape[0],):
+        raise ShapeMismatch(f"need one variable per row: {x.shape[0]} rows, vs {vs.shape}")
+    return vs
 
 
 def _flatten(t: Tensor) -> Tensor:
@@ -277,22 +296,24 @@ def load_checkpoint(path: str, init_seed: int = 0):
     restore; network weights are fully restored here.
     """
     with open(path, "rb") as fh:
-        head = fh.read(32)
         magic, version, num_vars, width, blocks, float_bits, flags, n_cond = struct.unpack(
-            "<4sIIIIIII", head
+            "<4sIIIIIII", read_exact(fh, 32, path, "header")
         )
         if magic != _CKPT_MAGIC:
-            raise ValueError(f"{path}: bad magic {magic!r}")
+            raise CorruptFile(f"{path}: bad magic {magic!r}")
         if version != _CKPT_VERSION:
-            raise ValueError(f"{path}: unsupported version {version}")
+            raise CorruptFile(f"{path}: unsupported version {version}")
+        if float_bits not in (32, 64):
+            raise CorruptFile(f"{path}: unsupported float width {float_bits}")
         cond_vars = ()
         if n_cond:
-            cond_vars = tuple(
-                int(x) for x in np.frombuffer(fh.read(4 * n_cond), dtype="<u4")
-            )
-        (n_params,) = struct.unpack("<Q", fh.read(8))
+            raw = read_exact(fh, 4 * n_cond, path, "conditioning block")
+            cond_vars = tuple(int(x) for x in np.frombuffer(raw, dtype="<u4"))
+        (n_params,) = struct.unpack("<Q", read_exact(fh, 8, path, "parameter count"))
         dt = "<f8" if float_bits == 64 else "<f4"
-        flat = np.frombuffer(fh.read(n_params * (float_bits // 8)), dtype=dt).astype(np.float64)
+        flat = np.frombuffer(
+            read_exact(fh, n_params * (float_bits // 8), path, "parameters"), dtype=dt
+        ).astype(np.float64)
         cfg = MaeConfig(
             num_vars=num_vars,
             width=width,
@@ -307,7 +328,10 @@ def load_checkpoint(path: str, init_seed: int = 0):
         mae.unpack(flat)
         adam_blob = None
         if flags & 2:
-            step_count, base_lr = struct.unpack("<Qd", fh.read(16))
-            moments = np.frombuffer(fh.read(2 * n_params * 8), dtype="<f8").copy()
+            opt_head = read_exact(fh, 16, path, "optimizer header")
+            step_count, base_lr = struct.unpack("<Qd", opt_head)
+            moments = np.frombuffer(
+                read_exact(fh, 2 * n_params * 8, path, "optimizer moments"), dtype="<f8"
+            ).copy()
             adam_blob = (step_count, base_lr, moments)
     return mae, adam_blob

@@ -2,11 +2,11 @@
 
 A deliberately small tape: each op records its parents and a closure that
 pushes the output gradient back into them.  Only the shapes and operations the
-losses in this package need are provided — dense affine maps, layer
-normalization, pointwise nonlinearities, gathers, segment sums, and
-reductions.  The correctness contract is agreement with central finite
-differences at 64-bit precision, which the test suite checks op by op and
-end to end.
+losses in this package need are provided — dense affine maps, an affine map
+that computes one picked output column per row, layer normalization,
+pointwise nonlinearities, gathers, segment sums, and reductions.  The
+correctness contract is agreement with central finite differences at 64-bit
+precision, which the test suite checks op by op and end to end.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ __all__ = [
     "tanh",
     "log_sigmoid",
     "where",
-    "gather_cols",
+    "pick_affine",
     "gather_1d",
     "segment_sum",
     "cumsum",
@@ -253,16 +253,34 @@ def where(cond: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
     return _make(out_data, (a, b), back)
 
 
-def gather_cols(x: Tensor, cols: np.ndarray) -> Tensor:
-    """out[i] = x[i, cols[i]] for a 2-d tensor."""
-    rows = np.arange(x.data.shape[0])
+def pick_affine(x: Tensor, w: Tensor, b: Tensor, cols: np.ndarray) -> Tensor:
+    """out[i] = x[i] . w[:, cols[i]] + b[cols[i]]: one output column per row.
+
+    The affine map computes only the column each row reads.  Its backward
+    sums the rows of each column with a sort and ``reduceat``, so it builds
+    no (rows, columns) array either.
+    """
+    cols = np.asarray(cols, dtype=np.int64)
+    w_rows = w.data.T[cols]  # (rows, width): row i is column cols[i] of w
 
     def back(g):
-        gx = np.zeros_like(x.data)
-        np.add.at(gx, (rows, cols), g)
-        x.accumulate(gx)
+        if x.requires_grad:
+            x.accumulate(g[:, None] * w_rows)
+        order = np.argsort(cols, kind="stable")
+        sorted_cols = cols[order]
+        starts = np.flatnonzero(np.diff(sorted_cols, prepend=-1))
+        used = sorted_cols[starts]
+        if w.requires_grad:
+            gw = np.zeros_like(w.data)
+            gw[:, used] = np.add.reduceat(x.data[order] * g[order, None], starts, axis=0).T
+            w.accumulate(gw)
+        if b.requires_grad:
+            gb = np.zeros_like(b.data)
+            gb[used] = np.add.reduceat(g[order], starts)
+            b.accumulate(gb)
 
-    return _make(x.data[rows, cols], (x,), back)
+    out_data = np.einsum("ij,ij->i", x.data, w_rows) + b.data[cols]
+    return _make(out_data, (x, w, b), back)
 
 
 def gather_1d(x: Tensor, idx: np.ndarray) -> Tensor:

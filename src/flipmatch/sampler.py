@@ -4,7 +4,10 @@ The amortized sampler evaluates and draws one variable at a time along the
 topological order of an I-map, feeding the network an input masked down to
 exactly the variable's parents.  Because the mask is the only thing that
 encodes the order, a single set of weights can serve every I-map of the same
-graph, including the small local maps used for partial sampling.
+graph, including the small local maps used for partial sampling.  Sampling and
+scoring hand the network only the parent columns (and the conditioning block)
+and read back only the variable's own logit, so a conditional costs what its
+parent set costs, not what |V| costs.
 
 Also here: exploration policies (tempered and epsilon-uniform), a tabular
 sampler with explicit conditional tables (handy as an exact reference), and a
@@ -157,17 +160,28 @@ class AmortizedSampler:
     # -- conditional evaluation ----------------------------------------------
 
     def logq_rows(self, inputs: np.ndarray, vs, signs) -> Tensor:
-        """Taped log q(sign_i at var vs_i | masked row i) for a batch of rows."""
-        logits = self.params.masked_logits(inputs)
-        picked = tape.gather_cols(logits, np.asarray(vs, dtype=np.int64))
-        return tape.log_sigmoid(tape.mul(picked, np.asarray(signs, dtype=np.float64)))
+        """Taped log q(sign_i at var vs_i | masked row i) for a batch of rows.
+
+        ``inputs`` holds full-width masked rows; the network computes only
+        the logit of each row's own variable.
+        """
+        logits = self.params.masked_logits(inputs, vs)
+        return tape.log_sigmoid(tape.mul(logits, np.asarray(signs, dtype=np.float64)))
 
     def logq_rows_np(self, inputs: np.ndarray, vs, signs) -> np.ndarray:
-        """Gradient-free twin of logq_rows."""
-        logits = self.params.masked_logits_np(inputs)
-        vs = np.asarray(vs, dtype=np.int64)
-        picked = logits[np.arange(len(vs)), vs]
-        return _log_sigmoid(np.asarray(signs, dtype=np.float64) * picked)
+        """Gradient-free twin of logq_rows, on the same full-width rows."""
+        logits = self.params.masked_logits_np(inputs, vs)
+        return _log_sigmoid(np.asarray(signs, dtype=np.float64) * logits)
+
+    def _parent_logits(self, imap: Imap, v: int, X: np.ndarray, cond) -> np.ndarray:
+        """Logit of variable v for every row of X, read from v's parent columns."""
+        cfg = self.params.cfg
+        ps = list(imap.parents[v])
+        inputs = self._attach_condition(X[:, ps], cond)
+        cols = np.concatenate(
+            [np.asarray(ps, dtype=np.int64), np.arange(cfg.num_vars, cfg.input_width)]
+        )
+        return self.params.masked_logits_np(inputs, np.full(len(X), v), cols)
 
     def conditional_logprob(self, imap: Imap, v: int, x, cond=None) -> float:
         """log q(x_v | x_parents(v)) under the given I-map."""
@@ -177,9 +191,8 @@ class AmortizedSampler:
             raise MissingParent(f"variable {v} needs parents {missing} instantiated")
         if vals[v] == 0:
             raise PartialAssignment(f"variable {v} itself carries no value")
-        row = masked_parent_rows(imap, vals[None, :].astype(np.float64), np.array([v]))
-        inputs = self._attach_condition(row, cond)
-        return float(self.logq_rows_np(inputs, [v], [vals[v]])[0])
+        logit = self._parent_logits(imap, v, vals[None, :].astype(np.float64), cond)
+        return float(_log_sigmoid(vals[v] * logit)[0])
 
     # -- sampling --------------------------------------------------------------
 
@@ -194,12 +207,7 @@ class AmortizedSampler:
         X = np.zeros((n, self.num_vars), dtype=np.float64)
         logq = np.zeros(n)
         for v in imap.topo_order:
-            ps = list(imap.parents[v])
-            row = np.zeros_like(X)
-            if ps:
-                row[:, ps] = X[:, ps]
-            inputs = self._attach_condition(row, cond)
-            logits = self.params.masked_logits_np(inputs)[:, v]
+            logits = self._parent_logits(imap, v, X, cond)
             draws = np.where(rng.random(n) < policy.plus_probability(logits), 1.0, -1.0)
             X[:, v] = draws
             logq += _log_sigmoid(draws * logits)
@@ -239,12 +247,7 @@ class AmortizedSampler:
         n = vals.shape[0]
         logq = np.zeros(n)
         for v in imap.topo_order:
-            row = np.zeros_like(vals)
-            ps = list(imap.parents[v])
-            if ps:
-                row[:, ps] = vals[:, ps]
-            inputs = self._attach_condition(row, cond)
-            logits = self.params.masked_logits_np(inputs)[:, v]
+            logits = self._parent_logits(imap, v, vals, cond)
             logq += _log_sigmoid(vals[:, v] * logits)
         return logq
 

@@ -230,3 +230,66 @@ def exact_em(p, latent, data, rounds: int = 60, m_steps: int = 60, m_lr: float =
         for _ in range(m_steps):
             p.set_params(p.get_params() + m_lr * p.log_reward_grad_mean(R, weights=W))
     return p
+
+
+# ---------------------------------------------------------------------------
+# the dense network forward: every |V|-wide masked row through the whole input
+# layer, all |V| logits out, one of them kept.  The sampler reads only parent
+# columns and computes only the logit it needs; these must agree with it.
+
+
+def _dense_log_sigmoid(z: np.ndarray) -> np.ndarray:
+    return np.minimum(z, 0.0) - np.log1p(np.exp(-np.abs(z)))
+
+
+def dense_masked_logits(mae, x: np.ndarray) -> np.ndarray:
+    """All logits for full-width masked rows: (B, input_width) -> (B, |V|)."""
+    eps = mae.cfg.ln_eps
+    h = None
+    for k, (wk, bk, gamma, beta) in enumerate(mae.block_weights):
+        if k == 0:
+            z = x @ mae.w_in.data + mae.b_in.data
+        else:
+            z = h @ wk.data + bk.data
+        mu = z.mean(axis=-1, keepdims=True)
+        zc = z - mu
+        var = (zc * zc).mean(axis=-1, keepdims=True)
+        zhat = zc * (1.0 / np.sqrt(var + eps))
+        a = mae._act_np(zhat * gamma.data + beta.data)
+        h = a if k == 0 else h + a
+    logits = h @ mae.w_out.data + mae.b_out.data
+    empty = np.abs(x).sum(axis=1) == 0
+    if not empty.any():
+        return logits
+    return np.where(empty[:, None], mae.marginals.data, logits)
+
+
+def _dense_logits_at(sampler, imap, v: int, X: np.ndarray, cond) -> np.ndarray:
+    ps = list(imap.parents[v])
+    row = np.zeros_like(X)
+    if ps:
+        row[:, ps] = X[:, ps]
+    inputs = sampler._attach_condition(row, cond)
+    return dense_masked_logits(sampler.params, inputs)[:, v]
+
+
+def dense_run_order(sampler, imap, policy, n: int, seed, cond=None):
+    """Draws and log q along the order, the network evaluated densely."""
+    rng = np.random.default_rng(seed)
+    X = np.zeros((n, sampler.num_vars), dtype=np.float64)
+    logq = np.zeros(n)
+    for v in imap.topo_order:
+        logits = _dense_logits_at(sampler, imap, v, X, cond)
+        draws = np.where(rng.random(n) < policy.plus_probability(logits), 1.0, -1.0)
+        X[:, v] = draws
+        logq += _dense_log_sigmoid(draws * logits)
+    return X.astype(np.int8), logq
+
+
+def dense_log_prob_batch(sampler, imap, X, cond=None) -> np.ndarray:
+    """Sum of conditional log-probabilities along the order, evaluated densely."""
+    vals = np.asarray(X, dtype=np.float64)
+    logq = np.zeros(vals.shape[0])
+    for v in imap.topo_order:
+        logq += _dense_log_sigmoid(vals[:, v] * _dense_logits_at(sampler, imap, v, vals, cond))
+    return logq

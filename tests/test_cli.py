@@ -10,6 +10,7 @@ import pytest
 from flipmatch.cli import main
 from flipmatch.energy import (
     IsingModel,
+    random_factor_lattice,
     TabularBayesNetModel,
     enumerate_exact,
     read_model,
@@ -92,6 +93,24 @@ class TestOracle:
 
     def test_missing_model_file(self, tmp_path):
         assert main(["oracle", "--model", str(tmp_path / "nope.json")]) == 2
+
+
+class TestTruncatedFiles:
+    """A cut-short binary file is an input error (exit 2) that names the file."""
+
+    def test_sample_with_empty_checkpoint(self, model_file, tmp_path, capsys):
+        ck = tmp_path / "empty.ckpt"
+        ck.write_bytes(b"")
+        assert main(["sample", "--model", model_file, "--checkpoint", str(ck)]) == 2
+        assert "empty.ckpt" in capsys.readouterr().err
+
+    def test_oracle_with_short_sidecar(self, tmp_path, capsys):
+        path = tmp_path / "fg.json"
+        write_model(random_factor_lattice(2, 2, seed=0), str(path))
+        side = tmp_path / "fg.json.bin"
+        side.write_bytes(side.read_bytes()[:10])
+        assert main(["oracle", "--model", str(path)]) == 2
+        assert "fg.json.bin" in capsys.readouterr().err
 
 
 class TestTrain:

@@ -9,6 +9,7 @@ from flipmatch.energy import (
     ZERO_MASKED,
     Assignment,
     ConditionalFactor,
+    EnergyModel,
     FactorGraphModel,
     IsingModel,
     MlpFactor,
@@ -23,6 +24,7 @@ from flipmatch.energy import (
     write_model,
 )
 from flipmatch.errors import (
+    CorruptFile,
     EmptyBatch,
     PartialAssignment,
     SameValue,
@@ -118,6 +120,21 @@ class TestDeltaLogReward:
         m = two_var_ising()
         with pytest.raises(SameValue):
             m.delta_log_reward(Assignment(np.array([1, 1])), 0, 1)
+
+    def test_ising_gibbs_logit_matches_factor_sum(self):
+        # the neighbour-list field against the generic sum over touching factors,
+        # also after new couplings arrive through set_params
+        rng = np.random.default_rng(6)
+        m = random_ising(random_graph(8, 0.4, 2), sigma=0.7, seed=1)
+        X = rng.choice([-1, 1], size=(16, 8)).astype(np.int8)
+        for _ in range(2):
+            for u in range(8):
+                assert_allclose(
+                    m.local_flip_logits(u, X),
+                    EnergyModel.local_flip_logits(m, u, X),
+                    rtol=0, atol=1e-12,
+                )
+            m.set_params(rng.normal(size=m.num_params()))
 
     def test_antisymmetric_under_flip_back(self):
         rng = np.random.default_rng(3)
@@ -441,6 +458,17 @@ class TestModelIO:
         assert_allclose(
             back.log_reward_batch(all_states(3)), m.log_reward_batch(all_states(3))
         )
+
+    def test_truncated_sidecar_names_the_file(self, tmp_path):
+        m = random_factor_lattice(2, 2, seed=3)
+        path = str(tmp_path / "fg.json")
+        write_model(m, path)
+        side = tmp_path / "fg.json.bin"
+        payload = side.read_bytes()
+        for k in (0, 10, 15, 16, len(payload) - 1):
+            side.write_bytes(payload[:k])
+            with pytest.raises(CorruptFile, match="fg.json.bin"):
+                read_model(path)
 
     def test_sidecar_magic_checked(self, tmp_path):
         m = random_factor_lattice(2, 2, seed=3)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from flipmatch.errors import NonFiniteLoss, ShapeMismatch
+from flipmatch.errors import CorruptFile, NonFiniteLoss, ShapeMismatch
 from flipmatch.nn import AdamState, MaeConfig, MaeParams, load_checkpoint, save_checkpoint, tape
 
 from oracles import central_diff, relative_error
@@ -111,12 +111,27 @@ class TestTapeOps:
         w = rng.normal(size=(3, 4))
         run_gradcheck([a, b], lambda x, y: tape.mul(tape.where(cond, x, y), w).sum())
 
-    def test_gather_cols(self):
+    def test_pick_affine(self):
         rng = np.random.default_rng(7)
-        x = rng.normal(size=(4, 5))
-        cols = np.array([0, 4, 2, 2])
-        w = rng.normal(size=4)
-        run_gradcheck([x], lambda a: tape.mul(tape.gather_cols(a, cols), w).sum())
+        x = rng.normal(size=(6, 3))
+        w = rng.normal(size=(3, 5))
+        b = rng.normal(size=5)
+        # unsorted, repeated and unused columns
+        cols = np.array([4, 0, 2, 4, 2, 4])
+        out_w = rng.normal(size=6)
+        run_gradcheck(
+            [x, w, b], lambda a, m, c: tape.mul(tape.pick_affine(a, m, c, cols), out_w).sum()
+        )
+        # forward is the dense affine map read at each row's column
+        out = tape.pick_affine(tape.const(x), tape.const(w), tape.const(b), cols)
+        assert_allclose(out.data, (x @ w + b)[np.arange(6), cols], rtol=1e-14)
+
+    def test_pick_affine_empty_batch(self):
+        w = tape.param(np.ones((3, 4)))
+        out = tape.pick_affine(tape.const(np.zeros((0, 3))), w, tape.param(np.zeros(4)), [])
+        assert out.shape == (0,)
+        tape.backward(out.sum())
+        assert w.grad is None or not w.grad.any()
 
     def test_gather_1d_repeated_indices_accumulate(self):
         rng = np.random.default_rng(8)
@@ -234,8 +249,8 @@ class TestMae:
         cfg = small_config()
         mae = MaeParams(cfg)
         x = sample_inputs(cfg, 6, seed=0)
-        logits = mae.masked_logits(x)
-        assert_array_equal(logits.data, np.zeros((6, 4)))
+        logits = mae.masked_logits(x, np.arange(6) % 4)
+        assert_array_equal(logits.data, np.zeros(6))
 
     def test_same_seed_same_params(self):
         a = MaeParams(small_config(init_seed=7))
@@ -258,7 +273,8 @@ class TestMae:
                 mae = MaeParams(cfg)
                 randomize(mae, seed=11)
                 x = sample_inputs(cfg, 5, seed=2)
-                assert_array_equal(mae.masked_logits(x).data, mae.masked_logits_np(x))
+                vs = np.array([3, 0, 2, 3, 1])
+                assert_array_equal(mae.masked_logits(x, vs).data, mae.masked_logits_np(x, vs))
 
     def test_empty_rows_read_the_marginal_head(self):
         cfg = small_config()
@@ -266,10 +282,11 @@ class TestMae:
         randomize(mae, seed=5)
         mae.marginals.data = np.array([0.5, -1.0, 2.0, 0.0])
         x = sample_inputs(cfg, 4, seed=3, empty_rows=2)
-        out = mae.masked_logits(x).data
-        assert_array_equal(out[0], mae.marginals.data)
-        assert_array_equal(out[1], mae.marginals.data)
-        assert not np.array_equal(out[3], mae.marginals.data)
+        vs = np.array([1, 2, 0, 3])
+        out = mae.masked_logits(x, vs).data
+        assert out[0] == mae.marginals.data[1]
+        assert out[1] == mae.marginals.data[2]
+        assert out[3] != mae.marginals.data[3]
 
     def test_full_network_gradcheck(self):
         cfg = small_config()
@@ -277,14 +294,18 @@ class TestMae:
         randomize(mae, seed=13)
         x = sample_inputs(cfg, 3, seed=4)
         weights = np.random.default_rng(5).normal(size=(3, 4))
+        # every (row, variable) pair once, so each head column is exercised
+        xs = np.repeat(x, 4, axis=0)
+        vs = np.tile(np.arange(4), 3)
+        weights = weights.ravel()
 
         def loss_value(flat: np.ndarray) -> float:
             mae.unpack(flat)
-            return float(tape.mul(mae.masked_logits(x), weights).sum().data)
+            return float(tape.mul(mae.masked_logits(xs, vs), weights).sum().data)
 
         flat0 = mae.pack()
         mae.zero_grad()
-        tape.backward(tape.mul(mae.masked_logits(x), weights).sum())
+        tape.backward(tape.mul(mae.masked_logits(xs, vs), weights).sum())
         analytic = np.concatenate(
             [
                 (p.grad if p.grad is not None else np.zeros_like(p.data)).ravel()
@@ -338,7 +359,7 @@ class TestMae:
         x[:, -1] = 1.0
         h = mae.trunk(x)
         assert h.shape == (5, cfg.width)
-        assert mae.logits(h).shape == (5, 4)
+        assert mae.logits(h, np.arange(5) % 4).shape == (5,)
         assert mae.flow(h).shape == (5,)
 
     def test_exactly_one_aux_group(self):
@@ -364,7 +385,8 @@ class TestCheckpoint:
         assert loaded.cfg.flow_head
         assert_array_equal(loaded.pack(), mae.pack())
         x = sample_inputs(cfg, 4, seed=9)
-        assert_array_equal(loaded.masked_logits(x).data, mae.masked_logits(x).data)
+        vs = np.arange(4)
+        assert_array_equal(loaded.masked_logits(x, vs).data, mae.masked_logits(x, vs).data)
 
     def test_float32_storage(self, tmp_path):
         cfg = small_config(dtype="float32")
@@ -388,7 +410,7 @@ class TestCheckpoint:
         x = sample_inputs(cfg, 3, seed=10)
         for _ in range(3):
             adam.zero_grad()
-            tape.backward(mae.masked_logits(x).square().sum())
+            tape.backward(mae.masked_logits(x, np.arange(3)).square().sum())
             adam.step()
         path = os.fspath(tmp_path / "opt.dmae")
         save_checkpoint(mae, path, adam=adam)
@@ -401,6 +423,21 @@ class TestCheckpoint:
         restored.unpack_moments(moments)
         restored.step_count = step_count
         assert_array_equal(restored.pack_moments(), adam.pack_moments())
+
+    def test_every_truncation_names_the_file(self, tmp_path):
+        cfg = small_config(cond_vars=(1,))
+        mae = MaeParams(cfg)
+        adam = AdamState(mae.params, lr=1e-3, total_steps=10)
+        path = os.fspath(tmp_path / "cut.dmae")
+        save_checkpoint(mae, path, adam=adam)
+        raw = open(path, "rb").read()
+        # every cut through the header, the conditioning block and the counts,
+        # then a spread of cuts through the parameters and the Adam block
+        cuts = sorted({*range(48), *range(48, len(raw), 97), len(raw) - 1})
+        for k in cuts:
+            open(path, "wb").write(raw[:k])
+            with pytest.raises(CorruptFile, match="cut.dmae"):
+                load_checkpoint(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         mae = MaeParams(small_config())

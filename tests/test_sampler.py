@@ -37,7 +37,12 @@ from flipmatch.sampler import (
     masked_parent_rows,
 )
 
-from oracles import all_states, fit_sampler_exactly
+from oracles import (
+    all_states,
+    dense_log_prob_batch,
+    dense_run_order,
+    fit_sampler_exactly,
+)
 
 
 def two_var_ising() -> IsingModel:
@@ -368,6 +373,47 @@ class TestConditioningBlock:
         imap = sample_imap(g, seed=0)
         with pytest.raises(ShapeMismatch):
             s.ancestral_sample(imap, Policy.on_policy(), 2, seed=0, cond=np.ones(1))
+
+
+class TestLocalForwardMatchesDense:
+    """Parent columns in, one logit out: the same draws and log q as the dense
+    forward that feeds |V|-wide rows and computes every logit."""
+
+    @pytest.mark.parametrize("activation", ["relu", "elu"])
+    @pytest.mark.parametrize("cond_vars", [(), (40, 41)])
+    def test_draws_and_logprobs(self, activation, cond_vars):
+        g = grid_graph(6, 6)
+        imap = sample_imap(g, seed=0)
+        cfg = MaeConfig(
+            num_vars=36, width=16, blocks=3, activation=activation, cond_vars=cond_vars
+        )
+        s = AmortizedSampler(MaeParams(cfg))
+        rng = np.random.default_rng(5)
+        # a fresh head is all zeros, which would hide a wrong column or row
+        flat = s.params.pack()
+        s.params.unpack(flat + rng.normal(0, 0.5, flat.shape))
+        assert np.all(s.params.w_out.data != 0)
+        n = 128
+        cond = rng.choice([-1.0, 1.0], size=(n, len(cond_vars))) if cond_vars else None
+        for policy in (Policy.on_policy(), Policy.tempered(2.0)):
+            X_full, logq = s.ancestral_sample(imap, policy, n, seed=3, cond=cond)
+            X_ref, logq_ref = dense_run_order(s, imap, policy, n, seed=3, cond=cond)
+            assert_array_equal(X_full, X_ref)
+            assert_allclose(logq, logq_ref, rtol=0, atol=1e-12)
+            assert_allclose(
+                s.log_prob_batch(imap, X_full, cond),
+                dense_log_prob_batch(s, imap, X_full, cond),
+                rtol=0, atol=1e-12,
+            )
+        for u in (0, 14, 35):
+            sub = sub_imap(g, u, seed=u)
+            X = s.partial_sample_batch(sub, Policy.on_policy(), n, seed=u, cond=cond)
+            X_ref, _ = dense_run_order(s, sub, Policy.on_policy(), n, seed=u, cond=cond)
+            assert_array_equal(X, X_ref)
+        # one conditional at a time, on a full draw of the full map
+        x, c = X_full[0], None if cond is None else cond[0]
+        total = sum(s.conditional_logprob(imap, v, x, cond=c) for v in imap.topo_order)
+        assert abs(total - dense_log_prob_batch(s, imap, x[None, :], c)[0]) <= 1e-12
 
 
 class TestTabularSampler:
