@@ -31,6 +31,7 @@ __all__ = [
     "Dag",
     "JunctionTree",
     "Imap",
+    "Wavefront",
     "chain_graph",
     "cycle_graph",
     "complete_graph",
@@ -355,6 +356,54 @@ class Imap:
     @property
     def topo_order(self) -> tuple[int, ...]:
         return self.dag.topo_order
+
+    @cached_property
+    def wavefront(self) -> "Wavefront":
+        """The topological order as arrays, with depth levels; built once per map."""
+        order = self.topo_order
+        par = [self.parents[v] for v in order]
+        depth_of: dict[int, int] = {}
+        for v, ps in zip(order, par):
+            depth_of[v] = 1 + max(map(depth_of.__getitem__, ps)) if ps else 0
+        counts = np.fromiter(map(len, par), dtype=np.int64, count=len(order))
+        parents = np.full((len(order), counts.max(initial=0)), -1, dtype=np.int64)
+        parents[np.arange(parents.shape[1]) < counts[:, None]] = [p for ps in par for p in ps]
+        return Wavefront(
+            order=np.asarray(order, dtype=np.int64),
+            depth=np.fromiter(depth_of.values(), dtype=np.int64, count=len(order)),
+            parents=parents,
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class Wavefront:
+    """An I-map's topological order grouped into depth levels.
+
+    Position t of the order holds variable ``order[t]`` at ``depth[t]`` (0
+    without parents, else one more than its deepest parent), and its sorted
+    parents in ``parents[t]``, padded with -1.  A variable's parents all sit
+    at smaller depths, so one depth level's conditionals can be evaluated in
+    one batch once the levels before it are drawn.
+    """
+
+    order: np.ndarray
+    depth: np.ndarray
+    parents: np.ndarray
+
+    @cached_property
+    def _by_vertex(self) -> tuple[np.ndarray, np.ndarray]:
+        rank = np.argsort(self.order, kind="stable")
+        return self.order[rank], rank
+
+    def positions(self, vs) -> np.ndarray:
+        """Topological position of each variable in ``vs``."""
+        vs = np.asarray(vs, dtype=np.int64)
+        verts, rank = self._by_vertex
+        idx = np.minimum(np.searchsorted(verts, vs), max(len(verts) - 1, 0))
+        if len(verts) == 0 or not np.array_equal(verts[idx], vs):
+            missing = sorted(set(vs.ravel().tolist()) - set(verts.tolist()))
+            raise KeyError(f"variables {missing} are not covered by this map")
+        return rank[idx]
 
 
 # ---------------------------------------------------------------------------

@@ -99,11 +99,8 @@ class _DeltaTrainer:
             us = self.r_flip.integers(0, num_vars, size=self.cfg.batch_size)
             return X.astype(np.float64), us, self.full_imap, num_vars
         k = self.cfg.sub_dags_per_var
-        blocks = [
-            self.s.partial_sample_batch(self.subs[u], self.policy, k, seed=self.r_sample)
-            for u in range(num_vars)
-        ]
-        X = np.concatenate(blocks, axis=0)
+        maps = [self.subs[u] for u in range(num_vars)]
+        X = self.s.partial_sample_batch(maps, self.policy, k, seed=self.r_sample)
         us = np.repeat(np.arange(num_vars), k)
         widest = max(len(self.subs[u].vertices) for u in range(num_vars))
         return X, us, self.subs, widest

@@ -182,27 +182,19 @@ def _flip_term_rows(
     n = len(X)
     X_new = X.copy()
     X_new[:, u] = new_vals
-    inputs, vs, signs, coeffs, seg = [], [], [], [], []
-    u_inputs = masked_parent_rows(imap, X, np.full(n, u))
-    for side_signs, coeff in ((X[:, u], 1.0), (new_vals, -1.0)):
-        inputs.append(u_inputs)
-        vs.append(np.full(n, u))
-        signs.append(side_signs)
-        coeffs.append(np.full(n, coeff))
-        seg.append(np.arange(n))
-    for c in imap.children[u]:
-        for side, coeff in ((X, 1.0), (X_new, -1.0)):
-            inputs.append(masked_parent_rows(imap, side, np.full(n, c)))
-            vs.append(np.full(n, c))
-            signs.append(X[:, c])
-            coeffs.append(np.full(n, coeff))
-            seg.append(np.arange(n))
+    children = imap.children[u]
+    # one masked block for u (the same parent row on both sides), then the
+    # x side and the flip side of each child, all masked in one call
+    sides = [X] + [side for _ in children for side in (X, X_new)]
+    row_vars = np.repeat([u, *(c for c in children for _ in (0, 1))], n)
+    masked = masked_parent_rows(imap, np.concatenate(sides), row_vars)
+    signs = [X[:, u], new_vals] + [X[:, c] for c in children for _ in (0, 1)]
     return (
-        np.concatenate(inputs, axis=0),
-        np.concatenate(vs),
+        np.concatenate([masked[:n], masked]),
+        np.concatenate([row_vars[:n], row_vars]),
         np.concatenate(signs),
-        np.concatenate(coeffs),
-        np.concatenate(seg),
+        np.repeat(np.tile([1.0, -1.0], 1 + len(children)), n),
+        np.tile(np.arange(n), 2 + 2 * len(children)),
     )
 
 

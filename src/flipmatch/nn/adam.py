@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from flipmatch.errors import ShapeMismatch
+from flipmatch.errors import NonFiniteLoss, ShapeMismatch
 from flipmatch.nn.tape import Tensor
 
 __all__ = ["AdamState"]
@@ -57,7 +57,14 @@ class AdamState:
         return self.base_lr * self.decay**passed
 
     def step(self) -> None:
-        """Apply one update from the gradients currently stored on the params."""
+        """Apply one update from the gradients currently stored on the params.
+
+        A NaN or infinite gradient raises NonFiniteLoss before any parameter
+        or moment changes, so it cannot spread through the moments.
+        """
+        for i, p in enumerate(self.params):
+            if p.grad is not None and not np.isfinite(p.grad).all():
+                raise NonFiniteLoss(f"gradient of parameter {i} {p.grad.shape} is not finite")
         lr_now = self.lr
         self.step_count += 1
         t = self.step_count

@@ -13,9 +13,11 @@ its own column, so every call names the variable of each row and the head
 computes that one logit per row.  The gradient-free forward can also take
 only the nonzero input columns (a variable's parents and the conditioning
 block) together with their indices, so its first layer reads just those rows
-of the input weights.  A separate learnable logit vector handles the
-no-information case (all-zero input), and an optional scalar head on the same
-trunk provides state-flow estimates for the balance-based objectives.
+of the input weights; one batch may hold many variables, each with its own
+columns, as the sampler's wavefront walk needs.  A separate learnable logit
+vector handles the no-information case (all-zero input), and an optional
+scalar head on the same trunk provides state-flow estimates for the
+balance-based objectives.
 Optionally the input is extended with a conditioning block: extra always-on
 coordinates carrying observed values for latent-variable posteriors.
 """
@@ -37,6 +39,10 @@ _CKPT_MAGIC = b"DMAE"
 _CKPT_VERSION = 1
 
 _ACTIVATIONS = ("relu", "elu")
+
+# rows x width of one in-place pass of the gradient-free trunk: three such
+# float64 buffers (output, block pre-activation, squares) fit a 2 MB L2 cache
+_BLOCK_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -168,37 +174,72 @@ class MaeParams:
 
     # -- gradient-free twin, for the sampling inner loop ----------------------
     #
-    # Same arithmetic as the tape path, written against raw arrays.  The test
-    # suite holds these to exact agreement, so any change here must be
-    # mirrored above (and vice versa).  ``cols`` additionally lets a caller
-    # pass only some input columns: x[:, k] is input coordinate cols[k], and
-    # every coordinate not listed is zero.
+    # Same arithmetic as the tape path, in the same op order, written against
+    # raw arrays and updating one buffer in place.  The test suite holds these
+    # to exact agreement, so any change here must be mirrored above (and vice
+    # versa).  ``cols`` additionally lets a caller pass only some input
+    # columns, every coordinate not listed being zero: an (E, K) ``cols``
+    # splits x into E equal blocks of consecutive rows, and x[i, k] in block e
+    # is input coordinate cols[e, k].  The first layer gathers one weight
+    # block per block of rows, not per row.
 
-    def _act_np(self, x: np.ndarray) -> np.ndarray:
+    def _act_np(self, z: np.ndarray) -> None:
+        """The nonlinearity, in place, equal to the tape's where(z > 0, z, f(z)).
+
+        ``fmax`` maps NaN to 0 as the tape's relu does.  For elu, max(z, 0)
+        plus exp(min(z, 0)) - 1 adds an exact 0 to one of the two branches.
+        """
         if self.cfg.activation == "relu":
-            return np.where(x > 0, x, 0.0)
-        return np.where(x > 0, x, np.exp(np.minimum(x, 0.0)) - 1.0)
+            np.fmax(z, 0.0, out=z)
+            return
+        neg = np.minimum(z, 0.0)
+        np.exp(neg, out=neg)
+        neg -= 1.0
+        np.maximum(z, 0.0, out=z)
+        z += neg
+
+    def _input_layer_np(self, x: np.ndarray, cols) -> np.ndarray:
+        w_in = self.w_in.data
+        if cols is None:
+            if x.ndim != 2 or x.shape[1] != w_in.shape[0]:
+                raise ShapeMismatch(f"expected (batch, {w_in.shape[0]}) inputs, got {x.shape}")
+            return x @ w_in
+        cols = np.asarray(cols, dtype=np.int64)
+        blocks, k = cols.shape if cols.ndim == 2 else (0, -1)
+        if x.ndim != 2 or x.shape[1] != k or blocks == 0 or x.shape[0] % blocks:
+            raise ShapeMismatch(f"inputs {x.shape} do not split into blocks of columns {cols.shape}")
+        z = np.matmul(x.reshape(blocks, x.shape[0] // blocks, k), w_in[cols])
+        return z.reshape(x.shape[0], w_in.shape[1])
 
     def trunk_np(self, x: np.ndarray, cols=None) -> np.ndarray:
-        w_in = self.w_in.data
-        if cols is not None:
-            w_in = w_in[np.asarray(cols, dtype=np.int64)]
-        if x.ndim != 2 or x.shape[1] != w_in.shape[0]:
-            raise ShapeMismatch(f"expected (batch, {w_in.shape[0]}) inputs, got {x.shape}")
+        h = self._input_layer_np(x, cols)
+        # the blocks run on row slices small enough that their buffers stay in cache
+        step = max(1, _BLOCK_ELEMENTS // h.shape[1])
+        for a in range(0, h.shape[0], step):
+            self._blocks_np(h[a : a + step])
+        return h
+
+    def _blocks_np(self, h: np.ndarray) -> None:
+        """The trunk's blocks on first-layer outputs h (no bias yet), in place."""
         eps = self.cfg.ln_eps
-        h = None
+        z = sq = None
         for k, (wk, bk, gamma, beta) in enumerate(self.block_weights):
             if k == 0:
-                z = x @ w_in + self.b_in.data
+                z = h
+                z += self.b_in.data
+                sq = np.empty_like(h)
             else:
-                z = h @ wk.data + bk.data
-            mu = z.mean(axis=-1, keepdims=True)
-            zc = z - mu
-            var = (zc * zc).mean(axis=-1, keepdims=True)
-            zhat = zc * (1.0 / np.sqrt(var + eps))
-            a = self._act_np(zhat * gamma.data + beta.data)
-            h = a if k == 0 else h + a
-        return h
+                z = np.matmul(h, wk.data, out=None if k == 1 else z)
+                z += bk.data
+            z -= z.mean(axis=-1, keepdims=True)
+            var = np.multiply(z, z, out=sq).mean(axis=-1, keepdims=True)
+            var += eps
+            z *= 1.0 / np.sqrt(var, out=var)
+            z *= gamma.data
+            z += beta.data
+            self._act_np(z)
+            if k > 0:
+                h += z
 
     def masked_logits_np(self, x: np.ndarray, vs, cols=None) -> np.ndarray:
         vs = _row_vars(x, vs)

@@ -1,13 +1,19 @@
 """Ancestral samplers over directed orientations of a graphical model.
 
-The amortized sampler evaluates and draws one variable at a time along the
-topological order of an I-map, feeding the network an input masked down to
-exactly the variable's parents.  Because the mask is the only thing that
-encodes the order, a single set of weights can serve every I-map of the same
-graph, including the small local maps used for partial sampling.  Sampling and
-scoring hand the network only the parent columns (and the conditioning block)
-and read back only the variable's own logit, so a conditional costs what its
-parent set costs, not what |V| costs.
+The amortized sampler evaluates each variable's conditional from an input
+masked down to exactly the variable's parents.  Because the mask is the only
+thing that encodes the order, a single set of weights can serve every I-map of
+the same graph, including the small local maps used for partial sampling.
+Sampling and scoring hand the network only the parent columns (and the
+conditioning block) and read back only the variable's own logit, so a
+conditional costs what its parent set costs, not what |V| costs.
+
+Draws and scores follow a wavefront walk.  Each I-map caches its topological
+order grouped by depth (``Imap.wavefront``); the walk merges the levels of one
+map or of many and pushes every (map, variable) entry of a level through the
+network in one call.  The uniforms are drawn up front in the order of a
+map-by-map, variable-by-variable walk, and each row's log q is summed in
+topological order, so batching changes neither the draws nor log q.
 
 Also here: exploration policies (tempered and epsilon-uniform), a tabular
 sampler with explicit conditional tables (handy as an exact reference), and a
@@ -16,6 +22,7 @@ systematic-scan Gibbs chain with optional annealing.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +34,7 @@ from flipmatch.errors import (
     PartialAssignment,
     ShapeMismatch,
 )
-from flipmatch.graph import Imap
+from flipmatch.graph import Imap, Wavefront
 from flipmatch.nn import tape
 from flipmatch.nn.mae import MaeParams
 from flipmatch.nn.tape import Tensor
@@ -113,14 +120,34 @@ def masked_parent_rows(imap: Imap, X: np.ndarray, vs: np.ndarray) -> np.ndarray:
     the network-input encoding of "condition exactly on the parents".
     """
     X = np.asarray(X, dtype=np.float64)
-    vs = np.asarray(vs)
+    wave = imap.wavefront
+    par = wave.parents[wave.positions(vs)]
+    rows, slots = np.nonzero(par >= 0)
+    cols = par[rows, slots]
     out = np.zeros_like(X)
-    for v in np.unique(vs):
-        ps = list(imap.parents[int(v)])
-        if ps:
-            rows = vs == v
-            out[np.ix_(rows, ps)] = X[np.ix_(rows, ps)]
+    out[rows, cols] = X[rows, cols]
     return out
+
+
+def _merged_levels(waves: list[Wavefront]):
+    """The (map, position) entries of several maps, grouped by depth level.
+
+    Entries are numbered map-major, then by topological position.  Returns
+    per-entry map index, position, variable and padded parents, and the
+    entry numbers of each depth level.
+    """
+    sizes = [len(w.order) for w in waves]
+    offsets = np.cumsum([0] + sizes)
+    map_of = np.repeat(np.arange(len(waves)), sizes)
+    pos = np.arange(offsets[-1]) - offsets[map_of]
+    var = np.concatenate([w.order for w in waves])
+    depth = np.concatenate([w.depth for w in waves])
+    parents = np.full((len(var), max(w.parents.shape[1] for w in waves)), -1, dtype=np.int64)
+    for w, a in zip(waves, offsets):
+        parents[a : a + len(w.order), : w.parents.shape[1]] = w.parents
+    by_depth = np.argsort(depth, kind="stable")
+    levels = np.split(by_depth, np.flatnonzero(np.diff(depth[by_depth])) + 1)
+    return map_of, pos, var, parents, levels
 
 
 class AmortizedSampler:
@@ -140,22 +167,25 @@ class AmortizedSampler:
 
     # -- input plumbing -------------------------------------------------------
 
-    def _attach_condition(self, rows: np.ndarray, cond) -> np.ndarray:
+    def _cond_block(self, cond, n: int) -> np.ndarray | None:
+        """The (n, n_cond) conditioning values, or None for a plain sampler."""
         n_cond = len(self.params.cfg.cond_vars)
         if n_cond == 0:
             if cond is not None:
                 raise ShapeMismatch("this sampler has no conditioning block")
-            return rows
+            return None
         if cond is None:
             raise ShapeMismatch(f"{n_cond} conditioning values required")
         cond = np.asarray(cond, dtype=np.float64)
         if cond.ndim == 1:
-            cond = np.broadcast_to(cond, (rows.shape[0], n_cond))
-        if cond.shape != (rows.shape[0], n_cond):
-            raise ShapeMismatch(
-                f"conditioning block must be ({rows.shape[0]}, {n_cond}), got {cond.shape}"
-            )
-        return np.hstack([rows, cond])
+            cond = np.broadcast_to(cond, (n, n_cond))
+        if cond.shape != (n, n_cond):
+            raise ShapeMismatch(f"conditioning block must be ({n}, {n_cond}), got {cond.shape}")
+        return cond
+
+    def _attach_condition(self, rows: np.ndarray, cond) -> np.ndarray:
+        block = self._cond_block(cond, rows.shape[0])
+        return rows if block is None else np.hstack([rows, block])
 
     # -- conditional evaluation ----------------------------------------------
 
@@ -173,15 +203,66 @@ class AmortizedSampler:
         logits = self.params.masked_logits_np(inputs, vs)
         return _log_sigmoid(np.asarray(signs, dtype=np.float64) * logits)
 
-    def _parent_logits(self, imap: Imap, v: int, X: np.ndarray, cond) -> np.ndarray:
-        """Logit of variable v for every row of X, read from v's parent columns."""
-        cfg = self.params.cfg
-        ps = list(imap.parents[v])
-        inputs = self._attach_condition(X[:, ps], cond)
-        cols = np.concatenate(
-            [np.asarray(ps, dtype=np.int64), np.arange(cfg.num_vars, cfg.input_width)]
-        )
-        return self.params.masked_logits_np(inputs, np.full(len(X), v), cols)
+    def _entry_logits(
+        self, work: np.ndarray, cond, rows: np.ndarray, vs: np.ndarray, parents: np.ndarray
+    ) -> np.ndarray:
+        """Logit of variable vs[e] at rows rows[e] of work, in one network call.
+
+        ``work`` holds the values drawn so far plus a last column of zeros,
+        which the -1 padding of ``parents`` reads.  Each entry hands the
+        network its parent columns and the conditioning block, so the first
+        layer gathers one block of input weights per entry, not per row.
+        """
+        width = int((parents >= 0).sum(axis=1).max(initial=0))
+        parents = parents[:, :width]
+        x = work[rows[:, :, None], np.where(parents < 0, work.shape[1] - 1, parents)[:, None, :]]
+        cols = np.maximum(parents, 0)
+        if cond is not None:
+            x = np.concatenate([x, cond[rows]], axis=2)
+            cond_cols = np.arange(self.num_vars, self.params.cfg.input_width)
+            cols = np.hstack([cols, np.broadcast_to(cond_cols, (len(cols), len(cond_cols)))])
+        e, n = rows.shape
+        logits = self.params.masked_logits_np(x.reshape(e * n, -1), np.repeat(vs, n), cols)
+        return logits.reshape(e, n)
+
+    def _walk(
+        self,
+        maps: list[Imap],
+        n: int,
+        cond,
+        X: np.ndarray | None = None,
+        policy: Policy | None = None,
+        rng: np.random.Generator | None = None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Draw (X is None) or score (X given) n rows under each map, by wavefront.
+
+        Row j*n + i belongs to map j.  Each depth level of all maps goes
+        through the network in one call.  The uniforms are drawn up front in
+        the order a map-by-map, variable-by-variable walk draws them, and each
+        row's log q is summed in topological order, so draws and log q do not
+        depend on how the levels are batched.
+        """
+        map_of, pos, var, parents, levels = _merged_levels([m.wavefront for m in maps])
+        N = len(maps) * n
+        work = np.zeros((N, self.num_vars + 1))
+        if X is not None:
+            work[:, :-1] = X
+        cond = self._cond_block(cond, N)
+        uniforms = None if X is not None else rng.random(len(var) * n).reshape(len(var), n)
+        terms = np.zeros((len(maps), max(len(m.topo_order) for m in maps), n))
+        for ent in levels:
+            rows = map_of[ent, None] * n + np.arange(n)
+            cols = var[ent, None]
+            logits = self._entry_logits(work, cond, rows, var[ent], parents[ent])
+            if uniforms is not None:
+                work[rows, cols] = np.where(
+                    uniforms[ent] < policy.plus_probability(logits), 1.0, -1.0
+                )
+            terms[map_of[ent], pos[ent]] = _log_sigmoid(work[rows, cols] * logits)
+        logq = np.zeros((len(maps), n))
+        for t in range(terms.shape[1]):
+            logq += terms[:, t]
+        return work[:, :-1], logq.reshape(N)
 
     def conditional_logprob(self, imap: Imap, v: int, x, cond=None) -> float:
         """log q(x_v | x_parents(v)) under the given I-map."""
@@ -191,27 +272,15 @@ class AmortizedSampler:
             raise MissingParent(f"variable {v} needs parents {missing} instantiated")
         if vals[v] == 0:
             raise PartialAssignment(f"variable {v} itself carries no value")
-        logit = self._parent_logits(imap, v, vals[None, :].astype(np.float64), cond)
-        return float(_log_sigmoid(vals[v] * logit)[0])
+        work = np.zeros((1, self.num_vars + 1))
+        work[0, :-1] = vals
+        wave = imap.wavefront
+        parents = wave.parents[wave.positions([v])]
+        rows = np.zeros((1, 1), dtype=np.int64)
+        logit = self._entry_logits(work, self._cond_block(cond, 1), rows, np.array([v]), parents)
+        return float(_log_sigmoid(vals[v] * logit)[0, 0])
 
     # -- sampling --------------------------------------------------------------
-
-    def _run_order(
-        self,
-        imap: Imap,
-        policy: Policy,
-        n: int,
-        rng: np.random.Generator,
-        cond,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        X = np.zeros((n, self.num_vars), dtype=np.float64)
-        logq = np.zeros(n)
-        for v in imap.topo_order:
-            logits = self._parent_logits(imap, v, X, cond)
-            draws = np.where(rng.random(n) < policy.plus_probability(logits), 1.0, -1.0)
-            X[:, v] = draws
-            logq += _log_sigmoid(draws * logits)
-        return X.astype(np.int8), logq
 
     def ancestral_sample(
         self, imap: Imap, policy: Policy, n: int, seed, cond=None
@@ -222,18 +291,27 @@ class AmortizedSampler:
                 "ancestral sampling needs an I-map covering every variable; "
                 "use partial_sample for local maps"
             )
-        return self._run_order(imap, policy, n, _as_rng(seed), cond)
+        X, logq = self._walk([imap], n, cond, policy=policy, rng=_as_rng(seed))
+        return X.astype(np.int8), logq
 
     def partial_sample(self, sub: Imap, policy: Policy, seed, cond=None) -> Assignment:
         """One draw instantiating exactly the variables the local map covers."""
-        X, _ = self._run_order(sub, policy, 1, _as_rng(seed), cond)
-        return Assignment(X[0])
+        return Assignment(self.partial_sample_batch(sub, policy, 1, seed, cond)[0])
 
     def partial_sample_batch(
-        self, sub: Imap, policy: Policy, n: int, seed, cond=None
+        self, sub: Imap | Sequence[Imap], policy: Policy, n: int, seed, cond=None
     ) -> np.ndarray:
-        X, _ = self._run_order(sub, policy, n, _as_rng(seed), cond)
-        return X
+        """n draws under one local map, or under each of a sequence of maps.
+
+        With k maps the result has k*n rows; row j*n + i is draw i under map
+        j, and ``cond`` (when 2-d) gives one conditioning row per output row.
+        The draws equal those of k one-map calls in turn on the same rng.
+        """
+        maps = [sub] if isinstance(sub, Imap) else list(sub)
+        if not maps:
+            raise ConfigError("partial sampling needs at least one local map")
+        X, _ = self._walk(maps, n, cond, policy=policy, rng=_as_rng(seed))
+        return X.astype(np.int8)
 
     # -- scoring ----------------------------------------------------------------
 
@@ -244,12 +322,7 @@ class AmortizedSampler:
             vals = vals[None, :]
         if np.any(vals[:, list(imap.vertices)] == 0):
             raise PartialAssignment("log_prob needs fully instantiated samples")
-        n = vals.shape[0]
-        logq = np.zeros(n)
-        for v in imap.topo_order:
-            logits = self._parent_logits(imap, v, vals, cond)
-            logq += _log_sigmoid(vals[:, v] * logits)
-        return logq
+        return self._walk([imap], vals.shape[0], cond, X=vals)[1]
 
     def log_prob(self, imap: Imap, x, cond=None) -> float:
         return float(self.log_prob_batch(imap, _values_of(x)[None, :], cond)[0])

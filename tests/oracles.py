@@ -255,7 +255,11 @@ def dense_masked_logits(mae, x: np.ndarray) -> np.ndarray:
         zc = z - mu
         var = (zc * zc).mean(axis=-1, keepdims=True)
         zhat = zc * (1.0 / np.sqrt(var + eps))
-        a = mae._act_np(zhat * gamma.data + beta.data)
+        a = zhat * gamma.data + beta.data
+        if mae.cfg.activation == "relu":
+            a = np.where(a > 0, a, 0.0)
+        else:
+            a = np.where(a > 0, a, np.exp(np.minimum(a, 0.0)) - 1.0)
         h = a if k == 0 else h + a
     logits = h @ mae.w_out.data + mae.b_out.data
     empty = np.abs(x).sum(axis=1) == 0
@@ -292,4 +296,43 @@ def dense_log_prob_batch(sampler, imap, X, cond=None) -> np.ndarray:
     logq = np.zeros(vals.shape[0])
     for v in imap.topo_order:
         logq += _dense_log_sigmoid(vals[:, v] * _dense_logits_at(sampler, imap, v, vals, cond))
+    return logq
+
+
+# ---------------------------------------------------------------------------
+# the sequential order walk: one network call per variable, in topological
+# order, on the variable's parent columns.  The sampler batches each depth
+# level of one map or of many into one call; these must give the same draws
+# and the same log q.
+
+
+def _parent_logits(sampler, imap, v: int, X: np.ndarray, cond) -> np.ndarray:
+    cfg = sampler.params.cfg
+    ps = list(imap.parents[v])
+    inputs = sampler._attach_condition(X[:, ps], cond)
+    cols = np.concatenate(
+        [np.asarray(ps, dtype=np.int64), np.arange(cfg.num_vars, cfg.input_width)]
+    )
+    return sampler.params.masked_logits_np(inputs, np.full(len(X), v), cols[None, :])
+
+
+def sequential_run_order(sampler, imap, policy, n: int, seed, cond=None):
+    """Draws and log q along the order, one variable at a time."""
+    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    X = np.zeros((n, sampler.num_vars), dtype=np.float64)
+    logq = np.zeros(n)
+    for v in imap.topo_order:
+        logits = _parent_logits(sampler, imap, v, X, cond)
+        draws = np.where(rng.random(n) < policy.plus_probability(logits), 1.0, -1.0)
+        X[:, v] = draws
+        logq += _dense_log_sigmoid(draws * logits)
+    return X.astype(np.int8), logq
+
+
+def sequential_log_prob_batch(sampler, imap, X, cond=None) -> np.ndarray:
+    """Sum of conditional log-probabilities along the order, one variable at a time."""
+    vals = np.asarray(X, dtype=np.float64)
+    logq = np.zeros(vals.shape[0])
+    for v in imap.topo_order:
+        logq += _dense_log_sigmoid(vals[:, v] * _parent_logits(sampler, imap, v, vals, cond))
     return logq

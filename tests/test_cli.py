@@ -199,6 +199,27 @@ class TestTrain:
         with np.errstate(over="ignore"):
             assert main(["train", "--model", str(path), "--config", cfg]) == 3
 
+    def test_non_finite_gradient_is_exit_3(self, model_file, tmp_path, monkeypatch, capsys):
+        from flipmatch.nn import tape
+
+        backward = tape.backward
+
+        def poisoned(root):
+            # a finite loss whose gradient reaches a parameter as NaN
+            backward(root)
+            stack = [root]
+            while stack:
+                node = stack.pop()
+                if not node._parents and node.grad is not None:
+                    node.grad.flat[0] = np.nan
+                    return
+                stack.extend(node._parents)
+
+        monkeypatch.setattr(tape, "backward", poisoned)
+        cfg = write_config(tmp_path, total_steps=5, eval_period=5, batch_size=8, width=8, blocks=1)
+        assert main(["train", "--model", model_file, "--config", cfg]) == 3
+        assert "gradient" in capsys.readouterr().err
+
 
 class TestSampleAndEval:
     @pytest.fixture

@@ -267,14 +267,29 @@ class TestMae:
             mae.trunk_np(np.zeros((2, 5)))
 
     def test_tape_and_plain_forward_agree_exactly(self):
+        # 1,200 rows is the size of a wavefront level batch, where the plain
+        # forward's in-place buffers outgrow the cache
         for activation in ("relu", "elu"):
             for cond in ((), (1, 3)):
-                cfg = small_config(activation=activation, cond_vars=cond, blocks=3)
-                mae = MaeParams(cfg)
-                randomize(mae, seed=11)
-                x = sample_inputs(cfg, 5, seed=2)
-                vs = np.array([3, 0, 2, 3, 1])
-                assert_array_equal(mae.masked_logits(x, vs).data, mae.masked_logits_np(x, vs))
+                for batch in (5, 1200):
+                    cfg = small_config(activation=activation, cond_vars=cond, blocks=3)
+                    mae = MaeParams(cfg)
+                    randomize(mae, seed=11)
+                    x = sample_inputs(cfg, batch, seed=2)
+                    vs = np.resize([3, 0, 2, 3, 1], batch)
+                    assert_array_equal(
+                        mae.masked_logits(x, vs).data, mae.masked_logits_np(x, vs)
+                    )
+
+    def test_relu_maps_nan_to_zero_like_the_tape(self):
+        cfg = small_config(activation="relu", blocks=1)
+        mae = MaeParams(cfg)
+        randomize(mae, seed=12)
+        x = sample_inputs(cfg, 6, seed=3)
+        x[2:4, 1] = np.nan
+        plain = mae.trunk_np(x)
+        assert_array_equal(plain[2:4], 0.0)
+        assert_array_equal(mae.trunk(x).data, plain)
 
     def test_empty_rows_read_the_marginal_head(self):
         cfg = small_config()
@@ -519,6 +534,22 @@ class TestAdam:
         adam = AdamState([p], lr=1e-3, total_steps=10)
         adam.step()  # p.grad is None
         assert_array_equal(p.data, np.array([1.0, 2.0]))
+
+    def test_non_finite_gradient_stops_the_step(self):
+        p, q = tape.param(np.ones(2)), tape.param(np.ones(3))
+        adam = AdamState([p, q], lr=1e-2, total_steps=10)
+        p.grad = np.ones(2)
+        q.grad = np.array([0.5, np.nan, 0.5])
+        with pytest.raises(NonFiniteLoss, match="parameter 1"):
+            adam.step()
+        # nothing moved: not the finite parameter, not the moments, not the clock
+        assert_array_equal(p.data, np.ones(2))
+        assert_array_equal(q.data, np.ones(3))
+        assert not adam.pack_moments().any()
+        assert adam.step_count == 0
+        q.grad = np.array([0.5, np.inf, 0.5])
+        with pytest.raises(NonFiniteLoss):
+            adam.step()
 
     def test_zero_grad_clears_all(self):
         p, q = tape.param(np.zeros(2)), tape.param(np.zeros(3))

@@ -42,6 +42,8 @@ from oracles import (
     dense_log_prob_batch,
     dense_run_order,
     fit_sampler_exactly,
+    sequential_log_prob_batch,
+    sequential_run_order,
 )
 
 
@@ -414,6 +416,98 @@ class TestLocalForwardMatchesDense:
         x, c = X_full[0], None if cond is None else cond[0]
         total = sum(s.conditional_logprob(imap, v, x, cond=c) for v in imap.topo_order)
         assert abs(total - dense_log_prob_batch(s, imap, x[None, :], c)[0]) <= 1e-12
+
+
+def perturbed_sampler(num_vars: int, cond_vars=(), activation="relu", seed=5) -> AmortizedSampler:
+    """A width-16, 3-block sampler whose every weight, head included, is nonzero."""
+    cfg = MaeConfig(
+        num_vars=num_vars, width=16, blocks=3, activation=activation, cond_vars=cond_vars
+    )
+    s = AmortizedSampler(MaeParams(cfg))
+    flat = s.params.pack()
+    s.params.unpack(flat + np.random.default_rng(seed).normal(0, 0.5, flat.shape))
+    return s
+
+
+class TestWavefrontMatchesSequential:
+    """One network call per depth level, over one map or many, against the
+    walk that calls the network once per variable in topological order."""
+
+    POLICIES = (Policy.on_policy(), Policy.tempered(2.0), Policy.eps_uniform(0.2))
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("cond_vars", [(), (36, 37)])
+    def test_many_maps_draw_like_a_per_map_loop(self, k, cond_vars):
+        g = grid_graph(6, 6)
+        maps = [sub_imap(g, u, seed=u) for u in range(36)]
+        s = perturbed_sampler(36, cond_vars)
+        rng = np.random.default_rng(8)
+        cond = rng.choice([-1.0, 1.0], size=(36 * k, len(cond_vars))) if cond_vars else None
+        policy = Policy.tempered(1.5)
+        r_batch, r_loop, r_seq = (np.random.default_rng(9) for _ in range(3))
+        X = s.partial_sample_batch(maps, policy, k, seed=r_batch, cond=cond)
+        assert X.shape == (36 * k, 36)
+        for j, sub in enumerate(maps):
+            c = None if cond is None else cond[j * k : (j + 1) * k]
+            block = X[j * k : (j + 1) * k]
+            assert_array_equal(block, s.partial_sample_batch(sub, policy, k, r_loop, cond=c))
+            assert_array_equal(block, sequential_run_order(s, sub, policy, k, r_seq, cond=c)[0])
+            # exactly the variables of the map are drawn
+            assert_array_equal(np.flatnonzero(block[0]), sub.vertices)
+        # the batched walk used exactly as many uniforms as the loops did
+        assert r_batch.random() == r_loop.random() == r_seq.random()
+
+    @pytest.mark.parametrize("activation", ["relu", "elu"])
+    @pytest.mark.parametrize("cond_vars", [(), (36, 37)])
+    def test_ancestral_draws_and_log_q(self, activation, cond_vars):
+        g = grid_graph(6, 6)
+        imap = sample_imap(g, seed=4)
+        assert imap.wavefront.depth.max() + 1 < 36  # some level holds several variables
+        s = perturbed_sampler(36, cond_vars, activation)
+        n = 64
+        rng = np.random.default_rng(2)
+        cond = rng.choice([-1.0, 1.0], size=(n, len(cond_vars))) if cond_vars else None
+        for policy in self.POLICIES:
+            X, logq = s.ancestral_sample(imap, policy, n, seed=3, cond=cond)
+            X_ref, logq_ref = sequential_run_order(s, imap, policy, n, seed=3, cond=cond)
+            assert_array_equal(X, X_ref)
+            assert_allclose(logq, logq_ref, rtol=0, atol=1e-12)
+            lp = s.log_prob_batch(imap, X, cond)
+            assert_allclose(lp, sequential_log_prob_batch(s, imap, X, cond), rtol=0, atol=1e-12)
+            # drawing and scoring share one schedule, so they agree bit for bit
+            assert_array_equal(lp, logq)
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            UndirectedGraph(5, frozenset()),
+            UndirectedGraph(1, frozenset()),
+            UndirectedGraph.from_edges(7, [(0, 1), (1, 2), (3, 4), (4, 5), (3, 5)]),
+        ],
+        ids=["edgeless", "single-variable", "disconnected"],
+    )
+    def test_degenerate_graphs(self, g):
+        n_vars = g.num_vars
+        imap = sample_imap(g, seed=1)
+        s = perturbed_sampler(n_vars)
+        X, logq = s.ancestral_sample(imap, Policy.on_policy(), 32, seed=6)
+        X_ref, logq_ref = sequential_run_order(s, imap, Policy.on_policy(), 32, seed=6)
+        assert_array_equal(X, X_ref)
+        assert_allclose(logq, logq_ref, rtol=0, atol=1e-12)
+        assert_array_equal(s.log_prob_batch(imap, X), logq)
+        maps = [sub_imap(g, u, seed=u) for u in range(n_vars)]
+        r_batch, r_seq = np.random.default_rng(7), np.random.default_rng(7)
+        Xs = s.partial_sample_batch(maps, Policy.on_policy(), 2, seed=r_batch)
+        ref = [sequential_run_order(s, m, Policy.on_policy(), 2, r_seq)[0] for m in maps]
+        assert_array_equal(Xs, np.concatenate(ref))
+        x = X[0]
+        total = sum(s.conditional_logprob(imap, v, x) for v in imap.topo_order)
+        assert abs(total - logq[0]) <= 1e-12
+
+    def test_empty_map_list_is_rejected(self):
+        s = perturbed_sampler(4)
+        with pytest.raises(ConfigError):
+            s.partial_sample_batch([], Policy.on_policy(), 2, seed=0)
 
 
 class TestTabularSampler:
