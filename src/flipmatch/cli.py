@@ -32,11 +32,10 @@ from flipmatch.harness import (
     train_gfn,
     write_metrics_csv,
 )
+from flipmatch.harness.loops import FLOW_OBJECTIVES
 from flipmatch.losses import LogZEstimate
 from flipmatch.nn import MaeConfig, MaeParams, load_checkpoint, save_checkpoint
 from flipmatch.sampler import AmortizedSampler, AnnealSchedule, Policy, gibbs_chain
-
-GFN_SET = ("tb", "db", "fl-db", "subtb", "fl-subtb")
 
 
 def _read_assignments(path: str) -> np.ndarray:
@@ -93,7 +92,7 @@ def _build_sampler(cfg: TrainConfig, num_vars: int) -> AmortizedSampler:
         width=cfg.width,
         blocks=cfg.blocks,
         activation=cfg.activation,
-        flow_head=cfg.objective in ("db", "fl-db", "subtb", "fl-subtb"),
+        flow_head=cfg.objective in FLOW_OBJECTIVES,
         init_seed=cfg.seed,
     )
     return AmortizedSampler(MaeParams(mae_cfg))

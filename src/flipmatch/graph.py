@@ -49,6 +49,7 @@ __all__ = [
     "orient_pmap",
     "sample_imap",
     "sub_imap",
+    "lift_imap",
     "moral_graph",
     "verify_no_immoralities",
     "running_intersection_holds",
@@ -693,23 +694,31 @@ def sub_imap(
     local, mapping = induced_subgraph(chordal, verts)
     _, cliques = max_cardinality_search(local, rng)
     jt = build_junction_tree(cliques, rng)
-    local_imap = _build_imap(local, jt, rng, g.digest)
-    # lift everything back to global ids
+    return lift_imap(_build_imap(local, jt, rng, g.digest), mapping, g.num_vars, g.digest)
+
+
+def lift_imap(
+    local: Imap, mapping: Sequence[int], num_vars: int, source_graph_id: str
+) -> Imap:
+    """An I-map on a subgraph's local ids, renamed to global ids.
+
+    ``mapping[i]`` is the global id of local vertex i (as ``induced_subgraph``
+    returns it); the lifted map lives in a universe of ``num_vars`` variables
+    and covers just the mapped ones.
+    """
     lift = dict(enumerate(mapping))
-    arcs = frozenset((lift[a], lift[b]) for a, b in local_imap.dag.arcs)
-    topo = tuple(lift[v] for v in local_imap.dag.topo_order)
-    dag = Dag(num_vars=g.num_vars, arcs=arcs, topo_order=topo)
-    chordal_sub = UndirectedGraph(
-        g.num_vars, frozenset((lift[a], lift[b]) for a, b in local.edges)
-    )
+    arcs = frozenset((lift[a], lift[b]) for a, b in local.dag.arcs)
+    topo = tuple(lift[v] for v in local.dag.topo_order)
     return Imap(
-        dag=dag,
+        dag=Dag(num_vars=num_vars, arcs=arcs, topo_order=topo),
         vertices=tuple(mapping),
-        parents={lift[v]: tuple(lift[p] for p in ps) for v, ps in local_imap.parents.items()},
-        children={lift[v]: tuple(lift[c] for c in cs) for v, cs in local_imap.children.items()},
-        blanket={lift[v]: tuple(lift[b] for b in bs) for v, bs in local_imap.blanket.items()},
-        chordal=chordal_sub,
-        source_graph_id=g.digest,
+        parents={lift[v]: tuple(lift[p] for p in ps) for v, ps in local.parents.items()},
+        children={lift[v]: tuple(lift[c] for c in cs) for v, cs in local.children.items()},
+        blanket={lift[v]: tuple(lift[b] for b in bs) for v, bs in local.blanket.items()},
+        chordal=UndirectedGraph(
+            num_vars, frozenset((lift[a], lift[b]) for a, b in local.chordal.edges)
+        ),
+        source_graph_id=source_graph_id,
     )
 
 

@@ -22,7 +22,7 @@ from flipmatch.errors import (
     PartialAssignment,
     ShapeMismatch,
 )
-from flipmatch.graph import Dag, Imap, UndirectedGraph, induced_subgraph, sample_imap
+from flipmatch.graph import Imap, induced_subgraph, lift_imap, sample_imap
 from flipmatch.harness.config import TrainConfig
 from flipmatch.harness.loops import _aux_multipliers, _spawn_rngs, interaction_graph
 from flipmatch.harness.metrics import MetricsRow
@@ -52,23 +52,7 @@ def latent_imap(m, latent, seed) -> Imap:
     hidden, _ = _check_latent(latent, m.num_vars)
     g = interaction_graph(m)
     local, mapping = induced_subgraph(g, hidden)
-    inner = sample_imap(local, seed=seed)
-    lift = dict(enumerate(mapping))
-    arcs = frozenset((lift[a], lift[b]) for a, b in inner.dag.arcs)
-    topo = tuple(lift[v] for v in inner.dag.topo_order)
-    dag = Dag(num_vars=m.num_vars, arcs=arcs, topo_order=topo)
-    chordal = UndirectedGraph(
-        m.num_vars, frozenset((lift[a], lift[b]) for a, b in inner.chordal.edges)
-    )
-    return Imap(
-        dag=dag,
-        vertices=tuple(mapping),
-        parents={lift[v]: tuple(lift[p] for p in ps) for v, ps in inner.parents.items()},
-        children={lift[v]: tuple(lift[c] for c in cs) for v, cs in inner.children.items()},
-        blanket={lift[v]: tuple(lift[b] for b in bs) for v, bs in inner.blanket.items()},
-        chordal=chordal,
-        source_graph_id=g.digest,
-    )
+    return lift_imap(sample_imap(local, seed=seed), mapping, m.num_vars, g.digest)
 
 
 def data_marginal_loglik(p: TabularBayesNetModel, latent, data) -> float:

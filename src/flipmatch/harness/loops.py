@@ -17,7 +17,7 @@ import numpy as np
 from flipmatch.energy import EnergyModel, ebm_param_grad
 from flipmatch.errors import ConfigError, EmptyDataset, PartialAssignment
 from flipmatch.graph import Imap, UndirectedGraph, sample_imap, sub_imap
-from flipmatch.harness.config import TrainConfig
+from flipmatch.harness.config import OBJECTIVES, TrainConfig
 from flipmatch.harness.metrics import MetricsRow, metric_mmd_linear, metric_nll
 from flipmatch.losses import (
     FlowHead,
@@ -33,7 +33,10 @@ from flipmatch.sampler import AmortizedSampler, Policy
 
 __all__ = ["interaction_graph", "train_delta", "train_gfn", "train_ebm"]
 
-GFN_OBJECTIVES = ("tb", "db", "fl-db", "subtb", "fl-subtb")
+# every objective but flip matching trains on full trajectories, and every one
+# of those but trajectory balance learns state flows through a flow head
+GFN_OBJECTIVES = tuple(o for o in OBJECTIVES if o != "delta")
+FLOW_OBJECTIVES = tuple(o for o in GFN_OBJECTIVES if o != "tb")
 
 
 def interaction_graph(m: EnergyModel) -> UndirectedGraph:

@@ -20,12 +20,19 @@ scalar head on the same trunk provides state-flow estimates for the
 balance-based objectives.
 Optionally the input is extended with a conditioning block: extra always-on
 coordinates carrying observed values for latent-variable posteriors.
+
+The forward exists once, written in place on raw arrays.  The gradient-free
+calls (``masked_logits_np``, ``trunk_np``) run it on cache-sized row slices
+and keep nothing.  The taped calls (``masked_logits``, ``trunk``) run it on
+the whole batch, keep each block's input, normalized values, 1/sigma and
+activation slope, and record the trunk as one tape node whose backward walks
+the blocks in reverse; the heads are ordinary tape ops on top of that node.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,7 +58,6 @@ class MaeConfig:
     width: int = 512
     blocks: int = 3
     activation: str = "relu"
-    dtype: str = "float64"
     ln_eps: float = 1e-5
     flow_head: bool = False
     cond_vars: tuple[int, ...] = ()
@@ -60,8 +66,6 @@ class MaeConfig:
     def __post_init__(self) -> None:
         if self.activation not in _ACTIVATIONS:
             raise ValueError(f"activation must be one of {_ACTIVATIONS}")
-        if self.dtype not in ("float64", "float32"):
-            raise ValueError("dtype must be float64 or float32")
         if self.num_vars < 1 or self.width < 1 or self.blocks < 1:
             raise ValueError("num_vars, width, and blocks must be positive")
 
@@ -80,14 +84,13 @@ class MaeParams:
     def __init__(self, cfg: MaeConfig) -> None:
         self.cfg = cfg
         rng = np.random.default_rng(cfg.init_seed)
-        dt = np.float64 if cfg.dtype == "float64" else np.float32
         w, v = cfg.width, cfg.num_vars
         self.params: list[Tensor] = []
         self.names: list[str] = []
         self.groups: list[str] = []
 
         def add(name: str, data: np.ndarray, group: str = "main") -> Tensor:
-            t = tape.param(data.astype(dt))
+            t = tape.param(data)
             self.params.append(t)
             self.names.append(name)
             self.groups.append(group)
@@ -106,12 +109,13 @@ class MaeParams:
                 wk = add(f"w{k}", rng.normal(0, np.sqrt(2.0 / w), (w, w)))
                 bk = add(f"b{k}", np.zeros(w))
                 self.block_weights.append((wk, bk, gamma, beta))
+        self._trunk_params = tuple(self.params)
         # zero-initialized output head: the untrained sampler is exactly uniform
         self.w_out = add("w_out", np.zeros((w, v)))
         self.b_out = add("b_out", np.zeros(v))
         self.marginals = add("marginals", np.zeros(v), group="aux")
         if cfg.flow_head:
-            self.w_flow = add("w_flow", np.zeros(w))
+            self.w_flow = add("w_flow", np.zeros((w, 1)))
             self.b_flow = add("b_flow", np.zeros(1))
         else:
             self.w_flow = None
@@ -121,25 +125,40 @@ class MaeParams:
     def num_vars(self) -> int:
         return self.cfg.num_vars
 
-    def _act(self, x: Tensor) -> Tensor:
-        return tape.relu(x) if self.cfg.activation == "relu" else tape.elu(x)
-
     def trunk(self, x: np.ndarray) -> Tensor:
-        """Shared trunk: rows of masked inputs (B, input_width) -> (B, width)."""
-        if x.ndim != 2 or x.shape[1] != self.cfg.input_width:
-            raise ShapeMismatch(
-                f"expected (batch, {self.cfg.input_width}) inputs, got {x.shape}"
-            )
-        xc = tape.const(x)
-        h = None
-        for k, (wk, bk, gamma, beta) in enumerate(self.block_weights):
+        """Shared trunk on the tape: rows of masked inputs (B, input_width) -> (B, width).
+
+        The forward is the one ``trunk_np`` runs, on the whole batch at once,
+        with each block keeping what its gradient needs; the trunk is then a
+        single tape node whose backward walks the blocks in reverse.
+        """
+        saved: list[tuple] = []
+        h = self._blocks_np(self._input_layer_np(x, None), saved)
+        return tape._make(h, self._trunk_params, lambda g: self._trunk_backward(x, saved, g))
+
+    def _trunk_backward(self, x: np.ndarray, saved: list[tuple], g: np.ndarray) -> None:
+        """Push the trunk output's gradient g into the trunk's parameters.
+
+        Per block, last first: back through the activation slope and the
+        layer norm, into the weight and bias of the block's affine map, then
+        down the residual into the block's input.
+        """
+        for k in reversed(range(len(saved))):
+            h_in, xhat, inv, slope = saved[k]
+            wk, bk, gamma, beta = self.block_weights[k]
             if k == 0:
-                z = tape.matmul(xc, self.w_in) + self.b_in
-                h = self._act(tape.layer_norm(z, gamma, beta, self.cfg.ln_eps))
-            else:
-                z = tape.matmul(h, wk) + bk
-                h = h + self._act(tape.layer_norm(z, gamma, beta, self.cfg.ln_eps))
-        return h
+                h_in, wk, bk = x, self.w_in, self.b_in
+            gy = g * slope
+            beta.accumulate(gy.sum(axis=0))
+            gamma.accumulate((gy * xhat).sum(axis=0))
+            dxhat = gy * gamma.data
+            m1 = dxhat.mean(axis=-1, keepdims=True)
+            m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+            gz = inv * (dxhat - m1 - xhat * m2)
+            wk.accumulate(h_in.T @ gz)
+            bk.accumulate(gz.sum(axis=0))
+            if k > 0:
+                g = g + gz @ wk.data.T
 
     def logits(self, trunk: Tensor, vs: np.ndarray) -> Tensor:
         """Head logit of variable vs[i] for trunk row i: (B, width) -> (B,)."""
@@ -149,13 +168,9 @@ class MaeParams:
         """Scalar state-flow estimate per row: (B, width) -> (B,)."""
         if self.w_flow is None:
             raise ShapeMismatch("this network was built without a flow head")
-        prod = tape.mul(trunk, self.w_flow)
-        rows = tape.segment_sum(
-            _flatten(prod),
-            np.repeat(np.arange(trunk.shape[0]), trunk.shape[1]),
-            trunk.shape[0],
+        return tape.pick_affine(
+            trunk, self.w_flow, self.b_flow, np.zeros(trunk.shape[0], dtype=np.int64)
         )
-        return rows + gather_broadcast(self.b_flow, trunk.shape[0])
 
     def masked_logits(self, x: np.ndarray, vs) -> Tensor:
         """Logit of variable vs[i] given masked input row i, on the gradient tape.
@@ -172,31 +187,35 @@ class MaeParams:
             return logits
         return tape.where(empty, tape.gather_1d(self.marginals, vs), logits)
 
-    # -- gradient-free twin, for the sampling inner loop ----------------------
+    # -- the forward itself, on raw arrays -----------------------------------
     #
-    # Same arithmetic as the tape path, in the same op order, written against
-    # raw arrays and updating one buffer in place.  The test suite holds these
-    # to exact agreement, so any change here must be mirrored above (and vice
-    # versa).  ``cols`` additionally lets a caller pass only some input
+    # ``trunk`` and ``trunk_np`` both run the code below; only ``trunk`` keeps
+    # intermediates.  ``cols`` lets a gradient-free caller pass only some input
     # columns, every coordinate not listed being zero: an (E, K) ``cols``
     # splits x into E equal blocks of consecutive rows, and x[i, k] in block e
     # is input coordinate cols[e, k].  The first layer gathers one weight
     # block per block of rows, not per row.
 
-    def _act_np(self, z: np.ndarray) -> None:
-        """The nonlinearity, in place, equal to the tape's where(z > 0, z, f(z)).
+    def _act_np(self, z: np.ndarray, slope: bool = False):
+        """The nonlinearity, in place; with ``slope``, returns its derivative at z.
 
-        ``fmax`` maps NaN to 0 as the tape's relu does.  For elu, max(z, 0)
-        plus exp(min(z, 0)) - 1 adds an exact 0 to one of the two branches.
+        ``fmax`` maps NaN to 0, and a NaN's relu slope is 0.  elu is
+        max(z, 0) + (exp(min(z, 0)) - 1), which adds an exact 0 to one of the
+        two branches; its slope (exp(min(z, 0)) - 1) + 1 is exactly 1 for z > 0.
         """
         if self.cfg.activation == "relu":
+            d = z > 0 if slope else None
             np.fmax(z, 0.0, out=z)
-            return
+            return d
         neg = np.minimum(z, 0.0)
         np.exp(neg, out=neg)
         neg -= 1.0
         np.maximum(z, 0.0, out=z)
         z += neg
+        if slope:
+            neg += 1.0
+            return neg
+        return None
 
     def _input_layer_np(self, x: np.ndarray, cols) -> np.ndarray:
         w_in = self.w_in.data
@@ -212,6 +231,7 @@ class MaeParams:
         return z.reshape(x.shape[0], w_in.shape[1])
 
     def trunk_np(self, x: np.ndarray, cols=None) -> np.ndarray:
+        """Gradient-free trunk: (B, input_width) rows, or (B, K) with ``cols``."""
         h = self._input_layer_np(x, cols)
         # the blocks run on row slices small enough that their buffers stay in cache
         step = max(1, _BLOCK_ELEMENTS // h.shape[1])
@@ -219,9 +239,17 @@ class MaeParams:
             self._blocks_np(h[a : a + step])
         return h
 
-    def _blocks_np(self, h: np.ndarray) -> None:
-        """The trunk's blocks on first-layer outputs h (no bias yet), in place."""
+    def _blocks_np(self, h: np.ndarray, saved: list | None = None) -> np.ndarray:
+        """The trunk's blocks on first-layer outputs h (no bias yet); returns their output.
+
+        Without ``saved`` every block works in h's own buffer.  With a list,
+        each block appends what its backward needs — its input (None for the
+        first block, whose input is the network input), its normalized values,
+        1/sigma and the activation slope — and the residual sums go to fresh
+        arrays so that each block's input survives.
+        """
         eps = self.cfg.ln_eps
+        keep = saved is not None
         z = sq = None
         for k, (wk, bk, gamma, beta) in enumerate(self.block_weights):
             if k == 0:
@@ -234,14 +262,20 @@ class MaeParams:
             z -= z.mean(axis=-1, keepdims=True)
             var = np.multiply(z, z, out=sq).mean(axis=-1, keepdims=True)
             var += eps
-            z *= 1.0 / np.sqrt(var, out=var)
+            inv = 1.0 / np.sqrt(var, out=var)
+            z *= inv
+            xhat = z.copy() if keep else None
             z *= gamma.data
             z += beta.data
-            self._act_np(z)
+            slope = self._act_np(z, keep)
+            if keep:
+                saved.append((h if k > 0 else None, xhat, inv, slope))
             if k > 0:
-                h += z
+                h = np.add(h, z, out=None if keep else h)
+        return h
 
     def masked_logits_np(self, x: np.ndarray, vs, cols=None) -> np.ndarray:
+        """Gradient-free ``masked_logits``, with the optional ``cols`` input form."""
         vs = _row_vars(x, vs)
         h = self.trunk_np(x, cols)
         logits = np.einsum("ij,ij->i", h, self.w_out.data.T[vs]) + self.b_out.data[vs]
@@ -253,7 +287,7 @@ class MaeParams:
     # -- flat views for checkpoints and finite differences -------------------
 
     def pack(self) -> np.ndarray:
-        return np.concatenate([p.data.ravel().astype(np.float64) for p in self.params])
+        return np.concatenate([p.data.ravel() for p in self.params])
 
     def unpack(self, flat: np.ndarray) -> None:
         flat = np.asarray(flat)
@@ -277,22 +311,9 @@ def _row_vars(x: np.ndarray, vs) -> np.ndarray:
     return vs
 
 
-def _flatten(t: Tensor) -> Tensor:
-    flat_data = t.data.reshape(-1)
-
-    def back(g):
-        t.accumulate(g.reshape(t.data.shape))
-
-    return tape._make(flat_data, (t,), back)
-
-
-def gather_broadcast(t: Tensor, n: int) -> Tensor:
-    """Broadcast a length-1 tensor to length n (gradient sums back)."""
-    return tape.gather_1d(t, np.zeros(n, dtype=np.int64))
-
-
 # ---------------------------------------------------------------------------
-# checkpoints: header + flat little-endian parameters + optional Adam state
+# checkpoints: header + flat little-endian parameters + optional Adam state.
+# Parameters are written at 64 bits; files that store them at 32 bits still load.
 
 
 def save_checkpoint(mae: MaeParams, path: str, adam=None) -> None:
@@ -304,9 +325,7 @@ def save_checkpoint(mae: MaeParams, path: str, adam=None) -> None:
         flags |= 2
     if cfg.activation == "elu":
         flags |= 4
-    float_bits = 64 if cfg.dtype == "float64" else 32
     flat = mae.pack()
-    dt = "<f8" if float_bits == 64 else "<f4"
     with open(path, "wb") as fh:
         fh.write(
             struct.pack(
@@ -316,7 +335,7 @@ def save_checkpoint(mae: MaeParams, path: str, adam=None) -> None:
                 cfg.num_vars,
                 cfg.width,
                 cfg.blocks,
-                float_bits,
+                64,
                 flags,
                 len(cfg.cond_vars),
             )
@@ -324,7 +343,7 @@ def save_checkpoint(mae: MaeParams, path: str, adam=None) -> None:
         if cfg.cond_vars:
             fh.write(np.asarray(cfg.cond_vars, dtype="<u4").tobytes())
         fh.write(struct.pack("<Q", flat.size))
-        fh.write(flat.astype(dt).tobytes())
+        fh.write(flat.astype("<f8").tobytes())
         if adam is not None:
             fh.write(struct.pack("<Qd", adam.step_count, adam.base_lr))
             fh.write(adam.pack_moments().astype("<f8").tobytes())
@@ -360,7 +379,6 @@ def load_checkpoint(path: str, init_seed: int = 0):
             width=width,
             blocks=blocks,
             activation="elu" if flags & 4 else "relu",
-            dtype="float64" if float_bits == 64 else "float32",
             flow_head=bool(flags & 1),
             cond_vars=cond_vars,
             init_seed=init_seed,

@@ -3,10 +3,12 @@
 A deliberately small tape: each op records its parents and a closure that
 pushes the output gradient back into them.  Only the shapes and operations the
 losses in this package need are provided — dense affine maps, an affine map
-that computes one picked output column per row, layer normalization,
-pointwise nonlinearities, gathers, segment sums, and reductions.  The
-correctness contract is agreement with central finite differences at 64-bit
-precision, which the test suite checks op by op and end to end.
+that computes one picked output column per row, log-sigmoid, selects,
+gathers, segment sums, and reductions.  The network's trunk is not built from
+these ops: it records itself as one node through ``_make``, with its own
+backward (see ``flipmatch.nn.mae``).  The correctness contract is agreement
+with central finite differences at 64-bit precision, which the test suite
+checks op by op and end to end.
 """
 
 from __future__ import annotations
@@ -22,16 +24,11 @@ __all__ = [
     "const",
     "param",
     "matmul",
-    "layer_norm",
-    "relu",
-    "elu",
-    "tanh",
     "log_sigmoid",
     "where",
     "pick_affine",
     "gather_1d",
     "segment_sum",
-    "cumsum",
     "reshape",
     "clamp_min",
     "stop_gradient",
@@ -177,57 +174,6 @@ def matmul(a, b) -> Tensor:
     return _make(a.data @ b.data, (a, b), back)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Row-wise layer normalization with learnable scale and shift."""
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    out_data = xhat * gamma.data + beta.data
-
-    def back(g):
-        if beta.requires_grad:
-            beta.accumulate(_unbroadcast(g, beta.data.shape))
-        if gamma.requires_grad:
-            gamma.accumulate(_unbroadcast(g * xhat, gamma.data.shape))
-        if x.requires_grad:
-            dxhat = g * gamma.data
-            m1 = dxhat.mean(axis=-1, keepdims=True)
-            m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-            x.accumulate(inv * (dxhat - m1 - xhat * m2))
-
-    return _make(out_data, (x, gamma, beta), back)
-
-
-def relu(x: Tensor) -> Tensor:
-    mask = x.data > 0
-
-    def back(g):
-        x.accumulate(g * mask)
-
-    return _make(np.where(mask, x.data, 0.0), (x,), back)
-
-
-def elu(x: Tensor) -> Tensor:
-    neg = np.exp(np.minimum(x.data, 0.0)) - 1.0
-    out_data = np.where(x.data > 0, x.data, neg)
-
-    def back(g):
-        x.accumulate(g * np.where(x.data > 0, 1.0, neg + 1.0))
-
-    return _make(out_data, (x,), back)
-
-
-def tanh(x: Tensor) -> Tensor:
-    t = np.tanh(x.data)
-
-    def back(g):
-        x.accumulate(g * (1.0 - t * t))
-
-    return _make(t, (x,), back)
-
-
 def log_sigmoid(x: Tensor) -> Tensor:
     out_data = np.minimum(x.data, 0.0) - np.log1p(np.exp(-np.abs(x.data)))
 
@@ -303,13 +249,6 @@ def segment_sum(x: Tensor, seg: np.ndarray, num_segments: int) -> Tensor:
         x.accumulate(g[seg])
 
     return _make(out_data, (x,), back)
-
-
-def cumsum(x: Tensor) -> Tensor:
-    def back(g):
-        x.accumulate(np.cumsum(g[::-1])[::-1])
-
-    return _make(np.cumsum(x.data), (x,), back)
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:

@@ -3,12 +3,13 @@
 The gradient contract everywhere: analytic gradients agree with central
 finite differences at 64-bit precision.  Network checks additionally pin the
 zero-initialization behaviour (a fresh sampler is exactly uniform) and exact
-agreement between the taped forward pass and its gradient-free twin.
+agreement between the taped and the gradient-free calls of the one forward.
 """
 
 from __future__ import annotations
 
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -71,27 +72,10 @@ class TestTapeOps:
         w = rng.normal(size=(3, 2))
         run_gradcheck([a, b], lambda x, y: tape.mul(tape.matmul(x, y), w).sum())
 
-    def test_layer_norm(self):
-        rng = np.random.default_rng(4)
-        x = rng.normal(size=(3, 6))
-        gamma = rng.normal(size=6) + 1.5
-        beta = rng.normal(size=6)
-        w = rng.normal(size=(3, 6))
-        run_gradcheck(
-            [x, gamma, beta],
-            lambda a, g, b: tape.mul(tape.layer_norm(a, g, b), w).sum(),
-            tol=2e-6,
-        )
-
     def test_pointwise(self):
         rng = np.random.default_rng(5)
-        # keep relu inputs away from the kink
         x = rng.normal(size=9)
-        x = np.where(np.abs(x) < 0.1, x + 0.3, x)
         w = rng.normal(size=9)
-        run_gradcheck([x], lambda a: tape.mul(tape.relu(a), w).sum())
-        run_gradcheck([x], lambda a: tape.mul(tape.elu(a), w).sum())
-        run_gradcheck([x], lambda a: tape.mul(tape.tanh(a), w).sum())
         run_gradcheck([x], lambda a: tape.mul(tape.log_sigmoid(a), w).sum())
 
     def test_log_sigmoid_extreme_values_stay_finite(self):
@@ -152,12 +136,6 @@ class TestTapeOps:
         out = tape.segment_sum(tape.const(x), seg, 4)
         assert out.data[2] == 0.0
 
-    def test_cumsum(self):
-        rng = np.random.default_rng(10)
-        x = rng.normal(size=5)
-        w = rng.normal(size=5)
-        run_gradcheck([x], lambda a: tape.mul(tape.cumsum(a), w).sum())
-
     def test_clamp_min(self):
         rng = np.random.default_rng(11)
         x = rng.normal(size=8) * 3
@@ -170,9 +148,11 @@ class TestTapeOps:
         a = rng.normal(size=(2, 3))
         b = rng.normal(size=(3, 3))
 
+        seg = np.array([0, 2, 0, 1, 2, 2])
+
         def f(x, y):
-            h = tape.tanh(tape.matmul(x, y))
-            return (h + tape.elu(x)).square().mean()
+            h = tape.log_sigmoid(tape.matmul(x, y)) + x * x
+            return tape.segment_sum(tape.reshape(h, (6,)), seg, 3).square().mean()
 
         run_gradcheck([a, b], f, tol=2e-6)
 
@@ -303,8 +283,11 @@ class TestMae:
         assert out[1] == mae.marginals.data[2]
         assert out[3] != mae.marginals.data[3]
 
-    def test_full_network_gradcheck(self):
-        cfg = small_config()
+    @pytest.mark.parametrize("activation", ["relu", "elu"])
+    @pytest.mark.parametrize("blocks", [1, 3])
+    @pytest.mark.parametrize("cond", [(), (1, 3)], ids=["plain", "cond"])
+    def test_full_network_gradcheck(self, activation, blocks, cond):
+        cfg = small_config(activation=activation, blocks=blocks, cond_vars=cond)
         mae = MaeParams(cfg)
         randomize(mae, seed=13)
         x = sample_inputs(cfg, 3, seed=4)
@@ -334,7 +317,7 @@ class TestMae:
         err = relative_error(analytic[live], numeric[live], floor=1e-3)
         assert err.max() < 1e-4
         # the rest must still agree in absolute terms
-        assert np.abs(analytic[~live] - numeric[~live]).max() < 1e-6
+        assert np.abs(analytic[~live] - numeric[~live]).max(initial=0.0) < 1e-6
 
     def test_flow_head_gradcheck(self):
         cfg = small_config(flow_head=True, blocks=1)
@@ -404,18 +387,30 @@ class TestCheckpoint:
         assert_array_equal(loaded.masked_logits(x, vs).data, mae.masked_logits(x, vs).data)
 
     def test_float32_storage(self, tmp_path):
-        cfg = small_config(dtype="float32")
+        # a hand-built file storing its parameters at 32 bits still loads
+        cfg = small_config(cond_vars=(2,), activation="elu")
         mae = MaeParams(cfg)
         randomize(mae, seed=22)
-        path = os.fspath(tmp_path / "net32.dmae")
-        save_checkpoint(mae, path)
-        first, _ = load_checkpoint(path)
-        assert first.cfg.dtype == "float32"
-        assert_allclose(first.pack(), mae.pack(), rtol=1e-6, atol=1e-6)
-        # once values are 32-bit representable the trip is exact
-        save_checkpoint(first, path)
-        second, _ = load_checkpoint(path)
-        assert_array_equal(second.pack(), first.pack())
+        flat32 = mae.pack().astype("<f4")
+
+        def write(float_bits: int) -> str:
+            path = os.fspath(tmp_path / f"net{float_bits}.dmae")
+            header = struct.pack("<4sIIIIIII", b"DMAE", 1, 4, 8, 2, float_bits, 4, 1)
+            body = struct.pack("<I", 2) + struct.pack("<Q", flat32.size) + flat32.tobytes()
+            open(path, "wb").write(header + body)
+            return path
+
+        loaded, blob = load_checkpoint(write(32), init_seed=cfg.init_seed)
+        assert blob is None
+        assert loaded.cfg == cfg
+        assert_array_equal(loaded.pack(), flat32.astype(np.float64))
+        # saving writes 64 bits, and the widened values survive exactly
+        path = os.fspath(tmp_path / "net64.dmae")
+        save_checkpoint(loaded, path)
+        assert struct.unpack_from("<I", open(path, "rb").read(), 20) == (64,)
+        assert_array_equal(load_checkpoint(path)[0].pack(), loaded.pack())
+        with pytest.raises(CorruptFile, match="float width"):
+            load_checkpoint(write(16))
 
     def test_optimizer_state_round_trip(self, tmp_path):
         cfg = small_config()
