@@ -66,7 +66,6 @@ from flipmatch.harness import (
     write_metrics_csv,
 )
 from flipmatch.losses import (
-    ExactFlow,
     FlowHead,
     LogZEstimate,
     db_trajectory_loss,
@@ -81,7 +80,6 @@ from flipmatch.sampler import (
     AmortizedSampler,
     AnnealSchedule,
     Policy,
-    TabularSampler,
     gibbs_chain,
 )
 

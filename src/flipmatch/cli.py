@@ -74,7 +74,7 @@ def _emit(doc: dict, path: str | None) -> None:
 def _load_model(path: str):
     try:
         return read_model(path)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except OSError as exc:
         raise ConfigError(f"cannot read model from {path}: {exc}") from exc
 
 

@@ -20,21 +20,23 @@ from __future__ import annotations
 import json
 import os
 import struct
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from flipmatch.errors import (
     CorruptFile,
     EmptyBatch,
+    FlipmatchError,
     PartialAssignment,
     SameValue,
     ShapeMismatch,
     TooLarge,
     read_exact,
 )
-from flipmatch.graph import Dag, UndirectedGraph
+from flipmatch.graph import Dag, UndirectedGraph, _as_rng
+from flipmatch.nn.tape import log_sigmoid_np, sigmoid_np
 
 __all__ = [
     "Assignment",
@@ -281,10 +283,6 @@ class ConditionalFactor(Factor):
         if self.logits.shape != (1 << len(self.parents),):
             raise ShapeMismatch("logit table must have one entry per parent config")
 
-    @staticmethod
-    def _log_sigmoid(z: np.ndarray) -> np.ndarray:
-        return np.minimum(z, 0.0) - np.log1p(np.exp(-np.abs(z)))
-
     def _config_index(self, parent_vals: np.ndarray) -> np.ndarray:
         if not self.parents:
             return np.zeros(parent_vals.shape[0], dtype=np.int64)
@@ -295,7 +293,7 @@ class ConditionalFactor(Factor):
         vals = np.asarray(vals)
         if np.all(vals != 0):
             z = self.logits[self._config_index(vals[:, :-1])]
-            return self._log_sigmoid(vals[:, -1].astype(np.float64) * z)
+            return log_sigmoid_np(vals[:, -1].astype(np.float64) * z)
         return self._multilinear(vals.astype(np.float64))
 
     def _multilinear(self, vals: np.ndarray) -> np.ndarray:
@@ -500,9 +498,8 @@ class IsingModel(EnergyModel):
         self.J = J
         self.b = b
         self.sigma = float(sigma)
-        self.edges = tuple(
-            (i, j) for i in range(n) for j in range(i + 1, n) if J[i, j] != 0.0
-        )
+        rows, cols = np.nonzero(np.triu(J, 1))
+        self.edges = tuple(zip(rows.tolist(), cols.tolist()))
         nbrs: list[list[int]] = [[] for _ in range(n)]
         for u, v in self.edges:
             nbrs[u].append(v)
@@ -590,7 +587,7 @@ class TabularBayesNetModel(EnergyModel):
     def __init__(self, dag: Dag, tables: dict[int, np.ndarray] | None = None) -> None:
         self.dag = dag
         n = dag.num_vars
-        if sorted(dag.topo_order) != list(range(n)):
+        if len(dag.topo_order) != n or sorted(dag.topo_order) != list(range(n)):
             raise ValueError("the network must cover every variable")
         factors = []
         for v in dag.topo_order:
@@ -609,12 +606,12 @@ class TabularBayesNetModel(EnergyModel):
 
     def sample(self, n: int, seed) -> np.ndarray:
         """Exact ancestral samples (the network is normalized)."""
-        rng = np.random.default_rng(seed) if not isinstance(seed, np.random.Generator) else seed
+        rng = _as_rng(seed)
         X = np.zeros((n, self.num_vars), dtype=np.int8)
         for v in self.dag.topo_order:
             f = self.factor_for(v)
             z = f.logits[f._config_index(X[:, f.parents])]
-            p_plus = 1.0 / (1.0 + np.exp(-z))
+            p_plus = sigmoid_np(z)
             X[:, v] = np.where(rng.random(n) < p_plus, 1, -1).astype(np.int8)
         return X
 
@@ -623,7 +620,7 @@ def random_ising(
     g: UndirectedGraph, sigma: float = 0.2, seed: int | np.random.Generator = 0
 ) -> IsingModel:
     """Ising model on a graph with couplings and biases drawn from {-1, +1}."""
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = _as_rng(seed)
     n = g.num_vars
     J = np.zeros((n, n))
     for u, v in sorted(g.edges):
@@ -636,7 +633,7 @@ def random_factor_lattice(
     rows: int, cols: int, seed: int | np.random.Generator = 0, init_std: float = 0.5
 ) -> FactorGraphModel:
     """MLP factors over every 2x2 plaquette of a rows x cols grid."""
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = _as_rng(seed)
     factors = []
     for r in range(rows - 1):
         for c in range(cols - 1):
@@ -686,7 +683,7 @@ class ExactTable:
         return float(np.log(p) - np.log1p(-p))
 
     def sample_matrix(self, n: int, seed) -> np.ndarray:
-        rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+        rng = _as_rng(seed)
         idx = rng.choice(len(self.full_probs), size=n, p=self.full_probs)
         states = self.states()
         return states[idx]
@@ -785,32 +782,49 @@ def write_model(m: EnergyModel, path: str) -> None:
 
 
 def read_model(path: str) -> EnergyModel:
+    """The model a file written by ``write_model`` describes.
+
+    A document no model can be built from raises CorruptFile naming the file.
+    """
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            return _model_from_doc(json.load(fh), os.path.dirname(path) or ".")
+        except (
+            FlipmatchError, LookupError, TypeError, ValueError, AttributeError, OverflowError,
+            OSError,
+        ) as exc:
+            what = f"{type(exc).__name__}: {exc}"
+            raise CorruptFile(f"{path}: cannot build a model: {what}") from exc
+
+
+def _model_from_doc(doc, folder: str) -> EnergyModel:
     kind = doc.get("kind")
     if kind == "ising":
+        bias = np.asarray(doc["bias"], dtype=np.float64)
         n = doc["num_vars"]
+        if bias.shape != (n,):
+            raise ValueError(f"bias must hold num_vars = {n} values")
         J = np.zeros((n, n))
         for u, v, w in doc["edges"]:
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"edge ({u}, {v}) out of range for {n} variables")
             J[u, v] = J[v, u] = w
-        return IsingModel(J, np.asarray(doc["bias"], dtype=np.float64), doc["sigma"])
+        return IsingModel(J, bias, doc["sigma"])
     if kind == "bayesnet":
         arcs = frozenset((a, b) for a, b in doc["arcs"])
         dag = Dag(doc["num_vars"], arcs, tuple(doc["topo_order"]))
         tables = {int(v): np.asarray(t, dtype=np.float64) for v, t in doc["tables"].items()}
         return TabularBayesNetModel(dag, tables)
     if kind == "factor_graph":
-        factors = []
         h = doc["hidden"]
         if h != MlpFactor.HIDDEN:
             raise ValueError(f"unsupported hidden width {h}")
-        for scope in doc["scopes"]:
-            a = len(scope)
-            factors.append(
-                MlpFactor(scope, np.zeros((h, a)), np.zeros(h), np.zeros(h), 0.0)
-            )
+        weights = _read_sidecar(os.path.join(folder, doc["weights_file"]))
+        factors = [
+            MlpFactor(scope, np.zeros((h, len(scope))), np.zeros(h), np.zeros(h), 0.0)
+            for scope in doc["scopes"]
+        ]
         m = FactorGraphModel(doc["num_vars"], factors)
-        weights = _read_sidecar(os.path.join(os.path.dirname(path) or ".", doc["weights_file"]))
         m.set_params(weights)
         return m
-    raise ValueError(f"{path}: unknown model kind {kind!r}")
+    raise ValueError(f"unknown model kind {kind!r}")

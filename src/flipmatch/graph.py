@@ -20,7 +20,7 @@ tests are ``a & ~b == 0``, and set sizes are ``bit_count`` calls.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Sequence
 

@@ -10,7 +10,6 @@ the one column exempt from that.
 from __future__ import annotations
 
 import time
-from itertools import combinations
 
 import numpy as np
 
@@ -40,11 +39,8 @@ FLOW_OBJECTIVES = tuple(o for o in GFN_OBJECTIVES if o != "tb")
 
 
 def interaction_graph(m: EnergyModel) -> UndirectedGraph:
-    """The Markov network of a factorized model: co-scoped variables adjacent."""
-    pairs = set()
-    for f in m.factors:
-        pairs.update(combinations(sorted(set(f.scope)), 2))
-    return UndirectedGraph.from_edges(m.num_vars, pairs)
+    """The Markov network of a factorized model, as its constructor built it."""
+    return m.graph
 
 
 def _aux_multipliers(params, mult: float) -> list[float]:

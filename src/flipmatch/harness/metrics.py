@@ -9,7 +9,6 @@ import numpy as np
 
 from flipmatch.errors import EmptyBatch, ShapeMismatch
 from flipmatch.graph import Imap
-from flipmatch.sampler import TabularSampler
 
 __all__ = [
     "MetricsRow",
@@ -48,11 +47,7 @@ def metric_nll(s, imap: Imap, samples) -> float:
         X = X[None, :]
     if X.shape[0] == 0:
         raise EmptyBatch("no reference samples to score")
-    if isinstance(s, TabularSampler):
-        lp = s.log_prob_batch(X)
-    else:
-        lp = s.log_prob_batch(imap, X)
-    return float(-lp.mean())
+    return float(-s.log_prob_batch(imap, X).mean())
 
 
 def metric_mmd_linear(a, b) -> float:

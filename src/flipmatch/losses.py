@@ -24,7 +24,6 @@ from flipmatch.energy import (
     ZERO_MASKED,
     Assignment,
     EnergyModel,
-    ExactTable,
     _values_of,
 )
 from flipmatch.errors import (
@@ -46,7 +45,6 @@ __all__ = [
     "LOGQ_FLOOR",
     "LogZEstimate",
     "FlowHead",
-    "ExactFlow",
     "fl_flow",
     "delta_loss",
     "delta_loss_batch",
@@ -115,28 +113,6 @@ class FlowHead:
         return tape.where(full, tape.const(pinned), out)
 
 
-class ExactFlow:
-    """True state flows from an enumerated model: F(prefix) = Z * P(prefix).
-
-    A parameter-free stand-in for FlowHead used as a reference: with exact
-    conditionals it zeroes every balance residual.
-    """
-
-    def __init__(self, table: ExactTable) -> None:
-        self.table = table
-
-    def log_flow_rows(self, m: EnergyModel, rows: np.ndarray) -> Tensor:
-        rows = np.asarray(rows)
-        states = self.table.states()
-        out = np.empty(rows.shape[0])
-        for r, row in enumerate(rows):
-            match = np.ones(len(states), dtype=bool)
-            for v in np.flatnonzero(row):
-                match &= states[:, v] == row[v]
-            out[r] = self.table.log_z + np.log(self.table.full_probs[match].sum())
-        return tape.const(out)
-
-
 def fl_flow(flow: FlowHead, m: EnergyModel, x, mode: str = ZERO_MASKED) -> Tensor:
     """Forward-looking log-flow of one partial assignment: correction + reward.
 
@@ -153,8 +129,8 @@ def fl_flow(flow: FlowHead, m: EnergyModel, x, mode: str = ZERO_MASKED) -> Tenso
 # flip matching
 
 
-def _clamped_logq(s, inputs: np.ndarray, vs, signs) -> Tensor:
-    return tape.clamp_min(s.logq_rows(inputs, vs, signs), LOGQ_FLOOR)
+def _clamped_logq(s, inputs: np.ndarray, vs, signs, cond=None) -> Tensor:
+    return tape.clamp_min(s.logq_rows(inputs, vs, signs, cond), LOGQ_FLOOR)
 
 
 def _check_flip_args(imap: Imap, vals: np.ndarray, u: int, new) -> None:
@@ -242,17 +218,12 @@ def delta_loss_batch(
     coeffs = np.concatenate(coeffs)
     seg = np.concatenate(seg)
 
-    attach = getattr(s, "_attach_condition", None)
-    if attach is None:
-        if cond is not None:
-            raise ConfigError("this sampler takes no conditioning values")
-    else:
-        cond_rows = None if cond is None else np.asarray(cond, dtype=np.float64)
-        if cond_rows is not None and cond_rows.ndim == 2:
-            cond_rows = cond_rows[seg]
-        inputs = attach(inputs, cond_rows)
+    if cond is not None:
+        cond = np.asarray(cond, dtype=np.float64)
+        if cond.ndim == 2:
+            cond = cond[seg]
 
-    logq = _clamped_logq(s, inputs, vs, signs)
+    logq = _clamped_logq(s, inputs, vs, signs, cond)
     ratio_sum = tape.segment_sum(tape.mul(logq, coeffs), seg, len(X))
     delta = m.delta_log_reward_batch(X.astype(np.int8), us, new_vals.astype(np.int8))
     residual = tape.const(delta) - ratio_sum

@@ -3,12 +3,13 @@
 A deliberately small tape: each op records its parents and a closure that
 pushes the output gradient back into them.  Only the shapes and operations the
 losses in this package need are provided — dense affine maps, an affine map
-that computes one picked output column per row, log-sigmoid, selects,
-gathers, segment sums, and reductions.  The network's trunk is not built from
-these ops: it records itself as one node through ``_make``, with its own
-backward (see ``flipmatch.nn.mae``).  The correctness contract is agreement
-with central finite differences at 64-bit precision, which the test suite
-checks op by op and end to end.
+that computes one picked output column per row, log-sigmoid (whose raw-array
+form, with the sigmoid's, serves the whole package), selects, gathers, segment
+sums, and reductions.  The network's trunk is not built from these ops: it
+records itself as one node through ``_make``, with its own backward (see
+``flipmatch.nn.mae``).  The correctness contract is agreement with central
+finite differences at 64-bit precision, which the test suite checks op by op
+and end to end.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ __all__ = [
     "param",
     "matmul",
     "log_sigmoid",
+    "sigmoid_np",
+    "log_sigmoid_np",
     "where",
     "pick_affine",
     "gather_1d",
@@ -174,8 +177,25 @@ def matmul(a, b) -> Tensor:
     return _make(a.data @ b.data, (a, b), back)
 
 
+def sigmoid_np(z) -> np.ndarray:
+    """sigmoid(z) on a raw array, without overflow for either sign."""
+    z = np.asarray(z, dtype=np.float64)
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def log_sigmoid_np(z) -> np.ndarray:
+    """log sigmoid(z) on a raw array, without overflow for either sign."""
+    z = np.asarray(z, dtype=np.float64)
+    return np.minimum(z, 0.0) - np.log1p(np.exp(-np.abs(z)))
+
+
 def log_sigmoid(x: Tensor) -> Tensor:
-    out_data = np.minimum(x.data, 0.0) - np.log1p(np.exp(-np.abs(x.data)))
+    out_data = log_sigmoid_np(x.data)
 
     def back(g):
         # d/dx log sigmoid(x) = sigmoid(-x), computed without overflow

@@ -1,4 +1,4 @@
-"""Ancestral samplers over directed orientations of a graphical model.
+"""The amortized ancestral sampler over directed orientations of a graphical model.
 
 The amortized sampler evaluates each variable's conditional from an input
 masked down to exactly the variable's parents.  Because the mask is the only
@@ -15,8 +15,7 @@ network in one call.  The uniforms are drawn up front in the order of a
 map-by-map, variable-by-variable walk, and each row's log q is summed in
 topological order, so batching changes neither the draws nor log q.
 
-Also here: exploration policies (tempered and epsilon-uniform), a tabular
-sampler with explicit conditional tables (handy as an exact reference), and a
+Also here: exploration policies (tempered and epsilon-uniform) and a
 systematic-scan Gibbs chain with optional annealing.
 """
 
@@ -27,45 +26,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from flipmatch.energy import Assignment, EnergyModel, ExactTable, _values_of
+from flipmatch.energy import Assignment, EnergyModel, _values_of
 from flipmatch.errors import (
     ConfigError,
     MissingParent,
     PartialAssignment,
     ShapeMismatch,
 )
-from flipmatch.graph import Imap, Wavefront
+from flipmatch.graph import Imap, Wavefront, _as_rng
 from flipmatch.nn import tape
 from flipmatch.nn.mae import MaeParams
-from flipmatch.nn.tape import Tensor
+from flipmatch.nn.tape import Tensor, log_sigmoid_np, sigmoid_np
 
 __all__ = [
     "Policy",
     "AmortizedSampler",
-    "TabularSampler",
     "AnnealSchedule",
     "gibbs_chain",
     "masked_parent_rows",
 ]
-
-
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
-def _log_sigmoid(z: np.ndarray) -> np.ndarray:
-    z = np.asarray(z, dtype=np.float64)
-    return np.minimum(z, 0.0) - np.log1p(np.exp(-np.abs(z)))
-
-
-def _as_rng(seed) -> np.random.Generator:
-    return seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
 
 
 @dataclass(frozen=True)
@@ -106,8 +85,8 @@ class Policy:
     def plus_probability(self, logits: np.ndarray) -> np.ndarray:
         """Probability of drawing +1 at a step with the given model logits."""
         if self.kind == "tempered":
-            return _sigmoid(np.asarray(logits) / self.temperature)
-        p_on = _sigmoid(logits)
+            return sigmoid_np(np.asarray(logits) / self.temperature)
+        p_on = sigmoid_np(logits)
         if self.kind == "eps-uniform":
             return (1.0 - self.eps) * p_on + self.eps * 0.5
         return p_on
@@ -183,25 +162,20 @@ class AmortizedSampler:
             raise ShapeMismatch(f"conditioning block must be ({n}, {n_cond}), got {cond.shape}")
         return cond
 
-    def _attach_condition(self, rows: np.ndarray, cond) -> np.ndarray:
-        block = self._cond_block(cond, rows.shape[0])
-        return rows if block is None else np.hstack([rows, block])
-
     # -- conditional evaluation ----------------------------------------------
 
-    def logq_rows(self, inputs: np.ndarray, vs, signs) -> Tensor:
+    def logq_rows(self, inputs: np.ndarray, vs, signs, cond=None) -> Tensor:
         """Taped log q(sign_i at var vs_i | masked row i) for a batch of rows.
 
-        ``inputs`` holds full-width masked rows; the network computes only
-        the logit of each row's own variable.
+        ``inputs`` holds |V|-wide masked rows and ``cond`` the conditioning
+        block (one row per input row, or one row for all); the network
+        computes only the logit of each row's own variable.
         """
+        block = self._cond_block(cond, len(inputs))
+        if block is not None:
+            inputs = np.hstack([inputs, block])
         logits = self.params.masked_logits(inputs, vs)
         return tape.log_sigmoid(tape.mul(logits, np.asarray(signs, dtype=np.float64)))
-
-    def logq_rows_np(self, inputs: np.ndarray, vs, signs) -> np.ndarray:
-        """Gradient-free twin of logq_rows, on the same full-width rows."""
-        logits = self.params.masked_logits_np(inputs, vs)
-        return _log_sigmoid(np.asarray(signs, dtype=np.float64) * logits)
 
     def _entry_logits(
         self, work: np.ndarray, cond, rows: np.ndarray, vs: np.ndarray, parents: np.ndarray
@@ -258,7 +232,7 @@ class AmortizedSampler:
                 work[rows, cols] = np.where(
                     uniforms[ent] < policy.plus_probability(logits), 1.0, -1.0
                 )
-            terms[map_of[ent], pos[ent]] = _log_sigmoid(work[rows, cols] * logits)
+            terms[map_of[ent], pos[ent]] = log_sigmoid_np(work[rows, cols] * logits)
         logq = np.zeros((len(maps), n))
         for t in range(terms.shape[1]):
             logq += terms[:, t]
@@ -278,7 +252,7 @@ class AmortizedSampler:
         parents = wave.parents[wave.positions([v])]
         rows = np.zeros((1, 1), dtype=np.int64)
         logit = self._entry_logits(work, self._cond_block(cond, 1), rows, np.array([v]), parents)
-        return float(_log_sigmoid(vals[v] * logit)[0, 0])
+        return float(log_sigmoid_np(vals[v] * logit)[0, 0])
 
     # -- sampling --------------------------------------------------------------
 
@@ -326,98 +300,6 @@ class AmortizedSampler:
 
     def log_prob(self, imap: Imap, x, cond=None) -> float:
         return float(self.log_prob_batch(imap, _values_of(x)[None, :], cond)[0])
-
-
-class TabularSampler:
-    """Explicit conditional tables over one I-map; exact and parameter-free.
-
-    ``tables[v]`` holds P(x_v = +1 | parent configuration), indexed by the
-    little-endian bit pattern of the (sorted) parent values, bit set for +1.
-    """
-
-    def __init__(self, imap: Imap, tables: dict[int, np.ndarray]) -> None:
-        self.imap = imap
-        self.tables = tables
-
-    @classmethod
-    def from_exact_table(cls, table: ExactTable, imap: Imap) -> "TabularSampler":
-        """The conditionals of an exactly enumerated distribution under imap."""
-        states = table.states()
-        tables: dict[int, np.ndarray] = {}
-        for v in imap.vertices:
-            ps = sorted(imap.parents[v])
-            t = np.zeros(1 << len(ps))
-            for c in range(1 << len(ps)):
-                match = np.ones(len(states), dtype=bool)
-                for k, p in enumerate(ps):
-                    want = 1 if (c >> k) & 1 else -1
-                    match &= states[:, p] == want
-                total = table.full_probs[match].sum()
-                plus = table.full_probs[match & (states[:, v] == 1)].sum()
-                t[c] = plus / total
-            tables[v] = t
-        return cls(imap, tables)
-
-    def _config_indices(self, v: int, vals: np.ndarray) -> np.ndarray:
-        ps = sorted(self.imap.parents[v])
-        idx = np.zeros(vals.shape[0], dtype=np.int64)
-        for k, p in enumerate(ps):
-            idx |= (vals[:, p] > 0).astype(np.int64) << k
-        return idx
-
-    def logq_rows(self, inputs: np.ndarray, vs, signs) -> Tensor:
-        return tape.const(self.logq_rows_np(inputs, vs, signs))
-
-    def logq_rows_np(self, inputs: np.ndarray, vs, signs) -> np.ndarray:
-        inputs = np.asarray(inputs, dtype=np.float64)
-        vs = np.asarray(vs)
-        signs = np.asarray(signs)
-        out = np.zeros(len(vs))
-        for v in np.unique(vs):
-            rows = np.flatnonzero(vs == v)
-            p_plus = self.tables[int(v)][self._config_indices(int(v), inputs[rows])]
-            p = np.where(signs[rows] > 0, p_plus, 1.0 - p_plus)
-            out[rows] = np.log(p)
-        return out
-
-    def conditional_logprob(self, v: int, x) -> float:
-        vals = _values_of(x)
-        missing = [p for p in self.imap.parents[v] if vals[p] == 0]
-        if missing:
-            raise MissingParent(f"variable {v} needs parents {missing} instantiated")
-        if vals[v] == 0:
-            raise PartialAssignment(f"variable {v} itself carries no value")
-        row = vals[None, :].astype(np.float64)
-        return float(self.logq_rows_np(row, [v], [vals[v]])[0])
-
-    def log_prob_batch(self, X) -> np.ndarray:
-        vals = np.asarray(X, dtype=np.float64)
-        if vals.ndim == 1:
-            vals = vals[None, :]
-        if np.any(vals[:, list(self.imap.vertices)] == 0):
-            raise PartialAssignment("log_prob needs fully instantiated samples")
-        out = np.zeros(vals.shape[0])
-        for v in self.imap.topo_order:
-            p_plus = self.tables[v][self._config_indices(v, vals)]
-            p = np.where(vals[:, v] > 0, p_plus, 1.0 - p_plus)
-            out += np.log(p)
-        return out
-
-    def log_prob(self, x) -> float:
-        return float(self.log_prob_batch(_values_of(x)[None, :])[0])
-
-    def ancestral_sample(self, policy: Policy, n: int, seed) -> tuple[np.ndarray, np.ndarray]:
-        rng = _as_rng(seed)
-        num_vars = self.imap.num_vars
-        X = np.zeros((n, num_vars), dtype=np.float64)
-        logq = np.zeros(n)
-        for v in self.imap.topo_order:
-            p_plus = self.tables[v][self._config_indices(v, X)]
-            logits = np.log(p_plus) - np.log1p(-p_plus)
-            draws = np.where(rng.random(n) < policy.plus_probability(logits), 1.0, -1.0)
-            X[:, v] = draws
-            logq += np.log(np.where(draws > 0, p_plus, 1.0 - p_plus))
-        return X.astype(np.int8), logq
 
 
 # ---------------------------------------------------------------------------
@@ -470,6 +352,6 @@ def gibbs_chain(
         beta = schedule.beta(sweep)
         for u in range(m.num_vars):
             logits = m.local_flip_logits(u, X)
-            p_plus = _sigmoid(beta * logits)
+            p_plus = sigmoid_np(beta * logits)
             X[:, u] = np.where(rng.random(n_chains) < p_plus, 1.0, -1.0)
     return X.astype(np.int8)

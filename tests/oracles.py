@@ -1,8 +1,9 @@
 """Independent brute-force reference implementations used across the tests.
 
 Everything here is deliberately naive: subset enumeration, full-energy
-evaluation, central finite differences.  The library must agree with these on
-small inputs; none of this code is imported by the package itself.
+evaluation, central finite differences, explicit conditional tables walked one
+variable at a time.  The library must agree with these on small inputs; none
+of this code is imported by the package itself.
 """
 
 from __future__ import annotations
@@ -11,7 +12,11 @@ from itertools import combinations
 
 import numpy as np
 
-from flipmatch.graph import UndirectedGraph
+from flipmatch.energy import EnergyModel, ExactTable, _values_of
+from flipmatch.errors import ConfigError, MissingParent, PartialAssignment
+from flipmatch.graph import Imap, UndirectedGraph
+from flipmatch.nn import tape
+from flipmatch.nn.tape import Tensor
 
 
 def _connected(vertices: list[int], has_edge) -> bool:
@@ -134,6 +139,134 @@ def fit_sampler_exactly(mae, imaps, table) -> float:
     return worst
 
 
+# ---------------------------------------------------------------------------
+# exact conditionals: explicit tables walked one variable at a time, and the
+# true state flows of an enumerated model.  With exact tables every flip and
+# balance residual is zero, which is what the losses are checked against.
+
+
+class TabularSampler:
+    """Explicit conditional tables over one I-map; exact and parameter-free.
+
+    ``tables[v]`` holds P(x_v = +1 | parent configuration), indexed by the
+    little-endian bit pattern of the (sorted) parent values, bit set for +1.
+    Methods take the I-map first, as the amortized sampler's do; it must be
+    the map the tables were built for.
+    """
+
+    def __init__(self, imap: Imap, tables: dict[int, np.ndarray]) -> None:
+        self.imap = imap
+        self.tables = tables
+
+    @classmethod
+    def from_exact_table(cls, table: ExactTable, imap: Imap) -> "TabularSampler":
+        """The conditionals of an exactly enumerated distribution under imap."""
+        states = table.states()
+        tables: dict[int, np.ndarray] = {}
+        for v in imap.vertices:
+            ps = sorted(imap.parents[v])
+            t = np.zeros(1 << len(ps))
+            for c in range(1 << len(ps)):
+                match = np.ones(len(states), dtype=bool)
+                for k, p in enumerate(ps):
+                    want = 1 if (c >> k) & 1 else -1
+                    match &= states[:, p] == want
+                total = table.full_probs[match].sum()
+                plus = table.full_probs[match & (states[:, v] == 1)].sum()
+                t[c] = plus / total
+            tables[v] = t
+        return cls(imap, tables)
+
+    def _check_map(self, imap: Imap) -> None:
+        if imap != self.imap:
+            raise ConfigError("the tables were built for another I-map")
+
+    def _config_indices(self, v: int, vals: np.ndarray) -> np.ndarray:
+        ps = sorted(self.imap.parents[v])
+        idx = np.zeros(vals.shape[0], dtype=np.int64)
+        for k, p in enumerate(ps):
+            idx |= (vals[:, p] > 0).astype(np.int64) << k
+        return idx
+
+    def logq_rows(self, inputs: np.ndarray, vs, signs, cond=None) -> Tensor:
+        """log q(sign_i at var vs_i | masked row i), as a constant on the tape."""
+        if cond is not None:
+            raise ConfigError("the tabular sampler takes no conditioning values")
+        inputs = np.asarray(inputs, dtype=np.float64)
+        vs = np.asarray(vs)
+        signs = np.asarray(signs)
+        out = np.zeros(len(vs))
+        for v in np.unique(vs):
+            rows = np.flatnonzero(vs == v)
+            p_plus = self.tables[int(v)][self._config_indices(int(v), inputs[rows])]
+            p = np.where(signs[rows] > 0, p_plus, 1.0 - p_plus)
+            out[rows] = np.log(p)
+        return tape.const(out)
+
+    def conditional_logprob(self, imap: Imap, v: int, x) -> float:
+        self._check_map(imap)
+        vals = _values_of(x)
+        missing = [p for p in imap.parents[v] if vals[p] == 0]
+        if missing:
+            raise MissingParent(f"variable {v} needs parents {missing} instantiated")
+        if vals[v] == 0:
+            raise PartialAssignment(f"variable {v} itself carries no value")
+        row = vals[None, :].astype(np.float64)
+        return float(self.logq_rows(row, [v], [vals[v]]).data[0])
+
+    def log_prob_batch(self, imap: Imap, X) -> np.ndarray:
+        self._check_map(imap)
+        vals = np.asarray(X, dtype=np.float64)
+        if vals.ndim == 1:
+            vals = vals[None, :]
+        if np.any(vals[:, list(imap.vertices)] == 0):
+            raise PartialAssignment("log_prob needs fully instantiated samples")
+        out = np.zeros(vals.shape[0])
+        for v in imap.topo_order:
+            p_plus = self.tables[v][self._config_indices(v, vals)]
+            p = np.where(vals[:, v] > 0, p_plus, 1.0 - p_plus)
+            out += np.log(p)
+        return out
+
+    def log_prob(self, imap: Imap, x) -> float:
+        return float(self.log_prob_batch(imap, _values_of(x)[None, :])[0])
+
+    def ancestral_sample(self, imap: Imap, policy, n: int, seed) -> tuple[np.ndarray, np.ndarray]:
+        self._check_map(imap)
+        rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+        X = np.zeros((n, imap.num_vars), dtype=np.float64)
+        logq = np.zeros(n)
+        for v in imap.topo_order:
+            p_plus = self.tables[v][self._config_indices(v, X)]
+            logits = np.log(p_plus) - np.log1p(-p_plus)
+            draws = np.where(rng.random(n) < policy.plus_probability(logits), 1.0, -1.0)
+            X[:, v] = draws
+            logq += np.log(np.where(draws > 0, p_plus, 1.0 - p_plus))
+        return X.astype(np.int8), logq
+
+
+class ExactFlow:
+    """True state flows from an enumerated model: F(prefix) = Z * P(prefix).
+
+    A parameter-free stand-in for FlowHead: with exact conditionals it zeroes
+    every balance residual.
+    """
+
+    def __init__(self, table: ExactTable) -> None:
+        self.table = table
+
+    def log_flow_rows(self, m: EnergyModel, rows: np.ndarray) -> Tensor:
+        rows = np.asarray(rows)
+        states = self.table.states()
+        out = np.empty(rows.shape[0])
+        for r, row in enumerate(rows):
+            match = np.ones(len(states), dtype=bool)
+            for v in np.flatnonzero(row):
+                match &= states[:, v] == row[v]
+            out[r] = self.table.log_z + np.log(self.table.full_probs[match].sum())
+        return tape.const(out)
+
+
 def fit_tables_by_flip_matching(m, imap, max_iter: int = 60):
     """Solve the flip-matching equations for tabular conditionals from scratch.
 
@@ -148,7 +281,6 @@ def fit_tables_by_flip_matching(m, imap, max_iter: int = 60):
     used); callers that need a guarantee should re-score the returned sampler.
     """
     from flipmatch.energy import all_states
-    from flipmatch.sampler import TabularSampler
 
     def sigmoid(t: np.ndarray) -> np.ndarray:
         return 0.5 * (1.0 + np.tanh(0.5 * t))
@@ -268,13 +400,17 @@ def dense_masked_logits(mae, x: np.ndarray) -> np.ndarray:
     return np.where(empty[:, None], mae.marginals.data, logits)
 
 
+def _with_cond(sampler, rows: np.ndarray, cond) -> np.ndarray:
+    block = sampler._cond_block(cond, len(rows))
+    return rows if block is None else np.hstack([rows, block])
+
+
 def _dense_logits_at(sampler, imap, v: int, X: np.ndarray, cond) -> np.ndarray:
     ps = list(imap.parents[v])
     row = np.zeros_like(X)
     if ps:
         row[:, ps] = X[:, ps]
-    inputs = sampler._attach_condition(row, cond)
-    return dense_masked_logits(sampler.params, inputs)[:, v]
+    return dense_masked_logits(sampler.params, _with_cond(sampler, row, cond))[:, v]
 
 
 def dense_run_order(sampler, imap, policy, n: int, seed, cond=None):
@@ -309,7 +445,7 @@ def dense_log_prob_batch(sampler, imap, X, cond=None) -> np.ndarray:
 def _parent_logits(sampler, imap, v: int, X: np.ndarray, cond) -> np.ndarray:
     cfg = sampler.params.cfg
     ps = list(imap.parents[v])
-    inputs = sampler._attach_condition(X[:, ps], cond)
+    inputs = _with_cond(sampler, X[:, ps], cond)
     cols = np.concatenate(
         [np.asarray(ps, dtype=np.int64), np.arange(cfg.num_vars, cfg.input_width)]
     )

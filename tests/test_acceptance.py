@@ -57,7 +57,6 @@ from flipmatch.harness import (
     train_gfn,
 )
 from flipmatch.losses import (
-    ExactFlow,
     FlowHead,
     LogZEstimate,
     db_trajectory_loss,
@@ -68,9 +67,11 @@ from flipmatch.losses import (
     tb_loss_batch,
 )
 from flipmatch.nn import MaeConfig, MaeParams, tape
-from flipmatch.sampler import AmortizedSampler, Policy, TabularSampler
+from flipmatch.sampler import AmortizedSampler, Policy
 
 from oracles import (
+    ExactFlow,
+    TabularSampler,
     chordal_brute_force,
     central_diff,
     exact_em,
@@ -122,8 +123,8 @@ def pair_residuals(s: TabularSampler, imap: Imap, m, states: np.ndarray) -> np.n
         ratio = np.zeros(n_states)
         for v in [u, *imap.children[u]]:
             vs = np.full(n_states, v)
-            ratio += s.logq_rows_np(flipped, vs, flipped[:, v])
-            ratio -= s.logq_rows_np(X, vs, X[:, v])
+            ratio += s.logq_rows(flipped, vs, flipped[:, v]).data
+            ratio -= s.logq_rows(X, vs, X[:, v]).data
         out[u] = target - ratio
     return out
 
@@ -155,7 +156,7 @@ class TestConditionalFixedPoint:
             fitted, _, _ = fit_tables_by_flip_matching(m, imap)
             res = pair_residuals(fitted, imap, m, states)
             worst_refit = max(worst_refit, float((res**2).max()))
-            joint = np.exp(fitted.log_prob_batch(states))
+            joint = np.exp(fitted.log_prob_batch(imap, states))
             worst_tv = max(worst_tv, 0.5 * float(np.abs(joint - table.full_probs).sum()))
         elapsed = time.perf_counter() - t0
 

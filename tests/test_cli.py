@@ -113,6 +113,25 @@ class TestTruncatedFiles:
         assert "fg.json.bin" in capsys.readouterr().err
 
 
+def ising_doc(edge):
+    return {"kind": "ising", "num_vars": 3, "sigma": 1.0, "edges": [edge], "bias": [0, 0, 0]}
+
+
+class TestMalformedModel:
+    """A model document that describes no model is an input error (exit 2)."""
+
+    @pytest.mark.parametrize(
+        "doc",
+        [[1, 2], ising_doc([0, 7, 1.0]), ising_doc([-1, 0, 1.0])],
+        ids=["list", "edge-past-the-end", "negative-edge"],
+    )
+    def test_oracle_exits_2_naming_the_file(self, doc, tmp_path, capsys):
+        path = tmp_path / "bad_model.json"
+        path.write_text(json.dumps(doc))
+        assert main(["oracle", "--model", str(path)]) == 2
+        assert "bad_model.json" in capsys.readouterr().err
+
+
 class TestTrain:
     def test_writes_checkpoint_and_metrics(self, model_file, tmp_path, capsys):
         cfg = write_config(tmp_path)

@@ -1,7 +1,13 @@
 """Energy-model tests: factor evaluation, flip ratios, enumeration oracle, IO."""
 
+import json
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from flipmatch.energy import (
@@ -26,6 +32,7 @@ from flipmatch.energy import (
 from flipmatch.errors import (
     CorruptFile,
     EmptyBatch,
+    FlipmatchError,
     PartialAssignment,
     SameValue,
     ShapeMismatch,
@@ -33,6 +40,37 @@ from flipmatch.errors import (
 )
 from flipmatch.graph import Dag, chain_graph, random_graph, sample_imap
 from oracles import central_diff, relative_error
+
+
+# any JSON value, and model documents whose fields are either plausible or any
+# JSON value: read_model must build a model from each or raise FlipmatchError
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+_small = st.integers(-2, 5)
+_model_docs = _json | st.fixed_dictionaries(
+    {
+        "kind": st.sampled_from(["ising", "bayesnet", "factor_graph", "other"]) | _json,
+        "num_vars": _small | _json,
+        "sigma": st.floats(-1, 2) | _json,
+        "edges": st.lists(st.lists(_small | st.floats(-1, 1), max_size=4), max_size=4) | _json,
+        "bias": st.lists(st.floats(-1, 1), max_size=5) | _json,
+        "arcs": st.lists(st.lists(_small, max_size=3), max_size=4) | _json,
+        "topo_order": st.lists(_small, max_size=5) | _json,
+        "tables": st.dictionaries(
+            st.sampled_from(["0", "1", "2", "-1", "x"]),
+            st.lists(st.floats(-2, 2), max_size=4),
+            max_size=3,
+        )
+        | _json,
+        "scopes": st.lists(st.lists(_small, max_size=5), max_size=3) | _json,
+        "hidden": st.just(MlpFactor.HIDDEN) | _json,
+        "weights_file": st.sampled_from(["m.json.bin", "m.json", ""]) | _json,
+    }
+)
 
 
 def two_var_ising():
@@ -469,6 +507,19 @@ class TestModelIO:
             side.write_bytes(payload[:k])
             with pytest.raises(CorruptFile, match="fg.json.bin"):
                 read_model(path)
+
+    @given(doc=_model_docs)
+    @settings(max_examples=300, deadline=None)
+    def test_read_model_on_any_json_builds_a_model_or_raises_flipmatch_error(self, doc):
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "m.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+            try:
+                m = read_model(path)
+            except FlipmatchError:
+                return
+            assert isinstance(m, EnergyModel)
 
     def test_sidecar_magic_checked(self, tmp_path):
         m = random_factor_lattice(2, 2, seed=3)

@@ -39,7 +39,6 @@ from flipmatch.errors import (
 from flipmatch.graph import chain_graph, cycle_graph, grid_graph, sample_imap, sub_imap
 from flipmatch.losses import (
     LOGQ_FLOOR,
-    ExactFlow,
     FlowHead,
     LogZEstimate,
     _flip_term_rows,
@@ -55,9 +54,9 @@ from flipmatch.losses import (
     tb_loss_batch,
 )
 from flipmatch.nn import MaeConfig, MaeParams, tape
-from flipmatch.sampler import AmortizedSampler, TabularSampler, masked_parent_rows
+from flipmatch.sampler import AmortizedSampler, masked_parent_rows
 
-from oracles import all_states, fit_sampler_exactly
+from oracles import ExactFlow, TabularSampler, all_states, fit_sampler_exactly
 
 
 def exact_setup(num_vars: int = 5, sigma: float = 0.7, seed: int = 3, imap_seed: int = 1):
@@ -319,14 +318,14 @@ class TestDeltaLoss:
                 xn[u] = nv
                 row = masked_parent_rows(imap, x[None, :], [u])
                 ratio = float(
-                    s.logq_rows_np(row, [u], [x[u]])[0] - s.logq_rows_np(row, [u], [nv])[0]
+                    s.logq_rows(row, [u], [x[u]]).data[0] - s.logq_rows(row, [u], [nv]).data[0]
                 )
                 for c in imap.children[u]:
                     r_old = masked_parent_rows(imap, x[None, :], [c])
                     r_new = masked_parent_rows(imap, xn[None, :], [c])
                     ratio += float(
-                        s.logq_rows_np(r_old, [c], [x[c]])[0]
-                        - s.logq_rows_np(r_new, [c], [x[c]])[0]
+                        s.logq_rows(r_old, [c], [x[c]]).data[0]
+                        - s.logq_rows(r_new, [c], [x[c]]).data[0]
                     )
                 out[k] = deltas[k] - ratio
             return out
@@ -344,7 +343,7 @@ class TestDeltaLoss:
             theta -= np.linalg.lstsq(J, r, rcond=None)[0]
 
         assert np.max(residuals(theta) ** 2) < 1e-12
-        q = np.exp(make_sampler(theta).log_prob_batch(states))
+        q = np.exp(make_sampler(theta).log_prob_batch(imap, states))
         assert table.tv_distance(q) < 1e-6
 
     def test_near_deterministic_conditional_is_floored(self):
@@ -544,7 +543,7 @@ class TestDbLoss:
         steps = []
         for k, v in enumerate(imap.topo_order):
             row = masked_parent_rows(imap, x[None, :].astype(np.float64), [v])
-            lq = float(s.logq_rows_np(row, [v], [x[v]])[0])
+            lq = float(s.logq_rows(row, [v], [x[v]]).data[0])
             steps.append(flows[k] + lq - flows[k + 1])
             # and db_loss is exactly this residual, squared
             val = db_loss(s, imap, m, prefix_after(imap, x, k + 1), int(v), flow)
@@ -613,7 +612,7 @@ class TestSubTb:
                 for v in imap.topo_order:
                     row = masked_parent_rows(imap, x[None, :], [v])
                     lqs.append(
-                        max(float(s.logq_rows_np(row, [v], [x[v]])[0]), LOGQ_FLOOR)
+                        max(float(s.logq_rows(row, [v], [x[v]]).data[0]), LOGQ_FLOOR)
                     )
                 num, den = 0.0, 0.0
                 for i in range(num_vars + 1):

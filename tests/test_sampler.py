@@ -32,12 +32,12 @@ from flipmatch.sampler import (
     AmortizedSampler,
     AnnealSchedule,
     Policy,
-    TabularSampler,
     gibbs_chain,
     masked_parent_rows,
 )
 
 from oracles import (
+    TabularSampler,
     all_states,
     dense_log_prob_batch,
     dense_run_order,
@@ -517,15 +517,16 @@ class TestTabularSampler:
         imap = sample_imap(m.graph, seed=0)
         q = TabularSampler.from_exact_table(table, imap)
         states = all_states(4)
-        assert_allclose(np.exp(q.log_prob_batch(states)), table.full_probs, atol=1e-12)
+        assert_allclose(np.exp(q.log_prob_batch(imap, states)), table.full_probs, atol=1e-12)
 
     def test_two_orders_agree(self):
         m = random_ising(chain_graph(5), sigma=0.25, seed=3)
         table = enumerate_exact(m)
-        qa = TabularSampler.from_exact_table(table, sample_imap(m.graph, seed=0))
-        qb = TabularSampler.from_exact_table(table, sample_imap(m.graph, seed=17))
+        ia, ib = sample_imap(m.graph, seed=0), sample_imap(m.graph, seed=17)
+        qa = TabularSampler.from_exact_table(table, ia)
+        qb = TabularSampler.from_exact_table(table, ib)
         states = all_states(5)
-        assert_allclose(qa.log_prob_batch(states), qb.log_prob_batch(states), atol=1e-12)
+        assert_allclose(qa.log_prob_batch(ia, states), qb.log_prob_batch(ib, states), atol=1e-12)
 
     def test_sampling_matches_distribution(self):
         m = two_var_ising()
@@ -533,8 +534,8 @@ class TestTabularSampler:
         imap = sample_imap(m.graph, seed=0)
         q = TabularSampler.from_exact_table(table, imap)
         n = 40_000
-        X, logq = q.ancestral_sample(Policy.on_policy(), n, seed=6)
-        assert_allclose(logq, q.log_prob_batch(X), atol=1e-12)
+        X, logq = q.ancestral_sample(imap, Policy.on_policy(), n, seed=6)
+        assert_allclose(logq, q.log_prob_batch(imap, X), atol=1e-12)
         for i, state in enumerate(all_states(2)):
             p = table.full_probs[i]
             emp = np.all(X == state, axis=1).mean()
@@ -549,7 +550,7 @@ class TestTabularSampler:
         x = np.ones(2, dtype=np.int8)
         x[imap.parents[child][0]] = 0
         with pytest.raises(MissingParent):
-            q.conditional_logprob(child, x)
+            q.conditional_logprob(imap, child, x)
 
 
 class TestGibbs:
