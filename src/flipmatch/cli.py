@@ -108,9 +108,9 @@ def cmd_chordalize(args) -> int:
         "num_vars": g.num_vars,
         "edges": len(g.edges),
         "fill_edges": sorted([int(a), int(b)] for a, b in (chordal.edges - g.edges)),
-        "max_clique_size": max(len(c) for c in cliques),
+        "max_clique_size": max((len(c) for c in cliques), default=0),
         "topo_order": [int(v) for v in imap.topo_order],
-        "max_blanket_size": max(len(b) for b in imap.blanket.values()),
+        "max_blanket_size": max((len(b) for b in imap.blanket.values()), default=0),
     }
     _emit(doc, args.out)
     return 0

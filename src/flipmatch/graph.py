@@ -15,23 +15,30 @@ lets a single amortized sampler be trained against many variable orders.
 
 Adjacency is kept as Python-int bitmasks: vertex sets are plain ints, subset
 tests are ``a & ~b == 0``, and set sizes are ``bit_count`` calls.
+
+An orientation is an ``Imap``: the topological order, each position's depth
+and its parents padded with -1, as int64 arrays, which is the form the
+sampler's wavefront walk reads.  It is built once, in the order the junction
+tree visits the vertices; a local map is lifted to global ids by one index
+through its vertex mapping.  Parent, child and blanket dicts are views derived
+on first read.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from flipmatch.errors import CorruptFile
+
 __all__ = [
     "UndirectedGraph",
     "Dag",
     "JunctionTree",
     "Imap",
-    "Wavefront",
     "chain_graph",
     "cycle_graph",
     "complete_graph",
@@ -50,9 +57,6 @@ __all__ = [
     "sample_imap",
     "sub_imap",
     "lift_imap",
-    "moral_graph",
-    "verify_no_immoralities",
-    "running_intersection_holds",
 ]
 
 
@@ -112,12 +116,6 @@ class UndirectedGraph:
             masks[u] |= 1 << v
             masks[v] |= 1 << u
         return tuple(masks)
-
-    @cached_property
-    def digest(self) -> str:
-        """Content hash, stable across processes, used to tag derived objects."""
-        text = f"{self.num_vars}|" + ",".join(f"{u}-{v}" for u, v in sorted(self.edges))
-        return hashlib.sha1(text.encode()).hexdigest()[:12]
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return tuple(_bits(self.adj_masks[v]))
@@ -196,27 +194,31 @@ def read_edge_list(path: str) -> UndirectedGraph:
     """Parse the text edge-list format.
 
     First non-comment line is ``n <num_vars>``; every following line is an
-    edge ``u v``.  ``#`` starts a comment, blank lines are skipped.
+    edge ``u v``.  ``#`` starts a comment, blank lines are skipped.  A file
+    that is not such a list raises ``CorruptFile`` naming it.
     """
     num_vars = None
     pairs: list[tuple[int, int]] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if num_vars is None:
-                if len(parts) != 2 or parts[0] != "n":
-                    raise ValueError(f"{path}:{lineno}: expected header 'n <num_vars>'")
-                num_vars = int(parts[1])
-                continue
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 'u v'")
-            pairs.append((int(parts[0]), int(parts[1])))
-    if num_vars is None:
-        raise ValueError(f"{path}: missing 'n <num_vars>' header")
-    return UndirectedGraph.from_edges(num_vars, pairs)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.split("#", 1)[0].strip()
+                if not line:
+                    continue
+                parts = line.split()
+                if num_vars is None:
+                    if len(parts) != 2 or parts[0] != "n":
+                        raise ValueError(f"line {lineno}: expected header 'n <num_vars>'")
+                    num_vars = int(parts[1])
+                    continue
+                if len(parts) != 2:
+                    raise ValueError(f"line {lineno}: expected 'u v'")
+                pairs.append((int(parts[0]), int(parts[1])))
+        if num_vars is None:
+            raise ValueError("missing 'n <num_vars>' header")
+        return UndirectedGraph.from_edges(num_vars, pairs)
+    except ValueError as e:  # UnicodeDecodeError is one too
+        raise CorruptFile(f"{path}: {e}") from None
 
 
 def write_edge_list(g: UndirectedGraph, path: str) -> None:
@@ -227,15 +229,18 @@ def write_edge_list(g: UndirectedGraph, path: str) -> None:
 
 
 def induced_subgraph(g: UndirectedGraph, vertices: Sequence[int]) -> tuple[UndirectedGraph, tuple[int, ...]]:
-    """Subgraph over ``vertices`` with local ids; returns (graph, local->global map)."""
+    """Subgraph over ``vertices`` with local ids; returns (graph, local->global map).
+
+    Reads the adjacency masks of the chosen vertices only.
+    """
     order = tuple(sorted(vertices))
+    if order and not (0 <= order[0] and order[-1] < g.num_vars):
+        raise ValueError(f"vertices must lie in [0, {g.num_vars})")
     index = {v: i for i, v in enumerate(order)}
-    edges = [
-        (index[u], index[v])
-        for u, v in g.edges
-        if u in index and v in index
-    ]
-    return UndirectedGraph.from_edges(len(order), edges), order
+    selected = _mask_of(order)
+    adj = g.adj_masks
+    edges = [(index[u], index[v]) for u in order for v in _bits(adj[u] & selected) if u < v]
+    return UndirectedGraph(len(order), frozenset(edges)), order
 
 
 # ---------------------------------------------------------------------------
@@ -331,65 +336,85 @@ class JunctionTree:
         return tuple(order)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Imap:
     """A directed orientation of a chordal graph, usable as a sampling order.
 
-    ``vertices`` are the (global) variables the map covers; for a full graph
-    that is every vertex, for a local map it is one vertex plus its chordal
-    neighborhood.  ``blanket[v]`` is parents, children, and co-parents of v,
-    which for these orientations always equals v's chordal neighborhood.
+    Position t of the topological order holds variable ``order[t]`` at
+    ``depth[t]`` (0 without parents, else one more than its deepest parent),
+    with its sorted parents in ``parent_table[t]``, padded with -1.  A
+    variable's parents all sit at smaller depths, so one depth level's
+    conditionals can be evaluated in one batch once the levels before it are
+    drawn.  ``num_vars`` is the size of the variable universe; a local map
+    covers one vertex plus its chordal neighborhood.  Build a map with
+    ``from_parents``; ``parents``, ``children`` and ``blanket`` (parents,
+    children and co-parents, which for these orientations is the chordal
+    neighborhood) are dicts derived on first read.
     """
 
-    dag: Dag
-    vertices: tuple[int, ...]
-    parents: dict[int, tuple[int, ...]]
-    children: dict[int, tuple[int, ...]]
-    blanket: dict[int, tuple[int, ...]]
-    chordal: UndirectedGraph
-    source_graph_id: str
-
-    @property
-    def num_vars(self) -> int:
-        """Size of the variable universe (not the covered subset)."""
-        return self.dag.num_vars
-
-    @property
-    def topo_order(self) -> tuple[int, ...]:
-        return self.dag.topo_order
-
-    @cached_property
-    def wavefront(self) -> "Wavefront":
-        """The topological order as arrays, with depth levels; built once per map."""
-        order = self.topo_order
-        par = [self.parents[v] for v in order]
-        depth_of: dict[int, int] = {}
-        for v, ps in zip(order, par):
-            depth_of[v] = 1 + max(map(depth_of.__getitem__, ps)) if ps else 0
-        counts = np.fromiter(map(len, par), dtype=np.int64, count=len(order))
-        parents = np.full((len(order), counts.max(initial=0)), -1, dtype=np.int64)
-        parents[np.arange(parents.shape[1]) < counts[:, None]] = [p for ps in par for p in ps]
-        return Wavefront(
-            order=np.asarray(order, dtype=np.int64),
-            depth=np.fromiter(depth_of.values(), dtype=np.int64, count=len(order)),
-            parents=parents,
-        )
-
-
-@dataclass(frozen=True, eq=False)
-class Wavefront:
-    """An I-map's topological order grouped into depth levels.
-
-    Position t of the order holds variable ``order[t]`` at ``depth[t]`` (0
-    without parents, else one more than its deepest parent), and its sorted
-    parents in ``parents[t]``, padded with -1.  A variable's parents all sit
-    at smaller depths, so one depth level's conditionals can be evaluated in
-    one batch once the levels before it are drawn.
-    """
-
+    num_vars: int
     order: np.ndarray
     depth: np.ndarray
-    parents: np.ndarray
+    parent_table: np.ndarray
+
+    @classmethod
+    def from_parents(
+        cls, num_vars: int, order: Sequence[int], parents: Sequence[Sequence[int]]
+    ) -> "Imap":
+        """The map that draws ``order`` in turn, ``order[t]`` given ``parents[t]``.
+
+        Raises ValueError unless the order lists distinct variables of the
+        universe and every parent precedes its child.
+        """
+        if len(parents) != len(order):
+            raise ValueError("one parent tuple per position is required")
+        depth_of: dict[int, int] = {}
+        for v, ps in zip(order, parents):
+            try:
+                depth_of[v] = 1 + max(map(depth_of.__getitem__, ps)) if ps else 0
+            except KeyError as e:
+                raise ValueError(f"parent {e.args[0]} of {v} does not precede it") from None
+        order = np.asarray(order, dtype=np.int64)
+        if len(depth_of) != len(order):
+            raise ValueError("the order has repeated vertices")
+        if len(order) and not (0 <= order.min() and order.max() < num_vars):
+            raise ValueError(f"the order leaves the vertices 0..{num_vars - 1}")
+        counts = np.fromiter(map(len, parents), dtype=np.int64, count=len(order))
+        table = np.full((len(order), counts.max(initial=0)), -1, dtype=np.int64)
+        table[np.arange(table.shape[1]) < counts[:, None]] = [p for ps in parents for p in ps]
+        depth = np.fromiter(depth_of.values(), dtype=np.int64, count=len(order))
+        return cls(num_vars, order, depth, table)
+
+    @cached_property
+    def topo_order(self) -> tuple[int, ...]:
+        return tuple(self.order.tolist())
+
+    @cached_property
+    def vertices(self) -> tuple[int, ...]:
+        """The covered variables, ascending."""
+        return tuple(sorted(self.topo_order))
+
+    @cached_property
+    def parents(self) -> dict[int, tuple[int, ...]]:
+        rows = self.parent_table.tolist()
+        return {v: tuple(p for p in ps if p >= 0) for v, ps in zip(self.topo_order, rows)}
+
+    @cached_property
+    def children(self) -> dict[int, tuple[int, ...]]:
+        out: dict[int, list[int]] = {v: [] for v in self.topo_order}
+        for v, ps in self.parents.items():
+            for p in ps:
+                out[p].append(v)
+        return {v: tuple(sorted(cs)) for v, cs in out.items()}
+
+    @cached_property
+    def blanket(self) -> dict[int, tuple[int, ...]]:
+        out = {}
+        for v, cs in self.children.items():
+            b = set(self.parents[v]).union(cs, *(self.parents[c] for c in cs))
+            b.discard(v)
+            out[v] = tuple(sorted(b))
+        return out
 
     @cached_property
     def _by_vertex(self) -> tuple[np.ndarray, np.ndarray]:
@@ -599,13 +624,8 @@ def build_junction_tree(
     return JunctionTree(tuple(frozenset(c) for c in cliques), tuple(parent), root)
 
 
-def _build_imap(
-    chordal: UndirectedGraph,
-    jt: JunctionTree,
-    rng: np.random.Generator,
-    source_graph_id: str,
-) -> Imap:
-    n = chordal.num_vars
+def _build_imap(chordal: UndirectedGraph, jt: JunctionTree, rng: np.random.Generator) -> Imap:
+    """Visit the vertices clique by clique along the tree; parents are earlier neighbors."""
     visit: list[int] = []
     seen: set[int] = set()
     for ci in jt.traversal_order():
@@ -615,29 +635,13 @@ def _build_imap(
             fresh = [fresh[i] for i in perm]
         visit.extend(fresh)
         seen.update(fresh)
-    pos = {v: i for i, v in enumerate(visit)}
-    arcs = frozenset(
-        (u, v) if pos[u] < pos[v] else (v, u) for u, v in chordal.edges if u in pos and v in pos
-    )
-    dag = Dag(num_vars=n, arcs=arcs, topo_order=tuple(visit))
-    parents = {v: dag.parent_map[v] for v in visit}
-    children = {v: dag.child_map[v] for v in visit}
-    blanket = {}
+    adj = chordal.adj_masks
+    earlier = 0
+    parents = []
     for v in visit:
-        b = set(parents[v]) | set(children[v])
-        for c in children[v]:
-            b.update(parents[c])
-        b.discard(v)
-        blanket[v] = tuple(sorted(b))
-    return Imap(
-        dag=dag,
-        vertices=tuple(sorted(visit)),
-        parents=parents,
-        children=children,
-        blanket=blanket,
-        chordal=chordal,
-        source_graph_id=source_graph_id,
-    )
+        parents.append(tuple(_bits(adj[v] & earlier)))
+        earlier |= 1 << v
+    return Imap.from_parents(chordal.num_vars, visit, parents)
 
 
 def orient_pmap(
@@ -650,8 +654,7 @@ def orient_pmap(
     the later vertex.  Earlier neighbors of any vertex all live in the clique
     where it first appears, so no vertex ever gains unmarried parents.
     """
-    rng = _as_rng(seed)
-    return _build_imap(g, jt, rng, g.digest)
+    return _build_imap(g, jt, _as_rng(seed))
 
 
 @lru_cache(maxsize=128)
@@ -673,8 +676,7 @@ def sample_imap(
     chordal = _cached_chordal(g, chordal_seed)
     _, cliques = max_cardinality_search(chordal, rng)
     jt = build_junction_tree(cliques, rng)
-    imap = _build_imap(chordal, jt, rng, g.digest)
-    return imap
+    return _build_imap(chordal, jt, rng)
 
 
 def sub_imap(
@@ -694,69 +696,17 @@ def sub_imap(
     local, mapping = induced_subgraph(chordal, verts)
     _, cliques = max_cardinality_search(local, rng)
     jt = build_junction_tree(cliques, rng)
-    return lift_imap(_build_imap(local, jt, rng, g.digest), mapping, g.num_vars, g.digest)
+    return lift_imap(_build_imap(local, jt, rng), mapping, g.num_vars)
 
 
-def lift_imap(
-    local: Imap, mapping: Sequence[int], num_vars: int, source_graph_id: str
-) -> Imap:
+def lift_imap(local: Imap, mapping: Sequence[int], num_vars: int) -> Imap:
     """An I-map on a subgraph's local ids, renamed to global ids.
 
     ``mapping[i]`` is the global id of local vertex i (as ``induced_subgraph``
     returns it); the lifted map lives in a universe of ``num_vars`` variables
-    and covers just the mapped ones.
+    and covers just the mapped ones.  The -1 padding stays -1.
     """
-    lift = dict(enumerate(mapping))
-    arcs = frozenset((lift[a], lift[b]) for a, b in local.dag.arcs)
-    topo = tuple(lift[v] for v in local.dag.topo_order)
-    return Imap(
-        dag=Dag(num_vars=num_vars, arcs=arcs, topo_order=topo),
-        vertices=tuple(mapping),
-        parents={lift[v]: tuple(lift[p] for p in ps) for v, ps in local.parents.items()},
-        children={lift[v]: tuple(lift[c] for c in cs) for v, cs in local.children.items()},
-        blanket={lift[v]: tuple(lift[b] for b in bs) for v, bs in local.blanket.items()},
-        chordal=UndirectedGraph(
-            num_vars, frozenset((lift[a], lift[b]) for a, b in local.chordal.edges)
-        ),
-        source_graph_id=source_graph_id,
-    )
-
-
-# ---------------------------------------------------------------------------
-# structural checks
-
-
-def moral_graph(dag: Dag) -> UndirectedGraph:
-    """Undirected skeleton plus edges between co-parents."""
-    edges = {(min(a, b), max(a, b)) for a, b in dag.arcs}
-    for v in dag.topo_order:
-        ps = dag.parent_map[v]
-        for i in range(len(ps)):
-            for j in range(i + 1, len(ps)):
-                edges.add((min(ps[i], ps[j]), max(ps[i], ps[j])))
-    return UndirectedGraph(dag.num_vars, frozenset(edges))
-
-
-def verify_no_immoralities(imap: Imap) -> bool:
-    """True iff every vertex's parent set is pairwise adjacent in the skeleton."""
-    for v in imap.dag.topo_order:
-        ps = imap.parents[v]
-        for i in range(len(ps)):
-            for j in range(i + 1, len(ps)):
-                if not imap.chordal.has_edge(ps[i], ps[j]):
-                    return False
-    return True
-
-
-def running_intersection_holds(jt: JunctionTree) -> bool:
-    """Check that each vertex's cliques form one connected subtree."""
-    vertex_cliques: dict[int, list[int]] = {}
-    for i, c in enumerate(jt.cliques):
-        for v in c:
-            vertex_cliques.setdefault(v, []).append(i)
-    for v, idxs in vertex_cliques.items():
-        members = set(idxs)
-        tops = [i for i in idxs if jt.parent[i] not in members]
-        if len(tops) != 1:
-            return False
-    return True
+    if len(mapping) != local.num_vars:
+        raise ValueError(f"mapping names {len(mapping)} vertices, the map has {local.num_vars}")
+    lift = np.append(np.asarray(mapping, dtype=np.int64), -1)
+    return Imap(num_vars, lift[local.order], local.depth, lift[local.parent_table])

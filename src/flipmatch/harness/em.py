@@ -50,9 +50,8 @@ def latent_imap(m, latent, seed) -> Imap:
     and the flip-matching loss directly on full-width rows.
     """
     hidden, _ = _check_latent(latent, m.num_vars)
-    g = interaction_graph(m)
-    local, mapping = induced_subgraph(g, hidden)
-    return lift_imap(sample_imap(local, seed=seed), mapping, m.num_vars, g.digest)
+    local, mapping = induced_subgraph(interaction_graph(m), hidden)
+    return lift_imap(sample_imap(local, seed=seed), mapping, m.num_vars)
 
 
 def data_marginal_loglik(p: TabularBayesNetModel, latent, data) -> float:

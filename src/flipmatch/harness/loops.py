@@ -101,7 +101,7 @@ class _DeltaTrainer:
         maps = [self.subs[u] for u in range(num_vars)]
         X = self.s.partial_sample_batch(maps, self.policy, k, seed=self.r_sample)
         us = np.repeat(np.arange(num_vars), k)
-        widest = max(len(self.subs[u].vertices) for u in range(num_vars))
+        widest = max(len(self.subs[u].order) for u in range(num_vars))
         return X, us, self.subs, widest
 
     def step(self) -> tuple[float, int]:

@@ -313,7 +313,7 @@ def _require_full(imap: Imap, X) -> np.ndarray:
         X = X[None, :]
     if len(X) == 0:
         raise EmptyBatch("no samples to score")
-    if np.any(X[:, list(imap.vertices)] == 0):
+    if np.any(X[:, imap.order] == 0):
         raise PartialAssignment("this objective needs fully instantiated samples")
     return X
 
@@ -431,20 +431,14 @@ def subtb_loss_batch(s, imap: Imap, m: EnergyModel, X, flow, lam: float) -> Tens
     C = tape.matmul(lq, tape.const(lower.T))
     D = F - C
 
-    ii, jj, ww = [], [], []
-    for a in range(num_vars + 1):
-        for b in range(a + 1, num_vars + 1):
-            ii.append(a)
-            jj.append(b)
-            ww.append(lam ** (b - a))
-    pairs = np.zeros((num_vars + 1, len(ii)))
-    pairs[ii, np.arange(len(ii))] = 1.0
-    pairs[jj, np.arange(len(jj))] = -1.0
-    weights = np.array(ww)
-    weights = weights / weights.sum()
-
-    R = tape.matmul(D, tape.const(pairs))  # (n, n_pairs)
-    return tape.mul(R.square(), weights).sum() * (1.0 / n)
+    # sum over i<j of w_ij (D_i - D_j)^2 is the quadratic form D^T (diag(W 1) - W) D,
+    # W_ij = lam^|i-j| / (total weight) off the diagonal; 1/n folded in
+    k = np.arange(num_vars + 1)
+    W = np.power(float(lam), np.abs(k[:, None] - k[None, :]))
+    np.fill_diagonal(W, 0.0)
+    W /= W.sum() / 2
+    Q = (np.diag(W.sum(axis=1)) - W) / n
+    return (tape.matmul(D, tape.const(Q)) * D).sum()
 
 
 def subtb_loss(s, imap: Imap, m: EnergyModel, x, flow, lam: float) -> Tensor:

@@ -198,9 +198,8 @@ def log_sigmoid(x: Tensor) -> Tensor:
     out_data = log_sigmoid_np(x.data)
 
     def back(g):
-        # d/dx log sigmoid(x) = sigmoid(-x), computed without overflow
-        e = np.exp(-np.abs(x.data))
-        x.accumulate(g * np.where(x.data >= 0, e / (1.0 + e), 1.0 / (1.0 + e)))
+        # d/dx log sigmoid(x) = sigmoid(-x)
+        x.accumulate(g * sigmoid_np(-x.data))
 
     return _make(out_data, (x,), back)
 

@@ -8,12 +8,13 @@ Sampling and scoring hand the network only the parent columns (and the
 conditioning block) and read back only the variable's own logit, so a
 conditional costs what its parent set costs, not what |V| costs.
 
-Draws and scores follow a wavefront walk.  Each I-map caches its topological
-order grouped by depth (``Imap.wavefront``); the walk merges the levels of one
-map or of many and pushes every (map, variable) entry of a level through the
-network in one call.  The uniforms are drawn up front in the order of a
-map-by-map, variable-by-variable walk, and each row's log q is summed in
-topological order, so batching changes neither the draws nor log q.
+Draws and scores follow a wavefront walk.  Each I-map holds its topological
+order, the depth of each position and the padded parent table as arrays
+(``Imap.order``, ``Imap.depth``, ``Imap.parent_table``); the walk merges the
+levels of one map or of many and pushes every (map, variable) entry of a
+level through the network in one call.  The uniforms are drawn up front in
+the order of a map-by-map, variable-by-variable walk, and each row's log q is
+summed in topological order, so batching changes neither the draws nor log q.
 
 Also here: exploration policies (tempered and epsilon-uniform) and a
 systematic-scan Gibbs chain with optional annealing.
@@ -33,7 +34,7 @@ from flipmatch.errors import (
     PartialAssignment,
     ShapeMismatch,
 )
-from flipmatch.graph import Imap, Wavefront, _as_rng
+from flipmatch.graph import Imap, _as_rng
 from flipmatch.nn import tape
 from flipmatch.nn.mae import MaeParams
 from flipmatch.nn.tape import Tensor, log_sigmoid_np, sigmoid_np
@@ -99,8 +100,7 @@ def masked_parent_rows(imap: Imap, X: np.ndarray, vs: np.ndarray) -> np.ndarray:
     the network-input encoding of "condition exactly on the parents".
     """
     X = np.asarray(X, dtype=np.float64)
-    wave = imap.wavefront
-    par = wave.parents[wave.positions(vs)]
+    par = imap.parent_table[imap.positions(vs)]
     rows, slots = np.nonzero(par >= 0)
     cols = par[rows, slots]
     out = np.zeros_like(X)
@@ -108,22 +108,22 @@ def masked_parent_rows(imap: Imap, X: np.ndarray, vs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _merged_levels(waves: list[Wavefront]):
+def _merged_levels(maps: list[Imap]):
     """The (map, position) entries of several maps, grouped by depth level.
 
     Entries are numbered map-major, then by topological position.  Returns
     per-entry map index, position, variable and padded parents, and the
     entry numbers of each depth level.
     """
-    sizes = [len(w.order) for w in waves]
+    sizes = [len(m.order) for m in maps]
     offsets = np.cumsum([0] + sizes)
-    map_of = np.repeat(np.arange(len(waves)), sizes)
+    map_of = np.repeat(np.arange(len(maps)), sizes)
     pos = np.arange(offsets[-1]) - offsets[map_of]
-    var = np.concatenate([w.order for w in waves])
-    depth = np.concatenate([w.depth for w in waves])
-    parents = np.full((len(var), max(w.parents.shape[1] for w in waves)), -1, dtype=np.int64)
-    for w, a in zip(waves, offsets):
-        parents[a : a + len(w.order), : w.parents.shape[1]] = w.parents
+    var = np.concatenate([m.order for m in maps])
+    depth = np.concatenate([m.depth for m in maps])
+    parents = np.full((len(var), max(m.parent_table.shape[1] for m in maps)), -1, dtype=np.int64)
+    for m, a in zip(maps, offsets):
+        parents[a : a + len(m.order), : m.parent_table.shape[1]] = m.parent_table
     by_depth = np.argsort(depth, kind="stable")
     levels = np.split(by_depth, np.flatnonzero(np.diff(depth[by_depth])) + 1)
     return map_of, pos, var, parents, levels
@@ -216,14 +216,14 @@ class AmortizedSampler:
         row's log q is summed in topological order, so draws and log q do not
         depend on how the levels are batched.
         """
-        map_of, pos, var, parents, levels = _merged_levels([m.wavefront for m in maps])
+        map_of, pos, var, parents, levels = _merged_levels(maps)
         N = len(maps) * n
         work = np.zeros((N, self.num_vars + 1))
         if X is not None:
             work[:, :-1] = X
         cond = self._cond_block(cond, N)
         uniforms = None if X is not None else rng.random(len(var) * n).reshape(len(var), n)
-        terms = np.zeros((len(maps), max(len(m.topo_order) for m in maps), n))
+        terms = np.zeros((len(maps), max(len(m.order) for m in maps), n))
         for ent in levels:
             rows = map_of[ent, None] * n + np.arange(n)
             cols = var[ent, None]
@@ -241,15 +241,14 @@ class AmortizedSampler:
     def conditional_logprob(self, imap: Imap, v: int, x, cond=None) -> float:
         """log q(x_v | x_parents(v)) under the given I-map."""
         vals = _values_of(x)
-        missing = [p for p in imap.parents[v] if vals[p] == 0]
+        parents = imap.parent_table[imap.positions([v])]
+        missing = [p for p in parents[0].tolist() if p >= 0 and vals[p] == 0]
         if missing:
             raise MissingParent(f"variable {v} needs parents {missing} instantiated")
         if vals[v] == 0:
             raise PartialAssignment(f"variable {v} itself carries no value")
         work = np.zeros((1, self.num_vars + 1))
         work[0, :-1] = vals
-        wave = imap.wavefront
-        parents = wave.parents[wave.positions([v])]
         rows = np.zeros((1, 1), dtype=np.int64)
         logit = self._entry_logits(work, self._cond_block(cond, 1), rows, np.array([v]), parents)
         return float(log_sigmoid_np(vals[v] * logit)[0, 0])
@@ -260,7 +259,7 @@ class AmortizedSampler:
         self, imap: Imap, policy: Policy, n: int, seed, cond=None
     ) -> tuple[np.ndarray, np.ndarray]:
         """Draw n full samples; returns (states, model log q of each draw)."""
-        if len(imap.vertices) != self.num_vars:
+        if len(imap.order) != self.num_vars:
             raise ConfigError(
                 "ancestral sampling needs an I-map covering every variable; "
                 "use partial_sample for local maps"
@@ -294,7 +293,7 @@ class AmortizedSampler:
         vals = np.asarray(X, dtype=np.float64)
         if vals.ndim == 1:
             vals = vals[None, :]
-        if np.any(vals[:, list(imap.vertices)] == 0):
+        if np.any(vals[:, imap.order] == 0):
             raise PartialAssignment("log_prob needs fully instantiated samples")
         return self._walk([imap], vals.shape[0], cond, X=vals)[1]
 

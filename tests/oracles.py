@@ -14,7 +14,17 @@ import numpy as np
 
 from flipmatch.energy import EnergyModel, ExactTable, _values_of
 from flipmatch.errors import ConfigError, MissingParent, PartialAssignment
-from flipmatch.graph import Imap, UndirectedGraph
+from flipmatch.graph import (
+    Dag,
+    Imap,
+    JunctionTree,
+    UndirectedGraph,
+    _as_rng,
+    build_junction_tree,
+    max_cardinality_search,
+    min_fill_chordalize,
+)
+from flipmatch.losses import _clamped_logq, _prefix_rows, _require_full, _step_rows
 from flipmatch.nn import tape
 from flipmatch.nn.tape import Tensor
 
@@ -178,7 +188,7 @@ class TabularSampler:
         return cls(imap, tables)
 
     def _check_map(self, imap: Imap) -> None:
-        if imap != self.imap:
+        if (imap.topo_order, imap.parents) != (self.imap.topo_order, self.imap.parents):
             raise ConfigError("the tables were built for another I-map")
 
     def _config_indices(self, v: int, vals: np.ndarray) -> np.ndarray:
@@ -472,3 +482,164 @@ def sequential_log_prob_batch(sampler, imap, X, cond=None) -> np.ndarray:
     for v in imap.topo_order:
         logq += _dense_log_sigmoid(vals[:, v] * _parent_logits(sampler, imap, v, vals, cond))
     return logq
+
+
+# ---------------------------------------------------------------------------
+# I-maps as arc sets: the orientation built as a Dag of arcs, with parent,
+# child and blanket dicts, and lifted to global ids arc by arc.  The library
+# builds the order, depth and parent table directly; it must give the same
+# order and the same parents for the same rng stream.
+
+
+def reference_induced_subgraph(g: UndirectedGraph, vertices) -> tuple[UndirectedGraph, tuple]:
+    """Subgraph over ``vertices`` by a scan of every edge of ``g``."""
+    order = tuple(sorted(vertices))
+    index = {v: i for i, v in enumerate(order)}
+    edges = [(index[u], index[v]) for u, v in g.edges if u in index and v in index]
+    return UndirectedGraph.from_edges(len(order), edges), order
+
+
+def reference_build_imap(chordal: UndirectedGraph, jt: JunctionTree, rng) -> Dag:
+    """Orient every chordal edge from the earlier to the later visited vertex."""
+    visit: list[int] = []
+    seen: set[int] = set()
+    for ci in jt.traversal_order():
+        fresh = [v for v in sorted(jt.cliques[ci]) if v not in seen]
+        if len(fresh) > 1:
+            perm = rng.permutation(len(fresh))
+            fresh = [fresh[i] for i in perm]
+        visit.extend(fresh)
+        seen.update(fresh)
+    pos = {v: i for i, v in enumerate(visit)}
+    arcs = frozenset(
+        (u, v) if pos[u] < pos[v] else (v, u) for u, v in chordal.edges if u in pos and v in pos
+    )
+    return Dag(num_vars=chordal.num_vars, arcs=arcs, topo_order=tuple(visit))
+
+
+def reference_lift_imap(local: Dag, mapping, num_vars: int) -> Dag:
+    lift = dict(enumerate(mapping))
+    return Dag(
+        num_vars=num_vars,
+        arcs=frozenset((lift[a], lift[b]) for a, b in local.arcs),
+        topo_order=tuple(lift[v] for v in local.topo_order),
+    )
+
+
+def reference_blanket(dag: Dag) -> dict[int, tuple[int, ...]]:
+    """Parents, children and co-parents of each vertex."""
+    out = {}
+    for v in dag.topo_order:
+        b = set(dag.parent_map[v]) | set(dag.child_map[v])
+        for c in dag.child_map[v]:
+            b.update(dag.parent_map[c])
+        b.discard(v)
+        out[v] = tuple(sorted(b))
+    return out
+
+
+def reference_sample_imap(g: UndirectedGraph, seed, chordal_seed: int = 0) -> Dag:
+    """``sample_imap``'s draw, from the same rng stream."""
+    rng = _as_rng(seed)
+    chordal = min_fill_chordalize(g, chordal_seed)
+    _, cliques = max_cardinality_search(chordal, rng)
+    jt = build_junction_tree(cliques, rng)
+    return reference_build_imap(chordal, jt, rng)
+
+
+def reference_sub_imap(g: UndirectedGraph, u: int, seed, chordal_seed: int = 0) -> Dag:
+    """``sub_imap``'s draw, from the same rng stream."""
+    rng = _as_rng(seed)
+    chordal = min_fill_chordalize(g, chordal_seed)
+    local, mapping = reference_induced_subgraph(chordal, {u} | set(chordal.neighbors(u)))
+    _, cliques = max_cardinality_search(local, rng)
+    jt = build_junction_tree(cliques, rng)
+    return reference_lift_imap(reference_build_imap(local, jt, rng), mapping, g.num_vars)
+
+
+def imap_arcs(imap: Imap) -> frozenset[tuple[int, int]]:
+    """The map's arcs (parent, child)."""
+    return frozenset((p, v) for v, ps in imap.parents.items() for p in ps)
+
+
+def completion_on(g: UndirectedGraph, imap: Imap, chordal_seed: int = 0) -> UndirectedGraph:
+    """The chordal completion of ``g`` restricted to the vertices the map covers.
+
+    Computed afresh from ``g``, not read off the map, so comparing it with the
+    map's skeleton checks the orientation.
+    """
+    covered = set(imap.vertices)
+    edges = min_fill_chordalize(g, chordal_seed).edges
+    return UndirectedGraph(g.num_vars, frozenset(e for e in edges if covered.issuperset(e)))
+
+
+# ---------------------------------------------------------------------------
+# structural checks
+
+
+def moral_graph(imap: Imap) -> UndirectedGraph:
+    """Undirected skeleton plus edges between co-parents."""
+    edges = {(min(a, b), max(a, b)) for a, b in imap_arcs(imap)}
+    for ps in imap.parents.values():
+        for i in range(len(ps)):
+            for j in range(i + 1, len(ps)):
+                edges.add((min(ps[i], ps[j]), max(ps[i], ps[j])))
+    return UndirectedGraph(imap.num_vars, frozenset(edges))
+
+
+def verify_no_immoralities(imap: Imap, chordal: UndirectedGraph) -> bool:
+    """True iff every vertex's parent set is pairwise adjacent in ``chordal``."""
+    for ps in imap.parents.values():
+        for i in range(len(ps)):
+            for j in range(i + 1, len(ps)):
+                if not chordal.has_edge(ps[i], ps[j]):
+                    return False
+    return True
+
+
+def running_intersection_holds(jt: JunctionTree) -> bool:
+    """Check that each vertex's cliques form one connected subtree."""
+    vertex_cliques: dict[int, list[int]] = {}
+    for i, c in enumerate(jt.cliques):
+        for v in c:
+            vertex_cliques.setdefault(v, []).append(i)
+    for v, idxs in vertex_cliques.items():
+        members = set(idxs)
+        tops = [i for i in idxs if jt.parent[i] not in members]
+        if len(tops) != 1:
+            return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# subTB as an explicit sum over ranges: one residual column per (i, j) pair.
+# The library evaluates the same weighted sum as one quadratic form.
+
+
+def pair_subtb_loss_batch(s, imap, m, X, flow, lam: float) -> Tensor:
+    """λ-weighted mean of squared sub-range residuals, one column per range."""
+    X = _require_full(imap, X)
+    n, num_vars = X.shape
+    pm = _prefix_rows(imap, X)
+    ss = np.repeat(np.arange(n), num_vars + 1)
+    kk = np.tile(np.arange(num_vars + 1), n)
+    F = tape.reshape(flow.log_flow_rows(m, pm[kk * n + ss]), (n, num_vars + 1))
+    inputs, vs, signs = _step_rows(imap, X)
+    perm = np.tile(np.arange(num_vars), n) * n + np.repeat(np.arange(n), num_vars)
+    lq = tape.reshape(_clamped_logq(s, inputs[perm], vs[perm], signs[perm]), (n, num_vars))
+    lower = np.tril(np.ones((num_vars + 1, num_vars)), k=-1)
+    D = F - tape.matmul(lq, tape.const(lower.T))
+
+    ii, jj, ww = [], [], []
+    for a in range(num_vars + 1):
+        for b in range(a + 1, num_vars + 1):
+            ii.append(a)
+            jj.append(b)
+            ww.append(lam ** (b - a))
+    pairs = np.zeros((num_vars + 1, len(ii)))
+    pairs[ii, np.arange(len(ii))] = 1.0
+    pairs[jj, np.arange(len(jj))] = -1.0
+    weights = np.array(ww)
+    weights = weights / weights.sum()
+    R = tape.matmul(D, tape.const(pairs))  # (n, n_pairs)
+    return tape.mul(R.square(), weights).sum() * (1.0 / n)

@@ -38,11 +38,9 @@ from flipmatch.graph import (
     ladder_graph,
     max_cardinality_search,
     check_chordal,
+    min_fill_chordalize,
     random_graph,
-    running_intersection_holds,
     sample_imap,
-    star_graph,
-    verify_no_immoralities,
 )
 from flipmatch.harness import (
     TrainConfig,
@@ -77,7 +75,10 @@ from oracles import (
     exact_em,
     fit_sampler_exactly,
     fit_tables_by_flip_matching,
+    imap_arcs,
     relative_error,
+    running_intersection_holds,
+    verify_no_immoralities,
 )
 
 
@@ -235,21 +236,7 @@ class TestStochasticEstimatorIdentity:
     @staticmethod
     def _star_problem(leaves: int) -> tuple[IsingModel, Imap]:
         num_vars = leaves + 1
-        dag = Dag(
-            num_vars=num_vars,
-            arcs=frozenset((0, i) for i in range(1, num_vars)),
-            topo_order=tuple(range(num_vars)),
-        )
-        hub = star_graph(num_vars)
-        imap = Imap(
-            dag=dag,
-            vertices=tuple(range(num_vars)),
-            parents={v: (() if v == 0 else (0,)) for v in range(num_vars)},
-            children={v: (tuple(range(1, num_vars)) if v == 0 else ()) for v in range(num_vars)},
-            blanket={v: (tuple(range(1, num_vars)) if v == 0 else (0,)) for v in range(num_vars)},
-            chordal=hub,
-            source_graph_id=hub.digest,
-        )
+        imap = Imap.from_parents(num_vars, range(num_vars), [()] + [(0,)] * leaves)
         J = np.zeros((num_vars, num_vars))
         for i in range(1, num_vars):
             J[0, i] = J[i, 0] = 0.4 + 0.1 * i
@@ -441,28 +428,30 @@ class TestGraphInvariants:
 
             pos = {v: i for i, v in enumerate(imap.topo_order)}
             assert len(pos) == n
-            for a, b in imap.dag.arcs:
+            arcs = imap_arcs(imap)
+            for a, b in arcs:
                 assert pos[a] < pos[b]
 
-            completed = {frozenset(e) for e in imap.chordal.edges}
-            assert {frozenset(a) for a in imap.dag.arcs} == completed
+            chordal = min_fill_chordalize(g, 0)
+            completed = {frozenset(e) for e in chordal.edges}
+            assert {frozenset(a) for a in arcs} == completed
             assert {frozenset(e) for e in g.edges} <= completed
-            assert check_chordal(imap.chordal)
+            assert check_chordal(chordal)
 
             for v in imap.vertices:
                 ps = imap.parents[v]
                 for ia in range(len(ps)):
                     for ib in range(ia + 1, len(ps)):
                         assert frozenset((ps[ia], ps[ib])) in completed
-            assert verify_no_immoralities(imap)
+            assert verify_no_immoralities(imap, chordal)
 
             if n <= 9 and brute_checked < 250:
-                assert chordal_brute_force(imap.chordal)
+                assert chordal_brute_force(chordal)
                 assert check_chordal(g) == chordal_brute_force(g)
                 brute_checked += 1
 
             tree_rng = np.random.default_rng(trial)
-            _, cliques = max_cardinality_search(imap.chordal, tree_rng)
+            _, cliques = max_cardinality_search(chordal, tree_rng)
             jt = build_junction_tree(cliques, tree_rng)
             assert running_intersection_holds(jt)
             adjacency = {i: set() for i in range(len(jt.cliques))}

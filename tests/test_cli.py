@@ -74,6 +74,14 @@ class TestChordalize:
         assert doc["max_clique_size"] == 3
         assert sorted(doc["topo_order"]) == [0, 1, 2, 3]
 
+    def test_zero_variable_model(self, tmp_path, capsys):
+        path = tmp_path / "empty.json"
+        path.write_text('{"kind":"ising","num_vars":0,"sigma":0.2,"edges":[],"bias":[]}')
+        assert main(["chordalize", "--model", str(path)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["num_vars"] == 0 and doc["topo_order"] == []
+        assert doc["max_clique_size"] == 0 and doc["max_blanket_size"] == 0
+
 
 class TestOracle:
     def test_matches_direct_enumeration(self, model_file, tmp_path, capsys):

@@ -1,12 +1,18 @@
 """Graph pipeline tests: chordalization, MCS, junction trees, DAG orientations."""
 
+import os
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flipmatch.energy import random_ising
+from flipmatch.errors import CorruptFile, FlipmatchError
 from flipmatch.graph import (
     Dag,
+    Imap,
     JunctionTree,
     UndirectedGraph,
     build_junction_tree,
@@ -15,34 +21,49 @@ from flipmatch.graph import (
     complete_graph,
     cycle_graph,
     grid_graph,
+    _cached_chordal,
     induced_subgraph,
     ladder_graph,
+    lift_imap,
     max_cardinality_search,
     min_fill_chordalize,
-    moral_graph,
     orient_pmap,
     random_graph,
     read_edge_list,
-    running_intersection_holds,
     sample_imap,
     star_graph,
     sub_imap,
-    verify_no_immoralities,
     write_edge_list,
 )
-from oracles import chordal_brute_force, maximal_cliques_brute_force
+from flipmatch.harness import latent_imap
+from oracles import (
+    chordal_brute_force,
+    completion_on,
+    imap_arcs,
+    maximal_cliques_brute_force,
+    moral_graph,
+    reference_blanket,
+    reference_build_imap,
+    reference_induced_subgraph,
+    reference_lift_imap,
+    reference_sample_imap,
+    reference_sub_imap,
+    running_intersection_holds,
+    verify_no_immoralities,
+)
 
 
 def imap_is_valid(imap, g):
-    """Acyclic (Dag validates on build), immorality-free, chordal supergraph."""
-    assert verify_no_immoralities(imap)
-    assert check_chordal(imap.chordal)
-    assert g.edges <= imap.chordal.edges
+    """Acyclic (Imap validates on build), immorality-free, chordal supergraph."""
+    chordal = completion_on(g, imap)
+    assert verify_no_immoralities(imap, chordal)
+    assert check_chordal(chordal)
+    assert g.edges <= chordal.edges
     # moral graph of the DAG equals its own skeleton
-    assert moral_graph(imap.dag).edges == imap.chordal.edges
+    assert moral_graph(imap).edges == chordal.edges
     # blanket(v) is exactly the chordal neighborhood
     for v in imap.vertices:
-        assert imap.blanket[v] == imap.chordal.neighbors(v)
+        assert imap.blanket[v] == chordal.neighbors(v)
 
 
 class TestUndirectedGraph:
@@ -96,6 +117,48 @@ class TestUndirectedGraph:
         assert mapping == (1, 2, 4)
         assert sub.num_vars == 3
         assert sub.edges == frozenset({(0, 1)})  # only 1-2 survives
+
+    def test_induced_subgraph_matches_edge_scan(self):
+        g = min_fill_chordalize(grid_graph(8, 8), 0)
+        for u in range(g.num_vars):
+            verts = {u} | set(g.neighbors(u))
+            assert induced_subgraph(g, verts) == reference_induced_subgraph(g, verts)
+        assert induced_subgraph(g, []) == reference_induced_subgraph(g, [])
+
+    def test_induced_subgraph_rejects_outside_vertices(self):
+        for verts in ([0, 5], [-1, 2]):
+            with pytest.raises(ValueError):
+                induced_subgraph(chain_graph(5), verts)
+
+    def test_edge_list_errors_name_the_file(self, tmp_path):
+        path = tmp_path / "g.txt"
+        for text in ("n 3\n0 x\n", "n three\n", "n 3\n0 1 2\n", "n 3\n1 1\n", "n 2\n0 5\n"):
+            path.write_text(text)
+            with pytest.raises(CorruptFile, match="g.txt"):
+                read_edge_list(str(path))
+        path.write_bytes(b"n 3\n0 \xff\n")
+        with pytest.raises(CorruptFile, match="g.txt"):
+            read_edge_list(str(path))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=st.binary(max_size=64)
+        | st.text(max_size=64).map(str.encode)
+        | st.lists(
+            st.sampled_from(["n", "n 4", "0", "1", "3", "-1", "9", "x", "#", "\n", " ", "0 1", "2 2"]),
+            max_size=12,
+        ).map(lambda parts: " ".join(parts).encode())
+    )
+    def test_read_edge_list_on_any_bytes_gives_a_graph_or_flipmatch_error(self, data):
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "g.txt")
+            with open(path, "wb") as fh:
+                fh.write(data)
+            try:
+                g = read_edge_list(path)
+            except FlipmatchError:
+                return
+            assert isinstance(g, UndirectedGraph)
 
 
 class TestDag:
@@ -280,7 +343,7 @@ class TestOrientPmap:
         outcomes = set()
         for seed in range(30):
             imap = orient_pmap(g, jt, seed)
-            outcomes.add(frozenset(imap.dag.arcs))
+            outcomes.add(imap_arcs(imap))
             imap_is_valid(imap, g)
         # visit (0,1) gives 0->1, 1->2; visit (1,0) gives 1->0, 1->2
         assert frozenset({(0, 1), (1, 2)}) in outcomes
@@ -297,19 +360,21 @@ class TestOrientPmap:
             jt = build_junction_tree(cliques, seed)
             imap = orient_pmap(g, jt, seed)
             imap_is_valid(imap, g)
-            arcsets.add(frozenset(imap.dag.arcs))
+            arcsets.add(imap_arcs(imap))
         assert len(arcsets) >= 2  # several of the 6 acyclic orientations appear
 
 
 class TestSampleImap:
     def test_chain_multiple_topo_orders(self):
         g = chain_graph(5)
-        orders = {sample_imap(g, seed).dag.topo_order for seed in range(20)}
+        orders = {sample_imap(g, seed).topo_order for seed in range(20)}
         assert len(orders) >= 2
 
     def test_four_cycle_imap_has_five_edges(self):
-        imap = sample_imap(cycle_graph(4), 0)
-        assert len(imap.chordal.edges) == 5
+        g = cycle_graph(4)
+        imap = sample_imap(g, 0)
+        assert len(imap_arcs(imap)) == 5
+        assert len(completion_on(g, imap).edges) == 5
 
     def test_random_graphs_valid(self):
         rng = np.random.default_rng(17)
@@ -319,24 +384,28 @@ class TestSampleImap:
             imap = sample_imap(g, int(rng.integers(1 << 31)))
             imap_is_valid(imap, g)
             assert imap.vertices == tuple(range(n))
-            assert sorted(imap.dag.topo_order) == list(range(n))
+            assert sorted(imap.topo_order) == list(range(n))
 
     def test_chordal_completion_cached_across_seeds(self):
         g = grid_graph(3, 3)
-        a = sample_imap(g, 1)
-        b = sample_imap(g, 2)
-        assert a.chordal is b.chordal  # same cached completion object
+        sample_imap(g, 1)
+        first = _cached_chordal.cache_info()
+        sample_imap(g, 2)
+        second = _cached_chordal.cache_info()
+        # the second draw reuses the cached completion
+        assert (second.hits, second.misses) == (first.hits + 1, first.misses)
 
     def test_deterministic_given_seed(self):
         g = grid_graph(3, 3)
-        assert sample_imap(g, 5).dag == sample_imap(g, 5).dag
+        a, b = sample_imap(g, 5), sample_imap(g, 5)
+        assert (a.num_vars, a.topo_order, a.parents) == (b.num_vars, b.topo_order, b.parents)
 
 
 class TestSubImap:
     def test_chain_interior_vertex(self):
         imap = sub_imap(chain_graph(4), 1, 0)
         assert imap.vertices == (0, 1, 2)
-        assert set(imap.dag.topo_order) == {0, 1, 2}
+        assert set(imap.topo_order) == {0, 1, 2}
 
     def test_isolated_vertex(self):
         g = UndirectedGraph.from_edges(3, [(0, 1)])
@@ -360,15 +429,149 @@ class TestSubImap:
             g = random_graph(n, 0.4, rng)
             u = int(rng.integers(n))
             imap = sub_imap(g, u, rng)
+            chordal = completion_on(g, imap)
             assert u in imap.vertices
-            assert verify_no_immoralities(imap)
-            assert check_chordal(imap.chordal)
+            assert verify_no_immoralities(imap, chordal)
+            assert check_chordal(chordal)
             # arcs stay inside the covered set
-            for a, b in imap.dag.arcs:
+            for a, b in imap_arcs(imap):
                 assert a in imap.vertices and b in imap.vertices
 
     def test_blankets_within_sub_match_chordal_neighborhoods(self):
         g = grid_graph(3, 3)
         imap = sub_imap(g, 4, 1)
+        chordal = completion_on(g, imap)
         for v in imap.vertices:
-            assert imap.blanket[v] == imap.chordal.neighbors(v)
+            assert imap.blanket[v] == chordal.neighbors(v)
+
+
+class TestImapRecord:
+    def test_depth_and_padded_parents(self):
+        imap = Imap.from_parents(5, [3, 0, 4, 1], [(), (3,), (0, 3), (4,)])
+        assert imap.order.tolist() == [3, 0, 4, 1]
+        assert imap.depth.tolist() == [0, 1, 2, 3]
+        assert imap.parent_table.tolist() == [[-1, -1], [3, -1], [0, 3], [4, -1]]
+        assert imap.order.dtype == imap.depth.dtype == imap.parent_table.dtype == np.int64
+        assert imap.vertices == (0, 1, 3, 4)
+        assert imap.parents == {3: (), 0: (3,), 4: (0, 3), 1: (4,)}
+        assert imap.children == {3: (0, 4), 0: (4,), 4: (1,), 1: ()}
+        assert imap.blanket == {3: (0, 4), 0: (3, 4), 4: (0, 1, 3), 1: (4,)}
+        assert imap.positions([1, 3]).tolist() == [3, 0]
+        with pytest.raises(KeyError):
+            imap.positions([2])
+
+    @pytest.mark.parametrize(
+        "order, parents",
+        [
+            ((0, 1), ((1,), ())),  # parent after its child
+            ((0, 1), ((), (2,))),  # parent outside the order
+            ((0, 1), ((), (1,))),  # its own parent
+            ((0, 0), ((), ())),  # repeated vertex
+            ((0, 3), ((), (0,))),  # outside the universe
+            ((-1,), ((),)),
+            ((0, 1), ((),)),  # one parent tuple short
+        ],
+    )
+    def test_rejects_invalid_orders(self, order, parents):
+        with pytest.raises(ValueError):
+            Imap.from_parents(3, order, parents)
+
+    def test_empty_map(self):
+        imap = Imap.from_parents(0, [], [])
+        assert imap.parent_table.shape == (0, 0)
+        assert imap.topo_order == () and imap.blanket == {}
+
+    def test_lift_is_one_index(self):
+        local = Imap.from_parents(3, [1, 0, 2], [(), (1,), (0, 1)])
+        lifted = lift_imap(local, (4, 6, 9), 10)
+        assert lifted.num_vars == 10
+        assert lifted.order.tolist() == [6, 4, 9]
+        assert lifted.parent_table.tolist() == [[-1, -1], [6, -1], [4, 6]]
+        assert lifted.depth.tolist() == local.depth.tolist()
+        with pytest.raises(ValueError):
+            lift_imap(local, (4, 6), 10)
+
+
+def same_as_reference(imap, ref):
+    """The map's order and dicts equal those of the arc-set construction."""
+    assert imap.num_vars == ref.num_vars
+    assert imap.topo_order == ref.topo_order
+    assert imap.vertices == ref.vertices
+    assert imap.parents == ref.parent_map
+    assert imap.children == ref.child_map
+    assert imap.blanket == reference_blanket(ref)
+
+
+class TestMatchesArcSetReference:
+    """The array construction gives the maps of the arc-set construction,
+    seed for seed."""
+
+    def test_sample_imap_over_seeds(self):
+        graphs = [grid_graph(5, 5), ladder_graph(6), ladder_graph(5, diagonals=False)]
+        for seed in range(200):
+            graphs_here = graphs + [random_graph(10, 0.1 + 0.6 * (seed % 7) / 7, seed)]
+            for g in graphs_here:
+                same_as_reference(sample_imap(g, seed), reference_sample_imap(g, seed))
+
+    def test_chordal_seed_and_shared_generator(self):
+        g = grid_graph(4, 5)
+        a, b = np.random.default_rng(3), np.random.default_rng(3)
+        for chordal_seed in range(5):
+            same_as_reference(
+                sample_imap(g, a, chordal_seed), reference_sample_imap(g, b, chordal_seed)
+            )
+
+    def test_sub_imap_at_every_vertex(self):
+        g = grid_graph(8, 8)
+        for seed in range(4):
+            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+            for u in range(g.num_vars):
+                same_as_reference(sub_imap(g, u, a), reference_sub_imap(g, u, b))
+
+    def test_latent_imap(self):
+        g = grid_graph(3, 4)
+        m = random_ising(g, 0.3, seed=1)
+        hidden = (0, 2, 3, 5, 7, 11)
+        local, mapping = reference_induced_subgraph(g, hidden)
+        for seed in range(200):
+            ref = reference_lift_imap(reference_sample_imap(local, seed), mapping, m.num_vars)
+            same_as_reference(latent_imap(m, hidden, seed), ref)
+
+    def test_orient_pmap(self):
+        g = min_fill_chordalize(random_graph(9, 0.4, 2), 0)
+        _, cliques = max_cardinality_search(g, 0)
+        for seed in range(50):
+            jt = build_junction_tree(cliques, seed)
+            ref = reference_build_imap(g, jt, np.random.default_rng(seed))
+            same_as_reference(orient_pmap(g, jt, seed), ref)
+
+
+class TestDegenerateGraphs:
+    @pytest.mark.parametrize(
+        "g",
+        [
+            complete_graph(12),
+            random_graph(14, 0.9, 0),
+            UndirectedGraph(6, frozenset()),
+            UndirectedGraph(1, frozenset()),
+            UndirectedGraph(0, frozenset()),
+        ],
+        ids=["complete12", "dense14", "edgeless", "one-vertex", "empty"],
+    )
+    def test_chordalize_sample_and_sub_imap(self, g):
+        chordal = min_fill_chordalize(g, 0)
+        assert g.edges <= chordal.edges and check_chordal(chordal)
+        for seed in range(5):
+            imap = sample_imap(g, seed)
+            imap_is_valid(imap, g)
+            same_as_reference(imap, reference_sample_imap(g, seed))
+            assert imap.vertices == tuple(range(g.num_vars))
+        for u in range(g.num_vars):
+            local = sub_imap(g, u, u)
+            same_as_reference(local, reference_sub_imap(g, u, u))
+            assert set(local.vertices) == {u} | set(chordal.neighbors(u))
+        if len(g.edges) == g.num_vars * (g.num_vars - 1) // 2:
+            # a complete graph is one clique: one chain of depths 0..n-1
+            assert sample_imap(g, 0).depth.tolist() == list(range(g.num_vars))
+        if not g.edges:
+            assert sample_imap(g, 0).parent_table.shape == (g.num_vars, 0)

@@ -501,7 +501,7 @@ class TestTrainEm:
         imap = latent_imap(p_true, [0, 1], seed=4)
         assert imap.vertices == (0, 1)
         assert all(set(ps) <= {0, 1} for ps in imap.parents.values())
-        assert imap.dag.num_vars == 3
+        assert imap.num_vars == 3
 
     def test_marginal_loglik_hand_check(self):
         dag, p_true, _, _ = three_var_latent_problem()

@@ -56,7 +56,13 @@ from flipmatch.losses import (
 from flipmatch.nn import MaeConfig, MaeParams, tape
 from flipmatch.sampler import AmortizedSampler, masked_parent_rows
 
-from oracles import ExactFlow, TabularSampler, all_states, fit_sampler_exactly
+from oracles import (
+    ExactFlow,
+    TabularSampler,
+    all_states,
+    fit_sampler_exactly,
+    pair_subtb_loss_batch,
+)
 
 
 def exact_setup(num_vars: int = 5, sigma: float = 0.7, seed: int = 3, imap_seed: int = 1):
@@ -637,6 +643,19 @@ class TestSubTb:
         tiny = float(subtb_loss_batch(s, imap, m, X, flow, 1e-6).data)
         assert abs(tiny - db) < 1e-6
 
+    def test_quadratic_form_equals_pair_sum(self):
+        m, imap, table = exact_setup()
+        s = randomized_sampler(5, seed=9, flow_head=True)
+        flow = FlowHead(s.params, forward_looking=True)
+        X = table.sample_matrix(7, seed=4)
+        params = s.params.params
+        for lam in (0.5, 0.9, 1.0, 1.7):
+            got = subtb_loss_batch(s, imap, m, X, flow, lam)
+            want = pair_subtb_loss_batch(s, imap, m, X, flow, lam)
+            assert_allclose(float(got.data), float(want.data), rtol=1e-12)
+            for g_got, g_want in zip(collect_grads(params, got), collect_grads(params, want)):
+                assert_allclose(g_got, g_want, rtol=1e-10, atol=1e-14)
+
     def test_lambda_validation(self):
         m, imap, table = exact_setup()
         s = fresh_sampler(5, flow_head=True)
@@ -774,3 +793,45 @@ class TestGradients:
         assert_grad_matches_fd(
             lambda: fl_flow(self.flow, self.m, x), self.s.params.params
         )
+
+
+class TestDegenerateModels:
+    """An edgeless model, where no flip has children, and a single variable."""
+
+    @staticmethod
+    def _edgeless(num_vars: int = 4) -> IsingModel:
+        return IsingModel(np.zeros((num_vars, num_vars)), np.linspace(-0.8, 0.6, num_vars), 1.0)
+
+    @pytest.mark.parametrize("make", ["edgeless", "one-var"])
+    def test_exact_sampler_zeroes_every_loss(self, make):
+        m = self._edgeless() if make == "edgeless" else one_var_model()
+        imap = sample_imap(m.graph, seed=0)
+        assert all(not cs for cs in imap.children.values())
+        table = enumerate_exact(m)
+        s = TabularSampler.from_exact_table(table, imap)
+        flow = ExactFlow(table)
+        states = all_states(m.num_vars)
+        n = m.num_vars
+        for u in range(n):
+            loss = delta_loss_batch(s, imap, m, states, np.full(len(states), u), -states[:, u])
+            assert float(loss.data) < 1e-12
+        logZ = LogZEstimate(table.log_z)
+        assert float(tb_loss_batch(s, imap, m, states, logZ).data) < 1e-12
+        assert float(db_trajectory_loss(s, imap, m, states, flow).data) < 1e-12
+        assert float(subtb_loss_batch(s, imap, m, states, flow, 0.9).data) < 1e-12
+
+    @pytest.mark.parametrize("make", ["edgeless", "one-var"])
+    def test_uniform_sampler_leaves_the_reward_change(self, make):
+        # a fresh network is exactly uniform, so every log q ratio is 0 and
+        # the residual is the change in log reward alone
+        m = self._edgeless() if make == "edgeless" else one_var_model()
+        s = fresh_sampler(m.num_vars)
+        states = all_states(m.num_vars)
+        us = np.arange(len(states)) % m.num_vars
+        new_vals = -states[np.arange(len(states)), us]
+        delta = m.delta_log_reward_batch(states, us, new_vals)
+        subs = {u: sub_imap(m.graph, u, seed=u) for u in range(m.num_vars)}
+        assert all(sub.vertices == (u,) for u, sub in subs.items())
+        for imap in (sample_imap(m.graph, seed=0), subs):
+            loss = delta_loss_batch(s, imap, m, states, us, new_vals)
+            assert_allclose(float(loss.data), np.mean(delta**2), rtol=1e-12)
