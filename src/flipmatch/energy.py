@@ -53,7 +53,6 @@ __all__ = [
     "COMPLETED_FACTORS",
     "ZERO_MASKED",
     "enumerate_exact",
-    "exact_sample",
     "ebm_param_grad",
     "all_states",
     "random_ising",
@@ -80,12 +79,6 @@ def all_states(num_vars: int) -> np.ndarray:
         raise TooLarge(f"refusing to enumerate 2^{num_vars} states")
     idx = np.arange(1 << num_vars, dtype=np.int64)
     return ((idx[:, None] >> np.arange(num_vars)[None, :]) & 1).astype(np.int8) * 2 - 1
-
-
-def state_index(x: np.ndarray) -> int:
-    """Inverse of all_states row construction."""
-    bits = (np.asarray(x) > 0).astype(np.int64)
-    return int(bits @ (1 << np.arange(len(bits), dtype=np.int64)))
 
 
 @dataclass
@@ -653,43 +646,21 @@ class ExactTable:
 
     num_vars: int
     log_z: float
-    full_probs: np.ndarray  # indexed by state_index
+    full_probs: np.ndarray  # indexed like the rows of all_states
     marginals: np.ndarray  # P(x_v = +1)
 
     def states(self) -> np.ndarray:
         return all_states(self.num_vars)
 
-    def state_prob(self, x) -> float:
-        return float(self.full_probs[state_index(_values_of(x))])
-
     def entropy(self) -> float:
         p = self.full_probs[self.full_probs > 0]
         return float(-np.sum(p * np.log(p)))
-
-    def conditional(self, v: int, x) -> float:
-        """P(x_v = +1 | instantiated variables of x other than v)."""
-        vals = _values_of(x)
-        states = self.states()
-        cond = np.ones(len(states), dtype=bool)
-        for w in np.flatnonzero(vals):
-            if w != v:
-                cond &= states[:, w] == vals[w]
-        total = float(self.full_probs[cond].sum())
-        plus = float(self.full_probs[cond & (states[:, v] == 1)].sum())
-        return plus / total
-
-    def conditional_logit(self, v: int, x) -> float:
-        p = self.conditional(v, x)
-        return float(np.log(p) - np.log1p(-p))
 
     def sample_matrix(self, n: int, seed) -> np.ndarray:
         rng = _as_rng(seed)
         idx = rng.choice(len(self.full_probs), size=n, p=self.full_probs)
         states = self.states()
         return states[idx]
-
-    def tv_distance(self, other_probs: np.ndarray) -> float:
-        return 0.5 * float(np.abs(self.full_probs - other_probs).sum())
 
 
 def enumerate_exact(m: EnergyModel) -> ExactTable:
@@ -702,13 +673,6 @@ def enumerate_exact(m: EnergyModel) -> ExactTable:
     probs = np.exp(logw - log_z)
     marginals = probs @ (states == 1)
     return ExactTable(m.num_vars, log_z, probs, marginals)
-
-
-def exact_sample(t: ExactTable, n: int, seed) -> list[Assignment]:
-    """I.i.d. exact samples as Assignment objects (empty list for n = 0)."""
-    if n == 0:
-        return []
-    return [Assignment(row) for row in t.sample_matrix(n, seed)]
 
 
 def ebm_param_grad(m: EnergyModel, data, model_samples, model_weights=None) -> np.ndarray:

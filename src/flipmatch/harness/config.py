@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import asdict, dataclass, fields
 
 from flipmatch.errors import ConfigError
@@ -43,6 +44,11 @@ class TrainConfig:
     eval_period: int = 100
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kind = {"int": numbers.Integral, "float": numbers.Real, "str": str}[f.type]
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
         if self.objective not in OBJECTIVES:
             raise ConfigError(
                 f"objective must be one of {', '.join(OBJECTIVES)}, got {self.objective!r}"
@@ -87,9 +93,10 @@ def load_train_config(path: str, seed: int | None = None) -> TrainConfig:
     ``seed`` overrides the file's value when given.
     """
     try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+        with open(path, "rb") as fh:
+            raw = json.loads(fh.read())
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError covers malformed JSON and bytes that are not UTF-8/16/32 text
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config file must hold a JSON object")

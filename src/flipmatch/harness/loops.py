@@ -21,6 +21,7 @@ from flipmatch.harness.metrics import MetricsRow, metric_mmd_linear, metric_nll
 from flipmatch.losses import (
     FlowHead,
     LogZEstimate,
+    _children,
     db_trajectory_loss,
     delta_loss_batch,
     delta_loss_stochastic_grad,
@@ -115,7 +116,7 @@ class _DeltaTrainer:
         thr = self.cfg.stochastic_children_above
         imap_of = (lambda u: imap_arg[u]) if isinstance(imap_arg, dict) else (lambda u: imap_arg)
         if thr > 0:
-            n_children = np.array([len(imap_of(int(u)).children[int(u)]) for u in us])
+            n_children = np.array([len(_children(imap_of(int(u)), int(u))) for u in us])
             heavy = n_children > thr
         else:
             heavy = np.zeros(len(X), dtype=bool)

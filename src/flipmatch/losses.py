@@ -6,7 +6,9 @@ log-probability, and the latter only involves the conditionals of u and its
 children.  Squared mismatch of those two quantities, zero for every flip
 exactly when the sampler is the target distribution.  Everything the loss
 reads lives in u's neighborhood, which is what lets training drop the
-full-sample sweep entirely.
+full-sample sweep entirely: u's children and every conditional's parents are
+read off the map's parent table, and each conditional reaches the network as
+its parents' values and column indices, never as a |V|-wide row.
 
 Also here: the trajectory-balance family (full-trajectory, detailed per-step,
 and the λ-weighted sub-range decomposition) with learnable state flows, and
@@ -30,7 +32,6 @@ from flipmatch.errors import (
     ConfigError,
     EmptyBatch,
     MissingBlanket,
-    OrderViolation,
     PartialAssignment,
     SameValue,
     TooFewChildren,
@@ -45,15 +46,11 @@ __all__ = [
     "LOGQ_FLOOR",
     "LogZEstimate",
     "FlowHead",
-    "fl_flow",
     "delta_loss",
     "delta_loss_batch",
     "delta_loss_stochastic_grad",
-    "tb_loss",
     "tb_loss_batch",
-    "db_loss",
     "db_trajectory_loss",
-    "subtb_loss",
     "subtb_loss_batch",
 ]
 
@@ -113,65 +110,78 @@ class FlowHead:
         return tape.where(full, tape.const(pinned), out)
 
 
-def fl_flow(flow: FlowHead, m: EnergyModel, x, mode: str = ZERO_MASKED) -> Tensor:
-    """Forward-looking log-flow of one partial assignment: correction + reward.
-
-    No terminal substitution happens here — the balance losses pin terminals
-    themselves — so a full assignment evaluates to log R plus the correction.
-    """
-    vals = _values_of(x)
-    corr = flow.correction_rows(vals[None, :].astype(np.float64))
-    partial = m.partial_reward(Assignment(vals), mode)
-    return corr.sum() + float(partial)
-
-
 # ---------------------------------------------------------------------------
 # flip matching
 
 
-def _clamped_logq(s, inputs: np.ndarray, vs, signs, cond=None) -> Tensor:
-    return tape.clamp_min(s.logq_rows(inputs, vs, signs, cond), LOGQ_FLOOR)
+def _clamped_logq(s, rows, vs, signs, cond=None) -> Tensor:
+    return tape.clamp_min(s.logq_rows(rows, vs, signs, cond), LOGQ_FLOOR)
 
 
-def _check_flip_args(imap: Imap, vals: np.ndarray, u: int, new) -> None:
-    if new == vals[u]:
-        raise SameValue(f"flip at {u} must change the value, got {new} twice")
-    needed = {u, *imap.parents[u], *imap.children[u]}
-    for c in imap.children[u]:
-        needed.update(imap.parents[c])
-    missing = sorted(w for w in needed if vals[w] == 0)
-    if missing:
-        raise MissingBlanket(
-            f"flip at {u} needs {sorted(needed)} instantiated; missing {missing}"
-        )
+def _stack_rows(blocks: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """One (values, cols) pair from blocks of different widths, padded with column -1."""
+    width = max((cols.shape[1] for _, cols in blocks), default=0)
+    values = np.zeros((sum(len(cols) for _, cols in blocks), width))
+    cols = np.full(values.shape, -1, dtype=np.int64)
+    a = 0
+    for v, c in blocks:
+        values[a : a + len(c), : c.shape[1]] = v
+        cols[a : a + len(c), : c.shape[1]] = c
+        a += len(c)
+    return values, cols
 
 
-def _flip_term_rows(
-    imap: Imap, X: np.ndarray, u: int, new_vals: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Conditional-ratio rows for a block of flips at the same variable.
+def _children(imap: Imap, u: int) -> np.ndarray:
+    """u's children under the map, ascending, read off its parent table."""
+    return np.sort(imap.order[(imap.parent_table == u).any(axis=1)])
 
-    Returns (inputs, vs, signs, coeffs, row_ids): two terms for u itself
-    (same parent row, the two values) and two per child (the two parent rows,
-    the child's value), coefficient +1 on the x side and -1 on the flip side.
+
+def _flip_term_rows(imap: Imap, X: np.ndarray, u: int, new_vals: np.ndarray):
+    """Conditional-ratio rows for a block of n flips at the same variable.
+
+    Returns (values, cols, vs, signs, coeffs, row_ids).  Term t is u for t = 0
+    and u's t-th child after that; its rows are n on the x side (coefficient
+    +1) and then n on the flip side (-1).  u's two sides read the same parent
+    values and differ in sign; a child's two sides differ in u's value.
     """
     n = len(X)
-    X_new = X.copy()
-    X_new[:, u] = new_vals
-    children = imap.children[u]
-    # one masked block for u (the same parent row on both sides), then the
-    # x side and the flip side of each child, all masked in one call
-    sides = [X] + [side for _ in children for side in (X, X_new)]
-    row_vars = np.repeat([u, *(c for c in children for _ in (0, 1))], n)
-    masked = masked_parent_rows(imap, np.concatenate(sides), row_vars)
-    signs = [X[:, u], new_vals] + [X[:, c] for c in children for _ in (0, 1)]
-    return (
-        np.concatenate([masked[:n], masked]),
-        np.concatenate([row_vars[:n], row_vars]),
-        np.concatenate(signs),
-        np.repeat(np.tile([1.0, -1.0], 1 + len(children)), n),
-        np.tile(np.arange(n), 2 + 2 * len(children)),
-    )
+    terms = np.concatenate([[u], _children(imap, u)])
+    vs = np.repeat(terms, 2 * n)
+    row_ids = np.arange(len(vs)) % n
+    flip_side = np.arange(len(vs)) // n % 2 == 1
+    # X once per term and side: a broadcast view, which a single flip never copies
+    X_rows = np.broadcast_to(X, (2 * len(terms),) + X.shape).reshape(-1, X.shape[1])
+    values, cols = masked_parent_rows(imap, X_rows, vs)
+    new_u = flip_side[:, None] & (cols == u)
+    values[new_u] = new_vals[row_ids[new_u.any(axis=1)]]
+    signs = X_rows[np.arange(len(vs)), vs]
+    signs[n : 2 * n] = new_vals
+    return values, cols, vs, signs, np.where(flip_side, -1.0, 1.0), row_ids
+
+
+def _check_flips(X, us, new_vals, rows, vs, coeffs, seg) -> None:
+    """Raise for the first flip, in row order, that changes nothing or misses its blanket.
+
+    A flip at u needs u, its parents, its children and their parents
+    instantiated: exactly the variables and the parent columns of its
+    x-side term rows.
+    """
+    values, cols = rows
+    same = new_vals == X[np.arange(len(X)), us]
+    gap = ((values == 0) & (cols >= 0)).any(axis=1) | (X[seg, vs] == 0)
+    missing = np.zeros(len(X), dtype=bool)
+    missing[seg[gap & (coeffs > 0)]] = True
+    bad = np.flatnonzero(same | missing)
+    if not len(bad):
+        return
+    k = bad[0]
+    u = int(us[k])
+    if same[k]:
+        raise SameValue(f"flip at {u} must change the value, got {new_vals[k]} twice")
+    mine = seg == k
+    needed = sorted({u, *vs[mine].tolist(), *cols[mine][cols[mine] >= 0].tolist()})
+    lacking = [w for w in needed if X[k, w] == 0]
+    raise MissingBlanket(f"flip at {u} needs {needed} instantiated; missing {lacking}")
 
 
 def delta_loss_batch(
@@ -200,30 +210,29 @@ def delta_loss_batch(
         raise ConfigError("X, us, and new_vals must align")
 
     imap_of = (lambda u: imap[u]) if isinstance(imap, Mapping) else (lambda u: imap)
-    for k in range(len(X)):
-        _check_flip_args(imap_of(int(us[k])), X[k], int(us[k]), new_vals[k])
-
-    inputs, vs, signs, coeffs, seg = [], [], [], [], []
-    for g_u in np.unique(us):
-        rows = np.flatnonzero(us == g_u)
-        block = _flip_term_rows(imap_of(int(g_u)), X[rows], int(g_u), new_vals[rows])
-        inputs.append(block[0])
-        vs.append(block[1])
-        signs.append(block[2])
-        coeffs.append(block[3])
-        seg.append(rows[block[4]])
-    inputs = np.concatenate(inputs, axis=0)
+    by_u = np.argsort(us, kind="stable")
+    blocks, vs, signs, coeffs, seg = [], [], [], [], []
+    for rows in np.split(by_u, np.flatnonzero(np.diff(us[by_u])) + 1):
+        u = int(us[rows[0]])
+        values, cols, v, sg, cf, ids = _flip_term_rows(imap_of(u), X[rows], u, new_vals[rows])
+        blocks.append((values, cols))
+        vs.append(v)
+        signs.append(sg)
+        coeffs.append(cf)
+        seg.append(rows[ids])
+    rows = _stack_rows(blocks)
     vs = np.concatenate(vs)
     signs = np.concatenate(signs)
     coeffs = np.concatenate(coeffs)
     seg = np.concatenate(seg)
+    _check_flips(X, us, new_vals, rows, vs, coeffs, seg)
 
     if cond is not None:
         cond = np.asarray(cond, dtype=np.float64)
         if cond.ndim == 2:
             cond = cond[seg]
 
-    logq = _clamped_logq(s, inputs, vs, signs, cond)
+    logq = _clamped_logq(s, rows, vs, signs, cond)
     ratio_sum = tape.segment_sum(tape.mul(logq, coeffs), seg, len(X))
     delta = m.delta_log_reward_batch(X.astype(np.int8), us, new_vals.astype(np.int8))
     residual = tape.const(delta) - ratio_sum
@@ -255,16 +264,18 @@ def delta_loss_stochastic_grad(
     Averaged over i uniform and ordered pairs i != j uniform, its gradient
     equals the gradient of delta_loss exactly.  The returned value itself is
     not the loss; only its backward pass is meaningful.  Indices index into
-    imap.children[u]; omitted ones are drawn from ``seed``.
+    u's children in ascending order; omitted ones are drawn from ``seed``.
     """
     vals = _values_of(x)
-    children = imap.children[u]
-    n = len(children)
+    n = len(_children(imap, u))
     if n <= 1:
         raise TooFewChildren(
             f"variable {u} has {n} children; use delta_loss directly"
         )
-    _check_flip_args(imap, vals, u, xu_new)
+    X = vals[None, :].astype(np.float64)
+    new = np.array([xu_new], dtype=np.float64)
+    values, cols, vs, signs, coeffs, seg = _flip_term_rows(imap, X, u, new)
+    _check_flips(X, np.array([u]), new, (values, cols), vs, coeffs, seg)
     rng = np.random.default_rng(seed)
     if i is None:
         i = int(rng.integers(n))
@@ -275,27 +286,16 @@ def delta_loss_stochastic_grad(
     if i == j:
         raise ConfigError("the pair term needs two distinct children")
 
-    X = vals[None, :].astype(np.float64)
-    Xn = X.copy()
-    Xn[0, u] = xu_new
-
-    def ratio(v: int) -> Tensor:
-        """d_v = log q(x_v | pa(x)) - log q(x'_v | pa(x')), a scalar."""
-        if v == u:
-            inputs = np.vstack([masked_parent_rows(imap, X, [u])] * 2)
-            signs = np.array([vals[u], xu_new], dtype=np.float64)
-        else:
-            inputs = np.vstack(
-                [masked_parent_rows(imap, X, [v]), masked_parent_rows(imap, Xn, [v])]
-            )
-            signs = np.array([vals[v], vals[v]], dtype=np.float64)
-        lq = _clamped_logq(s, inputs, np.array([v, v]), signs)
-        return tape.mul(lq, np.array([1.0, -1.0])).sum()
+    def ratio(t: int) -> Tensor:
+        """d_v = log q(x_v | pa(x)) - log q(x'_v | pa(x')) of term t, a scalar."""
+        sel = slice(2 * t, 2 * t + 2)
+        lq = _clamped_logq(s, (values[sel], cols[sel]), vs[sel], signs[sel])
+        return tape.mul(lq, coeffs[sel]).sum()
 
     delta = float(m.delta_log_reward(Assignment(vals), u, int(xu_new)))
-    g = tape.const(np.asarray(delta)) - ratio(u)
-    f_i = -ratio(children[i])
-    f_j = -ratio(children[j])
+    g = tape.const(np.asarray(delta)) - ratio(0)
+    f_i = -ratio(1 + i)
+    f_j = -ratio(1 + j)
     blocked_term = (g + float(n) * tape.stop_gradient(f_i)).square()
     pair_term = (
         tape.stop_gradient(g) + float(n - 1) * tape.stop_gradient(f_i) + f_j
@@ -318,15 +318,15 @@ def _require_full(imap: Imap, X) -> np.ndarray:
     return X
 
 
-def _step_rows(imap: Imap, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Masked rows for every (step, sample) conditional, step-major layout."""
+def _step_rows(imap: Imap, X: np.ndarray):
+    """Parent rows for every (step, sample) conditional, step-major layout.
+
+    Returns ((values, cols), vs, signs) as ``logq_rows`` takes them.
+    """
     n = X.shape[0]
-    inputs, vs, signs = [], [], []
-    for v in imap.topo_order:
-        inputs.append(masked_parent_rows(imap, X, np.full(n, v)))
-        vs.append(np.full(n, v))
-        signs.append(X[:, v])
-    return np.concatenate(inputs, axis=0), np.concatenate(vs), np.concatenate(signs)
+    blocks = [masked_parent_rows(imap, X, np.full(n, v)) for v in imap.topo_order]
+    vs = np.repeat(imap.order, n)
+    return _stack_rows(blocks), vs, X[np.tile(np.arange(n), len(imap.order)), vs]
 
 
 def _prefix_rows(imap: Imap, X: np.ndarray) -> np.ndarray:
@@ -345,43 +345,12 @@ def tb_loss_batch(s, imap: Imap, m: EnergyModel, X, logZ: LogZEstimate) -> Tenso
     """Mean squared full-trajectory residual (log Z + log q - log R)²."""
     X = _require_full(imap, X)
     n = X.shape[0]
-    inputs, vs, signs = _step_rows(imap, X)
-    lq = _clamped_logq(s, inputs, vs, signs)
+    rows, vs, signs = _step_rows(imap, X)
+    lq = _clamped_logq(s, rows, vs, signs)
     logq = tape.segment_sum(lq, np.tile(np.arange(n), len(imap.topo_order)), n)
     log_r = m.log_reward_batch(X.astype(np.int8))
     residual = logZ.value + logq - tape.const(log_r)
     return residual.square().mean()
-
-
-def tb_loss(s, imap: Imap, m: EnergyModel, x, logZ: LogZEstimate) -> Tensor:
-    return tb_loss_batch(s, imap, m, _values_of(x)[None, :], logZ)
-
-
-def db_loss(s, imap: Imap, m: EnergyModel, x_prefix, next_var: int, flow) -> Tensor:
-    """One detailed-balance step: flows on either side of sampling next_var."""
-    vals = _values_of(x_prefix).astype(np.float64)
-    order = imap.topo_order
-    if next_var not in order:
-        raise OrderViolation(f"{next_var} is not a variable of this map")
-    k = order.index(next_var)
-    expected = set(order[: k + 1])
-    got = set(np.flatnonzero(vals).tolist())
-    if got != expected:
-        raise OrderViolation(
-            f"step at {next_var} needs exactly the first {k + 1} order variables "
-            f"instantiated, got {sorted(got)}"
-        )
-    prefix = vals.copy()
-    prefix[next_var] = 0.0
-    flows = flow.log_flow_rows(m, np.vstack([prefix, vals]))
-    inputs = masked_parent_rows(imap, vals[None, :], np.array([next_var]))
-    logq = _clamped_logq(s, inputs, [next_var], [vals[next_var]])
-    residual = (
-        tape.gather_1d(flows, np.array([0]))
-        + logq
-        - tape.gather_1d(flows, np.array([1]))
-    )
-    return residual.square().sum()
 
 
 def db_trajectory_loss(s, imap: Imap, m: EnergyModel, X, flow) -> Tensor:
@@ -389,8 +358,8 @@ def db_trajectory_loss(s, imap: Imap, m: EnergyModel, X, flow) -> Tensor:
     X = _require_full(imap, X)
     n, num_vars = X.shape
     flows = flow.log_flow_rows(m, _prefix_rows(imap, X))  # ((V+1)*n,) prefix-major
-    inputs, vs, signs = _step_rows(imap, X)
-    logq = _clamped_logq(s, inputs, vs, signs)  # (V*n,) step-major
+    rows, vs, signs = _step_rows(imap, X)
+    logq = _clamped_logq(s, rows, vs, signs)  # (V*n,) step-major
     idx = np.arange(num_vars * n)
     residual = tape.gather_1d(flows, idx) + logq - tape.gather_1d(flows, idx + n)
     return residual.square().mean()
@@ -419,11 +388,11 @@ def subtb_loss_batch(s, imap: Imap, m: EnergyModel, X, flow, lam: float) -> Tens
     F = tape.reshape(flows_flat, (n, num_vars + 1))
 
     # step conditionals, same trick, reshaped to (n, V)
-    inputs, vs, signs = _step_rows(imap, X)
+    (values, cols), vs, signs = _step_rows(imap, X)
     ss2 = np.repeat(np.arange(n), num_vars)
     kk2 = np.tile(np.arange(num_vars), n)
     perm = kk2 * n + ss2
-    lq_flat = _clamped_logq(s, inputs[perm], vs[perm], signs[perm])
+    lq_flat = _clamped_logq(s, (values[perm], cols[perm]), vs[perm], signs[perm])
     lq = tape.reshape(lq_flat, (n, num_vars))
 
     # C[s, k] = sum of the first k step log-probs; D = F - C; r(i<j) = D_i - D_j
@@ -439,7 +408,3 @@ def subtb_loss_batch(s, imap: Imap, m: EnergyModel, X, flow, lam: float) -> Tens
     W /= W.sum() / 2
     Q = (np.diag(W.sum(axis=1)) - W) / n
     return (tape.matmul(D, tape.const(Q)) * D).sum()
-
-
-def subtb_loss(s, imap: Imap, m: EnergyModel, x, flow, lam: float) -> Tensor:
-    return subtb_loss_batch(s, imap, m, _values_of(x)[None, :], flow, lam)

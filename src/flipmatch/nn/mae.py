@@ -10,14 +10,16 @@ Architecture: {affine -> layer norm -> nonlinearity} blocks on a constant
 width trunk with residual connections between the equal-width blocks, then an
 affine head with one output column per variable.  A conditional reads only
 its own column, so every call names the variable of each row and the head
-computes that one logit per row.  The gradient-free forward can also take
-only the nonzero input columns (a variable's parents and the conditioning
-block) together with their indices, so its first layer reads just those rows
-of the input weights; one batch may hold many variables, each with its own
-columns, as the sampler's wavefront walk needs.  A separate learnable logit
-vector handles the no-information case (all-zero input), and an optional
-scalar head on the same trunk provides state-flow estimates for the
-balance-based objectives.
+computes that one logit per row.  Every forward, taped or not, can take only
+the nonzero input columns (a variable's parents and the conditioning block)
+together with their indices, so its first layer reads just those rows of the
+input weights and, on the tape, sums its gradient back into just those rows;
+one batch may hold many variables, each with its own columns and its own
+number of them, as the sampler's wavefront walk and the losses need.  The
+dense form, full (B, input_width) rows, serves the flow head's prefix rows.
+A separate learnable logit vector handles the no-information case (all-zero
+input), and an optional scalar head on the same trunk provides state-flow
+estimates for the balance-based objectives.
 Optionally the input is extended with a conditioning block: extra always-on
 coordinates carrying observed values for latent-variable posteriors.
 
@@ -26,7 +28,8 @@ calls (``masked_logits_np``, ``trunk_np``) run it on cache-sized row slices
 and keep nothing.  The taped calls (``masked_logits``, ``trunk``) run it on
 the whole batch, keep each block's input, normalized values, 1/sigma and
 activation slope, and record the trunk as one tape node whose backward walks
-the blocks in reverse; the heads are ordinary tape ops on top of that node.
+the blocks in reverse, the first layer's scatter included; the heads are
+ordinary tape ops on top of that node.
 """
 
 from __future__ import annotations
@@ -51,6 +54,10 @@ _ACTIVATIONS = ("relu", "elu")
 # float64 buffers (output, block pre-activation, squares) fit a 2 MB L2 cache
 _BLOCK_ELEMENTS = 1 << 16
 
+# elements of gathered inputs and input weights per piece of the compact first
+# layer
+_GATHER_ELEMENTS = 1 << 18
+
 
 @dataclass(frozen=True)
 class MaeConfig:
@@ -72,6 +79,13 @@ class MaeConfig:
     @property
     def input_width(self) -> int:
         return self.num_vars + len(self.cond_vars)
+
+    @property
+    def param_count(self) -> int:
+        """Scalars in the network this config builds, computed without building it."""
+        w, v, k = self.width, self.num_vars, self.blocks
+        trunk = self.input_width * w + w + 2 * w * k + (k - 1) * (w * w + w)
+        return trunk + w * v + 2 * v + (w + 1 if self.flow_head else 0)
 
 
 class MaeParams:
@@ -125,18 +139,23 @@ class MaeParams:
     def num_vars(self) -> int:
         return self.cfg.num_vars
 
-    def trunk(self, x: np.ndarray) -> Tensor:
-        """Shared trunk on the tape: rows of masked inputs (B, input_width) -> (B, width).
+    def trunk(self, x: np.ndarray, cols=None) -> Tensor:
+        """Shared trunk on the tape: input rows -> (B, width).
 
-        The forward is the one ``trunk_np`` runs, on the whole batch at once,
-        with each block keeping what its gradient needs; the trunk is then a
-        single tape node whose backward walks the blocks in reverse.
+        ``x`` holds (B, input_width) masked rows, or with ``cols`` the compact
+        form of ``trunk_np``.  The forward is the one ``trunk_np`` runs, on the
+        whole batch at once, with each block keeping what its gradient needs;
+        the trunk is then a single tape node whose backward walks the blocks
+        in reverse.
         """
+        packed = self._packed(x, cols)
         saved: list[tuple] = []
-        h = self._blocks_np(self._input_layer_np(x, None), saved)
-        return tape._make(h, self._trunk_params, lambda g: self._trunk_backward(x, saved, g))
+        h = self._blocks_np(self._first_layer(x, packed), saved)
+        return tape._make(
+            h, self._trunk_params, lambda g: self._trunk_backward(x, packed, saved, g)
+        )
 
-    def _trunk_backward(self, x: np.ndarray, saved: list[tuple], g: np.ndarray) -> None:
+    def _trunk_backward(self, x: np.ndarray, packed, saved: list[tuple], g: np.ndarray) -> None:
         """Push the trunk output's gradient g into the trunk's parameters.
 
         Per block, last first: back through the activation slope and the
@@ -146,8 +165,6 @@ class MaeParams:
         for k in reversed(range(len(saved))):
             h_in, xhat, inv, slope = saved[k]
             wk, bk, gamma, beta = self.block_weights[k]
-            if k == 0:
-                h_in, wk, bk = x, self.w_in, self.b_in
             gy = g * slope
             beta.accumulate(gy.sum(axis=0))
             gamma.accumulate((gy * xhat).sum(axis=0))
@@ -155,9 +172,12 @@ class MaeParams:
             m1 = dxhat.mean(axis=-1, keepdims=True)
             m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
             gz = inv * (dxhat - m1 - xhat * m2)
-            wk.accumulate(h_in.T @ gz)
-            bk.accumulate(gz.sum(axis=0))
-            if k > 0:
+            if k == 0:
+                self.w_in.accumulate(self._first_layer_grad(x, packed, gz))
+                self.b_in.accumulate(gz.sum(axis=0))
+            else:
+                wk.accumulate(h_in.T @ gz)
+                bk.accumulate(gz.sum(axis=0))
                 g = g + gz @ wk.data.T
 
     def logits(self, trunk: Tensor, vs: np.ndarray) -> Tensor:
@@ -172,17 +192,18 @@ class MaeParams:
             trunk, self.w_flow, self.b_flow, np.zeros(trunk.shape[0], dtype=np.int64)
         )
 
-    def masked_logits(self, x: np.ndarray, vs) -> Tensor:
-        """Logit of variable vs[i] given masked input row i, on the gradient tape.
+    def masked_logits(self, x: np.ndarray, vs, cols=None) -> Tensor:
+        """Logit of variable vs[i] given input row i, on the gradient tape.
 
-        Returns shape (B,).  Rows carrying no information at all (every
-        coordinate zero) bypass the trunk and read the learnable marginal-logit
-        vector instead, so the root conditionals of an unconditional model have
-        their own direct parameters.
+        Returns shape (B,).  ``x`` and ``cols`` are as for ``trunk``.  Rows
+        carrying no information at all (every input value zero) bypass
+        the trunk and read the learnable marginal-logit vector instead, so the
+        root conditionals of an unconditional model have their own direct
+        parameters.
         """
         vs = _row_vars(x, vs)
-        logits = self.logits(self.trunk(x), vs)
-        empty = np.abs(x).sum(axis=1) == 0
+        logits = self.logits(self.trunk(x, cols), vs)
+        empty = ~(x != 0).any(axis=1)
         if not empty.any():
             return logits
         return tape.where(empty, tape.gather_1d(self.marginals, vs), logits)
@@ -190,11 +211,15 @@ class MaeParams:
     # -- the forward itself, on raw arrays -----------------------------------
     #
     # ``trunk`` and ``trunk_np`` both run the code below; only ``trunk`` keeps
-    # intermediates.  ``cols`` lets a gradient-free caller pass only some input
-    # columns, every coordinate not listed being zero: an (E, K) ``cols``
-    # splits x into E equal blocks of consecutive rows, and x[i, k] in block e
-    # is input coordinate cols[e, k].  The first layer gathers one weight
-    # block per block of rows, not per row.
+    # intermediates.  Without ``cols`` the input is full (B, input_width)
+    # rows.  With ``cols`` it is compact: only some input columns, every
+    # coordinate not listed being zero.  An (E, K) ``cols`` splits x into E
+    # equal blocks of consecutive rows, x[i, k] in block e is input coordinate
+    # cols[e, k], and a slot whose column is -1 is unused and holds 0.
+    # The first layer groups the blocks by their number of used slots and
+    # gathers only the weight rows those slots name; its backward sorts the
+    # used slots by column and sums each column's segment into its row of the
+    # input weights.
 
     def _act_np(self, z: np.ndarray, slope: bool = False):
         """The nonlinearity, in place; with ``slope``, returns its derivative at z.
@@ -217,22 +242,76 @@ class MaeParams:
             return neg
         return None
 
-    def _input_layer_np(self, x: np.ndarray, cols) -> np.ndarray:
-        w_in = self.w_in.data
+    def _packed(self, x: np.ndarray, cols):
+        """None for full rows, else the checked compact form (x3, cols, counts).
+
+        x3 is x as (E, n, K) blocks, each block's used slots moved to the
+        front in their order, and counts[e] is the number of used slots of
+        block e: block e reads x3[e, :, :counts[e]] and cols[e, :counts[e]].
+        """
+        width = self.w_in.data.shape[0]
         if cols is None:
-            if x.ndim != 2 or x.shape[1] != w_in.shape[0]:
-                raise ShapeMismatch(f"expected (batch, {w_in.shape[0]}) inputs, got {x.shape}")
-            return x @ w_in
+            if x.ndim != 2 or x.shape[1] != width:
+                raise ShapeMismatch(f"expected (batch, {width}) inputs, got {x.shape}")
+            return None
         cols = np.asarray(cols, dtype=np.int64)
         blocks, k = cols.shape if cols.ndim == 2 else (0, -1)
-        if x.ndim != 2 or x.shape[1] != k or blocks == 0 or x.shape[0] % blocks:
+        if x.ndim != 2 or x.shape[1] != k or (len(x) and (blocks == 0 or len(x) % blocks)):
             raise ShapeMismatch(f"inputs {x.shape} do not split into blocks of columns {cols.shape}")
-        z = np.matmul(x.reshape(blocks, x.shape[0] // blocks, k), w_in[cols])
-        return z.reshape(x.shape[0], w_in.shape[1])
+        if cols.size and not (-1 <= cols.min() and cols.max() < width):
+            raise ShapeMismatch(f"input columns must lie in -1..{width - 1}")
+        used = cols >= 0
+        x3 = x.reshape(blocks, len(x) // max(blocks, 1), k)
+        if (used[:, 1:] > used[:, :-1]).any():
+            front = np.argsort(~used, axis=1, kind="stable")
+            cols = np.take_along_axis(cols, front, axis=1)
+            used = np.take_along_axis(used, front, axis=1)
+            x3 = np.take_along_axis(x3, front[:, None, :], axis=2)
+        return x3, cols, used.sum(axis=1)
+
+    def _first_layer(self, x: np.ndarray, packed) -> np.ndarray:
+        """Input rows times the input weights, without the bias: (B, width)."""
+        w_in = self.w_in.data
+        if packed is None:
+            return x @ w_in
+        x3, cols, counts = packed
+        # blocks in order of count, put back at the end if that moved them
+        moved = (counts[1:] < counts[:-1]).any()
+        if moved:
+            order = np.argsort(counts, kind="stable")
+            x3, cols, counts = x3[order], cols[order], counts[order]
+        z = np.empty(x3.shape[:2] + (w_in.shape[1],))
+        if len(counts) and counts[0] == 0:
+            z[: np.searchsorted(counts, 1)] = 0.0
+        for a, b, k in _count_runs(counts, x3.shape[1], w_in.shape[1]):
+            np.matmul(x3[a:b, :, :k], w_in[cols[a:b, :k]], out=z[a:b])
+        if moved:
+            z = z[np.argsort(order)]
+        return z.reshape(len(x), w_in.shape[1])
+
+    def _first_layer_grad(self, x: np.ndarray, packed, gz: np.ndarray) -> np.ndarray:
+        """Gradient of the input weights given the first layer's output gradient gz."""
+        if packed is None:
+            return x.T @ gz
+        x3, cols, _ = packed
+        n = x3.shape[1]
+        blk, slot = np.nonzero(cols >= 0)
+        col = np.repeat(cols[blk, slot], n)
+        row = (blk[:, None] * n + np.arange(n)).ravel()
+        val = x3[blk, :, slot].ravel()
+        # stable sort by column (a radix sort on small integers), then one
+        # segment per used column: its values against its rows of gz
+        order = np.argsort(col.astype(np.min_scalar_type(len(self.w_in.data))), kind="stable")
+        col, row, val = col[order], row[order], val[order]
+        starts = np.flatnonzero(np.diff(col, prepend=-1))
+        grad = np.zeros_like(self.w_in.data)
+        for c, a, b in zip(col[starts].tolist(), starts.tolist(), [*starts[1:].tolist(), len(col)]):
+            grad[c] = val[a:b] @ gz[row[a:b]]
+        return grad
 
     def trunk_np(self, x: np.ndarray, cols=None) -> np.ndarray:
         """Gradient-free trunk: (B, input_width) rows, or (B, K) with ``cols``."""
-        h = self._input_layer_np(x, cols)
+        h = self._first_layer(x, self._packed(x, cols))
         # the blocks run on row slices small enough that their buffers stay in cache
         step = max(1, _BLOCK_ELEMENTS // h.shape[1])
         for a in range(0, h.shape[0], step):
@@ -279,7 +358,7 @@ class MaeParams:
         vs = _row_vars(x, vs)
         h = self.trunk_np(x, cols)
         logits = np.einsum("ij,ij->i", h, self.w_out.data.T[vs]) + self.b_out.data[vs]
-        empty = np.abs(x).sum(axis=1) == 0
+        empty = ~(x != 0).any(axis=1)
         if not empty.any():
             return logits
         return np.where(empty, self.marginals.data[vs], logits)
@@ -302,6 +381,23 @@ class MaeParams:
     def zero_grad(self) -> None:
         for p in self.params:
             p.zero_grad()
+
+
+def _count_runs(counts: np.ndarray, n: int, width: int):
+    """(a, b, k): the runs of ascending ``counts`` equal to k > 0, for blocks
+    of n rows, cut so that a piece's gathered inputs and weights stay near
+    ``_GATHER_ELEMENTS`` elements."""
+    if len(counts) == 0:
+        return
+    # one run when the first and last counts agree, the common case of a level
+    cuts = [] if counts[0] == counts[-1] else (np.flatnonzero(np.diff(counts)) + 1).tolist()
+    for a, b in zip([0, *cuts], [*cuts, len(counts)]):
+        k = int(counts[a])
+        if k == 0:
+            continue
+        step = max(1, _GATHER_ELEMENTS // (k * (n + width)))
+        for lo in range(a, b, step):
+            yield lo, min(lo + step, b), k
 
 
 def _row_vars(x: np.ndarray, vs) -> np.ndarray:
@@ -365,15 +461,16 @@ def load_checkpoint(path: str, init_seed: int = 0):
             raise CorruptFile(f"{path}: unsupported version {version}")
         if float_bits not in (32, 64):
             raise CorruptFile(f"{path}: unsupported float width {float_bits}")
+        if min(num_vars, width, blocks) < 1:
+            raise CorruptFile(
+                f"{path}: num_vars, width and blocks must be positive, "
+                f"got {num_vars}, {width}, {blocks}"
+            )
         cond_vars = ()
         if n_cond:
             raw = read_exact(fh, 4 * n_cond, path, "conditioning block")
             cond_vars = tuple(int(x) for x in np.frombuffer(raw, dtype="<u4"))
         (n_params,) = struct.unpack("<Q", read_exact(fh, 8, path, "parameter count"))
-        dt = "<f8" if float_bits == 64 else "<f4"
-        flat = np.frombuffer(
-            read_exact(fh, n_params * (float_bits // 8), path, "parameters"), dtype=dt
-        ).astype(np.float64)
         cfg = MaeConfig(
             num_vars=num_vars,
             width=width,
@@ -383,6 +480,15 @@ def load_checkpoint(path: str, init_seed: int = 0):
             cond_vars=cond_vars,
             init_seed=init_seed,
         )
+        # checked before anything of the header's size is read or allocated
+        if n_params != cfg.param_count:
+            raise CorruptFile(
+                f"{path}: {n_params} parameters stored, the header implies {cfg.param_count}"
+            )
+        dt = "<f8" if float_bits == 64 else "<f4"
+        flat = np.frombuffer(
+            read_exact(fh, n_params * (float_bits // 8), path, "parameters"), dtype=dt
+        ).astype(np.float64)
         mae = MaeParams(cfg)
         mae.unpack(flat)
         adam_blob = None

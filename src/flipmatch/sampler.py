@@ -4,9 +4,11 @@ The amortized sampler evaluates each variable's conditional from an input
 masked down to exactly the variable's parents.  Because the mask is the only
 thing that encodes the order, a single set of weights can serve every I-map of
 the same graph, including the small local maps used for partial sampling.
-Sampling and scoring hand the network only the parent columns (and the
-conditioning block) and read back only the variable's own logit, so a
-conditional costs what its parent set costs, not what |V| costs.
+Sampling, scoring and the taped losses hand the network only the parent
+columns (and the conditioning block) and read back only the variable's own
+logit, so a conditional costs what its parent set costs, not what |V| costs.
+``masked_parent_rows`` builds that compact input for the losses: per row, the
+parents' values and their column indices, read off ``Imap.parent_table``.
 
 Draws and scores follow a wavefront walk.  Each I-map holds its topological
 order, the depth of each position and the padded parent table as arrays
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from flipmatch.energy import Assignment, EnergyModel, _values_of
+from flipmatch.energy import EnergyModel, _values_of
 from flipmatch.errors import (
     ConfigError,
     MissingParent,
@@ -93,19 +95,21 @@ class Policy:
         return p_on
 
 
-def masked_parent_rows(imap: Imap, X: np.ndarray, vs: np.ndarray) -> np.ndarray:
-    """Rows of X reduced to the parent sets of the given variables.
+def masked_parent_rows(
+    imap: Imap, X: np.ndarray, vs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of X reduced to the parent columns of the given variables.
 
-    Row i keeps X[i, p] for p in parents(vs[i]) and zeroes everything else —
-    the network-input encoding of "condition exactly on the parents".
+    Returns (values, cols), the network's compact input form: row i lists
+    the parents of vs[i] in cols[i], padded with -1 to the widest parent set
+    of the batch, and their values X[i, cols[i]] in values[i] (0 where
+    padded) — "condition exactly on the parents" without a |V|-wide row.
     """
     X = np.asarray(X, dtype=np.float64)
-    par = imap.parent_table[imap.positions(vs)]
-    rows, slots = np.nonzero(par >= 0)
-    cols = par[rows, slots]
-    out = np.zeros_like(X)
-    out[rows, cols] = X[rows, cols]
-    return out
+    cols = imap.parent_table[imap.positions(vs)]
+    cols = cols[:, : int((cols >= 0).sum(axis=1).max(initial=0))]
+    values = np.where(cols >= 0, X[np.arange(len(cols))[:, None], cols], 0.0)
+    return values, cols
 
 
 def _merged_levels(maps: list[Imap]):
@@ -113,7 +117,8 @@ def _merged_levels(maps: list[Imap]):
 
     Entries are numbered map-major, then by topological position.  Returns
     per-entry map index, position, variable and padded parents, and the
-    entry numbers of each depth level.
+    entry numbers of each depth level, ordered by parent count so that the
+    network's first layer finds equal counts side by side.
     """
     sizes = [len(m.order) for m in maps]
     offsets = np.cumsum([0] + sizes)
@@ -124,7 +129,7 @@ def _merged_levels(maps: list[Imap]):
     parents = np.full((len(var), max(m.parent_table.shape[1] for m in maps)), -1, dtype=np.int64)
     for m, a in zip(maps, offsets):
         parents[a : a + len(m.order), : m.parent_table.shape[1]] = m.parent_table
-    by_depth = np.argsort(depth, kind="stable")
+    by_depth = np.lexsort(((parents >= 0).sum(axis=1), depth))
     levels = np.split(by_depth, np.flatnonzero(np.diff(depth[by_depth])) + 1)
     return map_of, pos, var, parents, levels
 
@@ -164,17 +169,28 @@ class AmortizedSampler:
 
     # -- conditional evaluation ----------------------------------------------
 
-    def logq_rows(self, inputs: np.ndarray, vs, signs, cond=None) -> Tensor:
-        """Taped log q(sign_i at var vs_i | masked row i) for a batch of rows.
+    def _with_cond(self, x: np.ndarray, cols: np.ndarray, block) -> tuple[np.ndarray, np.ndarray]:
+        """Compact inputs with the conditioning block appended after the
+        parent slots, under its input columns (one per conditioning value)."""
+        if block is None:
+            return x, cols
+        cond_cols = np.arange(self.num_vars, self.params.cfg.input_width)
+        return (
+            np.concatenate([x, block], axis=-1),
+            np.hstack([cols, np.broadcast_to(cond_cols, (len(cols), len(cond_cols)))]),
+        )
 
-        ``inputs`` holds |V|-wide masked rows and ``cond`` the conditioning
-        block (one row per input row, or one row for all); the network
-        computes only the logit of each row's own variable.
+    def logq_rows(self, rows: tuple[np.ndarray, np.ndarray], vs, signs, cond=None) -> Tensor:
+        """Taped log q(sign_i at var vs_i | parent row i) for a batch of rows.
+
+        ``rows`` is the (values, cols) pair of ``masked_parent_rows`` and
+        ``cond`` the conditioning block (one row per input row, or one row for
+        all); the network reads only those columns and computes only the logit
+        of each row's own variable.
         """
-        block = self._cond_block(cond, len(inputs))
-        if block is not None:
-            inputs = np.hstack([inputs, block])
-        logits = self.params.masked_logits(inputs, vs)
+        values, cols = rows
+        x, cols = self._with_cond(values, cols, self._cond_block(cond, len(values)))
+        logits = self.params.masked_logits(x, vs, cols)
         return tape.log_sigmoid(tape.mul(logits, np.asarray(signs, dtype=np.float64)))
 
     def _entry_logits(
@@ -190,11 +206,8 @@ class AmortizedSampler:
         width = int((parents >= 0).sum(axis=1).max(initial=0))
         parents = parents[:, :width]
         x = work[rows[:, :, None], np.where(parents < 0, work.shape[1] - 1, parents)[:, None, :]]
-        cols = np.maximum(parents, 0)
-        if cond is not None:
-            x = np.concatenate([x, cond[rows]], axis=2)
-            cond_cols = np.arange(self.num_vars, self.params.cfg.input_width)
-            cols = np.hstack([cols, np.broadcast_to(cond_cols, (len(cols), len(cond_cols)))])
+        block = None if cond is None else cond[rows]
+        x, cols = self._with_cond(x, parents, block)
         e, n = rows.shape
         logits = self.params.masked_logits_np(x.reshape(e * n, -1), np.repeat(vs, n), cols)
         return logits.reshape(e, n)
@@ -262,14 +275,10 @@ class AmortizedSampler:
         if len(imap.order) != self.num_vars:
             raise ConfigError(
                 "ancestral sampling needs an I-map covering every variable; "
-                "use partial_sample for local maps"
+                "use partial_sample_batch for local maps"
             )
         X, logq = self._walk([imap], n, cond, policy=policy, rng=_as_rng(seed))
         return X.astype(np.int8), logq
-
-    def partial_sample(self, sub: Imap, policy: Policy, seed, cond=None) -> Assignment:
-        """One draw instantiating exactly the variables the local map covers."""
-        return Assignment(self.partial_sample_batch(sub, policy, 1, seed, cond)[0])
 
     def partial_sample_batch(
         self, sub: Imap | Sequence[Imap], policy: Policy, n: int, seed, cond=None
@@ -296,9 +305,6 @@ class AmortizedSampler:
         if np.any(vals[:, imap.order] == 0):
             raise PartialAssignment("log_prob needs fully instantiated samples")
         return self._walk([imap], vals.shape[0], cond, X=vals)[1]
-
-    def log_prob(self, imap: Imap, x, cond=None) -> float:
-        return float(self.log_prob_batch(imap, _values_of(x)[None, :], cond)[0])
 
 
 # ---------------------------------------------------------------------------

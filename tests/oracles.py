@@ -12,8 +12,9 @@ from itertools import combinations
 
 import numpy as np
 
-from flipmatch.energy import EnergyModel, ExactTable, _values_of
-from flipmatch.errors import ConfigError, MissingParent, PartialAssignment
+from flipmatch import losses
+from flipmatch.energy import ZERO_MASKED, Assignment, EnergyModel, ExactTable, _values_of
+from flipmatch.errors import ConfigError, MissingParent, OrderViolation, PartialAssignment
 from flipmatch.graph import (
     Dag,
     Imap,
@@ -24,9 +25,19 @@ from flipmatch.graph import (
     max_cardinality_search,
     min_fill_chordalize,
 )
-from flipmatch.losses import _clamped_logq, _prefix_rows, _require_full, _step_rows
+from flipmatch.losses import (
+    FlowHead,
+    LogZEstimate,
+    _clamped_logq,
+    _prefix_rows,
+    _require_full,
+    _step_rows,
+    subtb_loss_batch,
+    tb_loss_batch,
+)
 from flipmatch.nn import tape
 from flipmatch.nn.tape import Tensor
+from flipmatch.sampler import AmortizedSampler, Policy, masked_parent_rows
 
 
 def _connected(vertices: list[int], has_edge) -> bool:
@@ -120,7 +131,7 @@ def fit_sampler_exactly(mae, imaps, table) -> float:
             ps = sorted(imap.parents[v])
             if not ps:
                 x = np.zeros(num_vars, dtype=np.int8)
-                mae.marginals.data[v] = table.conditional_logit(v, x)
+                mae.marginals.data[v] = conditional_logit(table, v, x)
                 continue
             for c in range(1 << len(ps)):
                 row = np.zeros(num_vars)
@@ -130,7 +141,7 @@ def fit_sampler_exactly(mae, imaps, table) -> float:
                     row[p] = val
                     x[p] = val
                 rows_per_var[v].append(row)
-                targets_per_var[v].append(table.conditional_logit(v, x))
+                targets_per_var[v].append(conditional_logit(table, v, x))
     worst = 0.0
     for v in range(num_vars):
         if not rows_per_var[v]:
@@ -139,7 +150,7 @@ def fit_sampler_exactly(mae, imaps, table) -> float:
         # recompute targets aligned with the deduplicated rows
         t = np.empty(len(inputs))
         for i, row in enumerate(inputs):
-            t[i] = table.conditional_logit(v, row.astype(np.int8))
+            t[i] = conditional_logit(table, v, row.astype(np.int8))
         h = mae.trunk_np(inputs)
         design = np.hstack([h, np.ones((len(h), 1))])
         sol, *_ = np.linalg.lstsq(design, t, rcond=None)
@@ -198,11 +209,11 @@ class TabularSampler:
             idx |= (vals[:, p] > 0).astype(np.int64) << k
         return idx
 
-    def logq_rows(self, inputs: np.ndarray, vs, signs, cond=None) -> Tensor:
-        """log q(sign_i at var vs_i | masked row i), as a constant on the tape."""
+    def logq_rows(self, rows, vs, signs, cond=None) -> Tensor:
+        """log q(sign_i at var vs_i | parent row i), as a constant on the tape."""
         if cond is not None:
             raise ConfigError("the tabular sampler takes no conditioning values")
-        inputs = np.asarray(inputs, dtype=np.float64)
+        inputs = scatter_compact(*rows, self.imap.num_vars)
         vs = np.asarray(vs)
         signs = np.asarray(signs)
         out = np.zeros(len(vs))
@@ -221,8 +232,7 @@ class TabularSampler:
             raise MissingParent(f"variable {v} needs parents {missing} instantiated")
         if vals[v] == 0:
             raise PartialAssignment(f"variable {v} itself carries no value")
-        row = vals[None, :].astype(np.float64)
-        return float(self.logq_rows(row, [v], [vals[v]]).data[0])
+        return float(self.logq_rows(full_rows(vals[None, :]), [v], [vals[v]]).data[0])
 
     def log_prob_batch(self, imap: Imap, X) -> np.ndarray:
         self._check_map(imap)
@@ -408,6 +418,59 @@ def dense_masked_logits(mae, x: np.ndarray) -> np.ndarray:
     if not empty.any():
         return logits
     return np.where(empty[:, None], mae.marginals.data, logits)
+
+
+def dense_parent_rows(imap, X: np.ndarray, vs) -> np.ndarray:
+    """|V|-wide rows: row i keeps X[i, p] for p in parents(vs[i]), zeros elsewhere."""
+    X = np.asarray(X, dtype=np.float64)
+    out = np.zeros_like(X)
+    for i, v in enumerate(np.asarray(vs).tolist()):
+        ps = list(imap.parents[v])
+        out[i, ps] = X[i, ps]
+    return out
+
+
+def full_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Whole rows of X in the compact (values, cols) form: every column listed."""
+    X = np.asarray(X, dtype=np.float64)
+    return X, np.broadcast_to(np.arange(X.shape[1]), X.shape)
+
+
+def scatter_compact(values: np.ndarray, cols: np.ndarray, width: int) -> np.ndarray:
+    """The |V|-wide rows a (values, cols) pair of one-row blocks stands for."""
+    out = np.zeros((len(values), width))
+    r, j = np.nonzero(cols >= 0)
+    np.add.at(out, (r, cols[r, j]), values[r, j])
+    return out
+
+
+class DenseSampler(AmortizedSampler):
+    """``logq_rows`` through |V|-wide rows and the network's dense first layer.
+
+    Built on the same parameters as the sampler it shadows; with
+    ``dense_rows_in`` (below) the rows themselves come from
+    ``dense_parent_rows``, so nothing of the compact path is left.
+    """
+
+    def logq_rows(self, rows, vs, signs, cond=None) -> Tensor:
+        values, cols = rows
+        dense = _with_cond(self, scatter_compact(values, cols, self.num_vars), cond)
+        logits = self.params.masked_logits(dense, vs)
+        return tape.log_sigmoid(tape.mul(logits, np.asarray(signs, dtype=np.float64)))
+
+
+def dense_rows_in(monkeypatch) -> None:
+    """Make the losses build their rows with ``dense_parent_rows``: each row
+    |V| wide, column j listed where j is a parent of the row's variable."""
+
+    def rows(imap, X, vs):
+        dense = dense_parent_rows(imap, X, vs)
+        cols = np.full(dense.shape, -1, dtype=np.int64)
+        for i, v in enumerate(np.asarray(vs).tolist()):
+            cols[i, list(imap.parents[v])] = imap.parents[v]
+        return dense, cols
+
+    monkeypatch.setattr(losses, "masked_parent_rows", rows)
 
 
 def _with_cond(sampler, rows: np.ndarray, cond) -> np.ndarray:
@@ -624,9 +687,10 @@ def pair_subtb_loss_batch(s, imap, m, X, flow, lam: float) -> Tensor:
     ss = np.repeat(np.arange(n), num_vars + 1)
     kk = np.tile(np.arange(num_vars + 1), n)
     F = tape.reshape(flow.log_flow_rows(m, pm[kk * n + ss]), (n, num_vars + 1))
-    inputs, vs, signs = _step_rows(imap, X)
+    (values, cols), vs, signs = _step_rows(imap, X)
     perm = np.tile(np.arange(num_vars), n) * n + np.repeat(np.arange(n), num_vars)
-    lq = tape.reshape(_clamped_logq(s, inputs[perm], vs[perm], signs[perm]), (n, num_vars))
+    lq = _clamped_logq(s, (values[perm], cols[perm]), vs[perm], signs[perm])
+    lq = tape.reshape(lq, (n, num_vars))
     lower = np.tril(np.ones((num_vars + 1, num_vars)), k=-1)
     D = F - tape.matmul(lq, tape.const(lower.T))
 
@@ -643,3 +707,105 @@ def pair_subtb_loss_batch(s, imap, m, X, flow, lam: float) -> Tensor:
     weights = weights / weights.sum()
     R = tape.matmul(D, tape.const(pairs))  # (n, n_pairs)
     return tape.mul(R.square(), weights).sum() * (1.0 / n)
+
+
+# ---------------------------------------------------------------------------
+# one-row and one-state conveniences: single-sample wrappers of the batch
+# losses, the forward-looking flow of one assignment, lookups in an
+# enumerated table, and the sampler's one-draw and one-row calls.  The
+# library itself only needs the batched forms.
+
+
+def state_index(x: np.ndarray) -> int:
+    """Inverse of all_states row construction."""
+    bits = (np.asarray(x) > 0).astype(np.int64)
+    return int(bits @ (1 << np.arange(len(bits), dtype=np.int64)))
+
+
+def state_prob(t: ExactTable, x) -> float:
+    return float(t.full_probs[state_index(_values_of(x))])
+
+
+def table_conditional(t: ExactTable, v: int, x) -> float:
+    """P(x_v = +1 | instantiated variables of x other than v)."""
+    vals = _values_of(x)
+    states = t.states()
+    cond = np.ones(len(states), dtype=bool)
+    for w in np.flatnonzero(vals):
+        if w != v:
+            cond &= states[:, w] == vals[w]
+    total = float(t.full_probs[cond].sum())
+    plus = float(t.full_probs[cond & (states[:, v] == 1)].sum())
+    return plus / total
+
+
+def conditional_logit(t: ExactTable, v: int, x) -> float:
+    p = table_conditional(t, v, x)
+    return float(np.log(p) - np.log1p(-p))
+
+
+def tv_distance(t: ExactTable, other_probs: np.ndarray) -> float:
+    return 0.5 * float(np.abs(t.full_probs - other_probs).sum())
+
+
+def exact_sample(t: ExactTable, n: int, seed) -> list[Assignment]:
+    """I.i.d. exact samples as Assignment objects (empty list for n = 0)."""
+    if n == 0:
+        return []
+    return [Assignment(row) for row in t.sample_matrix(n, seed)]
+
+
+def partial_sample(s: AmortizedSampler, sub: Imap, policy: Policy, seed, cond=None) -> Assignment:
+    """One draw instantiating exactly the variables the local map covers."""
+    return Assignment(s.partial_sample_batch(sub, policy, 1, seed, cond)[0])
+
+
+def log_prob(s: AmortizedSampler, imap: Imap, x, cond=None) -> float:
+    return float(s.log_prob_batch(imap, _values_of(x)[None, :], cond)[0])
+
+
+def tb_loss(s, imap: Imap, m: EnergyModel, x, logZ: LogZEstimate) -> Tensor:
+    return tb_loss_batch(s, imap, m, _values_of(x)[None, :], logZ)
+
+
+def subtb_loss(s, imap: Imap, m: EnergyModel, x, flow, lam: float) -> Tensor:
+    return subtb_loss_batch(s, imap, m, _values_of(x)[None, :], flow, lam)
+
+
+def db_loss(s, imap: Imap, m: EnergyModel, x_prefix, next_var: int, flow) -> Tensor:
+    """One detailed-balance step: flows on either side of sampling next_var."""
+    vals = _values_of(x_prefix).astype(np.float64)
+    order = imap.topo_order
+    if next_var not in order:
+        raise OrderViolation(f"{next_var} is not a variable of this map")
+    k = order.index(next_var)
+    expected = set(order[: k + 1])
+    got = set(np.flatnonzero(vals).tolist())
+    if got != expected:
+        raise OrderViolation(
+            f"step at {next_var} needs exactly the first {k + 1} order variables "
+            f"instantiated, got {sorted(got)}"
+        )
+    prefix = vals.copy()
+    prefix[next_var] = 0.0
+    flows = flow.log_flow_rows(m, np.vstack([prefix, vals]))
+    rows = masked_parent_rows(imap, vals[None, :], np.array([next_var]))
+    logq = _clamped_logq(s, rows, [next_var], [vals[next_var]])
+    residual = (
+        tape.gather_1d(flows, np.array([0]))
+        + logq
+        - tape.gather_1d(flows, np.array([1]))
+    )
+    return residual.square().sum()
+
+
+def fl_flow(flow: FlowHead, m: EnergyModel, x, mode: str = ZERO_MASKED) -> Tensor:
+    """Forward-looking log-flow of one partial assignment: correction + reward.
+
+    No terminal substitution happens here — the balance losses pin terminals
+    themselves — so a full assignment evaluates to log R plus the correction.
+    """
+    vals = _values_of(x)
+    corr = flow.correction_rows(vals[None, :].astype(np.float64))
+    partial = m.partial_reward(Assignment(vals), mode)
+    return corr.sum() + float(partial)

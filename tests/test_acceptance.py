@@ -75,6 +75,7 @@ from oracles import (
     exact_em,
     fit_sampler_exactly,
     fit_tables_by_flip_matching,
+    full_rows,
     imap_arcs,
     relative_error,
     running_intersection_holds,
@@ -124,8 +125,8 @@ def pair_residuals(s: TabularSampler, imap: Imap, m, states: np.ndarray) -> np.n
         ratio = np.zeros(n_states)
         for v in [u, *imap.children[u]]:
             vs = np.full(n_states, v)
-            ratio += s.logq_rows(flipped, vs, flipped[:, v]).data
-            ratio -= s.logq_rows(X, vs, X[:, v]).data
+            ratio += s.logq_rows(full_rows(flipped), vs, flipped[:, v]).data
+            ratio -= s.logq_rows(full_rows(X), vs, X[:, v]).data
         out[u] = target - ratio
     return out
 

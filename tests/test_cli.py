@@ -218,6 +218,17 @@ class TestTrain:
         bad.write_text(json.dumps({"objective": "delta", "learning_rate": 0.1}))
         assert main(["train", "--model", model_file, "--config", str(bad)]) == 2
 
+    def test_undecodable_config_is_exit_2(self, model_file, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe{")
+        assert main(["train", "--model", model_file, "--config", str(bad)]) == 2
+        assert "bad.json" in capsys.readouterr().err
+
+    def test_float_width_in_config_is_exit_2(self, model_file, tmp_path, capsys):
+        cfg = write_config(tmp_path, width=2.5)
+        assert main(["train", "--model", model_file, "--config", cfg]) == 2
+        assert "width" in capsys.readouterr().err
+
     def test_overflowing_model_is_exit_3(self, tmp_path):
         m = IsingModel(np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([1e308, 0.0]), 1.0)
         path = tmp_path / "hot.json"

@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from flipmatch.energy import (
@@ -20,6 +24,7 @@ from flipmatch.errors import (
     ConfigError,
     EmptyBatch,
     EmptyDataset,
+    FlipmatchError,
     LatentCoversAll,
     PartialAssignment,
     ShapeMismatch,
@@ -45,7 +50,7 @@ from flipmatch.harness import (
 from flipmatch.losses import FlowHead, LogZEstimate
 from flipmatch.nn import MaeConfig, MaeParams
 from flipmatch.sampler import AmortizedSampler
-from oracles import TabularSampler, exact_em
+from oracles import TabularSampler, exact_em, tv_distance
 
 
 def make_sampler(num_vars, width=24, seed=0, **kwargs):
@@ -113,6 +118,59 @@ class TestTrainConfig:
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             load_train_config(str(tmp_path / "nope.json"))
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"width": 2.5},
+            {"blocks": True},
+            {"seed": 1.0},
+            {"total_steps": "10"},
+            {"lr": "0.1"},
+            {"policy_eps": False},
+            {"objective": 1},
+            {"eval_period": None},
+        ],
+    )
+    def test_rejects_wrongly_typed_fields(self, kwargs):
+        with pytest.raises(ConfigError, match=next(iter(kwargs))):
+            TrainConfig(**kwargs)
+
+    def test_numpy_scalars_and_ints_for_floats_accepted(self):
+        cfg = TrainConfig(seed=np.int64(4), width=np.int32(8), lr=1, policy_eps=np.float64(0.1))
+        assert (cfg.seed, cfg.width, cfg.lr, cfg.policy_eps) == (4, 8, 1, 0.1)
+
+    def test_undecodable_bytes_rejected(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(b"\xff\xfe{")
+        with pytest.raises(ConfigError, match="cfg.json"):
+            load_train_config(str(path))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=st.binary(max_size=64)
+        | st.text(max_size=64).map(str.encode)
+        | st.dictionaries(
+            st.sampled_from(["objective", "width", "lr", "seed", "policy_kind", "blocks", "x"]),
+            st.none()
+            | st.booleans()
+            | st.integers(-3, 10**20)
+            | st.floats(allow_nan=True)
+            | st.text(max_size=8)
+            | st.lists(st.integers(), max_size=2),
+            max_size=4,
+        ).map(lambda d: json.dumps(d).encode())
+    )
+    def test_any_bytes_give_a_config_or_flipmatch_error(self, data):
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "cfg.json")
+            with open(path, "wb") as fh:
+                fh.write(data)
+            try:
+                cfg = load_train_config(path)
+            except FlipmatchError:
+                return
+            assert isinstance(cfg, TrainConfig)
 
 
 class TestMetrics:
@@ -415,7 +473,7 @@ class TestTrainEbm:
             neg_batch=256,
         )
         assert abs(float(m.J[0, 1]) - 0.8) < 0.15
-        tv = enumerate_exact(m_true).tv_distance(enumerate_exact(m).full_probs)
+        tv = tv_distance(enumerate_exact(m_true), enumerate_exact(m).full_probs)
         assert tv < 0.05
         assert rows[-1].step == 300
 

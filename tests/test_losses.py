@@ -42,26 +42,30 @@ from flipmatch.losses import (
     FlowHead,
     LogZEstimate,
     _flip_term_rows,
-    db_loss,
     db_trajectory_loss,
     delta_loss,
     delta_loss_batch,
     delta_loss_stochastic_grad,
-    fl_flow,
-    subtb_loss,
     subtb_loss_batch,
-    tb_loss,
     tb_loss_batch,
 )
 from flipmatch.nn import MaeConfig, MaeParams, tape
 from flipmatch.sampler import AmortizedSampler, masked_parent_rows
 
 from oracles import (
+    DenseSampler,
     ExactFlow,
     TabularSampler,
     all_states,
+    db_loss,
+    dense_rows_in,
     fit_sampler_exactly,
+    fl_flow,
+    log_prob,
     pair_subtb_loss_batch,
+    subtb_loss,
+    tb_loss,
+    tv_distance,
 )
 
 
@@ -168,9 +172,9 @@ class TestDeltaLoss:
         rng = np.random.default_rng(0)
         X = rng.choice([-1.0, 1.0], size=(n, 5))
         for u in range(5):
-            inputs, vs, signs, coeffs, seg = _flip_term_rows(imap, X, u, -X[:, u])
+            values, cols, vs, signs, coeffs, seg = _flip_term_rows(imap, X, u, -X[:, u])
             # one conditional ratio for u and one per child, two rows each
-            assert inputs.shape[0] == 2 * (1 + len(imap.children[u])) * n
+            assert values.shape[0] == 2 * (1 + len(imap.children[u])) * n
             assert coeffs.sum() == 0.0  # paired +1/-1
             assert set(vs) == {u, *imap.children[u]}
         # the reward side touches exactly the factors containing u: on a cycle
@@ -192,6 +196,31 @@ class TestDeltaLoss:
         x[u] = 1  # blanket left empty
         with pytest.raises(MissingBlanket):
             delta_loss(s, imap, m, x, int(u), int(-x[u]))
+
+    def test_batch_reports_the_first_bad_flip(self):
+        m, imap, _ = exact_setup()
+        s = fresh_sampler(5)
+        X = np.ones((3, 5))
+        us = np.array([0, 1, 2])
+        new_vals = np.array([-1.0, -1.0, 1.0])  # row 2 flips to its own value
+        p = imap.parents[1] or imap.children[1]
+        X[1, p[0]] = 0.0  # row 1 misses a blanket variable
+        with pytest.raises(MissingBlanket, match=rf"flip at 1 needs .*missing \[{p[0]}\]"):
+            delta_loss_batch(s, imap, m, X, us, new_vals)
+        with pytest.raises(SameValue, match="flip at 2"):
+            delta_loss_batch(s, imap, m, X[::-1], us[::-1], new_vals[::-1])
+
+    def test_fresh_sub_maps_build_no_dict_views(self):
+        g = grid_graph(4, 4)
+        m = random_ising(g, sigma=0.5, seed=2)
+        subs = {u: sub_imap(g, u, seed=u) for u in range(16)}
+        s = randomized_sampler(16, seed=3)
+        X = np.random.default_rng(4).choice([-1.0, 1.0], size=(16, 16))
+        us = np.arange(16)
+        loss = delta_loss_batch(s, subs, m, X, us, -X[us, us])
+        tape.backward(loss)
+        for sub in subs.values():
+            assert not {"parents", "children", "blanket"} & set(vars(sub))
 
     def test_partial_outside_blanket_allowed(self):
         g = grid_graph(3, 3)
@@ -350,7 +379,7 @@ class TestDeltaLoss:
 
         assert np.max(residuals(theta) ** 2) < 1e-12
         q = np.exp(make_sampler(theta).log_prob_batch(imap, states))
-        assert table.tv_distance(q) < 1e-6
+        assert tv_distance(table, q) < 1e-6
 
     def test_near_deterministic_conditional_is_floored(self):
         # a conditional probability of 1e-300 enters the residual as the
@@ -361,6 +390,77 @@ class TestDeltaLoss:
         lz = LogZEstimate(0.0)
         val = tb_loss(s, imap, m, np.array([1], dtype=np.int8), lz)
         assert_allclose(float(val.data), LOGQ_FLOOR**2, rtol=1e-12)
+
+
+class TestCompactMatchesDense:
+    """Every taped loss on compact parent rows against |V|-wide rows.
+
+    The dense side builds its rows with ``oracles.dense_parent_rows`` and runs
+    them through the network's dense first layer (``oracles.DenseSampler``),
+    on the same parameters.  Values and every parameter gradient agree within
+    1e-12.  Only flip matching takes a conditioning block.
+    """
+
+    def build(self, activation, cond_vars=()):
+        g = grid_graph(3, 3)
+        cfg = MaeConfig(
+            num_vars=9, width=12, blocks=2, activation=activation, flow_head=True,
+            cond_vars=cond_vars, init_seed=5,
+        )
+        s = AmortizedSampler(MaeParams(cfg))
+        rng = np.random.default_rng(6)
+        s.params.unpack(s.params.pack() + rng.normal(0, 0.4, cfg.param_count))
+        X = rng.choice([-1.0, 1.0], size=(12, 9))
+        return g, random_ising(g, sigma=0.5, seed=7), sample_imap(g, seed=8), s, X
+
+    def check(self, monkeypatch, s, make_loss, extra=()):
+        params = [*s.params.params, *extra]
+        loss = make_loss(s)
+        got = float(loss.data), collect_grads(params, loss)
+        with monkeypatch.context() as mp:
+            dense_rows_in(mp)
+            loss = make_loss(DenseSampler(s.params))
+            want = float(loss.data), collect_grads(params, loss)
+        assert abs(got[0] - want[0]) <= 1e-12
+        assert max(np.abs(g).max(initial=0.0) for g in got[1]) > 1e-3
+        for name, g, w in zip(s.params.names + ["extra"] * len(extra), got[1], want[1]):
+            assert_allclose(g, w, rtol=0, atol=1e-12, err_msg=name)
+
+    @pytest.mark.parametrize("activation", ["relu", "elu"])
+    @pytest.mark.parametrize("cond_vars", [(), (9, 10)])
+    @pytest.mark.parametrize("local", [False, True], ids=["one-map", "sub-maps"])
+    def test_delta_loss_batch(self, monkeypatch, activation, cond_vars, local):
+        g, m, imap, s, X = self.build(activation, cond_vars)
+        rng = np.random.default_rng(9)
+        us = rng.integers(0, 9, size=len(X))
+        imaps = {u: sub_imap(g, u, seed=u) for u in range(9)} if local else imap
+        cond = rng.choice([-1.0, 1.0], size=(len(X), len(cond_vars))) if cond_vars else None
+        self.check(
+            monkeypatch,
+            s,
+            lambda s: delta_loss_batch(s, imaps, m, X, us, -X[np.arange(len(X)), us], cond=cond),
+        )
+
+    @pytest.mark.parametrize("activation", ["relu", "elu"])
+    def test_trajectory_losses(self, monkeypatch, activation):
+        g, m, imap, s, X = self.build(activation)
+        logz = LogZEstimate(0.3)
+        flow = FlowHead(s.params)
+        self.check(monkeypatch, s, lambda s: tb_loss_batch(s, imap, m, X, logz), [logz.value])
+        self.check(monkeypatch, s, lambda s: db_trajectory_loss(s, imap, m, X, flow))
+        self.check(monkeypatch, s, lambda s: subtb_loss_batch(s, imap, m, X, flow, 0.9))
+
+    @pytest.mark.parametrize("activation", ["relu", "elu"])
+    def test_stochastic_grad(self, monkeypatch, activation):
+        g, m, imap, s, X = self.build(activation)
+        u = max(range(9), key=lambda v: len(imap.children[v]))
+        assert len(imap.children[u]) >= 2
+        x = X[0].astype(np.int8)
+        self.check(
+            monkeypatch,
+            s,
+            lambda s: delta_loss_stochastic_grad(s, imap, m, x, u, int(-x[u]), j=0, i=1),
+        )
 
 
 class TestStochasticGrad:
@@ -554,7 +654,7 @@ class TestDbLoss:
             # and db_loss is exactly this residual, squared
             val = db_loss(s, imap, m, prefix_after(imap, x, k + 1), int(v), flow)
             assert_allclose(float(val.data), steps[-1] ** 2, rtol=1e-9, atol=1e-12)
-        logq = float(s.log_prob(imap, Assignment(x)))
+        logq = float(log_prob(s, imap, Assignment(x)))
         tb_residual = flows[0] + logq - m.log_reward(x)
         assert_allclose(sum(steps), tb_residual, rtol=1e-9, atol=1e-9)
 

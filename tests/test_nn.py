@@ -10,12 +10,15 @@ from __future__ import annotations
 
 import os
 import struct
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from flipmatch.errors import CorruptFile, NonFiniteLoss, ShapeMismatch
+from flipmatch.errors import CorruptFile, FlipmatchError, NonFiniteLoss, ShapeMismatch
 from flipmatch.nn import AdamState, MaeConfig, MaeParams, load_checkpoint, save_checkpoint, tape
 
 from oracles import central_diff, relative_error
@@ -366,6 +369,121 @@ class TestMae:
         assert mae.names[mae.groups.index("aux")] == "marginals"
 
 
+def network_grads(mae: MaeParams, loss) -> list[np.ndarray]:
+    mae.zero_grad()
+    tape.backward(loss)
+    return [np.zeros_like(p.data) if p.grad is None else p.grad.copy() for p in mae.params]
+
+
+def awkward_compact_batch(cfg: MaeConfig, n: int, seed: int):
+    """Compact inputs in blocks of n rows: unsorted, repeated and -1 columns
+    (trailing and interior), blocks of different used counts, an all-padding
+    block and an all-zero row; the last input column is never listed.
+    Returns (x, cols, dense rows)."""
+    top = cfg.input_width - 1
+    cols = np.array(
+        [
+            [top - 1, 0, -1, -1],
+            [2, 2, 1, -1],
+            [-1, 1, -1, 0],
+            [-1, -1, -1, -1],
+            [1, -1, -1, -1],
+            [0, top - 1, 2, 1],
+        ]
+    )
+    rng = np.random.default_rng(seed)
+    x = rng.choice([-1.0, 1.0], size=(len(cols) * n, cols.shape[1]))
+    x[np.repeat(cols < 0, n, axis=0)] = 0.0
+    x[-1, :] = 0.0  # a row whose listed columns all read zero
+    dense = np.zeros((len(x), cfg.input_width))
+    for i, row in enumerate(x):
+        for k, c in enumerate(cols[i // n]):
+            if c >= 0:
+                dense[i, c] += row[k]
+    return x, cols, dense
+
+
+class TestCompactInput:
+    """The (values, cols) input form against the full-width rows it stands for."""
+
+    @pytest.mark.parametrize("activation", ["relu", "elu"])
+    @pytest.mark.parametrize("cond", [(), (1, 3)], ids=["plain", "cond"])
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_matches_full_rows(self, activation, cond, n):
+        cfg = small_config(activation=activation, cond_vars=cond, blocks=3)
+        mae = MaeParams(cfg)
+        randomize(mae, seed=31)
+        x, cols, dense = awkward_compact_batch(cfg, n, seed=n)
+        vs = np.resize([3, 0, 2, 1], len(x))
+        weights = np.random.default_rng(8).normal(size=len(x))
+        compact = mae.masked_logits(x, vs, cols)
+        full = mae.masked_logits(dense, vs)
+        assert_allclose(compact.data, full.data, rtol=0, atol=1e-12)
+        assert_array_equal(compact.data, mae.masked_logits_np(x, vs, cols))
+        empty = ~dense.any(axis=1)
+        assert empty.sum() == n + 1  # the all-padding block and the zero row
+        assert_array_equal(compact.data[empty], mae.marginals.data[vs[empty]])
+        got = network_grads(mae, tape.mul(compact, weights).sum())
+        want = network_grads(mae, tape.mul(full, weights).sum())
+        for name, g, w in zip(mae.names, got, want):
+            assert_allclose(g, w, rtol=0, atol=1e-12, err_msg=name)
+
+    @pytest.mark.parametrize("activation", ["relu", "elu"])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_first_layer_gradcheck(self, activation, n):
+        cfg = small_config(activation=activation, cond_vars=(1,), blocks=2)
+        mae = MaeParams(cfg)
+        randomize(mae, seed=32)
+        x, cols, _ = awkward_compact_batch(cfg, n, seed=5)
+        vs = np.resize([1, 3, 0, 2], len(x))
+        weights = np.random.default_rng(9).normal(size=len(x))
+
+        def loss_value(flat: np.ndarray) -> float:
+            mae.unpack(flat)
+            return float(tape.mul(mae.masked_logits(x, vs, cols), weights).sum().data)
+
+        flat0 = mae.pack()
+        loss = tape.mul(mae.masked_logits(x, vs, cols), weights).sum()
+        analytic = np.concatenate([g.ravel() for g in network_grads(mae, loss)])
+        numeric = central_diff(loss_value, flat0, h=1e-4)
+        mae.unpack(flat0)
+        w_in = slice(0, mae.w_in.data.size)
+        assert np.abs(analytic[w_in]).max() > 1e-2
+        # rows of never-listed input columns get no gradient at all
+        unused = mae.w_in.data.shape[0] - 1
+        assert_array_equal(analytic[w_in].reshape(mae.w_in.data.shape)[unused], 0.0)
+        live = np.abs(analytic) > 1e-3
+        err = relative_error(analytic[live], numeric[live], floor=1e-3)
+        assert err.max() < 1e-4
+        assert np.abs(analytic[~live] - numeric[~live]).max(initial=0.0) < 1e-6
+
+    def test_empty_batch(self):
+        cfg = small_config()
+        mae = MaeParams(cfg)
+        randomize(mae, seed=33)
+        for blocks in (0, 3):
+            x = np.zeros((0, 2))
+            cols = np.zeros((blocks, 2), dtype=np.int64)
+            logits = mae.masked_logits(x, np.zeros(0, dtype=np.int64), cols)
+            assert logits.shape == (0,)
+            assert mae.masked_logits_np(x, np.zeros(0, dtype=np.int64), cols).shape == (0,)
+            for g in network_grads(mae, logits.sum()):
+                assert_array_equal(g, 0.0)
+
+    def test_rejects_bad_columns(self):
+        mae = MaeParams(small_config())
+        for x, cols in [
+            (np.ones((2, 2)), np.array([[0, 4]])),  # past the input width
+            (np.ones((2, 2)), np.array([[0, -2]])),  # below -1
+            (np.ones((3, 2)), np.array([[0, 1], [1, 2]])),  # 3 rows in 2 blocks
+            (np.ones((2, 3)), np.array([[0, 1]])),  # 3 values, 2 columns
+        ]:
+            with pytest.raises(ShapeMismatch):
+                mae.trunk(x, cols)
+            with pytest.raises(ShapeMismatch):
+                mae.trunk_np(x, cols)
+
+
 class TestCheckpoint:
     def test_round_trip_bit_identical(self, tmp_path):
         cfg = small_config(flow_head=True, cond_vars=(2, 3), activation="elu")
@@ -458,6 +576,75 @@ class TestCheckpoint:
         open(path, "wb").write(bytes(raw))
         with pytest.raises(ValueError, match="magic"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "kw",
+        [{}, {"flow_head": True}, {"cond_vars": (1, 3), "blocks": 1}, {"blocks": 3, "width": 5}],
+    )
+    def test_param_count_matches_the_network(self, kw):
+        cfg = small_config(**kw)
+        assert MaeParams(cfg).pack().size == cfg.param_count
+
+    def test_header_is_checked_before_the_network_is_built(self, tmp_path, monkeypatch):
+        def refuse(self, cfg):
+            raise AssertionError(f"network built for {cfg}")
+
+        monkeypatch.setattr(MaeParams, "__init__", refuse)
+        path = tmp_path / "head.dmae"
+        for (num_vars, width, blocks), count, what in [
+            ((4, 0, 2), 0, "positive"),
+            ((0, 8, 2), 0, "positive"),
+            ((4, 8, 0), 0, "positive"),
+            ((4, 8, 2), 5, "implies"),
+            # a huge width whose count matches: the parameters are then missing
+            ((4, 2**31, 1), MaeConfig(4, 2**31, 1).param_count, "truncated parameters"),
+        ]:
+            header = struct.pack("<4sIIIIIII", b"DMAE", 1, num_vars, width, blocks, 64, 0, 0)
+            path.write_bytes(header + struct.pack("<Q", count) + bytes(64))
+            with pytest.raises(CorruptFile, match=f"head.dmae.*{what}"):
+                load_checkpoint(str(path))
+
+    # header fields small enough to load a whole network from the bytes that
+    # follow, or large enough that the stored count or the file size refuses
+    # them; the network is built only from parameters present in the file, so
+    # no example can allocate more than its own few kilobytes
+    _dims = st.integers(0, 3) | st.sampled_from([2**16, 2**31 - 1, 2**32 - 1])
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        magic=st.sampled_from([b"DMAE", b"DMAX"]),
+        version=st.sampled_from([1, 1, 1, 2]),
+        dims=st.tuples(_dims, _dims, _dims),
+        float_bits=st.sampled_from([32, 64, 64, 16]),
+        flags=st.integers(0, 7),
+        n_cond=st.integers(0, 2) | st.just(2**32 - 1),
+        count=st.none() | st.integers(0, 2**64 - 1),
+        tail=st.binary(max_size=2048),
+    )
+    def test_any_header_gives_a_network_or_flipmatch_error(
+        self, magic, version, dims, float_bits, flags, n_cond, count, tail
+    ):
+        num_vars, width, blocks = dims
+        head = struct.pack(
+            "<4sIIIIIII", magic, version, num_vars, width, blocks, float_bits, flags, n_cond
+        )
+        if count is None and min(dims) > 0 and n_cond < 3:
+            # the count the header implies, so the parameters themselves are read
+            implied = MaeConfig(
+                num_vars, width, blocks, flow_head=bool(flags & 1), cond_vars=(0,) * n_cond
+            )
+            count = min(implied.param_count, 2**64 - 1)
+        cond = bytes(4 * n_cond) if n_cond < 3 else b""
+        body = cond + struct.pack("<Q", count or 0) + tail
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "net.dmae")
+            with open(path, "wb") as fh:
+                fh.write(head + body)
+            try:
+                mae, _ = load_checkpoint(path)
+            except FlipmatchError:
+                return
+            assert mae.pack().size == mae.cfg.param_count <= len(tail) // 4
 
     def test_bad_version_rejected(self, tmp_path):
         mae = MaeParams(small_config())

@@ -40,11 +40,16 @@ from oracles import (
     TabularSampler,
     all_states,
     dense_log_prob_batch,
+    dense_parent_rows,
     dense_run_order,
     fit_sampler_exactly,
     imap_arcs,
+    log_prob,
+    partial_sample,
+    scatter_compact,
     sequential_log_prob_batch,
     sequential_run_order,
+    table_conditional,
 )
 
 
@@ -114,13 +119,28 @@ class TestMaskedParentRows:
         imap = sample_imap(g, seed=3)
         X = np.array([[1.0, -1.0, 1.0, -1.0], [-1.0, -1.0, 1.0, 1.0]])
         vs = np.array([2, 2])
-        rows = masked_parent_rows(imap, X, vs)
+        rows = scatter_compact(*masked_parent_rows(imap, X, vs), 4)
         ps = set(imap.parents[2])
         for j in range(4):
             if j in ps:
                 assert_array_equal(rows[:, j], X[:, j])
             else:
                 assert_array_equal(rows[:, j], 0.0)
+
+    def test_compact_rows_stand_for_the_dense_rows(self):
+        g = grid_graph(5, 5)
+        rng = np.random.default_rng(4)
+        X = rng.choice([-1.0, 1.0], size=(40, 25))
+        for imap in [sample_imap(g, seed=1), sub_imap(g, 12, seed=2), sub_imap(g, 0, seed=3)]:
+            # all but the variables with the most parents
+            widest = imap.parent_table.shape[1]
+            vs = rng.choice([v for v in imap.order if len(imap.parents[v]) < widest], size=len(X))
+            values, cols = masked_parent_rows(imap, X, vs)
+            counts = (cols >= 0).sum(axis=1)
+            assert_array_equal(counts, [len(imap.parents[v]) for v in vs])
+            assert cols.shape[1] == counts.max() < widest  # trimmed to the batch's widest
+            assert_array_equal(values[cols < 0], 0.0)
+            assert_array_equal(scatter_compact(values, cols, 25), dense_parent_rows(imap, X, vs))
 
 
 class TestConditionalLogprob:
@@ -181,7 +201,7 @@ class TestConditionalLogprob:
                 for j in range(2):
                     if j not in keep:
                         parents_only[j] = 0
-                want = table.conditional(v, parents_only)
+                want = table_conditional(table, v, parents_only)
                 if bits[v] == -1:
                     want = 1.0 - want
                 assert got == pytest.approx(want, abs=1e-3)
@@ -254,14 +274,14 @@ class TestPartialSample:
         g = chain_graph(4)
         sub = sub_imap(g, 1, seed=0)
         s = randomized_sampler(4, seed=1)
-        x = s.partial_sample(sub, Policy.on_policy(), seed=9)
+        x = partial_sample(s, sub, Policy.on_policy(), seed=9)
         assert x.instantiated() == (0, 1, 2)
 
     def test_isolated_vertex(self):
         g = UndirectedGraph.from_edges(3, [(0, 1)])
         sub = sub_imap(g, 2, seed=0)
         s = randomized_sampler(3, seed=2)
-        x = s.partial_sample(sub, Policy.on_policy(), seed=0)
+        x = partial_sample(s, sub, Policy.on_policy(), seed=0)
         assert x.instantiated() == (2,)
 
     def test_batch_instantiates_exactly_the_subset(self):
@@ -292,7 +312,7 @@ class TestLogProb:
             imap = sample_imap(g, seed=0)
             s = fresh_sampler(n)
             x = np.ones(n, dtype=np.int8)
-            assert s.log_prob(imap, x) == pytest.approx(-n * np.log(2))
+            assert log_prob(s, imap, x) == pytest.approx(-n * np.log(2))
 
     def test_normalization_over_all_states(self):
         g = cycle_graph(6)
@@ -307,7 +327,7 @@ class TestLogProb:
         s = fresh_sampler(3)
         x = np.array([1, 0, 1], dtype=np.int8)
         with pytest.raises(PartialAssignment):
-            s.log_prob(imap, x)
+            log_prob(s, imap, x)
 
     def test_cross_entropy_lower_bounded_by_entropy(self):
         m = random_ising(cycle_graph(4), sigma=0.4, seed=0)
