@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 
 import numpy as np
 
@@ -40,7 +41,10 @@ from flipmatch.sampler import AmortizedSampler, AnnealSchedule, Policy, gibbs_ch
 
 def _read_assignments(path: str) -> np.ndarray:
     try:
-        X = np.loadtxt(path, dtype=np.float64, ndmin=2)
+        with warnings.catch_warnings():
+            # a file without rows reads as an empty array, which callers reject
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            X = np.loadtxt(path, dtype=np.float64, ndmin=2)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read assignments from {path}: {exc}") from exc
     if X.size == 0:

@@ -30,10 +30,23 @@ the whole batch, keep each block's input, normalized values, 1/sigma and
 activation slope, and record the trunk as one tape node whose backward walks
 the blocks in reverse, the first layer's scatter included; the heads are
 ordinary tape ops on top of that node.
+
+A conditional depends only on its variable and its input, and a batch often
+holds the same (variable, columns, values) row many times: with few parents,
+many draws of one wavefront level agree on their parents' values, and u's own
+x-side and flip-side rows of a flip term are equal.  ``masked_logits`` and
+``masked_logits_np`` therefore run the first layer on every row, then the
+blocks and the head on one row per group of exactly equal rows, and expand
+the logits back by the group index (on the tape a gather, whose backward
+sums the repeats); the input weights' gradient reads each group's row once.  A batch in which fewer than an eighth
+of the rows repeat runs every row, paying only the grouping key and its sort.
+So that each row's logit is the one it gets on its own, a one-row matrix
+product goes through the same kernel as a larger batch.
 """
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass
 
@@ -57,6 +70,13 @@ _BLOCK_ELEMENTS = 1 << 16
 # elements of gathered inputs and input weights per piece of the compact first
 # layer
 _GATHER_ELEMENTS = 1 << 18
+
+# the blocks and the head see one row per distinct input once at least this
+# share of a batch's rows repeats an earlier one; below it, finding the few
+# repeats would cost about what it saves
+_MIN_REPEAT_SHARE = 1 / 8
+
+_KEY_SEED = 0x5EED
 
 
 @dataclass(frozen=True)
@@ -149,13 +169,21 @@ class MaeParams:
         in reverse.
         """
         packed = self._packed(x, cols)
+        return self._taped_blocks(x, packed, self._first_layer(x, packed))
+
+    def _taped_blocks(self, x: np.ndarray, packed, h: np.ndarray, rows=None) -> Tensor:
+        """The blocks on first-layer outputs h, recorded as one tape node.
+
+        ``rows`` names the input rows that h holds, one each, when it does
+        not hold them all (see ``_distinct_rows``).
+        """
         saved: list[tuple] = []
-        h = self._blocks_np(self._first_layer(x, packed), saved)
+        h = self._blocks_np(h, saved)
         return tape._make(
-            h, self._trunk_params, lambda g: self._trunk_backward(x, packed, saved, g)
+            h, self._trunk_params, lambda g: self._trunk_backward(x, packed, rows, saved, g)
         )
 
-    def _trunk_backward(self, x: np.ndarray, packed, saved: list[tuple], g: np.ndarray) -> None:
+    def _trunk_backward(self, x: np.ndarray, packed, rows, saved: list[tuple], g: np.ndarray) -> None:
         """Push the trunk output's gradient g into the trunk's parameters.
 
         Per block, last first: back through the activation slope and the
@@ -173,7 +201,7 @@ class MaeParams:
             m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
             gz = inv * (dxhat - m1 - xhat * m2)
             if k == 0:
-                self.w_in.accumulate(self._first_layer_grad(x, packed, gz))
+                self.w_in.accumulate(self._first_layer_grad(x, packed, gz, rows))
                 self.b_in.accumulate(gz.sum(axis=0))
             else:
                 wk.accumulate(h_in.T @ gz)
@@ -199,10 +227,20 @@ class MaeParams:
         carrying no information at all (every input value zero) bypass
         the trunk and read the learnable marginal-logit vector instead, so the
         root conditionals of an unconditional model have their own direct
-        parameters.
+        parameters.  Rows that repeat another row's inputs and variable share
+        its pass through the blocks and the head; the gather that hands each
+        row its logit sums the repeats' gradients on the way back.
         """
         vs = _row_vars(x, vs)
-        logits = self.logits(self.trunk(x, cols), vs)
+        packed = self._packed(x, cols)
+        z = self._first_layer(x, packed)
+        distinct = self._distinct_rows(x, packed, vs)
+        if distinct is None:
+            logits = self.logits(self._taped_blocks(x, packed, z), vs)
+        else:
+            rows, inv = distinct
+            trunk = self._taped_blocks(x, packed, z[rows], rows)
+            logits = tape.gather_1d(self.logits(trunk, vs[rows]), inv)
         empty = ~(x != 0).any(axis=1)
         if not empty.any():
             return logits
@@ -273,7 +311,7 @@ class MaeParams:
         """Input rows times the input weights, without the bias: (B, width)."""
         w_in = self.w_in.data
         if packed is None:
-            return x @ w_in
+            return _matmul(x, w_in)
         x3, cols, counts = packed
         # blocks in order of count, put back at the end if that moved them
         moved = (counts[1:] < counts[:-1]).any()
@@ -289,16 +327,26 @@ class MaeParams:
             z = z[np.argsort(order)]
         return z.reshape(len(x), w_in.shape[1])
 
-    def _first_layer_grad(self, x: np.ndarray, packed, gz: np.ndarray) -> np.ndarray:
-        """Gradient of the input weights given the first layer's output gradient gz."""
+    def _first_layer_grad(self, x: np.ndarray, packed, gz: np.ndarray, rows=None) -> np.ndarray:
+        """Gradient of the input weights given the first layer's output gradient gz.
+
+        With ``rows``, gz has one row per input row named there and the other
+        rows contribute nothing: each group of equal rows counts once.
+        """
         if packed is None:
-            return x.T @ gz
+            return (x if rows is None else x[rows]).T @ gz
         x3, cols, _ = packed
         n = x3.shape[1]
         blk, slot = np.nonzero(cols >= 0)
         col = np.repeat(cols[blk, slot], n)
         row = (blk[:, None] * n + np.arange(n)).ravel()
         val = x3[blk, :, slot].ravel()
+        if rows is not None:
+            at = np.full(len(x), -1)
+            at[rows] = np.arange(len(rows))
+            row = at[row]
+            keep = row >= 0
+            col, row, val = col[keep], row[keep], val[keep]
         # stable sort by column (a radix sort on small integers), then one
         # segment per used column: its values against its rows of gz
         order = np.argsort(col.astype(np.min_scalar_type(len(self.w_in.data))), kind="stable")
@@ -311,8 +359,11 @@ class MaeParams:
 
     def trunk_np(self, x: np.ndarray, cols=None) -> np.ndarray:
         """Gradient-free trunk: (B, input_width) rows, or (B, K) with ``cols``."""
-        h = self._first_layer(x, self._packed(x, cols))
-        # the blocks run on row slices small enough that their buffers stay in cache
+        return self._sliced_blocks_np(self._first_layer(x, self._packed(x, cols)))
+
+    def _sliced_blocks_np(self, h: np.ndarray) -> np.ndarray:
+        """The blocks in h's own buffer, on row slices small enough that their
+        buffers stay in cache."""
         step = max(1, _BLOCK_ELEMENTS // h.shape[1])
         for a in range(0, h.shape[0], step):
             self._blocks_np(h[a : a + step])
@@ -336,7 +387,7 @@ class MaeParams:
                 z += self.b_in.data
                 sq = np.empty_like(h)
             else:
-                z = np.matmul(h, wk.data, out=None if k == 1 else z)
+                z = _matmul(h, wk.data, out=None if k == 1 else z)
                 z += bk.data
             z -= z.mean(axis=-1, keepdims=True)
             var = np.multiply(z, z, out=sq).mean(axis=-1, keepdims=True)
@@ -356,12 +407,79 @@ class MaeParams:
     def masked_logits_np(self, x: np.ndarray, vs, cols=None) -> np.ndarray:
         """Gradient-free ``masked_logits``, with the optional ``cols`` input form."""
         vs = _row_vars(x, vs)
-        h = self.trunk_np(x, cols)
-        logits = np.einsum("ij,ij->i", h, self.w_out.data.T[vs]) + self.b_out.data[vs]
+        packed = self._packed(x, cols)
+        h = self._first_layer(x, packed)
+        distinct = self._distinct_rows(x, packed, vs)
+        head = vs
+        if distinct is not None:
+            rows, inv = distinct
+            h, head = h[rows], vs[rows]
+        self._sliced_blocks_np(h)
+        logits = np.einsum("ij,ij->i", h, self.w_out.data.T[head]) + self.b_out.data[head]
+        if distinct is not None:
+            logits = logits[inv]
         empty = ~(x != 0).any(axis=1)
         if not empty.any():
             return logits
         return np.where(empty, self.marginals.data[vs], logits)
+
+    def _row_keys(self, x: np.ndarray, packed, vs: np.ndarray) -> np.ndarray:
+        """One number per row: equal for rows with equal variable, columns and
+        values, and otherwise different unless fixed random weights tie.
+
+        Values and columns are weighted by slot, so a listed column holding 0,
+        reordered columns and repeated columns whose values cancel all change
+        the key as they change the input.  The columns enter as an exact
+        integer, scaled down so that the values' term still shows beside it.
+        ``einsum`` sums each row alike wherever it sits in the batch.
+        """
+        key = _key_weights(self.cfg.num_vars)[vs]
+        if packed is None:
+            return key + np.einsum("ij,j->i", x, _key_weights(x.shape[1]))
+        x3, cols, _ = packed
+        k = x3.shape[2]
+        col_key = np.einsum("ek,k->e", cols, _key_weights(k, integer=True)) * 2.0**-32
+        key += (np.einsum("enk,k->en", x3, _key_weights(k)) + col_key[:, None]).ravel()
+        return key
+
+    def _distinct_rows(self, x: np.ndarray, packed, vs: np.ndarray):
+        """(rows, inv) when enough rows repeat, else None.
+
+        ``rows`` lists, ascending, the first row of each group of rows with
+        the same variable, the same input columns and the same input values,
+        and row i's group is inv[i].  Rows are sorted by ``_row_keys`` so that
+        candidates sit side by side, and a neighbour joins a group only if its
+        variable, values and columns compare equal, so a key collision never
+        merges different rows and a row holding NaN never joins another.
+        """
+        n_rows = len(vs)
+        key = self._row_keys(x, packed, vs)
+        order = np.argsort(key)
+        key = key[order]
+        least = max(1.0, _MIN_REPEAT_SHARE * n_rows)
+        pair = np.flatnonzero(key[1:] == key[:-1])  # candidates: sorted rows j, j + 1
+        if len(pair) < least:
+            return None
+        a, b = order[pair], order[pair + 1]
+        same = vs[a] == vs[b]
+        if packed is None:
+            same &= (x[a] == x[b]).all(axis=1)
+        else:
+            x3, cols, _ = packed
+            n = x3.shape[1]
+            vals = x3.reshape(n_rows, -1)
+            same &= (vals[a] == vals[b]).all(axis=1) & (cols[a // n] == cols[b // n]).all(axis=1)
+        if same.sum() < least:
+            return None
+        start = np.ones(n_rows, dtype=bool)
+        start[pair[same] + 1] = False
+        first = np.minimum.reduceat(order, np.flatnonzero(start))
+        by_row = np.argsort(first)
+        renumber = np.empty_like(by_row)
+        renumber[by_row] = np.arange(len(by_row))
+        inv = np.empty(n_rows, dtype=np.int64)
+        inv[order] = renumber[np.cumsum(start) - 1]
+        return first[by_row], inv
 
     # -- flat views for checkpoints and finite differences -------------------
 
@@ -398,6 +516,27 @@ def _count_runs(counts: np.ndarray, n: int, width: int):
         step = max(1, _GATHER_ELEMENTS // (k * (n + width)))
         for lo in range(a, b, step):
             yield lo, min(lo + step, b), k
+
+
+@functools.lru_cache(maxsize=64)
+def _key_weights(n: int, integer: bool = False) -> np.ndarray:
+    """n fixed random weights for ``MaeParams._row_keys``, normal or integer."""
+    rng = np.random.default_rng(_KEY_SEED + n)
+    w = rng.integers(1, 1 << 20, n) if integer else rng.standard_normal(n)
+    w.flags.writeable = False
+    return w
+
+
+def _matmul(h: np.ndarray, w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """h @ w by the matrix-matrix kernel, for one row too.
+
+    numpy hands a single row to the matrix-vector kernel, whose sums can
+    differ from the matrix-matrix kernel's in the last bit; a row's outputs
+    would then depend on the batch it came in.
+    """
+    if len(h) != 1:
+        return np.matmul(h, w, out=out)
+    return np.matmul(np.repeat(h, 2, axis=0), w)[:1]
 
 
 def _row_vars(x: np.ndarray, vs) -> np.ndarray:

@@ -180,12 +180,8 @@ def matmul(a, b) -> Tensor:
 def sigmoid_np(z) -> np.ndarray:
     """sigmoid(z) on a raw array, without overflow for either sign."""
     z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def log_sigmoid_np(z) -> np.ndarray:

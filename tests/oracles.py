@@ -35,7 +35,7 @@ from flipmatch.losses import (
     subtb_loss_batch,
     tb_loss_batch,
 )
-from flipmatch.nn import tape
+from flipmatch.nn import MaeParams, tape
 from flipmatch.nn.tape import Tensor
 from flipmatch.sampler import AmortizedSampler, Policy, masked_parent_rows
 
@@ -388,6 +388,24 @@ def exact_em(p, latent, data, rounds: int = 60, m_steps: int = 60, m_lr: float =
 # the dense network forward: every |V|-wide masked row through the whole input
 # layer, all |V| logits out, one of them kept.  The sampler reads only parent
 # columns and computes only the logit it needs; these must agree with it.
+
+
+def masked_sigmoid(z) -> np.ndarray:
+    """sigmoid(z) computed apart on z >= 0 and on z < 0, by boolean-mask
+    gathers and scatters; ``tape.sigmoid_np`` must give the same bits."""
+    z = np.asarray(z, dtype=np.float64)
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def no_merging(monkeypatch) -> None:
+    """Make every network call run each of its rows through the blocks and
+    the head, as though no row repeated another."""
+    monkeypatch.setattr(MaeParams, "_distinct_rows", lambda self, *args: None)
 
 
 def _dense_log_sigmoid(z: np.ndarray) -> np.ndarray:

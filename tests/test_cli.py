@@ -3,11 +3,16 @@
 from __future__ import annotations
 
 import json
+import os
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from flipmatch.cli import main
+from flipmatch.cli import _read_assignments, main
 from flipmatch.energy import (
     IsingModel,
     random_factor_lattice,
@@ -16,6 +21,7 @@ from flipmatch.energy import (
     read_model,
     write_model,
 )
+from flipmatch.errors import FlipmatchError
 from flipmatch.graph import Dag
 from flipmatch.harness import read_metrics_csv
 
@@ -338,6 +344,20 @@ class TestSampleAndEval:
     def test_eval_requires_a_reference(self, model_file, trained):
         assert main(["eval", "--model", model_file, "--checkpoint", trained]) == 2
 
+    def test_eval_rejects_an_empty_sample_file_without_a_warning(
+        self, model_file, trained, tmp_path, capsys
+    ):
+        path = tmp_path / "truth.txt"
+        for text in ("", "\n  \n"):
+            path.write_text(text)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = main(
+                    ["eval", "--model", model_file, "--checkpoint", trained, "--samples", str(path)]
+                )
+            assert code == 2
+            assert "reference rows have 0 columns" in capsys.readouterr().err
+
     def test_eval_rejects_wrong_width(self, model_file, trained, tmp_path):
         path = tmp_path / "wide.txt"
         np.savetxt(str(path), np.ones((8, 5), dtype=int), fmt="%d")
@@ -431,6 +451,19 @@ class TestEm:
         np.savetxt(str(data), np.ones((4, 3), dtype=int), fmt="%d")
         assert main(["em", "--model", model_file, "--data", str(data), "--latent", "1"]) == 2
 
+    def test_empty_data_file_is_exit_2_without_a_warning(self, tmp_path, capsys):
+        dag = Dag(num_vars=2, arcs=frozenset({(0, 1)}), topo_order=(0, 1))
+        init = tmp_path / "init.json"
+        write_model(TabularBayesNetModel(dag), str(init))
+        data = tmp_path / "data.txt"
+        for text in ("", "\n  \n"):
+            data.write_text(text)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = main(["em", "--model", str(init), "--data", str(data), "--latent", "1"])
+            assert code == 2
+            assert "got (0, 0)" in capsys.readouterr().err
+
     def test_rejects_out_of_range_latent(self, tmp_path):
         dag = Dag(num_vars=2, arcs=frozenset({(0, 1)}), topo_order=(0, 1))
         init = tmp_path / "init.json"
@@ -438,6 +471,31 @@ class TestEm:
         data = tmp_path / "data.txt"
         np.savetxt(str(data), np.ones((4, 2), dtype=int), fmt="%d")
         assert main(["em", "--model", str(init), "--data", str(data), "--latent", "7"]) == 2
+
+
+class TestReadAssignments:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.binary(max_size=64)
+        | st.lists(
+            st.lists(
+                st.sampled_from(["-1", "0", "1", "+1", "2", "1.0", "-0", "nan", "1e400", "x", "#"]),
+                max_size=4,
+            ),
+            max_size=4,
+        ).map(lambda rows: "\n".join(" ".join(r) for r in rows).encode())
+    )
+    def test_any_bytes_give_assignments_or_flipmatch_error(self, data):
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "rows.txt")
+            with open(path, "wb") as fh:
+                fh.write(data)
+            try:
+                X = _read_assignments(path)
+            except FlipmatchError:
+                return
+        assert X.dtype == np.int8 and X.ndim == 2
+        assert np.isin(X, (-1, 0, 1)).all()
 
 
 class TestParser:

@@ -36,7 +36,14 @@ from flipmatch.errors import (
     SameValue,
     TooFewChildren,
 )
-from flipmatch.graph import chain_graph, cycle_graph, grid_graph, sample_imap, sub_imap
+from flipmatch.graph import (
+    chain_graph,
+    cycle_graph,
+    grid_graph,
+    ladder_graph,
+    sample_imap,
+    sub_imap,
+)
 from flipmatch.losses import (
     LOGQ_FLOOR,
     FlowHead,
@@ -62,6 +69,7 @@ from oracles import (
     fit_sampler_exactly,
     fl_flow,
     log_prob,
+    no_merging,
     pair_subtb_loss_batch,
     subtb_loss,
     tb_loss,
@@ -461,6 +469,64 @@ class TestCompactMatchesDense:
             s,
             lambda s: delta_loss_stochastic_grad(s, imap, m, x, u, int(-x[u]), j=0, i=1),
         )
+
+
+class TestDistinctRows:
+    """Losses on the 16-spin ladder whose batches repeat most conditionals.
+
+    The network hands repeated rows one pass through its blocks; the
+    reference, ``oracles.DenseSampler`` on |V|-wide rows with every row
+    evaluated, must agree on the value and every gradient within 1e-12.
+    """
+
+    def build(self, activation):
+        g = ladder_graph(8)
+        cfg = MaeConfig(num_vars=16, width=12, blocks=2, activation=activation, init_seed=5)
+        s = AmortizedSampler(MaeParams(cfg))
+        rng = np.random.default_rng(16)
+        s.params.unpack(s.params.pack() + rng.normal(0, 0.4, cfg.param_count))
+        # 48 rows drawn from 5 states
+        X = rng.choice([-1.0, 1.0], size=(5, 16))[rng.integers(0, 5, size=48)]
+        return random_ising(g, sigma=0.5, seed=17), sample_imap(g, seed=18), s, X
+
+    def check(self, monkeypatch, s, make_loss, extra=()):
+        asked, passed = [], []
+        distinct_rows = MaeParams._distinct_rows
+
+        def counted(self, x, packed, vs):
+            out = distinct_rows(self, x, packed, vs)
+            asked.append(len(vs))
+            passed.append(len(vs) if out is None else len(out[0]))
+            return out
+
+        params = [*s.params.params, *extra]
+        with monkeypatch.context() as mp:
+            mp.setattr(MaeParams, "_distinct_rows", counted)
+            loss = make_loss(s)
+        got = float(loss.data), collect_grads(params, loss)
+        assert 4 * sum(passed) < sum(asked)
+        with monkeypatch.context() as mp:
+            dense_rows_in(mp)
+            no_merging(mp)
+            loss = make_loss(DenseSampler(s.params))
+            want = float(loss.data), collect_grads(params, loss)
+        assert abs(got[0] - want[0]) <= 1e-12
+        assert max(np.abs(g).max(initial=0.0) for g in got[1]) > 1e-3
+        for name, g, w in zip(s.params.names + ["extra"] * len(extra), got[1], want[1]):
+            assert_allclose(g, w, rtol=0, atol=1e-12, err_msg=name)
+
+    @pytest.mark.parametrize("activation", ["relu", "elu"])
+    def test_delta_loss_batch(self, monkeypatch, activation):
+        m, imap, s, X = self.build(activation)
+        us = np.random.default_rng(19).integers(0, 3, size=len(X))
+        flips = -X[np.arange(len(X)), us]
+        self.check(monkeypatch, s, lambda s: delta_loss_batch(s, imap, m, X, us, flips))
+
+    @pytest.mark.parametrize("activation", ["relu", "elu"])
+    def test_tb_loss_batch(self, monkeypatch, activation):
+        m, imap, s, X = self.build(activation)
+        logz = LogZEstimate(0.3)
+        self.check(monkeypatch, s, lambda s: tb_loss_batch(s, imap, m, X, logz), [logz.value])
 
 
 class TestStochasticGrad:

@@ -21,7 +21,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from flipmatch.errors import CorruptFile, FlipmatchError, NonFiniteLoss, ShapeMismatch
 from flipmatch.nn import AdamState, MaeConfig, MaeParams, load_checkpoint, save_checkpoint, tape
 
-from oracles import central_diff, relative_error
+from oracles import central_diff, masked_sigmoid, no_merging, relative_error
 
 
 def run_gradcheck(arrays, fn, tol=5e-7, h=1e-5):
@@ -90,6 +90,15 @@ class TestTapeOps:
         # saturation: slope ~1 far left, ~0 far right
         assert x.grad[0] == pytest.approx(1.0)
         assert x.grad[-1] == pytest.approx(0.0)
+
+    def test_sigmoid_np_matches_the_masked_form_bit_for_bit(self):
+        z = np.random.default_rng(40).normal(0, 30, 200_001)
+        z = np.concatenate([z, [0.0, -0.0, 800.0, -800.0, 1e-300, -1e-300, np.inf, -np.inf]])
+        assert_array_equal(
+            tape.sigmoid_np(z).view(np.int64), masked_sigmoid(z).view(np.int64)
+        )
+        assert np.isnan(tape.sigmoid_np(np.nan))
+        assert tape.sigmoid_np(2.0) == masked_sigmoid(2.0)
 
     def test_where(self):
         rng = np.random.default_rng(6)
@@ -482,6 +491,200 @@ class TestCompactInput:
                 mae.trunk(x, cols)
             with pytest.raises(ShapeMismatch):
                 mae.trunk_np(x, cols)
+
+
+def repeated_batch(cfg: MaeConfig, form, seed: int):
+    """The rows of ``awkward_compact_batch`` again and again in shuffled order,
+    each with a variable that travels with it: most rows repeat another.
+
+    ``form`` is "dense" for full-width rows, else the rows per block.
+    Returns (x, vs, cols, n, distinct): cols is None for dense rows, and
+    distinct counts the distinct (variable, used columns, values) rows.
+    """
+    n = 1 if form == "dense" else form
+    x, cols, dense = awkward_compact_batch(cfg, n, seed)
+    rng = np.random.default_rng(seed)
+    vs = np.resize([3, 0, 2, 1, 1], len(x))
+    if form == "dense":
+        pick = rng.permutation(np.resize(np.arange(len(x)), 5 * len(x)))
+        x, vs, cols = dense[pick], vs[pick], None
+    else:
+        blocks = rng.permutation(np.resize(np.arange(len(cols)), 5 * len(cols)))
+        pick = (blocks[:, None] * n + np.arange(n)).ravel()
+        x, vs, cols = x[pick], vs[pick], cols[blocks]
+    distinct = {
+        (int(vs[i]), *row) if cols is None else
+        (int(vs[i]), *((c, v) for c, v in zip(cols[i // n].tolist(), row) if c >= 0))
+        for i, row in enumerate(x.tolist())
+    }
+    return x, vs, cols, n, len(distinct)
+
+
+def each_row_alone(mae: MaeParams, x, vs, cols, n) -> np.ndarray:
+    return np.array(
+        [
+            mae.masked_logits_np(
+                x[i : i + 1], vs[i : i + 1], None if cols is None else cols[i // n][None]
+            )[0]
+            for i in range(len(x))
+        ]
+    )
+
+
+@pytest.fixture
+def block_rows(monkeypatch):
+    """The row count of every pass through the blocks, as a list."""
+    seen: list[int] = []
+    blocks = MaeParams._blocks_np
+
+    def counted(self, h, saved=None):
+        seen.append(len(h))
+        return blocks(self, h, saved)
+
+    monkeypatch.setattr(MaeParams, "_blocks_np", counted)
+    return seen
+
+
+class TestDistinctRows:
+    """Rows with equal inputs and variable share one pass through the blocks
+    and the head, and that changes no logit and no gradient beyond 1e-12."""
+
+    @pytest.mark.parametrize("activation", ["relu", "elu"])
+    @pytest.mark.parametrize("cond", [(), (1, 3)], ids=["plain", "cond"])
+    @pytest.mark.parametrize("form", ["dense", 1, 3])
+    def test_repeats_change_no_logit_and_no_gradient(
+        self, monkeypatch, block_rows, activation, cond, form
+    ):
+        cfg = small_config(activation=activation, cond_vars=cond, blocks=3)
+        mae = MaeParams(cfg)
+        randomize(mae, seed=41)
+        seed = {"dense": 13, 1: 14, 3: 15}[form]
+        x, vs, cols, n, distinct = repeated_batch(cfg, form, seed)
+        assert distinct * 2 < len(x)
+        weights = np.random.default_rng(10).normal(size=len(x))
+        plain = mae.masked_logits_np(x, vs, cols)
+        assert sum(block_rows) == distinct
+        block_rows.clear()
+        taped = mae.masked_logits(x, vs, cols)
+        assert block_rows == [distinct]
+        got = network_grads(mae, tape.mul(taped, weights).sum())
+        assert_array_equal(taped.data, plain)
+        assert_array_equal(plain, each_row_alone(mae, x, vs, cols, n))
+        with monkeypatch.context() as mp:
+            no_merging(mp)
+            assert_array_equal(mae.masked_logits_np(x, vs, cols), plain)
+            full = mae.masked_logits(x, vs, cols)
+            assert_array_equal(full.data, plain)
+            want = network_grads(mae, tape.mul(full, weights).sum())
+        assert max(np.abs(g).max() for g in got) > 1e-2
+        for name, g, w in zip(mae.names, got, want):
+            assert_allclose(g, w, rtol=0, atol=1e-12, err_msg=name)
+
+    @pytest.mark.parametrize("activation", ["relu", "elu"])
+    @pytest.mark.parametrize("form", ["dense", 1, 2])
+    def test_gradcheck_with_repeats(self, block_rows, activation, form):
+        cfg = small_config(activation=activation, cond_vars=(1,), blocks=2)
+        mae = MaeParams(cfg)
+        randomize(mae, seed=42)
+        x, vs, cols, _, distinct = repeated_batch(cfg, form, seed=6)
+        weights = np.random.default_rng(11).normal(size=len(x))
+
+        def loss_value(flat: np.ndarray) -> float:
+            mae.unpack(flat)
+            return float(tape.mul(mae.masked_logits(x, vs, cols), weights).sum().data)
+
+        flat0 = mae.pack()
+        loss = tape.mul(mae.masked_logits(x, vs, cols), weights).sum()
+        assert block_rows == [distinct]
+        analytic = np.concatenate([g.ravel() for g in network_grads(mae, loss)])
+        numeric = central_diff(loss_value, flat0, h=1e-4)
+        mae.unpack(flat0)
+        live = np.abs(analytic) > 1e-3
+        assert live.sum() >= 50
+        err = relative_error(analytic[live], numeric[live], floor=1e-3)
+        assert err.max() < 1e-4
+        assert np.abs(analytic[~live] - numeric[~live]).max(initial=0.0) < 1e-6
+
+    def test_rows_that_differ_in_one_place_stay_apart(self, monkeypatch, block_rows):
+        mae = MaeParams(small_config(num_vars=6))
+        randomize(mae, seed=43)
+        # a row, then the same row with another variable, another column, another value
+        vs = np.array([3, 4, 3, 3])
+        cols = np.array([[0, 2, -1], [0, 2, -1], [0, 1, -1], [0, 2, -1]])
+        x = np.array([[1.0, -1.0, 0.0], [1.0, -1.0, 0.0], [1.0, -1.0, 0.0], [1.0, 1.0, 0.0]])
+        dense = np.zeros((4, mae.cfg.input_width))
+        np.put_along_axis(dense, np.where(cols < 0, 5, cols), x, axis=1)
+        pick = np.random.default_rng(3).permutation(np.resize(np.arange(4), 40))
+        for rows, c in ((x, cols), (dense, None)):
+            block_rows.clear()
+            got = mae.masked_logits_np(rows[pick], vs[pick], None if c is None else c[pick])
+            assert sum(block_rows) == 4
+            alone = each_row_alone(mae, rows, vs, c, 1)
+            assert len(set(alone.tolist())) == 4
+            assert_array_equal(got, alone[pick])
+            # with every key equal, each neighbour is compared in full
+            with monkeypatch.context() as mp:
+                mp.setattr(MaeParams, "_row_keys", lambda self, x, packed, vs: np.zeros(len(vs)))
+                got = mae.masked_logits(rows[pick], vs[pick], None if c is None else c[pick])
+            assert_array_equal(got.data, alone[pick])
+
+    def test_a_key_collision_merges_nothing_unequal(self, monkeypatch, block_rows):
+        cfg = small_config(activation="relu", blocks=3)
+        mae = MaeParams(cfg)
+        randomize(mae, seed=44)
+        x, vs, cols, n, distinct = repeated_batch(cfg, 1, seed=4)
+        alone = each_row_alone(mae, x, vs, cols, n)
+        monkeypatch.setattr(MaeParams, "_row_keys", lambda self, x, packed, vs: np.zeros(len(vs)))
+        # every neighbour in the sorted order is a candidate, equal or not
+        for perm in (np.arange(len(x)), np.lexsort(np.column_stack([vs, x, cols]).T)):
+            block_rows.clear()
+            got = mae.masked_logits(x[perm], vs[perm], cols[perm])
+            assert distinct <= block_rows[0] <= len(x)
+            assert_array_equal(got.data, alone[perm])
+
+    def test_rows_with_nan_are_never_merged(self, block_rows):
+        cfg = small_config(activation="elu", blocks=2)
+        mae = MaeParams(cfg)
+        randomize(mae, seed=45)
+        x, vs, cols, n, distinct = repeated_batch(cfg, 1, seed=7)
+        nan = vs == 3
+        x[nan, 0] = np.nan
+        rest = {(v, *r, *c) for v, r, c in zip(vs[~nan], x[~nan].tolist(), cols[~nan].tolist())}
+        plain = mae.masked_logits_np(x, vs, cols)
+        assert np.isnan(plain[nan]).all()
+        assert sum(block_rows) == nan.sum() + len(rest) < len(x)
+        block_rows.clear()
+        mae.masked_logits(x, vs, cols)
+        assert block_rows == [nan.sum() + len(rest)]
+        assert_array_equal(plain, each_row_alone(mae, x, vs, cols, n))
+
+    def test_marginal_rows_one_row_and_no_rows(self, monkeypatch, block_rows):
+        cfg = small_config()
+        mae = MaeParams(cfg)
+        randomize(mae, seed=46)
+        mae.marginals.data = np.array([0.5, -1.0, 2.0, 0.25])
+        # 30 all-zero rows of 4 variables, and 10 copies of one informative row
+        x = np.zeros((40, cfg.input_width))
+        x[30:, 1] = 1.0
+        vs = np.resize(np.arange(4), 40)
+        weights = np.random.default_rng(12).normal(size=40)
+        logits = mae.masked_logits(x, vs)
+        assert block_rows == [4 + 4]  # each variable's zero row and informative row
+        assert_array_equal(logits.data[:30], mae.marginals.data[vs[:30]])
+        got = network_grads(mae, tape.mul(logits, weights).sum())
+        with monkeypatch.context() as mp:
+            no_merging(mp)
+            want = network_grads(mae, tape.mul(mae.masked_logits(x, vs), weights).sum())
+        for name, g, w in zip(mae.names, got, want):
+            assert_allclose(g, w, rtol=0, atol=1e-12, err_msg=name)
+        block_rows.clear()
+        one = mae.masked_logits(x[-1:], vs[-1:])
+        assert block_rows == [1]
+        assert_array_equal(one.data, logits.data[-1:])
+        for x0, c0 in ((np.zeros((0, cfg.input_width)), None), (np.zeros((0, 2)), np.zeros((3, 2)))):
+            v0 = np.zeros(0, dtype=np.int64)
+            assert mae.masked_logits(x0, v0, c0).shape == (0,)
+            assert mae.masked_logits_np(x0, v0, c0).shape == (0,)
 
 
 class TestCheckpoint:
