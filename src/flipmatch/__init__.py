@@ -28,7 +28,6 @@ from flipmatch.energy import (
     write_model,
 )
 from flipmatch.graph import (
-    Dag,
     Imap,
     JunctionTree,
     UndirectedGraph,

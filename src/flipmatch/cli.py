@@ -106,7 +106,7 @@ def cmd_chordalize(args) -> int:
     m = _load_model(args.model)
     g = interaction_graph(m)
     chordal = min_fill_chordalize(g, args.chordal_seed)
-    _, cliques = max_cardinality_search(chordal, np.random.default_rng(args.chordal_seed))
+    _, cliques = max_cardinality_search(chordal, args.chordal_seed)
     imap = sample_imap(g, seed=args.imap_seed, chordal_seed=args.chordal_seed)
     doc = {
         "num_vars": g.num_vars,

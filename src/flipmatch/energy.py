@@ -35,7 +35,7 @@ from flipmatch.errors import (
     TooLarge,
     read_exact,
 )
-from flipmatch.graph import Dag, UndirectedGraph, _as_rng
+from flipmatch.graph import Imap, UndirectedGraph, _as_rng
 from flipmatch.nn.tape import log_sigmoid_np, sigmoid_np
 
 __all__ = [
@@ -482,7 +482,7 @@ class IsingModel(EnergyModel):
         n = len(b)
         if J.shape != (n, n):
             raise ShapeMismatch("J must be square and match b")
-        if not np.allclose(J, J.T):
+        if not np.array_equal(J, J.T):
             raise ValueError("J must be symmetric")
         if np.any(np.diag(J) != 0):
             raise ValueError("J must have zero diagonal")
@@ -572,19 +572,21 @@ class TabularBayesNetModel(EnergyModel):
 
     Normalized by construction: log R(x) = log p(x), log Z = 0.  Serves as the
     learnable model for latent-variable training, where its per-variable
-    conditional gradients are exact.
+    conditional gradients are exact.  ``dag`` is an ``Imap`` covering every
+    variable; ``tables[v][c]`` is the log-odds of x_v = +1 where bit k of c is
+    set when the k-th of v's parents, in ascending order, is +1.
     """
 
     kind = "bayesnet"
 
-    def __init__(self, dag: Dag, tables: dict[int, np.ndarray] | None = None) -> None:
+    def __init__(self, dag: Imap, tables: dict[int, np.ndarray] | None = None) -> None:
         self.dag = dag
         n = dag.num_vars
         if len(dag.topo_order) != n or sorted(dag.topo_order) != list(range(n)):
             raise ValueError("the network must cover every variable")
         factors = []
         for v in dag.topo_order:
-            parents = dag.parent_map[v]
+            parents = tuple(sorted(dag.parents[v]))
             logits = (
                 np.asarray(tables[v], dtype=np.float64)
                 if tables is not None
@@ -725,7 +727,7 @@ def write_model(m: EnergyModel, path: str) -> None:
             "kind": "bayesnet",
             "num_vars": m.num_vars,
             "topo_order": [int(v) for v in m.dag.topo_order],
-            "arcs": [[int(a), int(b)] for a, b in sorted(m.dag.arcs)],
+            "arcs": sorted([p, v] for v, ps in m.dag.parents.items() for p in ps),
             "tables": {str(v): [float(z) for z in m.factor_for(v).logits] for v in range(m.num_vars)},
         }
     elif isinstance(m, FactorGraphModel):
@@ -775,8 +777,15 @@ def _model_from_doc(doc, folder: str) -> EnergyModel:
             J[u, v] = J[v, u] = w
         return IsingModel(J, bias, doc["sigma"])
     if kind == "bayesnet":
-        arcs = frozenset((a, b) for a, b in doc["arcs"])
-        dag = Dag(doc["num_vars"], arcs, tuple(doc["topo_order"]))
+        order = doc["topo_order"]
+        if not all(type(v) is int for v in order):
+            raise ValueError("topo_order must list integer vertex ids")
+        parents: dict[int, set[int]] = {v: set() for v in order}
+        for a, b in doc["arcs"]:
+            if b not in parents:
+                raise ValueError(f"arc ({a}, {b}) ends outside topo_order")
+            parents[b].add(a)
+        dag = Imap.from_parents(doc["num_vars"], order, [sorted(parents[v]) for v in order])
         tables = {int(v): np.asarray(t, dtype=np.float64) for v, t in doc["tables"].items()}
         return TabularBayesNetModel(dag, tables)
     if kind == "factor_graph":

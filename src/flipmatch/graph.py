@@ -16,27 +16,30 @@ lets a single amortized sampler be trained against many variable orders.
 Adjacency is kept as Python-int bitmasks: vertex sets are plain ints, subset
 tests are ``a & ~b == 0``, and set sizes are ``bit_count`` calls.
 
-An orientation is an ``Imap``: the topological order, each position's depth
-and its parents padded with -1, as int64 arrays, which is the form the
-sampler's wavefront walk reads.  It is built once, in the order the junction
-tree visits the vertices; a local map is lifted to global ids by one index
-through its vertex mapping.  Parent, child and blanket dicts are views derived
-on first read.
+Every DAG in the package, a sampling orientation or the structure of a
+tabular Bayesian network, is an ``Imap``: the topological order, each
+position's depth and its parents padded with -1, as int64 arrays, which is
+the form the sampler's wavefront walk reads.  ``orient_pmap`` builds an
+orientation once, in the order the junction tree visits the vertices; a local
+map is lifted to global ids by one index through its vertex mapping.  Parent,
+child and blanket dicts are views derived on first read.  ``check_chordal``
+reads the candidate cliques of ``max_cardinality_search`` rather than running
+a search of its own.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from flipmatch.errors import CorruptFile
+from flipmatch.errors import ConfigError, CorruptFile
 
 __all__ = [
     "UndirectedGraph",
-    "Dag",
     "JunctionTree",
     "Imap",
     "chain_graph",
@@ -61,8 +64,11 @@ __all__ = [
 
 
 def _as_rng(seed: int | np.random.Generator) -> np.random.Generator:
+    """The generator itself, or a new one from a non-negative integer seed."""
     if isinstance(seed, np.random.Generator):
         return seed
+    if isinstance(seed, numbers.Integral) and seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
     return np.random.default_rng(seed)
 
 
@@ -245,50 +251,6 @@ def induced_subgraph(g: UndirectedGraph, vertices: Sequence[int]) -> tuple[Undir
 
 # ---------------------------------------------------------------------------
 # directed structures
-
-
-@dataclass(frozen=True)
-class Dag:
-    """Directed acyclic graph with an explicit topological order.
-
-    ``topo_order`` lists exactly the vertices the DAG covers (a subset of the
-    universe ``0..num_vars-1`` when the DAG came from a local subgraph).
-    """
-
-    num_vars: int
-    arcs: frozenset[tuple[int, int]]
-    topo_order: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        pos = {v: i for i, v in enumerate(self.topo_order)}
-        if len(pos) != len(self.topo_order):
-            raise ValueError("topo_order has repeated vertices")
-        for v in self.topo_order:
-            if not 0 <= v < self.num_vars:
-                raise ValueError(f"vertex {v} out of range")
-        for a, b in self.arcs:
-            if a not in pos or b not in pos:
-                raise ValueError(f"arc ({a}, {b}) leaves the covered vertex set")
-            if pos[a] >= pos[b]:
-                raise ValueError(f"arc ({a}, {b}) violates topo_order")
-
-    @cached_property
-    def vertices(self) -> tuple[int, ...]:
-        return tuple(sorted(self.topo_order))
-
-    @cached_property
-    def parent_map(self) -> dict[int, tuple[int, ...]]:
-        out: dict[int, list[int]] = {v: [] for v in self.topo_order}
-        for a, b in self.arcs:
-            out[b].append(a)
-        return {v: tuple(sorted(ps)) for v, ps in out.items()}
-
-    @cached_property
-    def child_map(self) -> dict[int, tuple[int, ...]]:
-        out: dict[int, list[int]] = {v: [] for v in self.topo_order}
-        for a, b in self.arcs:
-            out[a].append(b)
-        return {v: tuple(sorted(cs)) for v, cs in out.items()}
 
 
 @dataclass(frozen=True)
@@ -529,29 +491,14 @@ def max_cardinality_search(
 def check_chordal(g: UndirectedGraph) -> bool:
     """True iff every cycle of length >= 4 has a chord.
 
-    Runs maximum cardinality search and verifies that each vertex's
-    already-visited neighborhood is a clique, which characterizes chordality.
+    A candidate set of a maximum cardinality search (a vertex with its
+    already-visited neighbors) is a clique for every vertex exactly when the
+    graph is chordal (Tarjan and Yannakakis), and a set that is not a clique
+    lies in no clique, so testing the maximal candidates suffices.
     """
-    n = g.num_vars
     adj = g.adj_masks
-    weights = np.zeros(n, dtype=np.int64)
-    visited = 0
-    for _ in range(n):
-        v = int(np.argmax(weights))
-        earlier = adj[v] & visited
-        rest = earlier
-        while rest:
-            low = rest & -rest
-            a = low.bit_length() - 1
-            rest ^= low
-            if earlier & rest & ~adj[a]:
-                return False
-        visited |= 1 << v
-        weights[v] = np.iinfo(np.int64).min
-        for w in _bits(adj[v] & ~visited):
-            if weights[w] >= 0:
-                weights[w] += 1
-    return True
+    _, cliques = max_cardinality_search(g, 0)
+    return all((adj[v] | 1 << v) & m == m for m in map(_mask_of, cliques) for v in _bits(m))
 
 
 class _UnionFind:
@@ -624,26 +571,6 @@ def build_junction_tree(
     return JunctionTree(tuple(frozenset(c) for c in cliques), tuple(parent), root)
 
 
-def _build_imap(chordal: UndirectedGraph, jt: JunctionTree, rng: np.random.Generator) -> Imap:
-    """Visit the vertices clique by clique along the tree; parents are earlier neighbors."""
-    visit: list[int] = []
-    seen: set[int] = set()
-    for ci in jt.traversal_order():
-        fresh = [v for v in sorted(jt.cliques[ci]) if v not in seen]
-        if len(fresh) > 1:
-            perm = rng.permutation(len(fresh))
-            fresh = [fresh[i] for i in perm]
-        visit.extend(fresh)
-        seen.update(fresh)
-    adj = chordal.adj_masks
-    earlier = 0
-    parents = []
-    for v in visit:
-        parents.append(tuple(_bits(adj[v] & earlier)))
-        earlier |= 1 << v
-    return Imap.from_parents(chordal.num_vars, visit, parents)
-
-
 def orient_pmap(
     g: UndirectedGraph, jt: JunctionTree, seed: int | np.random.Generator = 0
 ) -> Imap:
@@ -654,7 +581,23 @@ def orient_pmap(
     the later vertex.  Earlier neighbors of any vertex all live in the clique
     where it first appears, so no vertex ever gains unmarried parents.
     """
-    return _build_imap(g, jt, _as_rng(seed))
+    rng = _as_rng(seed)
+    visit: list[int] = []
+    seen: set[int] = set()
+    for ci in jt.traversal_order():
+        fresh = [v for v in sorted(jt.cliques[ci]) if v not in seen]
+        if len(fresh) > 1:
+            perm = rng.permutation(len(fresh))
+            fresh = [fresh[i] for i in perm]
+        visit.extend(fresh)
+        seen.update(fresh)
+    adj = g.adj_masks
+    earlier = 0
+    parents = []
+    for v in visit:
+        parents.append(tuple(_bits(adj[v] & earlier)))
+        earlier |= 1 << v
+    return Imap.from_parents(g.num_vars, visit, parents)
 
 
 @lru_cache(maxsize=128)
@@ -676,7 +619,7 @@ def sample_imap(
     chordal = _cached_chordal(g, chordal_seed)
     _, cliques = max_cardinality_search(chordal, rng)
     jt = build_junction_tree(cliques, rng)
-    return _build_imap(chordal, jt, rng)
+    return orient_pmap(chordal, jt, rng)
 
 
 def sub_imap(
@@ -696,7 +639,7 @@ def sub_imap(
     local, mapping = induced_subgraph(chordal, verts)
     _, cliques = max_cardinality_search(local, rng)
     jt = build_junction_tree(cliques, rng)
-    return lift_imap(_build_imap(local, jt, rng), mapping, g.num_vars)
+    return lift_imap(orient_pmap(local, jt, rng), mapping, g.num_vars)
 
 
 def lift_imap(local: Imap, mapping: Sequence[int], num_vars: int) -> Imap:

@@ -70,6 +70,7 @@ class TrainConfig:
         for name, value in (
             ("sub_dags_per_var", self.sub_dags_per_var),
             ("stochastic_children_above", self.stochastic_children_above),
+            ("seed", self.seed),
         ):
             if value < 0:
                 raise ConfigError(f"{name} must be non-negative, got {value}")

@@ -1,10 +1,12 @@
 """Adam with a stepped learning-rate schedule.
 
 First and second moment estimates with bias correction, following the
-standard formulation, plus a milestone schedule: the learning rate is
-multiplied by ``decay`` once the step counter passes each listed fraction of
-``total_steps``.  Individual parameters can carry a rate multiplier (used
-here to train the marginal-logit vector faster than the trunk).
+standard formulation (betas 0.9 and 0.999, eps 1e-8), plus a milestone
+schedule: the learning rate is multiplied by 0.1 once the step counter passes
+each of 20, 40, 60, 80 and 90% of ``total_steps``.  These are module
+constants; a run chooses only the base rate, the step count and per-parameter
+rate multipliers (used here to train the marginal-logit vector faster than
+the trunk).
 """
 
 from __future__ import annotations
@@ -18,6 +20,11 @@ from flipmatch.nn.tape import Tensor
 
 __all__ = ["AdamState"]
 
+_BETA1, _BETA2 = 0.9, 0.999
+_EPS = 1e-8
+_MILESTONES = (0.2, 0.4, 0.6, 0.8, 0.9)
+_DECAY = 0.1
+
 
 class AdamState:
     def __init__(
@@ -25,19 +32,11 @@ class AdamState:
         params: Sequence[Tensor],
         lr: float = 1e-3,
         total_steps: int = 1000,
-        betas: tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
-        milestones: tuple[float, ...] = (0.2, 0.4, 0.6, 0.8, 0.9),
-        decay: float = 0.1,
         lr_multipliers: Sequence[float] | None = None,
     ) -> None:
         self.params = list(params)
         self.base_lr = float(lr)
         self.total_steps = int(total_steps)
-        self.beta1, self.beta2 = betas
-        self.eps = float(eps)
-        self.milestones = tuple(milestones)
-        self.decay = float(decay)
         if lr_multipliers is None:
             self.multipliers = [1.0] * len(self.params)
         else:
@@ -51,10 +50,8 @@ class AdamState:
     @property
     def lr(self) -> float:
         """Learning rate in effect for the next update."""
-        passed = sum(
-            1 for f in self.milestones if self.step_count >= f * self.total_steps
-        )
-        return self.base_lr * self.decay**passed
+        passed = sum(1 for f in _MILESTONES if self.step_count >= f * self.total_steps)
+        return self.base_lr * _DECAY**passed
 
     def step(self) -> None:
         """Apply one update from the gradients currently stored on the params.
@@ -68,15 +65,15 @@ class AdamState:
         lr_now = self.lr
         self.step_count += 1
         t = self.step_count
-        bc1 = 1.0 - self.beta1**t
-        bc2 = 1.0 - self.beta2**t
+        bc1 = 1.0 - _BETA1**t
+        bc2 = 1.0 - _BETA2**t
         for p, m, v, mult in zip(self.params, self.m, self.v, self.multipliers):
             g = p.grad if p.grad is not None else np.zeros_like(m)
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            m *= _BETA1
+            m += (1.0 - _BETA1) * g
+            v *= _BETA2
+            v += (1.0 - _BETA2) * (g * g)
+            update = (m / bc1) / (np.sqrt(v / bc2) + _EPS)
             p.data = p.data - (lr_now * mult) * update.astype(p.data.dtype)
 
     def zero_grad(self) -> None:

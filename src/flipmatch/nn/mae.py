@@ -21,7 +21,9 @@ A separate learnable logit vector handles the no-information case (all-zero
 input), and an optional scalar head on the same trunk provides state-flow
 estimates for the balance-based objectives.
 Optionally the input is extended with a conditioning block: extra always-on
-coordinates carrying observed values for latent-variable posteriors.
+coordinates carrying observed values for latent-variable posteriors.  The
+layer norms' epsilon is a constant, so a checkpoint's header rebuilds exactly
+the network that was saved.
 
 The forward exists once, written in place on raw arrays.  The gradient-free
 calls (``masked_logits_np``, ``trunk_np``) run it on cache-sized row slices
@@ -78,6 +80,9 @@ _MIN_REPEAT_SHARE = 1 / 8
 
 _KEY_SEED = 0x5EED
 
+# added to each layer norm's variance
+_LN_EPS = 1e-5
+
 
 @dataclass(frozen=True)
 class MaeConfig:
@@ -85,7 +90,6 @@ class MaeConfig:
     width: int = 512
     blocks: int = 3
     activation: str = "relu"
-    ln_eps: float = 1e-5
     flow_head: bool = False
     cond_vars: tuple[int, ...] = ()
     init_seed: int = 0
@@ -378,7 +382,7 @@ class MaeParams:
         1/sigma and the activation slope — and the residual sums go to fresh
         arrays so that each block's input survives.
         """
-        eps = self.cfg.ln_eps
+        eps = _LN_EPS
         keep = saved is not None
         z = sq = None
         for k, (wk, bk, gamma, beta) in enumerate(self.block_weights):

@@ -144,11 +144,6 @@ class AmortizedSampler:
     def num_vars(self) -> int:
         return self.params.cfg.num_vars
 
-    @property
-    def root_marginals(self) -> Tensor:
-        """The learnable logits used when a variable has no parents."""
-        return self.params.marginals
-
     # -- input plumbing -------------------------------------------------------
 
     def _cond_block(self, cond, n: int) -> np.ndarray | None:
@@ -209,7 +204,8 @@ class AmortizedSampler:
         block = None if cond is None else cond[rows]
         x, cols = self._with_cond(x, parents, block)
         e, n = rows.shape
-        logits = self.params.masked_logits_np(x.reshape(e * n, -1), np.repeat(vs, n), cols)
+        x = x.reshape(e * n, x.shape[-1])
+        logits = self.params.masked_logits_np(x, np.repeat(vs, n), cols)
         return logits.reshape(e, n)
 
     def _walk(
@@ -227,8 +223,10 @@ class AmortizedSampler:
         through the network in one call.  The uniforms are drawn up front in
         the order a map-by-map, variable-by-variable walk draws them, and each
         row's log q is summed in topological order, so draws and log q do not
-        depend on how the levels are batched.
+        depend on how the levels are batched.  Zero rows give empty results.
         """
+        if n < 0:
+            raise ConfigError(f"cannot draw {n} rows")
         map_of, pos, var, parents, levels = _merged_levels(maps)
         N = len(maps) * n
         work = np.zeros((N, self.num_vars + 1))
@@ -347,13 +345,16 @@ def gibbs_chain(
 
     Each variable is redrawn from its exact local conditional, which only
     involves the factors touching it; the annealing schedule scales the
-    conditional logits by the current inverse temperature.
+    conditional logits by the current inverse temperature.  Zero chains give
+    an empty (0, |V|) result; a negative count raises ConfigError.
     """
+    if n_chains < 0 or n_steps < 0:
+        raise ConfigError(f"chain and sweep counts cannot be negative: {n_chains}, {n_steps}")
     rng = _as_rng(seed)
     schedule = anneal_schedule or AnnealSchedule()
     X = rng.choice(np.array([-1, 1], dtype=np.int8), size=(n_chains, m.num_vars))
     X = X.astype(np.float64)
-    for sweep in range(n_steps):
+    for sweep in range(n_steps if n_chains else 0):
         beta = schedule.beta(sweep)
         for u in range(m.num_vars):
             logits = m.local_flip_logits(u, X)

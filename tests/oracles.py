@@ -8,6 +8,8 @@ of this code is imported by the package itself.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -16,7 +18,6 @@ from flipmatch import losses
 from flipmatch.energy import ZERO_MASKED, Assignment, EnergyModel, ExactTable, _values_of
 from flipmatch.errors import ConfigError, MissingParent, OrderViolation, PartialAssignment
 from flipmatch.graph import (
-    Dag,
     Imap,
     JunctionTree,
     UndirectedGraph,
@@ -36,6 +37,7 @@ from flipmatch.losses import (
     tb_loss_batch,
 )
 from flipmatch.nn import MaeParams, tape
+from flipmatch.nn.mae import _LN_EPS
 from flipmatch.nn.tape import Tensor
 from flipmatch.sampler import AmortizedSampler, Policy, masked_parent_rows
 
@@ -414,7 +416,7 @@ def _dense_log_sigmoid(z: np.ndarray) -> np.ndarray:
 
 def dense_masked_logits(mae, x: np.ndarray) -> np.ndarray:
     """All logits for full-width masked rows: (B, input_width) -> (B, |V|)."""
-    eps = mae.cfg.ln_eps
+    eps = _LN_EPS
     h = None
     for k, (wk, bk, gamma, beta) in enumerate(mae.block_weights):
         if k == 0:
@@ -570,6 +572,50 @@ def sequential_log_prob_batch(sampler, imap, X, cond=None) -> np.ndarray:
 # child and blanket dicts, and lifted to global ids arc by arc.  The library
 # builds the order, depth and parent table directly; it must give the same
 # order and the same parents for the same rng stream.
+
+
+@dataclass(frozen=True)
+class Dag:
+    """Directed acyclic graph as a set of arcs with an explicit topological order.
+
+    ``topo_order`` lists exactly the vertices the DAG covers (a subset of the
+    universe ``0..num_vars-1`` when the DAG came from a local subgraph).
+    """
+
+    num_vars: int
+    arcs: frozenset[tuple[int, int]]
+    topo_order: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        pos = {v: i for i, v in enumerate(self.topo_order)}
+        if len(pos) != len(self.topo_order):
+            raise ValueError("topo_order has repeated vertices")
+        for v in self.topo_order:
+            if not 0 <= v < self.num_vars:
+                raise ValueError(f"vertex {v} out of range")
+        for a, b in self.arcs:
+            if a not in pos or b not in pos:
+                raise ValueError(f"arc ({a}, {b}) leaves the covered vertex set")
+            if pos[a] >= pos[b]:
+                raise ValueError(f"arc ({a}, {b}) violates topo_order")
+
+    @cached_property
+    def vertices(self) -> tuple[int, ...]:
+        return tuple(sorted(self.topo_order))
+
+    @cached_property
+    def parent_map(self) -> dict[int, tuple[int, ...]]:
+        out: dict[int, list[int]] = {v: [] for v in self.topo_order}
+        for a, b in self.arcs:
+            out[b].append(a)
+        return {v: tuple(sorted(ps)) for v, ps in out.items()}
+
+    @cached_property
+    def child_map(self) -> dict[int, tuple[int, ...]]:
+        out: dict[int, list[int]] = {v: [] for v in self.topo_order}
+        for a, b in self.arcs:
+            out[a].append(b)
+        return {v: tuple(sorted(cs)) for v, cs in out.items()}
 
 
 def reference_induced_subgraph(g: UndirectedGraph, vertices) -> tuple[UndirectedGraph, tuple]:

@@ -29,7 +29,6 @@ from flipmatch.energy import (
     random_ising,
 )
 from flipmatch.graph import (
-    Dag,
     Imap,
     build_junction_tree,
     chain_graph,
@@ -552,11 +551,7 @@ class TestLatentVariableTraining:
 
     @staticmethod
     def _problem():
-        dag = Dag(
-            num_vars=5,
-            arcs=frozenset({(0, 1), (1, 2), (2, 3), (3, 4)}),
-            topo_order=(0, 1, 2, 3, 4),
-        )
+        dag = Imap.from_parents(5, (0, 1, 2, 3, 4), ((), (0,), (1,), (2,), (3,)))
         p_true = TabularBayesNetModel(
             dag,
             {

@@ -16,14 +16,16 @@ from flipmatch.cli import _read_assignments, main
 from flipmatch.energy import (
     IsingModel,
     random_factor_lattice,
+    random_ising,
     TabularBayesNetModel,
     enumerate_exact,
     read_model,
     write_model,
 )
 from flipmatch.errors import FlipmatchError
-from flipmatch.graph import Dag
+from flipmatch.graph import Imap, grid_graph
 from flipmatch.harness import read_metrics_csv
+from flipmatch.nn import MaeConfig, MaeParams, save_checkpoint
 
 
 @pytest.fixture
@@ -402,7 +404,7 @@ class TestGibbs:
 
 class TestEm:
     def test_fits_and_writes_model(self, tmp_path, capsys):
-        dag = Dag(num_vars=3, arcs=frozenset({(0, 1), (1, 2)}), topo_order=(0, 1, 2))
+        dag = Imap.from_parents(3, (0, 1, 2), ((), (0,), (1,)))
         truth = TabularBayesNetModel(
             dag, {0: np.array([0.7]), 1: np.array([-0.9, 0.9]), 2: np.array([0.5, -1.1])}
         )
@@ -452,7 +454,7 @@ class TestEm:
         assert main(["em", "--model", model_file, "--data", str(data), "--latent", "1"]) == 2
 
     def test_empty_data_file_is_exit_2_without_a_warning(self, tmp_path, capsys):
-        dag = Dag(num_vars=2, arcs=frozenset({(0, 1)}), topo_order=(0, 1))
+        dag = Imap.from_parents(2, (0, 1), ((), (0,)))
         init = tmp_path / "init.json"
         write_model(TabularBayesNetModel(dag), str(init))
         data = tmp_path / "data.txt"
@@ -465,7 +467,7 @@ class TestEm:
             assert "got (0, 0)" in capsys.readouterr().err
 
     def test_rejects_out_of_range_latent(self, tmp_path):
-        dag = Dag(num_vars=2, arcs=frozenset({(0, 1)}), topo_order=(0, 1))
+        dag = Imap.from_parents(2, (0, 1), ((), (0,)))
         init = tmp_path / "init.json"
         write_model(TabularBayesNetModel(dag), str(init))
         data = tmp_path / "data.txt"
@@ -508,3 +510,44 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+
+class TestBadCountsAndSeeds:
+    """Zero or negative counts and negative seeds end in exit 0 or 2, never a traceback."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        model, ckpt = str(tmp_path / "m.json"), str(tmp_path / "c.ckpt")
+        write_model(random_ising(grid_graph(2, 2), 0.5, seed=0), model)
+        save_checkpoint(MaeParams(MaeConfig(num_vars=4, width=8, blocks=1)), ckpt)
+        small = dict(total_steps=2, eval_period=2, batch_size=4, width=8, blocks=1)
+        (tmp_path / "neg").mkdir()
+        return {
+            "model": model,
+            "ckpt": ckpt,
+            "good": write_config(tmp_path, **small),
+            "bad": write_config(tmp_path / "neg", seed=-1, **small),
+        }
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "sample --model {model} --checkpoint {ckpt} --n 0",
+            "sample --model {model} --checkpoint {ckpt} --n -1",
+            "sample --model {model} --checkpoint {ckpt} --seed -1",
+            "sample --model {model} --checkpoint {ckpt} --imap-seed -1",
+            "eval --model {model} --checkpoint {ckpt} --exact-n 8 --seed -1",
+            "eval --model {model} --checkpoint {ckpt} --exact-n 8 --imap-seed -1",
+            "gibbs --model {model} --n -1 --steps 2",
+            "gibbs --model {model} --n 0 --steps 2",
+            "gibbs --model {model} --n 2 --steps -1",
+            "gibbs --model {model} --steps 2 --seed -1",
+            "chordalize --model {model} --imap-seed -1",
+            "chordalize --model {model} --chordal-seed -1",
+            "train --model {model} --config {good} --seed -1",
+            "train --model {model} --config {bad}",
+        ],
+    )
+    def test_exit_0_or_2_without_traceback(self, argv, files, capsys):
+        assert main(argv.format(**files).split()) in (0, 2)
+        assert "Traceback" not in capsys.readouterr().err

@@ -1,6 +1,7 @@
 """Energy-model tests: factor evaluation, flip ratios, enumeration oracle, IO."""
 
 import json
+import math
 import os
 import tempfile
 
@@ -37,7 +38,7 @@ from flipmatch.errors import (
     ShapeMismatch,
     TooLarge,
 )
-from flipmatch.graph import Dag, chain_graph, random_graph, sample_imap
+from flipmatch.graph import Imap, chain_graph, random_graph, sample_imap
 from oracles import (
     central_diff,
     exact_sample,
@@ -122,6 +123,9 @@ class TestEnergy:
     def test_ising_validation(self):
         with pytest.raises(ValueError):
             IsingModel(np.array([[0.0, 1.0], [0.5, 0.0]]), np.zeros(2))  # asymmetric
+        with pytest.raises(ValueError):
+            # within allclose of symmetric, but flip ratios read row u only
+            IsingModel(np.array([[0.0, 1.0], [1.0 + 5e-9, 0.0]]), np.zeros(2))
         with pytest.raises(ValueError):
             IsingModel(np.eye(2), np.zeros(2))  # nonzero diagonal
         with pytest.raises(ValueError):
@@ -439,7 +443,7 @@ class TestEbmParamGrad:
 
 class TestBayesNet:
     def make_net(self, seed=0):
-        dag = Dag(3, frozenset({(0, 1), (1, 2)}), (0, 1, 2))
+        dag = Imap.from_parents(3, (0, 1, 2), ((), (0,), (1,)))
         rng = np.random.default_rng(seed)
         tables = {0: rng.normal(size=1), 1: rng.normal(size=2), 2: rng.normal(size=2)}
         return TabularBayesNetModel(dag, tables)
@@ -471,6 +475,93 @@ class TestBayesNet:
         assert relative_error(analytic, numeric).max() < 1e-6
 
 
+# a bayesnet document as write_model writes it; x1 has parents 0 and 2, so
+# bit 0 of its table index is set when x0 = +1 and bit 1 when x2 = +1
+_BAYESNET_DOC = """\
+{
+  "kind": "bayesnet",
+  "num_vars": 3,
+  "topo_order": [
+    0,
+    2,
+    1
+  ],
+  "arcs": [
+    [
+      0,
+      1
+    ],
+    [
+      2,
+      1
+    ]
+  ],
+  "tables": {
+    "0": [
+      0.5
+    ],
+    "1": [
+      0.25,
+      -0.75,
+      1.5,
+      -2.0
+    ],
+    "2": [
+      -1.0
+    ]
+  }
+}
+"""
+
+
+def _log_sigmoid(z: float) -> float:
+    return -math.log1p(math.exp(-z))
+
+
+class TestBayesNetFile:
+    """A bayesnet file keeps its meaning: what it reads to and writes back as."""
+
+    def test_reads_to_hand_computed_log_rewards_and_writes_back(self, tmp_path):
+        path = tmp_path / "bn.json"
+        path.write_text(_BAYESNET_DOC)
+        m = read_model(str(path))
+        table1 = {(-1, -1): 0.25, (1, -1): -0.75, (-1, 1): 1.5, (1, 1): -2.0}
+        X = all_states(3)
+        want = [
+            _log_sigmoid(0.5 * x0) + _log_sigmoid(-1.0 * x2) + _log_sigmoid(x1 * table1[x0, x2])
+            for x0, x1, x2 in X.tolist()
+        ]
+        assert_allclose(m.log_reward_batch(X), want, rtol=1e-12, atol=0)
+        again = tmp_path / "again.json"
+        write_model(m, str(again))
+        assert again.read_text() == _BAYESNET_DOC
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda doc: doc.update(topo_order=[0, 1, 2]),
+            lambda doc: doc["arcs"].append([0, 3]),
+            lambda doc: doc.update(topo_order=[0, 2, 1, 2]),
+            lambda doc: doc["tables"].pop("2"),
+            lambda doc: doc.update(topo_order=["0", "2", "1"], arcs=[["0", "1"], ["2", "1"]]),
+        ],
+        ids=[
+            "arc-against-order",
+            "arc-to-vertex-outside",
+            "repeated-vertex",
+            "missing-table",
+            "string-vertex-ids",
+        ],
+    )
+    def test_corrupt_document_names_the_file(self, change, tmp_path):
+        doc = json.loads(_BAYESNET_DOC)
+        change(doc)
+        path = tmp_path / "bad_bn.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CorruptFile, match="bad_bn.json"):
+            read_model(str(path))
+
+
 class TestModelIO:
     def test_ising_roundtrip(self, tmp_path):
         m = random_ising(random_graph(6, 0.5, 0), sigma=0.3, seed=1)
@@ -491,7 +582,7 @@ class TestModelIO:
         assert_allclose(back.log_reward_batch(X), m.log_reward_batch(X), atol=1e-4)
 
     def test_bayesnet_roundtrip(self, tmp_path):
-        dag = Dag(3, frozenset({(0, 2), (1, 2)}), (0, 1, 2))
+        dag = Imap.from_parents(3, (0, 1, 2), ((), (), (0, 1)))
         m = TabularBayesNetModel(
             dag, {0: np.array([0.3]), 1: np.array([-0.2]), 2: np.arange(4) / 3.0}
         )

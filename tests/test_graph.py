@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from flipmatch.energy import random_ising
 from flipmatch.errors import CorruptFile, FlipmatchError
 from flipmatch.graph import (
-    Dag,
     Imap,
     JunctionTree,
     UndirectedGraph,
@@ -164,12 +163,12 @@ class TestUndirectedGraph:
 class TestDag:
     def test_arc_against_order_rejected(self):
         with pytest.raises(ValueError):
-            Dag(num_vars=2, arcs=frozenset({(1, 0)}), topo_order=(0, 1))
+            Imap.from_parents(2, (0, 1), ((1,), ()))
 
     def test_parent_child_maps(self):
-        d = Dag(num_vars=3, arcs=frozenset({(0, 1), (0, 2), (1, 2)}), topo_order=(0, 1, 2))
-        assert d.parent_map[2] == (0, 1)
-        assert d.child_map[0] == (1, 2)
+        d = Imap.from_parents(3, (0, 1, 2), ((), (0,), (0, 1)))
+        assert d.parents[2] == (0, 1)
+        assert d.children[0] == (1, 2)
 
 
 class TestMinFill:

@@ -29,7 +29,7 @@ from flipmatch.errors import (
     PartialAssignment,
     ShapeMismatch,
 )
-from flipmatch.graph import Dag, chain_graph, cycle_graph, sample_imap
+from flipmatch.graph import Imap, chain_graph, cycle_graph, sample_imap
 from flipmatch.harness import (
     MetricsRow,
     TrainConfig,
@@ -86,6 +86,7 @@ class TestTrainConfig:
             {"subtb_lambda": 0.0},
             {"sub_dags_per_var": -2},
             {"eval_period": 0},
+            {"seed": -1},
         ],
     )
     def test_rejects_bad_fields(self, kwargs):
@@ -248,7 +249,7 @@ class TestInteractionGraph:
         assert interaction_graph(m).edges == g.edges
 
     def test_shared_child_marries_parents(self):
-        dag = Dag(num_vars=3, arcs=frozenset({(0, 2), (1, 2)}), topo_order=(0, 1, 2))
+        dag = Imap.from_parents(3, (0, 1, 2), ((), (), (0, 1)))
         p = TabularBayesNetModel(dag)
         g = interaction_graph(p)
         assert (0, 1) in g.edges  # co-parents interact through the shared factor
@@ -492,7 +493,7 @@ class TestTrainEbm:
 
 
 def three_var_latent_problem():
-    dag = Dag(num_vars=3, arcs=frozenset({(0, 1), (1, 2)}), topo_order=(0, 1, 2))
+    dag = Imap.from_parents(3, (0, 1, 2), ((), (0,), (1,)))
     p_true = TabularBayesNetModel(
         dag, {0: np.array([0.7]), 1: np.array([-0.9, 0.9]), 2: np.array([0.5, -1.1])}
     )

@@ -882,16 +882,14 @@ class TestAdam:
 
     def test_milestone_schedule(self):
         p = tape.param(np.zeros(1))
-        adam = AdamState(
-            [p], lr=1.0, total_steps=10, milestones=(0.2, 0.5), decay=0.5
-        )
+        adam = AdamState([p], lr=1.0, total_steps=10)
         observed = []
-        for _ in range(6):
+        for _ in range(11):
             observed.append(adam.lr)
             p.grad = np.zeros(1)
             adam.step()
-        # decays once two steps are done, again after five
-        assert observed == [1.0, 1.0, 0.5, 0.5, 0.5, 0.25]
+        # decays tenfold once 2, 4, 6, 8 and 9 of the 10 steps are done
+        assert observed == [0.1**k for k in (0, 0, 1, 1, 2, 2, 3, 3, 4, 5, 5)]
 
     def test_default_schedule_reaches_final_decade(self):
         p = tape.param(np.zeros(1))

@@ -610,3 +610,44 @@ class TestGibbs:
         assert sched.beta(100) == 1.0
         with pytest.raises(ConfigError):
             AnnealSchedule(0.0, 2)
+
+
+class TestCountsAndSeeds:
+    """Zero rows give empty results; negative counts and seeds raise ConfigError."""
+
+    def test_zero_rows_give_empty_results(self):
+        g = grid_graph(2, 2)
+        s = fresh_sampler(4)
+        imap = sample_imap(g, seed=0)
+        X, logq = s.ancestral_sample(imap, Policy.on_policy(), 0, seed=0)
+        assert X.shape == (0, 4) and X.dtype == np.int8 and logq.shape == (0,)
+        assert s.log_prob_batch(imap, np.zeros((0, 4))).shape == (0,)
+        maps = [sub_imap(g, 0, seed=1), sub_imap(g, 3, seed=2)]
+        assert s.partial_sample_batch(maps, Policy.on_policy(), 0, seed=0).shape == (0, 4)
+        m = random_ising(g, seed=0)
+        assert gibbs_chain(m, n_chains=0, n_steps=3, seed=0).shape == (0, 4)
+
+    def test_negative_counts_raise_config_error(self):
+        g = grid_graph(2, 2)
+        s = fresh_sampler(4)
+        with pytest.raises(ConfigError):
+            s.ancestral_sample(sample_imap(g, seed=0), Policy.on_policy(), -1, seed=0)
+        with pytest.raises(ConfigError):
+            s.partial_sample_batch(sub_imap(g, 0, seed=1), Policy.on_policy(), -1, seed=0)
+        m = random_ising(g, seed=0)
+        with pytest.raises(ConfigError):
+            gibbs_chain(m, n_chains=-1, n_steps=3, seed=0)
+        with pytest.raises(ConfigError):
+            gibbs_chain(m, n_chains=4, n_steps=-1, seed=0)
+
+    def test_negative_seed_raises_config_error(self):
+        g = grid_graph(2, 2)
+        s = fresh_sampler(4)
+        with pytest.raises(ConfigError):
+            sample_imap(g, seed=-1)
+        with pytest.raises(ConfigError):
+            sub_imap(g, 0, seed=0, chordal_seed=-1)
+        with pytest.raises(ConfigError):
+            s.ancestral_sample(sample_imap(g, seed=0), Policy.on_policy(), 2, seed=-1)
+        with pytest.raises(ConfigError):
+            gibbs_chain(random_ising(g, seed=0), n_chains=2, n_steps=1, seed=-1)
