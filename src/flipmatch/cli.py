@@ -178,6 +178,9 @@ def cmd_sample(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    # the draws use seed + 1, which would pass -1 as 0 and report -2 as -1
+    if args.seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {args.seed}")
     m = _load_model(args.model)
     s = _load_sampler(args.checkpoint)
     imap = sample_imap(interaction_graph(m), seed=args.imap_seed)

@@ -19,17 +19,31 @@ tests are ``a & ~b == 0``, and set sizes are ``bit_count`` calls.
 Every DAG in the package, a sampling orientation or the structure of a
 tabular Bayesian network, is an ``Imap``: the topological order, each
 position's depth and its parents padded with -1, as int64 arrays, which is
-the form the sampler's wavefront walk reads.  ``orient_pmap`` builds an
-orientation once, in the order the junction tree visits the vertices; a local
-map is lifted to global ids by one index through its vertex mapping.  Parent,
-child and blanket dicts are views derived on first read.  ``check_chordal``
-reads the candidate cliques of ``max_cardinality_search`` rather than running
-a search of its own.
+the form the sampler's wavefront walk reads.  An orientation is built once,
+in the order the junction tree visits the vertices.  Parent, child and
+blanket dicts are views derived on first read.  ``check_chordal`` reads the
+candidate cliques of the search rather than running a search of its own.
+
+No set-up stage scans the whole graph at each step of its work.  Min-fill
+finds its next vertex in buckets by fill count and recounts only the vertices
+an elimination touched; the search keeps its visited-neighbour counts as bit
+planes and tests a candidate clique only against the kept cliques holding its
+own vertex; the junction tree finds the intersecting clique pairs through a
+vertex to cliques index.  Each stage makes the draws of the whole-scan
+version (``tests/oracles.py``), so a seed gives the same maps.
+
+The search, tree and orientation run on a vertex set of an adjacency: the
+whole completion for ``sample_imap``, one vertex's closed neighbourhood in it
+for ``sub_imap``.  A sub-map is thus built on the cached completion's global
+masks, with no subgraph and no relabelling; sorted global ids give the tie
+order that sorted local ids would.  ``induced_subgraph`` and ``lift_imap``
+serve callers that need a subgraph with local ids.
 """
 
 from __future__ import annotations
 
 import numbers
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Sequence
@@ -275,27 +289,23 @@ class JunctionTree:
         if k and self.root != -1 and not 0 <= self.root < k:
             raise ValueError("root out of range")
 
-    @cached_property
-    def children(self) -> tuple[tuple[int, ...], ...]:
-        out: list[list[int]] = [[] for _ in self.cliques]
-        for i, p in enumerate(self.parent):
-            if p != -1:
-                out[p].append(i)
-        return tuple(tuple(c) for c in out)
-
-    @cached_property
-    def roots(self) -> tuple[int, ...]:
-        return tuple(i for i, p in enumerate(self.parent) if p == -1)
-
     def traversal_order(self) -> tuple[int, ...]:
         """Breadth-first clique order with every parent before its children."""
-        order: list[int] = []
-        queue = list(self.roots)
-        while queue:
-            i = queue.pop(0)
-            order.append(i)
-            queue.extend(self.children[i])
-        return tuple(order)
+        return tuple(_breadth_first(self.parent))
+
+
+def _breadth_first(parent: Sequence[int]) -> list[int]:
+    """Tree nodes breadth first from the roots, roots and children in index order."""
+    children: list[list[int]] = [[] for _ in parent]
+    queue: deque[int] = deque()
+    for i, p in enumerate(parent):
+        (queue if p == -1 else children[p]).append(i)
+    order: list[int] = []
+    while queue:
+        i = queue.popleft()
+        order.append(i)
+        queue.extend(children[i])
+    return order
 
 
 @dataclass(frozen=True, eq=False)
@@ -396,6 +406,33 @@ class Imap:
 
 # ---------------------------------------------------------------------------
 # chordalization and elimination structure
+#
+# Neither stage scans the vertices to find its next one.  Min-fill keeps the
+# alive vertices in buckets, ``buckets[f]`` the mask of those with fill count
+# f and only non-empty buckets kept, so the minimum is a ``min`` over the few
+# distinct counts.  The search keeps its counts as bit planes.  Either way
+# the tied vertices come out as one mask, drawn from in ascending order.
+
+
+def _draw_member(bucket: int, rng: np.random.Generator) -> int:
+    """The one member of ``bucket``, or a uniform draw over its members in ascending order."""
+    count = bucket.bit_count()
+    if count > 1:
+        for _ in range(int(rng.integers(count))):
+            bucket &= bucket - 1
+    return (bucket & -bucket).bit_length() - 1
+
+
+def _move(buckets: dict[int, int], bit: int, old: int | None, new: int | None) -> None:
+    """Move the vertex ``bit`` from bucket ``old`` to bucket ``new``; None is no bucket."""
+    if old is not None:
+        rest = buckets[old] ^ bit
+        if rest:
+            buckets[old] = rest
+        else:
+            del buckets[old]
+    if new is not None:
+        buckets[new] = buckets.get(new, 0) | bit
 
 
 def min_fill_chordalize(
@@ -404,13 +441,16 @@ def min_fill_chordalize(
     """Chordal completion via the min-fill elimination heuristic.
 
     Repeatedly eliminates the vertex whose neighborhood needs the fewest fill
-    edges to become a clique, ties broken uniformly at random.  Already-chordal
-    graphs come back unchanged (zero fill edges at every step).
+    edges to become a clique, ties broken uniformly at random over the tied
+    vertices in ascending order.  Alive vertices sit in buckets by fill count,
+    and only the vertices whose neighbourhood an elimination touched are
+    recounted.  Already-chordal graphs come back unchanged (zero fill edges at
+    every step).
     """
     rng = _as_rng(seed)
     n = g.num_vars
     adj = list(g.adj_masks)
-    alive = (1 << n) - 1 if n else 0
+    alive = (1 << n) - 1
     added: list[tuple[int, int]] = []
 
     def fill_count(v: int) -> int:
@@ -425,11 +465,12 @@ def min_fill_chordalize(
             cnt += (nb & rest & ~adj[a]).bit_count()
         return cnt
 
-    fill = {v: fill_count(v) for v in range(n)}
+    fill = [fill_count(v) for v in range(n)]
+    buckets: dict[int, int] = {}
+    for v, f in enumerate(fill):
+        _move(buckets, 1 << v, None, f)
     for _ in range(n):
-        best = min(fill[v] for v in _bits(alive))
-        ties = [v for v in _bits(alive) if fill[v] == best]
-        v = ties[int(rng.integers(len(ties)))] if len(ties) > 1 else ties[0]
+        v = _draw_member(buckets[min(buckets)], rng)
         nb = adj[v] & alive
         dirty = nb
         rest = nb
@@ -443,11 +484,59 @@ def min_fill_chordalize(
                 adj[b] |= 1 << a
                 added.append((a, b))
                 dirty |= adj[a] & adj[b]
-        alive &= ~(1 << v)
-        del fill[v]
+        alive ^= 1 << v
+        _move(buckets, 1 << v, fill[v], None)
         for w in _bits(dirty & alive):
-            fill[w] = fill_count(w)
+            f = fill_count(w)
+            if f != fill[w]:
+                _move(buckets, 1 << w, fill[w], f)
+                fill[w] = f
     return g.with_extra_edges(added)
+
+
+def _search(
+    adj: Sequence[int], verts: int, rng: np.random.Generator
+) -> tuple[list[int], list[int]]:
+    """Maximum cardinality search on the vertex set ``verts`` of adjacency ``adj``.
+
+    Returns the visit order and the inclusion-maximal candidate masks, largest
+    first.  The visited-neighbour counts are kept as bit planes, plane i
+    holding bit i of every count, so a visit adds one to all its unvisited
+    neighbours by a ripple carry, and the most-visited vertices are found by
+    descending the planes.  A candidate is a visited vertex with its visited
+    neighbours, so a candidate contained in a kept one shares its own vertex
+    with it: only the kept masks holding that vertex are tested.
+    """
+    planes: list[int] = []
+    unvisited = verts
+    order: list[int] = []
+    candidates: list[int] = []
+    while unvisited:
+        best = unvisited
+        for plane in reversed(planes):
+            if best & plane:
+                best &= plane
+        v = _draw_member(best, rng)
+        order.append(v)
+        candidates.append(adj[v] & (verts ^ unvisited) | 1 << v)
+        unvisited ^= 1 << v
+        carry = adj[v] & unvisited
+        for i, plane in enumerate(planes):
+            planes[i] = plane ^ carry
+            carry &= plane
+            if not carry:
+                break
+        if carry:
+            planes.append(carry)
+    kept: list[int] = []
+    holding: dict[int, list[int]] = {}
+    for t in sorted(range(len(order)), key=lambda t: -candidates[t].bit_count()):
+        c = candidates[t]
+        if not any(c & ~k == 0 for k in holding.get(order[t], ())):
+            kept.append(c)
+            for x in _bits(c):
+                holding.setdefault(x, []).append(c)
+    return order, kept
 
 
 def max_cardinality_search(
@@ -458,34 +547,11 @@ def max_cardinality_search(
     Each visited vertex contributes the set {v} plus its already-visited
     neighbors; after discarding sets contained in others, a chordal input
     yields exactly its maximal cliques.  For any input the returned sets cover
-    every edge.  Ties in the visit rule are broken uniformly at random.
+    every edge.  Ties in the visit rule are broken uniformly at random over the
+    tied vertices in ascending order.
     """
-    rng = _as_rng(seed)
-    n = g.num_vars
-    adj = g.adj_masks
-    weights = np.zeros(n, dtype=np.int64)
-    visited = 0
-    order: list[int] = []
-    candidates: list[int] = []
-    for _ in range(n):
-        best = int(weights.max())
-        ties = np.flatnonzero(weights == best)
-        v = int(ties[rng.integers(len(ties))]) if len(ties) > 1 else int(ties[0])
-        order.append(v)
-        candidates.append((adj[v] & visited) | (1 << v))
-        visited |= 1 << v
-        weights[v] = -1
-        for w in _bits(adj[v] & ~visited):
-            if weights[w] >= 0:
-                weights[w] += 1
-    # keep only inclusion-maximal candidate sets
-    candidates.sort(key=lambda m: -m.bit_count())
-    kept: list[int] = []
-    for c in candidates:
-        if not any(c & ~k == 0 for k in kept):
-            kept.append(c)
-    cliques = [frozenset(_bits(c)) for c in kept]
-    return order, cliques
+    order, kept = _search(g.adj_masks, (1 << g.num_vars) - 1, _as_rng(seed))
+    return order, [frozenset(_bits(c)) for c in kept]
 
 
 def check_chordal(g: UndirectedGraph) -> bool:
@@ -497,8 +563,8 @@ def check_chordal(g: UndirectedGraph) -> bool:
     lies in no clique, so testing the maximal candidates suffices.
     """
     adj = g.adj_masks
-    _, cliques = max_cardinality_search(g, 0)
-    return all((adj[v] | 1 << v) & m == m for m in map(_mask_of, cliques) for v in _bits(m))
+    _, kept = _search(adj, (1 << g.num_vars) - 1, _as_rng(0))
+    return all((adj[v] | 1 << v) & m == m for m in kept for v in _bits(m))
 
 
 class _UnionFind:
@@ -519,25 +585,24 @@ class _UnionFind:
         return True
 
 
-def build_junction_tree(
-    cliques: Sequence[frozenset[int]], seed: int | np.random.Generator = 0
-) -> JunctionTree:
-    """Maximum-weight spanning tree over cliques, weighted by separator size.
+def _spanning_tree(masks: Sequence[int], rng: np.random.Generator) -> tuple[list[int], int]:
+    """Parent array and root of the junction tree over the clique ``masks``.
 
-    Only pairs with a non-empty intersection compete; a disconnected clique
-    graph therefore yields one tree per component, all hanging under a virtual
-    root (``root = -1``).  Spanning-tree ties and the root choice are
-    randomized.
+    The intersecting pairs ``(i, j)``, ``i < j``, are listed in order from a
+    vertex to cliques index built from the last clique back, so clique i meets
+    only the later cliques that share one of its vertices.
     """
-    rng = _as_rng(seed)
-    masks = [_mask_of(c) for c in cliques]
     k = len(masks)
-    pairs = [
-        (i, j, (masks[i] & masks[j]).bit_count())
-        for i in range(k)
-        for j in range(i + 1, k)
-        if masks[i] & masks[j]
-    ]
+    holding: dict[int, int] = {}  # vertex -> mask of the later cliques holding it
+    blocks = []
+    for i in range(k - 1, -1, -1):
+        m, meets = masks[i], 0
+        for x in _bits(m):
+            later = holding.get(x, 0)
+            meets |= later
+            holding[x] = later | 1 << i
+        blocks.append([(i, j, (m & masks[j]).bit_count()) for j in _bits(meets)])
+    pairs = [pair for block in reversed(blocks) for pair in block]
     if pairs:
         perm = rng.permutation(len(pairs))
         pairs = [pairs[i] for i in perm]
@@ -552,23 +617,60 @@ def build_junction_tree(
     components: dict[int, list[int]] = {}
     for i in range(k):
         components.setdefault(uf.find(i), []).append(i)
-    comp_list = list(components.values())
     parent = [-1] * k
     comp_roots = []
-    for comp in comp_list:
+    for comp in components.values():
         root = comp[int(rng.integers(len(comp)))]
         comp_roots.append(root)
         seen = {root}
-        queue = [root]
+        queue = deque([root])
         while queue:
-            c = queue.pop(0)
+            c = queue.popleft()
             for nxt in adj[c]:
                 if nxt not in seen:
                     seen.add(nxt)
                     parent[nxt] = c
                     queue.append(nxt)
-    root = comp_roots[0] if len(comp_roots) == 1 else -1
+    return parent, comp_roots[0] if len(comp_roots) == 1 else -1
+
+
+def build_junction_tree(
+    cliques: Sequence[frozenset[int]], seed: int | np.random.Generator = 0
+) -> JunctionTree:
+    """Maximum-weight spanning tree over cliques, weighted by separator size.
+
+    Only pairs with a non-empty intersection compete; a disconnected clique
+    graph therefore yields one tree per component, all hanging under a virtual
+    root (``root = -1``).  Spanning-tree ties and the root choice are
+    randomized.
+    """
+    parent, root = _spanning_tree([_mask_of(c) for c in cliques], _as_rng(seed))
     return JunctionTree(tuple(frozenset(c) for c in cliques), tuple(parent), root)
+
+
+def _orient(
+    adj: Sequence[int],
+    masks: Sequence[int],
+    clique_order: Iterable[int],
+    num_vars: int,
+    rng: np.random.Generator,
+) -> Imap:
+    """Orient the edges among the cliques ``masks``, taken in ``clique_order``."""
+    order: list[int] = []
+    seen = 0
+    for ci in clique_order:
+        fresh = list(_bits(masks[ci] & ~seen))
+        if len(fresh) > 1:
+            perm = rng.permutation(len(fresh))
+            fresh = [fresh[i] for i in perm]
+        order.extend(fresh)
+        seen |= masks[ci]
+    earlier = 0
+    parents = []
+    for v in order:
+        parents.append(tuple(_bits(adj[v] & earlier)))
+        earlier |= 1 << v
+    return Imap.from_parents(num_vars, order, parents)
 
 
 def orient_pmap(
@@ -581,23 +683,15 @@ def orient_pmap(
     the later vertex.  Earlier neighbors of any vertex all live in the clique
     where it first appears, so no vertex ever gains unmarried parents.
     """
-    rng = _as_rng(seed)
-    visit: list[int] = []
-    seen: set[int] = set()
-    for ci in jt.traversal_order():
-        fresh = [v for v in sorted(jt.cliques[ci]) if v not in seen]
-        if len(fresh) > 1:
-            perm = rng.permutation(len(fresh))
-            fresh = [fresh[i] for i in perm]
-        visit.extend(fresh)
-        seen.update(fresh)
-    adj = g.adj_masks
-    earlier = 0
-    parents = []
-    for v in visit:
-        parents.append(tuple(_bits(adj[v] & earlier)))
-        earlier |= 1 << v
-    return Imap.from_parents(g.num_vars, visit, parents)
+    masks = [_mask_of(c) for c in jt.cliques]
+    return _orient(g.adj_masks, masks, jt.traversal_order(), g.num_vars, _as_rng(seed))
+
+
+def _draw_imap(adj: Sequence[int], verts: int, num_vars: int, rng: np.random.Generator) -> Imap:
+    """Search, clique tree and orientation of the chordal graph ``adj`` on ``verts``."""
+    _, cliques = _search(adj, verts, rng)
+    parent, _ = _spanning_tree(cliques, rng)
+    return _orient(adj, cliques, _breadth_first(parent), num_vars, rng)
 
 
 @lru_cache(maxsize=128)
@@ -617,9 +711,7 @@ def sample_imap(
     """
     rng = _as_rng(seed)
     chordal = _cached_chordal(g, chordal_seed)
-    _, cliques = max_cardinality_search(chordal, rng)
-    jt = build_junction_tree(cliques, rng)
-    return orient_pmap(chordal, jt, rng)
+    return _draw_imap(chordal.adj_masks, (1 << g.num_vars) - 1, g.num_vars, rng)
 
 
 def sub_imap(
@@ -628,18 +720,15 @@ def sub_imap(
     """Random orientation of the chordal subgraph on ``u`` plus its neighborhood.
 
     The induced subgraph of a chordal graph is chordal, so the same clique-tree
-    construction applies directly.  The returned map keeps global vertex ids
-    and covers only ``{u} | neighbors(u)`` in the cached chordal completion.
+    construction applies directly, on the cached completion's own adjacency
+    masks restricted to ``{u} | neighbors(u)``.  The returned map keeps global
+    vertex ids and covers only that set.
     """
     if not 0 <= u < g.num_vars:
         raise ValueError(f"vertex {u} out of range")
     rng = _as_rng(seed)
-    chordal = _cached_chordal(g, chordal_seed)
-    verts = sorted({u} | set(chordal.neighbors(u)))
-    local, mapping = induced_subgraph(chordal, verts)
-    _, cliques = max_cardinality_search(local, rng)
-    jt = build_junction_tree(cliques, rng)
-    return lift_imap(orient_pmap(local, jt, rng), mapping, g.num_vars)
+    adj = _cached_chordal(g, chordal_seed).adj_masks
+    return _draw_imap(adj, adj[u] | 1 << u, g.num_vars, rng)
 
 
 def lift_imap(local: Imap, mapping: Sequence[int], num_vars: int) -> Imap:

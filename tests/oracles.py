@@ -9,23 +9,16 @@ of this code is imported by the package itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations
+from typing import Sequence
 
 import numpy as np
 
 from flipmatch import losses
 from flipmatch.energy import ZERO_MASKED, Assignment, EnergyModel, ExactTable, _values_of
 from flipmatch.errors import ConfigError, MissingParent, OrderViolation, PartialAssignment
-from flipmatch.graph import (
-    Imap,
-    JunctionTree,
-    UndirectedGraph,
-    _as_rng,
-    build_junction_tree,
-    max_cardinality_search,
-    min_fill_chordalize,
-)
+from flipmatch.graph import Imap, JunctionTree, UndirectedGraph, _as_rng, _bits, _mask_of
 from flipmatch.losses import (
     FlowHead,
     LogZEstimate,
@@ -568,6 +561,176 @@ def sequential_log_prob_batch(sampler, imap, X, cond=None) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# The graph layer's set-up stages by whole-graph scans: the minimum fill and
+# the visit ties found by scanning every vertex, every candidate clique tested
+# against every kept one, every clique pair listed.  The library keeps vertices
+# in buckets and cliques in a vertex index; for the same rng stream it must
+# make the same draws and give the same completions, cliques, trees and maps.
+
+
+def reference_min_fill_chordalize(
+    g: UndirectedGraph, seed: int | np.random.Generator = 0
+) -> UndirectedGraph:
+    """``min_fill_chordalize`` by a scan of every alive vertex at each elimination.
+
+    Repeatedly eliminates the vertex whose neighborhood needs the fewest fill
+    edges to become a clique, ties broken uniformly at random.  Already-chordal
+    graphs come back unchanged (zero fill edges at every step).
+    """
+    rng = _as_rng(seed)
+    n = g.num_vars
+    adj = list(g.adj_masks)
+    alive = (1 << n) - 1 if n else 0
+    added: list[tuple[int, int]] = []
+
+    def fill_count(v: int) -> int:
+        nb = adj[v] & alive
+        cnt = 0
+        rest = nb
+        while rest:
+            low = rest & -rest
+            a = low.bit_length() - 1
+            rest ^= low
+            # pairs (a, b) with b > a, both neighbors of v, not adjacent
+            cnt += (nb & rest & ~adj[a]).bit_count()
+        return cnt
+
+    fill = {v: fill_count(v) for v in range(n)}
+    for _ in range(n):
+        best = min(fill[v] for v in _bits(alive))
+        ties = [v for v in _bits(alive) if fill[v] == best]
+        v = ties[int(rng.integers(len(ties)))] if len(ties) > 1 else ties[0]
+        nb = adj[v] & alive
+        dirty = nb
+        rest = nb
+        while rest:
+            low = rest & -rest
+            a = low.bit_length() - 1
+            rest ^= low
+            need = nb & rest & ~adj[a]
+            for b in _bits(need):
+                adj[a] |= 1 << b
+                adj[b] |= 1 << a
+                added.append((a, b))
+                dirty |= adj[a] & adj[b]
+        alive &= ~(1 << v)
+        del fill[v]
+        for w in _bits(dirty & alive):
+            fill[w] = fill_count(w)
+    return g.with_extra_edges(added)
+
+
+def reference_max_cardinality_search(
+    g: UndirectedGraph, seed: int | np.random.Generator = 0
+) -> tuple[list[int], list[frozenset[int]]]:
+    """``max_cardinality_search`` with a weight array scanned at every visit and
+    each candidate tested against every kept clique.
+
+    Each visited vertex contributes the set {v} plus its already-visited
+    neighbors; after discarding sets contained in others, a chordal input
+    yields exactly its maximal cliques.  For any input the returned sets cover
+    every edge.  Ties in the visit rule are broken uniformly at random.
+    """
+    rng = _as_rng(seed)
+    n = g.num_vars
+    adj = g.adj_masks
+    weights = np.zeros(n, dtype=np.int64)
+    visited = 0
+    order: list[int] = []
+    candidates: list[int] = []
+    for _ in range(n):
+        best = int(weights.max())
+        ties = np.flatnonzero(weights == best)
+        v = int(ties[rng.integers(len(ties))]) if len(ties) > 1 else int(ties[0])
+        order.append(v)
+        candidates.append((adj[v] & visited) | (1 << v))
+        visited |= 1 << v
+        weights[v] = -1
+        for w in _bits(adj[v] & ~visited):
+            if weights[w] >= 0:
+                weights[w] += 1
+    # keep only inclusion-maximal candidate sets
+    candidates.sort(key=lambda m: -m.bit_count())
+    kept: list[int] = []
+    for c in candidates:
+        if not any(c & ~k == 0 for k in kept):
+            kept.append(c)
+    cliques = [frozenset(_bits(c)) for c in kept]
+    return order, cliques
+
+
+class _ReferenceUnionFind:
+    def __init__(self, n: int) -> None:
+        self.parent = list(range(n))
+
+    def find(self, x: int) -> int:
+        while self.parent[x] != x:
+            self.parent[x] = self.parent[self.parent[x]]
+            x = self.parent[x]
+        return x
+
+    def union(self, a: int, b: int) -> bool:
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        self.parent[ra] = rb
+        return True
+
+
+def reference_build_junction_tree(
+    cliques: Sequence[frozenset[int]], seed: int | np.random.Generator = 0
+) -> JunctionTree:
+    """``build_junction_tree`` over all k(k-1)/2 clique pairs.
+
+    Only pairs with a non-empty intersection compete; a disconnected clique
+    graph therefore yields one tree per component, all hanging under a virtual
+    root (``root = -1``).  Spanning-tree ties and the root choice are
+    randomized.
+    """
+    rng = _as_rng(seed)
+    masks = [_mask_of(c) for c in cliques]
+    k = len(masks)
+    pairs = [
+        (i, j, (masks[i] & masks[j]).bit_count())
+        for i in range(k)
+        for j in range(i + 1, k)
+        if masks[i] & masks[j]
+    ]
+    if pairs:
+        perm = rng.permutation(len(pairs))
+        pairs = [pairs[i] for i in perm]
+        pairs.sort(key=lambda t: -t[2])  # stable: random order within equal weights
+    uf = _ReferenceUnionFind(k)
+    adj: list[list[int]] = [[] for _ in range(k)]
+    for i, j, _w in pairs:
+        if uf.union(i, j):
+            adj[i].append(j)
+            adj[j].append(i)
+
+    components: dict[int, list[int]] = {}
+    for i in range(k):
+        components.setdefault(uf.find(i), []).append(i)
+    comp_list = list(components.values())
+    parent = [-1] * k
+    comp_roots = []
+    for comp in comp_list:
+        root = comp[int(rng.integers(len(comp)))]
+        comp_roots.append(root)
+        seen = {root}
+        queue = [root]
+        while queue:
+            c = queue.pop(0)
+            for nxt in adj[c]:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    parent[nxt] = c
+                    queue.append(nxt)
+    root = comp_roots[0] if len(comp_roots) == 1 else -1
+    return JunctionTree(tuple(frozenset(c) for c in cliques), tuple(parent), root)
+
+
+
+# ---------------------------------------------------------------------------
 # I-maps as arc sets: the orientation built as a Dag of arcs, with parent,
 # child and blanket dicts, and lifted to global ids arc by arc.  The library
 # builds the order, depth and parent table directly; it must give the same
@@ -626,11 +789,32 @@ def reference_induced_subgraph(g: UndirectedGraph, vertices) -> tuple[Undirected
     return UndirectedGraph.from_edges(len(order), edges), order
 
 
+def reference_traversal_order(jt: JunctionTree) -> list[int]:
+    """Breadth-first clique order from the roots, by a list popped at the front."""
+    children: list[list[int]] = [[] for _ in jt.cliques]
+    for i, p in enumerate(jt.parent):
+        if p != -1:
+            children[p].append(i)
+    order: list[int] = []
+    queue = [i for i, p in enumerate(jt.parent) if p == -1]
+    while queue:
+        i = queue.pop(0)
+        order.append(i)
+        queue.extend(children[i])
+    return order
+
+
+@lru_cache(maxsize=64)
+def reference_completion(g: UndirectedGraph, chordal_seed: int) -> UndirectedGraph:
+    """The reference min-fill completion, cached per (graph, seed) as the library caches it."""
+    return reference_min_fill_chordalize(g, chordal_seed)
+
+
 def reference_build_imap(chordal: UndirectedGraph, jt: JunctionTree, rng) -> Dag:
     """Orient every chordal edge from the earlier to the later visited vertex."""
     visit: list[int] = []
     seen: set[int] = set()
-    for ci in jt.traversal_order():
+    for ci in reference_traversal_order(jt):
         fresh = [v for v in sorted(jt.cliques[ci]) if v not in seen]
         if len(fresh) > 1:
             perm = rng.permutation(len(fresh))
@@ -668,20 +852,31 @@ def reference_blanket(dag: Dag) -> dict[int, tuple[int, ...]]:
 def reference_sample_imap(g: UndirectedGraph, seed, chordal_seed: int = 0) -> Dag:
     """``sample_imap``'s draw, from the same rng stream."""
     rng = _as_rng(seed)
-    chordal = min_fill_chordalize(g, chordal_seed)
-    _, cliques = max_cardinality_search(chordal, rng)
-    jt = build_junction_tree(cliques, rng)
+    chordal = reference_completion(g, chordal_seed)
+    _, cliques = reference_max_cardinality_search(chordal, rng)
+    jt = reference_build_junction_tree(cliques, rng)
     return reference_build_imap(chordal, jt, rng)
 
 
 def reference_sub_imap(g: UndirectedGraph, u: int, seed, chordal_seed: int = 0) -> Dag:
     """``sub_imap``'s draw, from the same rng stream."""
     rng = _as_rng(seed)
-    chordal = min_fill_chordalize(g, chordal_seed)
+    chordal = reference_completion(g, chordal_seed)
     local, mapping = reference_induced_subgraph(chordal, {u} | set(chordal.neighbors(u)))
-    _, cliques = max_cardinality_search(local, rng)
-    jt = build_junction_tree(cliques, rng)
+    _, cliques = reference_max_cardinality_search(local, rng)
+    jt = reference_build_junction_tree(cliques, rng)
     return reference_lift_imap(reference_build_imap(local, jt, rng), mapping, g.num_vars)
+
+
+def reference_imap_arrays(dag: Dag) -> tuple[list[int], list[int], list[list[int]]]:
+    """Order, depth per position and the -1-padded sorted parent rows of ``dag``."""
+    order = list(dag.topo_order)
+    depth_of: dict[int, int] = {}
+    for v in order:
+        depth_of[v] = 1 + max(depth_of[p] for p in dag.parent_map[v]) if dag.parent_map[v] else 0
+    width = max((len(dag.parent_map[v]) for v in order), default=0)
+    rows = [list(dag.parent_map[v]) + [-1] * (width - len(dag.parent_map[v])) for v in order]
+    return order, [depth_of[v] for v in order], rows
 
 
 def imap_arcs(imap: Imap) -> frozenset[tuple[int, int]]:
@@ -696,7 +891,7 @@ def completion_on(g: UndirectedGraph, imap: Imap, chordal_seed: int = 0) -> Undi
     map's skeleton checks the orientation.
     """
     covered = set(imap.vertices)
-    edges = min_fill_chordalize(g, chordal_seed).edges
+    edges = reference_completion(g, chordal_seed).edges
     return UndirectedGraph(g.num_vars, frozenset(e for e in edges if covered.issuperset(e)))
 
 

@@ -522,9 +522,12 @@ class TestBadCountsAndSeeds:
         save_checkpoint(MaeParams(MaeConfig(num_vars=4, width=8, blocks=1)), ckpt)
         small = dict(total_steps=2, eval_period=2, batch_size=4, width=8, blocks=1)
         (tmp_path / "neg").mkdir()
+        samples = str(tmp_path / "truth.txt")
+        np.savetxt(samples, np.ones((3, 4)), fmt="%d")
         return {
             "model": model,
             "ckpt": ckpt,
+            "samples": samples,
             "good": write_config(tmp_path, **small),
             "bad": write_config(tmp_path / "neg", seed=-1, **small),
         }
@@ -538,6 +541,8 @@ class TestBadCountsAndSeeds:
             "sample --model {model} --checkpoint {ckpt} --imap-seed -1",
             "eval --model {model} --checkpoint {ckpt} --exact-n 8 --seed -1",
             "eval --model {model} --checkpoint {ckpt} --exact-n 8 --imap-seed -1",
+            "eval --model {model} --checkpoint {ckpt} --samples {samples} --seed -1",
+            "eval --model {model} --checkpoint {ckpt} --samples {samples} --seed -2",
             "gibbs --model {model} --n -1 --steps 2",
             "gibbs --model {model} --n 0 --steps 2",
             "gibbs --model {model} --n 2 --steps -1",
@@ -551,3 +556,12 @@ class TestBadCountsAndSeeds:
     def test_exit_0_or_2_without_traceback(self, argv, files, capsys):
         assert main(argv.format(**files).split()) in (0, 2)
         assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", ["-1", "-2"])
+    @pytest.mark.parametrize(
+        "source", ["--samples {samples}", "--exact-n 8"], ids=["samples", "exact"]
+    )
+    def test_eval_names_the_negative_seed_it_was_given(self, seed, source, files, capsys):
+        argv = f"eval --model {{model}} --checkpoint {{ckpt}} {source} --seed {seed}"
+        assert main(argv.format(**files).split()) == 2
+        assert f"got {seed}" in capsys.readouterr().err

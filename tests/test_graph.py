@@ -43,8 +43,13 @@ from oracles import (
     moral_graph,
     reference_blanket,
     reference_build_imap,
+    reference_build_junction_tree,
+    reference_completion,
+    reference_imap_arrays,
     reference_induced_subgraph,
     reference_lift_imap,
+    reference_max_cardinality_search,
+    reference_min_fill_chordalize,
     reference_sample_imap,
     reference_sub_imap,
     running_intersection_holds,
@@ -543,6 +548,103 @@ class TestMatchesArcSetReference:
             jt = build_junction_tree(cliques, seed)
             ref = reference_build_imap(g, jt, np.random.default_rng(seed))
             same_as_reference(orient_pmap(g, jt, seed), ref)
+
+
+def disjoint_union(*graphs):
+    edges, base = [], 0
+    for h in graphs:
+        edges += [(u + base, v + base) for u, v in h.edges]
+        base += h.num_vars
+    return UndirectedGraph.from_edges(base, edges)
+
+
+# graph families by seed; grids, the plain ladder and sparse random graphs are
+# not chordal, so the search also runs on non-chordal input
+FAMILIES = {
+    "grid5": lambda seed: grid_graph(5, 5),
+    "grid8": lambda seed: grid_graph(8, 8),
+    "ladder": lambda seed: ladder_graph(6),
+    "ladder-plain": lambda seed: ladder_graph(7, diagonals=False),
+    "random-0.3": lambda seed: random_graph(14, 0.3, seed),
+    "random-0.9": lambda seed: random_graph(14, 0.9, seed),
+    "complete12": lambda seed: complete_graph(12),
+    "disconnected": lambda seed: disjoint_union(
+        grid_graph(3, 3),
+        cycle_graph(5),
+        UndirectedGraph(2, frozenset()),
+        random_graph(6, 0.4, seed),
+    ),
+    "edgeless": lambda seed: UndirectedGraph(6, frozenset()),
+    "one-vertex": lambda seed: UndirectedGraph(1, frozenset()),
+    "empty": lambda seed: UndirectedGraph(0, frozenset()),
+}
+SEEDS = range(50)
+
+
+def same_arrays(imap, dag):
+    order, depth, rows = reference_imap_arrays(dag)
+    assert imap.num_vars == dag.num_vars
+    assert imap.order.tolist() == order
+    assert imap.depth.tolist() == depth
+    assert imap.parent_table.tolist() == rows
+
+
+def twin_rngs(seed):
+    return np.random.default_rng(seed), np.random.default_rng(seed)
+
+
+def same_state(a, b):
+    assert a.bit_generator.state == b.bit_generator.state
+
+
+@pytest.mark.parametrize("family", list(FAMILIES))
+class TestMatchesWholeScanReference:
+    """The bucketed and indexed set-up stages make the draws of the whole-scan
+    ones: the same completion, visit order, cliques in order, tree and maps,
+    and the generator left in the same state."""
+
+    def test_completion(self, family):
+        for seed in SEEDS:
+            g = FAMILIES[family](seed)
+            a, b = twin_rngs(seed)
+            assert min_fill_chordalize(g, a).edges == reference_min_fill_chordalize(g, b).edges
+            same_state(a, b)
+
+    def test_search_and_tree(self, family):
+        for seed in SEEDS:
+            g = FAMILIES[family](seed)
+            a, b = twin_rngs(seed)
+            for h in (g, reference_completion(g, 0)):
+                order, cliques = max_cardinality_search(h, a)
+                assert (order, cliques) == reference_max_cardinality_search(h, b)
+                same_state(a, b)
+                jt, ref = build_junction_tree(cliques, a), reference_build_junction_tree(cliques, b)
+                assert (jt.cliques, jt.parent, jt.root) == (ref.cliques, ref.parent, ref.root)
+                same_state(a, b)
+                if family == "disconnected":
+                    assert jt.root == -1
+
+    def test_maps(self, family):
+        for seed in SEEDS:
+            g = FAMILIES[family](seed)
+            a, b = twin_rngs(seed)
+            same_arrays(sample_imap(g, a), reference_sample_imap(g, b))
+            same_state(a, b)
+            for u in range(g.num_vars):
+                same_arrays(sub_imap(g, u, a), reference_sub_imap(g, u, b))
+                same_state(a, b)
+
+
+def test_sub_imap_builds_no_graph_once_the_completion_is_cached(monkeypatch):
+    g = grid_graph(6, 6)
+    sample_imap(g, 0)
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("sub_imap built an UndirectedGraph")
+
+    monkeypatch.setattr(UndirectedGraph, "__init__", refuse)
+    for u in range(g.num_vars):
+        assert u in sub_imap(g, u, u).vertices
 
 
 class TestDegenerateGraphs:
