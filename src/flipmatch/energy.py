@@ -77,8 +77,12 @@ def all_states(num_vars: int) -> np.ndarray:
     """All 2**num_vars sign configurations; bit v of the row index gives x_v."""
     if num_vars > 20:
         raise TooLarge(f"refusing to enumerate 2^{num_vars} states")
-    idx = np.arange(1 << num_vars, dtype=np.int64)
-    return ((idx[:, None] >> np.arange(num_vars)[None, :]) & 1).astype(np.int8) * 2 - 1
+    # the row index's little-endian bytes, unpacked bit by bit: no (rows, |V|) int64
+    idx = np.arange(1 << num_vars, dtype="<u4").view(np.uint8).reshape(-1, 4)
+    states = np.unpackbits(idx, axis=1, count=num_vars, bitorder="little").view(np.int8)
+    states *= 2
+    states -= 1
+    return states
 
 
 @dataclass
@@ -107,17 +111,8 @@ class Assignment:
     def mask(self) -> np.ndarray:
         return self.values != 0
 
-    @property
-    def is_full(self) -> bool:
-        return bool(np.all(self.values != 0))
-
     def instantiated(self) -> tuple[int, ...]:
         return tuple(int(v) for v in np.flatnonzero(self.values))
-
-    def with_value(self, v: int, value: int) -> "Assignment":
-        out = self.values.copy()
-        out[v] = value
-        return Assignment(out)
 
 
 def _values_of(x) -> np.ndarray:
@@ -364,12 +359,6 @@ class EnergyModel:
             out += f.log_value(X[:, f.scope])
         return out
 
-    def energy(self, x) -> float:
-        return -self.log_reward(x)
-
-    def factors_touching(self, u: int) -> tuple[int, ...]:
-        return self._touching[u]
-
     def delta_log_reward(self, x, u: int, xu_new: int) -> float:
         """log p(x) - log p(x') where x' is x with x_u set to xu_new.
 
@@ -407,9 +396,6 @@ class EnergyModel:
             f = self.factors[k]
             out += f.log_value(plus[:, f.scope]) - f.log_value(minus[:, f.scope])
         return out
-
-    def partial_reward(self, x, mode: str = ZERO_MASKED) -> float:
-        return float(self.partial_reward_batch(_values_of(x)[None, :], mode)[0])
 
     def partial_reward_batch(self, X, mode: str = ZERO_MASKED) -> np.ndarray:
         """Log reward of partial assignments.
@@ -491,7 +477,9 @@ class IsingModel(EnergyModel):
         self.J = J
         self.b = b
         self.sigma = float(sigma)
-        rows, cols = np.nonzero(np.triu(J, 1))
+        rows, cols = np.nonzero(J)
+        upper = rows < cols
+        rows, cols = rows[upper], cols[upper]
         self.edges = tuple(zip(rows.tolist(), cols.tolist()))
         nbrs: list[list[int]] = [[] for _ in range(n)]
         for u, v in self.edges:
@@ -670,7 +658,10 @@ def enumerate_exact(m: EnergyModel) -> ExactTable:
     if m.num_vars > 20:
         raise TooLarge(f"enumeration capped at 20 variables, model has {m.num_vars}")
     states = all_states(m.num_vars)
-    logw = m.log_reward_batch(states)
+    # in slices, so that a model's float copy of its input stays small
+    logw = np.concatenate(
+        [m.log_reward_batch(states[a : a + 4096]) for a in range(0, len(states), 4096)]
+    )
     log_z = logsumexp(logw)
     probs = np.exp(logw - log_z)
     marginals = probs @ (states == 1)

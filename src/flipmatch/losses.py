@@ -8,7 +8,8 @@ exactly when the sampler is the target distribution.  Everything the loss
 reads lives in u's neighborhood, which is what lets training drop the
 full-sample sweep entirely: u's children and every conditional's parents are
 read off the map's parent table, and each conditional reaches the network as
-its parents' values and column indices, never as a |V|-wide row.
+its parents' values and column indices, never as a |V|-wide row.  The terms
+of all flips come out of one merged parent table, with no loop over u.
 
 Also here: the trajectory-balance family (full-trajectory, detailed per-step,
 and the λ-weighted sub-range decomposition) with learnable state flows, and
@@ -40,7 +41,7 @@ from flipmatch.graph import Imap
 from flipmatch.nn import tape
 from flipmatch.nn.mae import MaeParams
 from flipmatch.nn.tape import Tensor
-from flipmatch.sampler import masked_parent_rows
+from flipmatch.sampler import _merged, masked_parent_rows
 
 __all__ = [
     "LOGQ_FLOOR",
@@ -118,45 +119,68 @@ def _clamped_logq(s, rows, vs, signs, cond=None) -> Tensor:
     return tape.clamp_min(s.logq_rows(rows, vs, signs, cond), LOGQ_FLOOR)
 
 
-def _stack_rows(blocks: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
-    """One (values, cols) pair from blocks of different widths, padded with column -1."""
-    width = max((cols.shape[1] for _, cols in blocks), default=0)
-    values = np.zeros((sum(len(cols) for _, cols in blocks), width))
-    cols = np.full(values.shape, -1, dtype=np.int64)
-    a = 0
-    for v, c in blocks:
-        values[a : a + len(c), : c.shape[1]] = v
-        cols[a : a + len(c), : c.shape[1]] = c
-        a += len(c)
-    return values, cols
-
-
 def _children(imap: Imap, u: int) -> np.ndarray:
     """u's children under the map, ascending, read off its parent table."""
     return np.sort(imap.order[(imap.parent_table == u).any(axis=1)])
 
 
-def _flip_term_rows(imap: Imap, X: np.ndarray, u: int, new_vals: np.ndarray):
-    """Conditional-ratio rows for a block of n flips at the same variable.
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """counts[i] consecutive numbers from starts[i], for each i in turn."""
+    return np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
 
-    Returns (values, cols, vs, signs, coeffs, row_ids).  Term t is u for t = 0
-    and u's t-th child after that; its rows are n on the x side (coefficient
-    +1) and then n on the flip side (-1).  u's two sides read the same parent
-    values and differ in sign; a child's two sides differ in u's value.
+
+def _term_table(imap: Imap | Mapping[int, Imap], X: np.ndarray, us: np.ndarray, new_vals):
+    """Conditional-ratio rows of every flip, from one merged parent table.
+
+    Returns ((values, cols), vs, signs, coeffs, seg), seg naming each row's
+    flip.  Rows go by flip variable u, ascending; then by term, u's own and
+    then u's children ascending; then x side (coefficient +1) before flip
+    side (-1); then by flip, in batch order.  A child's two sides differ in
+    u's value, u's own two in sign.
     """
-    n = len(X)
-    terms = np.concatenate([[u], _children(imap, u)])
-    vs = np.repeat(terms, 2 * n)
-    row_ids = np.arange(len(vs)) % n
-    flip_side = np.arange(len(vs)) // n % 2 == 1
-    # X once per term and side: a broadcast view, which a single flip never copies
-    X_rows = np.broadcast_to(X, (2 * len(terms),) + X.shape).reshape(-1, X.shape[1])
-    values, cols = masked_parent_rows(imap, X_rows, vs)
-    new_u = flip_side[:, None] & (cols == u)
-    values[new_u] = new_vals[row_ids[new_u.any(axis=1)]]
-    signs = X_rows[np.arange(len(vs)), vs]
-    signs[n : 2 * n] = new_vals
-    return values, cols, vs, signs, np.where(flip_side, -1.0, 1.0), row_ids
+    by_u = np.argsort(us, kind="stable")
+    first = np.flatnonzero(np.r_[True, np.diff(us[by_u]) != 0])
+    group_u, group_n = us[by_u][first], np.diff(first, append=len(us))
+    maps, lacking = [imap], None
+    if isinstance(imap, Mapping):
+        maps = []
+        try:
+            for u in group_u.tolist():
+                maps.append(imap[u])
+        except KeyError as e:
+            lacking = e  # raised after the coverage of the smaller u's is checked
+        if not maps:
+            raise lacking
+    map_of, var, parents = _merged(maps)
+    # u's terms are the entries of u's map that are u (slot 0) or list u as a
+    # parent (slots 1..): one sorted lookup of (map, variable) keys
+    table = np.hstack([var[:, None], parents])
+    key_e, slot = np.nonzero(table >= 0)
+    stride = maps[0].num_vars
+    code = map_of[key_e] * stride + table[key_e, slot]
+    order = np.lexsort((var[key_e], slot > 0, code))
+    code, key_e, own = code[order], key_e[order], np.append(slot[order] == 0, False)
+    checked = group_u[: len(maps)] if isinstance(imap, Mapping) else group_u
+    want = np.arange(len(checked)) % len(maps) * stride + checked
+    lo, hi = np.searchsorted(code, want), np.searchsorted(code, want, side="right")
+    covered = own[lo] & (lo < hi) & (0 <= checked) & (checked < stride)
+    if not covered.all():
+        raise KeyError(f"variables {[int(checked[~covered][0])]} are not covered by this map")
+    if lacking is not None:
+        raise lacking
+    term_g = np.repeat(np.arange(len(group_u)), hi - lo)
+    term_e = key_e[_ranges(lo, hi - lo)]
+    n_t = group_n[term_g]
+    row_t = np.repeat(np.arange(len(term_g)), 2 * n_t)
+    local = _ranges(0 * n_t, 2 * n_t)
+    flip_side = local >= n_t[row_t]
+    seg = by_u[first[term_g[row_t]] + local % n_t[row_t]]
+    vs = var[term_e[row_t]]
+    values, cols = masked_parent_rows(parents[term_e[row_t]], X, vs, seg)
+    r, j = np.nonzero(flip_side[:, None] & (cols == us[seg, None]))
+    values[r, j] = new_vals[seg[r]]
+    signs = np.where(flip_side & (vs == us[seg]), new_vals[seg], X[seg, vs])
+    return (values, cols), vs, signs, np.where(flip_side, -1.0, 1.0), seg
 
 
 def _check_flips(X, us, new_vals, rows, vs, coeffs, seg) -> None:
@@ -209,22 +233,7 @@ def delta_loss_batch(
     if not (len(us) == len(new_vals) == len(X)):
         raise ConfigError("X, us, and new_vals must align")
 
-    imap_of = (lambda u: imap[u]) if isinstance(imap, Mapping) else (lambda u: imap)
-    by_u = np.argsort(us, kind="stable")
-    blocks, vs, signs, coeffs, seg = [], [], [], [], []
-    for rows in np.split(by_u, np.flatnonzero(np.diff(us[by_u])) + 1):
-        u = int(us[rows[0]])
-        values, cols, v, sg, cf, ids = _flip_term_rows(imap_of(u), X[rows], u, new_vals[rows])
-        blocks.append((values, cols))
-        vs.append(v)
-        signs.append(sg)
-        coeffs.append(cf)
-        seg.append(rows[ids])
-    rows = _stack_rows(blocks)
-    vs = np.concatenate(vs)
-    signs = np.concatenate(signs)
-    coeffs = np.concatenate(coeffs)
-    seg = np.concatenate(seg)
+    rows, vs, signs, coeffs, seg = _term_table(imap, X, us, new_vals)
     _check_flips(X, us, new_vals, rows, vs, coeffs, seg)
 
     if cond is not None:
@@ -274,7 +283,7 @@ def delta_loss_stochastic_grad(
         )
     X = vals[None, :].astype(np.float64)
     new = np.array([xu_new], dtype=np.float64)
-    values, cols, vs, signs, coeffs, seg = _flip_term_rows(imap, X, u, new)
+    (values, cols), vs, signs, coeffs, seg = _term_table(imap, X, np.array([u]), new)
     _check_flips(X, np.array([u]), new, (values, cols), vs, coeffs, seg)
     rng = np.random.default_rng(seed)
     if i is None:
@@ -324,9 +333,9 @@ def _step_rows(imap: Imap, X: np.ndarray):
     Returns ((values, cols), vs, signs) as ``logq_rows`` takes them.
     """
     n = X.shape[0]
-    blocks = [masked_parent_rows(imap, X, np.full(n, v)) for v in imap.topo_order]
     vs = np.repeat(imap.order, n)
-    return _stack_rows(blocks), vs, X[np.tile(np.arange(n), len(imap.order)), vs]
+    at = np.tile(np.arange(n), len(imap.order))
+    return masked_parent_rows(np.repeat(imap.parent_table, n, axis=0), X, vs, at), vs, X[at, vs]
 
 
 def _prefix_rows(imap: Imap, X: np.ndarray) -> np.ndarray:

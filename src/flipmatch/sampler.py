@@ -13,10 +13,13 @@ parents' values and their column indices, read off ``Imap.parent_table``.
 Draws and scores follow a wavefront walk.  Each I-map holds its topological
 order, the depth of each position and the padded parent table as arrays
 (``Imap.order``, ``Imap.depth``, ``Imap.parent_table``); the walk merges the
-levels of one map or of many and pushes every (map, variable) entry of a
-level through the network in one call.  The uniforms are drawn up front in
-the order of a map-by-map, variable-by-variable walk, and each row's log q is
-summed in topological order, so batching changes neither the draws nor log q.
+levels of one map or of many.  An entry with k parents and 2^k <= n, n the
+rows per map, has all its parent configurations evaluated in one table before
+the walk and reads its logits off it by its parents' signs; the other entries
+of a level (all, under a conditioning block) go through the network in one
+call.  The uniforms are drawn up front in the order of a map-by-map,
+variable-by-variable walk, and each row's log q is summed in topological
+order, so batching changes neither the draws nor log q.
 
 Also here: exploration policies (tempered and epsilon-uniform) and a
 systematic-scan Gibbs chain with optional annealing.
@@ -38,7 +41,7 @@ from flipmatch.errors import (
 )
 from flipmatch.graph import Imap, _as_rng
 from flipmatch.nn import tape
-from flipmatch.nn.mae import MaeParams
+from flipmatch.nn.mae import _BLOCK_ELEMENTS, MaeParams
 from flipmatch.nn.tape import Tensor, log_sigmoid_np, sigmoid_np
 
 __all__ = [
@@ -96,39 +99,49 @@ class Policy:
 
 
 def masked_parent_rows(
-    imap: Imap, X: np.ndarray, vs: np.ndarray
+    parents: np.ndarray, X: np.ndarray, vs: np.ndarray, rows: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Rows of X reduced to the parent columns of the given variables.
 
-    Returns (values, cols), the network's compact input form: row i lists
-    the parents of vs[i] in cols[i], padded with -1 to the widest parent set
-    of the batch, and their values X[i, cols[i]] in values[i] (0 where
-    padded) — "condition exactly on the parents" without a |V|-wide row.
+    ``parents[i]`` holds the parents of vs[i], padded with -1 (rows of
+    ``Imap.parent_table``), and ``rows[i]`` the row of X it reads (i if not
+    given).  Returns (values, cols), the network's compact input form: cols
+    trimmed to the widest parent set of the batch, and values[i] =
+    X[rows[i], cols[i]] (0 where padded) — "condition exactly on the
+    parents" without a |V|-wide row.
     """
     X = np.asarray(X, dtype=np.float64)
-    cols = imap.parent_table[imap.positions(vs)]
+    cols = np.asarray(parents, dtype=np.int64)
     cols = cols[:, : int((cols >= 0).sum(axis=1).max(initial=0))]
-    values = np.where(cols >= 0, X[np.arange(len(cols))[:, None], cols], 0.0)
+    values = X[(np.arange(len(vs)) if rows is None else rows)[:, None], cols]
+    values[cols < 0] = 0.0
     return values, cols
 
 
-def _merged_levels(maps: list[Imap]):
-    """The (map, position) entries of several maps, grouped by depth level.
+def _merged(maps: list[Imap]):
+    """The (map, position) entries of several maps, map-major, then by
+    topological position: per-entry map index, variable and parents, padded
+    with -1 to the widest parent set of all maps."""
+    map_of = np.repeat(np.arange(len(maps)), [len(m.order) for m in maps])
+    var = np.concatenate([m.order for m in maps])
+    parents = np.full((len(var), max(m.parent_table.shape[1] for m in maps)), -1, dtype=np.int64)
+    a = 0
+    for m in maps:
+        parents[a : a + len(m.order), : m.parent_table.shape[1]] = m.parent_table
+        a += len(m.order)
+    return map_of, var, parents
 
-    Entries are numbered map-major, then by topological position.  Returns
-    per-entry map index, position, variable and padded parents, and the
+
+def _merged_levels(maps: list[Imap]):
+    """The entries of ``_merged``, with positions, grouped by depth level.
+
+    Returns per-entry map index, position, variable and parents, and the
     entry numbers of each depth level, ordered by parent count so that the
     network's first layer finds equal counts side by side.
     """
-    sizes = [len(m.order) for m in maps]
-    offsets = np.cumsum([0] + sizes)
-    map_of = np.repeat(np.arange(len(maps)), sizes)
-    pos = np.arange(offsets[-1]) - offsets[map_of]
-    var = np.concatenate([m.order for m in maps])
+    map_of, var, parents = _merged(maps)
+    pos = np.concatenate([np.arange(len(m.order)) for m in maps])
     depth = np.concatenate([m.depth for m in maps])
-    parents = np.full((len(var), max(m.parent_table.shape[1] for m in maps)), -1, dtype=np.int64)
-    for m, a in zip(maps, offsets):
-        parents[a : a + len(m.order), : m.parent_table.shape[1]] = m.parent_table
     by_depth = np.lexsort(((parents >= 0).sum(axis=1), depth))
     levels = np.split(by_depth, np.flatnonzero(np.diff(depth[by_depth])) + 1)
     return map_of, pos, var, parents, levels
@@ -208,6 +221,30 @@ class AmortizedSampler:
         logits = self.params.masked_logits_np(x, np.repeat(vs, n), cols)
         return logits.reshape(e, n)
 
+    def _conditional_table(self, var: np.ndarray, parents: np.ndarray, n: int):
+        """Logits of all +-1 parent configurations of each entry with k parents, 2^k <= n.
+
+        Entry e's 2^k rows start at ``offset[e]`` (-1 for the other entries),
+        row c with +1 at parent slot j where bit j of c is set.  Entries go by
+        k, whole entries per call, ``_BLOCK_ELEMENTS // width`` rows a call.
+        """
+        counts = (parents >= 0).sum(axis=1)
+        take = counts < int(n).bit_length()
+        offset = np.full(len(var), -1, dtype=np.int64)
+        cap = max(1, _BLOCK_ELEMENTS // self.params.cfg.width)
+        chunks, a = [np.zeros(0)], 0
+        for k in np.unique(counts[take]).tolist():
+            ents = np.flatnonzero(take & (counts == k))
+            size = 1 << k
+            offset[ents] = a + size * np.arange(len(ents))
+            a += size * len(ents)
+            configs = np.where((np.arange(size)[:, None] >> np.arange(k)) & 1, 1.0, -1.0)
+            step = max(1, cap // size)
+            for e in np.split(ents, np.arange(step, len(ents), step)):
+                x = np.broadcast_to(configs, (len(e), size, k)).reshape(len(e) * size, k)
+                chunks.append(self.params.masked_logits_np(x, np.repeat(var[e], size), parents[e, :k]))
+        return np.concatenate(chunks), offset
+
     def _walk(
         self,
         maps: list[Imap],
@@ -219,11 +256,13 @@ class AmortizedSampler:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Draw (X is None) or score (X given) n rows under each map, by wavefront.
 
-        Row j*n + i belongs to map j.  Each depth level of all maps goes
-        through the network in one call.  The uniforms are drawn up front in
-        the order a map-by-map, variable-by-variable walk draws them, and each
-        row's log q is summed in topological order, so draws and log q do not
-        depend on how the levels are batched.  Zero rows give empty results.
+        Row j*n + i belongs to map j.  Entries of the ``_conditional_table``
+        read their logits off it; the other entries of each depth level of all
+        maps go through the network in one call.  The uniforms are drawn up
+        front in the order a map-by-map, variable-by-variable walk draws them,
+        and each row's log q is summed in topological order, so draws and log
+        q do not depend on how the conditionals are batched.  Zero rows give
+        empty results.
         """
         if n < 0:
             raise ConfigError(f"cannot draw {n} rows")
@@ -233,12 +272,20 @@ class AmortizedSampler:
         if X is not None:
             work[:, :-1] = X
         cond = self._cond_block(cond, N)
+        # a conditioning block gives every row a conditional of its own
+        table, offset = self._conditional_table(var, parents, n if cond is None else 0)
         uniforms = None if X is not None else rng.random(len(var) * n).reshape(len(var), n)
         terms = np.zeros((len(maps), max(len(m.order) for m in maps), n))
         for ent in levels:
             rows = map_of[ent, None] * n + np.arange(n)
             cols = var[ent, None]
-            logits = self._entry_logits(work, cond, rows, var[ent], parents[ent])
+            at, logits = offset[ent] >= 0, np.empty(rows.shape)
+            # tabulated entries: a -1 pad reads work's zero column, so sets no bit
+            plus = work[rows[at][:, :, None], parents[ent[at], None, : int(n).bit_length()]] > 0
+            logits[at] = table[offset[ent[at], None] + (plus << np.arange(plus.shape[2])).sum(-1)]
+            if not at.all():
+                e = ent[~at]
+                logits[~at] = self._entry_logits(work, cond, rows[~at], var[e], parents[e])
             if uniforms is not None:
                 work[rows, cols] = np.where(
                     uniforms[ent] < policy.plus_probability(logits), 1.0, -1.0
@@ -300,8 +347,8 @@ class AmortizedSampler:
         vals = np.asarray(X, dtype=np.float64)
         if vals.ndim == 1:
             vals = vals[None, :]
-        if np.any(vals[:, imap.order] == 0):
-            raise PartialAssignment("log_prob needs fully instantiated samples")
+        if not np.all(np.abs(vals[:, imap.order]) == 1):
+            raise PartialAssignment("log_prob needs fully instantiated samples, at -1 or +1")
         return self._walk([imap], vals.shape[0], cond, X=vals)[1]
 
 

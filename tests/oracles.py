@@ -8,6 +8,7 @@ of this code is imported by the package itself.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
@@ -17,11 +18,19 @@ import numpy as np
 
 from flipmatch import losses
 from flipmatch.energy import ZERO_MASKED, Assignment, EnergyModel, ExactTable, _values_of
-from flipmatch.errors import ConfigError, MissingParent, OrderViolation, PartialAssignment
+from flipmatch.errors import (
+    ConfigError,
+    EmptyBatch,
+    MissingParent,
+    OrderViolation,
+    PartialAssignment,
+)
 from flipmatch.graph import Imap, JunctionTree, UndirectedGraph, _as_rng, _bits, _mask_of
 from flipmatch.losses import (
     FlowHead,
     LogZEstimate,
+    _check_flips,
+    _children,
     _clamped_logq,
     _prefix_rows,
     _require_full,
@@ -31,8 +40,8 @@ from flipmatch.losses import (
 )
 from flipmatch.nn import MaeParams, tape
 from flipmatch.nn.mae import _LN_EPS
-from flipmatch.nn.tape import Tensor
-from flipmatch.sampler import AmortizedSampler, Policy, masked_parent_rows
+from flipmatch.nn.tape import Tensor, log_sigmoid_np
+from flipmatch.sampler import AmortizedSampler, Policy, _merged_levels, masked_parent_rows
 
 
 def _connected(vertices: list[int], has_edge) -> bool:
@@ -85,6 +94,38 @@ def all_states(num_vars: int) -> np.ndarray:
     """Every +-1 configuration, shape (2**num_vars, num_vars), bit v of the row index."""
     idx = np.arange(1 << num_vars)
     return ((idx[:, None] >> np.arange(num_vars)[None, :]) & 1).astype(np.int8) * 2 - 1
+
+
+# scalar helpers over the energy model and assignments, which the library
+# itself never needs
+
+
+def energy(m: EnergyModel, x) -> float:
+    return -m.log_reward(x)
+
+
+def factors_touching(m: EnergyModel, u: int) -> tuple[int, ...]:
+    return m._touching[u]
+
+
+def partial_reward(m: EnergyModel, x, mode: str = ZERO_MASKED) -> float:
+    return float(m.partial_reward_batch(_values_of(x)[None, :], mode)[0])
+
+
+def is_full(x: Assignment) -> bool:
+    return bool(np.all(x.values != 0))
+
+
+def with_value(x: Assignment, v: int, value: int) -> Assignment:
+    out = x.values.copy()
+    out[v] = value
+    return Assignment(out)
+
+
+def imap_parent_rows(imap: Imap, X, vs) -> tuple[np.ndarray, np.ndarray]:
+    """``masked_parent_rows`` for variables of a map: row i reads X[i] at the
+    parents of vs[i], looked up in the map's parent table."""
+    return masked_parent_rows(imap.parent_table[imap.positions(vs)], X, vs)
 
 
 def central_diff(f, x: np.ndarray, h: float = 1e-4) -> np.ndarray:
@@ -461,8 +502,8 @@ class DenseSampler(AmortizedSampler):
     """``logq_rows`` through |V|-wide rows and the network's dense first layer.
 
     Built on the same parameters as the sampler it shadows; with
-    ``dense_rows_in`` (below) the rows themselves come from
-    ``dense_parent_rows``, so nothing of the compact path is left.
+    ``dense_rows_in`` (below) the rows themselves are built |V| wide, so
+    nothing of the compact path is left.
     """
 
     def logq_rows(self, rows, vs, signs, cond=None) -> Tensor:
@@ -473,14 +514,18 @@ class DenseSampler(AmortizedSampler):
 
 
 def dense_rows_in(monkeypatch) -> None:
-    """Make the losses build their rows with ``dense_parent_rows``: each row
-    |V| wide, column j listed where j is a parent of the row's variable."""
+    """Make the losses build their rows |V| wide, as ``dense_parent_rows``
+    does: row i keeps X[at[i], p] for the parents p listed in its padded
+    parent row, and column j is listed where j is such a parent."""
 
-    def rows(imap, X, vs):
-        dense = dense_parent_rows(imap, X, vs)
+    def rows(parent_rows, X, vs, at=None):
+        at = np.arange(len(vs)) if at is None else at
+        parents = [[p for p in ps if p >= 0] for ps in np.asarray(parent_rows).tolist()]
+        dense = np.zeros((len(parents), np.shape(X)[1]))
         cols = np.full(dense.shape, -1, dtype=np.int64)
-        for i, v in enumerate(np.asarray(vs).tolist()):
-            cols[i, list(imap.parents[v])] = imap.parents[v]
+        for i, ps in enumerate(parents):
+            dense[i, ps] = np.asarray(X, dtype=np.float64)[at[i], ps]
+            cols[i, ps] = ps
         return dense, cols
 
     monkeypatch.setattr(losses, "masked_parent_rows", rows)
@@ -1048,7 +1093,7 @@ def db_loss(s, imap: Imap, m: EnergyModel, x_prefix, next_var: int, flow) -> Ten
     prefix = vals.copy()
     prefix[next_var] = 0.0
     flows = flow.log_flow_rows(m, np.vstack([prefix, vals]))
-    rows = masked_parent_rows(imap, vals[None, :], np.array([next_var]))
+    rows = imap_parent_rows(imap, vals[None, :], np.array([next_var]))
     logq = _clamped_logq(s, rows, [next_var], [vals[next_var]])
     residual = (
         tape.gather_1d(flows, np.array([0]))
@@ -1066,5 +1111,144 @@ def fl_flow(flow: FlowHead, m: EnergyModel, x, mode: str = ZERO_MASKED) -> Tenso
     """
     vals = _values_of(x)
     corr = flow.correction_rows(vals[None, :].astype(np.float64))
-    partial = m.partial_reward(Assignment(vals), mode)
+    partial = partial_reward(m, Assignment(vals), mode)
     return corr.sum() + float(partial)
+
+
+# ---------------------------------------------------------------------------
+# the walk and the flip terms as they were before the conditional table and
+# the term table: one network call per depth level, and one block of term
+# rows per flip variable, stacked
+
+
+def level_walk(
+    self,
+    maps: list[Imap],
+    n: int,
+    cond,
+    X: np.ndarray | None = None,
+    policy: Policy | None = None,
+    rng: np.random.Generator | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draw (X is None) or score (X given) n rows under each map, by wavefront.
+
+    Row j*n + i belongs to map j.  Each depth level of all maps goes
+    through the network in one call.  The uniforms are drawn up front in
+    the order a map-by-map, variable-by-variable walk draws them, and each
+    row's log q is summed in topological order, so draws and log q do not
+    depend on how the levels are batched.  Zero rows give empty results.
+    """
+    if n < 0:
+        raise ConfigError(f"cannot draw {n} rows")
+    map_of, pos, var, parents, levels = _merged_levels(maps)
+    N = len(maps) * n
+    work = np.zeros((N, self.num_vars + 1))
+    if X is not None:
+        work[:, :-1] = X
+    cond = self._cond_block(cond, N)
+    uniforms = None if X is not None else rng.random(len(var) * n).reshape(len(var), n)
+    terms = np.zeros((len(maps), max(len(m.order) for m in maps), n))
+    for ent in levels:
+        rows = map_of[ent, None] * n + np.arange(n)
+        cols = var[ent, None]
+        logits = self._entry_logits(work, cond, rows, var[ent], parents[ent])
+        if uniforms is not None:
+            work[rows, cols] = np.where(
+                uniforms[ent] < policy.plus_probability(logits), 1.0, -1.0
+            )
+        terms[map_of[ent], pos[ent]] = log_sigmoid_np(work[rows, cols] * logits)
+    logq = np.zeros((len(maps), n))
+    for t in range(terms.shape[1]):
+        logq += terms[:, t]
+    return work[:, :-1], logq.reshape(N)
+
+
+def _stack_rows(blocks: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """One (values, cols) pair from blocks of different widths, padded with column -1."""
+    width = max((cols.shape[1] for _, cols in blocks), default=0)
+    values = np.zeros((sum(len(cols) for _, cols in blocks), width))
+    cols = np.full(values.shape, -1, dtype=np.int64)
+    a = 0
+    for v, c in blocks:
+        values[a : a + len(c), : c.shape[1]] = v
+        cols[a : a + len(c), : c.shape[1]] = c
+        a += len(c)
+    return values, cols
+
+
+def _flip_term_rows(imap: Imap, X: np.ndarray, u: int, new_vals: np.ndarray):
+    """Conditional-ratio rows for a block of n flips at the same variable.
+
+    Returns (values, cols, vs, signs, coeffs, row_ids).  Term t is u for t = 0
+    and u's t-th child after that; its rows are n on the x side (coefficient
+    +1) and then n on the flip side (-1).  u's two sides read the same parent
+    values and differ in sign; a child's two sides differ in u's value.
+    """
+    n = len(X)
+    terms = np.concatenate([[u], _children(imap, u)])
+    vs = np.repeat(terms, 2 * n)
+    row_ids = np.arange(len(vs)) % n
+    flip_side = np.arange(len(vs)) // n % 2 == 1
+    # X once per term and side: a broadcast view, which a single flip never copies
+    X_rows = np.broadcast_to(X, (2 * len(terms),) + X.shape).reshape(-1, X.shape[1])
+    values, cols = imap_parent_rows(imap, X_rows, vs)
+    new_u = flip_side[:, None] & (cols == u)
+    values[new_u] = new_vals[row_ids[new_u.any(axis=1)]]
+    signs = X_rows[np.arange(len(vs)), vs]
+    signs[n : 2 * n] = new_vals
+    return values, cols, vs, signs, np.where(flip_side, -1.0, 1.0), row_ids
+
+
+def per_u_delta_loss_batch(
+    s,
+    imap: Imap | Mapping[int, Imap],
+    m: EnergyModel,
+    X,
+    us,
+    new_vals,
+    cond=None,
+) -> Tensor:
+    """Mean squared flip-matching residual over a batch of flips.
+
+    ``imap`` may be a single map used for every row or a mapping from flip
+    variable to the local map to use for flips at that variable (the partial
+    sampling regime, where each variable trains under its own small map).
+    """
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim == 1:
+        X = X[None, :]
+    us = np.asarray(us, dtype=np.int64)
+    new_vals = np.asarray(new_vals, dtype=np.float64)
+    if len(X) == 0:
+        raise EmptyBatch("no flips to score")
+    if not (len(us) == len(new_vals) == len(X)):
+        raise ConfigError("X, us, and new_vals must align")
+
+    imap_of = (lambda u: imap[u]) if isinstance(imap, Mapping) else (lambda u: imap)
+    by_u = np.argsort(us, kind="stable")
+    blocks, vs, signs, coeffs, seg = [], [], [], [], []
+    for rows in np.split(by_u, np.flatnonzero(np.diff(us[by_u])) + 1):
+        u = int(us[rows[0]])
+        values, cols, v, sg, cf, ids = _flip_term_rows(imap_of(u), X[rows], u, new_vals[rows])
+        blocks.append((values, cols))
+        vs.append(v)
+        signs.append(sg)
+        coeffs.append(cf)
+        seg.append(rows[ids])
+    rows = _stack_rows(blocks)
+    vs = np.concatenate(vs)
+    signs = np.concatenate(signs)
+    coeffs = np.concatenate(coeffs)
+    seg = np.concatenate(seg)
+    _check_flips(X, us, new_vals, rows, vs, coeffs, seg)
+
+    if cond is not None:
+        cond = np.asarray(cond, dtype=np.float64)
+        if cond.ndim == 2:
+            cond = cond[seg]
+
+    logq = _clamped_logq(s, rows, vs, signs, cond)
+    ratio_sum = tape.segment_sum(tape.mul(logq, coeffs), seg, len(X))
+    delta = m.delta_log_reward_batch(X.astype(np.int8), us, new_vals.astype(np.int8))
+    residual = tape.const(delta) - ratio_sum
+    return residual.square().mean()

@@ -41,10 +41,15 @@ from flipmatch.errors import (
 from flipmatch.graph import Imap, chain_graph, random_graph, sample_imap
 from oracles import (
     central_diff,
+    energy,
     exact_sample,
+    factors_touching,
+    is_full,
+    partial_reward,
     relative_error,
     state_prob,
     table_conditional,
+    with_value,
 )
 
 
@@ -88,9 +93,9 @@ def two_var_ising():
 class TestAssignment:
     def test_empty_and_with_value(self):
         x = Assignment.empty(3)
-        assert not x.is_full
+        assert not is_full(x)
         assert x.instantiated() == ()
-        y = x.with_value(1, -1)
+        y = with_value(x, 1, -1)
         assert y.values.tolist() == [0, -1, 0]
         assert x.values.tolist() == [0, 0, 0]  # original untouched
 
@@ -108,17 +113,17 @@ class TestEnergy:
     def test_zero_model_is_flat(self):
         m = IsingModel(np.zeros((3, 3)), np.zeros(3), sigma=1.0)
         for x in all_states(3):
-            assert m.energy(Assignment(x)) == 0.0
+            assert energy(m, Assignment(x)) == 0.0
 
     def test_two_var_reference_values(self):
         m = two_var_ising()
-        assert_allclose(m.energy(Assignment(np.array([1, 1]))), -1.0)
-        assert_allclose(m.energy(Assignment(np.array([1, -1]))), 1.0)
+        assert_allclose(energy(m, Assignment(np.array([1, 1]))), -1.0)
+        assert_allclose(energy(m, Assignment(np.array([1, -1]))), 1.0)
 
     def test_partial_assignment_rejected(self):
         m = two_var_ising()
         with pytest.raises(PartialAssignment):
-            m.energy(Assignment(np.array([1, 0])))
+            energy(m, Assignment(np.array([1, 0])))
 
     def test_ising_validation(self):
         with pytest.raises(ValueError):
@@ -146,14 +151,14 @@ class TestEnergy:
 class TestFactorsTouching:
     def test_chain_ising_counts(self):
         m = random_ising(chain_graph(4), seed=0)
-        assert len(m.factors_touching(0)) == 2  # one pairwise + one unary
-        assert len(m.factors_touching(1)) == 3  # two pairwise + one unary
+        assert len(factors_touching(m, 0)) == 2  # one pairwise + one unary
+        assert len(factors_touching(m, 1)) == 3  # two pairwise + one unary
 
     def test_mlp_lattice_scope_scan(self):
         m = random_factor_lattice(2, 3, seed=0)
         # plaquette scopes: (0,1,3,4) and (1,2,4,5); variable 1 sits in both
         expected = [k for k, f in enumerate(m.factors) if 1 in f.scope]
-        assert list(m.factors_touching(1)) == expected
+        assert list(factors_touching(m, 1)) == expected
         assert len(expected) == 2
 
 
@@ -191,7 +196,7 @@ class TestDeltaLogReward:
             u = int(rng.integers(6))
             new = int(-x.values[u])
             fwd = m.delta_log_reward(x, u, new)
-            back = m.delta_log_reward(x.with_value(u, new), u, int(x.values[u]))
+            back = m.delta_log_reward(with_value(x, u, new), u, int(x.values[u]))
             assert_allclose(fwd, -back, atol=1e-12)
 
     def test_matches_full_energy_difference(self):
@@ -211,7 +216,7 @@ class TestDeltaLogReward:
             x = Assignment(rng.choice([-1, 1], size=n).astype(np.int8))
             u = int(rng.integers(n))
             new = int(-x.values[u])
-            expected = m.energy(x.with_value(u, new)) - m.energy(x)
+            expected = energy(m, with_value(x, u, new)) - energy(m, x)
             assert_allclose(m.delta_log_reward(x, u, new), expected, atol=1e-10)
 
     def test_reads_only_local_variables(self):
@@ -222,7 +227,7 @@ class TestDeltaLogReward:
         u = 3
         base = m.delta_log_reward(x, u, int(-x.values[u]))
         for far in [0, 1, 6, 7]:  # outside {2,3,4}
-            y = x.with_value(far, int(-x.values[far]))
+            y = with_value(x, far, int(-x.values[far]))
             assert m.delta_log_reward(y, u, int(-y.values[u])) == base
 
     def test_batch_matches_scalar(self):
@@ -241,14 +246,14 @@ class TestDeltaLogReward:
 class TestPartialReward:
     def test_empty_mask_completed_factors(self):
         m = random_ising(chain_graph(3), seed=1)
-        assert m.partial_reward(Assignment.empty(3), COMPLETED_FACTORS) == 0.0
+        assert partial_reward(m, Assignment.empty(3), COMPLETED_FACTORS) == 0.0
 
     def test_full_mask_equals_log_reward(self):
         rng = np.random.default_rng(2)
         m = random_factor_lattice(2, 2, seed=3)
         x = Assignment(rng.choice([-1, 1], size=4).astype(np.int8))
         for mode in (COMPLETED_FACTORS, ZERO_MASKED):
-            assert_allclose(m.partial_reward(x, mode), -m.energy(x), atol=1e-12)
+            assert_allclose(partial_reward(m, x, mode), -energy(m, x), atol=1e-12)
 
     def test_chain_prefix_completed_factors(self):
         m = random_ising(chain_graph(3), sigma=0.8, seed=4)
@@ -257,13 +262,13 @@ class TestPartialReward:
         expected = (
             2 * 0.8 * m.J[0, 1] * 1 * -1 + 0.8 * m.b[0] * 1 + 0.8 * m.b[1] * -1
         )
-        assert_allclose(m.partial_reward(x, COMPLETED_FACTORS), expected)
+        assert_allclose(partial_reward(m, x, COMPLETED_FACTORS), expected)
 
     def test_zero_masked_kills_incomplete_bilinear_terms(self):
         m = random_ising(chain_graph(3), sigma=0.8, seed=4)
         x = Assignment(np.array([1, -1, 0]))
         expected = 2 * 0.8 * m.J[0, 1] * -1 + 0.8 * (m.b[0] - m.b[1])
-        assert_allclose(m.partial_reward(x, ZERO_MASKED), expected)
+        assert_allclose(partial_reward(m, x, ZERO_MASKED), expected)
 
     def test_zero_masked_mlp_evaluates_literally_at_zero(self):
         rng = np.random.default_rng(5)
@@ -271,7 +276,7 @@ class TestPartialReward:
         m = FactorGraphModel(2, [f])
         x = Assignment(np.array([1, 0]))
         by_hand = float(np.tanh(np.array([1.0, 0.0]) @ f.w1.T + f.b1) @ f.w2 + f.b2)
-        assert_allclose(m.partial_reward(x, ZERO_MASKED), by_hand)
+        assert_allclose(partial_reward(m, x, ZERO_MASKED), by_hand)
 
     def test_growth_touches_only_containing_factors(self):
         """Zero-masked: instantiating v changes only factors whose scope has v."""
@@ -279,10 +284,10 @@ class TestPartialReward:
         m = random_ising(random_graph(6, 0.5, 7), sigma=0.4, seed=8)
         x = Assignment(np.array([1, -1, 0, 0, 1, 0], dtype=np.int8))
         v = 2
-        grown = x.with_value(v, 1)
-        diff = m.partial_reward(grown, ZERO_MASKED) - m.partial_reward(x, ZERO_MASKED)
+        grown = with_value(x, v, 1)
+        diff = partial_reward(m, grown, ZERO_MASKED) - partial_reward(m, x, ZERO_MASKED)
         local = 0.0
-        for k in m.factors_touching(v):
+        for k in factors_touching(m, v):
             f = m.factors[k]
             local += float(
                 f.log_value(grown.values[None, list(f.scope)])[0]
@@ -293,7 +298,7 @@ class TestPartialReward:
     def test_unknown_mode_rejected(self):
         m = two_var_ising()
         with pytest.raises(ValueError):
-            m.partial_reward(Assignment.empty(2), "other")
+            partial_reward(m, Assignment.empty(2), "other")
 
 
 class TestConditionalFactor:
@@ -348,7 +353,7 @@ class TestEnumerateExact:
             u = 2
             blanket_only = Assignment.empty(6)
             for w in (1, 3):  # chain neighborhood of 2
-                blanket_only = blanket_only.with_value(w, int(x.values[w]))
+                blanket_only = with_value(blanket_only, w, int(x.values[w]))
             assert_allclose(
                 table_conditional(t, u, x), table_conditional(t, u, blanket_only), atol=1e-12
             )
@@ -365,7 +370,7 @@ class TestEnumerateExact:
             for v in imap.topo_order:
                 pa = Assignment.empty(6)
                 for w in imap.parents[v]:
-                    pa = pa.with_value(w, int(x.values[w]))
+                    pa = with_value(pa, w, int(x.values[w]))
                 p_plus = table_conditional(t, v, pa)
                 logp += np.log(p_plus if x.values[v] == 1 else 1 - p_plus)
             assert_allclose(np.exp(logp), state_prob(t, x), rtol=1e-9)

@@ -48,7 +48,6 @@ from flipmatch.losses import (
     LOGQ_FLOOR,
     FlowHead,
     LogZEstimate,
-    _flip_term_rows,
     db_trajectory_loss,
     delta_loss,
     delta_loss_batch,
@@ -57,20 +56,25 @@ from flipmatch.losses import (
     tb_loss_batch,
 )
 from flipmatch.nn import MaeConfig, MaeParams, tape
-from flipmatch.sampler import AmortizedSampler, masked_parent_rows
+from flipmatch.sampler import AmortizedSampler, Policy
 
 from oracles import (
     DenseSampler,
     ExactFlow,
     TabularSampler,
+    _flip_term_rows,
     all_states,
     db_loss,
     dense_rows_in,
+    factors_touching,
     fit_sampler_exactly,
     fl_flow,
+    imap_parent_rows,
     log_prob,
     no_merging,
     pair_subtb_loss_batch,
+    partial_reward,
+    per_u_delta_loss_batch,
     subtb_loss,
     tb_loss,
     tv_distance,
@@ -187,7 +191,7 @@ class TestDeltaLoss:
             assert set(vs) == {u, *imap.children[u]}
         # the reward side touches exactly the factors containing u: on a cycle
         # that is two couplings plus the bias
-        assert all(len(m.factors_touching(u)) == 3 for u in range(5))
+        assert all(len(factors_touching(m, u)) == 3 for u in range(5))
 
     def test_same_value_raises(self):
         m, imap, _ = exact_setup()
@@ -359,13 +363,13 @@ class TestDeltaLoss:
                 x, u, nv = Xs[k], int(us[k]), new_vals[k]
                 xn = x.copy()
                 xn[u] = nv
-                row = masked_parent_rows(imap, x[None, :], [u])
+                row = imap_parent_rows(imap, x[None, :], [u])
                 ratio = float(
                     s.logq_rows(row, [u], [x[u]]).data[0] - s.logq_rows(row, [u], [nv]).data[0]
                 )
                 for c in imap.children[u]:
-                    r_old = masked_parent_rows(imap, x[None, :], [c])
-                    r_new = masked_parent_rows(imap, xn[None, :], [c])
+                    r_old = imap_parent_rows(imap, x[None, :], [c])
+                    r_new = imap_parent_rows(imap, xn[None, :], [c])
                     ratio += float(
                         s.logq_rows(r_old, [c], [x[c]]).data[0]
                         - s.logq_rows(r_new, [c], [x[c]]).data[0]
@@ -469,6 +473,101 @@ class TestCompactMatchesDense:
             s,
             lambda s: delta_loss_stochastic_grad(s, imap, m, x, u, int(-x[u]), j=0, i=1),
         )
+
+
+class TestTermTableMatchesPerU:
+    """The flip terms of every u come from one merged parent table; loss,
+    gradients and errors stay bit for bit those of the per-u loop."""
+
+    def build(self, activation, cond_vars=()):
+        g = grid_graph(4, 4)
+        cfg = MaeConfig(
+            num_vars=16, width=12, blocks=2, activation=activation,
+            cond_vars=cond_vars, init_seed=3,
+        )
+        s = AmortizedSampler(MaeParams(cfg))
+        rng = np.random.default_rng(4)
+        s.params.unpack(s.params.pack() + rng.normal(0, 0.4, cfg.param_count))
+        return g, random_ising(g, sigma=0.5, seed=5), s
+
+    def same(self, s, make_loss):
+        got = make_loss(delta_loss_batch)
+        got = float(got.data), collect_grads(s.params.params, got)
+        want = make_loss(per_u_delta_loss_batch)
+        want = float(want.data), collect_grads(s.params.params, want)
+        assert got[0] == want[0]
+        assert max(np.abs(g).max() for g in got[1]) > 1e-3
+        for name, g, w in zip(s.params.names, got[1], want[1]):
+            assert_array_equal(g, w, err_msg=name)
+
+    @pytest.mark.parametrize("activation", ["relu", "elu"])
+    @pytest.mark.parametrize("cond_vars", [(), (16, 17)])
+    def test_full_map(self, activation, cond_vars):
+        g, m, s = self.build(activation, cond_vars)
+        imap = sample_imap(g, seed=2)
+        rng = np.random.default_rng(6)
+        X = rng.choice([-1.0, 1.0], size=(40, 16))
+        us = rng.integers(0, 16, size=40)
+        cond = rng.choice([-1.0, 1.0], size=(40, len(cond_vars))) if cond_vars else None
+        flips = -X[np.arange(40), us]
+        self.same(s, lambda loss: loss(s, imap, m, X, us, flips, cond=cond))
+
+    @pytest.mark.parametrize("activation", ["relu", "elu"])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_sub_maps(self, activation, k):
+        g, m, s = self.build(activation)
+        subs = {u: sub_imap(g, u, seed=u) for u in range(16)}
+        X = s.partial_sample_batch([subs[u] for u in range(16)], Policy.on_policy(), k, seed=7)
+        us = np.repeat(np.arange(16), k)
+        # the batch in a shuffled order: rows of one u are not side by side
+        at = np.random.default_rng(8).permutation(len(us))
+        X, us = X[at], us[at]
+        flips = -X[np.arange(len(us)), us]
+        self.same(s, lambda loss: loss(s, subs, m, X, us, flips))
+
+    def test_first_bad_flip_errors_unchanged(self):
+        g, m, s = self.build("relu")
+        imap = sample_imap(g, seed=2)
+        subs = {u: sub_imap(g, u, seed=u) for u in range(16)}
+        rng = np.random.default_rng(9)
+        X = rng.choice([-1.0, 1.0], size=(6, 16))
+        us = np.array([5, 3, 5, 0, 9, 3])
+        flips = -X[np.arange(6), us]
+        cases = ([(4, "same")], [(2, "blanket")], [(1, "far")], [(0, "same"), (0, "blanket")],
+                 [(4, "same"), (2, "blanket")])
+        seen = set()
+        swapped = {**subs, 3: subs[9]}  # subs[9] does not cover 3
+        lacking_9 = {u: sub for u, sub in swapped.items() if u != 9}
+        lacking_0 = {u: sub for u, sub in swapped.items() if u != 0}
+        for imaps in (imap, subs, swapped, lacking_9, lacking_0):
+            for case in cases:
+                Xb, fb = X.copy(), flips.copy()
+                for row, how in case:
+                    u = int(us[row])
+                    if how == "same":
+                        fb[row] = Xb[row, u]
+                    elif how == "blanket":
+                        Xb[row, imap.blanket[u][0]] = 0.0
+                    else:
+                        Xb[row, [v for v in range(16) if v not in subs[u].vertices]] = 0.0
+                errors = []
+                for loss in (delta_loss_batch, per_u_delta_loss_batch):
+                    try:
+                        loss(s, imaps, m, Xb, us, fb)
+                        errors.append(None)
+                    except (SameValue, MissingBlanket, KeyError) as e:
+                        errors.append((type(e), str(e)))
+                assert errors[0] == errors[1]
+                seen.add(errors[0] and errors[0][0])
+        assert seen == {None, SameValue, MissingBlanket, KeyError}
+        # a flip variable outside the universe is covered by no map
+        for u in (-1, 16):
+            errors = []
+            for loss in (delta_loss_batch, per_u_delta_loss_batch):
+                with pytest.raises(KeyError) as e:
+                    loss(s, imap, m, X, np.r_[us[:-1], u], flips)
+                errors.append(str(e.value))
+            assert errors[0] == errors[1]
 
 
 class TestDistinctRows:
@@ -714,7 +813,7 @@ class TestDbLoss:
         ).data
         steps = []
         for k, v in enumerate(imap.topo_order):
-            row = masked_parent_rows(imap, x[None, :].astype(np.float64), [v])
+            row = imap_parent_rows(imap, x[None, :].astype(np.float64), [v])
             lq = float(s.logq_rows(row, [v], [x[v]]).data[0])
             steps.append(flows[k] + lq - flows[k + 1])
             # and db_loss is exactly this residual, squared
@@ -782,7 +881,7 @@ class TestSubTb:
                 ).data
                 lqs = []
                 for v in imap.topo_order:
-                    row = masked_parent_rows(imap, x[None, :], [v])
+                    row = imap_parent_rows(imap, x[None, :], [v])
                     lqs.append(
                         max(float(s.logq_rows(row, [v], [x[v]]).data[0]), LOGQ_FLOOR)
                     )
@@ -850,7 +949,7 @@ class TestFlowParametrization:
         flow = FlowHead(s.params, forward_looking=True)
         x = np.array([1, -1, 0, 0], dtype=np.int8)
         val = float(fl_flow(flow, m, x).data)
-        assert_allclose(val, m.partial_reward(Assignment(x), ZERO_MASKED), rtol=1e-12)
+        assert_allclose(val, partial_reward(m, Assignment(x), ZERO_MASKED), rtol=1e-12)
 
     def test_full_assignment_adds_correction_to_reward(self):
         m = mlp_chain_model()
@@ -879,7 +978,7 @@ class TestFlowParametrization:
         flow = FlowHead(s.params, forward_looking=True, reward_mode=COMPLETED_FACTORS)
         x = np.array([1, -1, 0, 0], dtype=np.int8)
         val = float(fl_flow(flow, m, x, COMPLETED_FACTORS).data)
-        assert_allclose(val, m.partial_reward(Assignment(x), COMPLETED_FACTORS), rtol=1e-12)
+        assert_allclose(val, partial_reward(m, Assignment(x), COMPLETED_FACTORS), rtol=1e-12)
         assert_allclose(
             float(flow.log_flow_rows(m, x[None, :].astype(np.float64)).data[0]), val, rtol=1e-12
         )

@@ -24,6 +24,7 @@ from flipmatch.graph import (
     chain_graph,
     cycle_graph,
     grid_graph,
+    ladder_graph,
     sample_imap,
     sub_imap,
 )
@@ -44,6 +45,7 @@ from oracles import (
     dense_run_order,
     fit_sampler_exactly,
     imap_arcs,
+    level_walk,
     log_prob,
     partial_sample,
     scatter_compact,
@@ -119,7 +121,7 @@ class TestMaskedParentRows:
         imap = sample_imap(g, seed=3)
         X = np.array([[1.0, -1.0, 1.0, -1.0], [-1.0, -1.0, 1.0, 1.0]])
         vs = np.array([2, 2])
-        rows = scatter_compact(*masked_parent_rows(imap, X, vs), 4)
+        rows = scatter_compact(*masked_parent_rows(imap.parent_table[imap.positions(vs)], X, vs), 4)
         ps = set(imap.parents[2])
         for j in range(4):
             if j in ps:
@@ -135,12 +137,18 @@ class TestMaskedParentRows:
             # all but the variables with the most parents
             widest = imap.parent_table.shape[1]
             vs = rng.choice([v for v in imap.order if len(imap.parents[v]) < widest], size=len(X))
-            values, cols = masked_parent_rows(imap, X, vs)
+            parents = imap.parent_table[imap.positions(vs)]
+            values, cols = masked_parent_rows(parents, X, vs)
             counts = (cols >= 0).sum(axis=1)
             assert_array_equal(counts, [len(imap.parents[v]) for v in vs])
             assert cols.shape[1] == counts.max() < widest  # trimmed to the batch's widest
             assert_array_equal(values[cols < 0], 0.0)
             assert_array_equal(scatter_compact(values, cols, 25), dense_parent_rows(imap, X, vs))
+            # row i may read another row of X
+            at = rng.permutation(len(X))
+            moved = masked_parent_rows(parents, X, vs, at)
+            assert_array_equal(moved[1], cols)
+            assert_array_equal(scatter_compact(*moved, 25), dense_parent_rows(imap, X[at], vs))
 
 
 class TestConditionalLogprob:
@@ -529,6 +537,98 @@ class TestWavefrontMatchesSequential:
         s = perturbed_sampler(4)
         with pytest.raises(ConfigError):
             s.partial_sample_batch([], Policy.on_policy(), 2, seed=0)
+
+
+class TestTableMatchesLevelWalk:
+    """Entries with few parents read their logits off one table per walk;
+    draws, log q and scores stay bit for bit those of the walk that sends
+    every depth level through the network."""
+
+    POLICIES = (Policy.on_policy(), Policy.tempered(2.0), Policy.eps_uniform(0.2))
+
+    @staticmethod
+    def maps_of(g):
+        return sample_imap(g, seed=4), [sub_imap(g, u, seed=u) for u in range(0, g.num_vars, 5)]
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, 256])
+    @pytest.mark.parametrize("activation", ["relu", "elu"])
+    @pytest.mark.parametrize("g", [grid_graph(6, 6), ladder_graph(8)], ids=["grid", "ladder"])
+    def test_draws_and_log_q_are_bit_equal(self, n, activation, g):
+        imap, subs = self.maps_of(g)
+        s = perturbed_sampler(g.num_vars, activation=activation)
+        for policy in self.POLICIES:
+            X, logq = s.ancestral_sample(imap, policy, n, seed=3)
+            rng = np.random.default_rng(3)
+            X_ref, logq_ref = level_walk(s, [imap], n, None, policy=policy, rng=rng)
+            assert_array_equal(X, X_ref)
+            assert_array_equal(logq, logq_ref)
+            assert_array_equal(s.log_prob_batch(imap, X), level_walk(s, [imap], n, None, X=X)[1])
+            Xs = s.partial_sample_batch(subs, policy, n, seed=5)
+            rng = np.random.default_rng(5)
+            assert_array_equal(Xs, level_walk(s, subs, n, None, policy=policy, rng=rng)[0])
+
+    def test_a_conditioning_block_walks_every_entry(self, monkeypatch):
+        g = ladder_graph(8)
+        imap, subs = self.maps_of(g)
+        s = perturbed_sampler(16, cond_vars=(16, 17))
+        seen = []
+        entry_logits = AmortizedSampler._entry_logits
+
+        def counted(self, work, cond, rows, vs, parents):
+            seen.extend(vs.tolist())
+            return entry_logits(self, work, cond, rows, vs, parents)
+
+        monkeypatch.setattr(AmortizedSampler, "_entry_logits", counted)
+        cond = np.ones((64, 2))
+        X, logq = s.ancestral_sample(imap, Policy.on_policy(), 64, seed=1, cond=cond)
+        assert sorted(seen) == list(range(16))
+        rng = np.random.default_rng(1)
+        X_ref, logq_ref = level_walk(s, [imap], 64, cond, policy=Policy.on_policy(), rng=rng)
+        assert_array_equal(X, X_ref)
+        assert_array_equal(logq, logq_ref)
+        # without the block, 64 rows tabulate every entry of the ladder
+        seen.clear()
+        s = perturbed_sampler(16)
+        s.ancestral_sample(imap, Policy.on_policy(), 64, seed=1)
+        s.partial_sample_batch(subs, Policy.on_policy(), 64, seed=1)
+        assert seen == []
+
+    @pytest.mark.parametrize("g", [grid_graph(6, 6), ladder_graph(8)], ids=["grid", "ladder"])
+    def test_the_table_sends_no_more_rows_than_the_level_walk(self, monkeypatch, g):
+        imap, subs = self.maps_of(g)
+        s = perturbed_sampler(g.num_vars)
+        rows = [0]
+        forward = MaeParams.masked_logits_np
+
+        def counted(self, x, vs, cols=None):
+            rows[0] += len(x)
+            return forward(self, x, vs, cols)
+
+        monkeypatch.setattr(MaeParams, "masked_logits_np", counted)
+        fewer = False
+        for n in (1, 2, 3, 4, 7, 8, 64):
+            for maps in ([imap], subs):
+                rows[0] = 0
+                s.partial_sample_batch(maps, Policy.on_policy(), n, seed=0)
+                table = rows[0]
+                rows[0] = 0
+                rng = np.random.default_rng(0)
+                level_walk(s, maps, n, None, policy=Policy.on_policy(), rng=rng)
+                assert table <= rows[0]
+                fewer |= table < rows[0]
+        assert fewer
+
+    def test_log_prob_rejects_values_other_than_signs(self):
+        g = ladder_graph(3)
+        imap = sample_imap(g, seed=0)
+        s = perturbed_sampler(6)
+        X = np.ones((4, 6))
+        X[2, imap.order[-1]] = 0.5
+        with pytest.raises(PartialAssignment, match="-1 or \\+1"):
+            s.log_prob_batch(imap, X)
+        X[2, imap.order[-1]] = np.nan
+        with pytest.raises(PartialAssignment):
+            s.log_prob_batch(imap, X)
 
 
 class TestTabularSampler:
