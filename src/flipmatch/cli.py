@@ -21,7 +21,7 @@ import numpy as np
 
 from flipmatch.energy import TabularBayesNetModel, enumerate_exact, read_model, write_model
 from flipmatch.errors import ConfigError, FlipmatchError, NonFiniteLoss
-from flipmatch.graph import max_cardinality_search, min_fill_chordalize, sample_imap
+from flipmatch.graph import _cached_chordal, max_cardinality_search, sample_imap
 from flipmatch.harness import (
     TrainConfig,
     interaction_graph,
@@ -105,7 +105,7 @@ def _build_sampler(cfg: TrainConfig, num_vars: int) -> AmortizedSampler:
 def cmd_chordalize(args) -> int:
     m = _load_model(args.model)
     g = interaction_graph(m)
-    chordal = min_fill_chordalize(g, args.chordal_seed)
+    chordal = _cached_chordal(g, args.chordal_seed)  # the completion sample_imap reads
     _, cliques = max_cardinality_search(chordal, args.chordal_seed)
     imap = sample_imap(g, seed=args.imap_seed, chordal_seed=args.chordal_seed)
     doc = {

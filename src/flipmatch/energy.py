@@ -664,7 +664,8 @@ def enumerate_exact(m: EnergyModel) -> ExactTable:
     )
     log_z = logsumexp(logw)
     probs = np.exp(logw - log_z)
-    marginals = probs @ (states == 1)
+    # bit v of the row index is x_v: P(x_v = +1) sums the rows with that bit set
+    marginals = np.array([probs.reshape(-1, 2, 1 << v)[:, 1].sum() for v in range(m.num_vars)])
     return ExactTable(m.num_vars, log_z, probs, marginals)
 
 

@@ -25,12 +25,13 @@ blanket dicts are views derived on first read.  ``check_chordal`` reads the
 candidate cliques of the search rather than running a search of its own.
 
 No set-up stage scans the whole graph at each step of its work.  Min-fill
-finds its next vertex in buckets by fill count and recounts only the vertices
-an elimination touched; the search keeps its visited-neighbour counts as bit
-planes and tests a candidate clique only against the kept cliques holding its
-own vertex; the junction tree finds the intersecting clique pairs through a
-vertex to cliques index.  Each stage makes the draws of the whole-scan
-version (``tests/oracles.py``), so a seed gives the same maps.
+finds its next vertex in buckets by fill count and updates the counts by the
+pairs each fill edge and each elimination add or remove, with no recount;
+the search keeps its visited-neighbour counts as bit planes and tests a
+candidate clique only against the kept cliques holding its own vertex; the
+junction tree finds the intersecting clique pairs through a vertex to cliques
+index.  Each stage makes the draws of the whole-scan version
+(``tests/oracles.py``), so a seed gives the same maps.
 
 The search, tree and orientation run on a vertex set of an adjacency: the
 whole completion for ``sample_imap``, one vertex's closed neighbourhood in it
@@ -442,10 +443,12 @@ def min_fill_chordalize(
 
     Repeatedly eliminates the vertex whose neighborhood needs the fewest fill
     edges to become a clique, ties broken uniformly at random over the tied
-    vertices in ascending order.  Alive vertices sit in buckets by fill count,
-    and only the vertices whose neighbourhood an elimination touched are
-    recounted.  Already-chordal graphs come back unchanged (zero fill edges at
-    every step).
+    vertices in ascending order.  Alive vertices sit in buckets by fill count.
+    The counts are taken once and then kept current: a fill edge (a, b) takes
+    one missing pair from each common neighbour and gives a (and b) one for
+    each of its neighbours not adjacent to b (to a), and eliminating v takes
+    from each neighbour its missing pairs through v.  Already-chordal graphs
+    come back unchanged (zero fill edges at every step).
     """
     rng = _as_rng(seed)
     n = g.num_vars
@@ -471,26 +474,32 @@ def min_fill_chordalize(
         _move(buckets, 1 << v, None, f)
     for _ in range(n):
         v = _draw_member(buckets[min(buckets)], rng)
+        alive ^= 1 << v
+        _move(buckets, 1 << v, fill[v], None)
         nb = adj[v] & alive
-        dirty = nb
+        change = dict.fromkeys(_bits(nb), 0)
         rest = nb
         while rest:
             low = rest & -rest
             a = low.bit_length() - 1
             rest ^= low
-            need = nb & rest & ~adj[a]
-            for b in _bits(need):
+            for b in _bits(nb & rest & ~adj[a]):
+                # (a, b) is no longer missing around a common neighbour; a
+                # gains a missing pair per neighbour not adjacent to b, b too
+                for w in _bits(adj[a] & adj[b] & alive):
+                    change[w] = change.get(w, 0) - 1
+                change[a] += (adj[a] & alive & ~adj[b]).bit_count()
+                change[b] += (adj[b] & alive & ~adj[a]).bit_count()
                 adj[a] |= 1 << b
                 adj[b] |= 1 << a
                 added.append((a, b))
-                dirty |= adj[a] & adj[b]
-        alive ^= 1 << v
-        _move(buckets, 1 << v, fill[v], None)
-        for w in _bits(dirty & alive):
-            f = fill_count(w)
-            if f != fill[w]:
-                _move(buckets, 1 << w, fill[w], f)
-                fill[w] = f
+        for w in _bits(nb):
+            # N(v) is a clique now: w's missing pairs through v go with v
+            change[w] -= (adj[w] & alive & ~adj[v]).bit_count()
+        for w, d in change.items():
+            if d:
+                _move(buckets, 1 << w, fill[w], fill[w] + d)
+                fill[w] += d
     return g.with_extra_edges(added)
 
 

@@ -8,6 +8,7 @@ of this code is imported by the package itself.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -94,6 +95,18 @@ def all_states(num_vars: int) -> np.ndarray:
     """Every +-1 configuration, shape (2**num_vars, num_vars), bit v of the row index."""
     idx = np.arange(1 << num_vars)
     return ((idx[:, None] >> np.arange(num_vars)[None, :]) & 1).astype(np.int8) * 2 - 1
+
+
+def product_marginals(probs: np.ndarray, num_vars: int) -> np.ndarray:
+    """P(x_v = +1) as ``enumerate_exact`` once took it: one product with a float
+    (2^|V|, |V|) copy of the states."""
+    return probs @ (all_states(num_vars) == 1)
+
+
+def exact_marginals(probs: np.ndarray, num_vars: int) -> np.ndarray:
+    """P(x_v = +1) as the correctly rounded sum of the rows with bit v set."""
+    idx = np.arange(len(probs))
+    return np.array([math.fsum(probs[(idx >> v) & 1 == 1]) for v in range(num_vars)])
 
 
 # scalar helpers over the energy model and assignments, which the library

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import tempfile
 import warnings
 
@@ -23,9 +24,15 @@ from flipmatch.energy import (
     write_model,
 )
 from flipmatch.errors import FlipmatchError
-from flipmatch.graph import Imap, grid_graph
+from flipmatch.graph import Imap, _cached_chordal, grid_graph, min_fill_chordalize
 from flipmatch.harness import read_metrics_csv
 from flipmatch.nn import MaeConfig, MaeParams, save_checkpoint
+from oracles import (
+    reference_blanket,
+    reference_max_cardinality_search,
+    reference_min_fill_chordalize,
+    reference_sample_imap,
+)
 
 
 @pytest.fixture
@@ -81,6 +88,40 @@ class TestChordalize:
         assert len(doc["fill_edges"]) == 1  # one chord triangulates a 4-cycle
         assert doc["max_clique_size"] == 3
         assert sorted(doc["topo_order"]) == [0, 1, 2, 3]
+
+    def test_one_completion_matches_the_references(self, tmp_path, capsys):
+        # the fill edges, the cliques and the map all come from one min-fill run,
+        # and the report is the one the whole-scan references give
+        g = grid_graph(4, 5)
+        path = tmp_path / "grid.json"
+        write_model(random_ising(g, seed=1), str(path))
+        code, calls = min_fill_chordalize.__code__, []
+
+        def count(frame, event, arg):
+            if event == "call" and frame.f_code is code:
+                calls.append(frame)
+
+        _cached_chordal.cache_clear()
+        argv = ["chordalize", "--model", str(path), "--chordal-seed", "3", "--imap-seed", "5"]
+        sys.setprofile(count)
+        try:
+            assert main(argv) == 0
+        finally:
+            sys.setprofile(None)
+        assert len(calls) == 1
+        chordal = reference_min_fill_chordalize(g, 3)
+        _, cliques = reference_max_cardinality_search(chordal, 3)
+        dag = reference_sample_imap(g, 5, chordal_seed=3)
+        expected = {
+            "num_vars": 20,
+            "edges": len(g.edges),
+            "fill_edges": sorted([a, b] for a, b in chordal.edges - g.edges),
+            "max_clique_size": max(len(c) for c in cliques),
+            "topo_order": list(dag.topo_order),
+            "max_blanket_size": max(len(b) for b in reference_blanket(dag).values()),
+        }
+        assert expected["fill_edges"]
+        assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
 
     def test_zero_variable_model(self, tmp_path, capsys):
         path = tmp_path / "empty.json"

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -42,10 +43,12 @@ from flipmatch.graph import Imap, chain_graph, random_graph, sample_imap
 from oracles import (
     central_diff,
     energy,
+    exact_marginals,
     exact_sample,
     factors_touching,
     is_full,
     partial_reward,
+    product_marginals,
     relative_error,
     state_prob,
     table_conditional,
@@ -337,6 +340,29 @@ class TestEnumerateExact:
     def test_probs_sum_to_one(self):
         t = enumerate_exact(random_ising(random_graph(8, 0.4, 0), sigma=0.5, seed=1))
         assert_allclose(t.full_probs.sum(), 1.0, atol=1e-9)
+
+    @pytest.mark.parametrize("sigma", [0.2, 1.0, 3.0])
+    def test_marginals_match_the_exact_sum(self, sigma):
+        m = random_ising(chain_graph(18), sigma=sigma, seed=18)
+        t = enumerate_exact(m)
+        exact = exact_marginals(t.full_probs, 18)
+        assert np.abs(t.marginals - exact).max() <= 1e-15
+        # the product with a float copy of the states sums 2^18 rows in one
+        # BLAS pass and is off the exact sum by up to about 1.5e-13 here
+        assert_allclose(t.marginals, product_marginals(t.full_probs, 18), rtol=0, atol=1e-12)
+
+    def test_marginals_need_no_float_copy_of_the_states(self):
+        n = 18
+        m = random_ising(chain_graph(n), seed=0)
+        tracemalloc.start()
+        try:
+            enumerate_exact(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the int8 states and a few 2^n float vectors: a float64 copy of the
+        # states alone would take 8 bytes per entry
+        assert peak < 4 * (1 << n) * n
 
     def test_too_large_rejected(self):
         m = IsingModel(np.zeros((21, 21)), np.zeros(21), sigma=1.0)

@@ -563,6 +563,10 @@ def disjoint_union(*graphs):
 FAMILIES = {
     "grid5": lambda seed: grid_graph(5, 5),
     "grid8": lambda seed: grid_graph(8, 8),
+    # long fill cascades, each fill edge changing the counts of many vertices
+    "grid16": lambda seed: grid_graph(16, 16),
+    "grid12x20": lambda seed: grid_graph(12, 20),
+    "random-40-0.1": lambda seed: random_graph(40, 0.1, seed),
     "ladder": lambda seed: ladder_graph(6),
     "ladder-plain": lambda seed: ladder_graph(7, diagonals=False),
     "random-0.3": lambda seed: random_graph(14, 0.3, seed),
@@ -578,7 +582,9 @@ FAMILIES = {
     "one-vertex": lambda seed: UndirectedGraph(1, frozenset()),
     "empty": lambda seed: UndirectedGraph(0, frozenset()),
 }
-SEEDS = range(50)
+SEEDS = {family: range(50) for family in FAMILIES} | {
+    family: range(4) for family in ("grid16", "grid12x20", "random-40-0.1")
+}
 
 
 def same_arrays(imap, dag):
@@ -604,14 +610,16 @@ class TestMatchesWholeScanReference:
     and the generator left in the same state."""
 
     def test_completion(self, family):
-        for seed in SEEDS:
+        for seed in SEEDS[family]:
             g = FAMILIES[family](seed)
             a, b = twin_rngs(seed)
-            assert min_fill_chordalize(g, a).edges == reference_min_fill_chordalize(g, b).edges
+            out = min_fill_chordalize(g, a)
+            assert out.edges == reference_min_fill_chordalize(g, b).edges
             same_state(a, b)
+            assert check_chordal(out)
 
     def test_search_and_tree(self, family):
-        for seed in SEEDS:
+        for seed in SEEDS[family]:
             g = FAMILIES[family](seed)
             a, b = twin_rngs(seed)
             for h in (g, reference_completion(g, 0)):
@@ -625,7 +633,7 @@ class TestMatchesWholeScanReference:
                     assert jt.root == -1
 
     def test_maps(self, family):
-        for seed in SEEDS:
+        for seed in SEEDS[family]:
             g = FAMILIES[family](seed)
             a, b = twin_rngs(seed)
             same_arrays(sample_imap(g, a), reference_sample_imap(g, b))
