@@ -384,18 +384,29 @@ class EnergyModel:
                 out[rows] += f.log_value(old_block[:, f.scope]) - f.log_value(new_block[:, f.scope])
         return out
 
-    def local_flip_logits(self, u: int, X: np.ndarray) -> np.ndarray:
-        """log R(x with x_u=+1) - log R(x with x_u=-1) per row; the Gibbs logit."""
+    def local_flip_logits(self, u, X: np.ndarray) -> np.ndarray:
+        """log R(x with x_u=+1) - log R(x with x_u=-1) per row; the Gibbs logit.
+
+        ``u`` is one variable, giving one logit per row of X, or an array of
+        variables, giving a (len(u), rows) array whose row i is the logit of
+        u[i] with every other variable at its value in X.  X may be a
+        transposed view of a variable-major (|V|, rows) array, which gathers
+        a variable's values contiguously.  Each variable sums its touching
+        factors' log-value differences on the scope columns alone.
+        """
         X = _batch_values(X)
-        plus = X.copy()
-        plus[:, u] = 1
-        minus = X.copy()
-        minus[:, u] = -1
-        out = np.zeros(X.shape[0])
-        for k in self._touching[u]:
-            f = self.factors[k]
-            out += f.log_value(plus[:, f.scope]) - f.log_value(minus[:, f.scope])
-        return out
+        us = np.atleast_1d(np.asarray(u, dtype=np.int64))
+        out = np.zeros((len(us), X.shape[0]))
+        for i, v in enumerate(us.tolist()):
+            for k in self._touching[v]:
+                f = self.factors[k]
+                vals = np.ascontiguousarray(X[:, f.scope])
+                at = np.asarray(f.scope) == v
+                vals[:, at] = 1
+                plus = f.log_value(vals)
+                vals[:, at] = -1
+                out[i] += plus - f.log_value(vals)
+        return out if np.ndim(u) else out[0]
 
     def partial_reward_batch(self, X, mode: str = ZERO_MASKED) -> np.ndarray:
         """Log reward of partial assignments.
@@ -485,7 +496,11 @@ class IsingModel(EnergyModel):
         for u, v in self.edges:
             nbrs[u].append(v)
             nbrs[v].append(u)
-        self._nbrs = tuple(np.array(sorted(vs), dtype=np.int64) for vs in nbrs)
+        # each variable's neighbours in increasing order, padded with -1
+        self._degree = np.array([len(vs) for vs in nbrs], dtype=np.int64)
+        self._nbrs = np.full((n, int(self._degree.max(initial=0))), -1, dtype=np.int64)
+        for u, vs in enumerate(nbrs):
+            self._nbrs[u, : len(vs)] = sorted(vs)
         factors: list[Factor] = [
             BilinearFactor(u, v, 2.0 * sigma * J[u, v]) for u, v in self.edges
         ]
@@ -505,11 +520,23 @@ class IsingModel(EnergyModel):
         X = _batch_values(X).astype(np.float64)
         return self.sigma * (np.einsum("ni,ni->n", X @ self.J, X) + X @ self.b)
 
-    def local_flip_logits(self, u: int, X: np.ndarray) -> np.ndarray:
-        # the field reads only u's neighbours; weights come from J at call time
-        nb = self._nbrs[u]
-        field = _batch_values(X)[:, nb] @ self.J[u, nb]
-        return self.sigma * (4.0 * field + 2.0 * self.b[u])
+    def local_flip_logits(self, u, X: np.ndarray) -> np.ndarray:
+        # the field reads only u's neighbours; weights come from J at call time.
+        # Variables of equal degree d share one stacked matmul over (rows, d)
+        # blocks laid out column-major, as numpy lays out a gathered X[:, nb]:
+        # per variable the gemv of X[:, nb] @ J[u, nb], so the bits depend
+        # neither on which variables share the call nor on the layout of X
+        Xv = _batch_values(X).T
+        us = np.atleast_1d(np.asarray(u, dtype=np.int64))
+        field = np.empty((len(us), Xv.shape[1]))
+        deg = self._degree[us]
+        for d in np.unique(deg).tolist():
+            at = np.flatnonzero(deg == d)
+            nb = self._nbrs[us[at], :d]
+            blocks = np.ascontiguousarray(Xv[nb], dtype=np.float64).transpose(0, 2, 1)
+            field[at] = np.matmul(blocks, self.J[us[at, None], nb][:, :, None])[:, :, 0]
+        out = self.sigma * (4.0 * field + 2.0 * self.b[us][:, None])
+        return out if np.ndim(u) else out[0]
 
     def delta_log_reward_batch(self, X, us, new_vals) -> np.ndarray:
         X = _batch_values(X)

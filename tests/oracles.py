@@ -18,7 +18,15 @@ from typing import Sequence
 import numpy as np
 
 from flipmatch import losses
-from flipmatch.energy import ZERO_MASKED, Assignment, EnergyModel, ExactTable, _values_of
+from flipmatch.energy import (
+    ZERO_MASKED,
+    Assignment,
+    EnergyModel,
+    ExactTable,
+    IsingModel,
+    _batch_values,
+    _values_of,
+)
 from flipmatch.errors import (
     ConfigError,
     EmptyBatch,
@@ -41,8 +49,14 @@ from flipmatch.losses import (
 )
 from flipmatch.nn import MaeParams, tape
 from flipmatch.nn.mae import _LN_EPS
-from flipmatch.nn.tape import Tensor, log_sigmoid_np
-from flipmatch.sampler import AmortizedSampler, Policy, _merged_levels, masked_parent_rows
+from flipmatch.nn.tape import Tensor, log_sigmoid_np, sigmoid_np
+from flipmatch.sampler import (
+    AmortizedSampler,
+    AnnealSchedule,
+    Policy,
+    _merged_levels,
+    masked_parent_rows,
+)
 
 
 def _connected(vertices: list[int], has_edge) -> bool:
@@ -1265,3 +1279,50 @@ def per_u_delta_loss_batch(
     delta = m.delta_log_reward_batch(X.astype(np.int8), us, new_vals.astype(np.int8))
     residual = tape.const(delta) - ratio_sum
     return residual.square().mean()
+
+
+# ---------------------------------------------------------------------------
+# Gibbs as it was before the level schedule: one variable at a time in index
+# order, on a chains-major state, one logit call per variable
+
+
+def sequential_flip_logits(m: EnergyModel, u: int, X: np.ndarray) -> np.ndarray:
+    """log R(x with x_u=+1) - log R(x with x_u=-1) per row of X: the
+    neighbour-list field for Ising models, the touching-factor sum otherwise."""
+    X = _batch_values(X)
+    if isinstance(m, IsingModel):
+        nb = np.array(m.graph.neighbors(u), dtype=np.int64)
+        field = X[:, nb] @ m.J[u, nb]
+        return m.sigma * (4.0 * field + 2.0 * m.b[u])
+    plus = X.copy()
+    plus[:, u] = 1
+    minus = X.copy()
+    minus[:, u] = -1
+    out = np.zeros(X.shape[0])
+    for k in factors_touching(m, u):
+        f = m.factors[k]
+        out += f.log_value(plus[:, f.scope]) - f.log_value(minus[:, f.scope])
+    return out
+
+
+def sequential_gibbs(
+    m: EnergyModel,
+    n_chains: int,
+    n_steps: int,
+    anneal_schedule: AnnealSchedule | None = None,
+    seed=0,
+) -> np.ndarray:
+    """Systematic-scan Gibbs sampling, one step = one full sweep over variables."""
+    if n_chains < 0 or n_steps < 0:
+        raise ConfigError(f"chain and sweep counts cannot be negative: {n_chains}, {n_steps}")
+    rng = _as_rng(seed)
+    schedule = anneal_schedule or AnnealSchedule()
+    X = rng.choice(np.array([-1, 1], dtype=np.int8), size=(n_chains, m.num_vars))
+    X = X.astype(np.float64)
+    for sweep in range(n_steps if n_chains else 0):
+        beta = schedule.beta(sweep)
+        for u in range(m.num_vars):
+            logits = sequential_flip_logits(m, u, X)
+            p_plus = sigmoid_np(beta * logits)
+            X[:, u] = np.where(rng.random(n_chains) < p_plus, 1.0, -1.0)
+    return X.astype(np.int8)

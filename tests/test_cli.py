@@ -27,11 +27,13 @@ from flipmatch.errors import FlipmatchError
 from flipmatch.graph import Imap, _cached_chordal, grid_graph, min_fill_chordalize
 from flipmatch.harness import read_metrics_csv
 from flipmatch.nn import MaeConfig, MaeParams, save_checkpoint
+from flipmatch.sampler import AnnealSchedule
 from oracles import (
     reference_blanket,
     reference_max_cardinality_search,
     reference_min_fill_chordalize,
     reference_sample_imap,
+    sequential_gibbs,
 )
 
 
@@ -441,6 +443,16 @@ class TestGibbs:
         exact = enumerate_exact(m).marginals
         empirical = (X > 0).mean(axis=0)
         assert np.abs(empirical - exact).max() < 0.05
+
+    def test_writes_the_sequential_scan_draws(self, tmp_path):
+        # the command's chains are the one-variable-at-a-time scan's, bit for bit
+        path = tmp_path / "grid.json"
+        write_model(random_ising(grid_graph(4, 5), sigma=0.6, seed=3), str(path))
+        out = tmp_path / "chains.txt"
+        argv = "gibbs --n 40 --steps 6 --start-temperature 4 --ramp-sweeps 3 --seed 2"
+        assert main(argv.split() + ["--model", str(path), "--out", str(out)]) == 0
+        want = sequential_gibbs(read_model(str(path)), 40, 6, AnnealSchedule(4.0, 3), seed=2)
+        assert np.array_equal(_read_assignments(str(out)), want)
 
 
 class TestEm:

@@ -40,6 +40,7 @@ from flipmatch.errors import (
     TooLarge,
 )
 from flipmatch.graph import Imap, chain_graph, random_graph, sample_imap
+from flipmatch.sampler import _scan_levels
 from oracles import (
     central_diff,
     energy,
@@ -50,6 +51,7 @@ from oracles import (
     partial_reward,
     product_marginals,
     relative_error,
+    sequential_flip_logits,
     state_prob,
     table_conditional,
     with_value,
@@ -178,7 +180,8 @@ class TestDeltaLogReward:
 
     def test_ising_gibbs_logit_matches_factor_sum(self):
         # the neighbour-list field against the generic sum over touching factors,
-        # also after new couplings arrive through set_params
+        # one variable and whole Gibbs levels at a time, also after new
+        # couplings arrive through set_params
         rng = np.random.default_rng(6)
         m = random_ising(random_graph(8, 0.4, 2), sigma=0.7, seed=1)
         X = rng.choice([-1, 1], size=(16, 8)).astype(np.int8)
@@ -189,6 +192,15 @@ class TestDeltaLogReward:
                     EnergyModel.local_flip_logits(m, u, X),
                     rtol=0, atol=1e-12,
                 )
+            for us in _scan_levels(m.graph):
+                got = m.local_flip_logits(us, X)
+                assert got.shape == (len(us), 16)
+                assert_allclose(got, EnergyModel.local_flip_logits(m, us, X), rtol=0, atol=1e-12)
+                # a variable's logit does not depend on which others share the
+                # call, and is the one-variable field of a float state bit for bit
+                for i, u in enumerate(us.tolist()):
+                    assert np.array_equal(got[i], m.local_flip_logits(u, X))
+                    assert np.array_equal(got[i], sequential_flip_logits(m, u, X.astype(float)))
             m.set_params(rng.normal(size=m.num_params()))
 
     def test_antisymmetric_under_flip_back(self):

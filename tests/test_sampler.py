@@ -16,6 +16,7 @@ from flipmatch.energy import (
     Assignment,
     IsingModel,
     enumerate_exact,
+    random_factor_lattice,
     random_ising,
 )
 from flipmatch.errors import ConfigError, MissingParent, PartialAssignment, ShapeMismatch
@@ -25,6 +26,7 @@ from flipmatch.graph import (
     cycle_graph,
     grid_graph,
     ladder_graph,
+    random_graph,
     sample_imap,
     sub_imap,
 )
@@ -33,6 +35,7 @@ from flipmatch.sampler import (
     AmortizedSampler,
     AnnealSchedule,
     Policy,
+    _scan_levels,
     gibbs_chain,
     masked_parent_rows,
 )
@@ -49,6 +52,8 @@ from oracles import (
     log_prob,
     partial_sample,
     scatter_compact,
+    sequential_flip_logits,
+    sequential_gibbs,
     sequential_log_prob_batch,
     sequential_run_order,
     table_conditional,
@@ -710,6 +715,72 @@ class TestGibbs:
         assert sched.beta(100) == 1.0
         with pytest.raises(ConfigError):
             AnnealSchedule(0.0, 2)
+
+
+def gaussian_ising(g: UndirectedGraph, seed: int) -> IsingModel:
+    """Ising model on g with standard normal couplings and biases."""
+    rng = np.random.default_rng(seed)
+    J = np.zeros((g.num_vars, g.num_vars))
+    for u, v in sorted(g.edges):
+        J[u, v] = J[v, u] = rng.normal()
+    return IsingModel(J, rng.normal(size=g.num_vars), sigma=0.3)
+
+
+GIBBS_MODELS = {
+    "grid8": lambda: random_ising(grid_graph(8, 8), sigma=0.4, seed=1),
+    "grid32": lambda: random_ising(grid_graph(32, 32), sigma=0.4, seed=2),
+    "random-200-0.1": lambda: gaussian_ising(random_graph(200, 0.1, 3), seed=4),
+    "random-60-0.5": lambda: gaussian_ising(random_graph(60, 0.5, 5), seed=6),
+    "factor-lattice-4x5": lambda: random_factor_lattice(4, 5, seed=7),
+    # vertex 3 touches no edge, vertex 0 only a later one
+    "isolated-vertex": lambda: gaussian_ising(
+        UndirectedGraph.from_edges(6, [(0, 4), (1, 2), (2, 5), (4, 5)]), seed=8
+    ),
+}
+
+
+class TestScanLevels:
+    @pytest.mark.parametrize("name", sorted(GIBBS_MODELS))
+    def test_levels_respect_the_index_order_scan(self, name):
+        g = GIBBS_MODELS[name]().graph
+        levels = _scan_levels(g)
+        level_of = np.empty(g.num_vars, dtype=np.int64)
+        for k, us in enumerate(levels):
+            level_of[us] = k
+        assert sorted(np.concatenate(levels).tolist()) == list(range(g.num_vars))
+        for u, v in g.edges:
+            # no edge inside a level, and the lower end is updated first
+            assert level_of[u] < level_of[v]
+
+    def test_level_counts(self):
+        assert len(_scan_levels(grid_graph(32, 32))) == 63
+        assert len(_scan_levels(UndirectedGraph(5, frozenset()))) == 1
+        assert len(_scan_levels(chain_graph(7))) == 7
+
+
+class TestGibbsMatchesSequentialScan:
+    """A sweep by dependency levels draws what the one-variable scan draws."""
+
+    @pytest.mark.parametrize("chains", [0, 1, 7, 256])
+    @pytest.mark.parametrize("name", sorted(GIBBS_MODELS))
+    def test_same_draws(self, name, chains):
+        m = GIBBS_MODELS[name]()
+        for n_steps in (0, 5):
+            for schedule in (None, AnnealSchedule(3.0, 3)):
+                got = gibbs_chain(m, chains, n_steps, anneal_schedule=schedule, seed=11)
+                want = sequential_gibbs(m, chains, n_steps, anneal_schedule=schedule, seed=11)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("name", sorted(GIBBS_MODELS))
+    def test_level_logits_are_the_per_variable_logits(self, name):
+        # bit for bit, not only the draws: a field one ulp off rarely changes one
+        m = GIBBS_MODELS[name]()
+        Xv = np.random.default_rng(13).choice([-1.0, 1.0], size=(m.num_vars, 256))
+        for us in _scan_levels(m.graph):
+            got = m.local_flip_logits(us, Xv.T)
+            want = [sequential_flip_logits(m, u, np.ascontiguousarray(Xv.T)) for u in us]
+            assert_array_equal(got, np.reshape(want, got.shape))
 
 
 class TestCountsAndSeeds:
