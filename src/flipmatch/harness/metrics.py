@@ -82,19 +82,21 @@ def write_metrics_csv(rows, path: str) -> None:
 
 
 def read_metrics_csv(path: str) -> list[MetricsRow]:
+    """The rows ``write_metrics_csv`` wrote.  A missing or wrong header, a
+    row with the wrong number of fields or a field that does not parse
+    raises ShapeMismatch naming the path and the line."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if tuple(header) != METRIC_COLUMNS:
-            raise ShapeMismatch(f"unexpected metrics header {header!r}")
-        return [
-            MetricsRow(
-                step=int(row[0]),
-                seconds=float(row[1]),
-                nll=float(row[2]),
-                mmd=float(row[3]),
-                loss=float(row[4]),
-                instantiated=int(row[5]),
-            )
-            for row in reader
-        ]
+        header = next(reader, None)
+        if header is None or tuple(header) != METRIC_COLUMNS:
+            raise ShapeMismatch(f"{path}, line 1: unexpected metrics header {header!r}")
+        rows = []
+        for row in reader:
+            where = f"{path}, line {reader.line_num}"
+            if len(row) != len(METRIC_COLUMNS):
+                raise ShapeMismatch(f"{where}: {len(row)} fields, expected {len(METRIC_COLUMNS)}")
+            try:
+                rows.append(MetricsRow(int(row[0]), *map(float, row[1:5]), int(row[5])))
+            except ValueError as e:
+                raise ShapeMismatch(f"{where}: {e}") from None
+        return rows

@@ -25,13 +25,18 @@ coordinates carrying observed values for latent-variable posteriors.  The
 layer norms' epsilon is a constant, so a checkpoint's header rebuilds exactly
 the network that was saved.
 
-The forward exists once, written in place on raw arrays.  The gradient-free
-calls (``masked_logits_np``, ``trunk_np``) run it on cache-sized row slices
-and keep nothing.  The taped calls (``masked_logits``, ``trunk``) run it on
-the whole batch, keep each block's input, normalized values, 1/sigma and
-activation slope, and record the trunk as one tape node whose backward walks
-the blocks in reverse, the first layer's scatter included; the heads are
-ordinary tape ops on top of that node.
+The forward exists once, written in place on raw arrays, and every call runs
+its blocks on cache-sized row slices (``_BLOCK_ELEMENTS // width`` rows).
+The gradient-free calls (``masked_logits_np``, ``trunk_np``) keep nothing.
+The taped calls (``masked_logits``, ``trunk``) record one tape node from the
+first layer's output to the logits, or to the trunk rows for the flow head,
+and keep only that output, the first layer's output and the last slice's
+intermediates.  The node's backward walks the slices last to first: it runs
+each earlier slice's blocks again from the first layer's output (gradient
+checkpointing, Chen et al. 2016, arXiv:1604.06174), pushes the gradient back
+through the head and the blocks, and at the end runs the first layer's
+scatter once on the whole batch.  A call that fits in one slice runs nothing
+twice.
 
 A conditional depends only on its variable and its input, and a batch often
 holds the same (variable, columns, values) row many times: with few parents,
@@ -40,8 +45,9 @@ x-side and flip-side rows of a flip term are equal.  ``masked_logits`` and
 ``masked_logits_np`` therefore run the first layer on every row, then the
 blocks and the head on one row per group of exactly equal rows, and expand
 the logits back by the group index (on the tape a gather, whose backward
-sums the repeats); the input weights' gradient reads each group's row once.  A batch in which fewer than an eighth
-of the rows repeat runs every row, paying only the grouping key and its sort.
+sums the repeats); the input weights' gradient reads each group's row once.
+A batch in which fewer than an eighth of the rows repeat runs every row,
+paying only the grouping key and its sort.
 So that each row's logit is the one it gets on its own, a one-row matrix
 product goes through the same kernel as a larger batch.
 """
@@ -167,28 +173,72 @@ class MaeParams:
         """Shared trunk on the tape: input rows -> (B, width).
 
         ``x`` holds (B, input_width) masked rows, or with ``cols`` the compact
-        form of ``trunk_np``.  The forward is the one ``trunk_np`` runs, on the
-        whole batch at once, with each block keeping what its gradient needs;
-        the trunk is then a single tape node whose backward walks the blocks
-        in reverse.
+        form of ``trunk_np``.  The trunk rows are the output of the one tape
+        node of ``_taped_blocks``, run without a head.
         """
         packed = self._packed(x, cols)
         return self._taped_blocks(x, packed, self._first_layer(x, packed))
 
-    def _taped_blocks(self, x: np.ndarray, packed, h: np.ndarray, rows=None) -> Tensor:
-        """The blocks on first-layer outputs h, recorded as one tape node.
+    def _taped_blocks(self, x: np.ndarray, packed, z: np.ndarray, rows=None, head=None) -> Tensor:
+        """The blocks on first-layer outputs z, then with ``head`` the logit of
+        variable head[i] for row i, recorded as one tape node.
 
-        ``rows`` names the input rows that h holds, one each, when it does
-        not hold them all (see ``_distinct_rows``).
+        The forward is ``trunk_np``'s, slice by slice.  The node keeps z, its
+        output and the last slice's intermediates; every other slice runs in
+        a copy of its rows of z and keeps nothing, and ``_trunk_backward``
+        runs it again.  ``rows`` names the input rows that z holds, one each,
+        when it does not hold them all (see ``_distinct_rows``).
         """
-        saved: list[tuple] = []
-        h = self._blocks_np(h, saved)
+        slices = _row_slices(*z.shape)
+        out = np.empty_like(z) if head is None else np.empty(len(z))
+        last = None
+        for s in slices:
+            if s is slices[-1]:
+                saved: list[tuple] = []
+                h = self._blocks_np(z[s], saved)  # in z's own rows: never recomputed
+                last = saved, h
+            else:
+                h = self._blocks_np(z[s].copy())
+            out[s] = h if head is None else self._head_np(h, head[s])
+        params = self._trunk_params + (() if head is None else (self.w_out, self.b_out))
         return tape._make(
-            h, self._trunk_params, lambda g: self._trunk_backward(x, packed, rows, saved, g)
+            out, params, lambda g: self._trunk_backward(x, packed, rows, z, head, last, g)
         )
 
-    def _trunk_backward(self, x: np.ndarray, packed, rows, saved: list[tuple], g: np.ndarray) -> None:
-        """Push the trunk output's gradient g into the trunk's parameters.
+    def _trunk_backward(self, x: np.ndarray, packed, rows, z, head, last, g: np.ndarray) -> None:
+        """Push the node's output gradient g into the head's and the trunk's parameters.
+
+        Slice by slice, last first: the last slice's intermediates are the
+        ones the forward kept, every other slice's come from running its
+        blocks again on its rows of z.  The gradient goes back through the
+        head into that slice's trunk rows, then through the blocks into the
+        slice's rows of gz, the first layer's output gradient; the input
+        weights and bias take theirs from the whole of gz at the end.
+        """
+        slices = _row_slices(*z.shape)
+        gz = np.empty_like(z)
+        if head is not None:
+            gw, gb = np.zeros_like(self.w_out.data), np.zeros_like(self.b_out.data)
+        for s in reversed(slices):
+            if s is slices[-1]:
+                saved, h = last
+            else:
+                saved = []
+                h = self._blocks_np(z[s].copy(), saved)
+            gh = g[s]
+            if head is not None:
+                tape.pick_affine_grads(h, gh, head[s], gw, gb)
+                gh = gh[:, None] * self.w_out.data.T[head[s]]
+            gz[s] = self._blocks_backward(saved, gh)
+        if head is not None:
+            self.w_out.accumulate(gw)
+            self.b_out.accumulate(gb)
+        self.w_in.accumulate(self._first_layer_grad(x, packed, gz, rows))
+        self.b_in.accumulate(gz.sum(axis=0))
+
+    def _blocks_backward(self, saved: list[tuple], g: np.ndarray) -> np.ndarray:
+        """Push the gradient g of the blocks' output into the blocks' parameters;
+        returns the gradient of their input, the first layer's output.
 
         Per block, last first: back through the activation slope and the
         layer norm, into the weight and bias of the block's affine map, then
@@ -204,17 +254,11 @@ class MaeParams:
             m1 = dxhat.mean(axis=-1, keepdims=True)
             m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
             gz = inv * (dxhat - m1 - xhat * m2)
-            if k == 0:
-                self.w_in.accumulate(self._first_layer_grad(x, packed, gz, rows))
-                self.b_in.accumulate(gz.sum(axis=0))
-            else:
+            if k > 0:
                 wk.accumulate(h_in.T @ gz)
                 bk.accumulate(gz.sum(axis=0))
                 g = g + gz @ wk.data.T
-
-    def logits(self, trunk: Tensor, vs: np.ndarray) -> Tensor:
-        """Head logit of variable vs[i] for trunk row i: (B, width) -> (B,)."""
-        return tape.pick_affine(trunk, self.w_out, self.b_out, vs)
+        return gz
 
     def flow(self, trunk: Tensor) -> Tensor:
         """Scalar state-flow estimate per row: (B, width) -> (B,)."""
@@ -240,11 +284,10 @@ class MaeParams:
         z = self._first_layer(x, packed)
         distinct = self._distinct_rows(x, packed, vs)
         if distinct is None:
-            logits = self.logits(self._taped_blocks(x, packed, z), vs)
+            logits = self._taped_blocks(x, packed, z, head=vs)
         else:
             rows, inv = distinct
-            trunk = self._taped_blocks(x, packed, z[rows], rows)
-            logits = tape.gather_1d(self.logits(trunk, vs[rows]), inv)
+            logits = tape.gather_1d(self._taped_blocks(x, packed, z[rows], rows, vs[rows]), inv)
         empty = ~(x != 0).any(axis=1)
         if not empty.any():
             return logits
@@ -366,12 +409,14 @@ class MaeParams:
         return self._sliced_blocks_np(self._first_layer(x, self._packed(x, cols)))
 
     def _sliced_blocks_np(self, h: np.ndarray) -> np.ndarray:
-        """The blocks in h's own buffer, on row slices small enough that their
-        buffers stay in cache."""
-        step = max(1, _BLOCK_ELEMENTS // h.shape[1])
-        for a in range(0, h.shape[0], step):
-            self._blocks_np(h[a : a + step])
+        """The blocks in h's own buffer, slice by slice (see ``_row_slices``)."""
+        for s in _row_slices(*h.shape):
+            self._blocks_np(h[s])
         return h
+
+    def _head_np(self, h: np.ndarray, vs: np.ndarray) -> np.ndarray:
+        """Logit of variable vs[i] for trunk row i: (B, width) -> (B,)."""
+        return np.einsum("ij,ij->i", h, self.w_out.data.T[vs]) + self.b_out.data[vs]
 
     def _blocks_np(self, h: np.ndarray, saved: list | None = None) -> np.ndarray:
         """The trunk's blocks on first-layer outputs h (no bias yet); returns their output.
@@ -418,8 +463,7 @@ class MaeParams:
         if distinct is not None:
             rows, inv = distinct
             h, head = h[rows], vs[rows]
-        self._sliced_blocks_np(h)
-        logits = np.einsum("ij,ij->i", h, self.w_out.data.T[head]) + self.b_out.data[head]
+        logits = self._head_np(self._sliced_blocks_np(h), head)
         if distinct is not None:
             logits = logits[inv]
         empty = ~(x != 0).any(axis=1)
@@ -503,6 +547,13 @@ class MaeParams:
     def zero_grad(self) -> None:
         for p in self.params:
             p.zero_grad()
+
+
+def _row_slices(n: int, width: int) -> list[slice]:
+    """The row slices, first to last, on which the blocks run for n rows of
+    the given width: small enough that a slice's buffers stay in cache."""
+    step = max(1, _BLOCK_ELEMENTS // width)
+    return [slice(a, a + step) for a in range(0, n, step)]
 
 
 def _count_runs(counts: np.ndarray, n: int, width: int):

@@ -5,11 +5,11 @@ pushes the output gradient back into them.  Only the shapes and operations the
 losses in this package need are provided — dense affine maps, an affine map
 that computes one picked output column per row, log-sigmoid (whose raw-array
 form, with the sigmoid's, serves the whole package), selects, gathers, segment
-sums, and reductions.  The network's trunk is not built from these ops: it
-records itself as one node through ``_make``, with its own backward (see
-``flipmatch.nn.mae``).  The correctness contract is agreement with central
-finite differences at 64-bit precision, which the test suite checks op by op
-and end to end.
+sums, and reductions.  The network's trunk and logit head are not built from
+these ops: they record themselves as one node through ``_make``, with their
+own backward (see ``flipmatch.nn.mae``).  The correctness contract is
+agreement with central finite differences at 64-bit precision, which the
+test suite checks op by op and end to end.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ __all__ = [
     "log_sigmoid_np",
     "where",
     "pick_affine",
+    "pick_affine_grads",
     "gather_1d",
     "segment_sum",
     "reshape",
@@ -217,9 +218,8 @@ def where(cond: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
 def pick_affine(x: Tensor, w: Tensor, b: Tensor, cols: np.ndarray) -> Tensor:
     """out[i] = x[i] . w[:, cols[i]] + b[cols[i]]: one output column per row.
 
-    The affine map computes only the column each row reads.  Its backward
-    sums the rows of each column with a sort and ``reduceat``, so it builds
-    no (rows, columns) array either.
+    The affine map computes only the column each row reads, and its backward
+    (``pick_affine_grads``) builds no (rows, columns) array either.
     """
     cols = np.asarray(cols, dtype=np.int64)
     w_rows = w.data.T[cols]  # (rows, width): row i is column cols[i] of w
@@ -227,21 +227,29 @@ def pick_affine(x: Tensor, w: Tensor, b: Tensor, cols: np.ndarray) -> Tensor:
     def back(g):
         if x.requires_grad:
             x.accumulate(g[:, None] * w_rows)
-        order = np.argsort(cols, kind="stable")
-        sorted_cols = cols[order]
-        starts = np.flatnonzero(np.diff(sorted_cols, prepend=-1))
-        used = sorted_cols[starts]
+        gw, gb = np.zeros_like(w.data), np.zeros_like(b.data)
+        pick_affine_grads(x.data, g, cols, gw, gb)
         if w.requires_grad:
-            gw = np.zeros_like(w.data)
-            gw[:, used] = np.add.reduceat(x.data[order] * g[order, None], starts, axis=0).T
             w.accumulate(gw)
         if b.requires_grad:
-            gb = np.zeros_like(b.data)
-            gb[used] = np.add.reduceat(g[order], starts)
             b.accumulate(gb)
 
     out_data = np.einsum("ij,ij->i", x.data, w_rows) + b.data[cols]
     return _make(out_data, (x, w, b), back)
+
+
+def pick_affine_grads(x: np.ndarray, g: np.ndarray, cols: np.ndarray, gw, gb) -> None:
+    """Add the gradients of ``pick_affine``'s w and b, for input x and output
+    gradient g, into gw and gb.
+
+    The rows of each column are summed with a sort and ``reduceat``.
+    """
+    order = np.argsort(cols, kind="stable")
+    sorted_cols = cols[order]
+    starts = np.flatnonzero(np.diff(sorted_cols, prepend=-1))
+    used = sorted_cols[starts]
+    gw[:, used] += np.add.reduceat(x[order] * g[order, None], starts, axis=0).T
+    gb[used] += np.add.reduceat(g[order], starts)
 
 
 def gather_1d(x: Tensor, idx: np.ndarray) -> Tensor:

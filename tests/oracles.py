@@ -471,6 +471,63 @@ def no_merging(monkeypatch) -> None:
     monkeypatch.setattr(MaeParams, "_distinct_rows", lambda self, *args: None)
 
 
+def whole_batch_masked_logits(mae, x: np.ndarray, vs, cols=None) -> Tensor:
+    """``masked_logits`` with the blocks run on the whole batch at once, every
+    block's intermediates kept, and the head as a separate ``pick_affine``
+    node: the taped call before it ran in slices."""
+    vs = np.asarray(vs, dtype=np.int64)
+    packed = mae._packed(x, cols)
+    z = mae._first_layer(x, packed)
+    distinct = mae._distinct_rows(x, packed, vs)
+    if distinct is None:
+        logits = tape.pick_affine(_whole_batch_blocks(mae, x, packed, z), mae.w_out, mae.b_out, vs)
+    else:
+        rows, inv = distinct
+        trunk = _whole_batch_blocks(mae, x, packed, z[rows], rows)
+        logits = tape.gather_1d(tape.pick_affine(trunk, mae.w_out, mae.b_out, vs[rows]), inv)
+    empty = ~(x != 0).any(axis=1)
+    if not empty.any():
+        return logits
+    return tape.where(empty, tape.gather_1d(mae.marginals, vs), logits)
+
+
+def whole_batch_trunk(mae, x: np.ndarray, cols=None) -> Tensor:
+    """``trunk`` run on the whole batch at once (see ``whole_batch_masked_logits``)."""
+    packed = mae._packed(x, cols)
+    return _whole_batch_blocks(mae, x, packed, mae._first_layer(x, packed))
+
+
+def _whole_batch_blocks(mae, x: np.ndarray, packed, h: np.ndarray, rows=None) -> Tensor:
+    """The blocks on first-layer outputs h as one tape node that keeps each
+    block's input, normalized values, 1/sigma and activation slope for every
+    row; ``rows`` as for ``MaeParams._taped_blocks``."""
+    saved: list[tuple] = []
+    h = mae._blocks_np(h, saved)
+
+    def backward(g: np.ndarray) -> None:
+        # per block, last first: back through the activation slope and the
+        # layer norm, into the block's affine map, then down the residual
+        for k in reversed(range(len(saved))):
+            h_in, xhat, inv, slope = saved[k]
+            wk, bk, gamma, beta = mae.block_weights[k]
+            gy = g * slope
+            beta.accumulate(gy.sum(axis=0))
+            gamma.accumulate((gy * xhat).sum(axis=0))
+            dxhat = gy * gamma.data
+            m1 = dxhat.mean(axis=-1, keepdims=True)
+            m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+            gz = inv * (dxhat - m1 - xhat * m2)
+            if k == 0:
+                mae.w_in.accumulate(mae._first_layer_grad(x, packed, gz, rows))
+                mae.b_in.accumulate(gz.sum(axis=0))
+            else:
+                wk.accumulate(h_in.T @ gz)
+                bk.accumulate(gz.sum(axis=0))
+                g = g + gz @ wk.data.T
+
+    return tape._make(h, mae._trunk_params, backward)
+
+
 def _dense_log_sigmoid(z: np.ndarray) -> np.ndarray:
     return np.minimum(z, 0.0) - np.log1p(np.exp(-np.abs(z)))
 

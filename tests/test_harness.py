@@ -31,6 +31,7 @@ from flipmatch.errors import (
 )
 from flipmatch.graph import Imap, chain_graph, cycle_graph, sample_imap
 from flipmatch.harness import (
+    METRIC_COLUMNS,
     MetricsRow,
     TrainConfig,
     data_marginal_loglik,
@@ -239,6 +240,24 @@ class TestMetrics:
         path = tmp_path / "bad.csv"
         path.write_text("step,loss\n1,0.5\n")
         with pytest.raises(ShapeMismatch):
+            read_metrics_csv(str(path))
+
+    def test_csv_empty_file_names_the_file(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        with pytest.raises(ShapeMismatch, match=r"empty\.csv, line 1"):
+            read_metrics_csv(str(path))
+
+    def test_csv_short_row_names_the_line(self, tmp_path):
+        path = tmp_path / "short.csv"
+        path.write_text(",".join(METRIC_COLUMNS) + "\n1,0.5,nan,nan,0.25,3\n2,0.75,nan\n")
+        with pytest.raises(ShapeMismatch, match=r"short\.csv, line 3: 3 fields, expected 6"):
+            read_metrics_csv(str(path))
+
+    def test_csv_non_numeric_field_names_the_line(self, tmp_path):
+        path = tmp_path / "text.csv"
+        path.write_text(",".join(METRIC_COLUMNS) + "\n1,0.5,nan,nan,low,3\n")
+        with pytest.raises(ShapeMismatch, match=r"text\.csv, line 2: .*'low'"):
             read_metrics_csv(str(path))
 
 

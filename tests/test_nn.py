@@ -11,6 +11,7 @@ from __future__ import annotations
 import os
 import struct
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,8 +21,17 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from flipmatch.errors import CorruptFile, FlipmatchError, NonFiniteLoss, ShapeMismatch
 from flipmatch.nn import AdamState, MaeConfig, MaeParams, load_checkpoint, save_checkpoint, tape
+from flipmatch.nn import mae as mae_module
+from flipmatch.nn.tape import Tensor
 
-from oracles import central_diff, masked_sigmoid, no_merging, relative_error
+from oracles import (
+    central_diff,
+    masked_sigmoid,
+    no_merging,
+    relative_error,
+    whole_batch_masked_logits,
+    whole_batch_trunk,
+)
 
 
 def run_gradcheck(arrays, fn, tol=5e-7, h=1e-5):
@@ -369,7 +379,7 @@ class TestMae:
         x[:, -1] = 1.0
         h = mae.trunk(x)
         assert h.shape == (5, cfg.width)
-        assert mae.logits(h, np.arange(5) % 4).shape == (5,)
+        assert mae.masked_logits(x, np.arange(5) % 4).shape == (5,)
         assert mae.flow(h).shape == (5,)
 
     def test_exactly_one_aux_group(self):
@@ -685,6 +695,157 @@ class TestDistinctRows:
             v0 = np.zeros(0, dtype=np.int64)
             assert mae.masked_logits(x0, v0, c0).shape == (0,)
             assert mae.masked_logits_np(x0, v0, c0).shape == (0,)
+
+
+def slice_rows(monkeypatch, rows: int, width: int) -> None:
+    """Make the blocks run on slices of ``rows`` rows at the given width."""
+    monkeypatch.setattr(mae_module, "_BLOCK_ELEMENTS", rows * width)
+
+
+def sliced_batch(cfg: MaeConfig, form: str, seed: int):
+    """(x, vs, cols, n) of one of the input forms the taped call takes: full
+    rows, compact blocks of 3 rows, or compact rows that mostly repeat."""
+    if form == "dense":
+        x = sample_inputs(cfg, 23, seed=seed, empty_rows=2)
+        vs = np.random.default_rng(seed).integers(0, cfg.num_vars, len(x))
+        return x, vs, None, 1
+    if form == "compact":
+        x, cols, _ = awkward_compact_batch(cfg, 3, seed)
+        return x, np.resize([3, 0, 2, 1], len(x)), cols, 3
+    x, vs, cols, n, _ = repeated_batch(cfg, 3, seed)
+    return x, vs, cols, n
+
+
+class TestSlicedTape:
+    """The taped call runs its blocks and head on row slices and runs them
+    again in the backward; that changes no logit, and no gradient beyond
+    1e-12 of the whole-batch reference, and none at all in one slice."""
+
+    FORMS = [("dense", ()), ("compact", ()), ("merged", ()), ("dense", (1, 3)), ("compact", (1,))]
+    FORM_IDS = ["dense", "compact", "merged", "cond", "cond-compact"]
+
+    @pytest.mark.parametrize("activation", ["relu", "elu"])
+    @pytest.mark.parametrize("form,cond", FORMS, ids=FORM_IDS)
+    def test_slices_change_no_logit_and_no_gradient(
+        self, monkeypatch, block_rows, activation, form, cond
+    ):
+        cfg = small_config(activation=activation, cond_vars=cond, blocks=3)
+        mae = MaeParams(cfg)
+        randomize(mae, seed=51)
+        x, vs, cols, n = sliced_batch(cfg, form, seed=17)
+        weights = np.random.default_rng(13).normal(size=len(x))
+        reference = whole_batch_masked_logits(mae, x, vs, cols)
+        want = network_grads(mae, tape.mul(reference, weights).sum())
+        reference = reference.data
+        slice_rows(monkeypatch, 4, cfg.width)
+        block_rows.clear()
+        taped = mae.masked_logits(x, vs, cols)
+        forward = list(block_rows)
+        assert len(forward) >= 3 and set(forward[:-1]) == {4}
+        assert (sum(forward) < len(x)) == (form == "merged")
+        assert_array_equal(taped.data, mae.masked_logits_np(x, vs, cols))
+        assert_array_equal(taped.data, each_row_alone(mae, x, vs, cols, n))
+        assert_array_equal(taped.data, reference)
+        block_rows.clear()
+        got = network_grads(mae, tape.mul(taped, weights).sum())
+        # every slice but the last runs again, last first
+        assert block_rows == forward[-2::-1]
+        assert max(np.abs(g).max() for g in got) > 1e-2
+        for name, g, w in zip(mae.names, got, want):
+            assert_allclose(g, w, rtol=0, atol=1e-12, err_msg=name)
+
+    @pytest.mark.parametrize("activation", ["relu", "elu"])
+    @pytest.mark.parametrize("form,cond", FORMS, ids=FORM_IDS)
+    def test_one_slice_is_the_whole_batch_reference(self, block_rows, activation, form, cond):
+        cfg = small_config(activation=activation, cond_vars=cond, blocks=3, flow_head=True)
+        mae = MaeParams(cfg)
+        randomize(mae, seed=52)
+        x, vs, cols, _ = sliced_batch(cfg, form, seed=18)
+        weights = np.random.default_rng(14).normal(size=len(x))
+        taped = mae.masked_logits(x, vs, cols)
+        assert len(block_rows) == 1
+        reference = whole_batch_masked_logits(mae, x, vs, cols)
+        assert_array_equal(taped.data, reference.data)
+        got = network_grads(mae, tape.mul(taped, weights).sum())
+        want = network_grads(mae, tape.mul(reference, weights).sum())
+        assert len(block_rows) == 2  # the node and the reference, no recompute
+        for name, g, w in zip(mae.names, got, want):
+            assert_array_equal(g, w, err_msg=name)
+        trunk, reference = mae.trunk(x, cols), whole_batch_trunk(mae, x, cols)
+        assert_array_equal(trunk.data, reference.data)
+        got = network_grads(mae, tape.mul(mae.flow(trunk), weights).sum())
+        want = network_grads(mae, tape.mul(mae.flow(reference), weights).sum())
+        for name, g, w in zip(mae.names, got, want):
+            assert_array_equal(g, w, err_msg=name)
+
+    @pytest.mark.parametrize("activation", ["relu", "elu"])
+    @pytest.mark.parametrize("form", ["dense", "compact"])
+    def test_sliced_trunk_matches_the_whole_batch_reference(self, monkeypatch, activation, form):
+        cfg = small_config(activation=activation, cond_vars=(2,), blocks=2, flow_head=True)
+        mae = MaeParams(cfg)
+        randomize(mae, seed=53)
+        x, _, cols, _ = sliced_batch(cfg, form, seed=19)
+        weights = np.random.default_rng(15).normal(size=len(x))
+        reference = whole_batch_trunk(mae, x, cols)
+        want = network_grads(mae, tape.mul(mae.flow(reference), weights).sum())
+        slice_rows(monkeypatch, 5, cfg.width)
+        trunk = mae.trunk(x, cols)
+        assert_array_equal(trunk.data, reference.data)
+        assert_array_equal(trunk.data, mae.trunk_np(x, cols))
+        got = network_grads(mae, tape.mul(mae.flow(trunk), weights).sum())
+        for name, g, w in zip(mae.names, got, want):
+            assert_allclose(g, w, rtol=0, atol=1e-12, err_msg=name)
+
+    @pytest.mark.parametrize("activation", ["relu", "elu"])
+    @pytest.mark.parametrize("form", ["dense", "compact", "merged"])
+    def test_gradcheck_across_slices(self, monkeypatch, activation, form):
+        cfg = small_config(activation=activation, cond_vars=(1,), blocks=2, flow_head=True)
+        mae = MaeParams(cfg)
+        randomize(mae, seed=54)
+        x, vs, cols, _ = sliced_batch(cfg, form, seed=20)
+        weights = np.random.default_rng(16).normal(size=len(x))
+        slice_rows(monkeypatch, 3, cfg.width)
+
+        def loss(flow: bool) -> Tensor:
+            out = mae.flow(mae.trunk(x, cols)) if flow else mae.masked_logits(x, vs, cols)
+            return tape.mul(out, weights).sum()
+
+        flat0 = mae.pack()
+        for flow in (False, True):
+
+            def loss_value(flat: np.ndarray) -> float:
+                mae.unpack(flat)
+                return float(loss(flow).data)
+
+            analytic = np.concatenate([g.ravel() for g in network_grads(mae, loss(flow))])
+            numeric = central_diff(loss_value, flat0, h=1e-4)
+            mae.unpack(flat0)
+            live = np.abs(analytic) > 1e-3
+            assert live.sum() >= 50
+            err = relative_error(analytic[live], numeric[live], floor=1e-3)
+            assert err.max() < 1e-4
+            assert np.abs(analytic[~live] - numeric[~live]).max(initial=0.0) < 1e-6
+
+    def test_tape_memory_is_a_few_batch_arrays(self):
+        # 32,768 rows at width 64 are 32 slices.  The first layer's output and
+        # its gradient are two arrays of the batch's size, and one slice's
+        # intermediates add about a third of one; the whole-batch tape kept
+        # each block's input, normalized values and activation slope for
+        # every row, over 14 such arrays at its peak
+        cfg = MaeConfig(num_vars=16, width=64, blocks=3, activation="relu", init_seed=0)
+        mae = MaeParams(cfg)
+        randomize(mae, seed=55, scale=0.1)
+        rows = 32768
+        x = np.random.default_rng(0).choice([-1.0, 1.0], size=(rows, cfg.input_width))
+        vs = np.arange(rows) % cfg.num_vars
+        weights = np.random.default_rng(1).normal(size=rows)
+        tracemalloc.start()
+        try:
+            tape.backward(tape.mul(mae.masked_logits(x, vs), weights).sum())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * rows * cfg.width * 8
 
 
 class TestCheckpoint:
