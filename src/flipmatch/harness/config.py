@@ -21,8 +21,12 @@ class TrainConfig:
     ``sub_dags_per_var`` selects the update style for the flip-matching
     objective: zero trains on full ancestral samples under one I-map, a
     positive value samples that many partial draws per variable under
-    per-variable local maps.  ``aux_lr_multiplier`` scales the learning rate
-    of the log-normalizer estimate and the root-marginal logits.
+    per-variable local maps.  ``stochastic_children_above``, when positive,
+    scores each flip at a variable with more children than that by the
+    single-child surrogate on two of them drawn at random.  Both knobs belong
+    to flip matching and must be 0 under any other objective.
+    ``aux_lr_multiplier`` scales the learning rate of the log-normalizer
+    estimate and the root-marginal logits.
     """
 
     objective: str = "delta"
@@ -74,6 +78,9 @@ class TrainConfig:
         ):
             if value < 0:
                 raise ConfigError(f"{name} must be non-negative, got {value}")
+        for name in ("sub_dags_per_var", "stochastic_children_above"):
+            if getattr(self, name) and self.objective != "delta":
+                raise ConfigError(f"{name} applies to objective delta only, got {self.objective!r}")
         if self.activation not in ("relu", "elu"):
             raise ConfigError(f"activation must be relu or elu, got {self.activation!r}")
         self.policy()  # validates kind / temperature / eps

@@ -92,6 +92,8 @@ def train_em(
     conditional sampler (E) followed by ``m_steps`` exact-gradient ascent
     updates of the model on posterior-completed data (M).  With no latent
     variables the E-step vanishes and this is plain maximum likelihood.
+    The E-step scores every flip exactly under one latent map, so
+    ``sub_dags_per_var`` and ``stochastic_children_above`` must be 0.
 
     Rows of ``data`` must instantiate every observed variable; latent
     coordinates are ignored.  Returns the model, the sampler (None when
@@ -101,6 +103,9 @@ def train_em(
     """
     if cfg.objective != "delta":
         raise ConfigError("the posterior sampler trains by flip matching")
+    for name in ("sub_dags_per_var", "stochastic_children_above"):
+        if getattr(cfg, name):
+            raise ConfigError(f"EM scores every flip exactly under one latent map: {name} must be 0")
     if rounds < 1 or m_steps < 1 or completions_per_row < 1 or m_lr <= 0:
         raise ConfigError("rounds, m_steps, completions_per_row, and m_lr must be positive")
     hidden_set = set(int(v) for v in latent)

@@ -21,10 +21,9 @@ from flipmatch.harness.metrics import MetricsRow, metric_mmd_linear, metric_nll
 from flipmatch.losses import (
     FlowHead,
     LogZEstimate,
-    _children,
+    _surrogate_pairs,
     db_trajectory_loss,
     delta_loss_batch,
-    delta_loss_stochastic_grad,
     subtb_loss_batch,
     tb_loss_batch,
 )
@@ -110,36 +109,9 @@ class _DeltaTrainer:
         if self.step_count % self.cfg.imap_refresh_period == 0 and self.step_count > 0:
             self._refresh()
         X, us, imap_arg, instantiated = self._draw_batch()
-        rows = np.arange(len(X))
-        new_vals = -X[rows, us]
-
-        thr = self.cfg.stochastic_children_above
-        imap_of = (lambda u: imap_arg[u]) if isinstance(imap_arg, dict) else (lambda u: imap_arg)
-        if thr > 0:
-            n_children = np.array([len(_children(imap_of(int(u)), int(u))) for u in us])
-            heavy = n_children > thr
-        else:
-            heavy = np.zeros(len(X), dtype=bool)
-
-        total = len(X)
-        loss = None
-        if not heavy.all():
-            keep = ~heavy
-            exact = delta_loss_batch(self.s, imap_arg, self.m, X[keep], us[keep], new_vals[keep])
-            loss = exact * (float(keep.sum()) / total)
-        for k in np.flatnonzero(heavy):
-            surrogate = delta_loss_stochastic_grad(
-                self.s,
-                imap_of(int(us[k])),
-                self.m,
-                X[k].astype(np.int8),
-                int(us[k]),
-                int(new_vals[k]),
-                seed=int(self.r_flip.integers(2**31)),
-            )
-            term = surrogate * (1.0 / total)
-            loss = term if loss is None else loss + term
-
+        new_vals = -X[np.arange(len(X)), us]
+        pairs = _surrogate_pairs(imap_arg, us, self.cfg.stochastic_children_above, self.r_flip)
+        loss = delta_loss_batch(self.s, imap_arg, self.m, X, us, new_vals, pairs=pairs)
         self.opt.zero_grad()
         tape.backward(loss)
         self.opt.step()

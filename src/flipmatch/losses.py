@@ -9,7 +9,9 @@ reads lives in u's neighborhood, which is what lets training drop the
 full-sample sweep entirely: u's children and every conditional's parents are
 read off the map's parent table, and each conditional reaches the network as
 its parents' values and column indices, never as a |V|-wide row.  The terms
-of all flips come out of one merged parent table, with no loop over u.
+of all flips come out of one merged parent table, with no loop over u, and go
+through one network call.  A flip at a variable with many children may be
+scored instead by a single-child surrogate, from three of its terms' rows.
 
 Also here: the trajectory-balance family (full-trajectory, detailed per-step,
 and the λ-weighted sub-range decomposition) with learnable state flows, and
@@ -23,12 +25,7 @@ from collections.abc import Mapping
 
 import numpy as np
 
-from flipmatch.energy import (
-    ZERO_MASKED,
-    Assignment,
-    EnergyModel,
-    _values_of,
-)
+from flipmatch.energy import ZERO_MASKED, EnergyModel, _values_of
 from flipmatch.errors import (
     ConfigError,
     EmptyBatch,
@@ -119,9 +116,31 @@ def _clamped_logq(s, rows, vs, signs, cond=None) -> Tensor:
     return tape.clamp_min(s.logq_rows(rows, vs, signs, cond), LOGQ_FLOOR)
 
 
-def _children(imap: Imap, u: int) -> np.ndarray:
-    """u's children under the map, ascending, read off its parent table."""
-    return np.sort(imap.order[(imap.parent_table == u).any(axis=1)])
+def _draw_pair(n: int, seed, i: int | None = None, j: int | None = None) -> tuple[int, int]:
+    """Children (i, j) of the single-child surrogate at a variable with n children;
+    the omitted ones drawn from ``seed``, i uniform, then j among the other n - 1."""
+    rng = np.random.default_rng(seed)
+    if i is None:
+        i = int(rng.integers(n))
+    if j is None:
+        j = int((i + 1 + rng.integers(n - 1)) % n)
+    return i, j
+
+
+def _surrogate_pairs(imap: Imap | Mapping[int, Imap], us, above: int, rng) -> np.ndarray | None:
+    """``delta_loss_batch``'s pairs: for each flip whose variable has more than
+    ``above`` children under its map, two of them drawn from a seed taken off
+    ``rng`` in flip order; (-1, -1) for the others.  None when ``above`` is 0."""
+    if above == 0:
+        return None
+    # children counted off each distinct flip variable's parent table
+    uniq, at = np.unique(us, return_inverse=True)
+    maps = [imap[u] for u in uniq.tolist()] if isinstance(imap, Mapping) else [imap] * len(uniq)
+    counts = np.array([(sub.parent_table == u).sum() for sub, u in zip(maps, uniq)])[at]
+    pairs = np.full((len(us), 2), -1)
+    for k in np.flatnonzero(counts > above):
+        pairs[k] = _draw_pair(int(counts[k]), int(rng.integers(2**31)))
+    return pairs
 
 
 def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -132,11 +151,12 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
 def _term_table(imap: Imap | Mapping[int, Imap], X: np.ndarray, us: np.ndarray, new_vals):
     """Conditional-ratio rows of every flip, from one merged parent table.
 
-    Returns ((values, cols), vs, signs, coeffs, seg), seg naming each row's
-    flip.  Rows go by flip variable u, ascending; then by term, u's own and
-    then u's children ascending; then x side (coefficient +1) before flip
-    side (-1); then by flip, in batch order.  A child's two sides differ in
-    u's value, u's own two in sign.
+    Returns ((values, cols), vs, signs, coeffs, seg, term), seg naming each
+    row's flip and term its term number: 0 for u's own, 1 + c for u's c-th
+    child in ascending order.  Rows go by flip variable u, ascending; then by
+    term; then x side (coefficient +1) before flip side (-1); then by flip,
+    in batch order.  A child's two sides differ in u's value, u's own two in
+    sign.
     """
     by_u = np.argsort(us, kind="stable")
     first = np.flatnonzero(np.r_[True, np.diff(us[by_u]) != 0])
@@ -170,6 +190,7 @@ def _term_table(imap: Imap | Mapping[int, Imap], X: np.ndarray, us: np.ndarray, 
         raise lacking
     term_g = np.repeat(np.arange(len(group_u)), hi - lo)
     term_e = key_e[_ranges(lo, hi - lo)]
+    term_no = _ranges(0 * lo, hi - lo)
     n_t = group_n[term_g]
     row_t = np.repeat(np.arange(len(term_g)), 2 * n_t)
     local = _ranges(0 * n_t, 2 * n_t)
@@ -180,7 +201,7 @@ def _term_table(imap: Imap | Mapping[int, Imap], X: np.ndarray, us: np.ndarray, 
     r, j = np.nonzero(flip_side[:, None] & (cols == us[seg, None]))
     values[r, j] = new_vals[seg[r]]
     signs = np.where(flip_side & (vs == us[seg]), new_vals[seg], X[seg, vs])
-    return (values, cols), vs, signs, np.where(flip_side, -1.0, 1.0), seg
+    return (values, cols), vs, signs, np.where(flip_side, -1.0, 1.0), seg, term_no[row_t]
 
 
 def _check_flips(X, us, new_vals, rows, vs, coeffs, seg) -> None:
@@ -216,12 +237,21 @@ def delta_loss_batch(
     us,
     new_vals,
     cond=None,
+    pairs=None,
 ) -> Tensor:
-    """Mean squared flip-matching residual over a batch of flips.
+    """Mean flip-matching loss over a batch of flips.
 
     ``imap`` may be a single map used for every row or a mapping from flip
     variable to the local map to use for flips at that variable (the partial
     sampling regime, where each variable trains under its own small map).
+
+    A flip scores its squared residual unless ``pairs`` names two of its
+    children: ``pairs[k] = (i, j)`` scores flip k by the single-child
+    surrogate of ``delta_loss_stochastic_grad`` on u's distinct children i
+    and j (ascending order; not checked here), and ``(-1, -1)`` keeps the
+    residual.  A surrogate flip sends only the rows of u's own term and of
+    children i and j to the network; every flip's rows go in one network
+    call.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim == 1:
@@ -230,11 +260,23 @@ def delta_loss_batch(
     new_vals = np.asarray(new_vals, dtype=np.float64)
     if len(X) == 0:
         raise EmptyBatch("no flips to score")
-    if not (len(us) == len(new_vals) == len(X)):
-        raise ConfigError("X, us, and new_vals must align")
+    pairs = np.full((len(X), 2), -1) if pairs is None else np.asarray(pairs, dtype=np.int64)
+    if not (len(us) == len(new_vals) == len(X) and pairs.shape == (len(X), 2)):
+        raise ConfigError("X, us, new_vals and pairs must align")
 
-    rows, vs, signs, coeffs, seg = _term_table(imap, X, us, new_vals)
+    rows, vs, signs, coeffs, seg, term = _term_table(imap, X, us, new_vals)
     _check_flips(X, us, new_vals, rows, vs, coeffs, seg)
+    heavy = (pairs != -1).any(axis=1)
+    key, slots = seg, len(X)
+    if heavy.any():
+        n = np.bincount(seg[coeffs > 0], minlength=len(X)) - 1  # children of each flip's u
+        # a surrogate flip keeps the rows of u's own term (role 0), child i's
+        # (role 1) and child j's (role 2); each role sums into its own slots
+        hit = heavy[seg, None] & (term[:, None] - 1 == pairs[seg])
+        keep = ~heavy[seg] | (term == 0) | hit.any(axis=1)
+        rows = (rows[0][keep], rows[1][keep])
+        vs, signs, coeffs, seg = vs[keep], signs[keep], coeffs[keep], seg[keep]
+        key, slots = seg + len(X) * (hit[keep] @ [1, 2]), 3 * len(X)
 
     if cond is not None:
         cond = np.asarray(cond, dtype=np.float64)
@@ -242,10 +284,17 @@ def delta_loss_batch(
             cond = cond[seg]
 
     logq = _clamped_logq(s, rows, vs, signs, cond)
-    ratio_sum = tape.segment_sum(tape.mul(logq, coeffs), seg, len(X))
+    sums = tape.segment_sum(tape.mul(logq, coeffs), key, slots)
     delta = m.delta_log_reward_batch(X.astype(np.int8), us, new_vals.astype(np.int8))
-    residual = tape.const(delta) - ratio_sum
-    return residual.square().mean()
+    if not heavy.any():
+        return (tape.const(delta) - sums).square().mean()
+    # g, f_i and f_j of every flip; an exact flip's residual is its g
+    at = np.arange(len(X))
+    g = tape.const(delta) - tape.gather_1d(sums, at)
+    f_i, f_j = -tape.gather_1d(sums, at + len(X)), -tape.gather_1d(sums, at + 2 * len(X))
+    blocked_term = (g + tape.stop_gradient(f_i) * n).square()
+    pair_term = (tape.stop_gradient(g) + tape.stop_gradient(f_i) * (n - 1) + f_j).square()
+    return tape.where(heavy, blocked_term + pair_term * n, g.square()).mean()
 
 
 def delta_loss(s, imap: Imap, m: EnergyModel, x, u: int, xu_new, cond=None) -> Tensor:
@@ -269,47 +318,24 @@ def delta_loss_stochastic_grad(
 
     With n children the full residual needs n+1 conditional ratios; this
     surrogate touches only two of the children — index i enters with its
-    gradient blocked, index j is the one differentiated — plus u itself.
-    Averaged over i uniform and ordered pairs i != j uniform, its gradient
-    equals the gradient of delta_loss exactly.  The returned value itself is
-    not the loss; only its backward pass is meaningful.  Indices index into
-    u's children in ascending order; omitted ones are drawn from ``seed``.
+    gradient blocked, index j is the one differentiated — plus u itself:
+    (g + n·sg(f_i))² + n·(sg(g) + (n−1)·sg(f_i) + f_j)², with g the residual
+    of u's own ratio and f the negated ratio of a child.  Averaged over i
+    uniform and ordered pairs i != j uniform, its gradient equals the
+    gradient of delta_loss exactly.  The returned value itself is not the
+    loss; only its backward pass is meaningful.  Indices index into u's
+    children in ascending order; omitted ones are drawn from ``seed``.
     """
     vals = _values_of(x)
-    n = len(_children(imap, u))
+    n = int((imap.parent_table == u).sum())
     if n <= 1:
-        raise TooFewChildren(
-            f"variable {u} has {n} children; use delta_loss directly"
-        )
-    X = vals[None, :].astype(np.float64)
-    new = np.array([xu_new], dtype=np.float64)
-    (values, cols), vs, signs, coeffs, seg = _term_table(imap, X, np.array([u]), new)
-    _check_flips(X, np.array([u]), new, (values, cols), vs, coeffs, seg)
-    rng = np.random.default_rng(seed)
-    if i is None:
-        i = int(rng.integers(n))
-    if j is None:
-        j = int((i + 1 + rng.integers(n - 1)) % n)
+        raise TooFewChildren(f"variable {u} has {n} children; use delta_loss directly")
+    i, j = _draw_pair(n, seed, i, j)
     if not (0 <= i < n and 0 <= j < n):
         raise ConfigError(f"child indices must lie in [0, {n})")
     if i == j:
         raise ConfigError("the pair term needs two distinct children")
-
-    def ratio(t: int) -> Tensor:
-        """d_v = log q(x_v | pa(x)) - log q(x'_v | pa(x')) of term t, a scalar."""
-        sel = slice(2 * t, 2 * t + 2)
-        lq = _clamped_logq(s, (values[sel], cols[sel]), vs[sel], signs[sel])
-        return tape.mul(lq, coeffs[sel]).sum()
-
-    delta = float(m.delta_log_reward(Assignment(vals), u, int(xu_new)))
-    g = tape.const(np.asarray(delta)) - ratio(0)
-    f_i = -ratio(1 + i)
-    f_j = -ratio(1 + j)
-    blocked_term = (g + float(n) * tape.stop_gradient(f_i)).square()
-    pair_term = (
-        tape.stop_gradient(g) + float(n - 1) * tape.stop_gradient(f_i) + f_j
-    ).square()
-    return blocked_term + float(n) * pair_term
+    return delta_loss_batch(s, imap, m, vals[None, :], [u], [xu_new], pairs=[(i, j)])
 
 
 # ---------------------------------------------------------------------------

@@ -355,23 +355,26 @@ class MaeParams:
         return x3, cols, used.sum(axis=1)
 
     def _first_layer(self, x: np.ndarray, packed) -> np.ndarray:
-        """Input rows times the input weights, without the bias: (B, width)."""
+        """Input rows times the input weights, without the bias: (B, width).
+
+        Blocks go by runs of equal count: in place when they are in order of
+        count, else each piece gathers its own blocks and writes their rows.
+        """
         w_in = self.w_in.data
         if packed is None:
             return _matmul(x, w_in)
         x3, cols, counts = packed
-        # blocks in order of count, put back at the end if that moved them
-        moved = (counts[1:] < counts[:-1]).any()
-        if moved:
-            order = np.argsort(counts, kind="stable")
-            x3, cols, counts = x3[order], cols[order], counts[order]
         z = np.empty(x3.shape[:2] + (w_in.shape[1],))
-        if len(counts) and counts[0] == 0:
-            z[: np.searchsorted(counts, 1)] = 0.0
-        for a, b, k in _count_runs(counts, x3.shape[1], w_in.shape[1]):
-            np.matmul(x3[a:b, :, :k], w_in[cols[a:b, :k]], out=z[a:b])
-        if moved:
-            z = z[np.argsort(order)]
+        if not (counts[1:] < counts[:-1]).any():
+            if len(counts) and counts[0] == 0:
+                z[: np.searchsorted(counts, 1)] = 0.0
+            for a, b, k in _count_runs(counts, x3.shape[1], w_in.shape[1]):
+                np.matmul(x3[a:b, :, :k], w_in[cols[a:b, :k]], out=z[a:b])
+        else:
+            z[counts == 0] = 0.0
+            order = np.argsort(counts, kind="stable")
+            for a, b, k in _count_runs(counts[order], x3.shape[1], w_in.shape[1]):
+                z[order[a:b]] = np.matmul(x3[order[a:b], :, :k], w_in[cols[order[a:b], :k]])
         return z.reshape(len(x), w_in.shape[1])
 
     def _first_layer_grad(self, x: np.ndarray, packed, gz: np.ndarray, rows=None) -> np.ndarray:
@@ -385,6 +388,12 @@ class MaeParams:
         x3, cols, _ = packed
         n = x3.shape[1]
         blk, slot = np.nonzero(cols >= 0)
+        # the used (block, slot) pairs stably sorted by column (a radix sort on
+        # small integers), then expanded to their rows: one segment per used
+        # column, its values against its rows of gz
+        by_col = cols[blk, slot].astype(np.min_scalar_type(len(self.w_in.data)))
+        order = np.argsort(by_col, kind="stable")
+        blk, slot = blk[order], slot[order]
         col = np.repeat(cols[blk, slot], n)
         row = (blk[:, None] * n + np.arange(n)).ravel()
         val = x3[blk, :, slot].ravel()
@@ -394,10 +403,6 @@ class MaeParams:
             row = at[row]
             keep = row >= 0
             col, row, val = col[keep], row[keep], val[keep]
-        # stable sort by column (a radix sort on small integers), then one
-        # segment per used column: its values against its rows of gz
-        order = np.argsort(col.astype(np.min_scalar_type(len(self.w_in.data))), kind="stable")
-        col, row, val = col[order], row[order], val[order]
         starts = np.flatnonzero(np.diff(col, prepend=-1))
         grad = np.zeros_like(self.w_in.data)
         for c, a, b in zip(col[starts].tolist(), starts.tolist(), [*starts[1:].tolist(), len(col)]):

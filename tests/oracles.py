@@ -33,22 +33,23 @@ from flipmatch.errors import (
     MissingParent,
     OrderViolation,
     PartialAssignment,
+    TooFewChildren,
 )
 from flipmatch.graph import Imap, JunctionTree, UndirectedGraph, _as_rng, _bits, _mask_of
 from flipmatch.losses import (
     FlowHead,
     LogZEstimate,
     _check_flips,
-    _children,
     _clamped_logq,
     _prefix_rows,
     _require_full,
     _step_rows,
+    _term_table,
     subtb_loss_batch,
     tb_loss_batch,
 )
 from flipmatch.nn import MaeParams, tape
-from flipmatch.nn.mae import _LN_EPS
+from flipmatch.nn.mae import _LN_EPS, _count_runs, _matmul
 from flipmatch.nn.tape import Tensor, log_sigmoid_np, sigmoid_np
 from flipmatch.sampler import (
     AmortizedSampler,
@@ -495,6 +496,54 @@ def whole_batch_trunk(mae, x: np.ndarray, cols=None) -> Tensor:
     """``trunk`` run on the whole batch at once (see ``whole_batch_masked_logits``)."""
     packed = mae._packed(x, cols)
     return _whole_batch_blocks(mae, x, packed, mae._first_layer(x, packed))
+
+
+def count_order_first_layer(mae, x: np.ndarray, packed) -> np.ndarray:
+    """``MaeParams._first_layer`` as it was: blocks out of count order are
+    copied in count order, and the output is put back in block order."""
+    w_in = mae.w_in.data
+    if packed is None:
+        return _matmul(x, w_in)
+    x3, cols, counts = packed
+    # blocks in order of count, put back at the end if that moved them
+    moved = (counts[1:] < counts[:-1]).any()
+    if moved:
+        order = np.argsort(counts, kind="stable")
+        x3, cols, counts = x3[order], cols[order], counts[order]
+    z = np.empty(x3.shape[:2] + (w_in.shape[1],))
+    if len(counts) and counts[0] == 0:
+        z[: np.searchsorted(counts, 1)] = 0.0
+    for a, b, k in _count_runs(counts, x3.shape[1], w_in.shape[1]):
+        np.matmul(x3[a:b, :, :k], w_in[cols[a:b, :k]], out=z[a:b])
+    if moved:
+        z = z[np.argsort(order)]
+    return z.reshape(len(x), w_in.shape[1])
+
+
+def sorted_copy_first_layer_grad(mae, x: np.ndarray, packed, gz: np.ndarray, rows=None):
+    """``MaeParams._first_layer_grad`` as it was: one entry per used (row,
+    slot) pair, then stably sorted copies of all three entry arrays."""
+    if packed is None:
+        return (x if rows is None else x[rows]).T @ gz
+    x3, cols, _ = packed
+    n = x3.shape[1]
+    blk, slot = np.nonzero(cols >= 0)
+    col = np.repeat(cols[blk, slot], n)
+    row = (blk[:, None] * n + np.arange(n)).ravel()
+    val = x3[blk, :, slot].ravel()
+    if rows is not None:
+        at = np.full(len(x), -1)
+        at[rows] = np.arange(len(rows))
+        row = at[row]
+        keep = row >= 0
+        col, row, val = col[keep], row[keep], val[keep]
+    order = np.argsort(col.astype(np.min_scalar_type(len(mae.w_in.data))), kind="stable")
+    col, row, val = col[order], row[order], val[order]
+    starts = np.flatnonzero(np.diff(col, prepend=-1))
+    grad = np.zeros_like(mae.w_in.data)
+    for c, a, b in zip(col[starts].tolist(), starts.tolist(), [*starts[1:].tolist(), len(col)]):
+        grad[c] = val[a:b] @ gz[row[a:b]]
+    return grad
 
 
 def _whole_batch_blocks(mae, x: np.ndarray, packed, h: np.ndarray, rows=None) -> Tensor:
@@ -1247,6 +1296,11 @@ def level_walk(
     return work[:, :-1], logq.reshape(N)
 
 
+def _children(imap: Imap, u: int) -> np.ndarray:
+    """u's children under the map, ascending, read off its parent table."""
+    return np.sort(imap.order[(imap.parent_table == u).any(axis=1)])
+
+
 def _stack_rows(blocks: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
     """One (values, cols) pair from blocks of different widths, padded with column -1."""
     width = max((cols.shape[1] for _, cols in blocks), default=0)
@@ -1336,6 +1390,119 @@ def per_u_delta_loss_batch(
     delta = m.delta_log_reward_batch(X.astype(np.int8), us, new_vals.astype(np.int8))
     residual = tape.const(delta) - ratio_sum
     return residual.square().mean()
+
+
+# ---------------------------------------------------------------------------
+# the single-child surrogate as it was before it became rows of the step's one
+# term table: its own term table, three network calls and a scalar reward
+# delta per flip, in a loop over the step's heavy flips
+
+
+def per_flip_delta_loss_stochastic_grad(
+    s,
+    imap: Imap,
+    m: EnergyModel,
+    x,
+    u: int,
+    xu_new,
+    j: int | None = None,
+    i: int | None = None,
+    seed=0,
+) -> Tensor:
+    """Single-child surrogate whose gradient estimates the full flip loss.
+
+    With n children the full residual needs n+1 conditional ratios; this
+    surrogate touches only two of the children — index i enters with its
+    gradient blocked, index j is the one differentiated — plus u itself.
+    Averaged over i uniform and ordered pairs i != j uniform, its gradient
+    equals the gradient of delta_loss exactly.  The returned value itself is
+    not the loss; only its backward pass is meaningful.  Indices index into
+    u's children in ascending order; omitted ones are drawn from ``seed``.
+    """
+    vals = _values_of(x)
+    n = len(_children(imap, u))
+    if n <= 1:
+        raise TooFewChildren(
+            f"variable {u} has {n} children; use delta_loss directly"
+        )
+    X = vals[None, :].astype(np.float64)
+    new = np.array([xu_new], dtype=np.float64)
+    (values, cols), vs, signs, coeffs, seg, _ = _term_table(imap, X, np.array([u]), new)
+    _check_flips(X, np.array([u]), new, (values, cols), vs, coeffs, seg)
+    rng = np.random.default_rng(seed)
+    if i is None:
+        i = int(rng.integers(n))
+    if j is None:
+        j = int((i + 1 + rng.integers(n - 1)) % n)
+    if not (0 <= i < n and 0 <= j < n):
+        raise ConfigError(f"child indices must lie in [0, {n})")
+    if i == j:
+        raise ConfigError("the pair term needs two distinct children")
+
+    def ratio(t: int) -> Tensor:
+        """d_v = log q(x_v | pa(x)) - log q(x'_v | pa(x')) of term t, a scalar."""
+        sel = slice(2 * t, 2 * t + 2)
+        lq = _clamped_logq(s, (values[sel], cols[sel]), vs[sel], signs[sel])
+        return tape.mul(lq, coeffs[sel]).sum()
+
+    delta = float(m.delta_log_reward(Assignment(vals), u, int(xu_new)))
+    g = tape.const(np.asarray(delta)) - ratio(0)
+    f_i = -ratio(1 + i)
+    f_j = -ratio(1 + j)
+    blocked_term = (g + float(n) * tape.stop_gradient(f_i)).square()
+    pair_term = (
+        tape.stop_gradient(g) + float(n - 1) * tape.stop_gradient(f_i) + f_j
+    ).square()
+    return blocked_term + float(n) * pair_term
+
+
+def per_flip_step_loss(s, imap_arg, m: EnergyModel, X, us, new_vals, thr: int, r_flip) -> Tensor:
+    """The flip-matching step's loss as the trainer assembled it: the exact
+    flips in one batch call, then each flip at a variable with more than
+    ``thr`` children by its own surrogate, seeded off ``r_flip`` in flip order."""
+    imap_of = (lambda u: imap_arg[u]) if isinstance(imap_arg, dict) else (lambda u: imap_arg)
+    if thr > 0:
+        n_children = np.array([len(_children(imap_of(int(u)), int(u))) for u in us])
+        heavy = n_children > thr
+    else:
+        heavy = np.zeros(len(X), dtype=bool)
+
+    total = len(X)
+    loss = None
+    if not heavy.all():
+        keep = ~heavy
+        exact = losses.delta_loss_batch(s, imap_arg, m, X[keep], us[keep], new_vals[keep])
+        loss = exact * (float(keep.sum()) / total)
+    for k in np.flatnonzero(heavy):
+        surrogate = per_flip_delta_loss_stochastic_grad(
+            s,
+            imap_of(int(us[k])),
+            m,
+            X[k].astype(np.int8),
+            int(us[k]),
+            int(new_vals[k]),
+            seed=int(r_flip.integers(2**31)),
+        )
+        term = surrogate * (1.0 / total)
+        loss = term if loss is None else loss + term
+    return loss
+
+
+def per_flip_trainer_step(trainer) -> tuple[float, int]:
+    """``_DeltaTrainer.step`` with the per-flip surrogate loop."""
+    if trainer.step_count % trainer.cfg.imap_refresh_period == 0 and trainer.step_count > 0:
+        trainer._refresh()
+    X, us, imap_arg, instantiated = trainer._draw_batch()
+    new_vals = -X[np.arange(len(X)), us]
+    loss = per_flip_step_loss(
+        trainer.s, imap_arg, trainer.m, X, us, new_vals,
+        trainer.cfg.stochastic_children_above, trainer.r_flip,
+    )
+    trainer.opt.zero_grad()
+    tape.backward(loss)
+    trainer.opt.step()
+    trainer.step_count += 1
+    return float(loss.data), instantiated
 
 
 # ---------------------------------------------------------------------------

@@ -219,6 +219,12 @@ class TestTrain:
         doc = json.loads(capsys.readouterr().out)
         assert doc["objective"] == "delta" and doc["steps"] == 150
 
+    @pytest.mark.parametrize("knob", ["sub_dags_per_var", "stochastic_children_above"])
+    def test_flip_matching_knob_under_tb_is_exit_2(self, model_file, tmp_path, capsys, knob):
+        cfg = write_config(tmp_path, objective="tb", **{knob: 1})
+        assert main(["train", "--model", model_file, "--config", cfg]) == 2
+        assert knob in capsys.readouterr().err
+
     def test_tb_reports_log_partition(self, model_file, tmp_path, capsys):
         cfg = write_config(tmp_path, objective="tb", policy_kind="eps-uniform", policy_eps=0.1)
         assert main(["train", "--model", model_file, "--config", cfg]) == 0
@@ -500,6 +506,18 @@ class TestEm:
         assert doc["latent"] == [1] and np.isfinite(doc["nll"])
         reread = read_model(str(fitted))
         assert isinstance(reread, TabularBayesNetModel)
+
+    @pytest.mark.parametrize("knob", ["sub_dags_per_var", "stochastic_children_above"])
+    def test_flip_matching_knobs_are_exit_2(self, tmp_path, capsys, knob):
+        dag = Imap.from_parents(2, (0, 1), ((), (0,)))
+        init = tmp_path / "init.json"
+        write_model(TabularBayesNetModel(dag), str(init))
+        data = tmp_path / "data.txt"
+        np.savetxt(str(data), np.ones((4, 2), dtype=int), fmt="%d")
+        cfg = write_config(tmp_path, **{knob: 1})
+        argv = ["em", "--model", str(init), "--data", str(data), "--latent", "1", "--config", cfg]
+        assert main(argv) == 2
+        assert knob in capsys.readouterr().err
 
     def test_rejects_non_bayesnet_model(self, model_file, tmp_path):
         data = tmp_path / "data.txt"

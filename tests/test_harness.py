@@ -94,6 +94,13 @@ class TestTrainConfig:
         with pytest.raises(ConfigError):
             TrainConfig(**kwargs)
 
+    @pytest.mark.parametrize("objective", ["tb", "db", "fl-db", "subtb", "fl-subtb"])
+    @pytest.mark.parametrize("knob", ["sub_dags_per_var", "stochastic_children_above"])
+    def test_flip_matching_knobs_rejected_under_other_objectives(self, objective, knob):
+        with pytest.raises(ConfigError, match=knob):
+            TrainConfig(objective=objective, **{knob: 1})
+        TrainConfig(objective="delta", **{knob: 1})
+
     def test_json_round_trip(self, tmp_path):
         cfg = TrainConfig(objective="subtb", total_steps=77, subtb_lambda=0.5, seed=9)
         path = tmp_path / "cfg.json"
@@ -573,6 +580,13 @@ class TestTrainEm:
             p_b.set_params(p_b.get_params() + 0.3 * p_b.log_reward_grad_mean(data))
         assert_allclose(p_a.get_params(), p_b.get_params(), rtol=1e-12)
         assert_allclose(rows[-1].nll, -np.mean(p_b.log_reward_batch(data)), rtol=1e-12)
+
+    @pytest.mark.parametrize("knob", ["sub_dags_per_var", "stochastic_children_above"])
+    def test_flip_matching_knobs_rejected(self, knob):
+        dag, _, data, init = three_var_latent_problem()
+        cfg = TrainConfig(total_steps=5, batch_size=4, eval_period=5, **{knob: 1})
+        with pytest.raises(ConfigError, match=knob):
+            train_em(cfg, TabularBayesNetModel(dag, init), [1], data)
 
     def test_latent_imap_stays_inside_the_latent_set(self):
         dag, p_true, _, _ = three_var_latent_problem()

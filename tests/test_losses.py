@@ -6,7 +6,8 @@ conditionals and the enumerated prefix flows F(prefix) = Z * P(prefix): with
 both in place every residual in this module must vanish.  Hand-evaluated one-
 and two-variable cases pin the constants, finite differences pin the
 gradients, and the single-child estimator is checked by enumerating all its
-index choices against the full backward pass.
+index choices against the full backward pass, and as rows of a step's one term
+table against the per-flip loop it replaced.
 """
 
 from __future__ import annotations
@@ -44,10 +45,13 @@ from flipmatch.graph import (
     sample_imap,
     sub_imap,
 )
+from flipmatch.harness import TrainConfig
+from flipmatch.harness.loops import _DeltaTrainer
 from flipmatch.losses import (
     LOGQ_FLOOR,
     FlowHead,
     LogZEstimate,
+    _surrogate_pairs,
     db_trajectory_loss,
     delta_loss,
     delta_loss_batch,
@@ -62,6 +66,7 @@ from oracles import (
     DenseSampler,
     ExactFlow,
     TabularSampler,
+    _children,
     _flip_term_rows,
     all_states,
     db_loss,
@@ -74,6 +79,9 @@ from oracles import (
     no_merging,
     pair_subtb_loss_batch,
     partial_reward,
+    per_flip_delta_loss_stochastic_grad,
+    per_flip_step_loss,
+    per_flip_trainer_step,
     per_u_delta_loss_batch,
     subtb_loss,
     tb_loss,
@@ -721,6 +729,126 @@ class TestStochasticGrad:
         assert a == b
         values = {round(float(delta_loss_stochastic_grad(*args, seed=k).data), 12) for k in range(20)}
         assert len(values) > 1
+
+
+class TestSurrogateRowsMatchPerFlip:
+    """The single-child surrogate as rows of the step's one term table
+    (``pairs`` in ``delta_loss_batch``) against the per-flip loop it replaces
+    (``oracles.per_flip_step_loss``): the same (i, j) draws, one taped
+    network call with six rows per surrogate flip, and the value and every
+    gradient within 1e-12, on a full map and on sub-maps."""
+
+    ABOVE = 3  # splits the 4x4 lattice's flips into exact and surrogate ones
+
+    def build(self, activation, local):
+        g = grid_graph(4, 4)
+        cfg = MaeConfig(num_vars=16, width=12, blocks=2, activation=activation, init_seed=3)
+        s = AmortizedSampler(MaeParams(cfg))
+        rng = np.random.default_rng(4)
+        s.params.unpack(s.params.pack() + rng.normal(0, 0.4, cfg.param_count))
+        m = random_ising(g, sigma=0.5, seed=5)
+        if local:
+            imap = {u: sub_imap(g, u, seed=u) for u in range(16)}
+            X = s.partial_sample_batch([imap[u] for u in range(16)], Policy.on_policy(), 3, seed=7)
+            us = np.repeat(np.arange(16), 3)
+            at = rng.permutation(len(us))
+            X, us = X[at], us[at]
+        else:
+            imap = sample_imap(g, seed=2)
+            X = rng.choice([-1.0, 1.0], size=(40, 16))
+            us = rng.integers(0, 16, size=40)
+        pairs = _surrogate_pairs(imap, us, self.ABOVE, np.random.default_rng(11))
+        heavy = pairs[:, 0] >= 0
+        assert heavy.any() and not heavy.all()
+        return s, m, imap, X, us, -X[np.arange(len(us)), us], pairs
+
+    @pytest.mark.parametrize("activation", ["relu", "elu"])
+    @pytest.mark.parametrize("local", [False, True], ids=["one-map", "sub-maps"])
+    def test_value_and_gradients(self, activation, local):
+        s, m, imap, X, us, flips, pairs = self.build(activation, local)
+        got = delta_loss_batch(s, imap, m, X, us, flips, pairs=pairs)
+        got = float(got.data), collect_grads(s.params.params, got)
+        want = per_flip_step_loss(s, imap, m, X, us, flips, self.ABOVE, np.random.default_rng(11))
+        want = float(want.data), collect_grads(s.params.params, want)
+        assert abs(got[0] - want[0]) <= 1e-12
+        assert max(np.abs(g).max() for g in got[1]) > 1e-3
+        for name, g, w in zip(s.params.names, got[1], want[1]):
+            assert_allclose(g, w, rtol=0, atol=1e-12, err_msg=name)
+
+    @pytest.mark.parametrize("local", [False, True], ids=["one-map", "sub-maps"])
+    def test_same_draws(self, local):
+        s, m, imap, X, us, flips, pairs = self.build("relu", local)
+        seeds = np.random.default_rng(11)
+        for k in np.flatnonzero(pairs[:, 0] >= 0):
+            u = int(us[k])
+            sub = imap[u] if local else imap
+            args = (s, sub, m, X[k].astype(np.int8), u, int(flips[k]))
+            seed = int(seeds.integers(2**31))
+            drawn = float(per_flip_delta_loss_stochastic_grad(*args, seed=seed).data)
+            n = len(_children(sub, u))
+            by_pair = {
+                (i, j): float(per_flip_delta_loss_stochastic_grad(*args, i=i, j=j).data)
+                for i in range(n)
+                for j in range(n)
+                if i != j
+            }
+            # every pair gives its own value, so the value names the draw
+            assert len(set(by_pair.values())) == len(by_pair)
+            assert by_pair[tuple(pairs[k].tolist())] == drawn
+            assert abs(float(delta_loss_stochastic_grad(*args, seed=seed).data) - drawn) <= 1e-12
+
+    @pytest.mark.parametrize("local", [False, True], ids=["one-map", "sub-maps"])
+    def test_one_network_call_per_step(self, monkeypatch, local):
+        g = grid_graph(4, 4)
+        m = random_ising(g, sigma=0.5, seed=5)
+        s = AmortizedSampler(MaeParams(MaeConfig(num_vars=16, width=12, blocks=2, init_seed=3)))
+        cfg = TrainConfig(
+            batch_size=32, width=12, seed=2, stochastic_children_above=self.ABOVE,
+            sub_dags_per_var=2 if local else 0,
+        )
+        trainer = _DeltaTrainer(cfg, m, s)
+        calls, seen = [], []
+        masked_logits = MaeParams.masked_logits
+        loss_batch = delta_loss_batch
+
+        def counted(self, x, vs, cols=None):
+            calls.append(len(vs))
+            return masked_logits(self, x, vs, cols)
+
+        def recorded(s, imap, m, X, us, new_vals, cond=None, pairs=None):
+            seen.append((imap, us, pairs))
+            return loss_batch(s, imap, m, X, us, new_vals, cond=cond, pairs=pairs)
+
+        monkeypatch.setattr(MaeParams, "masked_logits", counted)
+        monkeypatch.setattr("flipmatch.harness.loops.delta_loss_batch", recorded)
+        for _ in range(3):
+            trainer.step()
+        assert len(calls) == len(seen) == 3
+        for rows, (imap, us, pairs) in zip(calls, seen):
+            heavy = pairs[:, 0] >= 0
+            assert heavy.any()
+            maps = [imap[u] if local else imap for u in us.tolist()]
+            n = np.array([len(_children(sub, u)) for sub, u in zip(maps, us.tolist())])
+            assert rows == np.where(heavy, 6, 2 + 2 * n).sum()
+
+    @pytest.mark.parametrize("activation", ["relu", "elu"])
+    @pytest.mark.parametrize("local", [False, True], ids=["one-map", "sub-maps"])
+    def test_trainer_matches_per_flip_loop(self, activation, local):
+        m = random_ising(grid_graph(4, 4), sigma=0.5, seed=5)
+        cfg = TrainConfig(
+            batch_size=24, lr=1e-2, width=12, activation=activation, seed=3,
+            stochastic_children_above=self.ABOVE, sub_dags_per_var=2 if local else 0,
+        )
+
+        def run(step):
+            mae = MaeParams(MaeConfig(num_vars=16, width=12, blocks=2, activation=activation))
+            trainer = _DeltaTrainer(cfg, m, AmortizedSampler(mae))
+            return [step(trainer) for _ in range(5)], mae.pack()
+
+        (got, got_w), (want, want_w) = run(_DeltaTrainer.step), run(per_flip_trainer_step)
+        assert [n for _, n in got] == [n for _, n in want]
+        assert_allclose([v for v, _ in got], [v for v, _ in want], rtol=1e-12, atol=0)
+        assert_allclose(got_w, want_w, rtol=0, atol=1e-12)
 
 
 class TestTbLoss:

@@ -26,9 +26,11 @@ from flipmatch.nn.tape import Tensor
 
 from oracles import (
     central_diff,
+    count_order_first_layer,
     masked_sigmoid,
     no_merging,
     relative_error,
+    sorted_copy_first_layer_grad,
     whole_batch_masked_logits,
     whole_batch_trunk,
 )
@@ -553,6 +555,42 @@ def block_rows(monkeypatch):
 
     monkeypatch.setattr(MaeParams, "_blocks_np", counted)
     return seen
+
+
+class TestFirstLayerWithoutCopies:
+    """The compact first layer writes each run of equal counts into its own
+    blocks' rows, and its gradient sorts the used (block, slot) pairs before
+    expanding them: output and gradient are bit for bit those of the count
+    order copies they replace (``oracles.count_order_first_layer`` and
+    ``oracles.sorted_copy_first_layer_grad``)."""
+
+    @pytest.mark.parametrize("in_order", [False, True], ids=["shuffled", "by-count"])
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_bit_for_bit(self, monkeypatch, in_order, n):
+        # small gather pieces, so a run of equal counts spans several pieces
+        monkeypatch.setattr(mae_module, "_GATHER_ELEMENTS", 1 << 9)
+        cfg = small_config(num_vars=40, width=16)
+        mae = MaeParams(cfg)
+        randomize(mae, seed=34)
+        rng = np.random.default_rng(n)
+        blocks, k = 300, 12
+        counts = rng.integers(0, k + 1, size=blocks)
+        counts = np.sort(counts) if in_order else counts
+        cols = np.full((blocks, k), -1)
+        for e, c in enumerate(counts):
+            slots = np.sort(rng.choice(k, c, replace=False))
+            cols[e, slots] = rng.choice(cfg.input_width, c, replace=False)
+        x = rng.choice([-1.0, 1.0], size=(blocks * n, k)) * (np.repeat(cols, n, axis=0) >= 0)
+        packed = mae._packed(x, cols)
+        assert (np.diff(packed[2]) < 0).any() != in_order
+        z = mae._first_layer(x, packed)
+        assert_array_equal(z, count_order_first_layer(mae, x, packed))
+        gz = rng.normal(size=z.shape)
+        want = sorted_copy_first_layer_grad(mae, x, packed, gz)
+        assert_array_equal(mae._first_layer_grad(x, packed, gz), want)
+        rows = np.sort(rng.choice(len(x), len(x) // 3, replace=False))
+        want = sorted_copy_first_layer_grad(mae, x, packed, gz[rows], rows)
+        assert_array_equal(mae._first_layer_grad(x, packed, gz[rows], rows), want)
 
 
 class TestDistinctRows:
