@@ -14,7 +14,6 @@ oracle for small models.
 
 from flipmatch import errors
 from flipmatch.energy import (
-    Assignment,
     ExactTable,
     FactorGraphModel,
     IsingModel,
@@ -29,18 +28,14 @@ from flipmatch.energy import (
 )
 from flipmatch.graph import (
     Imap,
-    JunctionTree,
     UndirectedGraph,
-    build_junction_tree,
     chain_graph,
-    check_chordal,
     complete_graph,
     cycle_graph,
     grid_graph,
     ladder_graph,
     max_cardinality_search,
     min_fill_chordalize,
-    orient_pmap,
     random_graph,
     sample_imap,
     star_graph,

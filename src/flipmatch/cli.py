@@ -105,7 +105,8 @@ def _build_sampler(cfg: TrainConfig, num_vars: int) -> AmortizedSampler:
 def cmd_chordalize(args) -> int:
     m = _load_model(args.model)
     g = interaction_graph(m)
-    chordal = _cached_chordal(g, args.chordal_seed)  # the completion sample_imap reads
+    # the completion sample_imap reads
+    chordal = _cached_chordal(g, args.chordal_seed, (1 << g.num_vars) - 1)
     _, cliques = max_cardinality_search(chordal, args.chordal_seed)
     imap = sample_imap(g, seed=args.imap_seed, chordal_seed=args.chordal_seed)
     doc = {
@@ -219,7 +220,10 @@ def cmd_em(args) -> int:
     if not isinstance(p, TabularBayesNetModel):
         raise ConfigError("em needs a bayesnet model file")
     data = _read_assignments(args.data)
-    latent = [int(tok) for tok in args.latent.split(",") if tok] if args.latent else []
+    try:
+        latent = [int(tok) for tok in args.latent.split(",") if tok]
+    except ValueError as exc:
+        raise ConfigError(f"--latent takes comma-separated variable ids: {exc}") from None
     cfg = (
         load_train_config(args.config, seed=args.seed)
         if args.config

@@ -30,7 +30,6 @@ from flipmatch.errors import (
     EmptyBatch,
     FlipmatchError,
     PartialAssignment,
-    SameValue,
     ShapeMismatch,
     TooLarge,
     read_exact,
@@ -39,7 +38,6 @@ from flipmatch.graph import Imap, UndirectedGraph, _as_rng
 from flipmatch.nn.tape import log_sigmoid_np, sigmoid_np
 
 __all__ = [
-    "Assignment",
     "Factor",
     "LinearFactor",
     "BilinearFactor",
@@ -85,47 +83,11 @@ def all_states(num_vars: int) -> np.ndarray:
     return states
 
 
-@dataclass
-class Assignment:
-    """A full or partial configuration; 0 marks uninstantiated variables."""
-
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=np.int8)
-        if self.values.ndim != 1:
-            raise ShapeMismatch("assignment values must be a vector")
-        bad = np.setdiff1d(np.unique(self.values), [-1, 0, 1])
-        if bad.size:
-            raise ValueError(f"assignment entries must be -1, 0, or +1, got {bad}")
-
-    @classmethod
-    def empty(cls, num_vars: int) -> "Assignment":
-        return cls(np.zeros(num_vars, dtype=np.int8))
-
-    @property
-    def num_vars(self) -> int:
-        return len(self.values)
-
-    @property
-    def mask(self) -> np.ndarray:
-        return self.values != 0
-
-    def instantiated(self) -> tuple[int, ...]:
-        return tuple(int(v) for v in np.flatnonzero(self.values))
-
-
-def _values_of(x) -> np.ndarray:
-    if isinstance(x, Assignment):
-        return x.values
-    return np.asarray(x, dtype=np.int8)
-
-
 def _batch_values(batch) -> np.ndarray:
     if isinstance(batch, np.ndarray):
         arr = batch
     else:
-        rows = [_values_of(x) for x in batch]
+        rows = [np.asarray(x, dtype=np.int8) for x in batch]
         if not rows:
             raise EmptyBatch("no assignments in batch")
         arr = np.stack(rows)
@@ -346,12 +308,6 @@ class EnergyModel:
 
     # -- evaluation ---------------------------------------------------------
 
-    def log_reward(self, x) -> float:
-        vals = _values_of(x)
-        if np.any(vals == 0):
-            raise PartialAssignment("log reward needs a fully instantiated assignment")
-        return float(self.log_reward_batch(vals[None, :])[0])
-
     def log_reward_batch(self, X) -> np.ndarray:
         X = _batch_values(X)
         out = np.zeros(X.shape[0])
@@ -359,17 +315,11 @@ class EnergyModel:
             out += f.log_value(X[:, f.scope])
         return out
 
-    def delta_log_reward(self, x, u: int, xu_new: int) -> float:
-        """log p(x) - log p(x') where x' is x with x_u set to xu_new.
-
-        Touches only the factors containing u, so the cost is local.
-        """
-        vals = _values_of(x)
-        if vals[u] == xu_new:
-            raise SameValue(f"variable {u} already has value {xu_new}")
-        return float(self.delta_log_reward_batch(vals[None, :], np.array([u]), np.array([xu_new]))[0])
-
     def delta_log_reward_batch(self, X, us, new_vals) -> np.ndarray:
+        """log R(x) - log R(x') per row, x' being the row with x_u set to the new value.
+
+        Touches only the factors containing each row's u, so the cost is local.
+        """
         X = _batch_values(X)
         us = np.asarray(us)
         new_vals = np.asarray(new_vals, dtype=np.int8)

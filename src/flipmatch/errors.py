@@ -27,10 +27,6 @@ class SameValue(FlipmatchError):
     """A flip was requested to the value the variable already has."""
 
 
-class MissingParent(FlipmatchError):
-    """A conditional was requested but some parent is uninstantiated."""
-
-
 class MissingBlanket(FlipmatchError):
     """A local loss term needs the full neighborhood of the flipped variable."""
 
@@ -45,10 +41,6 @@ class EmptyDataset(FlipmatchError):
 
 class NonFiniteLoss(FlipmatchError):
     """A loss or gradient evaluated to NaN or infinity."""
-
-
-class OrderViolation(FlipmatchError):
-    """A prefix of instantiated variables does not follow the sampling order."""
 
 
 class TooFewChildren(FlipmatchError):

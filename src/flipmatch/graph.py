@@ -1,4 +1,4 @@
-"""Undirected graphs, chordal completions, junction trees, and DAG orientations.
+"""Undirected graphs, chordal completions, and DAG orientations.
 
 The pipeline implemented here turns a sparse Markov network into a directed
 acyclic graph whose Bayesian-network factorization can represent the same
@@ -21,8 +21,7 @@ tabular Bayesian network, is an ``Imap``: the topological order, each
 position's depth and its parents padded with -1, as int64 arrays, which is
 the form the sampler's wavefront walk reads.  An orientation is built once,
 in the order the junction tree visits the vertices.  Parent, child and
-blanket dicts are views derived on first read.  ``check_chordal`` reads the
-candidate cliques of the search rather than running a search of its own.
+blanket dicts are views derived on first read.
 
 No set-up stage scans the whole graph at each step of its work.  Min-fill
 finds its next vertex in buckets by fill count and updates the counts by the
@@ -33,12 +32,13 @@ junction tree finds the intersecting clique pairs through a vertex to cliques
 index.  Each stage makes the draws of the whole-scan version
 (``tests/oracles.py``), so a seed gives the same maps.
 
-The search, tree and orientation run on a vertex set of an adjacency: the
-whole completion for ``sample_imap``, one vertex's closed neighbourhood in it
-for ``sub_imap``.  A sub-map is thus built on the cached completion's global
-masks, with no subgraph and no relabelling; sorted global ids give the tie
-order that sorted local ids would.  ``induced_subgraph`` and ``lift_imap``
-serve callers that need a subgraph with local ids.
+Min-fill, the search, the tree and the orientation all run on a vertex set
+of an adjacency, so every map is built on global masks, with no subgraph and
+no relabelling; sorted global ids give the tie order that sorted local ids
+would.  ``_imap_on`` orients a vertex set in a completion whose min-fill ran
+over that set only: the whole graph for ``sample_imap``, the latent set for
+``harness.latent_imap``.  ``sub_imap`` orients one vertex's closed
+neighbourhood in the whole completion.
 """
 
 from __future__ import annotations
@@ -51,11 +51,10 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from flipmatch.errors import ConfigError, CorruptFile
+from flipmatch.errors import ConfigError
 
 __all__ = [
     "UndirectedGraph",
-    "JunctionTree",
     "Imap",
     "chain_graph",
     "cycle_graph",
@@ -64,17 +63,10 @@ __all__ = [
     "grid_graph",
     "ladder_graph",
     "random_graph",
-    "read_edge_list",
-    "write_edge_list",
-    "induced_subgraph",
     "min_fill_chordalize",
-    "check_chordal",
     "max_cardinality_search",
-    "build_junction_tree",
-    "orient_pmap",
     "sample_imap",
     "sub_imap",
-    "lift_imap",
 ]
 
 
@@ -144,9 +136,6 @@ class UndirectedGraph:
     def degree(self, v: int) -> int:
         return self.adj_masks[v].bit_count()
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self.edges
-
     def with_extra_edges(self, pairs: Iterable[tuple[int, int]]) -> "UndirectedGraph":
         extra = {(min(u, v), max(u, v)) for u, v in pairs if u != v}
         if not extra - self.edges:
@@ -211,88 +200,8 @@ def random_graph(n: int, edge_prob: float, seed: int | np.random.Generator) -> U
     return UndirectedGraph.from_edges(n, edges)
 
 
-def read_edge_list(path: str) -> UndirectedGraph:
-    """Parse the text edge-list format.
-
-    First non-comment line is ``n <num_vars>``; every following line is an
-    edge ``u v``.  ``#`` starts a comment, blank lines are skipped.  A file
-    that is not such a list raises ``CorruptFile`` naming it.
-    """
-    num_vars = None
-    pairs: list[tuple[int, int]] = []
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                parts = line.split()
-                if num_vars is None:
-                    if len(parts) != 2 or parts[0] != "n":
-                        raise ValueError(f"line {lineno}: expected header 'n <num_vars>'")
-                    num_vars = int(parts[1])
-                    continue
-                if len(parts) != 2:
-                    raise ValueError(f"line {lineno}: expected 'u v'")
-                pairs.append((int(parts[0]), int(parts[1])))
-        if num_vars is None:
-            raise ValueError("missing 'n <num_vars>' header")
-        return UndirectedGraph.from_edges(num_vars, pairs)
-    except ValueError as e:  # UnicodeDecodeError is one too
-        raise CorruptFile(f"{path}: {e}") from None
-
-
-def write_edge_list(g: UndirectedGraph, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"n {g.num_vars}\n")
-        for u, v in sorted(g.edges):
-            fh.write(f"{u} {v}\n")
-
-
-def induced_subgraph(g: UndirectedGraph, vertices: Sequence[int]) -> tuple[UndirectedGraph, tuple[int, ...]]:
-    """Subgraph over ``vertices`` with local ids; returns (graph, local->global map).
-
-    Reads the adjacency masks of the chosen vertices only.
-    """
-    order = tuple(sorted(vertices))
-    if order and not (0 <= order[0] and order[-1] < g.num_vars):
-        raise ValueError(f"vertices must lie in [0, {g.num_vars})")
-    index = {v: i for i, v in enumerate(order)}
-    selected = _mask_of(order)
-    adj = g.adj_masks
-    edges = [(index[u], index[v]) for u in order for v in _bits(adj[u] & selected) if u < v]
-    return UndirectedGraph(len(order), frozenset(edges)), order
-
-
 # ---------------------------------------------------------------------------
 # directed structures
-
-
-@dataclass(frozen=True)
-class JunctionTree:
-    """Rooted clique tree.  ``parent[i]`` is -1 for a root.
-
-    ``root`` is the root clique index, or -1 when the clique graph was
-    disconnected and the forest hangs under a virtual root.
-    """
-
-    cliques: tuple[frozenset[int], ...]
-    parent: tuple[int, ...]
-    root: int
-
-    def __post_init__(self) -> None:
-        k = len(self.cliques)
-        if len(self.parent) != k:
-            raise ValueError("parent array length mismatch")
-        for i, p in enumerate(self.parent):
-            if p != -1 and not 0 <= p < k:
-                raise ValueError(f"parent[{i}] out of range")
-        if k and self.root != -1 and not 0 <= self.root < k:
-            raise ValueError("root out of range")
-
-    def traversal_order(self) -> tuple[int, ...]:
-        """Breadth-first clique order with every parent before its children."""
-        return tuple(_breadth_first(self.parent))
 
 
 def _breadth_first(parent: Sequence[int]) -> list[int]:
@@ -436,24 +345,21 @@ def _move(buckets: dict[int, int], bit: int, old: int | None, new: int | None) -
         buckets[new] = buckets.get(new, 0) | bit
 
 
-def min_fill_chordalize(
-    g: UndirectedGraph, seed: int | np.random.Generator = 0
-) -> UndirectedGraph:
-    """Chordal completion via the min-fill elimination heuristic.
+def _min_fill(adj: list[int], verts: int, rng: np.random.Generator) -> list[tuple[int, int]]:
+    """Min-fill elimination of the vertex set ``verts``; returns the fill edges.
 
     Repeatedly eliminates the vertex whose neighborhood needs the fewest fill
     edges to become a clique, ties broken uniformly at random over the tied
-    vertices in ascending order.  Alive vertices sit in buckets by fill count.
-    The counts are taken once and then kept current: a fill edge (a, b) takes
-    one missing pair from each common neighbour and gives a (and b) one for
-    each of its neighbours not adjacent to b (to a), and eliminating v takes
-    from each neighbour its missing pairs through v.  Already-chordal graphs
-    come back unchanged (zero fill edges at every step).
+    vertices in ascending order.  Only ``verts`` is eliminated and only its
+    edges count, so the result is the completion of the subgraph induced on
+    ``verts``, with the draws min-fill makes on that subgraph relabelled.
+    The fill edges are also added to ``adj`` in place.  Alive vertices sit in
+    buckets by fill count.  The counts are taken once and then kept current:
+    a fill edge (a, b) takes one missing pair from each common neighbour and
+    gives a (and b) one for each of its neighbours not adjacent to b (to a),
+    and eliminating v takes from each neighbour its missing pairs through v.
     """
-    rng = _as_rng(seed)
-    n = g.num_vars
-    adj = list(g.adj_masks)
-    alive = (1 << n) - 1
+    alive = verts
     added: list[tuple[int, int]] = []
 
     def fill_count(v: int) -> int:
@@ -468,11 +374,12 @@ def min_fill_chordalize(
             cnt += (nb & rest & ~adj[a]).bit_count()
         return cnt
 
-    fill = [fill_count(v) for v in range(n)]
+    fill = [0] * len(adj)
     buckets: dict[int, int] = {}
-    for v, f in enumerate(fill):
-        _move(buckets, 1 << v, None, f)
-    for _ in range(n):
+    for v in _bits(verts):
+        fill[v] = fill_count(v)
+        _move(buckets, 1 << v, None, fill[v])
+    for _ in range(verts.bit_count()):
         v = _draw_member(buckets[min(buckets)], rng)
         alive ^= 1 << v
         _move(buckets, 1 << v, fill[v], None)
@@ -500,7 +407,17 @@ def min_fill_chordalize(
             if d:
                 _move(buckets, 1 << w, fill[w], fill[w] + d)
                 fill[w] += d
-    return g.with_extra_edges(added)
+    return added
+
+
+def min_fill_chordalize(
+    g: UndirectedGraph, seed: int | np.random.Generator = 0
+) -> UndirectedGraph:
+    """Chordal completion via the min-fill elimination heuristic (see ``_min_fill``).
+
+    Already-chordal graphs come back unchanged (zero fill edges at every step).
+    """
+    return g.with_extra_edges(_min_fill(list(g.adj_masks), (1 << g.num_vars) - 1, _as_rng(seed)))
 
 
 def _search(
@@ -563,19 +480,6 @@ def max_cardinality_search(
     return order, [frozenset(_bits(c)) for c in kept]
 
 
-def check_chordal(g: UndirectedGraph) -> bool:
-    """True iff every cycle of length >= 4 has a chord.
-
-    A candidate set of a maximum cardinality search (a vertex with its
-    already-visited neighbors) is a clique for every vertex exactly when the
-    graph is chordal (Tarjan and Yannakakis), and a set that is not a clique
-    lies in no clique, so testing the maximal candidates suffices.
-    """
-    adj = g.adj_masks
-    _, kept = _search(adj, (1 << g.num_vars) - 1, _as_rng(0))
-    return all((adj[v] | 1 << v) & m == m for m in kept for v in _bits(m))
-
-
 class _UnionFind:
     def __init__(self, n: int) -> None:
         self.parent = list(range(n))
@@ -597,9 +501,13 @@ class _UnionFind:
 def _spanning_tree(masks: Sequence[int], rng: np.random.Generator) -> tuple[list[int], int]:
     """Parent array and root of the junction tree over the clique ``masks``.
 
-    The intersecting pairs ``(i, j)``, ``i < j``, are listed in order from a
-    vertex to cliques index built from the last clique back, so clique i meets
-    only the later cliques that share one of its vertices.
+    A maximum-weight spanning tree, weighted by separator size.  Only pairs
+    with a non-empty intersection compete, so a disconnected clique graph
+    yields one tree per component and root -1 (a virtual root).  Spanning-tree
+    ties and each component's root are drawn from ``rng``.  The intersecting
+    pairs ``(i, j)``, ``i < j``, are listed in order from a vertex to cliques
+    index built from the last clique back, so clique i meets only the later
+    cliques that share one of its vertices.
     """
     k = len(masks)
     holding: dict[int, int] = {}  # vertex -> mask of the later cliques holding it
@@ -643,20 +551,6 @@ def _spanning_tree(masks: Sequence[int], rng: np.random.Generator) -> tuple[list
     return parent, comp_roots[0] if len(comp_roots) == 1 else -1
 
 
-def build_junction_tree(
-    cliques: Sequence[frozenset[int]], seed: int | np.random.Generator = 0
-) -> JunctionTree:
-    """Maximum-weight spanning tree over cliques, weighted by separator size.
-
-    Only pairs with a non-empty intersection compete; a disconnected clique
-    graph therefore yields one tree per component, all hanging under a virtual
-    root (``root = -1``).  Spanning-tree ties and the root choice are
-    randomized.
-    """
-    parent, root = _spanning_tree([_mask_of(c) for c in cliques], _as_rng(seed))
-    return JunctionTree(tuple(frozenset(c) for c in cliques), tuple(parent), root)
-
-
 def _orient(
     adj: Sequence[int],
     masks: Sequence[int],
@@ -664,7 +558,14 @@ def _orient(
     num_vars: int,
     rng: np.random.Generator,
 ) -> Imap:
-    """Orient the edges among the cliques ``masks``, taken in ``clique_order``."""
+    """Orient the edges among the cliques ``masks``, taken in ``clique_order``.
+
+    Vertices are numbered by first appearance (clique order, random order
+    inside each clique) and every edge points from the earlier to the later
+    vertex.  Along a root-first traversal of a clique tree the earlier
+    neighbours of a vertex all live in the clique where it first appears, so
+    no vertex gains unmarried parents.
+    """
     order: list[int] = []
     seen = 0
     for ci in clique_order:
@@ -682,20 +583,6 @@ def _orient(
     return Imap.from_parents(num_vars, order, parents)
 
 
-def orient_pmap(
-    g: UndirectedGraph, jt: JunctionTree, seed: int | np.random.Generator = 0
-) -> Imap:
-    """Orient a chordal graph along a root-first traversal of its clique tree.
-
-    Vertices are numbered by first appearance (clique order from the tree,
-    random order inside each clique) and every edge points from the earlier to
-    the later vertex.  Earlier neighbors of any vertex all live in the clique
-    where it first appears, so no vertex ever gains unmarried parents.
-    """
-    masks = [_mask_of(c) for c in jt.cliques]
-    return _orient(g.adj_masks, masks, jt.traversal_order(), g.num_vars, _as_rng(seed))
-
-
 def _draw_imap(adj: Sequence[int], verts: int, num_vars: int, rng: np.random.Generator) -> Imap:
     """Search, clique tree and orientation of the chordal graph ``adj`` on ``verts``."""
     _, cliques = _search(adj, verts, rng)
@@ -704,8 +591,9 @@ def _draw_imap(adj: Sequence[int], verts: int, num_vars: int, rng: np.random.Gen
 
 
 @lru_cache(maxsize=128)
-def _cached_chordal(g: UndirectedGraph, chordal_seed: int) -> UndirectedGraph:
-    return min_fill_chordalize(g, chordal_seed)
+def _cached_chordal(g: UndirectedGraph, chordal_seed: int, verts: int) -> UndirectedGraph:
+    """``g`` plus min-fill's fill edges over the vertex set ``verts``, from ``chordal_seed``."""
+    return g.with_extra_edges(_min_fill(list(g.adj_masks), verts, _as_rng(chordal_seed)))
 
 
 def sample_imap(
@@ -718,9 +606,16 @@ def sample_imap(
     elimination order, spanning tree, root, and intra-clique orders all
     resample from ``seed``.
     """
+    return _imap_on(g, (1 << g.num_vars) - 1, seed, chordal_seed)
+
+
+def _imap_on(
+    g: UndirectedGraph, verts: int, seed: int | np.random.Generator, chordal_seed: int
+) -> Imap:
+    """A random orientation of ``g`` on the vertex set ``verts``, in the cached
+    completion whose min-fill ran over that set only."""
     rng = _as_rng(seed)
-    chordal = _cached_chordal(g, chordal_seed)
-    return _draw_imap(chordal.adj_masks, (1 << g.num_vars) - 1, g.num_vars, rng)
+    return _draw_imap(_cached_chordal(g, chordal_seed, verts).adj_masks, verts, g.num_vars, rng)
 
 
 def sub_imap(
@@ -736,18 +631,5 @@ def sub_imap(
     if not 0 <= u < g.num_vars:
         raise ValueError(f"vertex {u} out of range")
     rng = _as_rng(seed)
-    adj = _cached_chordal(g, chordal_seed).adj_masks
+    adj = _cached_chordal(g, chordal_seed, (1 << g.num_vars) - 1).adj_masks
     return _draw_imap(adj, adj[u] | 1 << u, g.num_vars, rng)
-
-
-def lift_imap(local: Imap, mapping: Sequence[int], num_vars: int) -> Imap:
-    """An I-map on a subgraph's local ids, renamed to global ids.
-
-    ``mapping[i]`` is the global id of local vertex i (as ``induced_subgraph``
-    returns it); the lifted map lives in a universe of ``num_vars`` variables
-    and covers just the mapped ones.  The -1 padding stays -1.
-    """
-    if len(mapping) != local.num_vars:
-        raise ValueError(f"mapping names {len(mapping)} vertices, the map has {local.num_vars}")
-    lift = np.append(np.asarray(mapping, dtype=np.int64), -1)
-    return Imap(num_vars, lift[local.order], local.depth, lift[local.parent_table])

@@ -22,7 +22,7 @@ from flipmatch.errors import (
     PartialAssignment,
     ShapeMismatch,
 )
-from flipmatch.graph import Imap, induced_subgraph, lift_imap, sample_imap
+from flipmatch.graph import Imap, _imap_on, _mask_of
 from flipmatch.harness.config import TrainConfig
 from flipmatch.harness.loops import _aux_multipliers, _spawn_rngs, interaction_graph
 from flipmatch.harness.metrics import MetricsRow
@@ -33,10 +33,15 @@ from flipmatch.sampler import AmortizedSampler, Policy
 __all__ = ["latent_imap", "data_marginal_loglik", "train_em"]
 
 
-def _check_latent(latent, num_vars: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _latent_ids(latent, num_vars: int) -> tuple[int, ...]:
     hidden = tuple(sorted(set(int(v) for v in latent)))
     if any(v < 0 or v >= num_vars for v in hidden):
-        raise ConfigError(f"latent variables must lie in [0, {num_vars})")
+        raise ConfigError(f"latent variables must lie in [0, {num_vars}), got {list(hidden)}")
+    return hidden
+
+
+def _check_latent(latent, num_vars: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    hidden = _latent_ids(latent, num_vars)
     if len(hidden) == num_vars:
         raise LatentCoversAll("every variable is latent; nothing conditions the posterior")
     observed = tuple(v for v in range(num_vars) if v not in set(hidden))
@@ -46,21 +51,23 @@ def _check_latent(latent, num_vars: int) -> tuple[tuple[int, ...], tuple[int, ..
 def latent_imap(m, latent, seed) -> Imap:
     """A random orientation of the model's interaction graph restricted to ``latent``.
 
-    Keeps global variable ids, so the result drives ``partial_sample_batch``
-    and the flip-matching loss directly on full-width rows.
+    Min-fill runs over the latent set only, from chordal seed 0, so the map is
+    ``sample_imap``'s draw on the induced subgraph, with global variable ids:
+    it drives ``partial_sample_batch`` and the flip-matching loss directly on
+    full-width rows.
     """
     hidden, _ = _check_latent(latent, m.num_vars)
-    local, mapping = induced_subgraph(interaction_graph(m), hidden)
-    return lift_imap(sample_imap(local, seed=seed), mapping, m.num_vars)
+    return _imap_on(interaction_graph(m), _mask_of(hidden), seed, 0)
 
 
 def data_marginal_loglik(p: TabularBayesNetModel, latent, data) -> float:
     """Mean log-likelihood of the observed coordinates, latents summed out.
 
     Exact by enumeration over the 2^|latent| completions of each row; NaN when
-    more than 16 variables are latent.
+    more than 16 variables are latent.  Latent ids outside [0, num_vars)
+    raise ConfigError.
     """
-    hidden = tuple(sorted(set(int(v) for v in latent)))
+    hidden = _latent_ids(latent, p.num_vars)
     data = np.asarray(data, dtype=np.int8)
     if not hidden:
         return float(np.mean(p.log_reward_batch(data)))

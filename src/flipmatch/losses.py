@@ -25,7 +25,7 @@ from collections.abc import Mapping
 
 import numpy as np
 
-from flipmatch.energy import ZERO_MASKED, EnergyModel, _values_of
+from flipmatch.energy import ZERO_MASKED, EnergyModel
 from flipmatch.errors import (
     ConfigError,
     EmptyBatch,
@@ -299,7 +299,7 @@ def delta_loss_batch(
 
 def delta_loss(s, imap: Imap, m: EnergyModel, x, u: int, xu_new, cond=None) -> Tensor:
     """Squared flip-matching residual for a single flip (x, u -> xu_new)."""
-    vals = _values_of(x)
+    vals = np.asarray(x, dtype=np.int8)
     return delta_loss_batch(s, imap, m, vals[None, :], [u], [xu_new], cond=cond)
 
 
@@ -326,7 +326,7 @@ def delta_loss_stochastic_grad(
     loss; only its backward pass is meaningful.  Indices index into u's
     children in ascending order; omitted ones are drawn from ``seed``.
     """
-    vals = _values_of(x)
+    vals = np.asarray(x, dtype=np.int8)
     n = int((imap.parent_table == u).sum())
     if n <= 1:
         raise TooFewChildren(f"variable {u} has {n} children; use delta_loss directly")

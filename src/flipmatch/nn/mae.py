@@ -27,7 +27,7 @@ the network that was saved.
 
 The forward exists once, written in place on raw arrays, and every call runs
 its blocks on cache-sized row slices (``_BLOCK_ELEMENTS // width`` rows).
-The gradient-free calls (``masked_logits_np``, ``trunk_np``) keep nothing.
+The gradient-free call (``masked_logits_np``) keeps nothing.
 The taped calls (``masked_logits``, ``trunk``) record one tape node from the
 first layer's output to the logits, or to the trunk rows for the flow head,
 and keep only that output, the first layer's output and the last slice's
@@ -173,7 +173,7 @@ class MaeParams:
         """Shared trunk on the tape: input rows -> (B, width).
 
         ``x`` holds (B, input_width) masked rows, or with ``cols`` the compact
-        form of ``trunk_np``.  The trunk rows are the output of the one tape
+        form described at ``_packed``.  The trunk rows are the output of the one tape
         node of ``_taped_blocks``, run without a head.
         """
         packed = self._packed(x, cols)
@@ -183,7 +183,7 @@ class MaeParams:
         """The blocks on first-layer outputs z, then with ``head`` the logit of
         variable head[i] for row i, recorded as one tape node.
 
-        The forward is ``trunk_np``'s, slice by slice.  The node keeps z, its
+        The forward is ``_sliced_blocks_np``'s, slice by slice.  The node keeps z, its
         output and the last slice's intermediates; every other slice runs in
         a copy of its rows of z and keeps nothing, and ``_trunk_backward``
         runs it again.  ``rows`` names the input rows that z holds, one each,
@@ -295,8 +295,8 @@ class MaeParams:
 
     # -- the forward itself, on raw arrays -----------------------------------
     #
-    # ``trunk`` and ``trunk_np`` both run the code below; only ``trunk`` keeps
-    # intermediates.  Without ``cols`` the input is full (B, input_width)
+    # The taped and the gradient-free calls both run the code below; only the
+    # taped ones keep intermediates.  Without ``cols`` the input is full (B, input_width)
     # rows.  With ``cols`` it is compact: only some input columns, every
     # coordinate not listed being zero.  An (E, K) ``cols`` splits x into E
     # equal blocks of consecutive rows, x[i, k] in block e is input coordinate
@@ -408,10 +408,6 @@ class MaeParams:
         for c, a, b in zip(col[starts].tolist(), starts.tolist(), [*starts[1:].tolist(), len(col)]):
             grad[c] = val[a:b] @ gz[row[a:b]]
         return grad
-
-    def trunk_np(self, x: np.ndarray, cols=None) -> np.ndarray:
-        """Gradient-free trunk: (B, input_width) rows, or (B, K) with ``cols``."""
-        return self._sliced_blocks_np(self._first_layer(x, self._packed(x, cols)))
 
     def _sliced_blocks_np(self, h: np.ndarray) -> np.ndarray:
         """The blocks in h's own buffer, slice by slice (see ``_row_slices``)."""

@@ -38,10 +38,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from flipmatch.energy import EnergyModel, _values_of
+from flipmatch.energy import EnergyModel
 from flipmatch.errors import (
     ConfigError,
-    MissingParent,
     PartialAssignment,
     ShapeMismatch,
 )
@@ -301,21 +300,6 @@ class AmortizedSampler:
         for t in range(terms.shape[1]):
             logq += terms[:, t]
         return work[:, :-1], logq.reshape(N)
-
-    def conditional_logprob(self, imap: Imap, v: int, x, cond=None) -> float:
-        """log q(x_v | x_parents(v)) under the given I-map."""
-        vals = _values_of(x)
-        parents = imap.parent_table[imap.positions([v])]
-        missing = [p for p in parents[0].tolist() if p >= 0 and vals[p] == 0]
-        if missing:
-            raise MissingParent(f"variable {v} needs parents {missing} instantiated")
-        if vals[v] == 0:
-            raise PartialAssignment(f"variable {v} itself carries no value")
-        work = np.zeros((1, self.num_vars + 1))
-        work[0, :-1] = vals
-        rows = np.zeros((1, 1), dtype=np.int64)
-        logit = self._entry_logits(work, self._cond_block(cond, 1), rows, np.array([v]), parents)
-        return float(log_sigmoid_np(vals[v] * logit)[0, 0])
 
     # -- sampling --------------------------------------------------------------
 

@@ -20,22 +20,29 @@ import numpy as np
 from flipmatch import losses
 from flipmatch.energy import (
     ZERO_MASKED,
-    Assignment,
     EnergyModel,
     ExactTable,
     IsingModel,
     _batch_values,
-    _values_of,
 )
 from flipmatch.errors import (
     ConfigError,
     EmptyBatch,
-    MissingParent,
-    OrderViolation,
+    FlipmatchError,
     PartialAssignment,
     TooFewChildren,
 )
-from flipmatch.graph import Imap, JunctionTree, UndirectedGraph, _as_rng, _bits, _mask_of
+from flipmatch.graph import (
+    Imap,
+    UndirectedGraph,
+    _as_rng,
+    _bits,
+    _breadth_first,
+    _mask_of,
+    _orient,
+    _search,
+    _spanning_tree,
+)
 from flipmatch.losses import (
     FlowHead,
     LogZEstimate,
@@ -58,6 +65,15 @@ from flipmatch.sampler import (
     _merged_levels,
     masked_parent_rows,
 )
+
+
+def _row(x) -> np.ndarray:
+    """One assignment as an int8 vector; 0 marks an uninstantiated variable."""
+    return np.asarray(x, dtype=np.int8)
+
+
+def has_edge(g: UndirectedGraph, u: int, v: int) -> bool:
+    return (min(u, v), max(u, v)) in g.edges
 
 
 def _connected(vertices: list[int], has_edge) -> bool:
@@ -85,12 +101,25 @@ def chordal_brute_force(g: UndirectedGraph) -> bool:
         if mask.bit_count() < 4:
             continue
         verts = [v for v in range(n) if (mask >> v) & 1]
-        degs = [sum(1 for w in verts if w != v and g.has_edge(v, w)) for v in verts]
+        degs = [sum(1 for w in verts if w != v and has_edge(g, v, w)) for v in verts]
         if any(d != 2 for d in degs):
             continue
-        if _connected(verts, g.has_edge):
+        if _connected(verts, lambda a, b: has_edge(g, a, b)):
             return False
     return True
+
+
+def check_chordal(g: UndirectedGraph) -> bool:
+    """True iff every cycle of length >= 4 has a chord.
+
+    A candidate set of a maximum cardinality search (a vertex with its
+    already-visited neighbors) is a clique for every vertex exactly when the
+    graph is chordal (Tarjan and Yannakakis), and a set that is not a clique
+    lies in no clique, so testing the maximal candidates suffices.
+    """
+    adj = g.adj_masks
+    _, kept = _search(adj, (1 << g.num_vars) - 1, _as_rng(0))
+    return all((adj[v] | 1 << v) & m == m for m in kept for v in _bits(m))
 
 
 def maximal_cliques_brute_force(g: UndirectedGraph) -> set[frozenset[int]]:
@@ -99,7 +128,7 @@ def maximal_cliques_brute_force(g: UndirectedGraph) -> set[frozenset[int]]:
     cliques = []
     for size in range(1, n + 1):
         for combo in combinations(range(n), size):
-            if all(g.has_edge(a, b) for a, b in combinations(combo, 2)):
+            if all(has_edge(g, a, b) for a, b in combinations(combo, 2)):
                 cliques.append(frozenset(combo))
     return {
         c for c in cliques if not any(c < other for other in cliques)
@@ -129,7 +158,7 @@ def exact_marginals(probs: np.ndarray, num_vars: int) -> np.ndarray:
 
 
 def energy(m: EnergyModel, x) -> float:
-    return -m.log_reward(x)
+    return -float(m.log_reward_batch(_row(x)[None, :])[0])
 
 
 def factors_touching(m: EnergyModel, u: int) -> tuple[int, ...]:
@@ -137,17 +166,18 @@ def factors_touching(m: EnergyModel, u: int) -> tuple[int, ...]:
 
 
 def partial_reward(m: EnergyModel, x, mode: str = ZERO_MASKED) -> float:
-    return float(m.partial_reward_batch(_values_of(x)[None, :], mode)[0])
+    return float(m.partial_reward_batch(_row(x)[None, :], mode)[0])
 
 
-def is_full(x: Assignment) -> bool:
-    return bool(np.all(x.values != 0))
+def delta_log_reward(m: EnergyModel, x, u: int, xu_new: int) -> float:
+    """log R(x) - log R(x with x_u = xu_new): one row of the batch method."""
+    return float(m.delta_log_reward_batch(_row(x)[None, :], [u], [xu_new])[0])
 
 
-def with_value(x: Assignment, v: int, value: int) -> Assignment:
-    out = x.values.copy()
+def with_value(x, v: int, value: int) -> np.ndarray:
+    out = _row(x).copy()
     out[v] = value
-    return Assignment(out)
+    return out
 
 
 def imap_parent_rows(imap: Imap, X, vs) -> tuple[np.ndarray, np.ndarray]:
@@ -171,6 +201,11 @@ def central_diff(f, x: np.ndarray, h: float = 1e-4) -> np.ndarray:
 def relative_error(analytic: np.ndarray, numeric: np.ndarray, floor: float = 1e-8) -> np.ndarray:
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), floor)
     return np.abs(analytic - numeric) / denom
+
+
+def trunk_np(mae, x: np.ndarray, cols=None) -> np.ndarray:
+    """The network's gradient-free trunk: (B, input_width) rows, or (B, K) with ``cols``."""
+    return mae._sliced_blocks_np(mae._first_layer(x, mae._packed(x, cols)))
 
 
 def fit_sampler_exactly(mae, imaps, table) -> float:
@@ -215,7 +250,7 @@ def fit_sampler_exactly(mae, imaps, table) -> float:
         t = np.empty(len(inputs))
         for i, row in enumerate(inputs):
             t[i] = conditional_logit(table, v, row.astype(np.int8))
-        h = mae.trunk_np(inputs)
+        h = trunk_np(mae, inputs)
         design = np.hstack([h, np.ones((len(h), 1))])
         sol, *_ = np.linalg.lstsq(design, t, rcond=None)
         mae.w_out.data[:, v] = sol[:-1]
@@ -288,16 +323,6 @@ class TabularSampler:
             out[rows] = np.log(p)
         return tape.const(out)
 
-    def conditional_logprob(self, imap: Imap, v: int, x) -> float:
-        self._check_map(imap)
-        vals = _values_of(x)
-        missing = [p for p in imap.parents[v] if vals[p] == 0]
-        if missing:
-            raise MissingParent(f"variable {v} needs parents {missing} instantiated")
-        if vals[v] == 0:
-            raise PartialAssignment(f"variable {v} itself carries no value")
-        return float(self.logq_rows(full_rows(vals[None, :]), [v], [vals[v]]).data[0])
-
     def log_prob_batch(self, imap: Imap, X) -> np.ndarray:
         self._check_map(imap)
         vals = np.asarray(X, dtype=np.float64)
@@ -313,7 +338,7 @@ class TabularSampler:
         return out
 
     def log_prob(self, imap: Imap, x) -> float:
-        return float(self.log_prob_batch(imap, _values_of(x)[None, :])[0])
+        return float(self.log_prob_batch(imap, _row(x)[None, :])[0])
 
     def ancestral_sample(self, imap: Imap, policy, n: int, seed) -> tuple[np.ndarray, np.ndarray]:
         self._check_map(imap)
@@ -855,6 +880,31 @@ class _ReferenceUnionFind:
         return True
 
 
+@dataclass(frozen=True)
+class JunctionTree:
+    """Rooted clique tree.  ``parent[i]`` is -1 for a root.
+
+    ``root`` is the root clique index, or -1 when the clique graph was
+    disconnected and the forest hangs under a virtual root.
+    """
+
+    cliques: tuple[frozenset[int], ...]
+    parent: tuple[int, ...]
+    root: int
+
+
+def junction_tree(cliques: Sequence[frozenset[int]], seed) -> JunctionTree:
+    """The library's spanning tree over ``cliques`` (``_spanning_tree``) as a record."""
+    parent, root = _spanning_tree([_mask_of(c) for c in cliques], _as_rng(seed))
+    return JunctionTree(tuple(frozenset(c) for c in cliques), tuple(parent), root)
+
+
+def orient(g: UndirectedGraph, jt: JunctionTree, seed) -> Imap:
+    """The library's orientation (``_orient``) of ``g`` along a breadth-first walk of ``jt``."""
+    masks = [_mask_of(c) for c in jt.cliques]
+    return _orient(g.adj_masks, masks, _breadth_first(jt.parent), g.num_vars, _as_rng(seed))
+
+
 def reference_build_junction_tree(
     cliques: Sequence[frozenset[int]], seed: int | np.random.Generator = 0
 ) -> JunctionTree:
@@ -1092,7 +1142,7 @@ def verify_no_immoralities(imap: Imap, chordal: UndirectedGraph) -> bool:
     for ps in imap.parents.values():
         for i in range(len(ps)):
             for j in range(i + 1, len(ps)):
-                if not chordal.has_edge(ps[i], ps[j]):
+                if not has_edge(chordal, ps[i], ps[j]):
                     return False
     return True
 
@@ -1160,12 +1210,12 @@ def state_index(x: np.ndarray) -> int:
 
 
 def state_prob(t: ExactTable, x) -> float:
-    return float(t.full_probs[state_index(_values_of(x))])
+    return float(t.full_probs[state_index(_row(x))])
 
 
 def table_conditional(t: ExactTable, v: int, x) -> float:
     """P(x_v = +1 | instantiated variables of x other than v)."""
-    vals = _values_of(x)
+    vals = _row(x)
     states = t.states()
     cond = np.ones(len(states), dtype=bool)
     for w in np.flatnonzero(vals):
@@ -1185,33 +1235,43 @@ def tv_distance(t: ExactTable, other_probs: np.ndarray) -> float:
     return 0.5 * float(np.abs(t.full_probs - other_probs).sum())
 
 
-def exact_sample(t: ExactTable, n: int, seed) -> list[Assignment]:
-    """I.i.d. exact samples as Assignment objects (empty list for n = 0)."""
+def exact_sample(t: ExactTable, n: int, seed) -> list[np.ndarray]:
+    """I.i.d. exact samples, one row each (empty list for n = 0)."""
     if n == 0:
         return []
-    return [Assignment(row) for row in t.sample_matrix(n, seed)]
+    return list(t.sample_matrix(n, seed))
 
 
-def partial_sample(s: AmortizedSampler, sub: Imap, policy: Policy, seed, cond=None) -> Assignment:
+def partial_sample(s: AmortizedSampler, sub: Imap, policy: Policy, seed, cond=None) -> np.ndarray:
     """One draw instantiating exactly the variables the local map covers."""
-    return Assignment(s.partial_sample_batch(sub, policy, 1, seed, cond)[0])
+    return s.partial_sample_batch(sub, policy, 1, seed, cond)[0]
+
+
+def conditional_logprob(s, imap: Imap, v: int, x, cond=None) -> float:
+    """log q(x_v | x_parents(v)) under ``imap``: one row of the sampler's ``logq_rows``."""
+    vals = np.asarray(x, dtype=np.float64)[None, :]
+    return float(s.logq_rows(imap_parent_rows(imap, vals, [v]), [v], vals[:, v], cond).data[0])
 
 
 def log_prob(s: AmortizedSampler, imap: Imap, x, cond=None) -> float:
-    return float(s.log_prob_batch(imap, _values_of(x)[None, :], cond)[0])
+    return float(s.log_prob_batch(imap, _row(x)[None, :], cond)[0])
 
 
 def tb_loss(s, imap: Imap, m: EnergyModel, x, logZ: LogZEstimate) -> Tensor:
-    return tb_loss_batch(s, imap, m, _values_of(x)[None, :], logZ)
+    return tb_loss_batch(s, imap, m, _row(x)[None, :], logZ)
 
 
 def subtb_loss(s, imap: Imap, m: EnergyModel, x, flow, lam: float) -> Tensor:
-    return subtb_loss_batch(s, imap, m, _values_of(x)[None, :], flow, lam)
+    return subtb_loss_batch(s, imap, m, _row(x)[None, :], flow, lam)
+
+
+class OrderViolation(FlipmatchError):
+    """A prefix of instantiated variables does not follow the sampling order."""
 
 
 def db_loss(s, imap: Imap, m: EnergyModel, x_prefix, next_var: int, flow) -> Tensor:
     """One detailed-balance step: flows on either side of sampling next_var."""
-    vals = _values_of(x_prefix).astype(np.float64)
+    vals = _row(x_prefix).astype(np.float64)
     order = imap.topo_order
     if next_var not in order:
         raise OrderViolation(f"{next_var} is not a variable of this map")
@@ -1242,9 +1302,9 @@ def fl_flow(flow: FlowHead, m: EnergyModel, x, mode: str = ZERO_MASKED) -> Tenso
     No terminal substitution happens here — the balance losses pin terminals
     themselves — so a full assignment evaluates to log R plus the correction.
     """
-    vals = _values_of(x)
+    vals = _row(x)
     corr = flow.correction_rows(vals[None, :].astype(np.float64))
-    partial = partial_reward(m, Assignment(vals), mode)
+    partial = partial_reward(m, vals, mode)
     return corr.sum() + float(partial)
 
 
@@ -1419,7 +1479,7 @@ def per_flip_delta_loss_stochastic_grad(
     not the loss; only its backward pass is meaningful.  Indices index into
     u's children in ascending order; omitted ones are drawn from ``seed``.
     """
-    vals = _values_of(x)
+    vals = _row(x)
     n = len(_children(imap, u))
     if n <= 1:
         raise TooFewChildren(
@@ -1445,7 +1505,7 @@ def per_flip_delta_loss_stochastic_grad(
         lq = _clamped_logq(s, (values[sel], cols[sel]), vs[sel], signs[sel])
         return tape.mul(lq, coeffs[sel]).sum()
 
-    delta = float(m.delta_log_reward(Assignment(vals), u, int(xu_new)))
+    delta = delta_log_reward(m, vals, u, int(xu_new))
     g = tape.const(np.asarray(delta)) - ratio(0)
     f_i = -ratio(1 + i)
     f_j = -ratio(1 + j)

@@ -30,13 +30,11 @@ from flipmatch.energy import (
 )
 from flipmatch.graph import (
     Imap,
-    build_junction_tree,
     chain_graph,
     cycle_graph,
     grid_graph,
     ladder_graph,
     max_cardinality_search,
-    check_chordal,
     min_fill_chordalize,
     random_graph,
     sample_imap,
@@ -69,6 +67,7 @@ from flipmatch.sampler import AmortizedSampler, Policy
 from oracles import (
     ExactFlow,
     TabularSampler,
+    check_chordal,
     chordal_brute_force,
     central_diff,
     exact_em,
@@ -76,6 +75,7 @@ from oracles import (
     fit_tables_by_flip_matching,
     full_rows,
     imap_arcs,
+    junction_tree,
     relative_error,
     running_intersection_holds,
     verify_no_immoralities,
@@ -452,7 +452,7 @@ class TestGraphInvariants:
 
             tree_rng = np.random.default_rng(trial)
             _, cliques = max_cardinality_search(chordal, tree_rng)
-            jt = build_junction_tree(cliques, tree_rng)
+            jt = junction_tree(cliques, tree_rng)
             assert running_intersection_holds(jt)
             adjacency = {i: set() for i in range(len(jt.cliques))}
             for i, parent in enumerate(jt.parent):

@@ -24,7 +24,7 @@ from flipmatch.energy import (
     write_model,
 )
 from flipmatch.errors import FlipmatchError
-from flipmatch.graph import Imap, _cached_chordal, grid_graph, min_fill_chordalize
+from flipmatch.graph import Imap, _cached_chordal, _min_fill, grid_graph
 from flipmatch.harness import read_metrics_csv
 from flipmatch.nn import MaeConfig, MaeParams, save_checkpoint
 from flipmatch.sampler import AnnealSchedule
@@ -97,7 +97,7 @@ class TestChordalize:
         g = grid_graph(4, 5)
         path = tmp_path / "grid.json"
         write_model(random_ising(g, seed=1), str(path))
-        code, calls = min_fill_chordalize.__code__, []
+        code, calls = _min_fill.__code__, []
 
         def count(frame, event, arg):
             if event == "call" and frame.f_code is code:
@@ -544,6 +544,29 @@ class TestEm:
         data = tmp_path / "data.txt"
         np.savetxt(str(data), np.ones((4, 2), dtype=int), fmt="%d")
         assert main(["em", "--model", str(init), "--data", str(data), "--latent", "7"]) == 2
+
+    def test_empty_latent_list_fits_by_plain_likelihood(self, tmp_path, capsys):
+        dag = Imap.from_parents(2, (0, 1), ((), (0,)))
+        init = tmp_path / "init.json"
+        write_model(TabularBayesNetModel(dag), str(init))
+        data = tmp_path / "data.txt"
+        np.savetxt(str(data), np.array([[1, -1], [1, 1], [-1, -1]]), fmt="%d")
+        argv = ["em", "--model", str(init), "--data", str(data), "--latent", ",", "--rounds", "1"]
+        assert main(argv) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["latent"] == [] and np.isfinite(doc["nll"])
+
+    def test_non_integer_latent_is_exit_2_naming_the_token(self, tmp_path, capsys):
+        dag = Imap.from_parents(2, (0, 1), ((), (0,)))
+        init = tmp_path / "init.json"
+        write_model(TabularBayesNetModel(dag), str(init))
+        data = tmp_path / "data.txt"
+        np.savetxt(str(data), np.ones((4, 2), dtype=int), fmt="%d")
+        for latent, token in (("1,a", "'a'"), ("0.5", "'0.5'"), ("1,,x2", "'x2'")):
+            argv = ["em", "--model", str(init), "--data", str(data), "--latent", latent]
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert "--latent" in err and token in err
 
 
 class TestReadAssignments:

@@ -10,12 +10,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from flipmatch.energy import (
     COMPLETED_FACTORS,
     ZERO_MASKED,
-    Assignment,
     ConditionalFactor,
     EnergyModel,
     FactorGraphModel,
@@ -34,8 +33,6 @@ from flipmatch.errors import (
     CorruptFile,
     EmptyBatch,
     FlipmatchError,
-    PartialAssignment,
-    SameValue,
     ShapeMismatch,
     TooLarge,
 )
@@ -43,11 +40,11 @@ from flipmatch.graph import Imap, chain_graph, random_graph, sample_imap
 from flipmatch.sampler import _scan_levels
 from oracles import (
     central_diff,
+    delta_log_reward,
     energy,
     exact_marginals,
     exact_sample,
     factors_touching,
-    is_full,
     partial_reward,
     product_marginals,
     relative_error,
@@ -95,40 +92,16 @@ def two_var_ising():
     return IsingModel(J, np.zeros(2), sigma=1.0)
 
 
-class TestAssignment:
-    def test_empty_and_with_value(self):
-        x = Assignment.empty(3)
-        assert not is_full(x)
-        assert x.instantiated() == ()
-        y = with_value(x, 1, -1)
-        assert y.values.tolist() == [0, -1, 0]
-        assert x.values.tolist() == [0, 0, 0]  # original untouched
-
-    def test_invalid_entries_rejected(self):
-        with pytest.raises(ValueError):
-            Assignment(np.array([2, 0, 1]))
-
-    def test_mask(self):
-        x = Assignment(np.array([1, 0, -1]))
-        assert x.mask.tolist() == [True, False, True]
-        assert x.instantiated() == (0, 2)
-
-
 class TestEnergy:
     def test_zero_model_is_flat(self):
         m = IsingModel(np.zeros((3, 3)), np.zeros(3), sigma=1.0)
         for x in all_states(3):
-            assert energy(m, Assignment(x)) == 0.0
+            assert energy(m, x) == 0.0
 
     def test_two_var_reference_values(self):
         m = two_var_ising()
-        assert_allclose(energy(m, Assignment(np.array([1, 1]))), -1.0)
-        assert_allclose(energy(m, Assignment(np.array([1, -1]))), 1.0)
-
-    def test_partial_assignment_rejected(self):
-        m = two_var_ising()
-        with pytest.raises(PartialAssignment):
-            energy(m, Assignment(np.array([1, 0])))
+        assert_allclose(energy(m, np.array([1, 1])), -1.0)
+        assert_allclose(energy(m, np.array([1, -1])), 1.0)
 
     def test_ising_validation(self):
         with pytest.raises(ValueError):
@@ -142,6 +115,14 @@ class TestEnergy:
             IsingModel(np.zeros((2, 2)), np.zeros(2), sigma=0.0)
         with pytest.raises(ShapeMismatch):
             IsingModel(np.zeros((3, 3)), np.zeros(2))
+
+    def test_batch_accepts_a_sequence_of_rows(self):
+        rng = np.random.default_rng(1)
+        m = random_ising(random_graph(6, 0.5, 2), sigma=0.7, seed=3)
+        X = rng.choice([-1, 1], size=(5, 6)).astype(np.int8)
+        assert_array_equal(m.log_reward_batch([list(row) for row in X]), m.log_reward_batch(X))
+        with pytest.raises(EmptyBatch):
+            m.log_reward_batch([])
 
     def test_fast_batch_matches_factor_sum(self):
         rng = np.random.default_rng(0)
@@ -170,13 +151,8 @@ class TestFactorsTouching:
 class TestDeltaLogReward:
     def test_two_var_reference(self):
         m = two_var_ising()
-        x = Assignment(np.array([1, 1]))
-        assert_allclose(m.delta_log_reward(x, 0, -1), 2.0)
-
-    def test_same_value_rejected(self):
-        m = two_var_ising()
-        with pytest.raises(SameValue):
-            m.delta_log_reward(Assignment(np.array([1, 1])), 0, 1)
+        x = np.array([1, 1])
+        assert_allclose(delta_log_reward(m, x, 0, -1), 2.0)
 
     def test_ising_gibbs_logit_matches_factor_sum(self):
         # the neighbour-list field against the generic sum over touching factors,
@@ -207,11 +183,11 @@ class TestDeltaLogReward:
         rng = np.random.default_rng(3)
         m = random_ising(random_graph(6, 0.5, 4), sigma=0.9, seed=5)
         for _ in range(20):
-            x = Assignment(rng.choice([-1, 1], size=6).astype(np.int8))
+            x = rng.choice([-1, 1], size=6).astype(np.int8)
             u = int(rng.integers(6))
-            new = int(-x.values[u])
-            fwd = m.delta_log_reward(x, u, new)
-            back = m.delta_log_reward(with_value(x, u, new), u, int(x.values[u]))
+            new = int(-x[u])
+            fwd = delta_log_reward(m, x, u, new)
+            back = delta_log_reward(m, with_value(x, u, new), u, int(x[u]))
             assert_allclose(fwd, -back, atol=1e-12)
 
     def test_matches_full_energy_difference(self):
@@ -228,24 +204,24 @@ class TestDeltaLogReward:
                     [MlpFactor.random((u, v), rng) for u, v in sorted(scopes_src.edges)]
                     or [MlpFactor.random((0,), rng)],
                 )
-            x = Assignment(rng.choice([-1, 1], size=n).astype(np.int8))
+            x = rng.choice([-1, 1], size=n).astype(np.int8)
             u = int(rng.integers(n))
-            new = int(-x.values[u])
+            new = int(-x[u])
             expected = energy(m, with_value(x, u, new)) - energy(m, x)
-            assert_allclose(m.delta_log_reward(x, u, new), expected, atol=1e-10)
+            assert_allclose(delta_log_reward(m, x, u, new), expected, atol=1e-10)
 
     def test_reads_only_local_variables(self):
         """Perturbing variables outside u's neighborhood never changes the delta."""
         rng = np.random.default_rng(7)
         m = random_ising(chain_graph(8), sigma=0.5, seed=2)
-        x = Assignment(rng.choice([-1, 1], size=8).astype(np.int8))
+        x = rng.choice([-1, 1], size=8).astype(np.int8)
         u = 3
-        base = m.delta_log_reward(x, u, int(-x.values[u]))
+        base = delta_log_reward(m, x, u, int(-x[u]))
         for far in [0, 1, 6, 7]:  # outside {2,3,4}
-            y = with_value(x, far, int(-x.values[far]))
-            assert m.delta_log_reward(y, u, int(-y.values[u])) == base
+            y = with_value(x, far, int(-x[far]))
+            assert delta_log_reward(m, y, u, int(-y[u])) == base
 
-    def test_batch_matches_scalar(self):
+    def test_batch_matches_one_row_calls(self):
         rng = np.random.default_rng(9)
         m = random_ising(random_graph(7, 0.5, 3), sigma=1.1, seed=8)
         X = rng.choice([-1, 1], size=(30, 7)).astype(np.int8)
@@ -254,25 +230,25 @@ class TestDeltaLogReward:
         batch = m.delta_log_reward_batch(X, us, new)
         for i in range(30):
             assert_allclose(
-                batch[i], m.delta_log_reward(Assignment(X[i]), int(us[i]), int(new[i]))
+                batch[i], delta_log_reward(m, X[i], int(us[i]), int(new[i]))
             )
 
 
 class TestPartialReward:
     def test_empty_mask_completed_factors(self):
         m = random_ising(chain_graph(3), seed=1)
-        assert partial_reward(m, Assignment.empty(3), COMPLETED_FACTORS) == 0.0
+        assert partial_reward(m, np.zeros(3, dtype=np.int8), COMPLETED_FACTORS) == 0.0
 
     def test_full_mask_equals_log_reward(self):
         rng = np.random.default_rng(2)
         m = random_factor_lattice(2, 2, seed=3)
-        x = Assignment(rng.choice([-1, 1], size=4).astype(np.int8))
+        x = rng.choice([-1, 1], size=4).astype(np.int8)
         for mode in (COMPLETED_FACTORS, ZERO_MASKED):
             assert_allclose(partial_reward(m, x, mode), -energy(m, x), atol=1e-12)
 
     def test_chain_prefix_completed_factors(self):
         m = random_ising(chain_graph(3), sigma=0.8, seed=4)
-        x = Assignment(np.array([1, -1, 0]))
+        x = np.array([1, -1, 0])
         # factors fully inside {0,1}: the (0,1) coupling and the two unaries
         expected = (
             2 * 0.8 * m.J[0, 1] * 1 * -1 + 0.8 * m.b[0] * 1 + 0.8 * m.b[1] * -1
@@ -281,7 +257,7 @@ class TestPartialReward:
 
     def test_zero_masked_kills_incomplete_bilinear_terms(self):
         m = random_ising(chain_graph(3), sigma=0.8, seed=4)
-        x = Assignment(np.array([1, -1, 0]))
+        x = np.array([1, -1, 0])
         expected = 2 * 0.8 * m.J[0, 1] * -1 + 0.8 * (m.b[0] - m.b[1])
         assert_allclose(partial_reward(m, x, ZERO_MASKED), expected)
 
@@ -289,7 +265,7 @@ class TestPartialReward:
         rng = np.random.default_rng(5)
         f = MlpFactor.random((0, 1), rng)
         m = FactorGraphModel(2, [f])
-        x = Assignment(np.array([1, 0]))
+        x = np.array([1, 0])
         by_hand = float(np.tanh(np.array([1.0, 0.0]) @ f.w1.T + f.b1) @ f.w2 + f.b2)
         assert_allclose(partial_reward(m, x, ZERO_MASKED), by_hand)
 
@@ -297,7 +273,7 @@ class TestPartialReward:
         """Zero-masked: instantiating v changes only factors whose scope has v."""
         rng = np.random.default_rng(6)
         m = random_ising(random_graph(6, 0.5, 7), sigma=0.4, seed=8)
-        x = Assignment(np.array([1, -1, 0, 0, 1, 0], dtype=np.int8))
+        x = np.array([1, -1, 0, 0, 1, 0], dtype=np.int8)
         v = 2
         grown = with_value(x, v, 1)
         diff = partial_reward(m, grown, ZERO_MASKED) - partial_reward(m, x, ZERO_MASKED)
@@ -305,15 +281,15 @@ class TestPartialReward:
         for k in factors_touching(m, v):
             f = m.factors[k]
             local += float(
-                f.log_value(grown.values[None, list(f.scope)])[0]
-                - f.log_value(x.values[None, list(f.scope)])[0]
+                f.log_value(grown[None, list(f.scope)])[0]
+                - f.log_value(x[None, list(f.scope)])[0]
             )
         assert_allclose(diff, local, atol=1e-12)
 
     def test_unknown_mode_rejected(self):
         m = two_var_ising()
         with pytest.raises(ValueError):
-            partial_reward(m, Assignment.empty(2), "other")
+            partial_reward(m, np.zeros(2, dtype=np.int8), "other")
 
 
 class TestConditionalFactor:
@@ -345,7 +321,7 @@ class TestEnumerateExact:
         t = enumerate_exact(two_var_ising())
         e = np.exp(1.0)
         assert_allclose(np.exp(t.log_z), 2 * e + 2 / e, rtol=1e-12)
-        cond = table_conditional(t, 0, Assignment(np.array([0, 1])))
+        cond = table_conditional(t, 0, np.array([0, 1]))
         assert_allclose(cond, e / (e + 1 / e), rtol=1e-12)
         assert round(cond, 4) == 0.8808
 
@@ -387,11 +363,11 @@ class TestEnumerateExact:
         t = enumerate_exact(m)
         rng = np.random.default_rng(4)
         for _ in range(20):
-            x = Assignment(rng.choice([-1, 1], size=6).astype(np.int8))
+            x = rng.choice([-1, 1], size=6).astype(np.int8)
             u = 2
-            blanket_only = Assignment.empty(6)
+            blanket_only = np.zeros(6, dtype=np.int8)
             for w in (1, 3):  # chain neighborhood of 2
-                blanket_only = with_value(blanket_only, w, int(x.values[w]))
+                blanket_only = with_value(blanket_only, w, int(x[w]))
             assert_allclose(
                 table_conditional(t, u, x), table_conditional(t, u, blanket_only), atol=1e-12
             )
@@ -403,14 +379,14 @@ class TestEnumerateExact:
         imap = sample_imap(m.graph, 0)
         rng = np.random.default_rng(7)
         for _ in range(15):
-            x = Assignment(rng.choice([-1, 1], size=6).astype(np.int8))
+            x = rng.choice([-1, 1], size=6).astype(np.int8)
             logp = 0.0
             for v in imap.topo_order:
-                pa = Assignment.empty(6)
+                pa = np.zeros(6, dtype=np.int8)
                 for w in imap.parents[v]:
-                    pa = with_value(pa, w, int(x.values[w]))
+                    pa = with_value(pa, w, int(x[w]))
                 p_plus = table_conditional(t, v, pa)
-                logp += np.log(p_plus if x.values[v] == 1 else 1 - p_plus)
+                logp += np.log(p_plus if x[v] == 1 else 1 - p_plus)
             assert_allclose(np.exp(logp), state_prob(t, x), rtol=1e-9)
 
 
@@ -427,7 +403,7 @@ class TestExactSample:
         t = enumerate_exact(two_var_ising())
         n = 50_000
         X = t.sample_matrix(n, seed=1)
-        p = state_prob(t, Assignment(np.array([1, 1])))
+        p = state_prob(t, np.array([1, 1]))
         freq = np.mean(np.all(X == 1, axis=1))
         assert abs(freq - p) < 3 * np.sqrt(p * (1 - p) / n)
 

@@ -1,46 +1,40 @@
 """Graph pipeline tests: chordalization, MCS, junction trees, DAG orientations."""
 
-import os
-import tempfile
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flipmatch.energy import random_ising
-from flipmatch.errors import CorruptFile, FlipmatchError
 from flipmatch.graph import (
     Imap,
-    JunctionTree,
     UndirectedGraph,
-    build_junction_tree,
+    _cached_chordal,
+    _mask_of,
+    _min_fill,
     chain_graph,
-    check_chordal,
     complete_graph,
     cycle_graph,
     grid_graph,
-    _cached_chordal,
-    induced_subgraph,
     ladder_graph,
-    lift_imap,
     max_cardinality_search,
     min_fill_chordalize,
-    orient_pmap,
     random_graph,
-    read_edge_list,
     sample_imap,
     star_graph,
     sub_imap,
-    write_edge_list,
 )
-from flipmatch.harness import latent_imap
+from flipmatch.harness import interaction_graph, latent_imap
 from oracles import (
+    JunctionTree,
+    check_chordal,
     chordal_brute_force,
     completion_on,
     imap_arcs,
+    junction_tree,
     maximal_cliques_brute_force,
     moral_graph,
+    orient,
     reference_blanket,
     reference_build_imap,
     reference_build_junction_tree,
@@ -74,7 +68,6 @@ class TestUndirectedGraph:
     def test_from_edges_normalizes_pairs(self):
         g = UndirectedGraph.from_edges(4, [(2, 1), (1, 2), (0, 3)])
         assert g.edges == frozenset({(1, 2), (0, 3)})
-        assert g.has_edge(2, 1) and g.has_edge(3, 0)
 
     def test_self_loop_rejected(self):
         with pytest.raises(ValueError):
@@ -96,73 +89,6 @@ class TestUndirectedGraph:
         assert len(grid_graph(3, 4).edges) == 3 * 3 + 2 * 4
         # ladder with diagonals: rungs + 2*(r-1) rails + (r-1) chords
         assert len(ladder_graph(4).edges) == 4 + 2 * 3 + 3
-
-    def test_edge_list_roundtrip(self, tmp_path):
-        g = grid_graph(3, 3)
-        path = str(tmp_path / "g.txt")
-        write_edge_list(g, path)
-        assert read_edge_list(path) == g
-
-    def test_edge_list_comments_and_blanks(self, tmp_path):
-        path = tmp_path / "g.txt"
-        path.write_text("# header comment\n\nn 3\n0 1  # inline\n\n2 1\n")
-        g = read_edge_list(str(path))
-        assert g == UndirectedGraph.from_edges(3, [(0, 1), (1, 2)])
-
-    def test_edge_list_missing_header(self, tmp_path):
-        path = tmp_path / "g.txt"
-        path.write_text("0 1\n")
-        with pytest.raises(ValueError):
-            read_edge_list(str(path))
-
-    def test_induced_subgraph_local_ids(self):
-        g = chain_graph(5)
-        sub, mapping = induced_subgraph(g, [1, 2, 4])
-        assert mapping == (1, 2, 4)
-        assert sub.num_vars == 3
-        assert sub.edges == frozenset({(0, 1)})  # only 1-2 survives
-
-    def test_induced_subgraph_matches_edge_scan(self):
-        g = min_fill_chordalize(grid_graph(8, 8), 0)
-        for u in range(g.num_vars):
-            verts = {u} | set(g.neighbors(u))
-            assert induced_subgraph(g, verts) == reference_induced_subgraph(g, verts)
-        assert induced_subgraph(g, []) == reference_induced_subgraph(g, [])
-
-    def test_induced_subgraph_rejects_outside_vertices(self):
-        for verts in ([0, 5], [-1, 2]):
-            with pytest.raises(ValueError):
-                induced_subgraph(chain_graph(5), verts)
-
-    def test_edge_list_errors_name_the_file(self, tmp_path):
-        path = tmp_path / "g.txt"
-        for text in ("n 3\n0 x\n", "n three\n", "n 3\n0 1 2\n", "n 3\n1 1\n", "n 2\n0 5\n"):
-            path.write_text(text)
-            with pytest.raises(CorruptFile, match="g.txt"):
-                read_edge_list(str(path))
-        path.write_bytes(b"n 3\n0 \xff\n")
-        with pytest.raises(CorruptFile, match="g.txt"):
-            read_edge_list(str(path))
-
-    @settings(max_examples=300, deadline=None)
-    @given(
-        data=st.binary(max_size=64)
-        | st.text(max_size=64).map(str.encode)
-        | st.lists(
-            st.sampled_from(["n", "n 4", "0", "1", "3", "-1", "9", "x", "#", "\n", " ", "0 1", "2 2"]),
-            max_size=12,
-        ).map(lambda parts: " ".join(parts).encode())
-    )
-    def test_read_edge_list_on_any_bytes_gives_a_graph_or_flipmatch_error(self, data):
-        with tempfile.TemporaryDirectory() as d:
-            path = os.path.join(d, "g.txt")
-            with open(path, "wb") as fh:
-                fh.write(data)
-            try:
-                g = read_edge_list(path)
-            except FlipmatchError:
-                return
-            assert isinstance(g, UndirectedGraph)
 
 
 class TestDag:
@@ -287,13 +213,13 @@ class TestMaxCardinalitySearch:
             earlier = [w for w in g.neighbors(v) if w in seen]
             for i in range(len(earlier)):
                 for j in range(i + 1, len(earlier)):
-                    assert g.has_edge(earlier[i], earlier[j])
+                    assert (earlier[i], earlier[j]) in g.edges
             seen.add(v)
 
 
 class TestJunctionTree:
     def test_two_overlapping_cliques(self):
-        jt = build_junction_tree([frozenset({0, 1}), frozenset({1, 2})], 0)
+        jt = junction_tree([frozenset({0, 1}), frozenset({1, 2})], 0)
         assert sorted(jt.parent).count(-1) == 1
         assert jt.root in (0, 1)
         assert running_intersection_holds(jt)
@@ -302,7 +228,7 @@ class TestJunctionTree:
         """{0,1}-{2,3} has separator weight 0 and must never be a tree edge."""
         cliques = [frozenset({0, 1}), frozenset({1, 2}), frozenset({2, 3})]
         for seed in range(20):
-            jt = build_junction_tree(cliques, seed)
+            jt = junction_tree(cliques, seed)
             for child, parent in enumerate(jt.parent):
                 if parent != -1:
                     assert jt.cliques[child] & jt.cliques[parent]
@@ -310,13 +236,13 @@ class TestJunctionTree:
 
     def test_disconnected_components_virtual_root(self):
         cliques = [frozenset({0, 1, 2}), frozenset({3, 4, 5})]
-        jt = build_junction_tree(cliques, 0)
+        jt = junction_tree(cliques, 0)
         assert jt.root == -1
         assert jt.parent == (-1, -1)
         assert running_intersection_holds(jt)
 
     def test_empty(self):
-        jt = build_junction_tree([], 0)
+        jt = junction_tree([], 0)
         assert jt.cliques == () and jt.root == -1
 
     def test_running_intersection_on_random_chordal(self):
@@ -325,7 +251,7 @@ class TestJunctionTree:
             n = int(rng.integers(2, 11))
             g = min_fill_chordalize(random_graph(n, 0.35, rng), rng)
             _, cliques = max_cardinality_search(g, rng)
-            jt = build_junction_tree(cliques, rng)
+            jt = junction_tree(cliques, rng)
             assert running_intersection_holds(jt)
 
     def test_running_intersection_checker_catches_violation(self):
@@ -338,7 +264,7 @@ class TestJunctionTree:
         assert not running_intersection_holds(jt)
 
 
-class TestOrientPmap:
+class TestOrient:
     def test_path_example_orientation(self):
         g = chain_graph(3)
         jt = JunctionTree(
@@ -346,7 +272,7 @@ class TestOrientPmap:
         )
         outcomes = set()
         for seed in range(30):
-            imap = orient_pmap(g, jt, seed)
+            imap = orient(g, jt, seed)
             outcomes.add(imap_arcs(imap))
             imap_is_valid(imap, g)
         # visit (0,1) gives 0->1, 1->2; visit (1,0) gives 1->0, 1->2
@@ -361,8 +287,8 @@ class TestOrientPmap:
         _, cliques = max_cardinality_search(g, 0)
         arcsets = set()
         for seed in range(50):
-            jt = build_junction_tree(cliques, seed)
-            imap = orient_pmap(g, jt, seed)
+            jt = junction_tree(cliques, seed)
+            imap = orient(g, jt, seed)
             imap_is_valid(imap, g)
             arcsets.add(imap_arcs(imap))
         assert len(arcsets) >= 2  # several of the 6 acyclic orientations appear
@@ -485,16 +411,6 @@ class TestImapRecord:
         assert imap.parent_table.shape == (0, 0)
         assert imap.topo_order == () and imap.blanket == {}
 
-    def test_lift_is_one_index(self):
-        local = Imap.from_parents(3, [1, 0, 2], [(), (1,), (0, 1)])
-        lifted = lift_imap(local, (4, 6, 9), 10)
-        assert lifted.num_vars == 10
-        assert lifted.order.tolist() == [6, 4, 9]
-        assert lifted.parent_table.tolist() == [[-1, -1], [6, -1], [4, 6]]
-        assert lifted.depth.tolist() == local.depth.tolist()
-        with pytest.raises(ValueError):
-            lift_imap(local, (4, 6), 10)
-
 
 def same_as_reference(imap, ref):
     """The map's order and dicts equal those of the arc-set construction."""
@@ -541,13 +457,13 @@ class TestMatchesArcSetReference:
             ref = reference_lift_imap(reference_sample_imap(local, seed), mapping, m.num_vars)
             same_as_reference(latent_imap(m, hidden, seed), ref)
 
-    def test_orient_pmap(self):
+    def test_orient(self):
         g = min_fill_chordalize(random_graph(9, 0.4, 2), 0)
         _, cliques = max_cardinality_search(g, 0)
         for seed in range(50):
-            jt = build_junction_tree(cliques, seed)
+            jt = junction_tree(cliques, seed)
             ref = reference_build_imap(g, jt, np.random.default_rng(seed))
-            same_as_reference(orient_pmap(g, jt, seed), ref)
+            same_as_reference(orient(g, jt, seed), ref)
 
 
 def disjoint_union(*graphs):
@@ -626,7 +542,7 @@ class TestMatchesWholeScanReference:
                 order, cliques = max_cardinality_search(h, a)
                 assert (order, cliques) == reference_max_cardinality_search(h, b)
                 same_state(a, b)
-                jt, ref = build_junction_tree(cliques, a), reference_build_junction_tree(cliques, b)
+                jt, ref = junction_tree(cliques, a), reference_build_junction_tree(cliques, b)
                 assert (jt.cliques, jt.parent, jt.root) == (ref.cliques, ref.parent, ref.root)
                 same_state(a, b)
                 if family == "disconnected":
@@ -684,3 +600,96 @@ class TestDegenerateGraphs:
             assert sample_imap(g, 0).depth.tolist() == list(range(g.num_vars))
         if not g.edges:
             assert sample_imap(g, 0).parent_table.shape == (g.num_vars, 0)
+
+
+LATENT_FAMILIES = {
+    "random": lambda rng: random_graph(
+        int(rng.integers(2, 15)), float(rng.uniform(0.1, 0.8)), rng
+    ),
+    "grid": lambda rng: grid_graph(int(rng.integers(2, 5)), int(rng.integers(2, 5))),
+    "ladder-plain": lambda rng: ladder_graph(int(rng.integers(2, 7)), diagonals=False),
+}
+
+
+def latent_cases(family: str, count: int, seed: int):
+    """(graph, latent set) pairs of one family, each with a random proper
+    subset of its vertices latent, the empty set included."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        g = LATENT_FAMILIES[family](rng)
+        size = int(rng.integers(0, g.num_vars))
+        yield g, tuple(sorted(rng.choice(g.num_vars, size=size, replace=False).tolist()))
+
+
+class TestLatentMapOnGlobalMasks:
+    """A latent map is drawn on the latent set of a completion whose min-fill
+    ran over that set: the maps and generator states of the subgraph path
+    (induced subgraph, map on local ids, lift to global ids)."""
+
+    @pytest.mark.parametrize("family", list(LATENT_FAMILIES))
+    def test_latent_imap_matches_the_subgraph_path(self, family):
+        for trial, (g, hidden) in enumerate(latent_cases(family, 100, seed=41)):
+            m = random_ising(g, 0.3, seed=trial)
+            local, mapping = reference_induced_subgraph(interaction_graph(m), hidden)
+            a, b = twin_rngs(trial)
+            for _ in range(3):
+                ref = reference_lift_imap(reference_sample_imap(local, b), mapping, g.num_vars)
+                same_arrays(latent_imap(m, hidden, a), ref)
+                same_state(a, b)
+
+    @pytest.mark.parametrize("family", list(LATENT_FAMILIES))
+    def test_min_fill_over_a_vertex_set_is_min_fill_on_the_subgraph(self, family):
+        for trial, (g, verts) in enumerate(latent_cases(family, 100, seed=43)):
+            local, mapping = reference_induced_subgraph(g, verts)
+            a, b, c = (np.random.default_rng(trial) for _ in range(3))
+            adj = list(g.adj_masks)
+            added = _min_fill(adj, _mask_of(verts), a)
+            for want in (min_fill_chordalize(local, b), reference_min_fill_chordalize(local, c)):
+                assert set(added) == {(mapping[u], mapping[v]) for u, v in want.edges - local.edges}
+            same_state(a, b)
+            same_state(a, c)
+            assert tuple(adj) == g.with_extra_edges(added).adj_masks
+
+    def test_empty_latent_set_gives_an_empty_map(self):
+        m = random_ising(grid_graph(3, 3), 0.3, seed=2)
+        imap = latent_imap(m, (), 0)
+        assert imap.num_vars == 9
+        assert imap.topo_order == () and imap.parent_table.shape == (0, 0)
+
+    def test_completion_cached_per_latent_set(self):
+        m = random_ising(grid_graph(4, 4), 0.3, seed=3)
+        latent_imap(m, (0, 1, 4, 5, 6), 1)
+        first = _cached_chordal.cache_info()
+        latent_imap(m, (0, 1, 4, 5, 6), 2)
+        second = _cached_chordal.cache_info()
+        assert (second.hits, second.misses) == (first.hits + 1, first.misses)
+        latent_imap(m, (0, 1, 4, 5), 3)
+        assert _cached_chordal.cache_info().misses == second.misses + 1
+
+    def test_latent_maps_are_valid_maps_of_the_latent_completion(self):
+        cases = [c for family in LATENT_FAMILIES for c in latent_cases(family, 20, seed=47)]
+        for trial, (g, hidden) in enumerate(cases):
+            m = random_ising(g, 0.3, seed=trial)
+            imap = latent_imap(m, hidden, trial)
+            local, mapping = reference_induced_subgraph(g, hidden)
+            edges = reference_min_fill_chordalize(local, 0).edges
+            chordal = UndirectedGraph(
+                g.num_vars, frozenset((mapping[u], mapping[v]) for u, v in edges)
+            )
+            assert imap.vertices == hidden
+            assert verify_no_immoralities(imap, chordal)
+            assert moral_graph(imap).edges == chordal.edges
+            for v in hidden:
+                assert imap.blanket[v] == chordal.neighbors(v)
+
+    def test_latent_map_builds_no_graph_once_the_completion_is_cached(self, monkeypatch):
+        m = random_ising(grid_graph(5, 5), 0.3, seed=4)
+        hidden = tuple(range(15))  # the first three rows: a 3 x 5 grid, not chordal
+        latent_imap(m, hidden, 0)
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("latent_imap built an UndirectedGraph")
+
+        monkeypatch.setattr(UndirectedGraph, "__init__", refuse)
+        for seed in range(5):
+            assert latent_imap(m, hidden, seed).vertices == hidden

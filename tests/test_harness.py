@@ -588,6 +588,48 @@ class TestTrainEm:
         with pytest.raises(ConfigError, match=knob):
             train_em(cfg, TabularBayesNetModel(dag, init), [1], data)
 
+    def test_bit_for_bit_reproducible(self):
+        # four latent variables and a map redrawn every other E-step, so
+        # that the latent maps enter the run
+        dag = Imap.from_parents(6, range(6), ((), (0,), (0,), (1, 2), (3,), (3, 4)))
+        rng = np.random.default_rng(4)
+        tables = {v: rng.normal(size=1 << len(dag.parents[v])) for v in range(6)}
+        data = TabularBayesNetModel(dag, tables).sample(300, 9)
+        data[:, [1, 2, 3, 4]] = 0
+        cfg = TrainConfig(
+            objective="delta", total_steps=8, batch_size=16, lr=5e-3, eval_period=8, seed=3,
+            imap_refresh_period=2,
+        )
+        runs = [
+            train_em(cfg, TabularBayesNetModel(dag), [1, 2, 3, 4], data, rounds=2, m_steps=4)
+            for _ in range(2)
+        ]
+        (p_a, s_a, rows_a), (p_b, s_b, rows_b) = runs
+        assert [(r.step, r.nll, r.loss, r.instantiated) for r in rows_a] == [
+            (r.step, r.nll, r.loss, r.instantiated) for r in rows_b
+        ]
+        assert np.array_equal(p_a.get_params(), p_b.get_params())
+        assert np.array_equal(s_a.params.pack(), s_b.params.pack())
+
+    def test_marginal_loglik_rejects_latent_ids_out_of_range(self):
+        dag, p_true, _, _ = three_var_latent_problem()
+        row = np.array([[1, 0, -1]], dtype=np.int8)
+        for bad in ([-1], [5], [1, 3]):
+            with pytest.raises(ConfigError, match="latent"):
+                data_marginal_loglik(p_true, bad, row)
+
+    def test_marginal_loglik_is_nan_above_16_latents(self):
+        wide = TabularBayesNetModel(Imap.from_parents(18, range(18), [()] * 18))
+        assert np.isnan(data_marginal_loglik(wide, range(17), np.ones((1, 18), dtype=np.int8)))
+
+    def test_latent_imap_rejects_bad_latent_sets(self):
+        dag, p_true, _, _ = three_var_latent_problem()
+        for bad in ([-1], [3], [0, 7]):
+            with pytest.raises(ConfigError, match="latent"):
+                latent_imap(p_true, bad, seed=0)
+        with pytest.raises(LatentCoversAll):
+            latent_imap(p_true, [0, 1, 2], seed=0)
+
     def test_latent_imap_stays_inside_the_latent_set(self):
         dag, p_true, _, _ = three_var_latent_problem()
         imap = latent_imap(p_true, [0, 1], seed=4)

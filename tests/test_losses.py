@@ -21,7 +21,6 @@ from numpy.testing import assert_allclose, assert_array_equal
 from flipmatch.energy import (
     COMPLETED_FACTORS,
     ZERO_MASKED,
-    Assignment,
     FactorGraphModel,
     IsingModel,
     MlpFactor,
@@ -32,7 +31,6 @@ from flipmatch.errors import (
     ConfigError,
     EmptyBatch,
     MissingBlanket,
-    OrderViolation,
     PartialAssignment,
     SameValue,
     TooFewChildren,
@@ -65,6 +63,7 @@ from flipmatch.sampler import AmortizedSampler, Policy
 from oracles import (
     DenseSampler,
     ExactFlow,
+    OrderViolation,
     TabularSampler,
     _children,
     _flip_term_rows,
@@ -185,6 +184,15 @@ class TestDeltaLoss:
         s = fresh_sampler(1)
         val = delta_loss(s, imap, m, np.array([1], dtype=np.int8), 0, -1)
         assert_allclose(float(val.data), 4.0, atol=1e-12)
+
+    def test_plain_sequence_row_matches_the_array_row(self):
+        m, imap, _ = exact_setup()
+        s = randomized_sampler(5, seed=2)
+        x = np.array([1, -1, -1, 1, 1], dtype=np.int8)
+        for u in range(5):
+            want = delta_loss_batch(s, imap, m, x[None, :], [u], [-x[u]])
+            got = delta_loss(s, imap, m, x.tolist(), u, int(-x[u]))
+            assert float(got.data) == float(want.data)
 
     def test_term_structure_counts(self):
         m, imap, _ = exact_setup()
@@ -947,8 +955,8 @@ class TestDbLoss:
             # and db_loss is exactly this residual, squared
             val = db_loss(s, imap, m, prefix_after(imap, x, k + 1), int(v), flow)
             assert_allclose(float(val.data), steps[-1] ** 2, rtol=1e-9, atol=1e-12)
-        logq = float(log_prob(s, imap, Assignment(x)))
-        tb_residual = flows[0] + logq - m.log_reward(x)
+        logq = float(log_prob(s, imap, x))
+        tb_residual = flows[0] + logq - m.log_reward_batch(x[None, :])[0]
         assert_allclose(sum(steps), tb_residual, rtol=1e-9, atol=1e-9)
 
     def test_order_violations(self):
@@ -1077,7 +1085,7 @@ class TestFlowParametrization:
         flow = FlowHead(s.params, forward_looking=True)
         x = np.array([1, -1, 0, 0], dtype=np.int8)
         val = float(fl_flow(flow, m, x).data)
-        assert_allclose(val, partial_reward(m, Assignment(x), ZERO_MASKED), rtol=1e-12)
+        assert_allclose(val, partial_reward(m, x, ZERO_MASKED), rtol=1e-12)
 
     def test_full_assignment_adds_correction_to_reward(self):
         m = mlp_chain_model()
@@ -1086,7 +1094,7 @@ class TestFlowParametrization:
         x = np.array([1, -1, 1, 1], dtype=np.int8)
         corr = float(flow.correction_rows(x[None, :].astype(np.float64)).data[0])
         val = float(fl_flow(flow, m, x).data)
-        assert_allclose(val, m.log_reward(Assignment(x)) + corr, rtol=1e-9)
+        assert_allclose(val, m.log_reward_batch(x[None, :])[0] + corr, rtol=1e-9)
 
     def test_empty_mask_sums_factor_values_at_zero(self):
         m = mlp_chain_model()
@@ -1106,7 +1114,7 @@ class TestFlowParametrization:
         flow = FlowHead(s.params, forward_looking=True, reward_mode=COMPLETED_FACTORS)
         x = np.array([1, -1, 0, 0], dtype=np.int8)
         val = float(fl_flow(flow, m, x, COMPLETED_FACTORS).data)
-        assert_allclose(val, partial_reward(m, Assignment(x), COMPLETED_FACTORS), rtol=1e-12)
+        assert_allclose(val, partial_reward(m, x, COMPLETED_FACTORS), rtol=1e-12)
         assert_allclose(
             float(flow.log_flow_rows(m, x[None, :].astype(np.float64)).data[0]), val, rtol=1e-12
         )
@@ -1131,7 +1139,7 @@ class TestFlowParametrization:
         x = table.sample_matrix(1, seed=0)
         assert_allclose(
             flow.log_flow_rows(m, x.astype(np.float64)).data[0],
-            m.log_reward(x[0]),
+            m.log_reward_batch(x[:1])[0],
             rtol=1e-10,
         )
 

@@ -13,19 +13,19 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from flipmatch.energy import (
-    Assignment,
     IsingModel,
     enumerate_exact,
     random_factor_lattice,
     random_ising,
 )
-from flipmatch.errors import ConfigError, MissingParent, PartialAssignment, ShapeMismatch
+from flipmatch.errors import ConfigError, PartialAssignment, ShapeMismatch
 from flipmatch.graph import (
     UndirectedGraph,
     chain_graph,
     cycle_graph,
     grid_graph,
     ladder_graph,
+    min_fill_chordalize,
     random_graph,
     sample_imap,
     sub_imap,
@@ -43,6 +43,7 @@ from flipmatch.sampler import (
 from oracles import (
     TabularSampler,
     all_states,
+    conditional_logprob,
     dense_log_prob_batch,
     dense_parent_rows,
     dense_run_order,
@@ -161,9 +162,9 @@ class TestConditionalLogprob:
         g = cycle_graph(5)
         imap = sample_imap(g, seed=0)
         s = fresh_sampler(5)
-        x = Assignment(np.ones(5, dtype=np.int8))
+        x = np.ones(5, dtype=np.int8)
         for v in range(5):
-            assert s.conditional_logprob(imap, v, x) == pytest.approx(np.log(0.5))
+            assert conditional_logprob(s, imap, v, x) == pytest.approx(np.log(0.5))
 
     def test_two_values_sum_to_one(self):
         g = chain_graph(4)
@@ -175,40 +176,19 @@ class TestConditionalLogprob:
             x_plus[v] = 1
             x_minus = x.copy()
             x_minus[v] = -1
-            total = np.exp(s.conditional_logprob(imap, v, x_plus)) + np.exp(
-                s.conditional_logprob(imap, v, x_minus)
+            total = np.exp(conditional_logprob(s, imap, v, x_plus)) + np.exp(
+                conditional_logprob(s, imap, v, x_minus)
             )
             assert total == pytest.approx(1.0, abs=1e-12)
-
-    def test_missing_parent_rejected(self):
-        g = chain_graph(3)
-        imap = sample_imap(g, seed=2)
-        s = fresh_sampler(3)
-        # find a non-root and blank one of its parents
-        v = next(v for v in range(3) if imap.parents[v])
-        x = np.ones(3, dtype=np.int8)
-        x[imap.parents[v][0]] = 0
-        with pytest.raises(MissingParent):
-            s.conditional_logprob(imap, v, x)
-
-    def test_uninstantiated_target_rejected(self):
-        g = chain_graph(3)
-        imap = sample_imap(g, seed=2)
-        s = fresh_sampler(3)
-        root = imap.topo_order[0]
-        x = np.ones(3, dtype=np.int8)
-        x[root] = 0
-        with pytest.raises(PartialAssignment):
-            s.conditional_logprob(imap, root, x)
 
     def test_fitted_sampler_matches_enumeration(self):
         m = two_var_ising()
         imap = sample_imap(m.graph, seed=0)
         s, table = fitted_sampler(m, [imap])
         for bits in all_states(2):
-            x = Assignment(bits)
+            x = bits
             for v in range(2):
-                got = np.exp(s.conditional_logprob(imap, v, x))
+                got = np.exp(conditional_logprob(s, imap, v, x))
                 parents_only = bits.copy()
                 keep = set(imap.parents[v]) | {v}
                 for j in range(2):
@@ -227,11 +207,11 @@ class TestConditionalLogprob:
         v = next(v for v in range(5) if imap.parents[v])
         outside = [w for w in range(5) if w != v and w not in imap.parents[v]]
         x = np.ones(5, dtype=np.int8)
-        base = s.conditional_logprob(imap, v, x)
+        base = conditional_logprob(s, imap, v, x)
         for w in outside:
             y = x.copy()
             y[w] = -1
-            assert s.conditional_logprob(imap, v, y) == base
+            assert conditional_logprob(s, imap, v, y) == base
 
 
 class TestAncestralSample:
@@ -288,14 +268,14 @@ class TestPartialSample:
         sub = sub_imap(g, 1, seed=0)
         s = randomized_sampler(4, seed=1)
         x = partial_sample(s, sub, Policy.on_policy(), seed=9)
-        assert x.instantiated() == (0, 1, 2)
+        assert tuple(np.flatnonzero(x)) == (0, 1, 2)
 
     def test_isolated_vertex(self):
         g = UndirectedGraph.from_edges(3, [(0, 1)])
         sub = sub_imap(g, 2, seed=0)
         s = randomized_sampler(3, seed=2)
         x = partial_sample(s, sub, Policy.on_policy(), seed=0)
-        assert x.instantiated() == (2,)
+        assert tuple(np.flatnonzero(x)) == (2,)
 
     def test_batch_instantiates_exactly_the_subset(self):
         g = grid_graph(3, 3)
@@ -310,9 +290,7 @@ class TestPartialSample:
 
     def test_instantiation_cost_is_local(self):
         g = grid_graph(6, 6)
-        from flipmatch.graph import _cached_chordal
-
-        chordal = _cached_chordal(g, 0)
+        chordal = min_fill_chordalize(g, 0)
         max_blanket = max(len(chordal.neighbors(v)) for v in range(36))
         for u in (0, 7, 14, 35):
             sub = sub_imap(g, u, seed=u)
@@ -398,8 +376,8 @@ class TestConditioningBlock:
         imap = sample_imap(g, seed=0)
         root = imap.topo_order[0]
         x = np.ones(3, dtype=np.int8)
-        a = s.conditional_logprob(imap, root, x, cond=np.array([1.0]))
-        b = s.conditional_logprob(imap, root, x, cond=np.array([-1.0]))
+        a = conditional_logprob(s, imap, root, x, cond=np.array([1.0]))
+        b = conditional_logprob(s, imap, root, x, cond=np.array([-1.0]))
         # observations reach the root through the conditioning block
         assert a != b
 
@@ -448,7 +426,7 @@ class TestLocalForwardMatchesDense:
             assert_array_equal(X, X_ref)
         # one conditional at a time, on a full draw of the full map
         x, c = X_full[0], None if cond is None else cond[0]
-        total = sum(s.conditional_logprob(imap, v, x, cond=c) for v in imap.topo_order)
+        total = sum(conditional_logprob(s, imap, v, x, cond=c) for v in imap.topo_order)
         assert abs(total - dense_log_prob_batch(s, imap, x[None, :], c)[0]) <= 1e-12
 
 
@@ -535,7 +513,7 @@ class TestWavefrontMatchesSequential:
         ref = [sequential_run_order(s, m, Policy.on_policy(), 2, r_seq)[0] for m in maps]
         assert_array_equal(Xs, np.concatenate(ref))
         x = X[0]
-        total = sum(s.conditional_logprob(imap, v, x) for v in imap.topo_order)
+        total = sum(conditional_logprob(s, imap, v, x) for v in imap.topo_order)
         assert abs(total - logq[0]) <= 1e-12
 
     def test_empty_map_list_is_rejected(self):
@@ -666,18 +644,6 @@ class TestTabularSampler:
             p = table.full_probs[i]
             emp = np.all(X == state, axis=1).mean()
             assert abs(emp - p) <= 3 * np.sqrt(p * (1 - p) / n)
-
-    def test_conditional_logprob_guards(self):
-        m = two_var_ising()
-        table = enumerate_exact(m)
-        imap = sample_imap(m.graph, seed=0)
-        q = TabularSampler.from_exact_table(table, imap)
-        child = imap.topo_order[1]
-        x = np.ones(2, dtype=np.int8)
-        x[imap.parents[child][0]] = 0
-        with pytest.raises(MissingParent):
-            q.conditional_logprob(imap, child, x)
-
 
 class TestGibbs:
     def test_flat_model_is_uniform_after_one_sweep(self):
