@@ -42,10 +42,12 @@ A conditional depends only on its variable and its input, and a batch often
 holds the same (variable, columns, values) row many times: with few parents,
 many draws of one wavefront level agree on their parents' values, and u's own
 x-side and flip-side rows of a flip term are equal.  ``masked_logits`` and
-``masked_logits_np`` therefore run the first layer on every row, then the
-blocks and the head on one row per group of exactly equal rows, and expand
-the logits back by the group index (on the tape a gather, whose backward
-sums the repeats); the input weights' gradient reads each group's row once.
+``masked_logits_np`` therefore group exactly equal rows first, run the first
+layer, the blocks and the head on one row per group, and expand the logits
+back by the group index (on the tape a gather, whose backward sums the
+repeats).  The first layer reads only the blocks that hold a group's first
+row, the tape keeps its output on those rows alone, and the input weights'
+gradient lists only their entries.
 A batch in which fewer than an eighth of the rows repeat runs every row,
 paying only the grouping key and its sort.
 So that each row's logit is the one it gets on its own, a one-row matrix
@@ -276,18 +278,17 @@ class MaeParams:
         the trunk and read the learnable marginal-logit vector instead, so the
         root conditionals of an unconditional model have their own direct
         parameters.  Rows that repeat another row's inputs and variable share
-        its pass through the blocks and the head; the gather that hands each
-        row its logit sums the repeats' gradients on the way back.
+        its pass through the first layer, the blocks and the head; the gather
+        that hands each row its logit sums the repeats' gradients on the way
+        back.
         """
         vs = _row_vars(x, vs)
         packed = self._packed(x, cols)
-        z = self._first_layer(x, packed)
-        distinct = self._distinct_rows(x, packed, vs)
-        if distinct is None:
-            logits = self._taped_blocks(x, packed, z, head=vs)
-        else:
-            rows, inv = distinct
-            logits = tape.gather_1d(self._taped_blocks(x, packed, z[rows], rows, vs[rows]), inv)
+        rows, inv = self._distinct_rows(x, packed, vs) or (None, None)
+        z = self._first_layer(x, packed, rows)
+        logits = self._taped_blocks(x, packed, z, rows, vs if rows is None else vs[rows])
+        if inv is not None:
+            logits = tape.gather_1d(logits, inv)
         empty = ~(x != 0).any(axis=1)
         if not empty.any():
             return logits
@@ -354,28 +355,41 @@ class MaeParams:
             x3 = np.take_along_axis(x3, front[:, None, :], axis=2)
         return x3, cols, used.sum(axis=1)
 
-    def _first_layer(self, x: np.ndarray, packed) -> np.ndarray:
-        """Input rows times the input weights, without the bias: (B, width).
+    def _first_layer(self, x: np.ndarray, packed, rows=None) -> np.ndarray:
+        """Input rows times the input weights, without the bias: (B, width),
+        or with ``rows`` one output row per input row named there.
 
-        Blocks go by runs of equal count: in place when they are in order of
-        count, else each piece gathers its own blocks and writes their rows.
+        Blocks go by runs of equal count: in place when every block is read
+        and they are in order of count, else each piece gathers its own
+        blocks by index and writes their rows.  With ``rows`` only the blocks
+        holding those rows are read, each by the product it gets in the whole
+        batch; from blocks of several rows the named rows are then picked.
         """
         w_in = self.w_in.data
         if packed is None:
-            return _matmul(x, w_in)
+            return _matmul(x if rows is None else x[rows], w_in)
         x3, cols, counts = packed
-        z = np.empty(x3.shape[:2] + (w_in.shape[1],))
-        if not (counts[1:] < counts[:-1]).any():
-            if len(counts) and counts[0] == 0:
-                z[: np.searchsorted(counts, 1)] = 0.0
-            for a, b, k in _count_runs(counts, x3.shape[1], w_in.shape[1]):
+        n, width = x3.shape[1], w_in.shape[1]
+        blocks = None if rows is None else np.unique(rows // n)
+        if blocks is not None and len(blocks) == len(counts):
+            blocks = None  # every block holds one of the rows: all are read
+        c = counts if blocks is None else counts[blocks]
+        z = np.empty((len(c), n, width))
+        if blocks is None and not (c[1:] < c[:-1]).any():
+            if len(c) and c[0] == 0:
+                z[: np.searchsorted(c, 1)] = 0.0
+            for a, b, k in _count_runs(c, n, width):
                 np.matmul(x3[a:b, :, :k], w_in[cols[a:b, :k]], out=z[a:b])
         else:
-            z[counts == 0] = 0.0
-            order = np.argsort(counts, kind="stable")
-            for a, b, k in _count_runs(counts[order], x3.shape[1], w_in.shape[1]):
-                z[order[a:b]] = np.matmul(x3[order[a:b], :, :k], w_in[cols[order[a:b], :k]])
-        return z.reshape(len(x), w_in.shape[1])
+            z[c == 0] = 0.0
+            order = np.argsort(c, kind="stable")
+            at = order if blocks is None else blocks[order]
+            for a, b, k in _count_runs(c[order], n, width):
+                z[order[a:b]] = np.matmul(x3[at[a:b], :, :k], w_in[cols[at[a:b], :k]])
+        z = z.reshape(len(c) * n, width)
+        if rows is None or len(rows) == len(z):
+            return z
+        return z[rows if blocks is None else np.searchsorted(blocks, rows // n) * n + rows % n]
 
     def _first_layer_grad(self, x: np.ndarray, packed, gz: np.ndarray, rows=None) -> np.ndarray:
         """Gradient of the input weights given the first layer's output gradient gz.
@@ -386,27 +400,25 @@ class MaeParams:
         if packed is None:
             return (x if rows is None else x[rows]).T @ gz
         x3, cols, _ = packed
-        n = x3.shape[1]
-        blk, slot = np.nonzero(cols >= 0)
-        # the used (block, slot) pairs stably sorted by column (a radix sort on
-        # small integers), then expanded to their rows: one segment per used
-        # column, its values against its rows of gz
-        by_col = cols[blk, slot].astype(np.min_scalar_type(len(self.w_in.data)))
-        order = np.argsort(by_col, kind="stable")
-        blk, slot = blk[order], slot[order]
-        col = np.repeat(cols[blk, slot], n)
-        row = (blk[:, None] * n + np.arange(n)).ravel()
-        val = x3[blk, :, slot].ravel()
-        if rows is not None:
-            at = np.full(len(x), -1)
-            at[rows] = np.arange(len(rows))
-            row = at[row]
-            keep = row >= 0
-            col, row, val = col[keep], row[keep], val[keep]
-        starts = np.flatnonzero(np.diff(col, prepend=-1))
+        if rows is None:
+            rows = np.arange(len(x))
+        blk = rows // x3.shape[1]
+        # the used (row of gz, slot) entries in order of row and slot, then
+        # stably sorted by column (a radix sort on small integers): one
+        # segment per used column, its values against its rows of gz
+        at, slot = np.nonzero((cols >= 0)[blk])
+        col = cols[blk[at], slot].astype(np.min_scalar_type(len(self.w_in.data)))
+        val = x3.reshape(len(x), x3.shape[2])[rows[at], slot]
+        del slot  # arrays one entry long dominate the memory here: hold few at once
+        order = np.argsort(col, kind="stable")
+        at = at[order]
+        val = val[order]
+        size = np.bincount(col, minlength=len(self.w_in.data))
+        used = np.flatnonzero(size)
+        ends = np.cumsum(size[used]).tolist()
         grad = np.zeros_like(self.w_in.data)
-        for c, a, b in zip(col[starts].tolist(), starts.tolist(), [*starts[1:].tolist(), len(col)]):
-            grad[c] = val[a:b] @ gz[row[a:b]]
+        for c, a, b in zip(used.tolist(), [0, *ends[:-1]], ends):
+            grad[c] = val[a:b] @ gz[at[a:b]]
         return grad
 
     def _sliced_blocks_np(self, h: np.ndarray) -> np.ndarray:
@@ -458,14 +470,10 @@ class MaeParams:
         """Gradient-free ``masked_logits``, with the optional ``cols`` input form."""
         vs = _row_vars(x, vs)
         packed = self._packed(x, cols)
-        h = self._first_layer(x, packed)
-        distinct = self._distinct_rows(x, packed, vs)
-        head = vs
-        if distinct is not None:
-            rows, inv = distinct
-            h, head = h[rows], vs[rows]
-        logits = self._head_np(self._sliced_blocks_np(h), head)
-        if distinct is not None:
+        rows, inv = self._distinct_rows(x, packed, vs) or (None, None)
+        h = self._first_layer(x, packed, rows)
+        logits = self._head_np(self._sliced_blocks_np(h), vs if rows is None else vs[rows])
+        if inv is not None:
             logits = logits[inv]
         empty = ~(x != 0).any(axis=1)
         if not empty.any():

@@ -56,7 +56,7 @@ from flipmatch.losses import (
     tb_loss_batch,
 )
 from flipmatch.nn import MaeParams, tape
-from flipmatch.nn.mae import _LN_EPS, _count_runs, _matmul
+from flipmatch.nn.mae import _LN_EPS, _count_runs, _matmul, _row_vars
 from flipmatch.nn.tape import Tensor, log_sigmoid_np, sigmoid_np
 from flipmatch.sampler import (
     AmortizedSampler,
@@ -564,6 +564,96 @@ def sorted_copy_first_layer_grad(mae, x: np.ndarray, packed, gz: np.ndarray, row
         col, row, val = col[keep], row[keep], val[keep]
     order = np.argsort(col.astype(np.min_scalar_type(len(mae.w_in.data))), kind="stable")
     col, row, val = col[order], row[order], val[order]
+    starts = np.flatnonzero(np.diff(col, prepend=-1))
+    grad = np.zeros_like(mae.w_in.data)
+    for c, a, b in zip(col[starts].tolist(), starts.tolist(), [*starts[1:].tolist(), len(col)]):
+        grad[c] = val[a:b] @ gz[row[a:b]]
+    return grad
+
+
+def all_rows_first_layer(monkeypatch) -> None:
+    """Make every network call run the first layer on all of its rows and
+    only then keep one row per group of equal rows, and the input weights'
+    gradient expand every used (block, slot) pair to all of the block's rows
+    before it drops the rows not kept: the order before the first layer ran
+    on the kept rows alone."""
+    monkeypatch.setattr(MaeParams, "masked_logits", _all_rows_masked_logits)
+    monkeypatch.setattr(MaeParams, "masked_logits_np", _all_rows_masked_logits_np)
+    monkeypatch.setattr(MaeParams, "_first_layer", _all_rows_first_layer)
+    monkeypatch.setattr(MaeParams, "_first_layer_grad", _expanded_first_layer_grad)
+
+
+def _all_rows_masked_logits(mae, x: np.ndarray, vs, cols=None) -> Tensor:
+    vs = _row_vars(x, vs)
+    packed = mae._packed(x, cols)
+    z = mae._first_layer(x, packed)
+    distinct = mae._distinct_rows(x, packed, vs)
+    if distinct is None:
+        logits = mae._taped_blocks(x, packed, z, head=vs)
+    else:
+        rows, inv = distinct
+        logits = tape.gather_1d(mae._taped_blocks(x, packed, z[rows], rows, vs[rows]), inv)
+    empty = ~(x != 0).any(axis=1)
+    if not empty.any():
+        return logits
+    return tape.where(empty, tape.gather_1d(mae.marginals, vs), logits)
+
+
+def _all_rows_masked_logits_np(mae, x: np.ndarray, vs, cols=None) -> np.ndarray:
+    vs = _row_vars(x, vs)
+    packed = mae._packed(x, cols)
+    h = mae._first_layer(x, packed)
+    distinct = mae._distinct_rows(x, packed, vs)
+    head = vs
+    if distinct is not None:
+        rows, inv = distinct
+        h, head = h[rows], vs[rows]
+    logits = mae._head_np(mae._sliced_blocks_np(h), head)
+    if distinct is not None:
+        logits = logits[inv]
+    empty = ~(x != 0).any(axis=1)
+    if not empty.any():
+        return logits
+    return np.where(empty, mae.marginals.data[vs], logits)
+
+
+def _all_rows_first_layer(mae, x: np.ndarray, packed) -> np.ndarray:
+    w_in = mae.w_in.data
+    if packed is None:
+        return _matmul(x, w_in)
+    x3, cols, counts = packed
+    z = np.empty(x3.shape[:2] + (w_in.shape[1],))
+    if not (counts[1:] < counts[:-1]).any():
+        if len(counts) and counts[0] == 0:
+            z[: np.searchsorted(counts, 1)] = 0.0
+        for a, b, k in _count_runs(counts, x3.shape[1], w_in.shape[1]):
+            np.matmul(x3[a:b, :, :k], w_in[cols[a:b, :k]], out=z[a:b])
+    else:
+        z[counts == 0] = 0.0
+        order = np.argsort(counts, kind="stable")
+        for a, b, k in _count_runs(counts[order], x3.shape[1], w_in.shape[1]):
+            z[order[a:b]] = np.matmul(x3[order[a:b], :, :k], w_in[cols[order[a:b], :k]])
+    return z.reshape(len(x), w_in.shape[1])
+
+
+def _expanded_first_layer_grad(mae, x: np.ndarray, packed, gz: np.ndarray, rows=None):
+    if packed is None:
+        return (x if rows is None else x[rows]).T @ gz
+    x3, cols, _ = packed
+    n = x3.shape[1]
+    blk, slot = np.nonzero(cols >= 0)
+    by_col = cols[blk, slot].astype(np.min_scalar_type(len(mae.w_in.data)))
+    order = np.argsort(by_col, kind="stable")
+    blk, slot = blk[order], slot[order]
+    col = np.repeat(cols[blk, slot], n)
+    row = (blk[:, None] * n + np.arange(n)).ravel()
+    val = x3[blk, :, slot].ravel()
+    if rows is not None:
+        at = np.full(len(x), -1)
+        at[rows] = np.arange(len(rows))
+        row = at[row]
+        keep = row >= 0
+        col, row, val = col[keep], row[keep], val[keep]
     starts = np.flatnonzero(np.diff(col, prepend=-1))
     grad = np.zeros_like(mae.w_in.data)
     for c, a, b in zip(col[starts].tolist(), starts.tolist(), [*starts[1:].tolist(), len(col)]):

@@ -23,8 +23,10 @@ from flipmatch.errors import CorruptFile, FlipmatchError, NonFiniteLoss, ShapeMi
 from flipmatch.nn import AdamState, MaeConfig, MaeParams, load_checkpoint, save_checkpoint, tape
 from flipmatch.nn import mae as mae_module
 from flipmatch.nn.tape import Tensor
+from flipmatch.sampler import AmortizedSampler
 
 from oracles import (
+    all_rows_first_layer,
     central_diff,
     count_order_first_layer,
     masked_sigmoid,
@@ -506,6 +508,15 @@ class TestCompactInput:
                 trunk_np(mae, x, cols)
 
 
+def first_rows(x, vs, cols, n) -> list[int]:
+    """The first row of each distinct (variable, used columns, values) row."""
+    first: dict[tuple, int] = {}
+    for i, row in enumerate(x.tolist()):
+        used = row if cols is None else [(c, v) for c, v in zip(cols[i // n], row) if c >= 0]
+        first.setdefault((int(vs[i]), *used), i)
+    return list(first.values())
+
+
 def repeated_batch(cfg: MaeConfig, form, seed: int):
     """The rows of ``awkward_compact_batch`` again and again in shuffled order,
     each with a variable that travels with it: most rows repeat another.
@@ -525,12 +536,7 @@ def repeated_batch(cfg: MaeConfig, form, seed: int):
         blocks = rng.permutation(np.resize(np.arange(len(cols)), 5 * len(cols)))
         pick = (blocks[:, None] * n + np.arange(n)).ravel()
         x, vs, cols = x[pick], vs[pick], cols[blocks]
-    distinct = {
-        (int(vs[i]), *row) if cols is None else
-        (int(vs[i]), *((c, v) for c, v in zip(cols[i // n].tolist(), row) if c >= 0))
-        for i, row in enumerate(x.tolist())
-    }
-    return x, vs, cols, n, len(distinct)
+    return x, vs, cols, n, len(first_rows(x, vs, cols, n))
 
 
 def each_row_alone(mae: MaeParams, x, vs, cols, n) -> np.ndarray:
@@ -885,6 +891,235 @@ class TestSlicedTape:
         finally:
             tracemalloc.stop()
         assert peak < 4 * rows * cfg.width * 8
+
+
+def unique_column_batch(cfg: MaeConfig, form, seed: int):
+    """Eight blocks used six times each in shuffled order, every row's
+    variable travelling with it: full rows for "dense", else blocks of
+    ``form`` rows, each block listing distinct input columns (conditioning
+    columns among them) in random slots, some -1 and one block all -1.
+    Returns (x, vs, cols, n, distinct) as ``repeated_batch`` does."""
+    n = 1 if form == "dense" else form
+    rng = np.random.default_rng(seed)
+    kinds, k = 8, 4
+    cols = np.full((kinds, k), -1)
+    for e in range(1, kinds):
+        c = rng.integers(1, k + 1)
+        cols[e, rng.choice(k, c, replace=False)] = rng.choice(cfg.input_width, c, replace=False)
+    x = rng.choice([-1.0, 1.0], size=(kinds * n, k)) * (np.repeat(cols, n, axis=0) >= 0)
+    vs = rng.integers(0, cfg.num_vars, kinds * n)
+    blocks = rng.permutation(np.resize(np.arange(kinds), 6 * kinds))
+    pick = (blocks[:, None] * n + np.arange(n)).ravel()
+    x, vs, cols = x[pick], vs[pick], cols[blocks]
+    if form == "dense":
+        # -1 slots go to a last column, which is then dropped
+        dense = np.zeros((len(x), cfg.input_width + 1))
+        np.put_along_axis(dense, np.where(cols < 0, cfg.input_width, cols), x, axis=1)
+        x, cols = dense[:, :-1], None
+    return x, vs, cols, n, len(first_rows(x, vs, cols, n))
+
+
+@pytest.fixture
+def first_layer_rows(monkeypatch):
+    """The row count of every first-layer output, as a list."""
+    seen: list[int] = []
+    first_layer = MaeParams._first_layer
+
+    def counted(self, x, packed, rows=None):
+        z = first_layer(self, x, packed, rows)
+        seen.append(len(z))
+        return z
+
+    monkeypatch.setattr(MaeParams, "_first_layer", counted)
+    return seen
+
+
+class TestFirstLayerOnRepresentatives:
+    """The first layer runs only on the blocks that hold the first row of a
+    group of equal rows, the tape keeps its output on those rows alone, and
+    the input weights' gradient lists only their entries.  Logits and
+    gradients are bit for bit those of the first layer on every row
+    (``oracles.all_rows_first_layer``), except that blocks of several rows
+    listing one column twice may sum that column's entries in another order."""
+
+    FORMS = [("dense", ()), (1, ()), (3, ()), ("dense", (1, 3)), (1, (1, 2)), (3, (2,))]
+    FORM_IDS = ["dense", "rows", "blocks", "cond-dense", "cond-rows", "cond-blocks"]
+
+    @pytest.mark.parametrize("form,cond", FORMS, ids=FORM_IDS)
+    def test_one_first_layer_row_per_distinct_row(self, monkeypatch, first_layer_rows, form, cond):
+        cfg = small_config(cond_vars=cond, blocks=3)
+        mae = MaeParams(cfg)
+        randomize(mae, seed=61)
+        x, vs, cols, n, distinct = unique_column_batch(cfg, form, seed=21)
+        assert distinct * 4 < len(x)
+        read: list[int] = []  # blocks per product of the compact first layer
+        count_runs = mae_module._count_runs
+
+        def counted_runs(counts, rows, width):
+            for a, b, k in count_runs(counts, rows, width):
+                read.append(b - a)
+                yield a, b, k
+
+        monkeypatch.setattr(mae_module, "_count_runs", counted_runs)
+        mae.masked_logits_np(x, vs, cols)
+        tape.backward(mae.masked_logits(x, vs, cols).sum())
+        assert first_layer_rows == [distinct, distinct]
+        if cols is not None:
+            # the blocks holding a first row, but for the one listing nothing
+            held = {i // n for i in first_rows(x, vs, cols, n) if (cols[i // n] >= 0).any()}
+            assert sum(read) == 2 * len(held) < len(cols)
+
+    @pytest.mark.parametrize("activation", ["relu", "elu"])
+    @pytest.mark.parametrize("form,cond", FORMS, ids=FORM_IDS)
+    @pytest.mark.parametrize("slice_to", [None, 3, 5], ids=["whole", "slices3", "slices5"])
+    def test_bit_for_bit_against_all_rows(self, monkeypatch, activation, form, cond, slice_to):
+        cfg = small_config(activation=activation, cond_vars=cond, blocks=3)
+        mae = MaeParams(cfg)
+        randomize(mae, seed=62)
+        x, vs, cols, _, distinct = unique_column_batch(cfg, form, seed=22)
+        assert distinct * 4 < len(x)
+        weights = np.random.default_rng(17).normal(size=len(x))
+        if slice_to is not None:
+            slice_rows(monkeypatch, slice_to, cfg.width)
+        plain = mae.masked_logits_np(x, vs, cols)
+        taped = mae.masked_logits(x, vs, cols)
+        got = network_grads(mae, tape.mul(taped, weights).sum())
+        with monkeypatch.context() as mp:
+            all_rows_first_layer(mp)
+            assert_array_equal(mae.masked_logits_np(x, vs, cols), plain)
+            reference = mae.masked_logits(x, vs, cols)
+            want = network_grads(mae, tape.mul(reference, weights).sum())
+        assert_array_equal(taped.data, plain)
+        assert_array_equal(reference.data, plain)
+        assert max(np.abs(g).max() for g in got) > 1e-2
+        for name, g, w in zip(mae.names, got, want):
+            assert_array_equal(g, w, err_msg=name)
+
+    @pytest.mark.parametrize("activation", ["relu", "elu"])
+    def test_blocks_that_each_hold_a_first_row(self, monkeypatch, first_layer_rows, activation):
+        # one variable per block of 8 rows, as in the sampler's walk: no row
+        # equals a row of another block, so every block is read
+        cfg = small_config(num_vars=6, activation=activation, blocks=3)
+        mae = MaeParams(cfg)
+        randomize(mae, seed=67)
+        n = 8
+        cols = np.array([[1, 4], [0, -1], [2, 3], [5, 1], [-1, -1], [3, 0]])
+        rng = np.random.default_rng(26)
+        x = rng.choice([-1.0, 1.0], size=(len(cols) * n, 2)) * (np.repeat(cols, n, axis=0) >= 0)
+        vs = np.repeat(np.arange(len(cols)), n)
+        weights = rng.normal(size=len(x))
+        distinct = len(first_rows(x, vs, cols, n))
+        assert distinct * 2 < len(x)
+        plain = mae.masked_logits_np(x, vs, cols)
+        taped = mae.masked_logits(x, vs, cols)
+        assert first_layer_rows == [distinct, distinct]
+        got = network_grads(mae, tape.mul(taped, weights).sum())
+        with monkeypatch.context() as mp:
+            all_rows_first_layer(mp)
+            assert_array_equal(mae.masked_logits_np(x, vs, cols), plain)
+            reference = mae.masked_logits(x, vs, cols)
+            want = network_grads(mae, tape.mul(reference, weights).sum())
+        assert_array_equal(taped.data, plain)
+        assert_array_equal(reference.data, plain)
+        for name, g, w in zip(mae.names, got, want):
+            assert_array_equal(g, w, err_msg=name)
+
+    @pytest.mark.parametrize("activation", ["relu", "elu"])
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_a_column_listed_twice(self, monkeypatch, activation, n):
+        # ``awkward_compact_batch`` has a block that lists column 2 twice
+        cfg = small_config(activation=activation, cond_vars=(1,), blocks=3)
+        mae = MaeParams(cfg)
+        randomize(mae, seed=63)
+        x, vs, cols, _, distinct = repeated_batch(cfg, n, seed=23)
+        assert distinct * 2 < len(x)
+        weights = np.random.default_rng(18).normal(size=len(x))
+        taped = mae.masked_logits(x, vs, cols)
+        got = network_grads(mae, tape.mul(taped, weights).sum())
+        with monkeypatch.context() as mp:
+            all_rows_first_layer(mp)
+            reference = mae.masked_logits(x, vs, cols)
+            want = network_grads(mae, tape.mul(reference, weights).sum())
+        assert_array_equal(taped.data, reference.data)
+        for name, g, w in zip(mae.names, got, want):
+            if n == 1:
+                assert_array_equal(g, w, err_msg=name)
+            else:
+                assert_allclose(g, w, rtol=0, atol=1e-12, err_msg=name)
+
+    @pytest.mark.parametrize("form", ["dense", 1, 3])
+    def test_rows_with_nan(self, monkeypatch, first_layer_rows, form):
+        cfg = small_config(activation="elu", blocks=2)
+        mae = MaeParams(cfg)
+        randomize(mae, seed=64)
+        x, vs, cols, n, _ = unique_column_batch(cfg, form, seed=24)
+        nan = np.flatnonzero((x != 0).any(axis=1))[::7]
+        x[nan, np.argmax(x[nan] != 0, axis=1)] = np.nan
+        rest = np.setdiff1d(np.arange(len(x)), nan)
+        rest_cols = None if cols is None else cols[rest // n]
+        kept = len(nan) + len(first_rows(x[rest], vs[rest], rest_cols, 1))
+        plain = mae.masked_logits_np(x, vs, cols)
+        taped = mae.masked_logits(x, vs, cols)
+        assert first_layer_rows == [kept, kept] and kept < len(x)
+        assert np.isnan(plain[nan]).all() and not np.isnan(plain[rest]).any()
+        with monkeypatch.context() as mp:
+            all_rows_first_layer(mp)
+            assert_array_equal(mae.masked_logits_np(x, vs, cols), plain)
+            assert_array_equal(mae.masked_logits(x, vs, cols).data, plain)
+        assert_array_equal(taped.data, plain)
+
+    def test_conditioning_block_of_the_sampler(self, monkeypatch, first_layer_rows):
+        # the sampler appends the observed values to every row: rows with
+        # equal parents but other observed values stay apart
+        cfg = small_config(num_vars=6, cond_vars=(0, 5), blocks=2)
+        s = AmortizedSampler(MaeParams(cfg))
+        randomize(s.params, seed=65)
+        rng = np.random.default_rng(25)
+        pick = rng.integers(0, 6, size=60)
+        values = rng.choice([-1.0, 1.0], size=(6, 2))[pick]
+        cols = np.array([[1, 2], [1, 2], [3, -1], [2, 4], [4, 1], [3, -1]])[pick]
+        values[cols < 0] = 0.0
+        vs = np.array([0, 3, 5, 0, 5, 1])[pick]
+        signs = rng.choice([-1.0, 1.0], size=60)
+        cond = rng.choice([-1.0, 1.0], size=(2, 2))[rng.integers(0, 2, size=60)]
+        weights = rng.normal(size=60)
+        got = s.logq_rows((values, cols), vs, signs, cond)
+        grads = network_grads(s.params, tape.mul(got, weights).sum())
+        x, c = s._with_cond(values, cols, cond)
+        assert first_layer_rows == [len(first_rows(x, vs, c, 1))]
+        assert first_layer_rows[0] * 3 < len(x)
+        with monkeypatch.context() as mp:
+            all_rows_first_layer(mp)
+            want = s.logq_rows((values, cols), vs, signs, cond)
+            want_grads = network_grads(s.params, tape.mul(want, weights).sum())
+        assert_array_equal(got.data, want.data)
+        for name, g, w in zip(s.params.names, grads, want_grads):
+            assert_array_equal(g, w, err_msg=name)
+
+    def test_tape_memory_on_repeated_rows(self):
+        # 16,384 one-row blocks of 4 slots that hold 64 distinct rows.  The
+        # first layer on every row would be a 16,384 x 64 array of 8 MB, eight
+        # times the input; on the representatives it is 64 rows.  What
+        # remains is the grouping, whose candidate pairs compare gathered
+        # copies of the input's values and columns
+        cfg = MaeConfig(num_vars=16, width=64, blocks=3, activation="relu", init_seed=0)
+        mae = MaeParams(cfg)
+        randomize(mae, seed=66, scale=0.1)
+        rng = np.random.default_rng(0)
+        kinds, rows, k = 64, 16384, 4
+        cols = np.stack([rng.choice(cfg.num_vars, k, replace=False) for _ in range(kinds)])
+        x = rng.choice([-1.0, 1.0], size=(kinds, k))
+        vs = rng.integers(0, cfg.num_vars, kinds)
+        pick = rng.permutation(np.resize(np.arange(kinds), rows))
+        x, cols, vs = x[pick], cols[pick], vs[pick]
+        weights = rng.normal(size=rows)
+        tracemalloc.start()
+        try:
+            tape.backward(tape.mul(mae.masked_logits(x, vs, cols), weights).sum())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * (x.nbytes + cols.nbytes) + 8 * kinds * cfg.width * 8
 
 
 class TestCheckpoint:
