@@ -84,7 +84,7 @@ def _load_model(path: str):
 
 def _load_sampler(path: str) -> AmortizedSampler:
     try:
-        mae, _ = load_checkpoint(path)
+        mae = load_checkpoint(path)
     except (OSError, ValueError, KeyError) as exc:
         raise ConfigError(f"cannot read checkpoint from {path}: {exc}") from exc
     return AmortizedSampler(mae)
@@ -106,7 +106,7 @@ def cmd_chordalize(args) -> int:
     m = _load_model(args.model)
     g = interaction_graph(m)
     # the completion sample_imap reads
-    chordal = _cached_chordal(g, args.chordal_seed, (1 << g.num_vars) - 1)
+    chordal = _cached_chordal(g, args.chordal_seed)
     _, cliques = max_cardinality_search(chordal, args.chordal_seed)
     imap = sample_imap(g, seed=args.imap_seed, chordal_seed=args.chordal_seed)
     doc = {

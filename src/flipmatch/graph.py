@@ -32,13 +32,17 @@ junction tree finds the intersecting clique pairs through a vertex to cliques
 index.  Each stage makes the draws of the whole-scan version
 (``tests/oracles.py``), so a seed gives the same maps.
 
-Min-fill, the search, the tree and the orientation all run on a vertex set
-of an adjacency, so every map is built on global masks, with no subgraph and
-no relabelling; sorted global ids give the tie order that sorted local ids
-would.  ``_imap_on`` orients a vertex set in a completion whose min-fill ran
-over that set only: the whole graph for ``sample_imap``, the latent set for
-``harness.latent_imap``.  ``sub_imap`` orients one vertex's closed
-neighbourhood in the whole completion.
+The search, the tree and the orientation run on a vertex set of an
+adjacency, so every map is built on global masks, with no subgraph and no
+relabelling: ``sample_imap`` orients every vertex of the completion, and
+``sub_imap`` one vertex's closed neighbourhood in it.  Min-fill, too, takes
+the set of vertices it eliminates; the others stay in the graph, alive and
+never eliminated.  ``_elimination_imap`` eliminates a set V and draws V in
+reverse elimination order, each vertex given its neighbours still alive when
+it was eliminated.  Those include vertices outside V, which the map reads
+but does not draw (``Imap.given``), and the factorization is then that of
+the distribution of V given the rest: the latent posterior of
+``harness.latent_imap``.
 """
 
 from __future__ import annotations
@@ -228,44 +232,55 @@ class Imap:
     variable's parents all sit at smaller depths, so one depth level's
     conditionals can be evaluated in one batch once the levels before it are
     drawn.  ``num_vars`` is the size of the variable universe; a local map
-    covers one vertex plus its chordal neighborhood.  Build a map with
+    covers one vertex plus its chordal neighborhood.  ``given`` lists,
+    ascending, the variables that parents read but the map does not draw:
+    a draw takes their values as given, and the map stands for the
+    distribution of its order given them.  Build a map with
     ``from_parents``; ``parents``, ``children`` and ``blanket`` (parents,
     children and co-parents, which for these orientations is the chordal
-    neighborhood) are dicts derived on first read.
+    neighborhood) are dicts over the drawn variables, derived on first read.
     """
 
     num_vars: int
     order: np.ndarray
     depth: np.ndarray
     parent_table: np.ndarray
+    given: np.ndarray
 
     @classmethod
     def from_parents(
-        cls, num_vars: int, order: Sequence[int], parents: Sequence[Sequence[int]]
+        cls,
+        num_vars: int,
+        order: Sequence[int],
+        parents: Sequence[Sequence[int]],
+        given: Sequence[int] = (),
     ) -> "Imap":
         """The map that draws ``order`` in turn, ``order[t]`` given ``parents[t]``.
 
         Raises ValueError unless the order lists distinct variables of the
-        universe and every parent precedes its child.
+        universe, ``given`` lists others, and every parent precedes its child
+        or is given.
         """
         if len(parents) != len(order):
             raise ValueError("one parent tuple per position is required")
-        depth_of: dict[int, int] = {}
+        given = np.unique(np.asarray(given, dtype=np.int64))
+        depth_of = dict.fromkeys(given.tolist(), -1)  # a given parent is read, never drawn
         for v, ps in zip(order, parents):
+            if v in depth_of:
+                raise ValueError(f"vertex {v} is repeated or given")
             try:
                 depth_of[v] = 1 + max(map(depth_of.__getitem__, ps)) if ps else 0
             except KeyError as e:
                 raise ValueError(f"parent {e.args[0]} of {v} does not precede it") from None
         order = np.asarray(order, dtype=np.int64)
-        if len(depth_of) != len(order):
-            raise ValueError("the order has repeated vertices")
-        if len(order) and not (0 <= order.min() and order.max() < num_vars):
-            raise ValueError(f"the order leaves the vertices 0..{num_vars - 1}")
+        for vs in (order, given):
+            if len(vs) and not (0 <= vs.min() and vs.max() < num_vars):
+                raise ValueError(f"the map leaves the vertices 0..{num_vars - 1}")
         counts = np.fromiter(map(len, parents), dtype=np.int64, count=len(order))
         table = np.full((len(order), counts.max(initial=0)), -1, dtype=np.int64)
         table[np.arange(table.shape[1]) < counts[:, None]] = [p for ps in parents for p in ps]
-        depth = np.fromiter(depth_of.values(), dtype=np.int64, count=len(order))
-        return cls(num_vars, order, depth, table)
+        depth = np.fromiter(depth_of.values(), dtype=np.int64)[len(given) :]
+        return cls(num_vars, order, depth, table, given)
 
     @cached_property
     def topo_order(self) -> tuple[int, ...]:
@@ -286,7 +301,8 @@ class Imap:
         out: dict[int, list[int]] = {v: [] for v in self.topo_order}
         for v, ps in self.parents.items():
             for p in ps:
-                out[p].append(v)
+                if p in out:  # not a given variable
+                    out[p].append(v)
         return {v: tuple(sorted(cs)) for v, cs in out.items()}
 
     @cached_property
@@ -345,21 +361,28 @@ def _move(buckets: dict[int, int], bit: int, old: int | None, new: int | None) -
         buckets[new] = buckets.get(new, 0) | bit
 
 
-def _min_fill(adj: list[int], verts: int, rng: np.random.Generator) -> list[tuple[int, int]]:
-    """Min-fill elimination of the vertex set ``verts``; returns the fill edges.
+def _min_fill(
+    adj: list[int], verts: int, rng: np.random.Generator
+) -> tuple[list[int], list[tuple[int, int]]]:
+    """Min-fill elimination of the vertex set ``verts``; returns the
+    elimination order and the fill edges.
 
-    Repeatedly eliminates the vertex whose neighborhood needs the fewest fill
-    edges to become a clique, ties broken uniformly at random over the tied
-    vertices in ascending order.  Only ``verts`` is eliminated and only its
-    edges count, so the result is the completion of the subgraph induced on
-    ``verts``, with the draws min-fill makes on that subgraph relabelled.
-    The fill edges are also added to ``adj`` in place.  Alive vertices sit in
-    buckets by fill count.  The counts are taken once and then kept current:
-    a fill edge (a, b) takes one missing pair from each common neighbour and
-    gives a (and b) one for each of its neighbours not adjacent to b (to a),
-    and eliminating v takes from each neighbour its missing pairs through v.
+    Repeatedly eliminates the vertex of ``verts`` whose neighborhood needs
+    the fewest fill edges to become a clique, ties broken uniformly at random
+    over the tied vertices in ascending order.  Every other vertex of ``adj``
+    stays alive and is never eliminated: it counts in its neighbours' fill
+    and gains fill edges, but is never a candidate.  The fill edges are also added to
+    ``adj`` in place.  Only the vertices of ``verts`` have a fill count, and
+    they sit in buckets by it.  The counts are taken once and then kept
+    current: a fill edge (a, b) takes one missing pair from each common
+    neighbour and gives a (and b) one for each of its neighbours not adjacent
+    to b (to a), and eliminating v takes from each neighbour its missing
+    pairs through v.
     """
-    alive = verts
+    alive = (1 << len(adj)) - 1
+    left = verts  # the alive vertices that have a fill count
+    counted = [False] * len(adj)
+    order: list[int] = []
     added: list[tuple[int, int]] = []
 
     def fill_count(v: int) -> int:
@@ -377,14 +400,17 @@ def _min_fill(adj: list[int], verts: int, rng: np.random.Generator) -> list[tupl
     fill = [0] * len(adj)
     buckets: dict[int, int] = {}
     for v in _bits(verts):
+        counted[v] = True
         fill[v] = fill_count(v)
         _move(buckets, 1 << v, None, fill[v])
     for _ in range(verts.bit_count()):
         v = _draw_member(buckets[min(buckets)], rng)
+        order.append(v)
         alive ^= 1 << v
+        left ^= 1 << v
         _move(buckets, 1 << v, fill[v], None)
         nb = adj[v] & alive
-        change = dict.fromkeys(_bits(nb), 0)
+        change = dict.fromkeys(_bits(nb & left), 0)
         rest = nb
         while rest:
             low = rest & -rest
@@ -393,21 +419,23 @@ def _min_fill(adj: list[int], verts: int, rng: np.random.Generator) -> list[tupl
             for b in _bits(nb & rest & ~adj[a]):
                 # (a, b) is no longer missing around a common neighbour; a
                 # gains a missing pair per neighbour not adjacent to b, b too
-                for w in _bits(adj[a] & adj[b] & alive):
+                for w in _bits(adj[a] & adj[b] & left):
                     change[w] = change.get(w, 0) - 1
-                change[a] += (adj[a] & alive & ~adj[b]).bit_count()
-                change[b] += (adj[b] & alive & ~adj[a]).bit_count()
+                if counted[a]:
+                    change[a] += (adj[a] & alive & ~adj[b]).bit_count()
+                if counted[b]:
+                    change[b] += (adj[b] & alive & ~adj[a]).bit_count()
                 adj[a] |= 1 << b
                 adj[b] |= 1 << a
                 added.append((a, b))
-        for w in _bits(nb):
+        for w in _bits(nb & left):
             # N(v) is a clique now: w's missing pairs through v go with v
             change[w] -= (adj[w] & alive & ~adj[v]).bit_count()
         for w, d in change.items():
             if d:
                 _move(buckets, 1 << w, fill[w], fill[w] + d)
                 fill[w] += d
-    return added
+    return order, added
 
 
 def min_fill_chordalize(
@@ -417,7 +445,8 @@ def min_fill_chordalize(
 
     Already-chordal graphs come back unchanged (zero fill edges at every step).
     """
-    return g.with_extra_edges(_min_fill(list(g.adj_masks), (1 << g.num_vars) - 1, _as_rng(seed)))
+    _, added = _min_fill(list(g.adj_masks), (1 << g.num_vars) - 1, _as_rng(seed))
+    return g.with_extra_edges(added)
 
 
 def _search(
@@ -591,9 +620,9 @@ def _draw_imap(adj: Sequence[int], verts: int, num_vars: int, rng: np.random.Gen
 
 
 @lru_cache(maxsize=128)
-def _cached_chordal(g: UndirectedGraph, chordal_seed: int, verts: int) -> UndirectedGraph:
-    """``g`` plus min-fill's fill edges over the vertex set ``verts``, from ``chordal_seed``."""
-    return g.with_extra_edges(_min_fill(list(g.adj_masks), verts, _as_rng(chordal_seed)))
+def _cached_chordal(g: UndirectedGraph, chordal_seed: int) -> UndirectedGraph:
+    """``min_fill_chordalize(g, chordal_seed)``, cached per graph and seed."""
+    return min_fill_chordalize(g, chordal_seed)
 
 
 def sample_imap(
@@ -606,16 +635,33 @@ def sample_imap(
     elimination order, spanning tree, root, and intra-clique orders all
     resample from ``seed``.
     """
-    return _imap_on(g, (1 << g.num_vars) - 1, seed, chordal_seed)
-
-
-def _imap_on(
-    g: UndirectedGraph, verts: int, seed: int | np.random.Generator, chordal_seed: int
-) -> Imap:
-    """A random orientation of ``g`` on the vertex set ``verts``, in the cached
-    completion whose min-fill ran over that set only."""
     rng = _as_rng(seed)
-    return _draw_imap(_cached_chordal(g, chordal_seed, verts).adj_masks, verts, g.num_vars, rng)
+    adj = _cached_chordal(g, chordal_seed).adj_masks
+    return _draw_imap(adj, (1 << g.num_vars) - 1, g.num_vars, rng)
+
+
+def _elimination_imap(g: UndirectedGraph, verts: int, seed: int | np.random.Generator) -> Imap:
+    """The map that draws the vertex set ``verts`` given every other vertex of ``g``.
+
+    Min-fill, its ties drawn from ``seed``, eliminates ``verts`` only; the
+    map draws them in reverse elimination order, each given its neighbours
+    still alive when it was eliminated: the vertices eliminated after it and
+    those outside ``verts``, which the map lists as given.  Summing a vertex
+    out of a Markov network joins its neighbours, which is what its fill
+    edges record, so a distribution that factorizes over ``g`` is, given the
+    vertices outside ``verts``, the product of these conditionals.  An edge
+    between two given vertices changes no conditional, so min-fill starts
+    with the given vertices joined and counts no such edge as fill.
+    """
+    known = (1 << g.num_vars) - 1 & ~verts  # grows by each vertex as it is drawn
+    adj = [m | known & ~(1 << v) if known >> v & 1 else m for v, m in enumerate(g.adj_masks)]
+    order, _ = _min_fill(adj, verts, _as_rng(seed))
+    parents = []
+    for v in reversed(order):
+        parents.append(tuple(_bits(adj[v] & known)))
+        known |= 1 << v
+    given = _mask_of(p for ps in parents for p in ps) & ~verts
+    return Imap.from_parents(g.num_vars, order[::-1], parents, tuple(_bits(given)))
 
 
 def sub_imap(
@@ -631,5 +677,5 @@ def sub_imap(
     if not 0 <= u < g.num_vars:
         raise ValueError(f"vertex {u} out of range")
     rng = _as_rng(seed)
-    adj = _cached_chordal(g, chordal_seed, (1 << g.num_vars) - 1).adj_masks
+    adj = _cached_chordal(g, chordal_seed).adj_masks
     return _draw_imap(adj, adj[u] | 1 << u, g.num_vars, rng)

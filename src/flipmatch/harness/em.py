@@ -1,11 +1,14 @@
 """Expectation-maximization with an amortized conditional posterior.
 
 The E-step trains the sampler by flip matching over the latent variables
-only, conditioning its network on the observed values of each data row.  The
-M-step ascends the exact likelihood gradient of the (normalized) model on
-data rows completed by posterior draws.  Observed variables never pass
-through the sampler's masked inputs; they enter through its conditioning
-block, so one network amortizes the posterior across all rows at once.
+only, under a latent map that eliminates the latents and keeps every
+observed variable: each latent is drawn given its neighbours still alive
+when it was eliminated, observed ones included, so the map's factorization
+is the exact posterior p(h | o) and the observed values of each data row
+reach the network as ordinary parent columns.  The M-step ascends the exact
+likelihood gradient of the (normalized) model on data rows completed by
+posterior draws.  Both steps hand the sampler the data rows themselves, so
+one network amortizes the posterior across all rows at once.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from flipmatch.errors import (
     PartialAssignment,
     ShapeMismatch,
 )
-from flipmatch.graph import Imap, _imap_on, _mask_of
+from flipmatch.graph import Imap, _elimination_imap, _mask_of
 from flipmatch.harness.config import TrainConfig
 from flipmatch.harness.loops import _aux_multipliers, _spawn_rngs, interaction_graph
 from flipmatch.harness.metrics import MetricsRow
@@ -49,15 +52,18 @@ def _check_latent(latent, num_vars: int) -> tuple[tuple[int, ...], tuple[int, ..
 
 
 def latent_imap(m, latent, seed) -> Imap:
-    """A random orientation of the model's interaction graph restricted to ``latent``.
+    """The map of the posterior over ``latent`` given every other variable.
 
-    Min-fill runs over the latent set only, from chordal seed 0, so the map is
-    ``sample_imap``'s draw on the induced subgraph, with global variable ids:
-    it drives ``partial_sample_batch`` and the flip-matching loss directly on
-    full-width rows.
+    Min-fill, its ties drawn from ``seed``, eliminates the latents of the
+    model's interaction graph and keeps the observed variables; the map draws
+    the latents in reverse elimination order, each given its neighbours
+    still alive when it was eliminated (``graph._elimination_imap``).  The
+    observed parents are the map's given variables, read from the rows that
+    ``partial_sample_batch``, ``log_prob_batch`` and the flip-matching loss
+    are handed, with global variable ids throughout.
     """
     hidden, _ = _check_latent(latent, m.num_vars)
-    return _imap_on(interaction_graph(m), _mask_of(hidden), seed, 0)
+    return _elimination_imap(interaction_graph(m), _mask_of(hidden), seed)
 
 
 def data_marginal_loglik(p: TabularBayesNetModel, latent, data) -> float:
@@ -145,16 +151,12 @@ def train_em(
                     width=cfg.width,
                     blocks=cfg.blocks,
                     activation=cfg.activation,
-                    cond_vars=observed,
                     init_seed=cfg.seed,
                 )
             )
         )
-    elif tuple(s.params.cfg.cond_vars) != observed:
-        raise ConfigError(
-            f"the sampler must condition on the observed variables {observed}, "
-            f"got {tuple(s.params.cfg.cond_vars)}"
-        )
+    elif s.num_vars != p.num_vars:
+        raise ConfigError(f"the sampler has {s.num_vars} variables, the model {p.num_vars}")
 
     r_sample, r_flip, r_imap, r_data, r_m = _spawn_rngs(cfg.seed, 5)
     opt = AdamState(
@@ -166,7 +168,6 @@ def train_em(
     policy = cfg.policy()
     imap = latent_imap(p, hidden, r_imap)
     hidden_arr = np.array(hidden)
-    obs_cols = list(observed)
     e_steps_done = 0
     last_loss = float("nan")
     rows = []
@@ -176,12 +177,10 @@ def train_em(
             if e_steps_done % cfg.imap_refresh_period == 0 and e_steps_done > 0:
                 imap = latent_imap(p, hidden, r_imap)
             idx = r_data.integers(0, len(data), size=cfg.batch_size)
-            cond_rows = data[idx][:, obs_cols].astype(np.float64)
-            X = s.partial_sample_batch(imap, policy, cfg.batch_size, seed=r_sample, cond=cond_rows)
-            X[:, obs_cols] = data[idx][:, obs_cols]
+            X = s.partial_sample_batch(imap, policy, cfg.batch_size, seed=r_sample, X=data[idx])
             us = hidden_arr[r_flip.integers(0, len(hidden), size=cfg.batch_size)]
             new_vals = -X[np.arange(cfg.batch_size), us]
-            loss = delta_loss_batch(s, imap, p, X, us, new_vals, cond=cond_rows)
+            loss = delta_loss_batch(s, imap, p, X, us, new_vals)
             opt.zero_grad()
             tape.backward(loss)
             opt.step()
@@ -189,12 +188,8 @@ def train_em(
             last_loss = float(loss.data)
         for _ in range(m_steps):
             obs_rep = np.repeat(data, completions_per_row, axis=0)
-            cond_rep = obs_rep[:, obs_cols].astype(np.float64)
-            Xc = s.partial_sample_batch(
-                imap, Policy.on_policy(), len(obs_rep), seed=r_m, cond=cond_rep
-            )
-            Xc[:, obs_cols] = obs_rep[:, obs_cols]
-            grad = p.log_reward_grad_mean(Xc.astype(np.int8))
+            Xc = s.partial_sample_batch(imap, Policy.on_policy(), len(obs_rep), seed=r_m, X=obs_rep)
+            grad = p.log_reward_grad_mean(Xc)
             p.set_params(p.get_params() + m_lr * grad)
         nll = -data_marginal_loglik(p, hidden, data)
         rows.append(

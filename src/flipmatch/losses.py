@@ -112,8 +112,8 @@ class FlowHead:
 # flip matching
 
 
-def _clamped_logq(s, rows, vs, signs, cond=None) -> Tensor:
-    return tape.clamp_min(s.logq_rows(rows, vs, signs, cond), LOGQ_FLOOR)
+def _clamped_logq(s, rows, vs, signs) -> Tensor:
+    return tape.clamp_min(s.logq_rows(rows, vs, signs), LOGQ_FLOOR)
 
 
 def _draw_pair(n: int, seed, i: int | None = None, j: int | None = None) -> tuple[int, int]:
@@ -236,7 +236,6 @@ def delta_loss_batch(
     X,
     us,
     new_vals,
-    cond=None,
     pairs=None,
 ) -> Tensor:
     """Mean flip-matching loss over a batch of flips.
@@ -278,12 +277,7 @@ def delta_loss_batch(
         vs, signs, coeffs, seg = vs[keep], signs[keep], coeffs[keep], seg[keep]
         key, slots = seg + len(X) * (hit[keep] @ [1, 2]), 3 * len(X)
 
-    if cond is not None:
-        cond = np.asarray(cond, dtype=np.float64)
-        if cond.ndim == 2:
-            cond = cond[seg]
-
-    logq = _clamped_logq(s, rows, vs, signs, cond)
+    logq = _clamped_logq(s, rows, vs, signs)
     sums = tape.segment_sum(tape.mul(logq, coeffs), key, slots)
     delta = m.delta_log_reward_batch(X.astype(np.int8), us, new_vals.astype(np.int8))
     if not heavy.any():
@@ -297,10 +291,10 @@ def delta_loss_batch(
     return tape.where(heavy, blocked_term + pair_term * n, g.square()).mean()
 
 
-def delta_loss(s, imap: Imap, m: EnergyModel, x, u: int, xu_new, cond=None) -> Tensor:
+def delta_loss(s, imap: Imap, m: EnergyModel, x, u: int, xu_new) -> Tensor:
     """Squared flip-matching residual for a single flip (x, u -> xu_new)."""
     vals = np.asarray(x, dtype=np.int8)
-    return delta_loss_batch(s, imap, m, vals[None, :], [u], [xu_new], cond=cond)
+    return delta_loss_batch(s, imap, m, vals[None, :], [u], [xu_new])
 
 
 def delta_loss_stochastic_grad(

@@ -79,21 +79,3 @@ class AdamState:
     def zero_grad(self) -> None:
         for p in self.params:
             p.zero_grad()
-
-    # -- checkpoint support ---------------------------------------------------
-
-    def pack_moments(self) -> np.ndarray:
-        flats = [m.ravel() for m in self.m] + [v.ravel() for v in self.v]
-        return np.concatenate(flats)
-
-    def unpack_moments(self, flat: np.ndarray) -> None:
-        flat = np.asarray(flat, dtype=np.float64)
-        total = sum(m.size for m in self.m) * 2
-        if flat.size != total:
-            raise ShapeMismatch("moment vector has wrong length")
-        k = 0
-        for store in (self.m, self.v):
-            for arr in store:
-                n = arr.size
-                arr[...] = flat[k : k + n].reshape(arr.shape)
-                k += n

@@ -11,19 +11,19 @@ width trunk with residual connections between the equal-width blocks, then an
 affine head with one output column per variable.  A conditional reads only
 its own column, so every call names the variable of each row and the head
 computes that one logit per row.  Every forward, taped or not, can take only
-the nonzero input columns (a variable's parents and the conditioning block)
-together with their indices, so its first layer reads just those rows of the
-input weights and, on the tape, sums its gradient back into just those rows;
-one batch may hold many variables, each with its own columns and its own
-number of them, as the sampler's wavefront walk and the losses need.  The
-dense form, full (B, input_width) rows, serves the flow head's prefix rows.
-A separate learnable logit vector handles the no-information case (all-zero
-input), and an optional scalar head on the same trunk provides state-flow
-estimates for the balance-based objectives.
-Optionally the input is extended with a conditioning block: extra always-on
-coordinates carrying observed values for latent-variable posteriors.  The
-layer norms' epsilon is a constant, so a checkpoint's header rebuilds exactly
-the network that was saved.
+the nonzero input columns (a variable's parents) together with their
+indices, so its first layer reads just those rows of the input weights and,
+on the tape, sums its gradient back into just those rows; one batch may hold
+many variables, each with its own columns and its own number of them, as the
+sampler's wavefront walk and the losses need.  The dense form, full
+(B, input_width) rows, serves the flow head's prefix rows.  A separate
+learnable logit vector handles the no-information case (all-zero input), and
+an optional scalar head on the same trunk provides state-flow estimates for
+the balance-based objectives.  Observed values reach a latent-variable
+posterior as parent columns too (see ``graph.Imap.given``), so the input has
+one coordinate per variable and nothing else.  The layer norms' epsilon is a
+constant, so a checkpoint's header rebuilds exactly the network that was
+saved.
 
 The forward exists once, written in place on raw arrays, and every call runs
 its blocks on cache-sized row slices (``_BLOCK_ELEMENTS // width`` rows).
@@ -99,7 +99,6 @@ class MaeConfig:
     blocks: int = 3
     activation: str = "relu"
     flow_head: bool = False
-    cond_vars: tuple[int, ...] = ()
     init_seed: int = 0
 
     def __post_init__(self) -> None:
@@ -110,7 +109,8 @@ class MaeConfig:
 
     @property
     def input_width(self) -> int:
-        return self.num_vars + len(self.cond_vars)
+        """Input coordinates of the network: one per variable."""
+        return self.num_vars
 
     @property
     def param_count(self) -> int:
@@ -611,17 +611,18 @@ def _row_vars(x: np.ndarray, vs) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# checkpoints: header + flat little-endian parameters + optional Adam state.
-# Parameters are written at 64 bits; files that store them at 32 bits still load.
+# checkpoints: header + flat little-endian parameters.  Parameters are written
+# at 64 bits; files that store them at 32 bits still load.  The header's
+# conditioning count is always 0: a network that had a conditioning block is
+# refused.  Files that carry an optimizer blob (flag 2) still load; the
+# blob's length is checked and the blob dropped.
 
 
-def save_checkpoint(mae: MaeParams, path: str, adam=None) -> None:
+def save_checkpoint(mae: MaeParams, path: str) -> None:
     cfg = mae.cfg
     flags = 0
     if cfg.flow_head:
         flags |= 1
-    if adam is not None:
-        flags |= 2
     if cfg.activation == "elu":
         flags |= 4
     flat = mae.pack()
@@ -636,24 +637,15 @@ def save_checkpoint(mae: MaeParams, path: str, adam=None) -> None:
                 cfg.blocks,
                 64,
                 flags,
-                len(cfg.cond_vars),
+                0,
             )
         )
-        if cfg.cond_vars:
-            fh.write(np.asarray(cfg.cond_vars, dtype="<u4").tobytes())
         fh.write(struct.pack("<Q", flat.size))
         fh.write(flat.astype("<f8").tobytes())
-        if adam is not None:
-            fh.write(struct.pack("<Qd", adam.step_count, adam.base_lr))
-            fh.write(adam.pack_moments().astype("<f8").tobytes())
 
 
-def load_checkpoint(path: str, init_seed: int = 0):
-    """Returns (MaeParams, adam_state_blob | None).
-
-    The optimizer blob is (step_count, base_lr, moments) for the trainer to
-    restore; network weights are fully restored here.
-    """
+def load_checkpoint(path: str, init_seed: int = 0) -> MaeParams:
+    """The network a checkpoint holds, its weights fully restored."""
     with open(path, "rb") as fh:
         magic, version, num_vars, width, blocks, float_bits, flags, n_cond = struct.unpack(
             "<4sIIIIIII", read_exact(fh, 32, path, "header")
@@ -669,10 +661,11 @@ def load_checkpoint(path: str, init_seed: int = 0):
                 f"{path}: num_vars, width and blocks must be positive, "
                 f"got {num_vars}, {width}, {blocks}"
             )
-        cond_vars = ()
         if n_cond:
-            raw = read_exact(fh, 4 * n_cond, path, "conditioning block")
-            cond_vars = tuple(int(x) for x in np.frombuffer(raw, dtype="<u4"))
+            raise CorruptFile(
+                f"{path}: the network has a conditioning block of {n_cond} values; "
+                "conditioning-block checkpoints are no longer read"
+            )
         (n_params,) = struct.unpack("<Q", read_exact(fh, 8, path, "parameter count"))
         cfg = MaeConfig(
             num_vars=num_vars,
@@ -680,7 +673,6 @@ def load_checkpoint(path: str, init_seed: int = 0):
             blocks=blocks,
             activation="elu" if flags & 4 else "relu",
             flow_head=bool(flags & 1),
-            cond_vars=cond_vars,
             init_seed=init_seed,
         )
         # checked before anything of the header's size is read or allocated
@@ -694,12 +686,7 @@ def load_checkpoint(path: str, init_seed: int = 0):
         ).astype(np.float64)
         mae = MaeParams(cfg)
         mae.unpack(flat)
-        adam_blob = None
         if flags & 2:
-            opt_head = read_exact(fh, 16, path, "optimizer header")
-            step_count, base_lr = struct.unpack("<Qd", opt_head)
-            moments = np.frombuffer(
-                read_exact(fh, 2 * n_params * 8, path, "optimizer moments"), dtype="<f8"
-            ).copy()
-            adam_blob = (step_count, base_lr, moments)
-    return mae, adam_blob
+            # step count, base rate and both moments of an optimizer: read, not kept
+            read_exact(fh, 16 + 2 * n_params * 8, path, "optimizer state")
+    return mae

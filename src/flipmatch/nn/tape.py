@@ -201,16 +201,16 @@ def log_sigmoid(x: Tensor) -> Tensor:
     return _make(out_data, (x,), back)
 
 
-def where(cond: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise select with a constant condition."""
+def where(mask: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise select by a constant mask: a where it holds, else b."""
     a, b = _as_tensor(a), _as_tensor(b)
-    out_data = np.where(cond, a.data, b.data)
+    out_data = np.where(mask, a.data, b.data)
 
     def back(g):
         if a.requires_grad:
-            a.accumulate(_unbroadcast(np.where(cond, g, 0.0), a.data.shape))
+            a.accumulate(_unbroadcast(np.where(mask, g, 0.0), a.data.shape))
         if b.requires_grad:
-            b.accumulate(_unbroadcast(np.where(cond, 0.0, g), b.data.shape))
+            b.accumulate(_unbroadcast(np.where(mask, 0.0, g), b.data.shape))
 
     return _make(out_data, (a, b), back)
 

@@ -5,10 +5,12 @@ masked down to exactly the variable's parents.  Because the mask is the only
 thing that encodes the order, a single set of weights can serve every I-map of
 the same graph, including the small local maps used for partial sampling.
 Sampling, scoring and the taped losses hand the network only the parent
-columns (and the conditioning block) and read back only the variable's own
-logit, so a conditional costs what its parent set costs, not what |V| costs.
-``masked_parent_rows`` builds that compact input for the losses: per row, the
-parents' values and their column indices, read off ``Imap.parent_table``.
+columns and read back only the variable's own logit, so a conditional costs
+what its parent set costs, not what |V| costs.  ``masked_parent_rows`` builds
+that compact input for the losses: per row, the parents' values and their
+column indices, read off ``Imap.parent_table``.  A map's given variables
+(``Imap.given``, the observed values of a latent posterior) are parent
+columns like any other: the walk reads them from the rows it starts from.
 
 Draws and scores follow a wavefront walk.  Each I-map holds its topological
 order, the depth of each position and the padded parent table as arrays
@@ -16,10 +18,10 @@ order, the depth of each position and the padded parent table as arrays
 levels of one map or of many.  An entry with k parents and 2^k <= n, n the
 rows per map, has all its parent configurations evaluated in one table before
 the walk and reads its logits off it by its parents' signs; the other entries
-of a level (all, under a conditioning block) go through the network in one
-call.  The uniforms are drawn up front in the order of a map-by-map,
-variable-by-variable walk, and each row's log q is summed in topological
-order, so batching changes neither the draws nor log q.
+of a level go through the network in one call.  The uniforms are drawn up
+front in the order of a map-by-map, variable-by-variable walk, and each row's
+log q is summed in topological order, so batching changes neither the draws
+nor log q.
 
 Also here: exploration policies (tempered and epsilon-uniform) and a
 systematic-scan Gibbs chain with optional annealing.  The chain scans the
@@ -162,68 +164,34 @@ class AmortizedSampler:
     def num_vars(self) -> int:
         return self.params.cfg.num_vars
 
-    # -- input plumbing -------------------------------------------------------
-
-    def _cond_block(self, cond, n: int) -> np.ndarray | None:
-        """The (n, n_cond) conditioning values, or None for a plain sampler."""
-        n_cond = len(self.params.cfg.cond_vars)
-        if n_cond == 0:
-            if cond is not None:
-                raise ShapeMismatch("this sampler has no conditioning block")
-            return None
-        if cond is None:
-            raise ShapeMismatch(f"{n_cond} conditioning values required")
-        cond = np.asarray(cond, dtype=np.float64)
-        if cond.ndim == 1:
-            cond = np.broadcast_to(cond, (n, n_cond))
-        if cond.shape != (n, n_cond):
-            raise ShapeMismatch(f"conditioning block must be ({n}, {n_cond}), got {cond.shape}")
-        return cond
-
     # -- conditional evaluation ----------------------------------------------
 
-    def _with_cond(self, x: np.ndarray, cols: np.ndarray, block) -> tuple[np.ndarray, np.ndarray]:
-        """Compact inputs with the conditioning block appended after the
-        parent slots, under its input columns (one per conditioning value)."""
-        if block is None:
-            return x, cols
-        cond_cols = np.arange(self.num_vars, self.params.cfg.input_width)
-        return (
-            np.concatenate([x, block], axis=-1),
-            np.hstack([cols, np.broadcast_to(cond_cols, (len(cols), len(cond_cols)))]),
-        )
-
-    def logq_rows(self, rows: tuple[np.ndarray, np.ndarray], vs, signs, cond=None) -> Tensor:
+    def logq_rows(self, rows: tuple[np.ndarray, np.ndarray], vs, signs) -> Tensor:
         """Taped log q(sign_i at var vs_i | parent row i) for a batch of rows.
 
-        ``rows`` is the (values, cols) pair of ``masked_parent_rows`` and
-        ``cond`` the conditioning block (one row per input row, or one row for
-        all); the network reads only those columns and computes only the logit
-        of each row's own variable.
+        ``rows`` is the (values, cols) pair of ``masked_parent_rows``; the
+        network reads only those columns and computes only the logit of each
+        row's own variable.
         """
         values, cols = rows
-        x, cols = self._with_cond(values, cols, self._cond_block(cond, len(values)))
-        logits = self.params.masked_logits(x, vs, cols)
+        logits = self.params.masked_logits(values, vs, cols)
         return tape.log_sigmoid(tape.mul(logits, np.asarray(signs, dtype=np.float64)))
 
     def _entry_logits(
-        self, work: np.ndarray, cond, rows: np.ndarray, vs: np.ndarray, parents: np.ndarray
+        self, work: np.ndarray, rows: np.ndarray, vs: np.ndarray, parents: np.ndarray
     ) -> np.ndarray:
         """Logit of variable vs[e] at rows rows[e] of work, in one network call.
 
-        ``work`` holds the values drawn so far plus a last column of zeros,
-        which the -1 padding of ``parents`` reads.  Each entry hands the
-        network its parent columns and the conditioning block, so the first
-        layer gathers one block of input weights per entry, not per row.
+        ``work`` holds the values drawn or given so far plus a last column of
+        zeros, which the -1 padding of ``parents`` reads.  Each entry hands
+        the network its parent columns, so the first layer gathers one block
+        of input weights per entry, not per row.
         """
         width = int((parents >= 0).sum(axis=1).max(initial=0))
         parents = parents[:, :width]
         x = work[rows[:, :, None], np.where(parents < 0, work.shape[1] - 1, parents)[:, None, :]]
-        block = None if cond is None else cond[rows]
-        x, cols = self._with_cond(x, parents, block)
         e, n = rows.shape
-        x = x.reshape(e * n, x.shape[-1])
-        logits = self.params.masked_logits_np(x, np.repeat(vs, n), cols)
+        logits = self.params.masked_logits_np(x.reshape(e * n, width), np.repeat(vs, n), parents)
         return logits.reshape(e, n)
 
     def _conditional_table(self, var: np.ndarray, parents: np.ndarray, n: int):
@@ -254,20 +222,21 @@ class AmortizedSampler:
         self,
         maps: list[Imap],
         n: int,
-        cond,
         X: np.ndarray | None = None,
         policy: Policy | None = None,
         rng: np.random.Generator | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Draw (X is None) or score (X given) n rows under each map, by wavefront.
+        """Draw (with ``rng``) or score (without) n rows under each map, by wavefront.
 
-        Row j*n + i belongs to map j.  Entries of the ``_conditional_table``
-        read their logits off it; the other entries of each depth level of all
-        maps go through the network in one call.  The uniforms are drawn up
-        front in the order a map-by-map, variable-by-variable walk draws them,
-        and each row's log q is summed in topological order, so draws and log
-        q do not depend on how the conditionals are batched.  Zero rows give
-        empty results.
+        Row j*n + i belongs to map j and starts from row j*n + i of X, or
+        from zeros: drawing overwrites the maps' variables and reads every
+        other column where a parent names it, scoring reads them all.
+        Entries of the ``_conditional_table`` read their logits off it; the
+        other entries of each depth level of all maps go through the network
+        in one call.  The uniforms are drawn up front in the order a
+        map-by-map, variable-by-variable walk draws them, and each row's log
+        q is summed in topological order, so draws and log q do not depend on
+        how the conditionals are batched.  Zero rows give empty results.
         """
         if n < 0:
             raise ConfigError(f"cannot draw {n} rows")
@@ -276,10 +245,8 @@ class AmortizedSampler:
         work = np.zeros((N, self.num_vars + 1))
         if X is not None:
             work[:, :-1] = X
-        cond = self._cond_block(cond, N)
-        # a conditioning block gives every row a conditional of its own
-        table, offset = self._conditional_table(var, parents, n if cond is None else 0)
-        uniforms = None if X is not None else rng.random(len(var) * n).reshape(len(var), n)
+        table, offset = self._conditional_table(var, parents, n)
+        uniforms = None if rng is None else rng.random(len(var) * n).reshape(len(var), n)
         terms = np.zeros((len(maps), max(len(m.order) for m in maps), n))
         for ent in levels:
             rows = map_of[ent, None] * n + np.arange(n)
@@ -290,7 +257,7 @@ class AmortizedSampler:
             logits[at] = table[offset[ent[at], None] + (plus << np.arange(plus.shape[2])).sum(-1)]
             if not at.all():
                 e = ent[~at]
-                logits[~at] = self._entry_logits(work, cond, rows[~at], var[e], parents[e])
+                logits[~at] = self._entry_logits(work, rows[~at], var[e], parents[e])
             if uniforms is not None:
                 work[rows, cols] = np.where(
                     uniforms[ent] < policy.plus_probability(logits), 1.0, -1.0
@@ -304,7 +271,7 @@ class AmortizedSampler:
     # -- sampling --------------------------------------------------------------
 
     def ancestral_sample(
-        self, imap: Imap, policy: Policy, n: int, seed, cond=None
+        self, imap: Imap, policy: Policy, n: int, seed
     ) -> tuple[np.ndarray, np.ndarray]:
         """Draw n full samples; returns (states, model log q of each draw)."""
         if len(imap.order) != self.num_vars:
@@ -312,34 +279,51 @@ class AmortizedSampler:
                 "ancestral sampling needs an I-map covering every variable; "
                 "use partial_sample_batch for local maps"
             )
-        X, logq = self._walk([imap], n, cond, policy=policy, rng=_as_rng(seed))
+        X, logq = self._walk([imap], n, policy=policy, rng=_as_rng(seed))
         return X.astype(np.int8), logq
 
     def partial_sample_batch(
-        self, sub: Imap | Sequence[Imap], policy: Policy, n: int, seed, cond=None
+        self, sub: Imap | Sequence[Imap], policy: Policy, n: int, seed, X=None
     ) -> np.ndarray:
         """n draws under one local map, or under each of a sequence of maps.
 
         With k maps the result has k*n rows; row j*n + i is draw i under map
-        j, and ``cond`` (when 2-d) gives one conditioning row per output row.
-        The draws equal those of k one-map calls in turn on the same rng.
+        j.  ``X``, one row per output row, holds the values the draws start
+        from: each map's given variables must be at -1 or +1 in its rows,
+        the map's own variables are drawn over, and every other column is
+        returned as it is.  Without X the draws start from zeros.  The draws
+        equal those of k one-map calls in turn on the same rng.
         """
         maps = [sub] if isinstance(sub, Imap) else list(sub)
         if not maps:
             raise ConfigError("partial sampling needs at least one local map")
-        X, _ = self._walk(maps, n, cond, policy=policy, rng=_as_rng(seed))
+        if X is not None:
+            X = np.asarray(X, dtype=np.float64)
+            if X.shape != (len(maps) * n, self.num_vars):
+                raise ShapeMismatch(
+                    f"X must be ({len(maps) * n}, {self.num_vars}), one row per draw, got {X.shape}"
+                )
+        for j, m in enumerate(maps):
+            if len(m.given) and (X is None or np.any(np.abs(X[j * n : (j + 1) * n, m.given]) != 1)):
+                raise PartialAssignment(
+                    f"map {j} is drawn given {m.given.tolist()}: X must hold -1 or +1 there"
+                )
+        X, _ = self._walk(maps, n, X, policy=policy, rng=_as_rng(seed))
         return X.astype(np.int8)
 
     # -- scoring ----------------------------------------------------------------
 
-    def log_prob_batch(self, imap: Imap, X, cond=None) -> np.ndarray:
-        """Sum of conditional log-probabilities along the order, per row."""
+    def log_prob_batch(self, imap: Imap, X) -> np.ndarray:
+        """Sum of conditional log-probabilities along the order, per row:
+        log q of the map's variables given its given ones."""
         vals = np.asarray(X, dtype=np.float64)
         if vals.ndim == 1:
             vals = vals[None, :]
-        if not np.all(np.abs(vals[:, imap.order]) == 1):
-            raise PartialAssignment("log_prob needs fully instantiated samples, at -1 or +1")
-        return self._walk([imap], vals.shape[0], cond, X=vals)[1]
+        if not np.all(np.abs(vals[:, np.concatenate([imap.order, imap.given])]) == 1):
+            raise PartialAssignment(
+                "log_prob needs the map's drawn and given variables at -1 or +1"
+            )
+        return self._walk([imap], vals.shape[0], vals)[1]
 
 
 # ---------------------------------------------------------------------------

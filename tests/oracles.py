@@ -13,7 +13,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -308,10 +308,8 @@ class TabularSampler:
             idx |= (vals[:, p] > 0).astype(np.int64) << k
         return idx
 
-    def logq_rows(self, rows, vs, signs, cond=None) -> Tensor:
+    def logq_rows(self, rows, vs, signs) -> Tensor:
         """log q(sign_i at var vs_i | parent row i), as a constant on the tape."""
-        if cond is not None:
-            raise ConfigError("the tabular sampler takes no conditioning values")
         inputs = scatter_compact(*rows, self.imap.num_vars)
         vs = np.asarray(vs)
         signs = np.asarray(signs)
@@ -754,9 +752,9 @@ class DenseSampler(AmortizedSampler):
     nothing of the compact path is left.
     """
 
-    def logq_rows(self, rows, vs, signs, cond=None) -> Tensor:
+    def logq_rows(self, rows, vs, signs) -> Tensor:
         values, cols = rows
-        dense = _with_cond(self, scatter_compact(values, cols, self.num_vars), cond)
+        dense = scatter_compact(values, cols, self.num_vars)
         logits = self.params.masked_logits(dense, vs)
         return tape.log_sigmoid(tape.mul(logits, np.asarray(signs, dtype=np.float64)))
 
@@ -779,38 +777,38 @@ def dense_rows_in(monkeypatch) -> None:
     monkeypatch.setattr(losses, "masked_parent_rows", rows)
 
 
-def _with_cond(sampler, rows: np.ndarray, cond) -> np.ndarray:
-    block = sampler._cond_block(cond, len(rows))
-    return rows if block is None else np.hstack([rows, block])
-
-
-def _dense_logits_at(sampler, imap, v: int, X: np.ndarray, cond) -> np.ndarray:
+def _dense_logits_at(sampler, imap, v: int, X: np.ndarray) -> np.ndarray:
     ps = list(imap.parents[v])
     row = np.zeros_like(X)
     if ps:
         row[:, ps] = X[:, ps]
-    return dense_masked_logits(sampler.params, _with_cond(sampler, row, cond))[:, v]
+    return dense_masked_logits(sampler.params, row)[:, v]
 
 
-def dense_run_order(sampler, imap, policy, n: int, seed, cond=None):
-    """Draws and log q along the order, the network evaluated densely."""
+def _start(sampler, n: int, X) -> np.ndarray:
+    """A float copy of the rows a walk starts from, zeros without X."""
+    return np.zeros((n, sampler.num_vars)) if X is None else np.array(X, dtype=np.float64)
+
+
+def dense_run_order(sampler, imap, policy, n: int, seed, X=None):
+    """Draws and log q along the order, from X or zeros, the network evaluated densely."""
     rng = np.random.default_rng(seed)
-    X = np.zeros((n, sampler.num_vars), dtype=np.float64)
+    X = _start(sampler, n, X)
     logq = np.zeros(n)
     for v in imap.topo_order:
-        logits = _dense_logits_at(sampler, imap, v, X, cond)
+        logits = _dense_logits_at(sampler, imap, v, X)
         draws = np.where(rng.random(n) < policy.plus_probability(logits), 1.0, -1.0)
         X[:, v] = draws
         logq += _dense_log_sigmoid(draws * logits)
     return X.astype(np.int8), logq
 
 
-def dense_log_prob_batch(sampler, imap, X, cond=None) -> np.ndarray:
+def dense_log_prob_batch(sampler, imap, X) -> np.ndarray:
     """Sum of conditional log-probabilities along the order, evaluated densely."""
     vals = np.asarray(X, dtype=np.float64)
     logq = np.zeros(vals.shape[0])
     for v in imap.topo_order:
-        logq += _dense_log_sigmoid(vals[:, v] * _dense_logits_at(sampler, imap, v, vals, cond))
+        logq += _dense_log_sigmoid(vals[:, v] * _dense_logits_at(sampler, imap, v, vals))
     return logq
 
 
@@ -821,35 +819,30 @@ def dense_log_prob_batch(sampler, imap, X, cond=None) -> np.ndarray:
 # and the same log q.
 
 
-def _parent_logits(sampler, imap, v: int, X: np.ndarray, cond) -> np.ndarray:
-    cfg = sampler.params.cfg
-    ps = list(imap.parents[v])
-    inputs = _with_cond(sampler, X[:, ps], cond)
-    cols = np.concatenate(
-        [np.asarray(ps, dtype=np.int64), np.arange(cfg.num_vars, cfg.input_width)]
-    )
-    return sampler.params.masked_logits_np(inputs, np.full(len(X), v), cols[None, :])
+def _parent_logits(sampler, imap, v: int, X: np.ndarray) -> np.ndarray:
+    ps = np.asarray(imap.parents[v], dtype=np.int64)
+    return sampler.params.masked_logits_np(X[:, ps], np.full(len(X), v), ps[None, :])
 
 
-def sequential_run_order(sampler, imap, policy, n: int, seed, cond=None):
-    """Draws and log q along the order, one variable at a time."""
+def sequential_run_order(sampler, imap, policy, n: int, seed, X=None):
+    """Draws and log q along the order, from X or zeros, one variable at a time."""
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    X = np.zeros((n, sampler.num_vars), dtype=np.float64)
+    X = _start(sampler, n, X)
     logq = np.zeros(n)
     for v in imap.topo_order:
-        logits = _parent_logits(sampler, imap, v, X, cond)
+        logits = _parent_logits(sampler, imap, v, X)
         draws = np.where(rng.random(n) < policy.plus_probability(logits), 1.0, -1.0)
         X[:, v] = draws
         logq += _dense_log_sigmoid(draws * logits)
     return X.astype(np.int8), logq
 
 
-def sequential_log_prob_batch(sampler, imap, X, cond=None) -> np.ndarray:
+def sequential_log_prob_batch(sampler, imap, X) -> np.ndarray:
     """Sum of conditional log-probabilities along the order, one variable at a time."""
     vals = np.asarray(X, dtype=np.float64)
     logq = np.zeros(vals.shape[0])
     for v in imap.topo_order:
-        logq += _dense_log_sigmoid(vals[:, v] * _parent_logits(sampler, imap, v, vals, cond))
+        logq += _dense_log_sigmoid(vals[:, v] * _parent_logits(sampler, imap, v, vals))
     return logq
 
 
@@ -870,10 +863,22 @@ def reference_min_fill_chordalize(
     edges to become a clique, ties broken uniformly at random.  Already-chordal
     graphs come back unchanged (zero fill edges at every step).
     """
+    _, added = reference_eliminate(g, range(g.num_vars), seed)
+    return g.with_extra_edges(added)
+
+
+def reference_eliminate(
+    g: UndirectedGraph, verts: Iterable[int], seed: int | np.random.Generator = 0
+) -> tuple[list[int], list[tuple[int, int]]]:
+    """Min-fill elimination of ``verts`` by a scan of ``verts``' alive members
+    at each step, every other vertex alive throughout; returns the
+    elimination order and the fill edges."""
     rng = _as_rng(seed)
     n = g.num_vars
     adj = list(g.adj_masks)
     alive = (1 << n) - 1 if n else 0
+    todo = set(verts)
+    order: list[int] = []
     added: list[tuple[int, int]] = []
 
     def fill_count(v: int) -> int:
@@ -888,11 +893,12 @@ def reference_min_fill_chordalize(
             cnt += (nb & rest & ~adj[a]).bit_count()
         return cnt
 
-    fill = {v: fill_count(v) for v in range(n)}
-    for _ in range(n):
-        best = min(fill[v] for v in _bits(alive))
-        ties = [v for v in _bits(alive) if fill[v] == best]
+    fill = {v: fill_count(v) for v in sorted(todo)}
+    for _ in range(len(todo)):
+        best = min(fill.values())
+        ties = [v for v in sorted(fill) if fill[v] == best]
         v = ties[int(rng.integers(len(ties)))] if len(ties) > 1 else ties[0]
+        order.append(v)
         nb = adj[v] & alive
         dirty = nb
         rest = nb
@@ -909,8 +915,18 @@ def reference_min_fill_chordalize(
         alive &= ~(1 << v)
         del fill[v]
         for w in _bits(dirty & alive):
-            fill[w] = fill_count(w)
-    return g.with_extra_edges(added)
+            if w in fill:
+                fill[w] = fill_count(w)
+    return order, added
+
+
+def log_marginal_at(states: np.ndarray, log_p: np.ndarray, cols) -> np.ndarray:
+    """log p(x_cols) at each of ``states``, from the joint ``log_p`` on every state."""
+    cols = list(cols)
+    code = (states[:, cols] > 0) @ (1 << np.arange(len(cols)))
+    out = np.full(1 << len(cols), -np.inf)
+    np.logaddexp.at(out, code, log_p)
+    return out[code]
 
 
 def reference_max_cardinality_search(
@@ -1332,19 +1348,19 @@ def exact_sample(t: ExactTable, n: int, seed) -> list[np.ndarray]:
     return list(t.sample_matrix(n, seed))
 
 
-def partial_sample(s: AmortizedSampler, sub: Imap, policy: Policy, seed, cond=None) -> np.ndarray:
+def partial_sample(s: AmortizedSampler, sub: Imap, policy: Policy, seed) -> np.ndarray:
     """One draw instantiating exactly the variables the local map covers."""
-    return s.partial_sample_batch(sub, policy, 1, seed, cond)[0]
+    return s.partial_sample_batch(sub, policy, 1, seed)[0]
 
 
-def conditional_logprob(s, imap: Imap, v: int, x, cond=None) -> float:
+def conditional_logprob(s, imap: Imap, v: int, x) -> float:
     """log q(x_v | x_parents(v)) under ``imap``: one row of the sampler's ``logq_rows``."""
     vals = np.asarray(x, dtype=np.float64)[None, :]
-    return float(s.logq_rows(imap_parent_rows(imap, vals, [v]), [v], vals[:, v], cond).data[0])
+    return float(s.logq_rows(imap_parent_rows(imap, vals, [v]), [v], vals[:, v]).data[0])
 
 
-def log_prob(s: AmortizedSampler, imap: Imap, x, cond=None) -> float:
-    return float(s.log_prob_batch(imap, _row(x)[None, :], cond)[0])
+def log_prob(s: AmortizedSampler, imap: Imap, x) -> float:
+    return float(s.log_prob_batch(imap, _row(x)[None, :])[0])
 
 
 def tb_loss(s, imap: Imap, m: EnergyModel, x, logZ: LogZEstimate) -> Tensor:
@@ -1408,14 +1424,14 @@ def level_walk(
     self,
     maps: list[Imap],
     n: int,
-    cond,
     X: np.ndarray | None = None,
     policy: Policy | None = None,
     rng: np.random.Generator | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Draw (X is None) or score (X given) n rows under each map, by wavefront.
+    """Draw (with ``rng``) or score (without) n rows under each map, by wavefront.
 
-    Row j*n + i belongs to map j.  Each depth level of all maps goes
+    Row j*n + i belongs to map j and starts from row j*n + i of X, or from
+    zeros.  Each depth level of all maps goes
     through the network in one call.  The uniforms are drawn up front in
     the order a map-by-map, variable-by-variable walk draws them, and each
     row's log q is summed in topological order, so draws and log q do not
@@ -1428,13 +1444,12 @@ def level_walk(
     work = np.zeros((N, self.num_vars + 1))
     if X is not None:
         work[:, :-1] = X
-    cond = self._cond_block(cond, N)
-    uniforms = None if X is not None else rng.random(len(var) * n).reshape(len(var), n)
+    uniforms = None if rng is None else rng.random(len(var) * n).reshape(len(var), n)
     terms = np.zeros((len(maps), max(len(m.order) for m in maps), n))
     for ent in levels:
         rows = map_of[ent, None] * n + np.arange(n)
         cols = var[ent, None]
-        logits = self._entry_logits(work, cond, rows, var[ent], parents[ent])
+        logits = self._entry_logits(work, rows, var[ent], parents[ent])
         if uniforms is not None:
             work[rows, cols] = np.where(
                 uniforms[ent] < policy.plus_probability(logits), 1.0, -1.0
@@ -1494,7 +1509,6 @@ def per_u_delta_loss_batch(
     X,
     us,
     new_vals,
-    cond=None,
 ) -> Tensor:
     """Mean squared flip-matching residual over a batch of flips.
 
@@ -1530,12 +1544,7 @@ def per_u_delta_loss_batch(
     seg = np.concatenate(seg)
     _check_flips(X, us, new_vals, rows, vs, coeffs, seg)
 
-    if cond is not None:
-        cond = np.asarray(cond, dtype=np.float64)
-        if cond.ndim == 2:
-            cond = cond[seg]
-
-    logq = _clamped_logq(s, rows, vs, signs, cond)
+    logq = _clamped_logq(s, rows, vs, signs)
     ratio_sum = tape.segment_sum(tape.mul(logq, coeffs), seg, len(X))
     delta = m.delta_log_reward_batch(X.astype(np.int8), us, new_vals.astype(np.int8))
     residual = tape.const(delta) - ratio_sum

@@ -605,10 +605,8 @@ class TestLatentVariableTraining:
             completions[:, latent] = hidden
             lw = p.log_reward_batch(completions)
             posterior = np.exp(lw - logsumexp(lw))
-            cond = np.repeat(np.array([pattern], dtype=np.float64), 4, axis=0)
-            Xq = np.zeros((4, 5))
-            Xq[:, latent] = hidden
-            lq = s.log_prob_batch(imap, Xq, cond=cond)
+            # the observed values reach the posterior as the map's given parents
+            lq = s.log_prob_batch(imap, completions)
             amortized = np.exp(lq - logsumexp(lq))
             assert 0.5 * np.abs(amortized - posterior).sum() < 0.05
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import struct
 import sys
 import tempfile
 import warnings
@@ -162,6 +163,17 @@ class TestTruncatedFiles:
         ck.write_bytes(b"")
         assert main(["sample", "--model", model_file, "--checkpoint", str(ck)]) == 2
         assert "empty.ckpt" in capsys.readouterr().err
+
+    def test_sample_with_a_conditioning_block_checkpoint(self, model_file, tmp_path, capsys):
+        # a network with two conditioning values, as older EM runs wrote it
+        ck = tmp_path / "cond.ckpt"
+        mae = MaeParams(MaeConfig(num_vars=3, width=4, blocks=1))
+        header = struct.pack("<4sIIIIIII", b"DMAE", 1, 3, 4, 1, 64, 0, 2)
+        ck.write_bytes(header + bytes(8) + struct.pack("<Q", mae.cfg.param_count + 8))
+        assert main(["sample", "--model", model_file, "--checkpoint", str(ck)]) == 2
+        err = capsys.readouterr().err
+        assert "cond.ckpt" in err and "conditioning-block checkpoints are no longer read" in err
+        assert "Traceback" not in err
 
     def test_oracle_with_short_sidecar(self, tmp_path, capsys):
         path = tmp_path / "fg.json"
@@ -499,6 +511,8 @@ class TestEm:
                 "0.2",
                 "--out-model",
                 str(fitted),
+                "--checkpoint",
+                str(tmp_path / "posterior.ckpt"),
             ]
         )
         assert code == 0
@@ -506,6 +520,9 @@ class TestEm:
         assert doc["latent"] == [1] and np.isfinite(doc["nll"])
         reread = read_model(str(fitted))
         assert isinstance(reread, TabularBayesNetModel)
+        # the posterior network is a plain network of the model's variables
+        argv = ["sample", "--model", str(fitted), "--checkpoint", str(tmp_path / "posterior.ckpt")]
+        assert main(argv + ["--n", "3"]) == 0
 
     @pytest.mark.parametrize("knob", ["sub_dags_per_var", "stochastic_children_above"])
     def test_flip_matching_knobs_are_exit_2(self, tmp_path, capsys, knob):

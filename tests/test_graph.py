@@ -1,11 +1,20 @@
 """Graph pipeline tests: chordalization, MCS, junction trees, DAG orientations."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flipmatch.energy import random_ising
+from numpy.testing import assert_allclose
+
+from flipmatch.energy import (
+    TabularBayesNetModel,
+    all_states,
+    random_factor_lattice,
+    random_ising,
+)
 from flipmatch.graph import (
     Imap,
     UndirectedGraph,
@@ -24,12 +33,13 @@ from flipmatch.graph import (
     star_graph,
     sub_imap,
 )
-from flipmatch.harness import interaction_graph, latent_imap
+from flipmatch.harness import latent_imap
 from oracles import (
     JunctionTree,
     check_chordal,
     chordal_brute_force,
     completion_on,
+    log_marginal_at,
     imap_arcs,
     junction_tree,
     maximal_cliques_brute_force,
@@ -40,9 +50,8 @@ from oracles import (
     reference_build_junction_tree,
     reference_completion,
     reference_imap_arrays,
-    reference_induced_subgraph,
-    reference_lift_imap,
     reference_max_cardinality_search,
+    reference_eliminate,
     reference_min_fill_chordalize,
     reference_sample_imap,
     reference_sub_imap,
@@ -448,15 +457,6 @@ class TestMatchesArcSetReference:
             for u in range(g.num_vars):
                 same_as_reference(sub_imap(g, u, a), reference_sub_imap(g, u, b))
 
-    def test_latent_imap(self):
-        g = grid_graph(3, 4)
-        m = random_ising(g, 0.3, seed=1)
-        hidden = (0, 2, 3, 5, 7, 11)
-        local, mapping = reference_induced_subgraph(g, hidden)
-        for seed in range(200):
-            ref = reference_lift_imap(reference_sample_imap(local, seed), mapping, m.num_vars)
-            same_as_reference(latent_imap(m, hidden, seed), ref)
-
     def test_orient(self):
         g = min_fill_chordalize(random_graph(9, 0.4, 2), 0)
         _, cliques = max_cardinality_search(g, 0)
@@ -621,75 +621,156 @@ def latent_cases(family: str, count: int, seed: int):
         yield g, tuple(sorted(rng.choice(g.num_vars, size=size, replace=False).tolist()))
 
 
-class TestLatentMapOnGlobalMasks:
-    """A latent map is drawn on the latent set of a completion whose min-fill
-    ran over that set: the maps and generator states of the subgraph path
-    (induced subgraph, map on local ids, lift to global ids)."""
+def random_bayes_net(rng) -> TabularBayesNetModel:
+    """3 to 9 variables in index order, each with up to two earlier parents."""
+    n = int(rng.integers(3, 10))
+    parents = [
+        tuple(sorted(rng.choice(v, size=min(v, int(rng.integers(0, 3))), replace=False).tolist()))
+        for v in range(n)
+    ]
+    dag = Imap.from_parents(n, range(n), parents)
+    return TabularBayesNetModel(dag, {v: rng.normal(size=1 << len(parents[v])) for v in range(n)})
+
+
+POSTERIOR_MODELS = {
+    "bayes-net": (240, random_bayes_net),
+    "ising": (
+        80,
+        lambda rng: random_ising(
+            random_graph(int(rng.integers(3, 10)), float(rng.uniform(0.2, 0.7)), rng), 0.5, rng
+        ),
+    ),
+    "factor-lattice": (
+        40,
+        lambda rng: random_factor_lattice(int(rng.integers(2, 4)), 3, seed=rng, init_std=1.0),
+    ),
+}
+
+
+class TestLatentMapIsThePosterior:
+    """The latent map eliminates the latents and keeps the observed variables,
+    so its conditionals multiply to the exact posterior p(h | o) of any model
+    that factorizes over its interaction graph."""
+
+    @pytest.mark.parametrize("family", list(POSTERIOR_MODELS))
+    def test_factorization_equals_the_enumerated_posterior(self, family):
+        count, make = POSTERIOR_MODELS[family]
+        lonely = all_but_one = 0
+        for trial in range(count):
+            rng = np.random.default_rng(trial)
+            p = make(rng)
+            n = p.num_vars
+            k = n - 1 if trial % 4 == 0 else int(rng.integers(1, n))
+            hidden = tuple(sorted(rng.choice(n, size=k, replace=False).tolist()))
+            observed = [v for v in range(n) if v not in hidden]
+            imap = latent_imap(p, hidden, trial)
+            assert imap.vertices == hidden
+            read = {q for v in hidden for q in imap.parents[v]}
+            assert imap.given.tolist() == sorted(read - set(hidden))
+            lonely += sum(not p.graph.adj_masks[h] & _mask_of(observed) for h in hidden)
+            all_but_one += k == n - 1
+
+            states = all_states(n)
+            log_p = p.log_reward_batch(states)
+            want = log_p - log_marginal_at(states, log_p, observed)
+            got = np.zeros(len(states))
+            for v in imap.topo_order:
+                ps = imap.parents[v]
+                got += log_marginal_at(states, log_p, (*ps, v)) - log_marginal_at(states, log_p, ps)
+            assert_allclose(got, want, rtol=0, atol=1e-12)
+        assert lonely > 0 and all_but_one >= count // 4
 
     @pytest.mark.parametrize("family", list(LATENT_FAMILIES))
-    def test_latent_imap_matches_the_subgraph_path(self, family):
-        for trial, (g, hidden) in enumerate(latent_cases(family, 100, seed=41)):
-            m = random_ising(g, 0.3, seed=trial)
-            local, mapping = reference_induced_subgraph(interaction_graph(m), hidden)
-            a, b = twin_rngs(trial)
-            for _ in range(3):
-                ref = reference_lift_imap(reference_sample_imap(local, b), mapping, g.num_vars)
-                same_arrays(latent_imap(m, hidden, a), ref)
-                same_state(a, b)
-
-    @pytest.mark.parametrize("family", list(LATENT_FAMILIES))
-    def test_min_fill_over_a_vertex_set_is_min_fill_on_the_subgraph(self, family):
+    def test_min_fill_over_a_vertex_set_matches_the_scan(self, family):
         for trial, (g, verts) in enumerate(latent_cases(family, 100, seed=43)):
-            local, mapping = reference_induced_subgraph(g, verts)
-            a, b, c = (np.random.default_rng(trial) for _ in range(3))
+            a, b = twin_rngs(trial)
             adj = list(g.adj_masks)
-            added = _min_fill(adj, _mask_of(verts), a)
-            for want in (min_fill_chordalize(local, b), reference_min_fill_chordalize(local, c)):
-                assert set(added) == {(mapping[u], mapping[v]) for u, v in want.edges - local.edges}
+            order, added = _min_fill(adj, _mask_of(verts), a)
+            assert (order, added) == reference_eliminate(g, verts, b)
             same_state(a, b)
-            same_state(a, c)
             assert tuple(adj) == g.with_extra_edges(added).adj_masks
+
+    @pytest.mark.parametrize("family", list(LATENT_FAMILIES))
+    def test_reverse_elimination_order_with_alive_neighbours_as_parents(self, family):
+        for trial, (g, hidden) in enumerate(latent_cases(family, 60, seed=47)):
+            m = random_ising(g, 0.3, seed=trial)
+            a, b = twin_rngs(trial)
+            imap = latent_imap(m, hidden, a)
+            # min-fill counts no fill among the observed variables: they start joined
+            observed = [v for v in range(g.num_vars) if v not in hidden]
+            joined = g.with_extra_edges(itertools.combinations(observed, 2))
+            order, added = reference_eliminate(joined, hidden, b)
+            same_state(a, b)
+            filled = joined.with_extra_edges(added)
+            assert imap.topo_order == tuple(order[::-1])
+            for t, v in enumerate(order):
+                alive = set(range(g.num_vars)) - set(order[: t + 1])
+                assert set(imap.parents[v]) == set(filled.neighbors(v)) & alive
 
     def test_empty_latent_set_gives_an_empty_map(self):
         m = random_ising(grid_graph(3, 3), 0.3, seed=2)
         imap = latent_imap(m, (), 0)
         assert imap.num_vars == 9
         assert imap.topo_order == () and imap.parent_table.shape == (0, 0)
+        assert imap.given.shape == (0,)
 
-    def test_completion_cached_per_latent_set(self):
-        m = random_ising(grid_graph(4, 4), 0.3, seed=3)
-        latent_imap(m, (0, 1, 4, 5, 6), 1)
-        first = _cached_chordal.cache_info()
-        latent_imap(m, (0, 1, 4, 5, 6), 2)
-        second = _cached_chordal.cache_info()
-        assert (second.hits, second.misses) == (first.hits + 1, first.misses)
-        latent_imap(m, (0, 1, 4, 5), 3)
-        assert _cached_chordal.cache_info().misses == second.misses + 1
-
-    def test_latent_maps_are_valid_maps_of_the_latent_completion(self):
-        cases = [c for family in LATENT_FAMILIES for c in latent_cases(family, 20, seed=47)]
-        for trial, (g, hidden) in enumerate(cases):
-            m = random_ising(g, 0.3, seed=trial)
-            imap = latent_imap(m, hidden, trial)
-            local, mapping = reference_induced_subgraph(g, hidden)
-            edges = reference_min_fill_chordalize(local, 0).edges
-            chordal = UndirectedGraph(
-                g.num_vars, frozenset((mapping[u], mapping[v]) for u, v in edges)
-            )
-            assert imap.vertices == hidden
-            assert verify_no_immoralities(imap, chordal)
-            assert moral_graph(imap).edges == chordal.edges
-            for v in hidden:
-                assert imap.blanket[v] == chordal.neighbors(v)
-
-    def test_latent_map_builds_no_graph_once_the_completion_is_cached(self, monkeypatch):
+    def test_latent_map_builds_no_graph(self, monkeypatch):
         m = random_ising(grid_graph(5, 5), 0.3, seed=4)
         hidden = tuple(range(15))  # the first three rows: a 3 x 5 grid, not chordal
-        latent_imap(m, hidden, 0)
 
         def refuse(self, *args, **kwargs):
             raise AssertionError("latent_imap built an UndirectedGraph")
 
         monkeypatch.setattr(UndirectedGraph, "__init__", refuse)
         for seed in range(5):
-            assert latent_imap(m, hidden, seed).vertices == hidden
+            imap = latent_imap(m, hidden, seed)
+            assert imap.vertices == hidden and imap.given.tolist() == list(range(15, 20))
+
+
+class TestGivenVariables:
+    """``Imap.from_parents`` takes the variables a map reads but does not draw."""
+
+    def test_given_parents_sit_below_depth_zero(self):
+        imap = Imap.from_parents(5, [2, 1, 3], [(0, 4), (0, 2), (2, 4)], given=(4, 0))
+        assert imap.given.tolist() == [0, 4]
+        assert imap.depth.tolist() == [0, 1, 1]
+        assert imap.vertices == (1, 2, 3)
+        assert imap.parents == {2: (0, 4), 1: (0, 2), 3: (2, 4)}
+        assert imap.children == {2: (1, 3), 1: (), 3: ()}
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_random_maps(self, data):
+        n = data.draw(st.integers(1, 8))
+        perm = data.draw(st.permutations(range(n)))
+        k = data.draw(st.integers(1, n))
+        order, given_vars = perm[:k], sorted(perm[k:])
+        parents = []
+        for t in range(k):
+            pool = order[:t] + given_vars
+            parents.append(sorted(data.draw(st.sets(st.sampled_from(pool)))) if pool else [])
+        imap = Imap.from_parents(n, order, parents, given_vars)
+        depth = {v: -1 for v in given_vars}
+        for v, ps in zip(order, parents):
+            depth[v] = 1 + max((depth[p] for p in ps), default=-1)
+        assert imap.depth.tolist() == [depth[v] for v in order]
+        assert imap.given.tolist() == given_vars
+        # a parent drawn at or after its child, and not given, is refused
+        t = data.draw(st.integers(0, k - 1))
+        late = data.draw(st.sampled_from(order[t:]))
+        parents[t] = sorted({*parents[t], late})
+        with pytest.raises(ValueError):
+            Imap.from_parents(n, order, parents, given_vars)
+
+    @pytest.mark.parametrize(
+        "order,parents,given_vars",
+        [
+            ([1, 2], [(0,), (1,)], ()),  # 0 is neither drawn before 1 nor given
+            ([1, 2], [(0,), (3,)], (0,)),  # 3 is not given
+            ([1, 2], [(0,), (1,)], (0, 2)),  # 2 is drawn and given
+            ([1, 2], [(0,), ()], (0, 5)),  # 5 is outside the universe
+        ],
+    )
+    def test_rejects_parents_neither_drawn_before_nor_given(self, order, parents, given_vars):
+        with pytest.raises(ValueError):
+            Imap.from_parents(4, order, parents, given_vars)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from flipmatch.energy import (
     IsingModel,
@@ -557,10 +557,30 @@ class TestTrainEm:
                 pair = np.array([[a, 1, c], [a, -1, c]], dtype=np.int8)
                 lw = p.log_reward_batch(pair)
                 exact_plus = np.exp(lw[0] - logsumexp(lw))
-                cond = np.array([[a, c]], dtype=float)
-                qp = np.exp(s.log_prob_batch(imap, np.array([[0.0, 1.0, 0.0]]), cond=cond))[0]
-                qm = np.exp(s.log_prob_batch(imap, np.array([[0.0, -1.0, 0.0]]), cond=cond))[0]
+                qp, qm = np.exp(s.log_prob_batch(imap, pair))
                 assert abs(qp / (qp + qm) - exact_plus) < 0.05
+
+    def test_both_steps_draw_from_the_data_rows(self, monkeypatch):
+        dag, _, data, init = three_var_latent_problem()
+        seen = []
+        draw = AmortizedSampler.partial_sample_batch
+
+        def recorded(self, sub, policy, n, seed, X=None):
+            out = draw(self, sub, policy, n, seed, X=X)
+            seen.append((sub, X, out))
+            return out
+
+        monkeypatch.setattr(AmortizedSampler, "partial_sample_batch", recorded)
+        cfg = TrainConfig(objective="delta", total_steps=3, batch_size=8, eval_period=3, seed=2)
+        train_em(cfg, TabularBayesNetModel(dag, init), [1], data, rounds=1, m_steps=2)
+        assert [len(X) for _, X, _ in seen] == [8] * 3 + [2 * len(data)] * 2
+        rows = {tuple(r) for r in data.tolist()}
+        for imap, X, out in seen:
+            # observed 0 and 2 are the latent's given parents, read from data rows
+            assert imap.given.tolist() == [0, 2]
+            assert {tuple(r) for r in np.asarray(X).tolist()} <= rows
+            assert_array_equal(out[:, [0, 2]], np.asarray(X)[:, [0, 2]])
+            assert set(np.unique(out[:, 1]).tolist()) <= {-1, 1}
 
     def test_nothing_latent_is_plain_mle(self):
         dag, p_true, _, _ = three_var_latent_problem()
@@ -630,11 +650,12 @@ class TestTrainEm:
         with pytest.raises(LatentCoversAll):
             latent_imap(p_true, [0, 1, 2], seed=0)
 
-    def test_latent_imap_stays_inside_the_latent_set(self):
+    def test_latent_imap_draws_the_latent_set_given_the_observed(self):
         dag, p_true, _, _ = three_var_latent_problem()
         imap = latent_imap(p_true, [0, 1], seed=4)
         assert imap.vertices == (0, 1)
-        assert all(set(ps) <= {0, 1} for ps in imap.parents.values())
+        assert imap.given.tolist() == [2]
+        assert all(set(ps) <= {0, 1, 2} for ps in imap.parents.values())
         assert imap.num_vars == 3
 
     def test_marginal_loglik_hand_check(self):
@@ -667,6 +688,6 @@ class TestTrainEm:
             train_em(TrainConfig(objective="tb"), TabularBayesNetModel(dag), [1], data)
         with pytest.raises(ConfigError):
             train_em(cfg, TabularBayesNetModel(dag), [1], data, rounds=0)
-        mismatched = make_sampler(3, width=8, cond_vars=(0,))
-        with pytest.raises(ConfigError):
+        mismatched = make_sampler(4, width=8)
+        with pytest.raises(ConfigError, match="variables"):
             train_em(cfg, TabularBayesNetModel(dag), [1], data, s=mismatched)

@@ -36,6 +36,8 @@ from flipmatch.errors import (
     TooFewChildren,
 )
 from flipmatch.graph import (
+    _elimination_imap,
+    _mask_of,
     chain_graph,
     cycle_graph,
     grid_graph,
@@ -43,7 +45,7 @@ from flipmatch.graph import (
     sample_imap,
     sub_imap,
 )
-from flipmatch.harness import TrainConfig
+from flipmatch.harness import TrainConfig, latent_imap
 from flipmatch.harness.loops import _DeltaTrainer
 from flipmatch.losses import (
     LOGQ_FLOOR,
@@ -168,6 +170,29 @@ class TestDeltaLoss:
             for u in range(table.num_vars):
                 val = delta_loss(s, imap, m, x, u, int(-x[u]))
                 assert float(val.data) < 1e-12
+
+    @pytest.mark.parametrize("hidden", [(1,), (0, 2), (1, 2, 3), (0, 1, 2, 3)])
+    def test_exact_posterior_zero_for_every_latent_flip(self, hidden):
+        # the latent map's conditionals of p are p(h | o): a latent flip moves
+        # log q by what it moves log p
+        m, _, table = exact_setup()
+        imap = latent_imap(m, hidden, seed=2)
+        s = TabularSampler.from_exact_table(table, imap)
+        for x in all_states(table.num_vars):
+            for u in hidden:
+                assert float(delta_loss(s, imap, m, x, u, int(-x[u])).data) < 1e-12
+
+    @pytest.mark.parametrize("hidden", [(3,), (0, 2, 4)])
+    def test_fitted_network_on_a_latent_map_zero(self, hidden):
+        m, _, table = exact_setup()
+        imap = latent_imap(m, hidden, seed=3)
+        mae = MaeParams(MaeConfig(num_vars=5, width=64, blocks=2, activation="elu", init_seed=4))
+        assert fit_sampler_exactly(mae, [imap], table) < 1e-8
+        s = AmortizedSampler(mae)
+        X, _, _ = random_flips(table, 64, seed=5)
+        us = np.random.default_rng(6).choice(hidden, size=64)
+        new_vals = -X[np.arange(64), us]
+        assert float(delta_loss_batch(s, imap, m, X, us, new_vals).data) < 1e-12
 
     def test_fitted_network_zero(self):
         m, imap, table = exact_setup()
@@ -320,30 +345,23 @@ class TestDeltaLoss:
         with pytest.raises(ConfigError):
             delta_loss_batch(s, imap, m, np.ones((2, 5)), [0], [-1, -1])
 
-    def test_conditioning_values_flow_through(self):
-        m, imap, table = exact_setup()
-        s = randomized_sampler(5, seed=3, cond_vars=(1, 4))
-        X, us, new_vals = random_flips(table, 4, seed=2)
-        cond = np.random.default_rng(6).choice([-1.0, 1.0], size=(4, 2))
-        batch = float(delta_loss_batch(s, imap, m, X, us, new_vals, cond=cond).data)
+    def test_given_values_flow_through(self):
+        m, _, table = exact_setup()
+        imap = _elimination_imap(m.graph, 0b01110, seed=0)  # 1, 2 and 3 given 0 and 4
+        assert imap.given.tolist() == [0, 4]
+        s = randomized_sampler(5, seed=3)
+        X, _, _ = random_flips(table, 4, seed=2)
+        us = np.array([1, 2, 3, 2])
+        new_vals = -X[np.arange(4), us]
+        batch = float(delta_loss_batch(s, imap, m, X, us, new_vals).data)
         singles = [
-            float(
-                delta_loss(
-                    s, imap, m, X[k].astype(np.int8), int(us[k]), int(new_vals[k]), cond=cond[k]
-                ).data
-            )
+            float(delta_loss(s, imap, m, X[k].astype(np.int8), int(us[k]), int(new_vals[k])).data)
             for k in range(4)
         ]
         assert_allclose(batch, np.mean(singles), rtol=1e-12)
-        flipped = float(delta_loss_batch(s, imap, m, X, us, new_vals, cond=-cond).data)
+        X[:, [0, 4]] *= -1
+        flipped = float(delta_loss_batch(s, imap, m, X, us, new_vals).data)
         assert flipped != batch
-
-    def test_tabular_sampler_rejects_cond(self):
-        m, imap, table = exact_setup()
-        s = TabularSampler.from_exact_table(table, imap)
-        X, us, new_vals = random_flips(table, 2, seed=0)
-        with pytest.raises(ConfigError):
-            delta_loss_batch(s, imap, m, X, us, new_vals, cond=np.ones((2, 1)))
 
     def test_training_tabular_to_zero_recovers_target(self):
         # the converse direction: drive every flip residual to zero and the
@@ -426,14 +444,13 @@ class TestCompactMatchesDense:
     The dense side builds its rows with ``oracles.dense_parent_rows`` and runs
     them through the network's dense first layer (``oracles.DenseSampler``),
     on the same parameters.  Values and every parameter gradient agree within
-    1e-12.  Only flip matching takes a conditioning block.
+    1e-12.
     """
 
-    def build(self, activation, cond_vars=()):
+    def build(self, activation):
         g = grid_graph(3, 3)
         cfg = MaeConfig(
-            num_vars=9, width=12, blocks=2, activation=activation, flow_head=True,
-            cond_vars=cond_vars, init_seed=5,
+            num_vars=9, width=12, blocks=2, activation=activation, flow_head=True, init_seed=5
         )
         s = AmortizedSampler(MaeParams(cfg))
         rng = np.random.default_rng(6)
@@ -455,18 +472,19 @@ class TestCompactMatchesDense:
             assert_allclose(g, w, rtol=0, atol=1e-12, err_msg=name)
 
     @pytest.mark.parametrize("activation", ["relu", "elu"])
-    @pytest.mark.parametrize("cond_vars", [(), (9, 10)])
-    @pytest.mark.parametrize("local", [False, True], ids=["one-map", "sub-maps"])
-    def test_delta_loss_batch(self, monkeypatch, activation, cond_vars, local):
-        g, m, imap, s, X = self.build(activation, cond_vars)
+    @pytest.mark.parametrize("maps", ["one-map", "sub-maps", "given"])
+    def test_delta_loss_batch(self, monkeypatch, activation, maps):
+        g, m, imap, s, X = self.build(activation)
         rng = np.random.default_rng(9)
         us = rng.integers(0, 9, size=len(X))
-        imaps = {u: sub_imap(g, u, seed=u) for u in range(9)} if local else imap
-        cond = rng.choice([-1.0, 1.0], size=(len(X), len(cond_vars))) if cond_vars else None
+        if maps == "sub-maps":
+            imap = {u: sub_imap(g, u, seed=u) for u in range(9)}
+        elif maps == "given":
+            # the corners given, the rest drawn
+            imap = _elimination_imap(g, _mask_of((1, 3, 4, 5, 7)), seed=3)
+            us = rng.choice([1, 3, 4, 5, 7], size=len(X))
         self.check(
-            monkeypatch,
-            s,
-            lambda s: delta_loss_batch(s, imaps, m, X, us, -X[np.arange(len(X)), us], cond=cond),
+            monkeypatch, s, lambda s: delta_loss_batch(s, imap, m, X, us, -X[np.arange(len(X)), us])
         )
 
     @pytest.mark.parametrize("activation", ["relu", "elu"])
@@ -495,12 +513,9 @@ class TestTermTableMatchesPerU:
     """The flip terms of every u come from one merged parent table; loss,
     gradients and errors stay bit for bit those of the per-u loop."""
 
-    def build(self, activation, cond_vars=()):
+    def build(self, activation):
         g = grid_graph(4, 4)
-        cfg = MaeConfig(
-            num_vars=16, width=12, blocks=2, activation=activation,
-            cond_vars=cond_vars, init_seed=3,
-        )
+        cfg = MaeConfig(num_vars=16, width=12, blocks=2, activation=activation, init_seed=3)
         s = AmortizedSampler(MaeParams(cfg))
         rng = np.random.default_rng(4)
         s.params.unpack(s.params.pack() + rng.normal(0, 0.4, cfg.param_count))
@@ -517,16 +532,16 @@ class TestTermTableMatchesPerU:
             assert_array_equal(g, w, err_msg=name)
 
     @pytest.mark.parametrize("activation", ["relu", "elu"])
-    @pytest.mark.parametrize("cond_vars", [(), (16, 17)])
-    def test_full_map(self, activation, cond_vars):
-        g, m, s = self.build(activation, cond_vars)
-        imap = sample_imap(g, seed=2)
+    @pytest.mark.parametrize("given", [False, True], ids=["full", "given"])
+    def test_full_map(self, activation, given):
+        g, m, s = self.build(activation)
+        hidden = list(range(0, 16, 3))
+        imap = _elimination_imap(g, _mask_of(hidden), seed=2) if given else sample_imap(g, seed=2)
         rng = np.random.default_rng(6)
         X = rng.choice([-1.0, 1.0], size=(40, 16))
-        us = rng.integers(0, 16, size=40)
-        cond = rng.choice([-1.0, 1.0], size=(40, len(cond_vars))) if cond_vars else None
+        us = rng.choice(hidden, size=40) if given else rng.integers(0, 16, size=40)
         flips = -X[np.arange(40), us]
-        self.same(s, lambda loss: loss(s, imap, m, X, us, flips, cond=cond))
+        self.same(s, lambda loss: loss(s, imap, m, X, us, flips))
 
     @pytest.mark.parametrize("activation", ["relu", "elu"])
     @pytest.mark.parametrize("k", [1, 3])
@@ -823,9 +838,9 @@ class TestSurrogateRowsMatchPerFlip:
             calls.append(len(vs))
             return masked_logits(self, x, vs, cols)
 
-        def recorded(s, imap, m, X, us, new_vals, cond=None, pairs=None):
+        def recorded(s, imap, m, X, us, new_vals, pairs=None):
             seen.append((imap, us, pairs))
-            return loss_batch(s, imap, m, X, us, new_vals, cond=cond, pairs=pairs)
+            return loss_batch(s, imap, m, X, us, new_vals, pairs=pairs)
 
         monkeypatch.setattr(MaeParams, "masked_logits", counted)
         monkeypatch.setattr("flipmatch.harness.loops.delta_loss_batch", recorded)

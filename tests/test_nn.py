@@ -20,6 +20,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from flipmatch.errors import CorruptFile, FlipmatchError, NonFiniteLoss, ShapeMismatch
+from flipmatch.graph import _elimination_imap, _mask_of, cycle_graph
+from flipmatch.losses import _term_table
 from flipmatch.nn import AdamState, MaeConfig, MaeParams, load_checkpoint, save_checkpoint, tape
 from flipmatch.nn import mae as mae_module
 from flipmatch.nn.tape import Tensor
@@ -277,16 +279,13 @@ class TestMae:
         # 1,200 rows is the size of a wavefront level batch, where the plain
         # forward's in-place buffers outgrow the cache
         for activation in ("relu", "elu"):
-            for cond in ((), (1, 3)):
-                for batch in (5, 1200):
-                    cfg = small_config(activation=activation, cond_vars=cond, blocks=3)
-                    mae = MaeParams(cfg)
-                    randomize(mae, seed=11)
-                    x = sample_inputs(cfg, batch, seed=2)
-                    vs = np.resize([3, 0, 2, 3, 1], batch)
-                    assert_array_equal(
-                        mae.masked_logits(x, vs).data, mae.masked_logits_np(x, vs)
-                    )
+            for batch in (5, 1200):
+                cfg = small_config(activation=activation, blocks=3)
+                mae = MaeParams(cfg)
+                randomize(mae, seed=11)
+                x = sample_inputs(cfg, batch, seed=2)
+                vs = np.resize([3, 0, 2, 3, 1], batch)
+                assert_array_equal(mae.masked_logits(x, vs).data, mae.masked_logits_np(x, vs))
 
     def test_relu_maps_nan_to_zero_like_the_tape(self):
         cfg = small_config(activation="relu", blocks=1)
@@ -312,9 +311,8 @@ class TestMae:
 
     @pytest.mark.parametrize("activation", ["relu", "elu"])
     @pytest.mark.parametrize("blocks", [1, 3])
-    @pytest.mark.parametrize("cond", [(), (1, 3)], ids=["plain", "cond"])
-    def test_full_network_gradcheck(self, activation, blocks, cond):
-        cfg = small_config(activation=activation, blocks=blocks, cond_vars=cond)
+    def test_full_network_gradcheck(self, activation, blocks):
+        cfg = small_config(activation=activation, blocks=blocks)
         mae = MaeParams(cfg)
         randomize(mae, seed=13)
         x = sample_inputs(cfg, 3, seed=4)
@@ -378,7 +376,7 @@ class TestMae:
             mae.flow(mae.trunk(x))
 
     def test_shapes(self):
-        cfg = small_config(flow_head=True, cond_vars=(0,))
+        cfg = small_config(flow_head=True)
         mae = MaeParams(cfg)
         x = np.zeros((5, cfg.input_width))
         x[:, -1] = 1.0
@@ -431,10 +429,9 @@ class TestCompactInput:
     """The (values, cols) input form against the full-width rows it stands for."""
 
     @pytest.mark.parametrize("activation", ["relu", "elu"])
-    @pytest.mark.parametrize("cond", [(), (1, 3)], ids=["plain", "cond"])
     @pytest.mark.parametrize("n", [1, 3])
-    def test_matches_full_rows(self, activation, cond, n):
-        cfg = small_config(activation=activation, cond_vars=cond, blocks=3)
+    def test_matches_full_rows(self, activation, n):
+        cfg = small_config(activation=activation, blocks=3)
         mae = MaeParams(cfg)
         randomize(mae, seed=31)
         x, cols, dense = awkward_compact_batch(cfg, n, seed=n)
@@ -455,7 +452,7 @@ class TestCompactInput:
     @pytest.mark.parametrize("activation", ["relu", "elu"])
     @pytest.mark.parametrize("n", [1, 2])
     def test_first_layer_gradcheck(self, activation, n):
-        cfg = small_config(activation=activation, cond_vars=(1,), blocks=2)
+        cfg = small_config(activation=activation, blocks=2)
         mae = MaeParams(cfg)
         randomize(mae, seed=32)
         x, cols, _ = awkward_compact_batch(cfg, n, seed=5)
@@ -517,14 +514,30 @@ def first_rows(x, vs, cols, n) -> list[int]:
     return list(first.values())
 
 
+def posterior_batch(cfg: MaeConfig, seed: int):
+    """The flip-term rows of one E-step under a latent map: a cycle of the
+    config's variables with its last one observed, and 40 flips of the
+    others.  Returns (x, vs, cols, 1, distinct) as ``repeated_batch`` does."""
+    v = cfg.num_vars
+    imap = _elimination_imap(cycle_graph(v), _mask_of(range(v - 1)), seed=seed)
+    rng = np.random.default_rng(seed)
+    X = rng.choice([-1.0, 1.0], size=(40, v))
+    us = rng.integers(0, v - 1, size=40)
+    (x, cols), vs, *_ = _term_table(imap, X, us, -X[np.arange(40), us])
+    return x, vs, cols, 1, len(first_rows(x, vs, cols, 1))
+
+
 def repeated_batch(cfg: MaeConfig, form, seed: int):
     """The rows of ``awkward_compact_batch`` again and again in shuffled order,
     each with a variable that travels with it: most rows repeat another.
 
-    ``form`` is "dense" for full-width rows, else the rows per block.
-    Returns (x, vs, cols, n, distinct): cols is None for dense rows, and
-    distinct counts the distinct (variable, used columns, values) rows.
+    ``form`` is "dense" for full-width rows, "posterior" for the rows of
+    ``posterior_batch``, else the rows per block.  Returns (x, vs, cols, n,
+    distinct): cols is None for dense rows, and distinct counts the distinct
+    (variable, used columns, values) rows.
     """
+    if form == "posterior":
+        return posterior_batch(cfg, seed)
     n = 1 if form == "dense" else form
     x, cols, dense = awkward_compact_batch(cfg, n, seed)
     rng = np.random.default_rng(seed)
@@ -605,15 +618,14 @@ class TestDistinctRows:
     and the head, and that changes no logit and no gradient beyond 1e-12."""
 
     @pytest.mark.parametrize("activation", ["relu", "elu"])
-    @pytest.mark.parametrize("cond", [(), (1, 3)], ids=["plain", "cond"])
-    @pytest.mark.parametrize("form", ["dense", 1, 3])
+    @pytest.mark.parametrize("form", ["dense", 1, 3, "posterior"])
     def test_repeats_change_no_logit_and_no_gradient(
-        self, monkeypatch, block_rows, activation, cond, form
+        self, monkeypatch, block_rows, activation, form
     ):
-        cfg = small_config(activation=activation, cond_vars=cond, blocks=3)
+        cfg = small_config(activation=activation, blocks=3)
         mae = MaeParams(cfg)
         randomize(mae, seed=41)
-        seed = {"dense": 13, 1: 14, 3: 15}[form]
+        seed = {"dense": 13, 1: 14, 3: 15, "posterior": 16}[form]
         x, vs, cols, n, distinct = repeated_batch(cfg, form, seed)
         assert distinct * 2 < len(x)
         weights = np.random.default_rng(10).normal(size=len(x))
@@ -638,7 +650,7 @@ class TestDistinctRows:
     @pytest.mark.parametrize("activation", ["relu", "elu"])
     @pytest.mark.parametrize("form", ["dense", 1, 2])
     def test_gradcheck_with_repeats(self, block_rows, activation, form):
-        cfg = small_config(activation=activation, cond_vars=(1,), blocks=2)
+        cfg = small_config(activation=activation, blocks=2)
         mae = MaeParams(cfg)
         randomize(mae, seed=42)
         x, vs, cols, _, distinct = repeated_batch(cfg, form, seed=6)
@@ -749,7 +761,11 @@ def slice_rows(monkeypatch, rows: int, width: int) -> None:
 
 def sliced_batch(cfg: MaeConfig, form: str, seed: int):
     """(x, vs, cols, n) of one of the input forms the taped call takes: full
-    rows, compact blocks of 3 rows, or compact rows that mostly repeat."""
+    rows, compact blocks of 3 rows, compact rows that mostly repeat, or the
+    flip-term rows of ``posterior_batch``."""
+    if form == "posterior":
+        x, vs, cols, n, _ = posterior_batch(cfg, seed)
+        return x, vs, cols, n
     if form == "dense":
         x = sample_inputs(cfg, 23, seed=seed, empty_rows=2)
         vs = np.random.default_rng(seed).integers(0, cfg.num_vars, len(x))
@@ -766,15 +782,14 @@ class TestSlicedTape:
     again in the backward; that changes no logit, and no gradient beyond
     1e-12 of the whole-batch reference, and none at all in one slice."""
 
-    FORMS = [("dense", ()), ("compact", ()), ("merged", ()), ("dense", (1, 3)), ("compact", (1,))]
-    FORM_IDS = ["dense", "compact", "merged", "cond", "cond-compact"]
+    FORMS = ["dense", "compact", "merged", "posterior"]
 
     @pytest.mark.parametrize("activation", ["relu", "elu"])
-    @pytest.mark.parametrize("form,cond", FORMS, ids=FORM_IDS)
+    @pytest.mark.parametrize("form", FORMS)
     def test_slices_change_no_logit_and_no_gradient(
-        self, monkeypatch, block_rows, activation, form, cond
+        self, monkeypatch, block_rows, activation, form
     ):
-        cfg = small_config(activation=activation, cond_vars=cond, blocks=3)
+        cfg = small_config(activation=activation, blocks=3)
         mae = MaeParams(cfg)
         randomize(mae, seed=51)
         x, vs, cols, n = sliced_batch(cfg, form, seed=17)
@@ -787,7 +802,7 @@ class TestSlicedTape:
         taped = mae.masked_logits(x, vs, cols)
         forward = list(block_rows)
         assert len(forward) >= 3 and set(forward[:-1]) == {4}
-        assert (sum(forward) < len(x)) == (form == "merged")
+        assert (sum(forward) < len(x)) == (form in ("merged", "posterior"))
         assert_array_equal(taped.data, mae.masked_logits_np(x, vs, cols))
         assert_array_equal(taped.data, each_row_alone(mae, x, vs, cols, n))
         assert_array_equal(taped.data, reference)
@@ -800,9 +815,9 @@ class TestSlicedTape:
             assert_allclose(g, w, rtol=0, atol=1e-12, err_msg=name)
 
     @pytest.mark.parametrize("activation", ["relu", "elu"])
-    @pytest.mark.parametrize("form,cond", FORMS, ids=FORM_IDS)
-    def test_one_slice_is_the_whole_batch_reference(self, block_rows, activation, form, cond):
-        cfg = small_config(activation=activation, cond_vars=cond, blocks=3, flow_head=True)
+    @pytest.mark.parametrize("form", FORMS)
+    def test_one_slice_is_the_whole_batch_reference(self, block_rows, activation, form):
+        cfg = small_config(activation=activation, blocks=3, flow_head=True)
         mae = MaeParams(cfg)
         randomize(mae, seed=52)
         x, vs, cols, _ = sliced_batch(cfg, form, seed=18)
@@ -826,7 +841,7 @@ class TestSlicedTape:
     @pytest.mark.parametrize("activation", ["relu", "elu"])
     @pytest.mark.parametrize("form", ["dense", "compact"])
     def test_sliced_trunk_matches_the_whole_batch_reference(self, monkeypatch, activation, form):
-        cfg = small_config(activation=activation, cond_vars=(2,), blocks=2, flow_head=True)
+        cfg = small_config(activation=activation, blocks=2, flow_head=True)
         mae = MaeParams(cfg)
         randomize(mae, seed=53)
         x, _, cols, _ = sliced_batch(cfg, form, seed=19)
@@ -844,7 +859,7 @@ class TestSlicedTape:
     @pytest.mark.parametrize("activation", ["relu", "elu"])
     @pytest.mark.parametrize("form", ["dense", "compact", "merged"])
     def test_gradcheck_across_slices(self, monkeypatch, activation, form):
-        cfg = small_config(activation=activation, cond_vars=(1,), blocks=2, flow_head=True)
+        cfg = small_config(activation=activation, blocks=2, flow_head=True)
         mae = MaeParams(cfg)
         randomize(mae, seed=54)
         x, vs, cols, _ = sliced_batch(cfg, form, seed=20)
@@ -896,9 +911,12 @@ class TestSlicedTape:
 def unique_column_batch(cfg: MaeConfig, form, seed: int):
     """Eight blocks used six times each in shuffled order, every row's
     variable travelling with it: full rows for "dense", else blocks of
-    ``form`` rows, each block listing distinct input columns (conditioning
-    columns among them) in random slots, some -1 and one block all -1.
-    Returns (x, vs, cols, n, distinct) as ``repeated_batch`` does."""
+    ``form`` rows, each block listing distinct input columns in random
+    slots, some -1 and one block all -1.
+    Returns (x, vs, cols, n, distinct) as ``repeated_batch`` does; "posterior"
+    is ``posterior_batch``."""
+    if form == "posterior":
+        return posterior_batch(cfg, seed)
     n = 1 if form == "dense" else form
     rng = np.random.default_rng(seed)
     kinds, k = 8, 4
@@ -942,12 +960,12 @@ class TestFirstLayerOnRepresentatives:
     (``oracles.all_rows_first_layer``), except that blocks of several rows
     listing one column twice may sum that column's entries in another order."""
 
-    FORMS = [("dense", ()), (1, ()), (3, ()), ("dense", (1, 3)), (1, (1, 2)), (3, (2,))]
-    FORM_IDS = ["dense", "rows", "blocks", "cond-dense", "cond-rows", "cond-blocks"]
+    FORMS = ["dense", 1, 3, "posterior"]
+    FORM_IDS = ["dense", "rows", "blocks", "posterior"]
 
-    @pytest.mark.parametrize("form,cond", FORMS, ids=FORM_IDS)
-    def test_one_first_layer_row_per_distinct_row(self, monkeypatch, first_layer_rows, form, cond):
-        cfg = small_config(cond_vars=cond, blocks=3)
+    @pytest.mark.parametrize("form", FORMS, ids=FORM_IDS)
+    def test_one_first_layer_row_per_distinct_row(self, monkeypatch, first_layer_rows, form):
+        cfg = small_config(blocks=3)
         mae = MaeParams(cfg)
         randomize(mae, seed=61)
         x, vs, cols, n, distinct = unique_column_batch(cfg, form, seed=21)
@@ -970,10 +988,10 @@ class TestFirstLayerOnRepresentatives:
             assert sum(read) == 2 * len(held) < len(cols)
 
     @pytest.mark.parametrize("activation", ["relu", "elu"])
-    @pytest.mark.parametrize("form,cond", FORMS, ids=FORM_IDS)
+    @pytest.mark.parametrize("form", FORMS, ids=FORM_IDS)
     @pytest.mark.parametrize("slice_to", [None, 3, 5], ids=["whole", "slices3", "slices5"])
-    def test_bit_for_bit_against_all_rows(self, monkeypatch, activation, form, cond, slice_to):
-        cfg = small_config(activation=activation, cond_vars=cond, blocks=3)
+    def test_bit_for_bit_against_all_rows(self, monkeypatch, activation, form, slice_to):
+        cfg = small_config(activation=activation, blocks=3)
         mae = MaeParams(cfg)
         randomize(mae, seed=62)
         x, vs, cols, _, distinct = unique_column_batch(cfg, form, seed=22)
@@ -1028,7 +1046,7 @@ class TestFirstLayerOnRepresentatives:
     @pytest.mark.parametrize("n", [1, 3])
     def test_a_column_listed_twice(self, monkeypatch, activation, n):
         # ``awkward_compact_batch`` has a block that lists column 2 twice
-        cfg = small_config(activation=activation, cond_vars=(1,), blocks=3)
+        cfg = small_config(activation=activation, blocks=3)
         mae = MaeParams(cfg)
         randomize(mae, seed=63)
         x, vs, cols, _, distinct = repeated_batch(cfg, n, seed=23)
@@ -1068,10 +1086,10 @@ class TestFirstLayerOnRepresentatives:
             assert_array_equal(mae.masked_logits(x, vs, cols).data, plain)
         assert_array_equal(taped.data, plain)
 
-    def test_conditioning_block_of_the_sampler(self, monkeypatch, first_layer_rows):
-        # the sampler appends the observed values to every row: rows with
-        # equal parents but other observed values stay apart
-        cfg = small_config(num_vars=6, cond_vars=(0, 5), blocks=2)
+    def test_parent_rows_of_the_sampler(self, monkeypatch, first_layer_rows):
+        # the losses' parent rows, observed parents among them: rows with
+        # equal variable, columns and values share one first-layer row
+        cfg = small_config(num_vars=6, blocks=2)
         s = AmortizedSampler(MaeParams(cfg))
         randomize(s.params, seed=65)
         rng = np.random.default_rng(25)
@@ -1081,16 +1099,14 @@ class TestFirstLayerOnRepresentatives:
         values[cols < 0] = 0.0
         vs = np.array([0, 3, 5, 0, 5, 1])[pick]
         signs = rng.choice([-1.0, 1.0], size=60)
-        cond = rng.choice([-1.0, 1.0], size=(2, 2))[rng.integers(0, 2, size=60)]
         weights = rng.normal(size=60)
-        got = s.logq_rows((values, cols), vs, signs, cond)
+        got = s.logq_rows((values, cols), vs, signs)
         grads = network_grads(s.params, tape.mul(got, weights).sum())
-        x, c = s._with_cond(values, cols, cond)
-        assert first_layer_rows == [len(first_rows(x, vs, c, 1))]
-        assert first_layer_rows[0] * 3 < len(x)
+        assert first_layer_rows == [len(first_rows(values, vs, cols, 1))]
+        assert first_layer_rows[0] * 3 < len(values)
         with monkeypatch.context() as mp:
             all_rows_first_layer(mp)
-            want = s.logq_rows((values, cols), vs, signs, cond)
+            want = s.logq_rows((values, cols), vs, signs)
             want_grads = network_grads(s.params, tape.mul(want, weights).sum())
         assert_array_equal(got.data, want.data)
         for name, g, w in zip(s.params.names, grads, want_grads):
@@ -1124,18 +1140,18 @@ class TestFirstLayerOnRepresentatives:
 
 class TestCheckpoint:
     def test_round_trip_bit_identical(self, tmp_path):
-        cfg = small_config(flow_head=True, cond_vars=(2, 3), activation="elu")
+        cfg = small_config(flow_head=True, activation="elu")
         mae = MaeParams(cfg)
         randomize(mae, seed=21)
         path = os.fspath(tmp_path / "net.dmae")
         save_checkpoint(mae, path)
-        loaded, blob = load_checkpoint(path)
-        assert blob is None
+        # flags: flow head and elu; no optimizer state and no conditioning count
+        assert struct.unpack_from("<II", open(path, "rb").read(), 24) == (5, 0)
+        loaded = load_checkpoint(path)
         assert loaded.cfg.num_vars == cfg.num_vars
         assert loaded.cfg.width == cfg.width
         assert loaded.cfg.blocks == cfg.blocks
         assert loaded.cfg.activation == "elu"
-        assert loaded.cfg.cond_vars == (2, 3)
         assert loaded.cfg.flow_head
         assert_array_equal(loaded.pack(), mae.pack())
         x = sample_inputs(cfg, 4, seed=9)
@@ -1144,61 +1160,70 @@ class TestCheckpoint:
 
     def test_float32_storage(self, tmp_path):
         # a hand-built file storing its parameters at 32 bits still loads
-        cfg = small_config(cond_vars=(2,), activation="elu")
+        cfg = small_config(activation="elu")
         mae = MaeParams(cfg)
         randomize(mae, seed=22)
         flat32 = mae.pack().astype("<f4")
 
         def write(float_bits: int) -> str:
             path = os.fspath(tmp_path / f"net{float_bits}.dmae")
-            header = struct.pack("<4sIIIIIII", b"DMAE", 1, 4, 8, 2, float_bits, 4, 1)
-            body = struct.pack("<I", 2) + struct.pack("<Q", flat32.size) + flat32.tobytes()
+            header = struct.pack("<4sIIIIIII", b"DMAE", 1, 4, 8, 2, float_bits, 4, 0)
+            body = struct.pack("<Q", flat32.size) + flat32.tobytes()
             open(path, "wb").write(header + body)
             return path
 
-        loaded, blob = load_checkpoint(write(32), init_seed=cfg.init_seed)
-        assert blob is None
+        loaded = load_checkpoint(write(32), init_seed=cfg.init_seed)
         assert loaded.cfg == cfg
         assert_array_equal(loaded.pack(), flat32.astype(np.float64))
         # saving writes 64 bits, and the widened values survive exactly
         path = os.fspath(tmp_path / "net64.dmae")
         save_checkpoint(loaded, path)
         assert struct.unpack_from("<I", open(path, "rb").read(), 20) == (64,)
-        assert_array_equal(load_checkpoint(path)[0].pack(), loaded.pack())
+        assert_array_equal(load_checkpoint(path).pack(), loaded.pack())
         with pytest.raises(CorruptFile, match="float width"):
             load_checkpoint(write(16))
 
-    def test_optimizer_state_round_trip(self, tmp_path):
+    @staticmethod
+    def with_optimizer_blob(path: str, n_params: int) -> bytes:
+        """The file at ``path`` as a writer that kept Adam's state wrote it:
+        flag 2 set, then the step count, base rate and both moments."""
+        raw = bytearray(open(path, "rb").read())
+        (flags,) = struct.unpack_from("<I", raw, 24)
+        struct.pack_into("<I", raw, 24, flags | 2)
+        moments = np.random.default_rng(1).normal(size=2 * n_params).astype("<f8")
+        return bytes(raw) + struct.pack("<Qd", 3, 1e-3) + moments.tobytes()
+
+    def test_optimizer_state_is_read_and_dropped(self, tmp_path):
         cfg = small_config()
         mae = MaeParams(cfg)
         randomize(mae, seed=23)
-        adam = AdamState(mae.params, lr=1e-3, total_steps=100)
-        x = sample_inputs(cfg, 3, seed=10)
-        for _ in range(3):
-            adam.zero_grad()
-            tape.backward(mae.masked_logits(x, np.arange(3)).square().sum())
-            adam.step()
         path = os.fspath(tmp_path / "opt.dmae")
-        save_checkpoint(mae, path, adam=adam)
-        loaded, blob = load_checkpoint(path)
-        assert blob is not None
-        step_count, base_lr, moments = blob
-        assert step_count == 3
-        assert base_lr == 1e-3
-        restored = AdamState(loaded.params, lr=base_lr, total_steps=100)
-        restored.unpack_moments(moments)
-        restored.step_count = step_count
-        assert_array_equal(restored.pack_moments(), adam.pack_moments())
+        save_checkpoint(mae, path)
+        raw = self.with_optimizer_blob(path, cfg.param_count)
+        open(path, "wb").write(raw)
+        loaded = load_checkpoint(path)
+        assert_array_equal(loaded.pack(), mae.pack())
+        # the blob's length is still checked
+        for cut in (1, 8, 17):
+            open(path, "wb").write(raw[:-cut])
+            with pytest.raises(CorruptFile, match="optimizer state"):
+                load_checkpoint(path)
+
+    def test_conditioning_block_is_refused(self, tmp_path):
+        path = os.fspath(tmp_path / "cond.dmae")
+        header = struct.pack("<4sIIIIIII", b"DMAE", 1, 4, 8, 2, 64, 0, 2)
+        open(path, "wb").write(header + bytes(8))
+        with pytest.raises(CorruptFile, match="conditioning-block checkpoints are no longer read"):
+            load_checkpoint(path)
 
     def test_every_truncation_names_the_file(self, tmp_path):
-        cfg = small_config(cond_vars=(1,))
+        cfg = small_config()
         mae = MaeParams(cfg)
-        adam = AdamState(mae.params, lr=1e-3, total_steps=10)
         path = os.fspath(tmp_path / "cut.dmae")
-        save_checkpoint(mae, path, adam=adam)
-        raw = open(path, "rb").read()
-        # every cut through the header, the conditioning block and the counts,
-        # then a spread of cuts through the parameters and the Adam block
+        save_checkpoint(mae, path)
+        raw = self.with_optimizer_blob(path, cfg.param_count)
+        # every cut through the header and the count, then a spread of cuts
+        # through the parameters and the optimizer blob
         cuts = sorted({*range(48), *range(48, len(raw), 97), len(raw) - 1})
         for k in cuts:
             open(path, "wb").write(raw[:k])
@@ -1217,7 +1242,7 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize(
         "kw",
-        [{}, {"flow_head": True}, {"cond_vars": (1, 3), "blocks": 1}, {"blocks": 3, "width": 5}],
+        [{}, {"flow_head": True}, {"blocks": 1}, {"blocks": 3, "width": 5}],
     )
     def test_param_count_matches_the_network(self, kw):
         cfg = small_config(**kw)
@@ -1266,22 +1291,20 @@ class TestCheckpoint:
         head = struct.pack(
             "<4sIIIIIII", magic, version, num_vars, width, blocks, float_bits, flags, n_cond
         )
-        if count is None and min(dims) > 0 and n_cond < 3:
+        if count is None and min(dims) > 0:
             # the count the header implies, so the parameters themselves are read
-            implied = MaeConfig(
-                num_vars, width, blocks, flow_head=bool(flags & 1), cond_vars=(0,) * n_cond
-            )
+            implied = MaeConfig(num_vars, width, blocks, flow_head=bool(flags & 1))
             count = min(implied.param_count, 2**64 - 1)
-        cond = bytes(4 * n_cond) if n_cond < 3 else b""
-        body = cond + struct.pack("<Q", count or 0) + tail
+        body = struct.pack("<Q", count or 0) + tail
         with tempfile.TemporaryDirectory() as d:
             path = os.path.join(d, "net.dmae")
             with open(path, "wb") as fh:
                 fh.write(head + body)
             try:
-                mae, _ = load_checkpoint(path)
+                mae = load_checkpoint(path)
             except FlipmatchError:
                 return
+            assert n_cond == 0
             assert mae.pack().size == mae.cfg.param_count <= len(tail) // 4
 
     def test_bad_version_rejected(self, tmp_path):
@@ -1363,7 +1386,7 @@ class TestAdam:
         # nothing moved: not the finite parameter, not the moments, not the clock
         assert_array_equal(p.data, np.ones(2))
         assert_array_equal(q.data, np.ones(3))
-        assert not adam.pack_moments().any()
+        assert not any(m.any() or v.any() for m, v in zip(adam.m, adam.v))
         assert adam.step_count == 0
         q.grad = np.array([0.5, np.inf, 0.5])
         with pytest.raises(NonFiniteLoss):
@@ -1375,16 +1398,3 @@ class TestAdam:
         q.grad = np.ones(3)
         AdamState([p, q]).zero_grad()
         assert p.grad is None and q.grad is None
-
-    def test_moment_pack_unpack(self):
-        p = tape.param(np.zeros((2, 2)))
-        adam = AdamState([p], lr=1e-3, total_steps=10)
-        p.grad = np.arange(4.0).reshape(2, 2)
-        adam.step()
-        blob = adam.pack_moments()
-        fresh = AdamState([tape.param(np.zeros((2, 2)))], lr=1e-3, total_steps=10)
-        fresh.unpack_moments(blob)
-        assert_array_equal(fresh.m[0], adam.m[0])
-        assert_array_equal(fresh.v[0], adam.v[0])
-        with pytest.raises(ShapeMismatch):
-            fresh.unpack_moments(blob[:-1])

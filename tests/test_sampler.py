@@ -21,6 +21,8 @@ from flipmatch.energy import (
 from flipmatch.errors import ConfigError, PartialAssignment, ShapeMismatch
 from flipmatch.graph import (
     UndirectedGraph,
+    _elimination_imap,
+    _mask_of,
     chain_graph,
     cycle_graph,
     grid_graph,
@@ -30,6 +32,7 @@ from flipmatch.graph import (
     sample_imap,
     sub_imap,
 )
+from flipmatch.harness import latent_imap
 from flipmatch.nn import MaeConfig, MaeParams
 from flipmatch.sampler import (
     AmortizedSampler,
@@ -50,6 +53,7 @@ from oracles import (
     fit_sampler_exactly,
     imap_arcs,
     level_walk,
+    log_marginal_at,
     log_prob,
     partial_sample,
     scatter_compact,
@@ -355,38 +359,123 @@ class TestLogProb:
         assert_allclose(np.exp(la), table.full_probs, atol=1e-9)
 
 
-class TestConditioningBlock:
-    def test_condition_values_required_and_shaped(self):
-        s = fresh_sampler(3, cond_vars=(7, 9))
-        g = chain_graph(3)
-        imap = sample_imap(g, seed=0)
-        with pytest.raises(ShapeMismatch):
-            s.ancestral_sample(imap, Policy.on_policy(), 2, seed=0)
-        with pytest.raises(ShapeMismatch):
-            s.ancestral_sample(imap, Policy.on_policy(), 2, seed=0, cond=np.ones((3, 2)))
-        X, _ = s.ancestral_sample(imap, Policy.on_policy(), 2, seed=0, cond=np.ones(2))
-        assert X.shape == (2, 3)
+def chain_posterior_map():
+    """The map of the middle of a 5-chain given its ends: 1, 2 and 3 drawn,
+    0 and 4 given."""
+    imap = _elimination_imap(chain_graph(5), 0b01110, seed=0)
+    assert imap.vertices == (1, 2, 3) and imap.given.tolist() == [0, 4]
+    return imap
 
-    def test_condition_changes_root_conditional(self):
-        s = fresh_sampler(3, cond_vars=(5,), width=16)
-        rng = np.random.default_rng(0)
-        flat = s.params.pack()
-        s.params.unpack(flat + rng.normal(0, 0.5, flat.shape))
-        g = chain_graph(3)
-        imap = sample_imap(g, seed=0)
-        root = imap.topo_order[0]
-        x = np.ones(3, dtype=np.int8)
-        a = conditional_logprob(s, imap, root, x, cond=np.array([1.0]))
-        b = conditional_logprob(s, imap, root, x, cond=np.array([-1.0]))
-        # observations reach the root through the conditioning block
-        assert a != b
 
-    def test_plain_sampler_rejects_condition(self):
-        s = fresh_sampler(3)
-        g = chain_graph(3)
-        imap = sample_imap(g, seed=0)
+class TestGivenVariables:
+    """A map's given variables are read from X, as parent columns, and never drawn."""
+
+    def test_given_values_reach_the_conditionals(self):
+        imap = chain_posterior_map()
+        s = perturbed_sampler(5)
+        first = imap.topo_order[0]
+        assert set(imap.parents[first]) & {0, 4}
+        x = np.ones(5, dtype=np.int8)
+        flipped = x.copy()
+        flipped[list(imap.parents[first])] = -1
+        before = conditional_logprob(s, imap, first, x)
+        assert conditional_logprob(s, imap, first, flipped) != before
+
+    def test_draws_start_from_X_and_keep_its_other_columns(self):
+        imap = chain_posterior_map()
+        s = perturbed_sampler(5)
+        X = np.random.default_rng(3).choice([-1, 1], size=(40, 5)).astype(np.int8)
+        draws = s.partial_sample_batch(imap, Policy.on_policy(), 40, seed=2, X=X)
+        assert_array_equal(draws[:, [0, 4]], X[:, [0, 4]])
+        assert set(np.unique(draws[:, 1:4]).tolist()) == {-1, 1}
+        # the draws depend on the given values
+        X[:, 0] = -X[:, 0]
+        moved = s.partial_sample_batch(imap, Policy.on_policy(), 40, seed=2, X=X)
+        assert (moved[:, 1:4] != draws[:, 1:4]).any()
+        # a map without given variables returns X's other columns too
+        sub = sub_imap(chain_graph(5), 0, seed=0)
+        out = s.partial_sample_batch(sub, Policy.on_policy(), 40, seed=2, X=X)
+        assert_array_equal(out[:, 2:], X[:, 2:])
+
+    def test_a_zero_in_a_given_column_is_rejected(self):
+        imap = chain_posterior_map()
+        s = perturbed_sampler(5)
+        X = np.ones((4, 5))
+        X[2, 4] = 0
+        with pytest.raises(PartialAssignment, match="-1 or \\+1"):
+            s.partial_sample_batch(imap, Policy.on_policy(), 4, seed=0, X=X)
+        with pytest.raises(PartialAssignment, match="-1 or \\+1"):
+            s.log_prob_batch(imap, X)
+        with pytest.raises(PartialAssignment):
+            s.partial_sample_batch(imap, Policy.on_policy(), 4, seed=0)
+        X[2, 4] = 0.5
+        with pytest.raises(PartialAssignment):
+            s.partial_sample_batch(imap, Policy.on_policy(), 4, seed=0, X=X)
+        # a drawn column may hold anything before the draw
+        X[2, 4] = 1
+        X[:, 2] = 0
+        assert (s.partial_sample_batch(imap, Policy.on_policy(), 4, seed=0, X=X)[:, 2] != 0).all()
+
+    def test_the_map_missing_a_value_is_named(self):
+        imap = chain_posterior_map()
+        s = perturbed_sampler(5)
+        X = np.ones((6, 5))
+        X[3, 0] = 0  # the second row of the second map
+        with pytest.raises(PartialAssignment, match="map 1 "):
+            s.partial_sample_batch([imap, imap, imap], Policy.on_policy(), 2, seed=0, X=X)
+
+    def test_zero_rows(self):
+        imap = chain_posterior_map()
+        s = perturbed_sampler(5)
+        out = s.partial_sample_batch(imap, Policy.on_policy(), 0, seed=0, X=np.ones((0, 5)))
+        assert out.shape == (0, 5)
+        assert s.log_prob_batch(imap, np.ones((0, 5))).shape == (0,)
+
+    def test_X_needs_one_row_per_draw(self):
+        imap = chain_posterior_map()
+        s = perturbed_sampler(5)
         with pytest.raises(ShapeMismatch):
-            s.ancestral_sample(imap, Policy.on_policy(), 2, seed=0, cond=np.ones(1))
+            s.partial_sample_batch(imap, Policy.on_policy(), 4, seed=0, X=np.ones((3, 5)))
+        with pytest.raises(ShapeMismatch):
+            s.partial_sample_batch([imap, imap], Policy.on_policy(), 4, seed=0, X=np.ones((4, 5)))
+        with pytest.raises(ShapeMismatch):
+            s.partial_sample_batch(imap, Policy.on_policy(), 4, seed=0, X=np.ones((4, 6)))
+
+
+class TestLatentPosterior:
+    """A network fitted to a latent map's conditionals is the exact posterior:
+    it scores p(h | o) and draws from it."""
+
+    @pytest.mark.parametrize("hidden", [(0, 4), (1, 2, 5), (0, 1, 3, 4, 5)])
+    def test_fitted_network_scores_the_posterior(self, hidden):
+        m = random_ising(grid_graph(2, 3), sigma=0.6, seed=4)
+        imap = latent_imap(m, hidden, seed=1)
+        s, table = fitted_sampler(m, [imap], width=64)
+        states = all_states(6)
+        log_p = np.log(table.full_probs)
+        observed = [v for v in range(6) if v not in hidden]
+        want = log_p - log_marginal_at(states, log_p, observed)
+        assert_allclose(s.log_prob_batch(imap, states), want, rtol=0, atol=1e-8)
+
+    def test_draws_follow_the_posterior_of_each_row(self):
+        m = random_ising(grid_graph(2, 3), sigma=0.6, seed=4)
+        hidden = (1, 2, 4)
+        imap = latent_imap(m, hidden, seed=1)
+        s, table = fitted_sampler(m, [imap], width=64)
+        obs = np.array([[1, -1, 1]] * 4000 + [[-1, -1, 1]] * 4000)
+        X = np.zeros((8000, 6), dtype=np.int8)
+        X[:, [0, 3, 5]] = obs
+        draws = s.partial_sample_batch(imap, Policy.on_policy(), 8000, seed=7, X=X)
+        assert_array_equal(draws[:, [0, 3, 5]], obs)
+        states = all_states(6)
+        for rows in (slice(0, 4000), slice(4000, 8000)):
+            o = obs[rows][0]
+            match = (states[:, [0, 3, 5]] == o).all(axis=1)
+            posterior = table.full_probs[match] / table.full_probs[match].sum()
+            codes = (draws[rows][:, list(hidden)] > 0) @ [1, 2, 4]
+            want = posterior[np.argsort((states[match][:, list(hidden)] > 0) @ [1, 2, 4])]
+            freq = np.bincount(codes, minlength=8) / 4000
+            assert 0.5 * np.abs(freq - want).sum() < 0.05
 
 
 class TestLocalForwardMatchesDense:
@@ -394,13 +483,10 @@ class TestLocalForwardMatchesDense:
     forward that feeds |V|-wide rows and computes every logit."""
 
     @pytest.mark.parametrize("activation", ["relu", "elu"])
-    @pytest.mark.parametrize("cond_vars", [(), (40, 41)])
-    def test_draws_and_logprobs(self, activation, cond_vars):
+    def test_draws_and_logprobs(self, activation):
         g = grid_graph(6, 6)
         imap = sample_imap(g, seed=0)
-        cfg = MaeConfig(
-            num_vars=36, width=16, blocks=3, activation=activation, cond_vars=cond_vars
-        )
+        cfg = MaeConfig(num_vars=36, width=16, blocks=3, activation=activation)
         s = AmortizedSampler(MaeParams(cfg))
         rng = np.random.default_rng(5)
         # a fresh head is all zeros, which would hide a wrong column or row
@@ -408,33 +494,52 @@ class TestLocalForwardMatchesDense:
         s.params.unpack(flat + rng.normal(0, 0.5, flat.shape))
         assert np.all(s.params.w_out.data != 0)
         n = 128
-        cond = rng.choice([-1.0, 1.0], size=(n, len(cond_vars))) if cond_vars else None
         for policy in (Policy.on_policy(), Policy.tempered(2.0)):
-            X_full, logq = s.ancestral_sample(imap, policy, n, seed=3, cond=cond)
-            X_ref, logq_ref = dense_run_order(s, imap, policy, n, seed=3, cond=cond)
+            X_full, logq = s.ancestral_sample(imap, policy, n, seed=3)
+            X_ref, logq_ref = dense_run_order(s, imap, policy, n, seed=3)
             assert_array_equal(X_full, X_ref)
             assert_allclose(logq, logq_ref, rtol=0, atol=1e-12)
             assert_allclose(
-                s.log_prob_batch(imap, X_full, cond),
-                dense_log_prob_batch(s, imap, X_full, cond),
+                s.log_prob_batch(imap, X_full),
+                dense_log_prob_batch(s, imap, X_full),
                 rtol=0, atol=1e-12,
             )
         for u in (0, 14, 35):
             sub = sub_imap(g, u, seed=u)
-            X = s.partial_sample_batch(sub, Policy.on_policy(), n, seed=u, cond=cond)
-            X_ref, _ = dense_run_order(s, sub, Policy.on_policy(), n, seed=u, cond=cond)
+            X = s.partial_sample_batch(sub, Policy.on_policy(), n, seed=u)
+            X_ref, _ = dense_run_order(s, sub, Policy.on_policy(), n, seed=u)
             assert_array_equal(X, X_ref)
         # one conditional at a time, on a full draw of the full map
-        x, c = X_full[0], None if cond is None else cond[0]
-        total = sum(conditional_logprob(s, imap, v, x, cond=c) for v in imap.topo_order)
-        assert abs(total - dense_log_prob_batch(s, imap, x[None, :], c)[0]) <= 1e-12
+        x = X_full[0]
+        total = sum(conditional_logprob(s, imap, v, x) for v in imap.topo_order)
+        assert abs(total - dense_log_prob_batch(s, imap, x[None, :])[0]) <= 1e-12
+
+    @pytest.mark.parametrize("activation", ["relu", "elu"])
+    def test_given_variables(self, activation):
+        g = grid_graph(6, 6)
+        hidden = (1, 7, 8, 13, 14, 15, 20, 27, 33)
+        imap = _elimination_imap(g, _mask_of(hidden), seed=2)
+        assert len(imap.given)
+        s = perturbed_sampler(36, activation)
+        n = 128
+        X = np.random.default_rng(4).choice([-1, 1], size=(n, 36)).astype(np.int8)
+        for policy in (Policy.on_policy(), Policy.tempered(2.0)):
+            draws = s.partial_sample_batch(imap, policy, n, seed=3, X=X)
+            X_ref, _ = dense_run_order(s, imap, policy, n, seed=3, X=X)
+            assert_array_equal(draws, X_ref)
+            assert_allclose(
+                s.log_prob_batch(imap, draws),
+                dense_log_prob_batch(s, imap, draws),
+                rtol=0, atol=1e-12,
+            )
+        x = draws[0]
+        total = sum(conditional_logprob(s, imap, v, x) for v in imap.topo_order)
+        assert abs(total - dense_log_prob_batch(s, imap, x[None, :])[0]) <= 1e-12
 
 
-def perturbed_sampler(num_vars: int, cond_vars=(), activation="relu", seed=5) -> AmortizedSampler:
+def perturbed_sampler(num_vars: int, activation="relu", seed=5) -> AmortizedSampler:
     """A width-16, 3-block sampler whose every weight, head included, is nonzero."""
-    cfg = MaeConfig(
-        num_vars=num_vars, width=16, blocks=3, activation=activation, cond_vars=cond_vars
-    )
+    cfg = MaeConfig(num_vars=num_vars, width=16, blocks=3, activation=activation)
     s = AmortizedSampler(MaeParams(cfg))
     flat = s.params.pack()
     s.params.unpack(flat + np.random.default_rng(seed).normal(0, 0.5, flat.shape))
@@ -448,46 +553,69 @@ class TestWavefrontMatchesSequential:
     POLICIES = (Policy.on_policy(), Policy.tempered(2.0), Policy.eps_uniform(0.2))
 
     @pytest.mark.parametrize("k", [1, 3])
-    @pytest.mark.parametrize("cond_vars", [(), (36, 37)])
-    def test_many_maps_draw_like_a_per_map_loop(self, k, cond_vars):
+    @pytest.mark.parametrize("given", [False, True], ids=["local", "given"])
+    def test_many_maps_draw_like_a_per_map_loop(self, k, given):
         g = grid_graph(6, 6)
-        maps = [sub_imap(g, u, seed=u) for u in range(36)]
-        s = perturbed_sampler(36, cond_vars)
-        rng = np.random.default_rng(8)
-        cond = rng.choice([-1.0, 1.0], size=(36 * k, len(cond_vars))) if cond_vars else None
+        if given:
+            # each vertex's closed neighbourhood, drawn given its boundary
+            maps = [
+                _elimination_imap(g, g.adj_masks[u] | 1 << u, seed=u) for u in range(36)
+            ]
+            X0 = np.random.default_rng(8).choice([-1, 1], size=(36 * k, 36)).astype(np.int8)
+        else:
+            maps = [sub_imap(g, u, seed=u) for u in range(36)]
+            X0 = None
+        s = perturbed_sampler(36)
         policy = Policy.tempered(1.5)
         r_batch, r_loop, r_seq = (np.random.default_rng(9) for _ in range(3))
-        X = s.partial_sample_batch(maps, policy, k, seed=r_batch, cond=cond)
+        X = s.partial_sample_batch(maps, policy, k, seed=r_batch, X=X0)
         assert X.shape == (36 * k, 36)
         for j, sub in enumerate(maps):
-            c = None if cond is None else cond[j * k : (j + 1) * k]
+            x0 = None if X0 is None else X0[j * k : (j + 1) * k]
             block = X[j * k : (j + 1) * k]
-            assert_array_equal(block, s.partial_sample_batch(sub, policy, k, r_loop, cond=c))
-            assert_array_equal(block, sequential_run_order(s, sub, policy, k, r_seq, cond=c)[0])
+            assert_array_equal(block, s.partial_sample_batch(sub, policy, k, r_loop, X=x0))
+            assert_array_equal(block, sequential_run_order(s, sub, policy, k, r_seq, X=x0)[0])
             # exactly the variables of the map are drawn
-            assert_array_equal(np.flatnonzero(block[0]), sub.vertices)
+            other = np.setdiff1d(np.arange(36), sub.vertices)
+            assert_array_equal(block[:, other], 0 if x0 is None else x0[:, other])
+            assert np.all(block[:, list(sub.vertices)] != 0)
         # the batched walk used exactly as many uniforms as the loops did
         assert r_batch.random() == r_loop.random() == r_seq.random()
 
     @pytest.mark.parametrize("activation", ["relu", "elu"])
-    @pytest.mark.parametrize("cond_vars", [(), (36, 37)])
-    def test_ancestral_draws_and_log_q(self, activation, cond_vars):
+    def test_ancestral_draws_and_log_q(self, activation):
         g = grid_graph(6, 6)
         imap = sample_imap(g, seed=4)
         assert imap.depth.max() + 1 < 36  # some level holds several variables
-        s = perturbed_sampler(36, cond_vars, activation)
+        s = perturbed_sampler(36, activation)
         n = 64
-        rng = np.random.default_rng(2)
-        cond = rng.choice([-1.0, 1.0], size=(n, len(cond_vars))) if cond_vars else None
         for policy in self.POLICIES:
-            X, logq = s.ancestral_sample(imap, policy, n, seed=3, cond=cond)
-            X_ref, logq_ref = sequential_run_order(s, imap, policy, n, seed=3, cond=cond)
+            X, logq = s.ancestral_sample(imap, policy, n, seed=3)
+            X_ref, logq_ref = sequential_run_order(s, imap, policy, n, seed=3)
             assert_array_equal(X, X_ref)
             assert_allclose(logq, logq_ref, rtol=0, atol=1e-12)
-            lp = s.log_prob_batch(imap, X, cond)
-            assert_allclose(lp, sequential_log_prob_batch(s, imap, X, cond), rtol=0, atol=1e-12)
+            lp = s.log_prob_batch(imap, X)
+            assert_allclose(lp, sequential_log_prob_batch(s, imap, X), rtol=0, atol=1e-12)
             # drawing and scoring share one schedule, so they agree bit for bit
             assert_array_equal(lp, logq)
+
+    @pytest.mark.parametrize("activation", ["relu", "elu"])
+    def test_given_variables_draw_and_score_like_the_sequential_walk(self, activation):
+        g = grid_graph(6, 6)
+        hidden = tuple(range(0, 36, 2))
+        imap = _elimination_imap(g, _mask_of(hidden), seed=4)
+        assert imap.depth.max() + 1 < len(hidden)
+        s = perturbed_sampler(36, activation)
+        n = 64
+        X0 = np.random.default_rng(2).choice([-1, 1], size=(n, 36)).astype(np.int8)
+        for policy in self.POLICIES:
+            r_walk, r_seq = np.random.default_rng(3), np.random.default_rng(3)
+            X = s.partial_sample_batch(imap, policy, n, seed=r_walk, X=X0)
+            X_ref, logq_ref = sequential_run_order(s, imap, policy, n, r_seq, X=X0)
+            assert_array_equal(X, X_ref)
+            lp = s.log_prob_batch(imap, X)
+            assert_allclose(lp, sequential_log_prob_batch(s, imap, X), rtol=0, atol=1e-12)
+            assert_allclose(lp, logq_ref, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize(
         "g",
@@ -542,39 +670,51 @@ class TestTableMatchesLevelWalk:
         for policy in self.POLICIES:
             X, logq = s.ancestral_sample(imap, policy, n, seed=3)
             rng = np.random.default_rng(3)
-            X_ref, logq_ref = level_walk(s, [imap], n, None, policy=policy, rng=rng)
+            X_ref, logq_ref = level_walk(s, [imap], n, policy=policy, rng=rng)
             assert_array_equal(X, X_ref)
             assert_array_equal(logq, logq_ref)
-            assert_array_equal(s.log_prob_batch(imap, X), level_walk(s, [imap], n, None, X=X)[1])
+            assert_array_equal(s.log_prob_batch(imap, X), level_walk(s, [imap], n, X=X)[1])
             Xs = s.partial_sample_batch(subs, policy, n, seed=5)
             rng = np.random.default_rng(5)
-            assert_array_equal(Xs, level_walk(s, subs, n, None, policy=policy, rng=rng)[0])
+            assert_array_equal(Xs, level_walk(s, subs, n, policy=policy, rng=rng)[0])
 
-    def test_a_conditioning_block_walks_every_entry(self, monkeypatch):
-        g = ladder_graph(8)
-        imap, subs = self.maps_of(g)
-        s = perturbed_sampler(16, cond_vars=(16, 17))
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, 256])
+    @pytest.mark.parametrize("activation", ["relu", "elu"])
+    def test_given_draws_and_log_q_are_bit_equal(self, n, activation):
+        g = grid_graph(6, 6)
+        imap = _elimination_imap(g, _mask_of(range(3, 36, 3)), seed=5)
+        s = perturbed_sampler(36, activation=activation)
+        X0 = np.random.default_rng(n).choice([-1, 1], size=(n, 36)).astype(np.int8)
+        for policy in self.POLICIES:
+            X = s.partial_sample_batch(imap, policy, n, seed=3, X=X0)
+            rng = np.random.default_rng(3)
+            X_ref, logq_ref = level_walk(s, [imap], n, X0, policy=policy, rng=rng)
+            assert_array_equal(X, X_ref)
+            assert_array_equal(s.log_prob_batch(imap, X), logq_ref)
+
+    @pytest.mark.parametrize("n", [1, 8, 64])
+    def test_given_parents_are_tabulated_too(self, monkeypatch, n):
+        g = grid_graph(6, 6)
+        imap = _elimination_imap(g, _mask_of(range(0, 36, 2)), seed=1)
+        counts = (imap.parent_table >= 0).sum(axis=1)
+        s = perturbed_sampler(36)
         seen = []
         entry_logits = AmortizedSampler._entry_logits
 
-        def counted(self, work, cond, rows, vs, parents):
+        def counted(self, work, rows, vs, parents):
             seen.extend(vs.tolist())
-            return entry_logits(self, work, cond, rows, vs, parents)
+            return entry_logits(self, work, rows, vs, parents)
 
         monkeypatch.setattr(AmortizedSampler, "_entry_logits", counted)
-        cond = np.ones((64, 2))
-        X, logq = s.ancestral_sample(imap, Policy.on_policy(), 64, seed=1, cond=cond)
-        assert sorted(seen) == list(range(16))
+        X0 = np.random.default_rng(0).choice([-1, 1], size=(n, 36)).astype(np.int8)
+        X = s.partial_sample_batch(imap, Policy.on_policy(), n, seed=1, X=X0)
+        # only the entries with more than log2(n) parents go through the network
+        assert sorted(seen) == sorted(imap.order[(1 << counts) > n].tolist())
         rng = np.random.default_rng(1)
-        X_ref, logq_ref = level_walk(s, [imap], 64, cond, policy=Policy.on_policy(), rng=rng)
+        X_ref, logq_ref = level_walk(s, [imap], n, X0, policy=Policy.on_policy(), rng=rng)
         assert_array_equal(X, X_ref)
-        assert_array_equal(logq, logq_ref)
-        # without the block, 64 rows tabulate every entry of the ladder
-        seen.clear()
-        s = perturbed_sampler(16)
-        s.ancestral_sample(imap, Policy.on_policy(), 64, seed=1)
-        s.partial_sample_batch(subs, Policy.on_policy(), 64, seed=1)
-        assert seen == []
+        assert_array_equal(s.log_prob_batch(imap, X), logq_ref)
+        assert_array_equal(s.log_prob_batch(imap, X), level_walk(s, [imap], n, X)[1])
 
     @pytest.mark.parametrize("g", [grid_graph(6, 6), ladder_graph(8)], ids=["grid", "ladder"])
     def test_the_table_sends_no_more_rows_than_the_level_walk(self, monkeypatch, g):
@@ -596,7 +736,7 @@ class TestTableMatchesLevelWalk:
                 table = rows[0]
                 rows[0] = 0
                 rng = np.random.default_rng(0)
-                level_walk(s, maps, n, None, policy=Policy.on_policy(), rng=rng)
+                level_walk(s, maps, n, policy=Policy.on_policy(), rng=rng)
                 assert table <= rows[0]
                 fewer |= table < rows[0]
         assert fewer
