@@ -16,7 +16,9 @@ scored instead by a single-child surrogate, from three of its terms' rows.
 Also here: the trajectory-balance family (full-trajectory, detailed per-step,
 and the λ-weighted sub-range decomposition) with learnable state flows, and
 the forward-looking flow that learns only a correction on top of the
-partially accumulated reward.
+partially accumulated reward.  A trajectory's prefixes reach the network as
+one running sum of its first layer along the order (``prefix_trunk``); only
+the forward-looking reward reads them as |V|-wide masked rows.
 """
 
 from __future__ import annotations
@@ -70,13 +72,14 @@ class LogZEstimate:
 
 
 class FlowHead:
-    """Learnable state flows on partial assignments.
+    """Learnable state flows on the prefixes of a sampling order.
 
-    Wraps a network with a scalar head.  In plain mode the head's output is
-    log F directly; in forward-looking mode it is a log-space correction added
-    to the partially accumulated reward, so the network only learns what the
-    already-visible factors miss.  Terminal states never consult the network:
-    their flow is the reward, substituted structurally.
+    Wraps a network with a scalar head on ``MaeParams.prefix_trunk``.  In
+    plain mode the head's output is log F directly; in forward-looking mode it
+    is a log-space correction added to the partially accumulated reward, so
+    the network only learns what the already-visible factors miss.  Terminal
+    states never consult the network: their flow is the reward, substituted
+    structurally.
     """
 
     def __init__(
@@ -91,20 +94,19 @@ class FlowHead:
         self.forward_looking = forward_looking
         self.reward_mode = reward_mode
 
-    def correction_rows(self, rows: np.ndarray) -> Tensor:
-        return self.params.flow(self.params.trunk(rows))
+    def log_flows(self, m: EnergyModel, imap: Imap, X: np.ndarray) -> Tensor:
+        """log F of every prefix of ``imap``'s order for full samples X, prefix-major.
 
-    def log_flow_rows(self, m: EnergyModel, rows: np.ndarray) -> Tensor:
-        """log F for a batch of masked rows, terminal rows pinned to log R."""
-        rows = np.asarray(rows, dtype=np.float64)
-        full = np.all(rows != 0, axis=1)
-        out = self.correction_rows(rows)
+        Block k holds the n samples masked to the first k order variables;
+        the last block, the samples themselves, is pinned to log R.
+        """
+        X = np.asarray(X, dtype=np.float64)
+        out = self.params.flow(self.params.prefix_trunk(X, imap.order))
         if self.forward_looking:
-            out = out + m.partial_reward_batch(rows, self.reward_mode)
-        if not full.any():
-            return out
-        pinned = np.zeros(rows.shape[0])
-        pinned[full] = m.log_reward_batch(rows[full].astype(np.int8))
+            out = out + m.partial_reward_batch(_prefix_rows(imap, X), self.reward_mode)
+        full = np.arange(out.shape[0]) >= len(imap.order) * len(X)
+        pinned = np.zeros(out.shape[0])
+        pinned[full] = m.log_reward_batch(X.astype(np.int8))
         return tape.where(full, tape.const(pinned), out)
 
 
@@ -342,6 +344,8 @@ def _require_full(imap: Imap, X) -> np.ndarray:
         X = X[None, :]
     if len(X) == 0:
         raise EmptyBatch("no samples to score")
+    if len(imap.order) != X.shape[1]:
+        raise ConfigError(f"this objective needs an I-map covering all {X.shape[1]} variables")
     if np.any(X[:, imap.order] == 0):
         raise PartialAssignment("this objective needs fully instantiated samples")
     return X
@@ -386,9 +390,8 @@ def db_trajectory_loss(s, imap: Imap, m: EnergyModel, X, flow) -> Tensor:
     """Mean of the |V| per-step losses over a batch of full trajectories."""
     X = _require_full(imap, X)
     n, num_vars = X.shape
-    flows = flow.log_flow_rows(m, _prefix_rows(imap, X))  # ((V+1)*n,) prefix-major
-    rows, vs, signs = _step_rows(imap, X)
-    logq = _clamped_logq(s, rows, vs, signs)  # (V*n,) step-major
+    flows = flow.log_flows(m, imap, X)  # ((V+1)*n,) prefix-major
+    logq = _clamped_logq(s, *_step_rows(imap, X))  # (V*n,) step-major
     idx = np.arange(num_vars * n)
     residual = tape.gather_1d(flows, idx) + logq - tape.gather_1d(flows, idx + n)
     return residual.square().mean()
@@ -407,33 +410,19 @@ def subtb_loss_batch(s, imap: Imap, m: EnergyModel, X, flow, lam: float) -> Tens
         raise ConfigError("lambda must be positive")
     X = _require_full(imap, X)
     n, num_vars = X.shape
+    # flows (V+1, n) and step conditionals (V, n), both prefix-major
+    F = tape.reshape(flow.log_flows(m, imap, X), (num_vars + 1, n))
+    lq = tape.reshape(_clamped_logq(s, *_step_rows(imap, X)), (num_vars, n))
 
-    # flows, reordered sample-major before the forward pass so the flat
-    # output reshapes to (n, V+1)
-    pm = _prefix_rows(imap, X)
-    ss = np.repeat(np.arange(n), num_vars + 1)
-    kk = np.tile(np.arange(num_vars + 1), n)
-    flows_flat = flow.log_flow_rows(m, pm[kk * n + ss])
-    F = tape.reshape(flows_flat, (n, num_vars + 1))
-
-    # step conditionals, same trick, reshaped to (n, V)
-    (values, cols), vs, signs = _step_rows(imap, X)
-    ss2 = np.repeat(np.arange(n), num_vars)
-    kk2 = np.tile(np.arange(num_vars), n)
-    perm = kk2 * n + ss2
-    lq_flat = _clamped_logq(s, (values[perm], cols[perm]), vs[perm], signs[perm])
-    lq = tape.reshape(lq_flat, (n, num_vars))
-
-    # C[s, k] = sum of the first k step log-probs; D = F - C; r(i<j) = D_i - D_j
+    # C[k, s] = sum of the first k step log-probs; D = F - C; r(i<j) = D_i - D_j
     lower = np.tril(np.ones((num_vars + 1, num_vars)), k=-1)
-    C = tape.matmul(lq, tape.const(lower.T))
-    D = F - C
+    D = F - tape.matmul(tape.const(lower), lq)
 
-    # sum over i<j of w_ij (D_i - D_j)^2 is the quadratic form D^T (diag(W 1) - W) D,
+    # per sample, sum over i<j of w_ij (D_i - D_j)^2 is D^T (diag(W 1) - W) D,
     # W_ij = lam^|i-j| / (total weight) off the diagonal; 1/n folded in
     k = np.arange(num_vars + 1)
     W = np.power(float(lam), np.abs(k[:, None] - k[None, :]))
     np.fill_diagonal(W, 0.0)
     W /= W.sum() / 2
     Q = (np.diag(W.sum(axis=1)) - W) / n
-    return (tape.matmul(D, tape.const(Q)) * D).sum()
+    return (tape.matmul(tape.const(Q), D) * D).sum()

@@ -10,33 +10,34 @@ Architecture: {affine -> layer norm -> nonlinearity} blocks on a constant
 width trunk with residual connections between the equal-width blocks, then an
 affine head with one output column per variable.  A conditional reads only
 its own column, so every call names the variable of each row and the head
-computes that one logit per row.  Every forward, taped or not, can take only
+computes that one logit per row.  Every conditional's input is compact: only
 the nonzero input columns (a variable's parents) together with their
 indices, so its first layer reads just those rows of the input weights and,
 on the tape, sums its gradient back into just those rows; one batch may hold
 many variables, each with its own columns and its own number of them, as the
-sampler's wavefront walk and the losses need.  The dense form, full
-(B, input_width) rows, serves the flow head's prefix rows.  A separate
-learnable logit vector handles the no-information case (all-zero input), and
-an optional scalar head on the same trunk provides state-flow estimates for
-the balance-based objectives.  Observed values reach a latent-variable
-posterior as parent columns too (see ``graph.Imap.given``), so the input has
-one coordinate per variable and nothing else.  The layer norms' epsilon is a
-constant, so a checkpoint's header rebuilds exactly the network that was
-saved.
+sampler's wavefront walk and the losses need.  A separate learnable logit
+vector handles the no-information case (all-zero input), and an optional
+scalar head on the same trunk provides state-flow estimates for the
+balance-based objectives; as the first layer is linear, ``prefix_trunk``
+gives it every prefix of an order as one running sum along the order (MADE,
+Germain et al. 2015, arXiv:1502.03509).  Observed values reach a
+latent-variable posterior as parent columns too (see ``graph.Imap.given``),
+so the input has one coordinate per variable and nothing else.  The layer
+norms' epsilon is a constant, so a checkpoint's header rebuilds exactly the
+network that was saved.
 
 The forward exists once, written in place on raw arrays, and every call runs
 its blocks on cache-sized row slices (``_BLOCK_ELEMENTS // width`` rows).
 The gradient-free call (``masked_logits_np``) keeps nothing.
-The taped calls (``masked_logits``, ``trunk``) record one tape node from the
-first layer's output to the logits, or to the trunk rows for the flow head,
-and keep only that output, the first layer's output and the last slice's
-intermediates.  The node's backward walks the slices last to first: it runs
-each earlier slice's blocks again from the first layer's output (gradient
-checkpointing, Chen et al. 2016, arXiv:1604.06174), pushes the gradient back
-through the head and the blocks, and at the end runs the first layer's
-scatter once on the whole batch.  A call that fits in one slice runs nothing
-twice.
+The taped calls (``masked_logits``, ``prefix_trunk``) record one tape node
+from the first layer's output to the logits, or to the trunk rows for the
+flow head, and keep only that output, the first layer's output and the last
+slice's intermediates.  The node's backward walks the slices last to first:
+it runs each earlier slice's blocks again from the first layer's output
+(gradient checkpointing, Chen et al. 2016, arXiv:1604.06174), pushes the
+gradient back through the head and the blocks, and at the end hands the
+first layer's output gradient to the call's input-weight gradient, once on
+the whole batch.  A call that fits in one slice runs nothing twice.
 
 A conditional depends only on its variable and its input, and a batch often
 holds the same (variable, columns, values) row many times: with few parents,
@@ -171,25 +172,54 @@ class MaeParams:
     def num_vars(self) -> int:
         return self.cfg.num_vars
 
-    def trunk(self, x: np.ndarray, cols=None) -> Tensor:
-        """Shared trunk on the tape: input rows -> (B, width).
+    def prefix_trunk(self, X: np.ndarray, order) -> Tensor:
+        """Trunk rows of every prefix of ``order`` on the tape, prefix-major.
 
-        ``x`` holds (B, input_width) masked rows, or with ``cols`` the compact
-        form described at ``_packed``.  The trunk rows are the output of the one tape
-        node of ``_taped_blocks``, run without a head.
+        Returns ((|order| + 1) * n, width): block k holds the n rows of X
+        masked to order[:k], block 0 the empty prefix.
         """
-        packed = self._packed(x, cols)
-        return self._taped_blocks(x, packed, self._first_layer(x, packed))
+        return self._taped_blocks(*self._prefix_first_layer(X, order))
 
-    def _taped_blocks(self, x: np.ndarray, packed, z: np.ndarray, rows=None, head=None) -> Tensor:
+    def _prefix_first_layer(self, X: np.ndarray, order):
+        """(z, w_in_grad): the first layer's output, without the bias, on every
+        prefix of ``order``, and the function that maps its gradient to the
+        input weights' gradient.
+
+        The first layer is linear in its input, so prefix k's output is
+        prefix k - 1's plus x_{order[k-1]} * w_in[order[k-1]]: one running sum
+        along the order, in place of |order| + 1 masked rows of width |V|.
+        Step k reaches every prefix from k on, so its weight row's gradient
+        is X's column order[k-1] against the reversed running sum of gz.
+        """
+        X = np.asarray(X, dtype=np.float64)
+        order = np.asarray(order, dtype=np.int64)
+        w_in = self.w_in.data
+        if X.ndim != 2 or X.shape[1] != len(w_in) or order.ndim != 1:
+            raise ShapeMismatch(f"expected (batch, {len(w_in)}) inputs and an order, got {X.shape}")
+        if len(np.unique(order[(order >= 0) & (order < len(w_in))])) != len(order):
+            raise ShapeMismatch(f"order must list distinct columns in 0..{len(w_in) - 1}")
+        xo = X.T[order]  # (|order|, n): the value each step adds, per row
+        z = np.zeros((len(order) + 1, len(X), w_in.shape[1]))
+        np.multiply(xo[:, :, None], w_in[order][:, None, :], out=z[1:])
+        np.cumsum(z, axis=0, out=z)
+
+        def w_in_grad(gz: np.ndarray) -> np.ndarray:
+            after = np.cumsum(gz.reshape(z.shape)[:0:-1], axis=0)[::-1]
+            grad = np.zeros_like(w_in)
+            grad[order] = np.matmul(xo[:, None, :], after)[:, 0]
+            return grad
+
+        return z.reshape(-1, z.shape[2]), w_in_grad
+
+    def _taped_blocks(self, z: np.ndarray, w_in_grad, head=None) -> Tensor:
         """The blocks on first-layer outputs z, then with ``head`` the logit of
         variable head[i] for row i, recorded as one tape node.
 
         The forward is ``_sliced_blocks_np``'s, slice by slice.  The node keeps z, its
         output and the last slice's intermediates; every other slice runs in
         a copy of its rows of z and keeps nothing, and ``_trunk_backward``
-        runs it again.  ``rows`` names the input rows that z holds, one each,
-        when it does not hold them all (see ``_distinct_rows``).
+        runs it again.  ``w_in_grad`` maps the gradient of z to the input
+        weights' gradient.
         """
         slices = _row_slices(*z.shape)
         out = np.empty_like(z) if head is None else np.empty(len(z))
@@ -204,10 +234,10 @@ class MaeParams:
             out[s] = h if head is None else self._head_np(h, head[s])
         params = self._trunk_params + (() if head is None else (self.w_out, self.b_out))
         return tape._make(
-            out, params, lambda g: self._trunk_backward(x, packed, rows, z, head, last, g)
+            out, params, lambda g: self._trunk_backward(z, w_in_grad, head, last, g)
         )
 
-    def _trunk_backward(self, x: np.ndarray, packed, rows, z, head, last, g: np.ndarray) -> None:
+    def _trunk_backward(self, z, w_in_grad, head, last, g: np.ndarray) -> None:
         """Push the node's output gradient g into the head's and the trunk's parameters.
 
         Slice by slice, last first: the last slice's intermediates are the
@@ -235,7 +265,7 @@ class MaeParams:
         if head is not None:
             self.w_out.accumulate(gw)
             self.b_out.accumulate(gb)
-        self.w_in.accumulate(self._first_layer_grad(x, packed, gz, rows))
+        self.w_in.accumulate(w_in_grad(gz))
         self.b_in.accumulate(gz.sum(axis=0))
 
     def _blocks_backward(self, saved: list[tuple], g: np.ndarray) -> np.ndarray:
@@ -270,23 +300,24 @@ class MaeParams:
             trunk, self.w_flow, self.b_flow, np.zeros(trunk.shape[0], dtype=np.int64)
         )
 
-    def masked_logits(self, x: np.ndarray, vs, cols=None) -> Tensor:
+    def masked_logits(self, x: np.ndarray, vs, cols) -> Tensor:
         """Logit of variable vs[i] given input row i, on the gradient tape.
 
-        Returns shape (B,).  ``x`` and ``cols`` are as for ``trunk``.  Rows
-        carrying no information at all (every input value zero) bypass
-        the trunk and read the learnable marginal-logit vector instead, so the
-        root conditionals of an unconditional model have their own direct
-        parameters.  Rows that repeat another row's inputs and variable share
-        its pass through the first layer, the blocks and the head; the gather
-        that hands each row its logit sums the repeats' gradients on the way
-        back.
+        Returns shape (B,).  ``x`` and ``cols`` are the compact input form
+        described at ``_packed``.  Rows carrying no information at all (every
+        input value zero) bypass the trunk and read the learnable
+        marginal-logit vector instead, so the root conditionals of an
+        unconditional model have their own direct parameters.  Rows that
+        repeat another row's inputs and variable share its pass through the
+        first layer, the blocks and the head; the gather that hands each row
+        its logit sums the repeats' gradients on the way back.
         """
         vs = _row_vars(x, vs)
         packed = self._packed(x, cols)
-        rows, inv = self._distinct_rows(x, packed, vs) or (None, None)
-        z = self._first_layer(x, packed, rows)
-        logits = self._taped_blocks(x, packed, z, rows, vs if rows is None else vs[rows])
+        rows, inv = self._distinct_rows(packed, vs) or (None, None)
+        z = self._first_layer(packed, rows)
+        w_in_grad = functools.partial(self._first_layer_grad, packed, rows=rows)
+        logits = self._taped_blocks(z, w_in_grad, vs if rows is None else vs[rows])
         if inv is not None:
             logits = tape.gather_1d(logits, inv)
         empty = ~(x != 0).any(axis=1)
@@ -297,11 +328,11 @@ class MaeParams:
     # -- the forward itself, on raw arrays -----------------------------------
     #
     # The taped and the gradient-free calls both run the code below; only the
-    # taped ones keep intermediates.  Without ``cols`` the input is full (B, input_width)
-    # rows.  With ``cols`` it is compact: only some input columns, every
-    # coordinate not listed being zero.  An (E, K) ``cols`` splits x into E
-    # equal blocks of consecutive rows, x[i, k] in block e is input coordinate
-    # cols[e, k], and a slot whose column is -1 is unused and holds 0.
+    # taped ones keep intermediates.  The input is compact: only some input
+    # columns, every coordinate not listed being zero.  An (E, K) ``cols``
+    # splits x into E equal blocks of consecutive rows, x[i, k] in block e is
+    # input coordinate cols[e, k], and a slot whose column is -1 is unused
+    # and holds 0.
     # The first layer groups the blocks by their number of used slots and
     # gathers only the weight rows those slots name; its backward sorts the
     # used slots by column and sums each column's segment into its row of the
@@ -329,17 +360,13 @@ class MaeParams:
         return None
 
     def _packed(self, x: np.ndarray, cols):
-        """None for full rows, else the checked compact form (x3, cols, counts).
+        """The checked compact form (x3, cols, counts).
 
         x3 is x as (E, n, K) blocks, each block's used slots moved to the
         front in their order, and counts[e] is the number of used slots of
         block e: block e reads x3[e, :, :counts[e]] and cols[e, :counts[e]].
         """
         width = self.w_in.data.shape[0]
-        if cols is None:
-            if x.ndim != 2 or x.shape[1] != width:
-                raise ShapeMismatch(f"expected (batch, {width}) inputs, got {x.shape}")
-            return None
         cols = np.asarray(cols, dtype=np.int64)
         blocks, k = cols.shape if cols.ndim == 2 else (0, -1)
         if x.ndim != 2 or x.shape[1] != k or (len(x) and (blocks == 0 or len(x) % blocks)):
@@ -355,7 +382,7 @@ class MaeParams:
             x3 = np.take_along_axis(x3, front[:, None, :], axis=2)
         return x3, cols, used.sum(axis=1)
 
-    def _first_layer(self, x: np.ndarray, packed, rows=None) -> np.ndarray:
+    def _first_layer(self, packed, rows=None) -> np.ndarray:
         """Input rows times the input weights, without the bias: (B, width),
         or with ``rows`` one output row per input row named there.
 
@@ -366,8 +393,6 @@ class MaeParams:
         batch; from blocks of several rows the named rows are then picked.
         """
         w_in = self.w_in.data
-        if packed is None:
-            return _matmul(x if rows is None else x[rows], w_in)
         x3, cols, counts = packed
         n, width = x3.shape[1], w_in.shape[1]
         blocks = None if rows is None else np.unique(rows // n)
@@ -391,28 +416,28 @@ class MaeParams:
             return z
         return z[rows if blocks is None else np.searchsorted(blocks, rows // n) * n + rows % n]
 
-    def _first_layer_grad(self, x: np.ndarray, packed, gz: np.ndarray, rows=None) -> np.ndarray:
+    def _first_layer_grad(self, packed, gz: np.ndarray, rows=None) -> np.ndarray:
         """Gradient of the input weights given the first layer's output gradient gz.
 
         With ``rows``, gz has one row per input row named there and the other
         rows contribute nothing: each group of equal rows counts once.
         """
-        if packed is None:
-            return (x if rows is None else x[rows]).T @ gz
         x3, cols, _ = packed
+        x2 = x3.reshape(x3.shape[0] * x3.shape[1], x3.shape[2])
         if rows is None:
-            rows = np.arange(len(x))
+            rows = np.arange(len(x2))
         blk = rows // x3.shape[1]
         # the used (row of gz, slot) entries in order of row and slot, then
         # stably sorted by column (a radix sort on small integers): one
         # segment per used column, its values against its rows of gz
         at, slot = np.nonzero((cols >= 0)[blk])
         col = cols[blk[at], slot].astype(np.min_scalar_type(len(self.w_in.data)))
-        val = x3.reshape(len(x), x3.shape[2])[rows[at], slot]
+        val = x2[rows[at], slot]
         del slot  # arrays one entry long dominate the memory here: hold few at once
+        at = at.astype(np.min_scalar_type(len(gz)))
         order = np.argsort(col, kind="stable")
-        at = at[order]
-        val = val[order]
+        at, val = at[order], val[order]
+        del order
         size = np.bincount(col, minlength=len(self.w_in.data))
         used = np.flatnonzero(size)
         ends = np.cumsum(size[used]).tolist()
@@ -466,12 +491,12 @@ class MaeParams:
                 h = np.add(h, z, out=None if keep else h)
         return h
 
-    def masked_logits_np(self, x: np.ndarray, vs, cols=None) -> np.ndarray:
-        """Gradient-free ``masked_logits``, with the optional ``cols`` input form."""
+    def masked_logits_np(self, x: np.ndarray, vs, cols) -> np.ndarray:
+        """Gradient-free ``masked_logits``."""
         vs = _row_vars(x, vs)
         packed = self._packed(x, cols)
-        rows, inv = self._distinct_rows(x, packed, vs) or (None, None)
-        h = self._first_layer(x, packed, rows)
+        rows, inv = self._distinct_rows(packed, vs) or (None, None)
+        h = self._first_layer(packed, rows)
         logits = self._head_np(self._sliced_blocks_np(h), vs if rows is None else vs[rows])
         if inv is not None:
             logits = logits[inv]
@@ -480,7 +505,7 @@ class MaeParams:
             return logits
         return np.where(empty, self.marginals.data[vs], logits)
 
-    def _row_keys(self, x: np.ndarray, packed, vs: np.ndarray) -> np.ndarray:
+    def _row_keys(self, packed, vs: np.ndarray) -> np.ndarray:
         """One number per row: equal for rows with equal variable, columns and
         values, and otherwise different unless fixed random weights tie.
 
@@ -491,15 +516,13 @@ class MaeParams:
         ``einsum`` sums each row alike wherever it sits in the batch.
         """
         key = _key_weights(self.cfg.num_vars)[vs]
-        if packed is None:
-            return key + np.einsum("ij,j->i", x, _key_weights(x.shape[1]))
         x3, cols, _ = packed
         k = x3.shape[2]
         col_key = np.einsum("ek,k->e", cols, _key_weights(k, integer=True)) * 2.0**-32
         key += (np.einsum("enk,k->en", x3, _key_weights(k)) + col_key[:, None]).ravel()
         return key
 
-    def _distinct_rows(self, x: np.ndarray, packed, vs: np.ndarray):
+    def _distinct_rows(self, packed, vs: np.ndarray):
         """(rows, inv) when enough rows repeat, else None.
 
         ``rows`` lists, ascending, the first row of each group of rows with
@@ -510,7 +533,7 @@ class MaeParams:
         merges different rows and a row holding NaN never joins another.
         """
         n_rows = len(vs)
-        key = self._row_keys(x, packed, vs)
+        key = self._row_keys(packed, vs)
         order = np.argsort(key)
         key = key[order]
         least = max(1.0, _MIN_REPEAT_SHARE * n_rows)
@@ -518,14 +541,10 @@ class MaeParams:
         if len(pair) < least:
             return None
         a, b = order[pair], order[pair + 1]
+        x3, cols, _ = packed
+        vals, n = x3.reshape(n_rows, -1), x3.shape[1]
         same = vs[a] == vs[b]
-        if packed is None:
-            same &= (x[a] == x[b]).all(axis=1)
-        else:
-            x3, cols, _ = packed
-            n = x3.shape[1]
-            vals = x3.reshape(n_rows, -1)
-            same &= (vals[a] == vals[b]).all(axis=1) & (cols[a // n] == cols[b // n]).all(axis=1)
+        same &= (vals[a] == vals[b]).all(axis=1) & (cols[a // n] == cols[b // n]).all(axis=1)
         if same.sum() < least:
             return None
         start = np.ones(n_rows, dtype=bool)

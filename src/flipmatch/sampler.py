@@ -87,14 +87,6 @@ class Policy:
     def on_policy(cls) -> "Policy":
         return cls()
 
-    @classmethod
-    def tempered(cls, temperature: float) -> "Policy":
-        return cls(kind="tempered", temperature=temperature)
-
-    @classmethod
-    def eps_uniform(cls, eps: float) -> "Policy":
-        return cls(kind="eps-uniform", eps=eps)
-
     def plus_probability(self, logits: np.ndarray) -> np.ndarray:
         """Probability of drawing +1 at a step with the given model logits."""
         if self.kind == "tempered":

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -203,9 +203,29 @@ def relative_error(analytic: np.ndarray, numeric: np.ndarray, floor: float = 1e-
     return np.abs(analytic - numeric) / denom
 
 
+def every_column(x: np.ndarray) -> np.ndarray:
+    """``cols`` that hand (B, input_width) rows to the network as one block
+    listing every column."""
+    return np.arange(np.shape(x)[1])[None, :]
+
+
 def trunk_np(mae, x: np.ndarray, cols=None) -> np.ndarray:
     """The network's gradient-free trunk: (B, input_width) rows, or (B, K) with ``cols``."""
-    return mae._sliced_blocks_np(mae._first_layer(x, mae._packed(x, cols)))
+    cols = every_column(x) if cols is None else cols
+    return mae._sliced_blocks_np(mae._first_layer(mae._packed(x, cols)))
+
+
+def taped_trunk(mae, x: np.ndarray, cols) -> Tensor:
+    """The trunk on compact input rows as one tape node, without a head."""
+    packed = mae._packed(x, cols)
+    return mae._taped_blocks(mae._first_layer(packed), partial(mae._first_layer_grad, packed))
+
+
+def dense_trunk(mae, x: np.ndarray) -> Tensor:
+    """The trunk on (B, input_width) masked rows as one tape node, through the
+    dense first layer: x @ w_in, whose input weights' gradient is x.T @ gz."""
+    x = np.asarray(x, dtype=np.float64)
+    return mae._taped_blocks(_matmul(x, mae.w_in.data), lambda gz: x.T @ gz)
 
 
 def fit_sampler_exactly(mae, imaps, table) -> float:
@@ -362,6 +382,10 @@ class ExactFlow:
     def __init__(self, table: ExactTable) -> None:
         self.table = table
 
+    def log_flows(self, m: EnergyModel, imap: Imap, X: np.ndarray) -> Tensor:
+        """log F of every prefix of the order, prefix-major, as ``FlowHead.log_flows``."""
+        return self.log_flow_rows(m, _prefix_rows(imap, X))
+
     def log_flow_rows(self, m: EnergyModel, rows: np.ndarray) -> Tensor:
         rows = np.asarray(rows)
         states = self.table.states()
@@ -495,19 +519,20 @@ def no_merging(monkeypatch) -> None:
     monkeypatch.setattr(MaeParams, "_distinct_rows", lambda self, *args: None)
 
 
-def whole_batch_masked_logits(mae, x: np.ndarray, vs, cols=None) -> Tensor:
+def whole_batch_masked_logits(mae, x: np.ndarray, vs, cols) -> Tensor:
     """``masked_logits`` with the blocks run on the whole batch at once, every
     block's intermediates kept, and the head as a separate ``pick_affine``
     node: the taped call before it ran in slices."""
     vs = np.asarray(vs, dtype=np.int64)
     packed = mae._packed(x, cols)
-    z = mae._first_layer(x, packed)
-    distinct = mae._distinct_rows(x, packed, vs)
+    z = mae._first_layer(packed)
+    distinct = mae._distinct_rows(packed, vs)
     if distinct is None:
-        logits = tape.pick_affine(_whole_batch_blocks(mae, x, packed, z), mae.w_out, mae.b_out, vs)
+        trunk = _whole_batch_blocks(mae, z, partial(mae._first_layer_grad, packed))
+        logits = tape.pick_affine(trunk, mae.w_out, mae.b_out, vs)
     else:
         rows, inv = distinct
-        trunk = _whole_batch_blocks(mae, x, packed, z[rows], rows)
+        trunk = _whole_batch_blocks(mae, z[rows], partial(mae._first_layer_grad, packed, rows=rows))
         logits = tape.gather_1d(tape.pick_affine(trunk, mae.w_out, mae.b_out, vs[rows]), inv)
     empty = ~(x != 0).any(axis=1)
     if not empty.any():
@@ -515,18 +540,15 @@ def whole_batch_masked_logits(mae, x: np.ndarray, vs, cols=None) -> Tensor:
     return tape.where(empty, tape.gather_1d(mae.marginals, vs), logits)
 
 
-def whole_batch_trunk(mae, x: np.ndarray, cols=None) -> Tensor:
-    """``trunk`` run on the whole batch at once (see ``whole_batch_masked_logits``)."""
-    packed = mae._packed(x, cols)
-    return _whole_batch_blocks(mae, x, packed, mae._first_layer(x, packed))
+def whole_batch_prefix_trunk(mae, X: np.ndarray, order) -> Tensor:
+    """``prefix_trunk`` run on the whole batch at once (see ``whole_batch_masked_logits``)."""
+    return _whole_batch_blocks(mae, *mae._prefix_first_layer(X, order))
 
 
-def count_order_first_layer(mae, x: np.ndarray, packed) -> np.ndarray:
+def count_order_first_layer(mae, packed) -> np.ndarray:
     """``MaeParams._first_layer`` as it was: blocks out of count order are
     copied in count order, and the output is put back in block order."""
     w_in = mae.w_in.data
-    if packed is None:
-        return _matmul(x, w_in)
     x3, cols, counts = packed
     # blocks in order of count, put back at the end if that moved them
     moved = (counts[1:] < counts[:-1]).any()
@@ -540,14 +562,12 @@ def count_order_first_layer(mae, x: np.ndarray, packed) -> np.ndarray:
         np.matmul(x3[a:b, :, :k], w_in[cols[a:b, :k]], out=z[a:b])
     if moved:
         z = z[np.argsort(order)]
-    return z.reshape(len(x), w_in.shape[1])
+    return z.reshape(-1, w_in.shape[1])
 
 
-def sorted_copy_first_layer_grad(mae, x: np.ndarray, packed, gz: np.ndarray, rows=None):
+def sorted_copy_first_layer_grad(mae, packed, gz: np.ndarray, rows=None):
     """``MaeParams._first_layer_grad`` as it was: one entry per used (row,
     slot) pair, then stably sorted copies of all three entry arrays."""
-    if packed is None:
-        return (x if rows is None else x[rows]).T @ gz
     x3, cols, _ = packed
     n = x3.shape[1]
     blk, slot = np.nonzero(cols >= 0)
@@ -555,7 +575,7 @@ def sorted_copy_first_layer_grad(mae, x: np.ndarray, packed, gz: np.ndarray, row
     row = (blk[:, None] * n + np.arange(n)).ravel()
     val = x3[blk, :, slot].ravel()
     if rows is not None:
-        at = np.full(len(x), -1)
+        at = np.full(x3.shape[0] * n, -1)
         at[rows] = np.arange(len(rows))
         row = at[row]
         keep = row >= 0
@@ -581,27 +601,28 @@ def all_rows_first_layer(monkeypatch) -> None:
     monkeypatch.setattr(MaeParams, "_first_layer_grad", _expanded_first_layer_grad)
 
 
-def _all_rows_masked_logits(mae, x: np.ndarray, vs, cols=None) -> Tensor:
+def _all_rows_masked_logits(mae, x: np.ndarray, vs, cols) -> Tensor:
     vs = _row_vars(x, vs)
     packed = mae._packed(x, cols)
-    z = mae._first_layer(x, packed)
-    distinct = mae._distinct_rows(x, packed, vs)
+    z = mae._first_layer(packed)
+    distinct = mae._distinct_rows(packed, vs)
     if distinct is None:
-        logits = mae._taped_blocks(x, packed, z, head=vs)
+        logits = mae._taped_blocks(z, partial(mae._first_layer_grad, packed), vs)
     else:
         rows, inv = distinct
-        logits = tape.gather_1d(mae._taped_blocks(x, packed, z[rows], rows, vs[rows]), inv)
+        w_in_grad = partial(mae._first_layer_grad, packed, rows=rows)
+        logits = tape.gather_1d(mae._taped_blocks(z[rows], w_in_grad, vs[rows]), inv)
     empty = ~(x != 0).any(axis=1)
     if not empty.any():
         return logits
     return tape.where(empty, tape.gather_1d(mae.marginals, vs), logits)
 
 
-def _all_rows_masked_logits_np(mae, x: np.ndarray, vs, cols=None) -> np.ndarray:
+def _all_rows_masked_logits_np(mae, x: np.ndarray, vs, cols) -> np.ndarray:
     vs = _row_vars(x, vs)
     packed = mae._packed(x, cols)
-    h = mae._first_layer(x, packed)
-    distinct = mae._distinct_rows(x, packed, vs)
+    h = mae._first_layer(packed)
+    distinct = mae._distinct_rows(packed, vs)
     head = vs
     if distinct is not None:
         rows, inv = distinct
@@ -615,10 +636,8 @@ def _all_rows_masked_logits_np(mae, x: np.ndarray, vs, cols=None) -> np.ndarray:
     return np.where(empty, mae.marginals.data[vs], logits)
 
 
-def _all_rows_first_layer(mae, x: np.ndarray, packed) -> np.ndarray:
+def _all_rows_first_layer(mae, packed) -> np.ndarray:
     w_in = mae.w_in.data
-    if packed is None:
-        return _matmul(x, w_in)
     x3, cols, counts = packed
     z = np.empty(x3.shape[:2] + (w_in.shape[1],))
     if not (counts[1:] < counts[:-1]).any():
@@ -631,12 +650,10 @@ def _all_rows_first_layer(mae, x: np.ndarray, packed) -> np.ndarray:
         order = np.argsort(counts, kind="stable")
         for a, b, k in _count_runs(counts[order], x3.shape[1], w_in.shape[1]):
             z[order[a:b]] = np.matmul(x3[order[a:b], :, :k], w_in[cols[order[a:b], :k]])
-    return z.reshape(len(x), w_in.shape[1])
+    return z.reshape(-1, w_in.shape[1])
 
 
-def _expanded_first_layer_grad(mae, x: np.ndarray, packed, gz: np.ndarray, rows=None):
-    if packed is None:
-        return (x if rows is None else x[rows]).T @ gz
+def _expanded_first_layer_grad(mae, packed, gz: np.ndarray, rows=None):
     x3, cols, _ = packed
     n = x3.shape[1]
     blk, slot = np.nonzero(cols >= 0)
@@ -647,7 +664,7 @@ def _expanded_first_layer_grad(mae, x: np.ndarray, packed, gz: np.ndarray, rows=
     row = (blk[:, None] * n + np.arange(n)).ravel()
     val = x3[blk, :, slot].ravel()
     if rows is not None:
-        at = np.full(len(x), -1)
+        at = np.full(x3.shape[0] * n, -1)
         at[rows] = np.arange(len(rows))
         row = at[row]
         keep = row >= 0
@@ -659,10 +676,10 @@ def _expanded_first_layer_grad(mae, x: np.ndarray, packed, gz: np.ndarray, rows=
     return grad
 
 
-def _whole_batch_blocks(mae, x: np.ndarray, packed, h: np.ndarray, rows=None) -> Tensor:
+def _whole_batch_blocks(mae, h: np.ndarray, w_in_grad) -> Tensor:
     """The blocks on first-layer outputs h as one tape node that keeps each
     block's input, normalized values, 1/sigma and activation slope for every
-    row; ``rows`` as for ``MaeParams._taped_blocks``."""
+    row; ``w_in_grad`` as for ``MaeParams._taped_blocks``."""
     saved: list[tuple] = []
     h = mae._blocks_np(h, saved)
 
@@ -680,7 +697,7 @@ def _whole_batch_blocks(mae, x: np.ndarray, packed, h: np.ndarray, rows=None) ->
             m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
             gz = inv * (dxhat - m1 - xhat * m2)
             if k == 0:
-                mae.w_in.accumulate(mae._first_layer_grad(x, packed, gz, rows))
+                mae.w_in.accumulate(w_in_grad(gz))
                 mae.b_in.accumulate(gz.sum(axis=0))
             else:
                 wk.accumulate(h_in.T @ gz)
@@ -745,17 +762,17 @@ def scatter_compact(values: np.ndarray, cols: np.ndarray, width: int) -> np.ndar
 
 
 class DenseSampler(AmortizedSampler):
-    """``logq_rows`` through |V|-wide rows and the network's dense first layer.
+    """``logq_rows`` through |V|-wide rows, one block listing every column.
 
     Built on the same parameters as the sampler it shadows; with
     ``dense_rows_in`` (below) the rows themselves are built |V| wide, so
-    nothing of the compact path is left.
+    nothing of the compact parent rows is left.
     """
 
     def logq_rows(self, rows, vs, signs) -> Tensor:
         values, cols = rows
         dense = scatter_compact(values, cols, self.num_vars)
-        logits = self.params.masked_logits(dense, vs)
+        logits = self.params.masked_logits(dense, vs, every_column(dense))
         return tape.log_sigmoid(tape.mul(logits, np.asarray(signs, dtype=np.float64)))
 
 
@@ -1268,6 +1285,68 @@ def running_intersection_holds(jt: JunctionTree) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# state flows on |V|-wide masked rows, as the flow head read them before its
+# prefixes became a running sum of the first layer: any rows through the
+# dense first layer, and DB and subTB on the dense prefix rows.
+
+
+def correction_rows(flow: FlowHead, rows: np.ndarray) -> Tensor:
+    """The flow head's output on masked rows, before any reward is added."""
+    return flow.params.flow(dense_trunk(flow.params, rows))
+
+
+def log_flow_rows(flow, m: EnergyModel, rows: np.ndarray) -> Tensor:
+    """log F for a batch of masked rows; a ``FlowHead``'s full rows pinned to log R."""
+    if isinstance(flow, ExactFlow):
+        return flow.log_flow_rows(m, rows)
+    rows = np.asarray(rows, dtype=np.float64)
+    full = np.all(rows != 0, axis=1)
+    out = correction_rows(flow, rows)
+    if flow.forward_looking:
+        out = out + m.partial_reward_batch(rows, flow.reward_mode)
+    if not full.any():
+        return out
+    pinned = np.zeros(rows.shape[0])
+    pinned[full] = m.log_reward_batch(rows[full].astype(np.int8))
+    return tape.where(full, tape.const(pinned), out)
+
+
+def dense_db_trajectory_loss(s, imap: Imap, m: EnergyModel, X, flow) -> Tensor:
+    """``db_trajectory_loss`` with its flows on the dense prefix rows."""
+    X = _require_full(imap, X)
+    n, num_vars = X.shape
+    flows = log_flow_rows(flow, m, _prefix_rows(imap, X))  # ((V+1)*n,) prefix-major
+    rows, vs, signs = _step_rows(imap, X)
+    logq = _clamped_logq(s, rows, vs, signs)  # (V*n,) step-major
+    idx = np.arange(num_vars * n)
+    residual = tape.gather_1d(flows, idx) + logq - tape.gather_1d(flows, idx + n)
+    return residual.square().mean()
+
+
+def dense_subtb_loss_batch(s, imap: Imap, m: EnergyModel, X, flow, lam: float) -> Tensor:
+    """``subtb_loss_batch`` with its flows on the dense prefix rows, the rows
+    and the step conditionals reordered sample-major before the network."""
+    X = _require_full(imap, X)
+    n, num_vars = X.shape
+    pm = _prefix_rows(imap, X)
+    ss = np.repeat(np.arange(n), num_vars + 1)
+    kk = np.tile(np.arange(num_vars + 1), n)
+    F = tape.reshape(log_flow_rows(flow, m, pm[kk * n + ss]), (n, num_vars + 1))
+    (values, cols), vs, signs = _step_rows(imap, X)
+    perm = np.tile(np.arange(num_vars), n) * n + np.repeat(np.arange(n), num_vars)
+    lq = _clamped_logq(s, (values[perm], cols[perm]), vs[perm], signs[perm])
+    lq = tape.reshape(lq, (n, num_vars))
+    lower = np.tril(np.ones((num_vars + 1, num_vars)), k=-1)
+    D = F - tape.matmul(lq, tape.const(lower.T))
+    k = np.arange(num_vars + 1)
+    W = np.power(float(lam), np.abs(k[:, None] - k[None, :]))
+    np.fill_diagonal(W, 0.0)
+    W /= W.sum() / 2
+    Q = (np.diag(W.sum(axis=1)) - W) / n
+    return (tape.matmul(D, tape.const(Q)) * D).sum()
+
+
+# ---------------------------------------------------------------------------
 # subTB as an explicit sum over ranges: one residual column per (i, j) pair.
 # The library evaluates the same weighted sum as one quadratic form.
 
@@ -1276,10 +1355,9 @@ def pair_subtb_loss_batch(s, imap, m, X, flow, lam: float) -> Tensor:
     """λ-weighted mean of squared sub-range residuals, one column per range."""
     X = _require_full(imap, X)
     n, num_vars = X.shape
-    pm = _prefix_rows(imap, X)
-    ss = np.repeat(np.arange(n), num_vars + 1)
-    kk = np.tile(np.arange(num_vars + 1), n)
-    F = tape.reshape(flow.log_flow_rows(m, pm[kk * n + ss]), (n, num_vars + 1))
+    sample_major = np.tile(np.arange(num_vars + 1), n) * n + np.repeat(np.arange(n), num_vars + 1)
+    F = tape.gather_1d(flow.log_flows(m, imap, X), sample_major)
+    F = tape.reshape(F, (n, num_vars + 1))
     (values, cols), vs, signs = _step_rows(imap, X)
     perm = np.tile(np.arange(num_vars), n) * n + np.repeat(np.arange(n), num_vars)
     lq = _clamped_logq(s, (values[perm], cols[perm]), vs[perm], signs[perm])
@@ -1391,7 +1469,7 @@ def db_loss(s, imap: Imap, m: EnergyModel, x_prefix, next_var: int, flow) -> Ten
         )
     prefix = vals.copy()
     prefix[next_var] = 0.0
-    flows = flow.log_flow_rows(m, np.vstack([prefix, vals]))
+    flows = log_flow_rows(flow, m, np.vstack([prefix, vals]))
     rows = imap_parent_rows(imap, vals[None, :], np.array([next_var]))
     logq = _clamped_logq(s, rows, [next_var], [vals[next_var]])
     residual = (
@@ -1409,7 +1487,7 @@ def fl_flow(flow: FlowHead, m: EnergyModel, x, mode: str = ZERO_MASKED) -> Tenso
     themselves — so a full assignment evaluates to log R plus the correction.
     """
     vals = _row(x)
-    corr = flow.correction_rows(vals[None, :].astype(np.float64))
+    corr = correction_rows(flow, vals[None, :])
     partial = partial_reward(m, vals, mode)
     return corr.sum() + float(partial)
 

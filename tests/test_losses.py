@@ -51,6 +51,7 @@ from flipmatch.losses import (
     LOGQ_FLOOR,
     FlowHead,
     LogZEstimate,
+    _prefix_rows,
     _surrogate_pairs,
     db_trajectory_loss,
     delta_loss,
@@ -70,12 +71,16 @@ from oracles import (
     _children,
     _flip_term_rows,
     all_states,
+    correction_rows,
     db_loss,
+    dense_db_trajectory_loss,
     dense_rows_in,
+    dense_subtb_loss_batch,
     factors_touching,
     fit_sampler_exactly,
     fl_flow,
     imap_parent_rows,
+    log_flow_rows,
     log_prob,
     no_merging,
     pair_subtb_loss_batch,
@@ -441,10 +446,10 @@ class TestDeltaLoss:
 class TestCompactMatchesDense:
     """Every taped loss on compact parent rows against |V|-wide rows.
 
-    The dense side builds its rows with ``oracles.dense_parent_rows`` and runs
-    them through the network's dense first layer (``oracles.DenseSampler``),
-    on the same parameters.  Values and every parameter gradient agree within
-    1e-12.
+    The dense side builds its rows with ``oracles.dense_parent_rows`` and hands
+    them to the network as one block that lists every column
+    (``oracles.DenseSampler``), on the same parameters.  Values and every
+    parameter gradient agree within 1e-12.
     """
 
     def build(self, activation):
@@ -623,8 +628,8 @@ class TestDistinctRows:
         asked, passed = [], []
         distinct_rows = MaeParams._distinct_rows
 
-        def counted(self, x, packed, vs):
-            out = distinct_rows(self, x, packed, vs)
+        def counted(self, packed, vs):
+            out = distinct_rows(self, packed, vs)
             asked.append(len(vs))
             passed.append(len(vs) if out is None else len(out[0]))
             return out
@@ -959,9 +964,7 @@ class TestDbLoss:
         s = randomized_sampler(5, seed=seed % 100, flow_head=True)
         flow = FlowHead(s.params, forward_looking=True)
         x = table.sample_matrix(1, seed=seed)[0]
-        flows = flow.log_flow_rows(
-            m, np.stack([prefix_after(imap, x, k) for k in range(6)])
-        ).data
+        flows = log_flow_rows(flow, m, np.stack([prefix_after(imap, x, k) for k in range(6)])).data
         steps = []
         for k, v in enumerate(imap.topo_order):
             row = imap_parent_rows(imap, x[None, :].astype(np.float64), [v])
@@ -1027,9 +1030,8 @@ class TestSubTb:
         for lam in (0.5, 1.0, 1.7):
             expected = 0.0
             for x in X:
-                flows = flow.log_flow_rows(
-                    m, np.stack([prefix_after(imap, x, k) for k in range(num_vars + 1)])
-                ).data
+                prefixes = np.stack([prefix_after(imap, x, k) for k in range(num_vars + 1)])
+                flows = log_flow_rows(flow, m, prefixes).data
                 lqs = []
                 for v in imap.topo_order:
                     row = imap_parent_rows(imap, x[None, :], [v])
@@ -1082,6 +1084,75 @@ class TestSubTb:
                 subtb_loss_batch(s, imap, m, X, flow, lam)
 
 
+class TestBalanceNeedsFullMap:
+    """The balance objectives score whole trajectories: a map that leaves a
+    variable out is refused, as ancestral sampling refuses it."""
+
+    @pytest.mark.parametrize("objective", ["tb", "db", "subtb"])
+    def test_sub_map_rejected(self, objective):
+        g = grid_graph(3, 3)
+        m = random_ising(g, sigma=0.5, seed=1)
+        s = randomized_sampler(9, seed=2, flow_head=True)
+        flow = FlowHead(s.params)
+        sub = sub_imap(g, 4, seed=0)
+        assert 1 < len(sub.order) < 9
+        X = np.random.default_rng(3).choice([-1.0, 1.0], size=(4, 9))
+        loss = {
+            "tb": lambda imap: tb_loss_batch(s, imap, m, X, LogZEstimate()),
+            "db": lambda imap: db_trajectory_loss(s, imap, m, X, flow),
+            "subtb": lambda imap: subtb_loss_batch(s, imap, m, X, flow, 0.9),
+        }[objective]
+        with pytest.raises(ConfigError, match="covering all 9 variables"):
+            loss(sub)
+        assert np.isfinite(float(loss(sample_imap(g, seed=0)).data))
+
+
+class TestFlowsMatchDense:
+    """State flows from the running sum of the first layer against the flow
+    head on the dense prefix rows (``oracles.log_flow_rows``), and DB and subTB
+    against their dense-prefix forms: values and every gradient within 1e-12
+    relative, in plain and forward-looking mode and both reward modes."""
+
+    MODES = [(False, ZERO_MASKED), (True, ZERO_MASKED), (True, COMPLETED_FACTORS)]
+    IDS = ["plain", "fl-zero-masked", "fl-completed"]
+
+    def build(self, forward_looking, reward_mode):
+        g = grid_graph(3, 3)
+        rng = np.random.default_rng(7)
+        factors = [MlpFactor.random(e, rng) for e in g.edges]
+        m = FactorGraphModel(9, factors)
+        imap = sample_imap(g, seed=4)
+        assert not np.array_equal(imap.order, np.arange(9))
+        s = randomized_sampler(9, seed=8, flow_head=True)
+        flow = FlowHead(s.params, forward_looking=forward_looking, reward_mode=reward_mode)
+        X = rng.choice([-1.0, 1.0], size=(6, 9))
+        return m, imap, s, flow, X
+
+    def same(self, params, got, want):
+        got_v, want_v = got.data, want.data
+        assert np.abs(got_v - want_v).max() <= 1e-12 * np.abs(want_v).max()
+        weights = np.random.default_rng(9).normal(size=got_v.shape)
+        got_g = collect_grads(params, tape.mul(got, weights).sum())
+        want_g = collect_grads(params, tape.mul(want, weights).sum())
+        assert max(np.abs(g).max() for g in got_g) > 1e-3
+        for g, w in zip(got_g, want_g):
+            assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max(initial=0.0)
+
+    @pytest.mark.parametrize("forward_looking, reward_mode", MODES, ids=IDS)
+    def test_log_flows(self, forward_looking, reward_mode):
+        m, imap, s, flow, X = self.build(forward_looking, reward_mode)
+        got = flow.log_flows(m, imap, X)
+        want = log_flow_rows(flow, m, _prefix_rows(imap, X))
+        self.same(s.params.params, got, want)
+
+    @pytest.mark.parametrize("forward_looking, reward_mode", MODES, ids=IDS)
+    def test_db_and_subtb(self, forward_looking, reward_mode):
+        m, imap, s, flow, X = self.build(forward_looking, reward_mode)
+        args = (s, imap, m, X, flow)
+        self.same(s.params.params, db_trajectory_loss(*args), dense_db_trajectory_loss(*args))
+        self.same(s.params.params, subtb_loss_batch(*args, 0.8), dense_subtb_loss_batch(*args, 0.8))
+
+
 def mlp_chain_model(num_vars: int = 4, seed: int = 0) -> FactorGraphModel:
     rng = np.random.default_rng(seed)
     factors = [MlpFactor.random((v, v + 1), rng) for v in range(num_vars - 1)]
@@ -1107,7 +1178,7 @@ class TestFlowParametrization:
         s = randomized_sampler(4, seed=3, flow_head=True)
         flow = FlowHead(s.params, forward_looking=True)
         x = np.array([1, -1, 1, 1], dtype=np.int8)
-        corr = float(flow.correction_rows(x[None, :].astype(np.float64)).data[0])
+        corr = float(correction_rows(flow, x[None, :]).data[0])
         val = float(fl_flow(flow, m, x).data)
         assert_allclose(val, m.log_reward_batch(x[None, :])[0] + corr, rtol=1e-9)
 
@@ -1116,7 +1187,7 @@ class TestFlowParametrization:
         s = randomized_sampler(4, seed=3, flow_head=True)
         flow = FlowHead(s.params, forward_looking=True)
         empty = np.zeros(4, dtype=np.int8)
-        corr = float(flow.correction_rows(np.zeros((1, 4))).data[0])
+        corr = float(correction_rows(flow, np.zeros((1, 4))).data[0])
         at_zero = sum(float(f.log_value(np.zeros((1, len(f.scope))))[0]) for f in m.factors)
         assert_allclose(float(fl_flow(flow, m, empty).data), corr + at_zero, rtol=1e-9)
         # Ising factors all pass through zero, so there the flow is bare
@@ -1131,19 +1202,21 @@ class TestFlowParametrization:
         val = float(fl_flow(flow, m, x, COMPLETED_FACTORS).data)
         assert_allclose(val, partial_reward(m, x, COMPLETED_FACTORS), rtol=1e-12)
         assert_allclose(
-            float(flow.log_flow_rows(m, x[None, :].astype(np.float64)).data[0]), val, rtol=1e-12
+            float(log_flow_rows(flow, m, x[None, :]).data[0]), val, rtol=1e-12
         )
 
     def test_terminal_flow_pinned_to_reward(self):
         m = mlp_chain_model()
+        imap = sample_imap(chain_graph(4), seed=1)
         s = randomized_sampler(4, seed=6, flow_head=True)
         flow = FlowHead(s.params, forward_looking=True)
         rng = np.random.default_rng(2)
         X = rng.choice([-1.0, 1.0], size=(5, 4))
-        out = flow.log_flow_rows(m, X)
-        assert_array_equal(out.data, m.log_reward_batch(X.astype(np.int8)))
+        out = flow.log_flows(m, imap, X)
+        assert out.shape == (25,)
+        assert_array_equal(out.data[20:], m.log_reward_batch(X.astype(np.int8)))
         # and no gradient reaches the flow head through pinned rows
-        grads = collect_grads([s.params.w_flow], out.sum())
+        grads = collect_grads([s.params.w_flow], tape.gather_1d(out, np.arange(20, 25)).sum())
         assert np.all(grads[0] == 0.0)
 
     def test_exact_flow_endpoints(self):

@@ -31,13 +31,15 @@ from oracles import (
     all_rows_first_layer,
     central_diff,
     count_order_first_layer,
+    every_column,
     masked_sigmoid,
     no_merging,
     relative_error,
     sorted_copy_first_layer_grad,
+    taped_trunk,
     trunk_np,
     whole_batch_masked_logits,
-    whole_batch_trunk,
+    whole_batch_prefix_trunk,
 )
 
 
@@ -258,7 +260,7 @@ class TestMae:
         cfg = small_config()
         mae = MaeParams(cfg)
         x = sample_inputs(cfg, 6, seed=0)
-        logits = mae.masked_logits(x, np.arange(6) % 4)
+        logits = mae.masked_logits(x, np.arange(6) % 4, every_column(x))
         assert_array_equal(logits.data, np.zeros(6))
 
     def test_same_seed_same_params(self):
@@ -271,7 +273,7 @@ class TestMae:
     def test_rejects_bad_input_width(self):
         mae = MaeParams(small_config())
         with pytest.raises(ShapeMismatch):
-            mae.trunk(np.zeros((2, 5)))
+            mae.prefix_trunk(np.zeros((2, 5)), range(4))
         with pytest.raises(ShapeMismatch):
             trunk_np(mae, np.zeros((2, 5)))
 
@@ -285,7 +287,10 @@ class TestMae:
                 randomize(mae, seed=11)
                 x = sample_inputs(cfg, batch, seed=2)
                 vs = np.resize([3, 0, 2, 3, 1], batch)
-                assert_array_equal(mae.masked_logits(x, vs).data, mae.masked_logits_np(x, vs))
+                cols = every_column(x)
+                assert_array_equal(
+                    mae.masked_logits(x, vs, cols).data, mae.masked_logits_np(x, vs, cols)
+                )
 
     def test_relu_maps_nan_to_zero_like_the_tape(self):
         cfg = small_config(activation="relu", blocks=1)
@@ -295,7 +300,7 @@ class TestMae:
         x[2:4, 1] = np.nan
         plain = trunk_np(mae, x)
         assert_array_equal(plain[2:4], 0.0)
-        assert_array_equal(mae.trunk(x).data, plain)
+        assert_array_equal(taped_trunk(mae, x, every_column(x)).data, plain)
 
     def test_empty_rows_read_the_marginal_head(self):
         cfg = small_config()
@@ -304,7 +309,7 @@ class TestMae:
         mae.marginals.data = np.array([0.5, -1.0, 2.0, 0.0])
         x = sample_inputs(cfg, 4, seed=3, empty_rows=2)
         vs = np.array([1, 2, 0, 3])
-        out = mae.masked_logits(x, vs).data
+        out = mae.masked_logits(x, vs, every_column(x)).data
         assert out[0] == mae.marginals.data[1]
         assert out[1] == mae.marginals.data[2]
         assert out[3] != mae.marginals.data[3]
@@ -324,11 +329,11 @@ class TestMae:
 
         def loss_value(flat: np.ndarray) -> float:
             mae.unpack(flat)
-            return float(tape.mul(mae.masked_logits(xs, vs), weights).sum().data)
+            return float(tape.mul(mae.masked_logits(xs, vs, every_column(xs)), weights).sum().data)
 
         flat0 = mae.pack()
         mae.zero_grad()
-        tape.backward(tape.mul(mae.masked_logits(xs, vs), weights).sum())
+        tape.backward(tape.mul(mae.masked_logits(xs, vs, every_column(xs)), weights).sum())
         analytic = np.concatenate(
             [
                 (p.grad if p.grad is not None else np.zeros_like(p.data)).ravel()
@@ -344,46 +349,21 @@ class TestMae:
         # the rest must still agree in absolute terms
         assert np.abs(analytic[~live] - numeric[~live]).max(initial=0.0) < 1e-6
 
-    def test_flow_head_gradcheck(self):
-        cfg = small_config(flow_head=True, blocks=1)
-        mae = MaeParams(cfg)
-        randomize(mae, seed=17)
-        x = sample_inputs(cfg, 3, seed=6)
-        weights = np.random.default_rng(7).normal(size=3)
-
-        def loss_value(flat: np.ndarray) -> float:
-            mae.unpack(flat)
-            return float(tape.mul(mae.flow(mae.trunk(x)), weights).sum().data)
-
-        flat0 = mae.pack()
-        mae.zero_grad()
-        tape.backward(tape.mul(mae.flow(mae.trunk(x)), weights).sum())
-        analytic = np.concatenate(
-            [
-                (p.grad if p.grad is not None else np.zeros_like(p.data)).ravel()
-                for p in mae.params
-            ]
-        )
-        numeric = central_diff(loss_value, flat0, h=1e-4)
-        mae.unpack(flat0)
-        err = relative_error(analytic, numeric, floor=1e-3)
-        assert err.max() < 1e-4
-
     def test_flow_without_head_raises(self):
         mae = MaeParams(small_config())
         x = sample_inputs(mae.cfg, 2, seed=8)
         with pytest.raises(ShapeMismatch):
-            mae.flow(mae.trunk(x))
+            mae.flow(mae.prefix_trunk(x, range(4)))
 
     def test_shapes(self):
         cfg = small_config(flow_head=True)
         mae = MaeParams(cfg)
         x = np.zeros((5, cfg.input_width))
         x[:, -1] = 1.0
-        h = mae.trunk(x)
-        assert h.shape == (5, cfg.width)
-        assert mae.masked_logits(x, np.arange(5) % 4).shape == (5,)
-        assert mae.flow(h).shape == (5,)
+        h = mae.prefix_trunk(x, [3, 1])
+        assert h.shape == (15, cfg.width)
+        assert mae.masked_logits(x, np.arange(5) % 4, every_column(x)).shape == (5,)
+        assert mae.flow(h).shape == (15,)
 
     def test_exactly_one_aux_group(self):
         mae = MaeParams(small_config())
@@ -438,7 +418,7 @@ class TestCompactInput:
         vs = np.resize([3, 0, 2, 1], len(x))
         weights = np.random.default_rng(8).normal(size=len(x))
         compact = mae.masked_logits(x, vs, cols)
-        full = mae.masked_logits(dense, vs)
+        full = mae.masked_logits(dense, vs, every_column(dense))
         assert_allclose(compact.data, full.data, rtol=0, atol=1e-12)
         assert_array_equal(compact.data, mae.masked_logits_np(x, vs, cols))
         empty = ~dense.any(axis=1)
@@ -500,7 +480,7 @@ class TestCompactInput:
             (np.ones((2, 3)), np.array([[0, 1]])),  # 3 values, 2 columns
         ]:
             with pytest.raises(ShapeMismatch):
-                mae.trunk(x, cols)
+                taped_trunk(mae, x, cols)
             with pytest.raises(ShapeMismatch):
                 trunk_np(mae, x, cols)
 
@@ -509,7 +489,7 @@ def first_rows(x, vs, cols, n) -> list[int]:
     """The first row of each distinct (variable, used columns, values) row."""
     first: dict[tuple, int] = {}
     for i, row in enumerate(x.tolist()):
-        used = row if cols is None else [(c, v) for c, v in zip(cols[i // n], row) if c >= 0]
+        used = [(c, v) for c, v in zip(cols[i // n], row) if c >= 0]
         first.setdefault((int(vs[i]), *used), i)
     return list(first.values())
 
@@ -531,9 +511,9 @@ def repeated_batch(cfg: MaeConfig, form, seed: int):
     """The rows of ``awkward_compact_batch`` again and again in shuffled order,
     each with a variable that travels with it: most rows repeat another.
 
-    ``form`` is "dense" for full-width rows, "posterior" for the rows of
-    ``posterior_batch``, else the rows per block.  Returns (x, vs, cols, n,
-    distinct): cols is None for dense rows, and distinct counts the distinct
+    ``form`` is "dense" for full-width rows in one block that lists every
+    column, "posterior" for the rows of ``posterior_batch``, else the rows per
+    block.  Returns (x, vs, cols, n, distinct): distinct counts the distinct
     (variable, used columns, values) rows.
     """
     if form == "posterior":
@@ -544,7 +524,7 @@ def repeated_batch(cfg: MaeConfig, form, seed: int):
     vs = np.resize([3, 0, 2, 1, 1], len(x))
     if form == "dense":
         pick = rng.permutation(np.resize(np.arange(len(x)), 5 * len(x)))
-        x, vs, cols = dense[pick], vs[pick], None
+        x, vs, cols, n = dense[pick], vs[pick], every_column(dense), len(pick)
     else:
         blocks = rng.permutation(np.resize(np.arange(len(cols)), 5 * len(cols)))
         pick = (blocks[:, None] * n + np.arange(n)).ravel()
@@ -555,9 +535,7 @@ def repeated_batch(cfg: MaeConfig, form, seed: int):
 def each_row_alone(mae: MaeParams, x, vs, cols, n) -> np.ndarray:
     return np.array(
         [
-            mae.masked_logits_np(
-                x[i : i + 1], vs[i : i + 1], None if cols is None else cols[i // n][None]
-            )[0]
+            mae.masked_logits_np(x[i : i + 1], vs[i : i + 1], cols[i // n][None])[0]
             for i in range(len(x))
         ]
     )
@@ -603,14 +581,14 @@ class TestFirstLayerWithoutCopies:
         x = rng.choice([-1.0, 1.0], size=(blocks * n, k)) * (np.repeat(cols, n, axis=0) >= 0)
         packed = mae._packed(x, cols)
         assert (np.diff(packed[2]) < 0).any() != in_order
-        z = mae._first_layer(x, packed)
-        assert_array_equal(z, count_order_first_layer(mae, x, packed))
+        z = mae._first_layer(packed)
+        assert_array_equal(z, count_order_first_layer(mae, packed))
         gz = rng.normal(size=z.shape)
-        want = sorted_copy_first_layer_grad(mae, x, packed, gz)
-        assert_array_equal(mae._first_layer_grad(x, packed, gz), want)
+        want = sorted_copy_first_layer_grad(mae, packed, gz)
+        assert_array_equal(mae._first_layer_grad(packed, gz), want)
         rows = np.sort(rng.choice(len(x), len(x) // 3, replace=False))
-        want = sorted_copy_first_layer_grad(mae, x, packed, gz[rows], rows)
-        assert_array_equal(mae._first_layer_grad(x, packed, gz[rows], rows), want)
+        want = sorted_copy_first_layer_grad(mae, packed, gz[rows], rows)
+        assert_array_equal(mae._first_layer_grad(packed, gz[rows], rows), want)
 
 
 class TestDistinctRows:
@@ -682,17 +660,19 @@ class TestDistinctRows:
         dense = np.zeros((4, mae.cfg.input_width))
         np.put_along_axis(dense, np.where(cols < 0, 5, cols), x, axis=1)
         pick = np.random.default_rng(3).permutation(np.resize(np.arange(4), 40))
-        for rows, c in ((x, cols), (dense, None)):
+        # one-row blocks, and one block of all rows that lists every column
+        full = every_column(dense)
+        for rows, c, n, picked in ((x, cols, 1, cols[pick]), (dense, full, 4, full)):
             block_rows.clear()
-            got = mae.masked_logits_np(rows[pick], vs[pick], None if c is None else c[pick])
+            got = mae.masked_logits_np(rows[pick], vs[pick], picked)
             assert sum(block_rows) == 4
-            alone = each_row_alone(mae, rows, vs, c, 1)
+            alone = each_row_alone(mae, rows, vs, c, n)
             assert len(set(alone.tolist())) == 4
             assert_array_equal(got, alone[pick])
             # with every key equal, each neighbour is compared in full
             with monkeypatch.context() as mp:
-                mp.setattr(MaeParams, "_row_keys", lambda self, x, packed, vs: np.zeros(len(vs)))
-                got = mae.masked_logits(rows[pick], vs[pick], None if c is None else c[pick])
+                mp.setattr(MaeParams, "_row_keys", lambda self, packed, vs: np.zeros(len(vs)))
+                got = mae.masked_logits(rows[pick], vs[pick], picked)
             assert_array_equal(got.data, alone[pick])
 
     def test_a_key_collision_merges_nothing_unequal(self, monkeypatch, block_rows):
@@ -701,7 +681,7 @@ class TestDistinctRows:
         randomize(mae, seed=44)
         x, vs, cols, n, distinct = repeated_batch(cfg, 1, seed=4)
         alone = each_row_alone(mae, x, vs, cols, n)
-        monkeypatch.setattr(MaeParams, "_row_keys", lambda self, x, packed, vs: np.zeros(len(vs)))
+        monkeypatch.setattr(MaeParams, "_row_keys", lambda self, packed, vs: np.zeros(len(vs)))
         # every neighbour in the sorted order is a candidate, equal or not
         for perm in (np.arange(len(x)), np.lexsort(np.column_stack([vs, x, cols]).T)):
             block_rows.clear()
@@ -735,20 +715,24 @@ class TestDistinctRows:
         x[30:, 1] = 1.0
         vs = np.resize(np.arange(4), 40)
         weights = np.random.default_rng(12).normal(size=40)
-        logits = mae.masked_logits(x, vs)
+        cols = every_column(x)
+        logits = mae.masked_logits(x, vs, cols)
         assert block_rows == [4 + 4]  # each variable's zero row and informative row
         assert_array_equal(logits.data[:30], mae.marginals.data[vs[:30]])
         got = network_grads(mae, tape.mul(logits, weights).sum())
         with monkeypatch.context() as mp:
             no_merging(mp)
-            want = network_grads(mae, tape.mul(mae.masked_logits(x, vs), weights).sum())
+            want = network_grads(mae, tape.mul(mae.masked_logits(x, vs, cols), weights).sum())
         for name, g, w in zip(mae.names, got, want):
             assert_allclose(g, w, rtol=0, atol=1e-12, err_msg=name)
         block_rows.clear()
-        one = mae.masked_logits(x[-1:], vs[-1:])
+        one = mae.masked_logits(x[-1:], vs[-1:], cols)
         assert block_rows == [1]
         assert_array_equal(one.data, logits.data[-1:])
-        for x0, c0 in ((np.zeros((0, cfg.input_width)), None), (np.zeros((0, 2)), np.zeros((3, 2)))):
+        for x0, c0 in (
+            (np.zeros((0, cfg.input_width)), cols),
+            (np.zeros((0, 2)), np.zeros((3, 2))),
+        ):
             v0 = np.zeros(0, dtype=np.int64)
             assert mae.masked_logits(x0, v0, c0).shape == (0,)
             assert mae.masked_logits_np(x0, v0, c0).shape == (0,)
@@ -761,15 +745,16 @@ def slice_rows(monkeypatch, rows: int, width: int) -> None:
 
 def sliced_batch(cfg: MaeConfig, form: str, seed: int):
     """(x, vs, cols, n) of one of the input forms the taped call takes: full
-    rows, compact blocks of 3 rows, compact rows that mostly repeat, or the
-    flip-term rows of ``posterior_batch``."""
+    rows in one block that lists every column, compact blocks of 3 rows,
+    compact rows that mostly repeat, or the flip-term rows of
+    ``posterior_batch``."""
     if form == "posterior":
         x, vs, cols, n, _ = posterior_batch(cfg, seed)
         return x, vs, cols, n
     if form == "dense":
         x = sample_inputs(cfg, 23, seed=seed, empty_rows=2)
         vs = np.random.default_rng(seed).integers(0, cfg.num_vars, len(x))
-        return x, vs, None, 1
+        return x, vs, every_column(x), len(x)
     if form == "compact":
         x, cols, _ = awkward_compact_batch(cfg, 3, seed)
         return x, np.resize([3, 0, 2, 1], len(x)), cols, 3
@@ -831,60 +816,33 @@ class TestSlicedTape:
         assert len(block_rows) == 2  # the node and the reference, no recompute
         for name, g, w in zip(mae.names, got, want):
             assert_array_equal(g, w, err_msg=name)
-        trunk, reference = mae.trunk(x, cols), whole_batch_trunk(mae, x, cols)
-        assert_array_equal(trunk.data, reference.data)
-        got = network_grads(mae, tape.mul(mae.flow(trunk), weights).sum())
-        want = network_grads(mae, tape.mul(mae.flow(reference), weights).sum())
-        for name, g, w in zip(mae.names, got, want):
-            assert_array_equal(g, w, err_msg=name)
-
-    @pytest.mark.parametrize("activation", ["relu", "elu"])
-    @pytest.mark.parametrize("form", ["dense", "compact"])
-    def test_sliced_trunk_matches_the_whole_batch_reference(self, monkeypatch, activation, form):
-        cfg = small_config(activation=activation, blocks=2, flow_head=True)
-        mae = MaeParams(cfg)
-        randomize(mae, seed=53)
-        x, _, cols, _ = sliced_batch(cfg, form, seed=19)
-        weights = np.random.default_rng(15).normal(size=len(x))
-        reference = whole_batch_trunk(mae, x, cols)
-        want = network_grads(mae, tape.mul(mae.flow(reference), weights).sum())
-        slice_rows(monkeypatch, 5, cfg.width)
-        trunk = mae.trunk(x, cols)
-        assert_array_equal(trunk.data, reference.data)
-        assert_array_equal(trunk.data, trunk_np(mae, x, cols))
-        got = network_grads(mae, tape.mul(mae.flow(trunk), weights).sum())
-        for name, g, w in zip(mae.names, got, want):
-            assert_allclose(g, w, rtol=0, atol=1e-12, err_msg=name)
 
     @pytest.mark.parametrize("activation", ["relu", "elu"])
     @pytest.mark.parametrize("form", ["dense", "compact", "merged"])
     def test_gradcheck_across_slices(self, monkeypatch, activation, form):
-        cfg = small_config(activation=activation, blocks=2, flow_head=True)
+        cfg = small_config(activation=activation, blocks=2)
         mae = MaeParams(cfg)
         randomize(mae, seed=54)
         x, vs, cols, _ = sliced_batch(cfg, form, seed=20)
         weights = np.random.default_rng(16).normal(size=len(x))
         slice_rows(monkeypatch, 3, cfg.width)
 
-        def loss(flow: bool) -> Tensor:
-            out = mae.flow(mae.trunk(x, cols)) if flow else mae.masked_logits(x, vs, cols)
-            return tape.mul(out, weights).sum()
+        def loss() -> Tensor:
+            return tape.mul(mae.masked_logits(x, vs, cols), weights).sum()
+
+        def loss_value(flat: np.ndarray) -> float:
+            mae.unpack(flat)
+            return float(loss().data)
 
         flat0 = mae.pack()
-        for flow in (False, True):
-
-            def loss_value(flat: np.ndarray) -> float:
-                mae.unpack(flat)
-                return float(loss(flow).data)
-
-            analytic = np.concatenate([g.ravel() for g in network_grads(mae, loss(flow))])
-            numeric = central_diff(loss_value, flat0, h=1e-4)
-            mae.unpack(flat0)
-            live = np.abs(analytic) > 1e-3
-            assert live.sum() >= 50
-            err = relative_error(analytic[live], numeric[live], floor=1e-3)
-            assert err.max() < 1e-4
-            assert np.abs(analytic[~live] - numeric[~live]).max(initial=0.0) < 1e-6
+        analytic = np.concatenate([g.ravel() for g in network_grads(mae, loss())])
+        numeric = central_diff(loss_value, flat0, h=1e-4)
+        mae.unpack(flat0)
+        live = np.abs(analytic) > 1e-3
+        assert live.sum() >= 50
+        err = relative_error(analytic[live], numeric[live], floor=1e-3)
+        assert err.max() < 1e-4
+        assert np.abs(analytic[~live] - numeric[~live]).max(initial=0.0) < 1e-6
 
     def test_tape_memory_is_a_few_batch_arrays(self):
         # 32,768 rows at width 64 are 32 slices.  The first layer's output and
@@ -901,18 +859,101 @@ class TestSlicedTape:
         weights = np.random.default_rng(1).normal(size=rows)
         tracemalloc.start()
         try:
-            tape.backward(tape.mul(mae.masked_logits(x, vs), weights).sum())
+            tape.backward(tape.mul(mae.masked_logits(x, vs, every_column(x)), weights).sum())
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 4 * rows * cfg.width * 8
 
 
+def prefix_batch(cfg: MaeConfig, order, n: int, seed: int):
+    """n full +-1 rows, and an order of their columns: "shuffled" for all of
+    them in random order, "one-var" for one column, "sliced" for all of them
+    in random order with more prefix rows than one slice of the blocks
+    holds."""
+    rng = np.random.default_rng(seed)
+    v = cfg.num_vars
+    if order == "sliced":
+        n = max(n, mae_module._BLOCK_ELEMENTS // cfg.width // (v + 1) + 1)
+    X = rng.choice([-1.0, 1.0], size=(n, v))
+    return X, rng.permutation(v)[: 1 if order == "one-var" else v]
+
+
+class TestPrefixTrunk:
+    """The trunk rows of every prefix of an order, from one running sum of
+    the first layer: against finite differences on every parameter, and
+    against the blocks run on the whole batch at once."""
+
+    @pytest.mark.parametrize("activation", ["relu", "elu"])
+    @pytest.mark.parametrize("order", ["shuffled", "one-var", "sliced"])
+    def test_gradcheck(self, block_rows, activation, order):
+        cfg = small_config(activation=activation, blocks=2, flow_head=True)
+        mae = MaeParams(cfg)
+        randomize(mae, seed=56)
+        X, order = prefix_batch(cfg, order, 3, seed=21)
+        assert len(order) == 1 or not np.array_equal(order, np.arange(len(order)))
+        weights = np.random.default_rng(19).normal(size=(len(order) + 1) * len(X))
+
+        def loss() -> Tensor:
+            return tape.mul(mae.flow(mae.prefix_trunk(X, order)), weights).sum()
+
+        def loss_value(flat: np.ndarray) -> float:
+            mae.unpack(flat)
+            return float(loss().data)
+
+        flat0 = mae.pack()
+        analytic = np.concatenate([g.ravel() for g in network_grads(mae, loss())])
+        # a batch of several slices runs each one but the last again
+        slices = -(-len(weights) // (mae_module._BLOCK_ELEMENTS // cfg.width))
+        assert len(block_rows) == 2 * slices - 1
+        numeric = central_diff(loss_value, flat0, h=1e-4)
+        mae.unpack(flat0)
+        w_in = analytic[: mae.w_in.data.size].reshape(mae.w_in.data.shape)
+        unused = np.setdiff1d(np.arange(cfg.num_vars), order)
+        assert_array_equal(w_in[unused], 0.0)
+        live = np.abs(analytic) > 1e-3
+        assert live.sum() >= 50
+        err = relative_error(analytic[live], numeric[live], floor=1e-3)
+        assert err.max() < 1e-4
+        assert np.abs(analytic[~live] - numeric[~live]).max(initial=0.0) < 1e-6
+
+    @pytest.mark.parametrize("activation", ["relu", "elu"])
+    @pytest.mark.parametrize("slice_to", [None, 5], ids=["whole", "slices5"])
+    def test_matches_the_whole_batch_reference(self, monkeypatch, activation, slice_to):
+        # in one slice bit for bit; in slices of 5 rows the gradients within 1e-12
+        cfg = small_config(activation=activation, blocks=3, flow_head=True)
+        mae = MaeParams(cfg)
+        randomize(mae, seed=57)
+        X, order = prefix_batch(cfg, "shuffled", 6, seed=22)
+        weights = np.random.default_rng(20).normal(size=(len(order) + 1) * len(X))
+        reference = whole_batch_prefix_trunk(mae, X, order)
+        want = network_grads(mae, tape.mul(mae.flow(reference), weights).sum())
+        if slice_to is not None:
+            slice_rows(monkeypatch, slice_to, cfg.width)
+        trunk = mae.prefix_trunk(X, order)
+        assert_array_equal(trunk.data, reference.data)
+        plain = mae._sliced_blocks_np(mae._prefix_first_layer(X, order)[0])
+        assert_array_equal(trunk.data, plain)
+        got = network_grads(mae, tape.mul(mae.flow(trunk), weights).sum())
+        for name, g, w in zip(mae.names, got, want):
+            if slice_to is None:
+                assert_array_equal(g, w, err_msg=name)
+            else:
+                assert_allclose(g, w, rtol=0, atol=1e-12, err_msg=name)
+
+    def test_rejects_bad_inputs(self):
+        mae = MaeParams(small_config(flow_head=True))
+        X = np.ones((2, 4))
+        for x, order in [(np.ones((2, 5)), [0]), (X, [0, 0]), (X, [4]), (X, [-1]), (X, [[0]])]:
+            with pytest.raises(ShapeMismatch):
+                mae.prefix_trunk(x, order)
+
+
 def unique_column_batch(cfg: MaeConfig, form, seed: int):
     """Eight blocks used six times each in shuffled order, every row's
-    variable travelling with it: full rows for "dense", else blocks of
-    ``form`` rows, each block listing distinct input columns in random
-    slots, some -1 and one block all -1.
+    variable travelling with it: full rows in one block that lists every
+    column for "dense", else blocks of ``form`` rows, each block listing
+    distinct input columns in random slots, some -1 and one block all -1.
     Returns (x, vs, cols, n, distinct) as ``repeated_batch`` does; "posterior"
     is ``posterior_batch``."""
     if form == "posterior":
@@ -933,7 +974,7 @@ def unique_column_batch(cfg: MaeConfig, form, seed: int):
         # -1 slots go to a last column, which is then dropped
         dense = np.zeros((len(x), cfg.input_width + 1))
         np.put_along_axis(dense, np.where(cols < 0, cfg.input_width, cols), x, axis=1)
-        x, cols = dense[:, :-1], None
+        x, cols, n = dense[:, :-1], every_column(dense[:, :-1]), len(x)
     return x, vs, cols, n, len(first_rows(x, vs, cols, n))
 
 
@@ -943,8 +984,8 @@ def first_layer_rows(monkeypatch):
     seen: list[int] = []
     first_layer = MaeParams._first_layer
 
-    def counted(self, x, packed, rows=None):
-        z = first_layer(self, x, packed, rows)
+    def counted(self, packed, rows=None):
+        z = first_layer(self, packed, rows)
         seen.append(len(z))
         return z
 
@@ -982,7 +1023,7 @@ class TestFirstLayerOnRepresentatives:
         mae.masked_logits_np(x, vs, cols)
         tape.backward(mae.masked_logits(x, vs, cols).sum())
         assert first_layer_rows == [distinct, distinct]
-        if cols is not None:
+        if form != "dense":
             # the blocks holding a first row, but for the one listing nothing
             held = {i // n for i in first_rows(x, vs, cols, n) if (cols[i // n] >= 0).any()}
             assert sum(read) == 2 * len(held) < len(cols)
@@ -1074,8 +1115,7 @@ class TestFirstLayerOnRepresentatives:
         nan = np.flatnonzero((x != 0).any(axis=1))[::7]
         x[nan, np.argmax(x[nan] != 0, axis=1)] = np.nan
         rest = np.setdiff1d(np.arange(len(x)), nan)
-        rest_cols = None if cols is None else cols[rest // n]
-        kept = len(nan) + len(first_rows(x[rest], vs[rest], rest_cols, 1))
+        kept = len(nan) + len(first_rows(x[rest], vs[rest], cols[rest // n], 1))
         plain = mae.masked_logits_np(x, vs, cols)
         taped = mae.masked_logits(x, vs, cols)
         assert first_layer_rows == [kept, kept] and kept < len(x)
@@ -1156,7 +1196,10 @@ class TestCheckpoint:
         assert_array_equal(loaded.pack(), mae.pack())
         x = sample_inputs(cfg, 4, seed=9)
         vs = np.arange(4)
-        assert_array_equal(loaded.masked_logits(x, vs).data, mae.masked_logits(x, vs).data)
+        cols = every_column(x)
+        assert_array_equal(
+            loaded.masked_logits(x, vs, cols).data, mae.masked_logits(x, vs, cols).data
+        )
 
     def test_float32_storage(self, tmp_path):
         # a hand-built file storing its parameters at 32 bits still loads

@@ -98,9 +98,9 @@ class TestPolicy:
         with pytest.raises(ConfigError):
             Policy(kind="greedy")
         with pytest.raises(ConfigError):
-            Policy.tempered(0.0)
+            Policy(kind="tempered", temperature=0.0)
         with pytest.raises(ConfigError):
-            Policy.eps_uniform(1.5)
+            Policy(kind="eps-uniform", eps=1.5)
 
     def test_on_policy_is_identity(self):
         logits = np.array([-3.0, 0.0, 2.0])
@@ -109,19 +109,19 @@ class TestPolicy:
 
     def test_tempered_divides_logits(self):
         logits = np.array([-4.0, 1.0, 7.0])
-        got = Policy.tempered(2.0).plus_probability(logits)
+        got = Policy(kind="tempered", temperature=2.0).plus_probability(logits)
         expected = 1.0 / (1.0 + np.exp(-logits / 2.0))
         assert_allclose(got, expected)
 
     def test_tempered_limit_is_uniform(self):
         logits = np.array([-500.0, 300.0, 12.0])
-        got = Policy.tempered(1e9).plus_probability(logits)
+        got = Policy(kind="tempered", temperature=1e9).plus_probability(logits)
         assert_allclose(got, 0.5, atol=1e-6)
 
     def test_eps_uniform_mixture(self):
         logits = np.array([-1.0, 5.0])
         p_on = 1.0 / (1.0 + np.exp(-logits))
-        got = Policy.eps_uniform(0.1).plus_probability(logits)
+        got = Policy(kind="eps-uniform", eps=0.1).plus_probability(logits)
         assert_allclose(got, 0.9 * p_on + 0.05)
 
 
@@ -233,7 +233,7 @@ class TestAncestralSample:
         imap = sample_imap(g, seed=1)
         s = randomized_sampler(3, seed=3)
         s.params.marginals.data += 50.0  # wildly biased marginals
-        X, _ = s.ancestral_sample(imap, Policy.tempered(1e9), 50_000, seed=2)
+        X, _ = s.ancestral_sample(imap, Policy(kind="tempered", temperature=1e9), 50_000, seed=2)
         freq = (X == 1).mean(axis=0)
         assert np.all(np.abs(freq - 0.5) < 0.01)
 
@@ -254,7 +254,11 @@ class TestAncestralSample:
         g = cycle_graph(4)
         imap = sample_imap(g, seed=2)
         s = randomized_sampler(4, seed=11)
-        for policy in (Policy.on_policy(), Policy.eps_uniform(0.3), Policy.tempered(2.0)):
+        for policy in (
+            Policy.on_policy(),
+            Policy(kind="eps-uniform", eps=0.3),
+            Policy(kind="tempered", temperature=2.0),
+        ):
             X, logq = s.ancestral_sample(imap, policy, 64, seed=5)
             assert_allclose(logq, s.log_prob_batch(imap, X), atol=1e-12)
 
@@ -494,7 +498,7 @@ class TestLocalForwardMatchesDense:
         s.params.unpack(flat + rng.normal(0, 0.5, flat.shape))
         assert np.all(s.params.w_out.data != 0)
         n = 128
-        for policy in (Policy.on_policy(), Policy.tempered(2.0)):
+        for policy in (Policy.on_policy(), Policy(kind="tempered", temperature=2.0)):
             X_full, logq = s.ancestral_sample(imap, policy, n, seed=3)
             X_ref, logq_ref = dense_run_order(s, imap, policy, n, seed=3)
             assert_array_equal(X_full, X_ref)
@@ -523,7 +527,7 @@ class TestLocalForwardMatchesDense:
         s = perturbed_sampler(36, activation)
         n = 128
         X = np.random.default_rng(4).choice([-1, 1], size=(n, 36)).astype(np.int8)
-        for policy in (Policy.on_policy(), Policy.tempered(2.0)):
+        for policy in (Policy.on_policy(), Policy(kind="tempered", temperature=2.0)):
             draws = s.partial_sample_batch(imap, policy, n, seed=3, X=X)
             X_ref, _ = dense_run_order(s, imap, policy, n, seed=3, X=X)
             assert_array_equal(draws, X_ref)
@@ -550,7 +554,11 @@ class TestWavefrontMatchesSequential:
     """One network call per depth level, over one map or many, against the
     walk that calls the network once per variable in topological order."""
 
-    POLICIES = (Policy.on_policy(), Policy.tempered(2.0), Policy.eps_uniform(0.2))
+    POLICIES = (
+        Policy.on_policy(),
+        Policy(kind="tempered", temperature=2.0),
+        Policy(kind="eps-uniform", eps=0.2),
+    )
 
     @pytest.mark.parametrize("k", [1, 3])
     @pytest.mark.parametrize("given", [False, True], ids=["local", "given"])
@@ -566,7 +574,7 @@ class TestWavefrontMatchesSequential:
             maps = [sub_imap(g, u, seed=u) for u in range(36)]
             X0 = None
         s = perturbed_sampler(36)
-        policy = Policy.tempered(1.5)
+        policy = Policy(kind="tempered", temperature=1.5)
         r_batch, r_loop, r_seq = (np.random.default_rng(9) for _ in range(3))
         X = s.partial_sample_batch(maps, policy, k, seed=r_batch, X=X0)
         assert X.shape == (36 * k, 36)
@@ -655,7 +663,11 @@ class TestTableMatchesLevelWalk:
     draws, log q and scores stay bit for bit those of the walk that sends
     every depth level through the network."""
 
-    POLICIES = (Policy.on_policy(), Policy.tempered(2.0), Policy.eps_uniform(0.2))
+    POLICIES = (
+        Policy.on_policy(),
+        Policy(kind="tempered", temperature=2.0),
+        Policy(kind="eps-uniform", eps=0.2),
+    )
 
     @staticmethod
     def maps_of(g):
