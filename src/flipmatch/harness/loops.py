@@ -96,7 +96,7 @@ class _DeltaTrainer:
                 self.full_imap, self.policy, self.cfg.batch_size, seed=self.r_sample
             )
             us = self.r_flip.integers(0, num_vars, size=self.cfg.batch_size)
-            return X.astype(np.float64), us, self.full_imap, num_vars
+            return X, us, self.full_imap, num_vars
         k = self.cfg.sub_dags_per_var
         maps = [self.subs[u] for u in range(num_vars)]
         X = self.s.partial_sample_batch(maps, self.policy, k, seed=self.r_sample)

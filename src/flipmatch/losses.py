@@ -38,7 +38,7 @@ from flipmatch.errors import (
 )
 from flipmatch.graph import Imap
 from flipmatch.nn import tape
-from flipmatch.nn.mae import MaeParams
+from flipmatch.nn.mae import MaeParams, index_dtype
 from flipmatch.nn.tape import Tensor
 from flipmatch.sampler import _merged, masked_parent_rows
 
@@ -114,6 +114,16 @@ class FlowHead:
 # flip matching
 
 
+def _states(X, what: str) -> np.ndarray:
+    """X as int8, once it is checked to hold only -1, 0 and +1: the reward
+    and the network then read the same values."""
+    X = np.asarray(X)
+    states = X.astype(np.int8, copy=False) if ((X >= -1) & (X <= 1)).all() else None
+    if states is None or not (states == X).all():
+        raise PartialAssignment(f"{what} must hold -1, 0 or +1 only")
+    return states
+
+
 def _clamped_logq(s, rows, vs, signs) -> Tensor:
     return tape.clamp_min(s.logq_rows(rows, vs, signs), LOGQ_FLOOR)
 
@@ -174,14 +184,21 @@ def _term_table(imap: Imap | Mapping[int, Imap], X: np.ndarray, us: np.ndarray, 
         if not maps:
             raise lacking
     map_of, var, parents = _merged(maps)
-    # u's terms are the entries of u's map that are u (slot 0) or list u as a
-    # parent (slots 1..): one sorted lookup of (map, variable) keys
-    table = np.hstack([var[:, None], parents])
-    key_e, slot = np.nonzero(table >= 0)
+    # u's terms are the entries of u's map that are u or list u as a parent:
+    # one sorted lookup of (map, variable) keys, each entry's own key first
+    listed = parents >= 0
+    count = listed.sum(axis=1)
+    ent, ids = np.arange(len(var), dtype=index_dtype(len(var))), var.astype(parents.dtype)
+    key_e = np.concatenate([ent, np.repeat(ent, count)])
+    key_v = np.concatenate([ids, parents[listed]])
+    del listed
     stride = maps[0].num_vars
-    code = map_of[key_e] * stride + table[key_e, slot]
-    order = np.lexsort((var[key_e], slot > 0, code))
-    code, key_e, own = code[order], key_e[order], np.append(slot[order] == 0, False)
+    code = map_of.astype(index_dtype(len(maps) * stride))[key_e] * stride + key_v
+    is_parent = np.ones(len(key_v), dtype=bool)
+    is_parent[: len(var)] = False
+    order = np.lexsort((ids[key_e], is_parent, code))
+    code, key_e, own = code[order], key_e[order], np.append(order < len(var), False)
+    del key_v, is_parent, order
     checked = group_u[: len(maps)] if isinstance(imap, Mapping) else group_u
     want = np.arange(len(checked)) % len(maps) * stride + checked
     lo, hi = np.searchsorted(code, want), np.searchsorted(code, want, side="right")
@@ -199,9 +216,12 @@ def _term_table(imap: Imap | Mapping[int, Imap], X: np.ndarray, us: np.ndarray, 
     flip_side = local >= n_t[row_t]
     seg = by_u[first[term_g[row_t]] + local % n_t[row_t]]
     vs = var[term_e[row_t]]
-    values, cols = masked_parent_rows(parents[term_e[row_t]], X, vs, seg)
-    r, j = np.nonzero(flip_side[:, None] & (cols == us[seg, None]))
-    values[r, j] = new_vals[seg[r]]
+    # parent rows gathered only as wide as the widest term's parent set
+    width = int(count[term_e].max(initial=0))
+    values, cols = masked_parent_rows(parents[term_e[row_t], :width], X, vs, seg)
+    flips = np.flatnonzero(flip_side)
+    r, j = np.nonzero(cols[flips] == us[seg[flips], None])
+    values[flips[r], j] = new_vals[seg[flips[r]]]
     signs = np.where(flip_side & (vs == us[seg]), new_vals[seg], X[seg, vs])
     return (values, cols), vs, signs, np.where(flip_side, -1.0, 1.0), seg, term_no[row_t]
 
@@ -224,7 +244,7 @@ def _check_flips(X, us, new_vals, rows, vs, coeffs, seg) -> None:
     k = bad[0]
     u = int(us[k])
     if same[k]:
-        raise SameValue(f"flip at {u} must change the value, got {new_vals[k]} twice")
+        raise SameValue(f"flip at {u} must change the value, got {float(new_vals[k])} twice")
     mine = seg == k
     needed = sorted({u, *vs[mine].tolist(), *cols[mine][cols[mine] >= 0].tolist()})
     lacking = [w for w in needed if X[k, w] == 0]
@@ -252,13 +272,13 @@ def delta_loss_batch(
     and j (ascending order; not checked here), and ``(-1, -1)`` keeps the
     residual.  A surrogate flip sends only the rows of u's own term and of
     children i and j to the network; every flip's rows go in one network
-    call.
+    call.  X and new_vals must hold -1, 0 and +1 only (PartialAssignment).
     """
-    X = np.asarray(X, dtype=np.float64)
+    X = _states(X, "X")
     if X.ndim == 1:
         X = X[None, :]
     us = np.asarray(us, dtype=np.int64)
-    new_vals = np.asarray(new_vals, dtype=np.float64)
+    new_vals = _states(new_vals, "new_vals")
     if len(X) == 0:
         raise EmptyBatch("no flips to score")
     pairs = np.full((len(X), 2), -1) if pairs is None else np.asarray(pairs, dtype=np.int64)
@@ -281,7 +301,7 @@ def delta_loss_batch(
 
     logq = _clamped_logq(s, rows, vs, signs)
     sums = tape.segment_sum(tape.mul(logq, coeffs), key, slots)
-    delta = m.delta_log_reward_batch(X.astype(np.int8), us, new_vals.astype(np.int8))
+    delta = m.delta_log_reward_batch(X, us, new_vals)
     if not heavy.any():
         return (tape.const(delta) - sums).square().mean()
     # g, f_i and f_j of every flip; an exact flip's residual is its g
@@ -295,8 +315,7 @@ def delta_loss_batch(
 
 def delta_loss(s, imap: Imap, m: EnergyModel, x, u: int, xu_new) -> Tensor:
     """Squared flip-matching residual for a single flip (x, u -> xu_new)."""
-    vals = np.asarray(x, dtype=np.int8)
-    return delta_loss_batch(s, imap, m, vals[None, :], [u], [xu_new])
+    return delta_loss_batch(s, imap, m, np.asarray(x)[None, :], [u], [xu_new])
 
 
 def delta_loss_stochastic_grad(
@@ -322,7 +341,7 @@ def delta_loss_stochastic_grad(
     loss; only its backward pass is meaningful.  Indices index into u's
     children in ascending order; omitted ones are drawn from ``seed``.
     """
-    vals = np.asarray(x, dtype=np.int8)
+    vals = np.asarray(x)
     n = int((imap.parent_table == u).sum())
     if n <= 1:
         raise TooFewChildren(f"variable {u} has {n} children; use delta_loss directly")
@@ -339,7 +358,8 @@ def delta_loss_stochastic_grad(
 
 
 def _require_full(imap: Imap, X) -> np.ndarray:
-    X = np.asarray(X, dtype=np.float64)
+    """X as int8 rows, each a full assignment of ``imap``'s variables."""
+    X = _states(X, "samples")
     if X.ndim == 1:
         X = X[None, :]
     if len(X) == 0:
@@ -359,7 +379,8 @@ def _step_rows(imap: Imap, X: np.ndarray):
     n = X.shape[0]
     vs = np.repeat(imap.order, n)
     at = np.tile(np.arange(n), len(imap.order))
-    return masked_parent_rows(np.repeat(imap.parent_table, n, axis=0), X, vs, at), vs, X[at, vs]
+    parents = imap.parent_table.astype(index_dtype(imap.num_vars))
+    return masked_parent_rows(np.repeat(parents, n, axis=0), X, vs, at), vs, X[at, vs]
 
 
 def _prefix_rows(imap: Imap, X: np.ndarray) -> np.ndarray:
@@ -381,7 +402,7 @@ def tb_loss_batch(s, imap: Imap, m: EnergyModel, X, logZ: LogZEstimate) -> Tenso
     rows, vs, signs = _step_rows(imap, X)
     lq = _clamped_logq(s, rows, vs, signs)
     logq = tape.segment_sum(lq, np.tile(np.arange(n), len(imap.topo_order)), n)
-    log_r = m.log_reward_batch(X.astype(np.int8))
+    log_r = m.log_reward_batch(X)
     residual = logZ.value + logq - tape.const(log_r)
     return residual.square().mean()
 

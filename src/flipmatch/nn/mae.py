@@ -53,6 +53,12 @@ A batch in which fewer than an eighth of the rows repeat runs every row,
 paying only the grouping key and its sort.
 So that each row's logit is the one it gets on its own, a one-row matrix
 product goes through the same kernel as a larger batch.
+
+Inputs keep the dtypes they come in.  The sampler and the losses hand over
+states as int8 and columns in ``index_dtype``, the narrowest integer type of
+the variable ids; the first layer and its gradient multiply them by the
+float64 weights one piece at a time, and numpy converts -1, 0 and +1 to
+float64 exactly, so logits and gradients are those of float64 inputs.
 """
 
 from __future__ import annotations
@@ -82,6 +88,9 @@ _BLOCK_ELEMENTS = 1 << 16
 # layer
 _GATHER_ELEMENTS = 1 << 18
 
+# used (row, slot) entries per piece of the input weights' gradient
+_GRAD_ENTRIES = 1 << 17
+
 # the blocks and the head see one row per distinct input once at least this
 # share of a batch's rows repeats an earlier one; below it, finding the few
 # repeats would cost about what it saves
@@ -91,6 +100,15 @@ _KEY_SEED = 0x5EED
 
 # added to each layer norm's variance
 _LN_EPS = 1e-5
+
+
+@functools.lru_cache(maxsize=64)
+def index_dtype(num_vars: int) -> np.dtype:
+    """The narrowest signed integer type that holds -1..num_vars - 1."""
+    for t in (np.int8, np.int16, np.int32):
+        if num_vars - 1 <= np.iinfo(t).max:
+            return np.dtype(t)
+    return np.dtype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -190,6 +208,7 @@ class MaeParams:
         along the order, in place of |order| + 1 masked rows of width |V|.
         Step k reaches every prefix from k on, so its weight row's gradient
         is X's column order[k-1] against the reversed running sum of gz.
+        Both sums add one whole prefix block to the next in place.
         """
         X = np.asarray(X, dtype=np.float64)
         order = np.asarray(order, dtype=np.int64)
@@ -201,10 +220,13 @@ class MaeParams:
         xo = X.T[order]  # (|order|, n): the value each step adds, per row
         z = np.zeros((len(order) + 1, len(X), w_in.shape[1]))
         np.multiply(xo[:, :, None], w_in[order][:, None, :], out=z[1:])
-        np.cumsum(z, axis=0, out=z)
+        for k in range(1, len(z)):
+            z[k] += z[k - 1]
 
         def w_in_grad(gz: np.ndarray) -> np.ndarray:
-            after = np.cumsum(gz.reshape(z.shape)[:0:-1], axis=0)[::-1]
+            after = gz.reshape(z.shape)[1:].copy()
+            for k in range(len(after) - 2, -1, -1):
+                after[k] += after[k + 1]
             grad = np.zeros_like(w_in)
             grad[order] = np.matmul(xo[:, None, :], after)[:, 0]
             return grad
@@ -335,8 +357,8 @@ class MaeParams:
     # and holds 0.
     # The first layer groups the blocks by their number of used slots and
     # gathers only the weight rows those slots name; its backward sorts the
-    # used slots by column and sums each column's segment into its row of the
-    # input weights.
+    # used slots by column, one range of columns at a time, and sums each
+    # column's segment into its row of the input weights.
 
     def _act_np(self, z: np.ndarray, slope: bool = False):
         """The nonlinearity, in place; with ``slope``, returns its derivative at z.
@@ -367,7 +389,9 @@ class MaeParams:
         block e: block e reads x3[e, :, :counts[e]] and cols[e, :counts[e]].
         """
         width = self.w_in.data.shape[0]
-        cols = np.asarray(cols, dtype=np.int64)
+        cols = np.asarray(cols)
+        if cols.dtype.kind not in "iu":
+            cols = cols.astype(np.int64)
         blocks, k = cols.shape if cols.ndim == 2 else (0, -1)
         if x.ndim != 2 or x.shape[1] != k or (len(x) and (blocks == 0 or len(x) % blocks)):
             raise ShapeMismatch(f"inputs {x.shape} do not split into blocks of columns {cols.shape}")
@@ -423,27 +447,33 @@ class MaeParams:
         rows contribute nothing: each group of equal rows counts once.
         """
         x3, cols, _ = packed
-        x2 = x3.reshape(x3.shape[0] * x3.shape[1], x3.shape[2])
-        if rows is None:
-            rows = np.arange(len(x2))
-        blk = rows // x3.shape[1]
-        # the used (row of gz, slot) entries in order of row and slot, then
-        # stably sorted by column (a radix sort on small integers): one
-        # segment per used column, its values against its rows of gz
-        at, slot = np.nonzero((cols >= 0)[blk])
-        col = cols[blk[at], slot].astype(np.min_scalar_type(len(self.w_in.data)))
-        val = x2[rows[at], slot]
-        del slot  # arrays one entry long dominate the memory here: hold few at once
-        at = at.astype(np.min_scalar_type(len(gz)))
-        order = np.argsort(col, kind="stable")
-        at, val = at[order], val[order]
-        del order
-        size = np.bincount(col, minlength=len(self.w_in.data))
-        used = np.flatnonzero(size)
-        ends = np.cumsum(size[used]).tolist()
+        n = x3.shape[1]
+        x2 = x3.reshape(x3.shape[0] * n, x3.shape[2])
+        cols = cols.astype(index_dtype(len(self.w_in.data)), copy=False)
+        if rows is not None:
+            cols, x2 = cols[rows // n], x2[rows]
+        elif n != 1:
+            cols = np.repeat(cols, n, axis=0)
         grad = np.zeros_like(self.w_in.data)
-        for c, a, b in zip(used.tolist(), [0, *ends[:-1]], ends):
-            grad[c] = val[a:b] @ gz[at[a:b]]
+        # one range of columns at a time, about _GRAD_ENTRIES used (row of gz,
+        # slot) entries: the entries in order of row and slot, then stably
+        # sorted by column (a radix sort on small integers), give one segment
+        # per used column, its values against its rows of gz
+        pieces = -(-np.count_nonzero(cols >= 0) // _GRAD_ENTRIES)
+        for p in range(pieces):
+            lo, hi = len(grad) * p // pieces, len(grad) * (p + 1) // pieces
+            take = (cols >= lo) & (cols < hi)
+            at = np.repeat(np.arange(len(cols), dtype=index_dtype(len(cols))), take.sum(axis=1))
+            col, val = cols[take], x2[take]
+            del take  # arrays one entry long dominate the memory here: hold few at once
+            order = np.argsort(col, kind="stable")
+            at, val, col = at[order], val[order], col[order]
+            del order
+            if not len(col):
+                continue
+            starts = [0, *(np.flatnonzero(col[1:] != col[:-1]) + 1).tolist()]
+            for c, a, b in zip(col[starts].tolist(), starts, [*starts[1:], len(col)]):
+                grad[c] = val[a:b] @ gz[at[a:b]]
         return grad
 
     def _sliced_blocks_np(self, h: np.ndarray) -> np.ndarray:
@@ -543,8 +573,9 @@ class MaeParams:
         a, b = order[pair], order[pair + 1]
         x3, cols, _ = packed
         vals, n = x3.reshape(n_rows, -1), x3.shape[1]
-        same = vs[a] == vs[b]
-        same &= (vals[a] == vals[b]).all(axis=1) & (cols[a // n] == cols[b // n]).all(axis=1)
+        same, ba, bb = vs[a] == vs[b], a // n, b // n
+        for k in range(vals.shape[1]):  # slot by slot: one bool per pair
+            same &= (vals[a, k] == vals[b, k]) & (cols[ba, k] == cols[bb, k])
         if same.sum() < least:
             return None
         start = np.ones(n_rows, dtype=bool)

@@ -48,7 +48,7 @@ from flipmatch.errors import (
 )
 from flipmatch.graph import Imap, UndirectedGraph, _as_rng
 from flipmatch.nn import tape
-from flipmatch.nn.mae import _BLOCK_ELEMENTS, MaeParams
+from flipmatch.nn.mae import _BLOCK_ELEMENTS, MaeParams, index_dtype
 from flipmatch.nn.tape import Tensor, log_sigmoid_np, sigmoid_np
 
 __all__ = [
@@ -107,23 +107,27 @@ def masked_parent_rows(
     given).  Returns (values, cols), the network's compact input form: cols
     trimmed to the widest parent set of the batch, and values[i] =
     X[rows[i], cols[i]] (0 where padded) — "condition exactly on the
-    parents" without a |V|-wide row.
+    parents" without a |V|-wide row.  values has X's dtype and cols the
+    parent table's: the int8 states and narrow column ids of the sampler and
+    the losses reach the network as they are.  cols is a view of
+    ``parents``, so a caller that gathers the parent rows trims them first.
     """
-    X = np.asarray(X, dtype=np.float64)
-    cols = np.asarray(parents, dtype=np.int64)
+    X = np.asarray(X)
+    cols = np.asarray(parents)
     cols = cols[:, : int((cols >= 0).sum(axis=1).max(initial=0))]
     values = X[(np.arange(len(vs)) if rows is None else rows)[:, None], cols]
-    values[cols < 0] = 0.0
+    values[cols < 0] = 0
     return values, cols
 
 
 def _merged(maps: list[Imap]):
     """The (map, position) entries of several maps, map-major, then by
     topological position: per-entry map index, variable and parents, padded
-    with -1 to the widest parent set of all maps."""
+    with -1 to the widest parent set of all maps, in ``index_dtype``."""
     map_of = np.repeat(np.arange(len(maps)), [len(m.order) for m in maps])
     var = np.concatenate([m.order for m in maps])
-    parents = np.full((len(var), max(m.parent_table.shape[1] for m in maps)), -1, dtype=np.int64)
+    width = max(m.parent_table.shape[1] for m in maps)
+    parents = np.full((len(var), width), -1, dtype=index_dtype(maps[0].num_vars))
     a = 0
     for m in maps:
         parents[a : a + len(m.order), : m.parent_table.shape[1]] = m.parent_table
@@ -181,7 +185,7 @@ class AmortizedSampler:
         """
         width = int((parents >= 0).sum(axis=1).max(initial=0))
         parents = parents[:, :width]
-        x = work[rows[:, :, None], np.where(parents < 0, work.shape[1] - 1, parents)[:, None, :]]
+        x = work[rows[:, :, None], parents[:, None, :]]
         e, n = rows.shape
         logits = self.params.masked_logits_np(x.reshape(e * n, width), np.repeat(vs, n), parents)
         return logits.reshape(e, n)
@@ -203,7 +207,7 @@ class AmortizedSampler:
             size = 1 << k
             offset[ents] = a + size * np.arange(len(ents))
             a += size * len(ents)
-            configs = np.where((np.arange(size)[:, None] >> np.arange(k)) & 1, 1.0, -1.0)
+            configs = np.where((np.arange(size)[:, None] >> np.arange(k)) & 1, 1, -1).astype(np.int8)
             step = max(1, cap // size)
             for e in np.split(ents, np.arange(step, len(ents), step)):
                 x = np.broadcast_to(configs, (len(e), size, k)).reshape(len(e) * size, k)
@@ -228,13 +232,15 @@ class AmortizedSampler:
         in one call.  The uniforms are drawn up front in the order a
         map-by-map, variable-by-variable walk draws them, and each row's log
         q is summed in topological order, so draws and log q do not depend on
-        how the conditionals are batched.  Zero rows give empty results.
+        how the conditionals are batched.  ``work`` holds -1, 0 and +1 only,
+        as int8; the draws come back as an int8 view of it.  Zero rows give
+        empty results.
         """
         if n < 0:
             raise ConfigError(f"cannot draw {n} rows")
         map_of, pos, var, parents, levels = _merged_levels(maps)
         N = len(maps) * n
-        work = np.zeros((N, self.num_vars + 1))
+        work = np.zeros((N, self.num_vars + 1), dtype=np.int8)
         if X is not None:
             work[:, :-1] = X
         table, offset = self._conditional_table(var, parents, n)
@@ -250,11 +256,12 @@ class AmortizedSampler:
             if not at.all():
                 e = ent[~at]
                 logits[~at] = self._entry_logits(work, rows[~at], var[e], parents[e])
-            if uniforms is not None:
-                work[rows, cols] = np.where(
-                    uniforms[ent] < policy.plus_probability(logits), 1.0, -1.0
-                )
-            terms[map_of[ent], pos[ent]] = log_sigmoid_np(work[rows, cols] * logits)
+            if uniforms is None:
+                x = work[rows, cols]
+            else:
+                x = np.where(uniforms[ent] < policy.plus_probability(logits), 1.0, -1.0)
+                work[rows, cols] = x
+            terms[map_of[ent], pos[ent]] = log_sigmoid_np(x * logits)
         logq = np.zeros((len(maps), n))
         for t in range(terms.shape[1]):
             logq += terms[:, t]
@@ -271,8 +278,7 @@ class AmortizedSampler:
                 "ancestral sampling needs an I-map covering every variable; "
                 "use partial_sample_batch for local maps"
             )
-        X, logq = self._walk([imap], n, policy=policy, rng=_as_rng(seed))
-        return X.astype(np.int8), logq
+        return self._walk([imap], n, policy=policy, rng=_as_rng(seed))
 
     def partial_sample_batch(
         self, sub: Imap | Sequence[Imap], policy: Policy, n: int, seed, X=None
@@ -290,7 +296,7 @@ class AmortizedSampler:
         if not maps:
             raise ConfigError("partial sampling needs at least one local map")
         if X is not None:
-            X = np.asarray(X, dtype=np.float64)
+            X = np.asarray(X)
             if X.shape != (len(maps) * n, self.num_vars):
                 raise ShapeMismatch(
                     f"X must be ({len(maps) * n}, {self.num_vars}), one row per draw, got {X.shape}"
@@ -300,15 +306,14 @@ class AmortizedSampler:
                 raise PartialAssignment(
                     f"map {j} is drawn given {m.given.tolist()}: X must hold -1 or +1 there"
                 )
-        X, _ = self._walk(maps, n, X, policy=policy, rng=_as_rng(seed))
-        return X.astype(np.int8)
+        return self._walk(maps, n, X, policy=policy, rng=_as_rng(seed))[0]
 
     # -- scoring ----------------------------------------------------------------
 
     def log_prob_batch(self, imap: Imap, X) -> np.ndarray:
         """Sum of conditional log-probabilities along the order, per row:
         log q of the map's variables given its given ones."""
-        vals = np.asarray(X, dtype=np.float64)
+        vals = np.asarray(X)
         if vals.ndim == 1:
             vals = vals[None, :]
         if not np.all(np.abs(vals[:, np.concatenate([imap.order, imap.given])]) == 1):

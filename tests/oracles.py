@@ -56,7 +56,7 @@ from flipmatch.losses import (
     tb_loss_batch,
 )
 from flipmatch.nn import MaeParams, tape
-from flipmatch.nn.mae import _LN_EPS, _count_runs, _matmul, _row_vars
+from flipmatch.nn.mae import _BLOCK_ELEMENTS, _LN_EPS, _count_runs, _matmul, _row_vars
 from flipmatch.nn.tape import Tensor, log_sigmoid_np, sigmoid_np
 from flipmatch.sampler import (
     AmortizedSampler,
@@ -1787,3 +1787,95 @@ def sequential_gibbs(
             p_plus = sigmoid_np(beta * logits)
             X[:, u] = np.where(rng.random(n_chains) < p_plus, 1.0, -1.0)
     return X.astype(np.int8)
+
+
+# ---------------------------------------------------------------------------
+# the forms before rows at the width of their data: the walk's states in a
+# float64 work array and every network input as float64 values with int64
+# columns, and the prefix layer's running sums by ``np.cumsum``
+
+
+def cumsum_prefix_first_layer(mae, X: np.ndarray, order):
+    """``MaeParams._prefix_first_layer`` as it was: both running sums by
+    ``np.cumsum`` along the prefix axis, the one of largest stride."""
+    X = np.asarray(X, dtype=np.float64)
+    order = np.asarray(order, dtype=np.int64)
+    w_in = mae.w_in.data
+    xo = X.T[order]
+    z = np.zeros((len(order) + 1, len(X), w_in.shape[1]))
+    np.multiply(xo[:, :, None], w_in[order][:, None, :], out=z[1:])
+    np.cumsum(z, axis=0, out=z)
+
+    def w_in_grad(gz: np.ndarray) -> np.ndarray:
+        after = np.cumsum(gz.reshape(z.shape)[:0:-1], axis=0)[::-1]
+        grad = np.zeros_like(w_in)
+        grad[order] = np.matmul(xo[:, None, :], after)[:, 0]
+        return grad
+
+    return z.reshape(-1, z.shape[2]), w_in_grad
+
+
+def _float_conditional_table(s, var: np.ndarray, parents: np.ndarray, n: int):
+    counts = (parents >= 0).sum(axis=1)
+    take = counts < int(n).bit_length()
+    offset = np.full(len(var), -1, dtype=np.int64)
+    cap = max(1, _BLOCK_ELEMENTS // s.params.cfg.width)
+    chunks, a = [np.zeros(0)], 0
+    for k in np.unique(counts[take]).tolist():
+        ents = np.flatnonzero(take & (counts == k))
+        size = 1 << k
+        offset[ents] = a + size * np.arange(len(ents))
+        a += size * len(ents)
+        configs = np.where((np.arange(size)[:, None] >> np.arange(k)) & 1, 1.0, -1.0)
+        step = max(1, cap // size)
+        for e in np.split(ents, np.arange(step, len(ents), step)):
+            x = np.broadcast_to(configs, (len(e), size, k)).reshape(len(e) * size, k)
+            chunks.append(s.params.masked_logits_np(x, np.repeat(var[e], size), parents[e, :k]))
+    return np.concatenate(chunks), offset
+
+
+def _float_entry_logits(s, work, rows, vs, parents) -> np.ndarray:
+    width = int((parents >= 0).sum(axis=1).max(initial=0))
+    parents = parents[:, :width]
+    x = work[rows[:, :, None], np.where(parents < 0, work.shape[1] - 1, parents)[:, None, :]]
+    e, n = rows.shape
+    logits = s.params.masked_logits_np(x.reshape(e * n, width), np.repeat(vs, n), parents)
+    return logits.reshape(e, n)
+
+
+def float_walk(
+    s,
+    maps: list[Imap],
+    n: int,
+    X: np.ndarray | None = None,
+    policy: Policy | None = None,
+    rng: np.random.Generator | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``AmortizedSampler._walk`` with float64 states and int64 parent columns."""
+    map_of, pos, var, parents, levels = _merged_levels(maps)
+    parents = parents.astype(np.int64)
+    N = len(maps) * n
+    work = np.zeros((N, s.num_vars + 1))
+    if X is not None:
+        work[:, :-1] = X
+    table, offset = _float_conditional_table(s, var, parents, n)
+    uniforms = None if rng is None else rng.random(len(var) * n).reshape(len(var), n)
+    terms = np.zeros((len(maps), max(len(m.order) for m in maps), n))
+    for ent in levels:
+        rows = map_of[ent, None] * n + np.arange(n)
+        cols = var[ent, None]
+        at, logits = offset[ent] >= 0, np.empty(rows.shape)
+        plus = work[rows[at][:, :, None], parents[ent[at], None, : int(n).bit_length()]] > 0
+        logits[at] = table[offset[ent[at], None] + (plus << np.arange(plus.shape[2])).sum(-1)]
+        if not at.all():
+            e = ent[~at]
+            logits[~at] = _float_entry_logits(s, work, rows[~at], var[e], parents[e])
+        if uniforms is not None:
+            work[rows, cols] = np.where(
+                uniforms[ent] < policy.plus_probability(logits), 1.0, -1.0
+            )
+        terms[map_of[ent], pos[ent]] = log_sigmoid_np(work[rows, cols] * logits)
+    logq = np.zeros((len(maps), n))
+    for t in range(terms.shape[1]):
+        logq += terms[:, t]
+    return work[:, :-1], logq.reshape(N)

@@ -1107,6 +1107,64 @@ class TestBalanceNeedsFullMap:
         assert np.isfinite(float(loss(sample_imap(g, seed=0)).data))
 
 
+class TestStateValues:
+    """The losses take state values -1, 0 and +1 only.  Any other value would
+    reach the network as given but the reward truncated to int8, so the two
+    sides of a residual would read different states."""
+
+    @pytest.mark.parametrize("objective", ["delta", "tb", "db", "subtb"])
+    def test_other_values_rejected(self, objective):
+        g = ladder_graph(3)
+        m = random_ising(g, sigma=0.5, seed=1)
+        s = randomized_sampler(6, seed=2, flow_head=True)
+        flow = FlowHead(s.params)
+        imap = sample_imap(g, seed=0)
+        X = np.random.default_rng(3).choice([-1.0, 1.0], size=(4, 6))
+        us = np.array([0, 3, 4, 5])
+        loss = {
+            "delta": lambda X: delta_loss_batch(s, imap, m, X, us, -np.sign(X[np.arange(4), us])),
+            "tb": lambda X: tb_loss_batch(s, imap, m, X, LogZEstimate()),
+            "db": lambda X: db_trajectory_loss(s, imap, m, X, flow),
+            "subtb": lambda X: subtb_loss_batch(s, imap, m, X, flow, 0.9),
+        }[objective]
+        assert np.isfinite(float(loss(X).data))
+        for bad in (0.5, -2.0, np.nan):
+            Xb = X.copy()
+            Xb[0, 3] = bad
+            with pytest.raises(PartialAssignment, match="-1, 0 or \\+1"):
+                loss(Xb)
+
+    def test_other_new_values_rejected(self):
+        g = ladder_graph(3)
+        m = random_ising(g, sigma=0.5, seed=1)
+        s = randomized_sampler(6, seed=2)
+        imap = sample_imap(g, seed=0)
+        X = np.random.default_rng(3).choice([-1.0, 1.0], size=(2, 6))
+        with pytest.raises(PartialAssignment, match="new_vals"):
+            delta_loss_batch(s, imap, m, X, [0, 3], [-X[0, 0], 0.5])
+        with pytest.raises(PartialAssignment, match="-1, 0 or \\+1"):
+            delta_loss(s, imap, m, np.r_[X[0, :5], 0.5], 0, -X[0, 0])
+
+    def test_int8_states_score_as_floats(self):
+        # the checked int8 copy is exact: the same loss and gradients, bit for bit
+        g = ladder_graph(3)
+        m = random_ising(g, sigma=0.5, seed=1)
+        imap = sample_imap(g, seed=0)
+        X = np.random.default_rng(3).choice([-1.0, 1.0], size=(8, 6))
+        us = np.arange(8) % 6
+        got = []
+        for form in (np.float64, np.int8):
+            s = randomized_sampler(6, seed=2)
+            Xf = X.astype(form)
+            loss = delta_loss_batch(s, imap, m, Xf, us, -Xf[np.arange(8), us])
+            loss = loss + tb_loss_batch(s, imap, m, Xf, LogZEstimate(0.5))
+            tape.backward(loss)
+            got.append([float(loss.data)] + [p.grad.copy() for p in s.params.params])
+        assert got[0][0] == got[1][0]
+        for a, b in zip(got[0][1:], got[1][1:]):
+            assert_array_equal(a, b)
+
+
 class TestFlowsMatchDense:
     """State flows from the running sum of the first layer against the flow
     head on the dense prefix rows (``oracles.log_flow_rows``), and DB and subTB

@@ -20,18 +20,32 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from flipmatch.errors import CorruptFile, FlipmatchError, NonFiniteLoss, ShapeMismatch
-from flipmatch.graph import _elimination_imap, _mask_of, cycle_graph
+from flipmatch.energy import random_ising
+from flipmatch.graph import (
+    _elimination_imap,
+    _mask_of,
+    cycle_graph,
+    grid_graph,
+    ladder_graph,
+    sample_imap,
+    sub_imap,
+)
+from flipmatch.harness import TrainConfig
+from flipmatch.harness.loops import _DeltaTrainer
 from flipmatch.losses import _term_table
 from flipmatch.nn import AdamState, MaeConfig, MaeParams, load_checkpoint, save_checkpoint, tape
 from flipmatch.nn import mae as mae_module
+from flipmatch.nn.mae import index_dtype
 from flipmatch.nn.tape import Tensor
-from flipmatch.sampler import AmortizedSampler
+from flipmatch.sampler import AmortizedSampler, Policy
 
 from oracles import (
     all_rows_first_layer,
     central_diff,
     count_order_first_layer,
+    cumsum_prefix_first_layer,
     every_column,
+    float_walk,
     masked_sigmoid,
     no_merging,
     relative_error,
@@ -562,11 +576,14 @@ class TestFirstLayerWithoutCopies:
     order copies they replace (``oracles.count_order_first_layer`` and
     ``oracles.sorted_copy_first_layer_grad``)."""
 
+    @pytest.mark.parametrize("grad_entries", [1 << 17, 50], ids=["one-range", "ranges"])
     @pytest.mark.parametrize("in_order", [False, True], ids=["shuffled", "by-count"])
     @pytest.mark.parametrize("n", [1, 4])
-    def test_bit_for_bit(self, monkeypatch, in_order, n):
-        # small gather pieces, so a run of equal counts spans several pieces
+    def test_bit_for_bit(self, monkeypatch, in_order, n, grad_entries):
+        # small gather pieces, so a run of equal counts spans several pieces;
+        # the gradient in one range of columns, or in many
         monkeypatch.setattr(mae_module, "_GATHER_ELEMENTS", 1 << 9)
+        monkeypatch.setattr(mae_module, "_GRAD_ENTRIES", grad_entries)
         cfg = small_config(num_vars=40, width=16)
         mae = MaeParams(cfg)
         randomize(mae, seed=34)
@@ -941,6 +958,24 @@ class TestPrefixTrunk:
             else:
                 assert_allclose(g, w, rtol=0, atol=1e-12, err_msg=name)
 
+    @pytest.mark.parametrize("order", ["shuffled", "one-var", "sliced"])
+    def test_running_sums_are_the_cumsum_bits(self, order):
+        # in-place adds of one prefix block to the next make np.cumsum's
+        # additions in its order, the sign of a zero included
+        cfg = small_config(flow_head=True)
+        mae = MaeParams(cfg)
+        randomize(mae, seed=58)
+        X, order = prefix_batch(cfg, order, 5, seed=23)
+        X[0, order[0]] = X[1, order[-1]] = 0.0
+        z, w_in_grad = mae._prefix_first_layer(X, order)
+        z_ref, w_in_grad_ref = cumsum_prefix_first_layer(mae, X, order)
+        assert_array_equal(z.view(np.int64), z_ref.view(np.int64))
+        gz = np.random.default_rng(24).normal(size=z.shape)
+        gz[: len(X)] = -0.0
+        kept = gz.copy()
+        assert_array_equal(w_in_grad(gz).view(np.int64), w_in_grad_ref(gz).view(np.int64))
+        assert_array_equal(gz, kept)
+
     def test_rejects_bad_inputs(self):
         mae = MaeParams(small_config(flow_head=True))
         X = np.ones((2, 4))
@@ -1176,6 +1211,107 @@ class TestFirstLayerOnRepresentatives:
         finally:
             tracemalloc.stop()
         assert peak < 3 * (x.nbytes + cols.nbytes) + 8 * kinds * cfg.width * 8
+
+
+@pytest.fixture
+def network_inputs(monkeypatch):
+    """The (values, cols) dtypes of every network call, as a set."""
+    seen: set[tuple] = set()
+    for name in ("masked_logits", "masked_logits_np"):
+        call = getattr(MaeParams, name)
+
+        def recorded(self, x, vs, cols, call=call):
+            seen.add((x.dtype, np.asarray(cols).dtype))
+            return call(self, x, vs, cols)
+
+        monkeypatch.setattr(MaeParams, name, recorded)
+    return seen
+
+
+class TestNarrowRows:
+    """States reach the network as int8 and variable ids in ``index_dtype``,
+    from the walk's work array and the merged parent table to the input
+    weights' gradient.  numpy turns -1, 0 and +1 into float64 exactly, so
+    logits, draws, log q and gradients are bit for bit those of float64
+    values and int64 columns."""
+
+    def test_index_dtype(self):
+        assert index_dtype(1) == index_dtype(128) == np.int8
+        assert index_dtype(129) == index_dtype(32768) == np.int16
+        assert index_dtype(32769) == np.int32
+        assert index_dtype(2**31 + 1) == np.int64
+
+    @pytest.mark.parametrize("sliced", [False, True], ids=["whole", "slices4"])
+    @pytest.mark.parametrize("form", TestSlicedTape.FORMS)
+    def test_network_reads_narrow_rows_exactly(self, monkeypatch, block_rows, form, sliced):
+        cfg = small_config(activation="elu", blocks=3)
+        mae = MaeParams(cfg)
+        randomize(mae, seed=61)
+        x, vs, cols, n = sliced_batch(cfg, form, seed=18)
+        if sliced:
+            slice_rows(monkeypatch, 4, cfg.width)
+        weights = np.random.default_rng(14).normal(size=len(x))
+        runs = []
+        for x_type, col_type in [(np.float64, np.int64), (np.int8, np.int16), (np.int8, np.int8)]:
+            xn, cn = x.astype(x_type), np.asarray(cols).astype(col_type)
+            block_rows.clear()
+            taped = mae.masked_logits(xn, vs, cn)
+            first_pass = sum(block_rows)
+            grads = network_grads(mae, tape.mul(taped, weights).sum())
+            runs.append((taped.data, mae.masked_logits_np(xn, vs, cn), grads, first_pass))
+        want, want_np, want_grads, want_rows = runs[0]
+        assert (want_rows < len(x)) == (form in ("merged", "posterior"))
+        for got, got_np, grads, first_pass in runs[1:]:
+            assert first_pass == want_rows  # the same rows merge
+            assert_array_equal(got, want)
+            assert_array_equal(got_np, want_np)
+            for name, g, w in zip(mae.names, grads, want_grads):
+                assert_array_equal(g, w, err_msg=name)
+
+    @pytest.mark.parametrize("graph", ["ladder", "grid"])
+    def test_walk_matches_the_float64_walk(self, network_inputs, graph):
+        # 12 variables take int8 ids, 144 int16; with n rows per map the
+        # entries of fewer than log2(n) + 1 parents read the table
+        g = ladder_graph(6) if graph == "ladder" else grid_graph(12, 12)
+        v = g.num_vars
+        s = AmortizedSampler(MaeParams(MaeConfig(num_vars=v, width=16, blocks=2, init_seed=1)))
+        randomize(s.params, seed=62)
+        latent = _elimination_imap(g, _mask_of(range(v // 2)), seed=4)
+        cases = [[sample_imap(g, seed=3)], [sub_imap(g, u, seed=u) for u in (0, v // 2, v - 1)]]
+        rng = np.random.default_rng(9)
+        for maps in cases + [[latent]]:
+            for n in (1, 4, 9):
+                X0 = rng.choice([-1.0, 1.0], size=(len(maps) * n, v))
+                policy = Policy(kind="tempered", temperature=1.5)
+                network_inputs.clear()
+                X, logq = s._walk(maps, n, X0, policy, np.random.default_rng(n))
+                assert network_inputs == {(np.dtype(np.int8), index_dtype(v))}
+                X_ref, logq_ref = float_walk(s, maps, n, X0, policy, np.random.default_rng(n))
+                assert X.dtype == np.int8
+                assert_array_equal(X, X_ref)
+                assert_array_equal(logq, logq_ref)
+                assert_array_equal(s._walk(maps, n, X)[1], float_walk(s, maps, n, X_ref)[1])
+
+    def test_sub_map_step_memory(self, network_inputs):
+        # one flip-matching step on the 16x16 lattice, one partial draw under
+        # each variable's own sub-map, width 64: its tracemalloc peak is 14.0 MB
+        # with int8 states and int16 ids, 15.7 MB with float64 states and
+        # int64 ids gathered at the width of the widest sub-map
+        g = grid_graph(16, 16)
+        s = AmortizedSampler(MaeParams(MaeConfig(num_vars=256, width=64, blocks=2, init_seed=0)))
+        cfg = TrainConfig(
+            objective="delta", total_steps=1, sub_dags_per_var=1, width=64, blocks=2, seed=0
+        )
+        trainer = _DeltaTrainer(cfg, random_ising(g, sigma=0.2, seed=0), s)
+        tracemalloc.start()
+        try:
+            loss, _ = trainer.step()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert loss == 2.495
+        assert network_inputs == {(np.dtype(np.int8), np.dtype(np.int16))}
+        assert peak < 15.0e6
 
 
 class TestCheckpoint:
