@@ -18,6 +18,7 @@ Values are +1/-1 with 0 reserved for "masked / not instantiated" throughout.
 from __future__ import annotations
 
 import json
+import operator
 import os
 import struct
 from dataclasses import dataclass
@@ -419,6 +420,14 @@ class IsingModel(EnergyModel):
 
     Factorized as one bilinear factor of weight 2*sigma*J_uv per edge plus one
     unary factor of weight sigma*b_v per variable, so log R = -E exactly.
+
+    Only the nonzero couplings are kept: ``edges`` lists them, ascending
+    (u, v) with u < v; ``_nbrs[u]`` holds u's neighbours ascending, padded
+    with -1 to the largest degree, and ``_coup[u, j]`` the coupling to
+    ``_nbrs[u, j]``, 0 in a padded slot.  Every method reads these tables, so
+    a model takes O(|V| + |E|) memory, and ``from_edges`` builds one from an
+    edge list.  ``J`` builds the dense matrix on each read; nothing in the
+    package reads it.
     """
 
     kind = "ising"
@@ -433,45 +442,111 @@ class IsingModel(EnergyModel):
             raise ValueError("J must be symmetric")
         if np.any(np.diag(J) != 0):
             raise ValueError("J must have zero diagonal")
-        if sigma <= 0:
-            raise ValueError("sigma must be positive")
-        self.J = J
-        self.b = b
-        self.sigma = float(sigma)
         rows, cols = np.nonzero(J)
         upper = rows < cols
         rows, cols = rows[upper], cols[upper]
-        self.edges = tuple(zip(rows.tolist(), cols.tolist()))
-        nbrs: list[list[int]] = [[] for _ in range(n)]
-        for u, v in self.edges:
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-        # each variable's neighbours in increasing order, padded with -1
-        self._degree = np.array([len(vs) for vs in nbrs], dtype=np.int64)
-        self._nbrs = np.full((n, int(self._degree.max(initial=0))), -1, dtype=np.int64)
-        for u, vs in enumerate(nbrs):
-            self._nbrs[u, : len(vs)] = sorted(vs)
+        self._build(np.stack([rows, cols]), J[rows, cols], b, sigma)
+
+    @classmethod
+    def from_edges(cls, num_vars: int, edges, weights, b, sigma: float = 0.2) -> "IsingModel":
+        """The model of couplings ``weights[k]`` on ``edges[k] = (u, v)``.
+
+        An edge may be listed either way round and more than once, the last
+        weight winning; edges whose weight is 0 are dropped, and what is left
+        must hold no self-loop and no NaN, as a symmetric, zero-diagonal J.
+        """
+        n = operator.index(num_vars)
+        b = np.asarray(b, dtype=np.float64)
+        if b.shape != (n,):
+            raise ShapeMismatch(f"b must hold num_vars = {n} values, got shape {b.shape}")
+        ends = np.asarray(edges) if len(edges) else np.zeros((0, 2), dtype=np.int64)
+        weights = np.asarray(weights, dtype=np.float64)
+        if ends.dtype.kind not in "iu" or ends.ndim != 2 or ends.shape[1] != 2:
+            raise ValueError(f"edges must be (u, v) integer pairs, got {ends.dtype} {ends.shape}")
+        if weights.shape != (len(ends),):
+            raise ShapeMismatch(f"need one weight per edge: {len(ends)} edges, {weights.shape}")
+        if len(ends) and not (ends.min() >= 0 and ends.max() < n):
+            raise ValueError(f"edge ends must lie in 0..{n - 1}")
+        ends = ends.astype(np.int64)
+        lo, hi = ends.min(axis=1), ends.max(axis=1)
+        # the last listing of each edge, in ascending (u, v) order
+        _, last = np.unique((lo * n + hi)[::-1], return_index=True)
+        w = weights[::-1][last]
+        lo, hi = lo[::-1][last], hi[::-1][last]
+        keep = w != 0
+        lo, hi, w = lo[keep], hi[keep], w[keep]
+        if (lo == hi).any():
+            raise ValueError(f"self-loop at variable {lo[lo == hi][0]}: J must have zero diagonal")
+        if np.isnan(w).any():
+            raise ValueError("couplings must not be NaN")
+        m = cls.__new__(cls)
+        m._build(np.stack([lo, hi]), w, b, sigma)
+        return m
+
+    def _build(self, ends: np.ndarray, weights: np.ndarray, b: np.ndarray, sigma: float) -> None:
+        """The tables of the nonzero couplings ``weights`` on the ascending
+        edges ``ends`` (2, E), u < v."""
+        if sigma <= 0:
+            raise ValueError("sigma must be positive")
+        n = len(b)
+        self.b = b
+        self.sigma = float(sigma)
+        self.edges = tuple(zip(ends[0].tolist(), ends[1].tolist()))
+        # both directions of every edge, by (variable, neighbour): each
+        # variable's neighbours in increasing order, one slot each
+        src, dst = np.concatenate([ends, ends[::-1]], axis=1)
+        by_var = np.lexsort((dst, src))
+        self._degree = np.bincount(src, minlength=n)
+        starts = np.cumsum(self._degree) - self._degree
+        slot = np.empty_like(by_var)
+        slot[by_var] = np.arange(len(by_var)) - starts[src[by_var]]
+        width = int(self._degree.max(initial=0))
+        self._nbrs = np.full((n, width), -1, dtype=np.int64)
+        self._nbrs[src, slot] = dst
+        self._coup = np.zeros((n, width))
+        # per edge, the positions in the flattened tables of (u, v) and of (v, u)
+        self._slots = (src * width + slot).reshape(2, -1)
+        self._ends = ends
+        self._coup.reshape(-1)[self._slots] = weights
         factors: list[Factor] = [
-            BilinearFactor(u, v, 2.0 * sigma * J[u, v]) for u, v in self.edges
+            BilinearFactor(u, v, 2.0 * self.sigma * w)
+            for (u, v), w in zip(self.edges, weights.tolist())
         ]
-        factors += [LinearFactor(v, sigma * b[v]) for v in range(n)]
+        factors += [LinearFactor(v, self.sigma * b[v]) for v in range(n)]
         super().__init__(n, factors)
 
+    @property
+    def J(self) -> np.ndarray:
+        """The dense (|V|, |V|) coupling matrix, built on each read (read-only)."""
+        J = np.zeros((self.num_vars, self.num_vars))
+        u, v = self._ends
+        J[u, v] = J[v, u] = self._weights()
+        J.flags.writeable = False
+        return J
+
+    def _weights(self) -> np.ndarray:
+        """The coupling of each edge, in the order of ``edges``."""
+        return self._coup.reshape(-1)[self._slots[0]]
+
     def _rebuild_factor_weights(self) -> None:
-        k = 0
-        for u, v in self.edges:
-            self.factors[k].weight = 2.0 * self.sigma * self.J[u, v]
-            k += 1
+        for k, w in enumerate(self._weights().tolist()):
+            self.factors[k].weight = 2.0 * self.sigma * w
+        k = len(self.edges)
         for v in range(self.num_vars):
             self.factors[k].weight = self.sigma * self.b[v]
             k += 1
 
     def log_reward_batch(self, X) -> np.ndarray:
-        X = _batch_values(X).astype(np.float64)
-        return self.sigma * (np.einsum("ni,ni->n", X @ self.J, X) + X @ self.b)
+        # x_u * x_v per edge, from rows of the variable-major values; int8
+        # states multiply exactly in int16, at a quarter of float64's bytes
+        X = _batch_values(X)
+        Xv = np.ascontiguousarray(X.T)
+        u, v = self._ends
+        pair = np.multiply(Xv[u], Xv[v], dtype=np.int16 if X.dtype == np.int8 else np.float64)
+        return self.sigma * (2.0 * (self._weights() @ pair) + X @ self.b)
 
     def local_flip_logits(self, u, X: np.ndarray) -> np.ndarray:
-        # the field reads only u's neighbours; weights come from J at call time.
+        # the field reads only u's neighbours, weights from the coupling table.
         # Variables of equal degree d share one stacked matmul over (rows, d)
         # blocks laid out column-major, as numpy lays out a gathered X[:, nb]:
         # per variable the gemv of X[:, nb] @ J[u, nb], so the bits depend
@@ -484,16 +559,18 @@ class IsingModel(EnergyModel):
             at = np.flatnonzero(deg == d)
             nb = self._nbrs[us[at], :d]
             blocks = np.ascontiguousarray(Xv[nb], dtype=np.float64).transpose(0, 2, 1)
-            field[at] = np.matmul(blocks, self.J[us[at, None], nb][:, :, None])[:, :, 0]
+            field[at] = np.matmul(blocks, self._coup[us[at], :d][:, :, None])[:, :, 0]
         out = self.sigma * (4.0 * field + 2.0 * self.b[us][:, None])
         return out if np.ndim(u) else out[0]
 
     def delta_log_reward_batch(self, X, us, new_vals) -> np.ndarray:
+        # u's field from its neighbours' values alone: a padded slot reads
+        # the last column and weighs it by 0
         X = _batch_values(X)
         us = np.asarray(us)
-        Xf = X.astype(np.float64)
-        field = np.einsum("nj,nj->n", Xf, self.J[us])
-        diff = (X[np.arange(X.shape[0]), us] - np.asarray(new_vals)).astype(np.float64)
+        rows = np.arange(X.shape[0])
+        field = np.einsum("nj,nj->n", X[rows[:, None], self._nbrs[us]], self._coup[us])
+        diff = (X[rows, us] - np.asarray(new_vals)).astype(np.float64)
         return self.sigma * diff * (2.0 * field + self.b[us])
 
     # learnable view: couplings on the edge support, then biases
@@ -501,15 +578,13 @@ class IsingModel(EnergyModel):
         return len(self.edges) + self.num_vars
 
     def get_params(self) -> np.ndarray:
-        coup = np.array([self.J[u, v] for u, v in self.edges])
-        return np.concatenate([coup, self.b])
+        return np.concatenate([self._weights(), self.b])
 
     def set_params(self, flat: np.ndarray) -> None:
         flat = np.asarray(flat, dtype=np.float64)
         if flat.size != self.num_params():
             raise ShapeMismatch("parameter vector size mismatch")
-        for k, (u, v) in enumerate(self.edges):
-            self.J[u, v] = self.J[v, u] = flat[k]
+        self._coup.reshape(-1)[self._slots] = flat[: len(self.edges)]
         self.b = flat[len(self.edges) :].copy()
         self._rebuild_factor_weights()
 
@@ -581,12 +656,10 @@ def random_ising(
 ) -> IsingModel:
     """Ising model on a graph with couplings and biases drawn from {-1, +1}."""
     rng = _as_rng(seed)
-    n = g.num_vars
-    J = np.zeros((n, n))
-    for u, v in sorted(g.edges):
-        J[u, v] = J[v, u] = rng.choice([-1.0, 1.0])
-    b = rng.choice([-1.0, 1.0], size=n)
-    return IsingModel(J, b, sigma)
+    edges = sorted(g.edges)
+    weights = [rng.choice([-1.0, 1.0]) for _ in edges]
+    b = rng.choice([-1.0, 1.0], size=g.num_vars)
+    return IsingModel.from_edges(g.num_vars, edges, weights, b, sigma)
 
 
 def random_factor_lattice(
@@ -688,7 +761,7 @@ def write_model(m: EnergyModel, path: str) -> None:
             "kind": "ising",
             "num_vars": m.num_vars,
             "sigma": m.sigma,
-            "edges": [[int(u), int(v), float(m.J[u, v])] for u, v in m.edges],
+            "edges": [[u, v, w] for (u, v), w in zip(m.edges, m._weights().tolist())],
             "bias": [float(x) for x in m.b],
         }
     elif isinstance(m, TabularBayesNetModel):
@@ -739,12 +812,13 @@ def _model_from_doc(doc, folder: str) -> EnergyModel:
         n = doc["num_vars"]
         if bias.shape != (n,):
             raise ValueError(f"bias must hold num_vars = {n} values")
-        J = np.zeros((n, n))
+        ends, weights = [], []
         for u, v, w in doc["edges"]:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) out of range for {n} variables")
-            J[u, v] = J[v, u] = w
-        return IsingModel(J, bias, doc["sigma"])
+            if type(u) is not int or type(v) is not int:
+                raise ValueError(f"edge ({u!r}, {v!r}) must name integer vertex ids")
+            ends.append((u, v))
+            weights.append(float(w))
+        return IsingModel.from_edges(n, ends, weights, bias, doc["sigma"])
     if kind == "bayesnet":
         order = doc["topo_order"]
         if not all(type(v) is int for v in order):

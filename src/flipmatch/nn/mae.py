@@ -37,7 +37,11 @@ it runs each earlier slice's blocks again from the first layer's output
 (gradient checkpointing, Chen et al. 2016, arXiv:1604.06174), pushes the
 gradient back through the head and the blocks, and at the end hands the
 first layer's output gradient to the call's input-weight gradient, once on
-the whole batch.  A call that fits in one slice runs nothing twice.
+the whole batch.  That gradient is written into the first layer's output's
+own buffer, each slice's rows once the slice has run again, so the backward
+holds one (rows, width) array for both; a graph is therefore back-propagated
+once, and ``tape.backward`` refuses a second pass through it.  A call that
+fits in one slice runs nothing twice.
 
 A conditional depends only on its variable and its input, and a batch often
 holds the same (variable, columns, values) row many times: with few parents,
@@ -240,8 +244,8 @@ class MaeParams:
         The forward is ``_sliced_blocks_np``'s, slice by slice.  The node keeps z, its
         output and the last slice's intermediates; every other slice runs in
         a copy of its rows of z and keeps nothing, and ``_trunk_backward``
-        runs it again.  ``w_in_grad`` maps the gradient of z to the input
-        weights' gradient.
+        runs it again and then overwrites z with its gradient.  ``w_in_grad``
+        maps the gradient of z to the input weights' gradient.
         """
         slices = _row_slices(*z.shape)
         out = np.empty_like(z) if head is None else np.empty(len(z))
@@ -266,11 +270,15 @@ class MaeParams:
         ones the forward kept, every other slice's come from running its
         blocks again on its rows of z.  The gradient goes back through the
         head into that slice's trunk rows, then through the blocks into the
-        slice's rows of gz, the first layer's output gradient; the input
-        weights and bias take theirs from the whole of gz at the end.
+        slice's rows of gz, the first layer's output gradient, which takes
+        z's own buffer: a slice's rows of z are last read when the slice runs
+        again, or, for the last slice, whose kept intermediates may view
+        them, when its gradient has gone through the blocks.  The input
+        weights and bias take theirs from the whole buffer at the end.  The
+        tape runs this once per graph.
         """
         slices = _row_slices(*z.shape)
-        gz = np.empty_like(z)
+        gz = z
         if head is not None:
             gw, gb = np.zeros_like(self.w_out.data), np.zeros_like(self.b_out.data)
         for s in reversed(slices):
@@ -563,11 +571,14 @@ class MaeParams:
         merges different rows and a row holding NaN never joins another.
         """
         n_rows = len(vs)
+        # row numbers as narrow as they fit, with room for n_rows itself, so
+        # that a row number divides by the block size without overflow
+        at = index_dtype(n_rows + 1)
         key = self._row_keys(packed, vs)
-        order = np.argsort(key)
+        order = np.argsort(key).astype(at)
         key = key[order]
         least = max(1.0, _MIN_REPEAT_SHARE * n_rows)
-        pair = np.flatnonzero(key[1:] == key[:-1])  # candidates: sorted rows j, j + 1
+        pair = np.flatnonzero(key[1:] == key[:-1]).astype(at)  # candidates: sorted rows j, j + 1
         if len(pair) < least:
             return None
         a, b = order[pair], order[pair + 1]
@@ -581,11 +592,11 @@ class MaeParams:
         start = np.ones(n_rows, dtype=bool)
         start[pair[same] + 1] = False
         first = np.minimum.reduceat(order, np.flatnonzero(start))
-        by_row = np.argsort(first)
+        by_row = np.argsort(first).astype(at)
         renumber = np.empty_like(by_row)
-        renumber[by_row] = np.arange(len(by_row))
-        inv = np.empty(n_rows, dtype=np.int64)
-        inv[order] = renumber[np.cumsum(start) - 1]
+        renumber[by_row] = np.arange(len(by_row), dtype=at)
+        inv = np.empty(n_rows, dtype=at)
+        inv[order] = renumber[np.cumsum(start, dtype=at) - 1]
         return first[by_row], inv
 
     # -- flat views for checkpoints and finite differences -------------------

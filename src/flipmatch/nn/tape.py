@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from flipmatch.errors import NonFiniteLoss, ShapeMismatch
+from flipmatch.errors import ConfigError, NonFiniteLoss, ShapeMismatch
 
 __all__ = [
     "Tensor",
@@ -301,8 +301,17 @@ def _reduce(x: Tensor, scale: float) -> Tensor:
     return _make(np.asarray(x.data.sum() * scale), (x,), back)
 
 
+def _spent(g: np.ndarray) -> None:
+    """The closure left on a node once it has been back-propagated."""
+
+
 def backward(root: Tensor) -> None:
-    """Accumulate d root / d leaf into .grad of every reachable parameter."""
+    """Accumulate d root / d leaf into .grad of every reachable parameter.
+
+    A graph is back-propagated once: its nodes keep their gradients, and a
+    node may reuse its saved arrays for its gradient, so a second call that
+    reaches any of them raises ConfigError before any gradient moves.
+    """
     if root.data.size != 1:
         raise ShapeMismatch("backward needs a scalar root")
     if not np.isfinite(root.data):
@@ -317,11 +326,16 @@ def backward(root: Tensor) -> None:
             continue
         if id(node) in seen or not node.requires_grad:
             continue
+        if node._backward_fn is _spent:
+            raise ConfigError("this graph has been back-propagated already: build it again")
         seen.add(id(node))
         stack.append((node, True))
         for p in node._parents:
             stack.append((p, False))
     root.grad = np.ones_like(root.data)
     for node in reversed(topo):
-        if node._backward_fn is not None and node.grad is not None:
-            node._backward_fn(node.grad)
+        fn = node._backward_fn
+        if fn is not None:
+            node._backward_fn = _spent  # which also frees what the closure held
+            if node.grad is not None:
+                fn(node.grad)

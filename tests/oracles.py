@@ -30,6 +30,7 @@ from flipmatch.errors import (
     EmptyBatch,
     FlipmatchError,
     PartialAssignment,
+    ShapeMismatch,
     TooFewChildren,
 )
 from flipmatch.graph import (
@@ -56,7 +57,14 @@ from flipmatch.losses import (
     tb_loss_batch,
 )
 from flipmatch.nn import MaeParams, tape
-from flipmatch.nn.mae import _BLOCK_ELEMENTS, _LN_EPS, _count_runs, _matmul, _row_vars
+from flipmatch.nn.mae import (
+    _BLOCK_ELEMENTS,
+    _LN_EPS,
+    _count_runs,
+    _matmul,
+    _row_slices,
+    _row_vars,
+)
 from flipmatch.nn.tape import Tensor, log_sigmoid_np, sigmoid_np
 from flipmatch.sampler import (
     AmortizedSampler,
@@ -1747,13 +1755,15 @@ def per_flip_trainer_step(trainer) -> tuple[float, int]:
 # order, on a chains-major state, one logit call per variable
 
 
-def sequential_flip_logits(m: EnergyModel, u: int, X: np.ndarray) -> np.ndarray:
+def sequential_flip_logits(m: EnergyModel, u: int, X: np.ndarray, J=None) -> np.ndarray:
     """log R(x with x_u=+1) - log R(x with x_u=-1) per row of X: the
-    neighbour-list field for Ising models, the touching-factor sum otherwise."""
+    neighbour-list field for Ising models, the touching-factor sum otherwise.
+    ``J`` is an Ising model's dense couplings, read from ``m.J`` if not given."""
     X = _batch_values(X)
     if isinstance(m, IsingModel):
+        J = m.J if J is None else J
         nb = np.array(m.graph.neighbors(u), dtype=np.int64)
-        field = X[:, nb] @ m.J[u, nb]
+        field = X[:, nb] @ J[u, nb]
         return m.sigma * (4.0 * field + 2.0 * m.b[u])
     plus = X.copy()
     plus[:, u] = 1
@@ -1780,10 +1790,11 @@ def sequential_gibbs(
     schedule = anneal_schedule or AnnealSchedule()
     X = rng.choice(np.array([-1, 1], dtype=np.int8), size=(n_chains, m.num_vars))
     X = X.astype(np.float64)
+    J = m.J if isinstance(m, IsingModel) else None
     for sweep in range(n_steps if n_chains else 0):
         beta = schedule.beta(sweep)
         for u in range(m.num_vars):
-            logits = sequential_flip_logits(m, u, X)
+            logits = sequential_flip_logits(m, u, X, J)
             p_plus = sigmoid_np(beta * logits)
             X[:, u] = np.where(rng.random(n_chains) < p_plus, 1.0, -1.0)
     return X.astype(np.int8)
@@ -1879,3 +1890,94 @@ def float_walk(
     for t in range(terms.shape[1]):
         logq += terms[:, t]
     return work[:, :-1], logq.reshape(N)
+
+
+# ---------------------------------------------------------------------------
+# IsingModel as it was before the coupling table: every coupling read from a
+# dense (|V|, |V|) J
+
+
+class DenseIsingModel(IsingModel):
+    """An ``IsingModel`` whose rewards, flip ratios, Gibbs logits and
+    parameters read a dense J it keeps, as the model did before its
+    couplings moved to an edge table beside the neighbour table."""
+
+    def __init__(self, J: np.ndarray, b: np.ndarray, sigma: float = 0.2) -> None:
+        super().__init__(J, b, sigma)
+        self.dense_J = np.array(J, dtype=np.float64)
+
+    def _rebuild_factor_weights(self) -> None:
+        k = 0
+        for u, v in self.edges:
+            self.factors[k].weight = 2.0 * self.sigma * self.dense_J[u, v]
+            k += 1
+        for v in range(self.num_vars):
+            self.factors[k].weight = self.sigma * self.b[v]
+            k += 1
+
+    def log_reward_batch(self, X) -> np.ndarray:
+        X = _batch_values(X).astype(np.float64)
+        return self.sigma * (np.einsum("ni,ni->n", X @ self.dense_J, X) + X @ self.b)
+
+    def local_flip_logits(self, u, X: np.ndarray) -> np.ndarray:
+        Xv = _batch_values(X).T
+        us = np.atleast_1d(np.asarray(u, dtype=np.int64))
+        field = np.empty((len(us), Xv.shape[1]))
+        deg = self._degree[us]
+        for d in np.unique(deg).tolist():
+            at = np.flatnonzero(deg == d)
+            nb = self._nbrs[us[at], :d]
+            blocks = np.ascontiguousarray(Xv[nb], dtype=np.float64).transpose(0, 2, 1)
+            field[at] = np.matmul(blocks, self.dense_J[us[at, None], nb][:, :, None])[:, :, 0]
+        out = self.sigma * (4.0 * field + 2.0 * self.b[us][:, None])
+        return out if np.ndim(u) else out[0]
+
+    def delta_log_reward_batch(self, X, us, new_vals) -> np.ndarray:
+        X = _batch_values(X)
+        us = np.asarray(us)
+        Xf = X.astype(np.float64)
+        field = np.einsum("nj,nj->n", Xf, self.dense_J[us])
+        diff = (X[np.arange(X.shape[0]), us] - np.asarray(new_vals)).astype(np.float64)
+        return self.sigma * diff * (2.0 * field + self.b[us])
+
+    def get_params(self) -> np.ndarray:
+        coup = np.array([self.dense_J[u, v] for u, v in self.edges])
+        return np.concatenate([coup, self.b])
+
+    def set_params(self, flat: np.ndarray) -> None:
+        flat = np.asarray(flat, dtype=np.float64)
+        if flat.size != self.num_params():
+            raise ShapeMismatch("parameter vector size mismatch")
+        for k, (u, v) in enumerate(self.edges):
+            self.dense_J[u, v] = self.dense_J[v, u] = flat[k]
+        self.b = flat[len(self.edges) :].copy()
+        self._rebuild_factor_weights()
+
+
+# ---------------------------------------------------------------------------
+# the taped trunk's backward as it was before the first layer's output
+# gradient took the output's own buffer
+
+
+def two_buffer_trunk_backward(mae, z, w_in_grad, head, last, g: np.ndarray) -> None:
+    """``MaeParams._trunk_backward`` with gz in an array of its own beside z."""
+    slices = _row_slices(*z.shape)
+    gz = np.empty_like(z)
+    if head is not None:
+        gw, gb = np.zeros_like(mae.w_out.data), np.zeros_like(mae.b_out.data)
+    for s in reversed(slices):
+        if s is slices[-1]:
+            saved, h = last
+        else:
+            saved = []
+            h = mae._blocks_np(z[s].copy(), saved)
+        gh = g[s]
+        if head is not None:
+            tape.pick_affine_grads(h, gh, head[s], gw, gb)
+            gh = gh[:, None] * mae.w_out.data.T[head[s]]
+        gz[s] = mae._blocks_backward(saved, gh)
+    if head is not None:
+        mae.w_out.accumulate(gw)
+        mae.b_out.accumulate(gb)
+    mae.w_in.accumulate(w_in_grad(gz))
+    mae.b_in.accumulate(gz.sum(axis=0))

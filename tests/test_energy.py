@@ -36,9 +36,10 @@ from flipmatch.errors import (
     ShapeMismatch,
     TooLarge,
 )
-from flipmatch.graph import Imap, chain_graph, random_graph, sample_imap
-from flipmatch.sampler import _scan_levels
+from flipmatch.graph import Imap, chain_graph, grid_graph, ladder_graph, random_graph, sample_imap
+from flipmatch.sampler import _scan_levels, gibbs_chain
 from oracles import (
+    DenseIsingModel,
     central_diff,
     delta_log_reward,
     energy,
@@ -645,3 +646,184 @@ class TestModelIO:
         bad.write_bytes(b"XXXX" + payload[4:])
         with pytest.raises(ValueError):
             read_model(path)
+
+
+def edge_table_pair(couplings: str, graph: str, seed: int):
+    """An Ising model and its dense-J oracle on the same couplings: +-1
+    couplings and biases as ``random_ising`` draws them, or normal ones."""
+    g = random_graph(13, 0.35, seed) if graph == "random" else grid_graph(5, 6)
+    if couplings == "pm1":
+        m = random_ising(g, sigma=0.3, seed=seed)
+        return m, DenseIsingModel(m.J, m.b, m.sigma)
+    rng = np.random.default_rng(seed)
+    J = np.zeros((g.num_vars, g.num_vars))
+    for u, v in sorted(g.edges):
+        J[u, v] = J[v, u] = rng.normal()
+    b = rng.normal(size=g.num_vars)
+    return IsingModel(J, b, 0.7), DenseIsingModel(J, b, 0.7)
+
+
+def flip_batch(m, rows: int, seed: int):
+    rng = np.random.default_rng(seed)
+    X = rng.choice(np.array([-1, 1], dtype=np.int8), size=(rows, m.num_vars))
+    us = rng.integers(0, m.num_vars, rows)
+    return X, us, -X[np.arange(rows), us]
+
+
+class TestIsingEdgeTable:
+    """The couplings sit in a table beside the neighbour table; every method
+    that read the dense J gives what it gave, bit for bit where the sums are
+    exact or laid out as before."""
+
+    CASES = [(c, g) for c in ("pm1", "normal") for g in ("random", "grid")]
+
+    @pytest.mark.parametrize("couplings,graph", CASES)
+    def test_gibbs_and_flip_logits_are_the_dense_bits(self, couplings, graph):
+        m, dense = edge_table_pair(couplings, graph, seed=4)
+        for chains, sweeps in ((1, 3), (37, 4)):
+            assert_array_equal(
+                gibbs_chain(m, chains, sweeps, seed=9), gibbs_chain(dense, chains, sweeps, seed=9)
+            )
+        Xv = np.random.default_rng(5).choice([-1.0, 1.0], size=(m.num_vars, 40))
+        everyone = np.arange(m.num_vars)
+        assert_array_equal(
+            m.local_flip_logits(everyone, Xv.T), dense.local_flip_logits(everyone, Xv.T)
+        )
+        assert_array_equal(m.local_flip_logits(3, Xv.T), dense.local_flip_logits(3, Xv.T))
+
+    @pytest.mark.parametrize("couplings,graph", CASES)
+    def test_rewards_and_deltas(self, couplings, graph):
+        m, dense = edge_table_pair(couplings, graph, seed=6)
+        X, us, new_vals = flip_batch(m, 300, seed=7)
+        got = (m.log_reward_batch(X), m.delta_log_reward_batch(X, us, new_vals))
+        want = (dense.log_reward_batch(X), dense.delta_log_reward_batch(X, us, new_vals))
+        for g, w in zip(got, want):
+            if couplings == "pm1":
+                assert_array_equal(g, w)
+            else:
+                assert_allclose(g, w, rtol=1e-12, atol=0)
+        # int8 states multiply exactly, as float64 ones do
+        assert_array_equal(m.log_reward_batch(X.astype(np.float64)), got[0])
+        # a delta reads u's neighbours alone: the others may hold anything
+        far = X.copy()
+        for i, u in enumerate(us):
+            others = np.setdiff1d(np.arange(m.num_vars), [u, *m.graph.neighbors(u)])
+            far[i, others] = 0
+        assert_array_equal(m.delta_log_reward_batch(far, us, new_vals), got[1])
+
+    @pytest.mark.parametrize("couplings", ["pm1", "normal"])
+    def test_params_round_trip(self, couplings):
+        m, dense = edge_table_pair(couplings, "random", seed=8)
+        assert_array_equal(m.get_params(), dense.get_params())
+        flat = np.random.default_rng(9).normal(size=m.num_params())
+        m.set_params(flat)
+        dense.set_params(flat)
+        assert_array_equal(m.get_params(), flat)
+        assert_array_equal(m.J, dense.dense_J)
+        assert [f.weight for f in m.factors] == [f.weight for f in dense.factors]
+        X, us, new_vals = flip_batch(m, 50, seed=10)
+        assert_allclose(m.log_reward_batch(X), dense.log_reward_batch(X), rtol=1e-12, atol=0)
+        everyone = np.arange(m.num_vars)
+        assert_array_equal(m.local_flip_logits(everyone, X), dense.local_flip_logits(everyone, X))
+
+    def test_J_is_the_constructors(self):
+        rng = np.random.default_rng(11)
+        J = np.triu(rng.normal(size=(9, 9)) * (rng.random((9, 9)) < 0.4), 1)
+        J = J + J.T
+        m = IsingModel(J, rng.normal(size=9))
+        assert_array_equal(m.J, J)
+        assert not m.J.flags.writeable
+        assert m.edges == tuple(zip(*(a.tolist() for a in np.nonzero(np.triu(J, 1)))))
+        assert_array_equal(m._coup[m._nbrs < 0], 0.0)
+
+    @pytest.mark.parametrize("couplings", ["pm1", "normal"])
+    def test_file_round_trip(self, couplings, tmp_path):
+        m, _ = edge_table_pair(couplings, "random", seed=12)
+        path = str(tmp_path / "m.json")
+        write_model(m, path)
+        back = read_model(path)
+        assert back.edges == m.edges and back.sigma == m.sigma
+        for name in ("_nbrs", "_coup", "b"):
+            assert_array_equal(getattr(back, name), getattr(m, name))
+        assert_array_equal(back.J, m.J)
+
+    def test_from_edges_reads_an_edge_list_as_a_dense_J_would(self):
+        # either way round, listed twice (the last weight wins), zero-weight
+        # edges and zero-weight self-loops dropped
+        edges = [(3, 1), (0, 2), (1, 3), (2, 4), (4, 4), (0, 4)]
+        weights = [0.5, -1.0, 0.25, 0.0, 0.0, 2.0]
+        b = np.arange(5) / 4.0
+        m = IsingModel.from_edges(5, edges, weights, b, sigma=0.4)
+        J = np.zeros((5, 5))
+        for (u, v), w in zip(edges, weights):
+            J[u, v] = J[v, u] = w
+        want = DenseIsingModel(J, b, 0.4)
+        assert m.edges == want.edges == ((0, 2), (0, 4), (1, 3))
+        assert_array_equal(m.J, J)
+        X = all_states(5)
+        assert_array_equal(m.log_reward_batch(X), want.log_reward_batch(X))
+        assert [f.weight for f in m.factors] == [f.weight for f in want.factors]
+        empty = IsingModel.from_edges(3, [], [], np.zeros(3))
+        assert empty.edges == () and empty._nbrs.shape == (3, 0)
+        assert_array_equal(empty.log_reward_batch(all_states(3)), 0.0)
+
+    @pytest.mark.parametrize(
+        "edges,weights,error",
+        [
+            ([(1, 1)], [0.5], ValueError),
+            ([(0, 5)], [1.0], ValueError),
+            ([(-1, 2)], [1.0], ValueError),
+            ([(0, 1)], [np.nan], ValueError),
+            ([(0, 1)], [1.0, 2.0], ShapeMismatch),
+            ([(0, 1, 2)], [1.0], ValueError),
+            ([(0.0, 1.0)], [1.0], ValueError),
+        ],
+    )
+    def test_from_edges_rejects(self, edges, weights, error):
+        with pytest.raises(error):
+            IsingModel.from_edges(5, edges, weights, np.zeros(5))
+
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            [[1, 1, 0.5]],
+            [[0, 3, 1.0]],
+            [[-1, 0, 1.0]],
+            [[0.0, 1, 1.0]],
+            [[0, 1, None]],
+            [[0, 1, "x"]],
+        ],
+        ids=["self-loop", "past-the-end", "negative", "float-id", "no-weight", "text-weight"],
+    )
+    def test_reader_rejects_bad_edges(self, edges, tmp_path):
+        path = tmp_path / "bad_ising.json"
+        doc = {"kind": "ising", "num_vars": 3, "sigma": 0.2, "edges": edges, "bias": [0, 0, 0]}
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CorruptFile, match="bad_ising.json"):
+            read_model(str(path))
+
+    def test_random_ising_builds_no_dense_matrix(self):
+        # 4,096 spins: a dense J is 134 MB; the tables, factors and graph of
+        # the 8,189 edges trace 7.9 MB
+        g = ladder_graph(2048)
+        tracemalloc.start()
+        try:
+            random_ising(g, sigma=0.2, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+
+    def test_read_model_builds_no_dense_matrix(self, tmp_path):
+        # the model above as read from its file: 9.1 MB
+        m = random_ising(ladder_graph(2048), sigma=0.2, seed=0)
+        path = str(tmp_path / "ladder.json")
+        write_model(m, path)
+        tracemalloc.start()
+        try:
+            back = read_model(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back.edges == m.edges
+        assert peak < 16e6

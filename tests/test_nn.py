@@ -19,7 +19,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from flipmatch.errors import CorruptFile, FlipmatchError, NonFiniteLoss, ShapeMismatch
+from flipmatch.errors import (
+    ConfigError,
+    CorruptFile,
+    FlipmatchError,
+    NonFiniteLoss,
+    ShapeMismatch,
+)
 from flipmatch.energy import random_ising
 from flipmatch.graph import (
     _elimination_imap,
@@ -52,6 +58,7 @@ from oracles import (
     sorted_copy_first_layer_grad,
     taped_trunk,
     trunk_np,
+    two_buffer_trunk_backward,
     whole_batch_masked_logits,
     whole_batch_prefix_trunk,
 )
@@ -237,6 +244,29 @@ class TestBackwardMechanics:
         tape.backward(x.sum())
         x.zero_grad()
         assert x.grad is None
+
+    def test_a_graph_is_back_propagated_once(self):
+        # a second pass would add the intermediate nodes' kept gradients again
+        w = tape.param(np.array([1.0, 2.0]))
+        loss = (w * w).sum()
+        tape.backward(loss)
+        assert_array_equal(w.grad, [2.0, 4.0])
+        w.zero_grad()
+        with pytest.raises(ConfigError):
+            tape.backward(loss)
+        assert w.grad is None
+        # a new graph on the same parameters back-propagates as the first did
+        tape.backward((w * w).sum())
+        assert_array_equal(w.grad, [2.0, 4.0])
+
+    def test_a_graph_that_reaches_a_spent_node_is_refused(self):
+        w = tape.param(np.array([1.0, -3.0]))
+        y = w * w
+        tape.backward(y.sum())
+        w.zero_grad()
+        with pytest.raises(ConfigError):
+            tape.backward((y + w).sum())
+        assert w.grad is None
 
     def test_diamond_graph_order(self):
         # shared node consumed by two branches must collect both contributions
@@ -1294,9 +1324,10 @@ class TestNarrowRows:
 
     def test_sub_map_step_memory(self, network_inputs):
         # one flip-matching step on the 16x16 lattice, one partial draw under
-        # each variable's own sub-map, width 64: its tracemalloc peak is 14.0 MB
-        # with int8 states and int16 ids, 15.7 MB with float64 states and
-        # int64 ids gathered at the width of the widest sub-map
+        # each variable's own sub-map, width 64: its tracemalloc peak was 14.0
+        # MB with int8 states and int16 ids, 15.7 MB with float64 states and
+        # int64 ids gathered at the width of the widest sub-map, and is 10.7
+        # MB with one buffer for the first layer's output and its gradient
         g = grid_graph(16, 16)
         s = AmortizedSampler(MaeParams(MaeConfig(num_vars=256, width=64, blocks=2, init_seed=0)))
         cfg = TrainConfig(
@@ -1312,6 +1343,88 @@ class TestNarrowRows:
         assert loss == 2.495
         assert network_inputs == {(np.dtype(np.int8), np.dtype(np.int16))}
         assert peak < 15.0e6
+
+
+class TestOneBufferBackward:
+    """The taped trunk's backward writes the first layer's output gradient
+    into the output's own buffer, slice by slice once a slice has run again:
+    the gradients are those of the backward that kept the two apart, bit for
+    bit, and a step holds one (rows, width) array in place of two."""
+
+    @pytest.mark.parametrize("activation", ["relu", "elu"])
+    @pytest.mark.parametrize("slice_to", [None, 4], ids=["whole", "slices4"])
+    @pytest.mark.parametrize("form", TestSlicedTape.FORMS)
+    def test_masked_logits_gradients(self, monkeypatch, block_rows, activation, slice_to, form):
+        cfg = small_config(activation=activation, blocks=3)
+        mae = MaeParams(cfg)
+        randomize(mae, seed=71)
+        x, vs, cols, _ = sliced_batch(cfg, form, seed=25)
+        if slice_to is not None:
+            slice_rows(monkeypatch, slice_to, cfg.width)
+        weights = np.random.default_rng(26).normal(size=len(x))
+        block_rows.clear()
+        taped = mae.masked_logits(x, vs, cols)
+        assert (len(block_rows) > 1) == (slice_to is not None)
+        assert (sum(block_rows) < len(x)) == (form in ("merged", "posterior"))
+        got = network_grads(mae, tape.mul(taped, weights).sum())
+        with monkeypatch.context() as mp:
+            mp.setattr(MaeParams, "_trunk_backward", two_buffer_trunk_backward)
+            want = network_grads(mae, tape.mul(mae.masked_logits(x, vs, cols), weights).sum())
+        assert max(np.abs(g).max() for g in got) > 1e-2
+        for name, g, w in zip(mae.names, got, want):
+            assert_array_equal(g, w, err_msg=name)
+
+    @pytest.mark.parametrize("activation", ["relu", "elu"])
+    @pytest.mark.parametrize("order", ["shuffled", "one-var", "sliced"])
+    def test_prefix_trunk_gradients(self, monkeypatch, activation, order):
+        cfg = small_config(activation=activation, blocks=2, flow_head=True)
+        mae = MaeParams(cfg)
+        randomize(mae, seed=72)
+        X, order = prefix_batch(cfg, order, 4, seed=27)
+        weights = np.random.default_rng(28).normal(size=(len(order) + 1) * len(X))
+
+        def grads() -> list[np.ndarray]:
+            return network_grads(mae, tape.mul(mae.flow(mae.prefix_trunk(X, order)), weights).sum())
+
+        got = grads()
+        with monkeypatch.context() as mp:
+            mp.setattr(MaeParams, "_trunk_backward", two_buffer_trunk_backward)
+            want = grads()
+        for name, g, w in zip(mae.names, got, want):
+            assert_array_equal(g, w, err_msg=name)
+
+    def test_the_trunk_node_is_back_propagated_once(self):
+        cfg = small_config()
+        mae = MaeParams(cfg)
+        randomize(mae, seed=73)
+        x, vs, cols, _ = sliced_batch(cfg, "compact", seed=29)
+        logits = mae.masked_logits(x, vs, cols)
+        first = network_grads(mae, logits.sum())
+        mae.zero_grad()
+        with pytest.raises(ConfigError):
+            tape.backward(logits.sum())
+        assert all(p.grad is None for p in mae.params)
+        again = network_grads(mae, mae.masked_logits(x, vs, cols).sum())
+        for name, g, w in zip(mae.names, again, first):
+            assert_array_equal(g, w, err_msg=name)
+
+    def test_sub_map_step_memory(self):
+        # the step of ``TestNarrowRows.test_sub_map_step_memory``: its
+        # tracemalloc peak is 10.7 MB with one buffer, 14.0 MB with two
+        g = grid_graph(16, 16)
+        s = AmortizedSampler(MaeParams(MaeConfig(num_vars=256, width=64, blocks=2, init_seed=0)))
+        cfg = TrainConfig(
+            objective="delta", total_steps=1, sub_dags_per_var=1, width=64, blocks=2, seed=0
+        )
+        trainer = _DeltaTrainer(cfg, random_ising(g, sigma=0.2, seed=0), s)
+        tracemalloc.start()
+        try:
+            loss, _ = trainer.step()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert loss == 2.495
+        assert peak < 12.0e6
 
 
 class TestCheckpoint:
