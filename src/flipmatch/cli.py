@@ -33,9 +33,8 @@ from flipmatch.harness import (
     train_gfn,
     write_metrics_csv,
 )
-from flipmatch.harness.loops import FLOW_OBJECTIVES
 from flipmatch.losses import LogZEstimate
-from flipmatch.nn import MaeConfig, MaeParams, load_checkpoint, save_checkpoint
+from flipmatch.nn import load_checkpoint, save_checkpoint
 from flipmatch.sampler import AmortizedSampler, AnnealSchedule, Policy, gibbs_chain
 
 
@@ -90,18 +89,6 @@ def _load_sampler(path: str) -> AmortizedSampler:
     return AmortizedSampler(mae)
 
 
-def _build_sampler(cfg: TrainConfig, num_vars: int) -> AmortizedSampler:
-    mae_cfg = MaeConfig(
-        num_vars=num_vars,
-        width=cfg.width,
-        blocks=cfg.blocks,
-        activation=cfg.activation,
-        flow_head=cfg.objective in FLOW_OBJECTIVES,
-        init_seed=cfg.seed,
-    )
-    return AmortizedSampler(MaeParams(mae_cfg))
-
-
 def cmd_chordalize(args) -> int:
     m = _load_model(args.model)
     g = interaction_graph(m)
@@ -140,7 +127,7 @@ def cmd_train(args) -> int:
     eval_samples = None
     if args.eval_n > 0:
         eval_samples = enumerate_exact(m).sample_matrix(args.eval_n, seed=cfg.seed + 101)
-    s = _build_sampler(cfg, m.num_vars)
+    s = cfg.sampler(m.num_vars)
     if cfg.objective == "delta":
         s, rows = train_delta(cfg, m, s, eval_samples=eval_samples)
     else:

@@ -7,11 +7,14 @@ import numbers
 from dataclasses import asdict, dataclass, fields
 
 from flipmatch.errors import ConfigError
-from flipmatch.sampler import Policy
+from flipmatch.nn import MaeConfig, MaeParams
+from flipmatch.sampler import AmortizedSampler, Policy
 
 __all__ = ["OBJECTIVES", "TrainConfig", "load_train_config", "save_train_config"]
 
 OBJECTIVES = ("delta", "tb", "db", "fl-db", "subtb", "fl-subtb")
+# the balance objectives that learn state flows, through a head on the sampler
+FLOW_OBJECTIVES = ("db", "fl-db", "subtb", "fl-subtb")
 
 
 @dataclass
@@ -89,6 +92,15 @@ class TrainConfig:
         return Policy(
             kind=self.policy_kind, temperature=self.policy_temperature, eps=self.policy_eps
         )
+
+    def sampler(self, num_vars: int) -> AmortizedSampler:
+        """A fresh sampler for ``num_vars`` variables, its weights drawn from
+        ``seed``, with a flow head under the objectives that learn flows."""
+        mae_cfg = MaeConfig(
+            num_vars=num_vars, width=self.width, blocks=self.blocks, activation=self.activation,
+            flow_head=self.objective in FLOW_OBJECTIVES, init_seed=self.seed,
+        )
+        return AmortizedSampler(MaeParams(mae_cfg))
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -14,6 +14,7 @@ one network amortizes the posterior across all rows at once.
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -27,10 +28,8 @@ from flipmatch.errors import (
 )
 from flipmatch.graph import Imap, _elimination_imap, _mask_of
 from flipmatch.harness.config import TrainConfig
-from flipmatch.harness.loops import _aux_multipliers, _spawn_rngs, interaction_graph
+from flipmatch.harness.loops import _spawn_rngs, _Trainer, interaction_graph
 from flipmatch.harness.metrics import MetricsRow
-from flipmatch.losses import delta_loss_batch
-from flipmatch.nn import AdamState, MaeConfig, MaeParams, tape
 from flipmatch.sampler import AmortizedSampler, Policy
 
 __all__ = ["latent_imap", "data_marginal_loglik", "train_em"]
@@ -109,90 +108,47 @@ def train_em(
     ``sub_dags_per_var`` and ``stochastic_children_above`` must be 0.
 
     Rows of ``data`` must instantiate every observed variable; latent
-    coordinates are ignored.  Returns the model, the sampler (None when
-    nothing is latent), and one metrics row per round whose ``nll`` column is
-    the negative marginal log-likelihood of the data and whose
-    ``instantiated`` column counts the variables the sampler fills in.
+    coordinates are ignored.  Returns the model, the sampler (``s``, or None
+    if ``s`` is None and nothing is latent), and one metrics row per round
+    whose ``nll`` column is the negative marginal log-likelihood of the data
+    and whose ``instantiated`` column counts the variables the sampler fills in.
     """
     if cfg.objective != "delta":
         raise ConfigError("the posterior sampler trains by flip matching")
     for name in ("sub_dags_per_var", "stochastic_children_above"):
         if getattr(cfg, name):
             raise ConfigError(f"EM scores every flip exactly under one latent map: {name} must be 0")
-    if rounds < 1 or m_steps < 1 or completions_per_row < 1 or m_lr <= 0:
-        raise ConfigError("rounds, m_steps, completions_per_row, and m_lr must be positive")
-    hidden_set = set(int(v) for v in latent)
+    if rounds < 1 or m_steps < 1 or completions_per_row < 1 or not 0 < m_lr < np.inf:
+        raise ConfigError("rounds, m_steps, completions_per_row, m_lr must be finite and positive")
     data = np.asarray(data, dtype=np.int8)
     if data.ndim != 2 or data.shape[1] != p.num_vars:
         raise ShapeMismatch(f"data must be (n, {p.num_vars}), got {data.shape}")
     if data.shape[0] == 0:
         raise EmptyDataset("EM needs at least one data row")
-
-    if not hidden_set:
-        if np.any(data == 0):
-            raise PartialAssignment("with nothing latent every coordinate must be observed")
-        rows: list[MetricsRow] = []
-        t0 = time.perf_counter()
-        for r in range(rounds):
-            for _ in range(m_steps):
-                p.set_params(p.get_params() + m_lr * p.log_reward_grad_mean(data))
-            nll = -data_marginal_loglik(p, (), data)
-            rows.append(MetricsRow(r + 1, time.perf_counter() - t0, nll, float("nan"), float("nan"), 0))
-        return p, s, rows
-
-    hidden, observed = _check_latent(hidden_set, p.num_vars)
+    hidden, observed = _check_latent(latent, p.num_vars)
     if np.any(data[:, observed] == 0):
         raise PartialAssignment("every observed coordinate must carry a value")
-    if s is None:
-        s = AmortizedSampler(
-            MaeParams(
-                MaeConfig(
-                    num_vars=p.num_vars,
-                    width=cfg.width,
-                    blocks=cfg.blocks,
-                    activation=cfg.activation,
-                    init_seed=cfg.seed,
-                )
-            )
-        )
-    elif s.num_vars != p.num_vars:
+    if s is not None and s.num_vars != p.num_vars:
         raise ConfigError(f"the sampler has {s.num_vars} variables, the model {p.num_vars}")
 
-    r_sample, r_flip, r_imap, r_data, r_m = _spawn_rngs(cfg.seed, 5)
-    opt = AdamState(
-        s.params.params,
-        lr=cfg.lr,
-        total_steps=rounds * cfg.total_steps,
-        lr_multipliers=_aux_multipliers(s.params, cfg.aux_lr_multiplier),
-    )
-    policy = cfg.policy()
-    imap = latent_imap(p, hidden, r_imap)
-    hidden_arr = np.array(hidden)
-    e_steps_done = 0
-    last_loss = float("nan")
+    e_steps = cfg.total_steps if hidden else 0
+    if hidden:
+        s = cfg.sampler(p.num_vars) if s is None else s
+        *rngs, r_m = _spawn_rngs(cfg.seed, 5)  # states, flips, maps, data rows; M-step draws
+        e_cfg = replace(cfg, total_steps=rounds * e_steps)  # one Adam schedule for all rounds
+        trainer = _Trainer(e_cfg, p, s, rngs, latent=hidden, data=data)
+        repeated = np.repeat(data, completions_per_row, axis=0)
+    loss = float("nan")
     rows = []
     t0 = time.perf_counter()
     for r in range(rounds):
-        for _ in range(cfg.total_steps):
-            if e_steps_done % cfg.imap_refresh_period == 0 and e_steps_done > 0:
-                imap = latent_imap(p, hidden, r_imap)
-            idx = r_data.integers(0, len(data), size=cfg.batch_size)
-            X = s.partial_sample_batch(imap, policy, cfg.batch_size, seed=r_sample, X=data[idx])
-            us = hidden_arr[r_flip.integers(0, len(hidden), size=cfg.batch_size)]
-            new_vals = -X[np.arange(cfg.batch_size), us]
-            loss = delta_loss_batch(s, imap, p, X, us, new_vals)
-            opt.zero_grad()
-            tape.backward(loss)
-            opt.step()
-            e_steps_done += 1
-            last_loss = float(loss.data)
+        for _ in range(e_steps):
+            loss, _ = trainer.step()
         for _ in range(m_steps):
-            obs_rep = np.repeat(data, completions_per_row, axis=0)
-            Xc = s.partial_sample_batch(imap, Policy.on_policy(), len(obs_rep), seed=r_m, X=obs_rep)
-            grad = p.log_reward_grad_mean(Xc)
-            p.set_params(p.get_params() + m_lr * grad)
+            X = data if not hidden else s.partial_sample_batch(
+                trainer.imap, Policy.on_policy(), len(repeated), seed=r_m, X=repeated
+            )
+            p.set_params(p.get_params() + m_lr * p.log_reward_grad_mean(X))
         nll = -data_marginal_loglik(p, hidden, data)
-        rows.append(
-            MetricsRow(r + 1, time.perf_counter() - t0, nll, float("nan"), last_loss, len(hidden))
-        )
+        rows.append(MetricsRow(r + 1, time.perf_counter() - t0, nll, np.nan, loss, len(hidden)))
     return p, s, rows

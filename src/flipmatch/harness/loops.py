@@ -1,10 +1,13 @@
-"""Training loops: flip-matching, trajectory balance, and EBM alternation.
+"""Training loops: flip matching, the balance objectives, and EBM alternation.
 
-The flip-matching loop is factored into a small stateful trainer so the
-energy-learning loop can interleave sampler updates with energy updates
-against the live model.  All randomness flows from one seed sequence per run,
-so a (config, seed) pair reproduces its metrics bit for bit; wall-clock is
-the one column exempt from that.
+Every sampler update of every trainer, EM's E-step included, is one
+``_Trainer.step`` of three parts: a state source (ancestral draws under the
+full map, partial draws under sub-maps, or data rows completed under a
+latent map), an objective (flip matching, or a balance objective with its
+log Z or flow head) and the update (backward and Adam).  ``train_ebm`` and
+``train_em`` interleave it with their model updates.  All randomness flows
+from one seed sequence per run, so a (config, seed) pair reproduces its
+metrics bit for bit; wall-clock is the one column exempt from that.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import numpy as np
 
 from flipmatch.energy import EnergyModel, ebm_param_grad
 from flipmatch.errors import ConfigError, EmptyDataset, PartialAssignment
-from flipmatch.graph import Imap, UndirectedGraph, sample_imap, sub_imap
+from flipmatch.graph import UndirectedGraph, _elimination_imap, _mask_of, sample_imap, sub_imap
 from flipmatch.harness.config import OBJECTIVES, TrainConfig
 from flipmatch.harness.metrics import MetricsRow, metric_mmd_linear, metric_nll
 from flipmatch.losses import (
@@ -32,10 +35,8 @@ from flipmatch.sampler import AmortizedSampler, Policy
 
 __all__ = ["interaction_graph", "train_delta", "train_gfn", "train_ebm"]
 
-# every objective but flip matching trains on full trajectories, and every one
-# of those but trajectory balance learns state flows through a flow head
+# every objective but flip matching trains on full trajectories
 GFN_OBJECTIVES = tuple(o for o in OBJECTIVES if o != "delta")
-FLOW_OBJECTIVES = tuple(o for o in GFN_OBJECTIVES if o != "tb")
 
 
 def interaction_graph(m: EnergyModel) -> UndirectedGraph:
@@ -51,72 +52,111 @@ def _spawn_rngs(seed: int, n: int) -> list[np.random.Generator]:
     return [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(n)]
 
 
-def _eval_metrics(s, imap: Imap, eval_samples, eval_rng) -> tuple[float, float]:
-    if eval_samples is None:
-        return float("nan"), float("nan")
-    nll = metric_nll(s, imap, eval_samples)
-    draws, _ = s.ancestral_sample(imap, Policy.on_policy(), len(eval_samples), seed=eval_rng)
-    return nll, metric_mmd_linear(draws, eval_samples)
+class _Trainer:
+    """One sampler update at a time, against a possibly changing model.
 
+    ``rngs`` are the generators of the states, the flips, the maps and the
+    data rows, in that order: by default the first three children of the
+    config's seed, and no data rows.  ``aux`` is a balance objective's log Z
+    or flow head, made here if not given.  With ``latent`` ids and ``data``
+    rows, the states are data rows completed under a latent map, and only
+    the latents are flipped.
+    """
 
-class _DeltaTrainer:
-    """One flip-matching update at a time, against a possibly changing model."""
-
-    def __init__(self, cfg: TrainConfig, m: EnergyModel, s: AmortizedSampler) -> None:
-        self.cfg = cfg
-        self.m = m
-        self.s = s
+    def __init__(self, cfg: TrainConfig, m: EnergyModel, s: AmortizedSampler,
+                 rngs=None, aux=None, latent: tuple[int, ...] = (), data=None) -> None:
+        self.cfg, self.m, self.s, self.aux, self.data = cfg, m, s, aux, data
         self.g = interaction_graph(m)
         self.policy = cfg.policy()
-        self.r_sample, self.r_flip, self.r_imap = _spawn_rngs(cfg.seed, 3)
-        self.opt = AdamState(
-            s.params.params,
-            lr=cfg.lr,
-            total_steps=cfg.total_steps,
-            lr_multipliers=_aux_multipliers(s.params, cfg.aux_lr_multiplier),
-        )
-        self.step_count = 0
-        self.full_imap: Imap = sample_imap(self.g, seed=self.r_imap)
-        self.subs: dict[int, Imap] = {}
-        if cfg.sub_dags_per_var > 0:
-            self._refresh_subs()
-
-    def _refresh_subs(self) -> None:
-        self.subs = {u: sub_imap(self.g, u, seed=self.r_imap) for u in range(self.m.num_vars)}
+        rngs = rngs or (*_spawn_rngs(cfg.seed, 3), None)
+        self.r_sample, self.r_flip, self.r_imap, self.r_data = rngs
+        self.latent_mask = _mask_of(latent)
+        self.flippable = np.array(latent) if latent else np.arange(m.num_vars)
+        params, mults = list(s.params.params), _aux_multipliers(s.params, cfg.aux_lr_multiplier)
+        if cfg.objective == "tb":
+            self.aux = aux or LogZEstimate()
+            params.append(self.aux.value)
+            mults.append(cfg.aux_lr_multiplier)
+        elif cfg.objective != "delta":
+            self.aux = aux or FlowHead(s.params, forward_looking=cfg.objective.startswith("fl-"))
+            net = getattr(self.aux, "params", s.params)
+            if net is not s.params:
+                params.extend(net.params)
+                mults.extend(_aux_multipliers(net, cfg.aux_lr_multiplier))
+        self.opt = AdamState(params, lr=cfg.lr, total_steps=cfg.total_steps, lr_multipliers=mults)
+        self.step_count, self.subs = 0, {}
+        self._refresh()
 
     def _refresh(self) -> None:
-        self.full_imap = sample_imap(self.g, seed=self.r_imap)
+        if self.data is not None:
+            self.imap = _elimination_imap(self.g, self.latent_mask, self.r_imap)
+            return
+        self.imap = sample_imap(self.g, seed=self.r_imap)
         if self.cfg.sub_dags_per_var > 0:
-            self._refresh_subs()
+            self.subs = {u: sub_imap(self.g, u, seed=self.r_imap) for u in range(self.m.num_vars)}
 
-    def _draw_batch(self) -> tuple[np.ndarray, np.ndarray, object, int]:
-        num_vars = self.m.num_vars
-        if self.cfg.sub_dags_per_var == 0:
-            X, _ = self.s.ancestral_sample(
-                self.full_imap, self.policy, self.cfg.batch_size, seed=self.r_sample
-            )
-            us = self.r_flip.integers(0, num_vars, size=self.cfg.batch_size)
-            return X, us, self.full_imap, num_vars
-        k = self.cfg.sub_dags_per_var
-        maps = [self.subs[u] for u in range(num_vars)]
-        X = self.s.partial_sample_batch(maps, self.policy, k, seed=self.r_sample)
-        us = np.repeat(np.arange(num_vars), k)
-        widest = max(len(self.subs[u].order) for u in range(num_vars))
-        return X, us, self.subs, widest
+    def _draw_batch(self) -> tuple[np.ndarray, np.ndarray | None, object, int]:
+        """States, their flips (flip matching only), their map or sub-maps, and the widest draw."""
+        n = self.cfg.batch_size
+        if self.subs:
+            k, maps = self.cfg.sub_dags_per_var, list(self.subs.values())
+            X = self.s.partial_sample_batch(maps, self.policy, k, seed=self.r_sample)
+            return X, np.repeat(self.flippable, k), self.subs, max(len(sub.order) for sub in maps)
+        if self.data is None:
+            X, _ = self.s.ancestral_sample(self.imap, self.policy, n, seed=self.r_sample)
+        else:
+            rows = self.data[self.r_data.integers(0, len(self.data), size=n)]
+            X = self.s.partial_sample_batch(self.imap, self.policy, n, seed=self.r_sample, X=rows)
+        us = None
+        if self.cfg.objective == "delta":
+            us = self.flippable[self.r_flip.integers(0, len(self.flippable), size=n)]
+        return X, us, self.imap, len(self.imap.order)
+
+    def _loss(self, X: np.ndarray, us: np.ndarray | None, imap) -> tape.Tensor:
+        cfg, s, m = self.cfg, self.s, self.m
+        if cfg.objective == "delta":
+            new_vals = -X[np.arange(len(X)), us]
+            pairs = _surrogate_pairs(imap, us, cfg.stochastic_children_above, self.r_flip)
+            return delta_loss_batch(s, imap, m, X, us, new_vals, pairs=pairs)
+        if cfg.objective == "tb":
+            return tb_loss_batch(s, imap, m, X, self.aux)
+        if cfg.objective in ("db", "fl-db"):
+            return db_trajectory_loss(s, imap, m, X, self.aux)
+        return subtb_loss_batch(s, imap, m, X, self.aux, cfg.subtb_lambda)
 
     def step(self) -> tuple[float, int]:
         """One gradient update; returns (objective value, widest instantiation)."""
         if self.step_count % self.cfg.imap_refresh_period == 0 and self.step_count > 0:
             self._refresh()
-        X, us, imap_arg, instantiated = self._draw_batch()
-        new_vals = -X[np.arange(len(X)), us]
-        pairs = _surrogate_pairs(imap_arg, us, self.cfg.stochastic_children_above, self.r_flip)
-        loss = delta_loss_batch(self.s, imap_arg, self.m, X, us, new_vals, pairs=pairs)
+        X, us, imap, instantiated = self._draw_batch()
+        loss = self._loss(X, us, imap)
         self.opt.zero_grad()
         tape.backward(loss)
         self.opt.step()
         self.step_count += 1
         return float(loss.data), instantiated
+
+
+def _row(trainer: _Trainer, step, t0, loss, instantiated, eval_samples, eval_rng) -> MetricsRow:
+    """A metrics row, with NLL and MMD under the trainer's map if given samples."""
+    nll = mmd = float("nan")
+    if eval_samples is not None:
+        s, imap = trainer.s, trainer.imap
+        nll = metric_nll(s, imap, eval_samples)
+        draws, _ = s.ancestral_sample(imap, Policy.on_policy(), len(eval_samples), seed=eval_rng)
+        mmd = metric_mmd_linear(draws, eval_samples)
+    return MetricsRow(step, time.perf_counter() - t0, nll, mmd, loss, instantiated)
+
+
+def _train(trainer: _Trainer, eval_samples, eval_rng) -> list[MetricsRow]:
+    total, period = trainer.cfg.total_steps, trainer.cfg.eval_period
+    rows: list[MetricsRow] = []
+    t0 = time.perf_counter()
+    for step in range(1, total + 1):
+        loss, instantiated = trainer.step()
+        if step % period == 0 or step == total:
+            rows.append(_row(trainer, step, t0, loss, instantiated, eval_samples, eval_rng))
+    return rows
 
 
 def train_delta(
@@ -130,18 +170,8 @@ def train_delta(
     """
     if cfg.objective != "delta":
         raise ConfigError(f"train_delta needs objective delta, got {cfg.objective!r}")
-    trainer = _DeltaTrainer(cfg, m, s)
-    (eval_rng,) = _spawn_rngs(cfg.seed + 1, 1)
-    rows: list[MetricsRow] = []
-    t0 = time.perf_counter()
-    for step in range(cfg.total_steps):
-        loss, instantiated = trainer.step()
-        if (step + 1) % cfg.eval_period == 0 or step + 1 == cfg.total_steps:
-            nll, mmd = _eval_metrics(s, trainer.full_imap, eval_samples, eval_rng)
-            rows.append(
-                MetricsRow(step + 1, time.perf_counter() - t0, nll, mmd, loss, instantiated)
-            )
-    return s, rows
+    trainer = _Trainer(cfg, m, s)
+    return s, _train(trainer, eval_samples, _spawn_rngs(cfg.seed + 1, 1)[0])
 
 
 def train_gfn(
@@ -163,50 +193,10 @@ def train_gfn(
         raise ConfigError(
             f"train_gfn needs one of {', '.join(GFN_OBJECTIVES)}, got {cfg.objective!r}"
         )
-    g = interaction_graph(m)
     r_sample, r_imap, eval_rng = _spawn_rngs(cfg.seed, 3)
-    params = list(s.params.params)
-    multipliers = _aux_multipliers(s.params, cfg.aux_lr_multiplier)
-    if cfg.objective == "tb":
-        if logZ is None:
-            logZ = LogZEstimate()
-        params.append(logZ.value)
-        multipliers.append(cfg.aux_lr_multiplier)
-    else:
-        if flow is None:
-            flow = FlowHead(s.params, forward_looking=cfg.objective.startswith("fl-"))
-        flow_params = getattr(flow, "params", None)
-        if flow_params is not None and flow_params is not s.params:
-            params.extend(flow_params.params)
-            multipliers.extend(_aux_multipliers(flow_params, cfg.aux_lr_multiplier))
-    opt = AdamState(
-        params, lr=cfg.lr, total_steps=cfg.total_steps, lr_multipliers=multipliers
-    )
-    policy = cfg.policy()
-    imap = sample_imap(g, seed=r_imap)
-    rows: list[MetricsRow] = []
-    t0 = time.perf_counter()
-    for step in range(cfg.total_steps):
-        if step % cfg.imap_refresh_period == 0 and step > 0:
-            imap = sample_imap(g, seed=r_imap)
-        X, _ = s.ancestral_sample(imap, policy, cfg.batch_size, seed=r_sample)
-        if cfg.objective == "tb":
-            loss = tb_loss_batch(s, imap, m, X, logZ)
-        elif cfg.objective in ("db", "fl-db"):
-            loss = db_trajectory_loss(s, imap, m, X, flow)
-        else:
-            loss = subtb_loss_batch(s, imap, m, X, flow, cfg.subtb_lambda)
-        opt.zero_grad()
-        tape.backward(loss)
-        opt.step()
-        if (step + 1) % cfg.eval_period == 0 or step + 1 == cfg.total_steps:
-            nll, mmd = _eval_metrics(s, imap, eval_samples, eval_rng)
-            rows.append(
-                MetricsRow(
-                    step + 1, time.perf_counter() - t0, nll, mmd, float(loss.data), m.num_vars
-                )
-            )
-    return s, rows
+    aux = logZ if cfg.objective == "tb" else flow
+    trainer = _Trainer(cfg, m, s, (r_sample, None, r_imap, None), aux)
+    return s, _train(trainer, eval_samples, eval_rng)
 
 
 def train_ebm(
@@ -236,6 +226,12 @@ def train_ebm(
     """
     if cfg.objective != "delta":
         raise ConfigError("energy learning trains its sampler by flip matching")
+    nb = cfg.batch_size if neg_batch is None else neg_batch
+    for name, v, lo in (("p_updates", p_updates, 1), ("warmup", warmup, 0), ("neg_batch", nb, 1)):
+        if v < lo:
+            raise ConfigError(f"{name} must be at least {lo}, got {v}")
+    if not 0 < p_lr < np.inf:
+        raise ConfigError(f"p_lr must be positive and finite, got {p_lr}")
     data = np.asarray(data, dtype=np.int8)
     if data.ndim != 2 or data.shape[0] == 0:
         raise EmptyDataset("energy learning needs a non-empty dataset of assignments")
@@ -243,28 +239,20 @@ def train_ebm(
         raise PartialAssignment("the dataset must be fully instantiated")
     if not (alternation[0] > 0 and alternation[1] > 0):
         raise ConfigError("both alternation phase lengths must be positive")
-    trainer = _DeltaTrainer(cfg, m, s)
+    trainer = _Trainer(cfg, m, s)
     r_data, r_neg, eval_rng = _spawn_rngs(cfg.seed + 1, 3)
-    nb = cfg.batch_size if neg_batch is None else neg_batch
     rows: list[MetricsRow] = []
     t0 = time.perf_counter()
     for _ in range(warmup):
         trainer.step()
     p_done = 0
     while p_done < p_updates:
-        loss = float("nan")
-        instantiated = 0
         for _ in range(alternation[0]):
             loss, instantiated = trainer.step()
-        for _ in range(alternation[1]):
-            if p_done == p_updates:
-                break
+        for _ in range(min(alternation[1], p_updates - p_done)):
             pos = data[r_data.integers(0, len(data), size=min(cfg.batch_size, len(data)))]
-            neg, _ = s.ancestral_sample(
-                trainer.full_imap, Policy.on_policy(), nb, seed=r_neg
-            )
+            neg, _ = s.ancestral_sample(trainer.imap, Policy.on_policy(), nb, seed=r_neg)
             m.set_params(m.get_params() + p_lr * ebm_param_grad(m, pos, neg))
             p_done += 1
-        nll, mmd = _eval_metrics(s, trainer.full_imap, eval_samples, eval_rng)
-        rows.append(MetricsRow(p_done, time.perf_counter() - t0, nll, mmd, loss, instantiated))
+        rows.append(_row(trainer, p_done, t0, loss, instantiated, eval_samples, eval_rng))
     return m, s, rows

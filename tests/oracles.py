@@ -9,6 +9,7 @@ of this code is imported by the package itself.
 from __future__ import annotations
 
 import math
+import time
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
@@ -23,11 +24,14 @@ from flipmatch.energy import (
     EnergyModel,
     ExactTable,
     IsingModel,
+    TabularBayesNetModel,
     _batch_values,
+    ebm_param_grad,
 )
 from flipmatch.errors import (
     ConfigError,
     EmptyBatch,
+    EmptyDataset,
     FlipmatchError,
     PartialAssignment,
     ShapeMismatch,
@@ -43,6 +47,16 @@ from flipmatch.graph import (
     _orient,
     _search,
     _spanning_tree,
+    sample_imap,
+    sub_imap,
+)
+from flipmatch.harness import MetricsRow, TrainConfig, metric_mmd_linear, metric_nll
+from flipmatch.harness.em import _check_latent, data_marginal_loglik, latent_imap
+from flipmatch.harness.loops import (
+    GFN_OBJECTIVES,
+    _aux_multipliers,
+    _spawn_rngs,
+    interaction_graph,
 )
 from flipmatch.losses import (
     FlowHead,
@@ -52,11 +66,14 @@ from flipmatch.losses import (
     _prefix_rows,
     _require_full,
     _step_rows,
+    _surrogate_pairs,
     _term_table,
+    db_trajectory_loss,
+    delta_loss_batch,
     subtb_loss_batch,
     tb_loss_batch,
 )
-from flipmatch.nn import MaeParams, tape
+from flipmatch.nn import AdamState, MaeConfig, MaeParams, tape
 from flipmatch.nn.mae import (
     _BLOCK_ELEMENTS,
     _LN_EPS,
@@ -1734,7 +1751,7 @@ def per_flip_step_loss(s, imap_arg, m: EnergyModel, X, us, new_vals, thr: int, r
 
 
 def per_flip_trainer_step(trainer) -> tuple[float, int]:
-    """``_DeltaTrainer.step`` with the per-flip surrogate loop."""
+    """``_Trainer.step`` with the per-flip surrogate loop."""
     if trainer.step_count % trainer.cfg.imap_refresh_period == 0 and trainer.step_count > 0:
         trainer._refresh()
     X, us, imap_arg, instantiated = trainer._draw_batch()
@@ -1981,3 +1998,338 @@ def two_buffer_trunk_backward(mae, z, w_in_grad, head, last, g: np.ndarray) -> N
         mae.b_out.accumulate(gb)
     mae.w_in.accumulate(w_in_grad(gz))
     mae.b_in.accumulate(gz.sum(axis=0))
+
+
+# ---------------------------------------------------------------------------
+# The four training loops as they were before one trainer ran every sampler
+# update: flip matching in a trainer of its own, trajectory balance and the
+# flow objectives in a loop of their own, and EM's E-step inline
+
+
+def reference_eval_metrics(s, imap: Imap, eval_samples, eval_rng) -> tuple[float, float]:
+    if eval_samples is None:
+        return float("nan"), float("nan")
+    nll = metric_nll(s, imap, eval_samples)
+    draws, _ = s.ancestral_sample(imap, Policy.on_policy(), len(eval_samples), seed=eval_rng)
+    return nll, metric_mmd_linear(draws, eval_samples)
+
+
+class ReferenceDeltaTrainer:
+    """One flip-matching update at a time, against a possibly changing model."""
+
+    def __init__(self, cfg: TrainConfig, m: EnergyModel, s: AmortizedSampler) -> None:
+        self.cfg = cfg
+        self.m = m
+        self.s = s
+        self.g = interaction_graph(m)
+        self.policy = cfg.policy()
+        self.r_sample, self.r_flip, self.r_imap = _spawn_rngs(cfg.seed, 3)
+        self.opt = AdamState(
+            s.params.params,
+            lr=cfg.lr,
+            total_steps=cfg.total_steps,
+            lr_multipliers=_aux_multipliers(s.params, cfg.aux_lr_multiplier),
+        )
+        self.step_count = 0
+        self.full_imap: Imap = sample_imap(self.g, seed=self.r_imap)
+        self.subs: dict[int, Imap] = {}
+        if cfg.sub_dags_per_var > 0:
+            self._refresh_subs()
+
+    def _refresh_subs(self) -> None:
+        self.subs = {u: sub_imap(self.g, u, seed=self.r_imap) for u in range(self.m.num_vars)}
+
+    def _refresh(self) -> None:
+        self.full_imap = sample_imap(self.g, seed=self.r_imap)
+        if self.cfg.sub_dags_per_var > 0:
+            self._refresh_subs()
+
+    def _draw_batch(self) -> tuple[np.ndarray, np.ndarray, object, int]:
+        num_vars = self.m.num_vars
+        if self.cfg.sub_dags_per_var == 0:
+            X, _ = self.s.ancestral_sample(
+                self.full_imap, self.policy, self.cfg.batch_size, seed=self.r_sample
+            )
+            us = self.r_flip.integers(0, num_vars, size=self.cfg.batch_size)
+            return X, us, self.full_imap, num_vars
+        k = self.cfg.sub_dags_per_var
+        maps = [self.subs[u] for u in range(num_vars)]
+        X = self.s.partial_sample_batch(maps, self.policy, k, seed=self.r_sample)
+        us = np.repeat(np.arange(num_vars), k)
+        widest = max(len(self.subs[u].order) for u in range(num_vars))
+        return X, us, self.subs, widest
+
+    def step(self) -> tuple[float, int]:
+        """One gradient update; returns (objective value, widest instantiation)."""
+        if self.step_count % self.cfg.imap_refresh_period == 0 and self.step_count > 0:
+            self._refresh()
+        X, us, imap_arg, instantiated = self._draw_batch()
+        new_vals = -X[np.arange(len(X)), us]
+        pairs = _surrogate_pairs(imap_arg, us, self.cfg.stochastic_children_above, self.r_flip)
+        loss = delta_loss_batch(self.s, imap_arg, self.m, X, us, new_vals, pairs=pairs)
+        self.opt.zero_grad()
+        tape.backward(loss)
+        self.opt.step()
+        self.step_count += 1
+        return float(loss.data), instantiated
+
+
+def reference_train_delta(
+    cfg: TrainConfig, m: EnergyModel, s: AmortizedSampler, eval_samples=None
+) -> tuple[AmortizedSampler, list[MetricsRow]]:
+    """Train the sampler by local flip matching (Algorithm: sample, flip, match).
+
+    Returns the sampler and one metrics row per evaluation point.  Pass
+    ``eval_samples`` (full assignments from the target) to get NLL and MMD
+    columns; without them those columns are NaN.
+    """
+    if cfg.objective != "delta":
+        raise ConfigError(f"train_delta needs objective delta, got {cfg.objective!r}")
+    trainer = ReferenceDeltaTrainer(cfg, m, s)
+    (eval_rng,) = _spawn_rngs(cfg.seed + 1, 1)
+    rows: list[MetricsRow] = []
+    t0 = time.perf_counter()
+    for step in range(cfg.total_steps):
+        loss, instantiated = trainer.step()
+        if (step + 1) % cfg.eval_period == 0 or step + 1 == cfg.total_steps:
+            nll, mmd = reference_eval_metrics(s, trainer.full_imap, eval_samples, eval_rng)
+            rows.append(
+                MetricsRow(step + 1, time.perf_counter() - t0, nll, mmd, loss, instantiated)
+            )
+    return s, rows
+
+
+def reference_train_gfn(
+    cfg: TrainConfig,
+    m: EnergyModel,
+    s: AmortizedSampler,
+    flow: FlowHead | None = None,
+    logZ: LogZEstimate | None = None,
+    eval_samples=None,
+) -> tuple[AmortizedSampler, list[MetricsRow]]:
+    """Train the sampler on full trajectories with a balance objective.
+
+    ``tb`` learns the scalar normalizer (``logZ``, created if not given, at
+    ``aux_lr_multiplier`` times the base rate); the detailed and sub-range
+    objectives learn state flows through ``flow`` (a head on the sampler's own
+    network by default, forward-looking for the ``fl-`` variants).
+    """
+    if cfg.objective not in GFN_OBJECTIVES:
+        raise ConfigError(
+            f"train_gfn needs one of {', '.join(GFN_OBJECTIVES)}, got {cfg.objective!r}"
+        )
+    g = interaction_graph(m)
+    r_sample, r_imap, eval_rng = _spawn_rngs(cfg.seed, 3)
+    params = list(s.params.params)
+    multipliers = _aux_multipliers(s.params, cfg.aux_lr_multiplier)
+    if cfg.objective == "tb":
+        if logZ is None:
+            logZ = LogZEstimate()
+        params.append(logZ.value)
+        multipliers.append(cfg.aux_lr_multiplier)
+    else:
+        if flow is None:
+            flow = FlowHead(s.params, forward_looking=cfg.objective.startswith("fl-"))
+        flow_params = getattr(flow, "params", None)
+        if flow_params is not None and flow_params is not s.params:
+            params.extend(flow_params.params)
+            multipliers.extend(_aux_multipliers(flow_params, cfg.aux_lr_multiplier))
+    opt = AdamState(
+        params, lr=cfg.lr, total_steps=cfg.total_steps, lr_multipliers=multipliers
+    )
+    policy = cfg.policy()
+    imap = sample_imap(g, seed=r_imap)
+    rows: list[MetricsRow] = []
+    t0 = time.perf_counter()
+    for step in range(cfg.total_steps):
+        if step % cfg.imap_refresh_period == 0 and step > 0:
+            imap = sample_imap(g, seed=r_imap)
+        X, _ = s.ancestral_sample(imap, policy, cfg.batch_size, seed=r_sample)
+        if cfg.objective == "tb":
+            loss = tb_loss_batch(s, imap, m, X, logZ)
+        elif cfg.objective in ("db", "fl-db"):
+            loss = db_trajectory_loss(s, imap, m, X, flow)
+        else:
+            loss = subtb_loss_batch(s, imap, m, X, flow, cfg.subtb_lambda)
+        opt.zero_grad()
+        tape.backward(loss)
+        opt.step()
+        if (step + 1) % cfg.eval_period == 0 or step + 1 == cfg.total_steps:
+            nll, mmd = reference_eval_metrics(s, imap, eval_samples, eval_rng)
+            rows.append(
+                MetricsRow(
+                    step + 1, time.perf_counter() - t0, nll, mmd, float(loss.data), m.num_vars
+                )
+            )
+    return s, rows
+
+
+def reference_train_ebm(
+    cfg: TrainConfig,
+    m: EnergyModel,
+    s: AmortizedSampler,
+    data,
+    p_lr: float = 0.05,
+    p_updates: int = 300,
+    alternation: tuple[int, int] = (100, 100),
+    warmup: int = 0,
+    neg_batch: int | None = None,
+    eval_samples=None,
+) -> tuple[EnergyModel, AmortizedSampler, list[MetricsRow]]:
+    """Learn the energy parameters from data, with the sampler as the negative phase.
+
+    Alternates ``alternation[0]`` flip-matching updates of the sampler against
+    the current energies with ``alternation[1]`` likelihood-ascent updates of
+    the energies (positive phase from the dataset, negative phase from the
+    sampler), until ``p_updates`` energy steps have run.  ``warmup`` extra
+    sampler updates run before the first energy step so the negative phase
+    starts from a sampler that already tracks the initial energies; size
+    ``cfg.total_steps`` to roughly the total sampler updates so the learning
+    rate schedule spans the run.  Energy parameters keep the support they
+    were constructed with, so initialize couplings you want learned at small
+    nonzero values.
+    """
+    if cfg.objective != "delta":
+        raise ConfigError("energy learning trains its sampler by flip matching")
+    data = np.asarray(data, dtype=np.int8)
+    if data.ndim != 2 or data.shape[0] == 0:
+        raise EmptyDataset("energy learning needs a non-empty dataset of assignments")
+    if np.any(data == 0):
+        raise PartialAssignment("the dataset must be fully instantiated")
+    if not (alternation[0] > 0 and alternation[1] > 0):
+        raise ConfigError("both alternation phase lengths must be positive")
+    trainer = ReferenceDeltaTrainer(cfg, m, s)
+    r_data, r_neg, eval_rng = _spawn_rngs(cfg.seed + 1, 3)
+    nb = cfg.batch_size if neg_batch is None else neg_batch
+    rows: list[MetricsRow] = []
+    t0 = time.perf_counter()
+    for _ in range(warmup):
+        trainer.step()
+    p_done = 0
+    while p_done < p_updates:
+        loss = float("nan")
+        instantiated = 0
+        for _ in range(alternation[0]):
+            loss, instantiated = trainer.step()
+        for _ in range(alternation[1]):
+            if p_done == p_updates:
+                break
+            pos = data[r_data.integers(0, len(data), size=min(cfg.batch_size, len(data)))]
+            neg, _ = s.ancestral_sample(
+                trainer.full_imap, Policy.on_policy(), nb, seed=r_neg
+            )
+            m.set_params(m.get_params() + p_lr * ebm_param_grad(m, pos, neg))
+            p_done += 1
+        nll, mmd = reference_eval_metrics(s, trainer.full_imap, eval_samples, eval_rng)
+        rows.append(MetricsRow(p_done, time.perf_counter() - t0, nll, mmd, loss, instantiated))
+    return m, s, rows
+
+
+def reference_train_em(
+    cfg: TrainConfig,
+    p: TabularBayesNetModel,
+    latent,
+    data,
+    s: AmortizedSampler | None = None,
+    rounds: int = 5,
+    m_steps: int = 40,
+    m_lr: float = 0.2,
+    completions_per_row: int = 2,
+) -> tuple[TabularBayesNetModel, AmortizedSampler | None, list[MetricsRow]]:
+    """Fit a latent-variable model by alternating posterior and likelihood updates.
+
+    Each round runs ``cfg.total_steps`` flip-matching updates of the
+    conditional sampler (E) followed by ``m_steps`` exact-gradient ascent
+    updates of the model on posterior-completed data (M).  With no latent
+    variables the E-step vanishes and this is plain maximum likelihood.
+    The E-step scores every flip exactly under one latent map, so
+    ``sub_dags_per_var`` and ``stochastic_children_above`` must be 0.
+
+    Rows of ``data`` must instantiate every observed variable; latent
+    coordinates are ignored.  Returns the model, the sampler (None when
+    nothing is latent), and one metrics row per round whose ``nll`` column is
+    the negative marginal log-likelihood of the data and whose
+    ``instantiated`` column counts the variables the sampler fills in.
+    """
+    if cfg.objective != "delta":
+        raise ConfigError("the posterior sampler trains by flip matching")
+    for name in ("sub_dags_per_var", "stochastic_children_above"):
+        if getattr(cfg, name):
+            raise ConfigError(f"EM scores every flip exactly under one latent map: {name} must be 0")
+    if rounds < 1 or m_steps < 1 or completions_per_row < 1 or m_lr <= 0:
+        raise ConfigError("rounds, m_steps, completions_per_row, and m_lr must be positive")
+    hidden_set = set(int(v) for v in latent)
+    data = np.asarray(data, dtype=np.int8)
+    if data.ndim != 2 or data.shape[1] != p.num_vars:
+        raise ShapeMismatch(f"data must be (n, {p.num_vars}), got {data.shape}")
+    if data.shape[0] == 0:
+        raise EmptyDataset("EM needs at least one data row")
+
+    if not hidden_set:
+        if np.any(data == 0):
+            raise PartialAssignment("with nothing latent every coordinate must be observed")
+        rows: list[MetricsRow] = []
+        t0 = time.perf_counter()
+        for r in range(rounds):
+            for _ in range(m_steps):
+                p.set_params(p.get_params() + m_lr * p.log_reward_grad_mean(data))
+            nll = -data_marginal_loglik(p, (), data)
+            rows.append(MetricsRow(r + 1, time.perf_counter() - t0, nll, float("nan"), float("nan"), 0))
+        return p, s, rows
+
+    hidden, observed = _check_latent(hidden_set, p.num_vars)
+    if np.any(data[:, observed] == 0):
+        raise PartialAssignment("every observed coordinate must carry a value")
+    if s is None:
+        s = AmortizedSampler(
+            MaeParams(
+                MaeConfig(
+                    num_vars=p.num_vars,
+                    width=cfg.width,
+                    blocks=cfg.blocks,
+                    activation=cfg.activation,
+                    init_seed=cfg.seed,
+                )
+            )
+        )
+    elif s.num_vars != p.num_vars:
+        raise ConfigError(f"the sampler has {s.num_vars} variables, the model {p.num_vars}")
+
+    r_sample, r_flip, r_imap, r_data, r_m = _spawn_rngs(cfg.seed, 5)
+    opt = AdamState(
+        s.params.params,
+        lr=cfg.lr,
+        total_steps=rounds * cfg.total_steps,
+        lr_multipliers=_aux_multipliers(s.params, cfg.aux_lr_multiplier),
+    )
+    policy = cfg.policy()
+    imap = latent_imap(p, hidden, r_imap)
+    hidden_arr = np.array(hidden)
+    e_steps_done = 0
+    last_loss = float("nan")
+    rows = []
+    t0 = time.perf_counter()
+    for r in range(rounds):
+        for _ in range(cfg.total_steps):
+            if e_steps_done % cfg.imap_refresh_period == 0 and e_steps_done > 0:
+                imap = latent_imap(p, hidden, r_imap)
+            idx = r_data.integers(0, len(data), size=cfg.batch_size)
+            X = s.partial_sample_batch(imap, policy, cfg.batch_size, seed=r_sample, X=data[idx])
+            us = hidden_arr[r_flip.integers(0, len(hidden), size=cfg.batch_size)]
+            new_vals = -X[np.arange(cfg.batch_size), us]
+            loss = delta_loss_batch(s, imap, p, X, us, new_vals)
+            opt.zero_grad()
+            tape.backward(loss)
+            opt.step()
+            e_steps_done += 1
+            last_loss = float(loss.data)
+        for _ in range(m_steps):
+            obs_rep = np.repeat(data, completions_per_row, axis=0)
+            Xc = s.partial_sample_batch(imap, Policy.on_policy(), len(obs_rep), seed=r_m, X=obs_rep)
+            grad = p.log_reward_grad_mean(Xc)
+            p.set_params(p.get_params() + m_lr * grad)
+        nll = -data_marginal_loglik(p, hidden, data)
+        rows.append(
+            MetricsRow(r + 1, time.perf_counter() - t0, nll, float("nan"), last_loss, len(hidden))
+        )
+    return p, s, rows

@@ -536,6 +536,21 @@ class TestEm:
         assert main(argv) == 2
         assert knob in capsys.readouterr().err
 
+    @pytest.mark.parametrize("m_lr", ["nan", "inf"])
+    def test_non_finite_m_lr_is_exit_2(self, tmp_path, capsys, m_lr):
+        dag = Imap.from_parents(2, (0, 1), ((), (0,)))
+        init = tmp_path / "init.json"
+        write_model(TabularBayesNetModel(dag), str(init))
+        data = tmp_path / "data.txt"
+        np.savetxt(str(data), np.ones((4, 2), dtype=int), fmt="%d")
+        cfg = write_config(tmp_path, total_steps=2, batch_size=4, eval_period=2)
+        fitted = tmp_path / "fitted.json"
+        argv = ["em", "--model", str(init), "--data", str(data), "--latent", "1", "--config", cfg]
+        argv += ["--rounds", "1", "--m-steps", "1", "--m-lr", m_lr, "--out-model", str(fitted)]
+        assert main(argv) == 2
+        assert "m_lr" in capsys.readouterr().err
+        assert not fitted.exists()
+
     def test_rejects_non_bayesnet_model(self, model_file, tmp_path):
         data = tmp_path / "data.txt"
         np.savetxt(str(data), np.ones((4, 3), dtype=int), fmt="%d")

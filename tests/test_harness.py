@@ -29,9 +29,10 @@ from flipmatch.errors import (
     PartialAssignment,
     ShapeMismatch,
 )
-from flipmatch.graph import Imap, chain_graph, cycle_graph, sample_imap
+from flipmatch.graph import Imap, chain_graph, cycle_graph, grid_graph, sample_imap
 from flipmatch.harness import (
     METRIC_COLUMNS,
+    OBJECTIVES,
     MetricsRow,
     TrainConfig,
     data_marginal_loglik,
@@ -51,7 +52,15 @@ from flipmatch.harness import (
 from flipmatch.losses import FlowHead, LogZEstimate
 from flipmatch.nn import MaeConfig, MaeParams
 from flipmatch.sampler import AmortizedSampler
-from oracles import TabularSampler, exact_em, tv_distance
+from oracles import (
+    TabularSampler,
+    exact_em,
+    reference_train_delta,
+    reference_train_ebm,
+    reference_train_em,
+    reference_train_gfn,
+    tv_distance,
+)
 
 
 def make_sampler(num_vars, width=24, seed=0, **kwargs):
@@ -100,6 +109,19 @@ class TestTrainConfig:
         with pytest.raises(ConfigError, match=knob):
             TrainConfig(objective=objective, **{knob: 1})
         TrainConfig(objective="delta", **{knob: 1})
+
+    @pytest.mark.parametrize("objective", OBJECTIVES)
+    def test_sampler_has_a_flow_head_under_the_flow_objectives_only(self, objective):
+        cfg = TrainConfig(objective=objective, width=8, blocks=1, activation="elu", seed=4)
+        s = cfg.sampler(5)
+        flows = objective in ("db", "fl-db", "subtb", "fl-subtb")
+        assert (s.params.w_flow is not None) == flows
+        want = MaeParams(
+            MaeConfig(
+                num_vars=5, width=8, blocks=1, activation="elu", flow_head=flows, init_seed=4
+            )
+        )
+        assert np.array_equal(s.params.pack(), want.pack())
 
     def test_json_round_trip(self, tmp_path):
         cfg = TrainConfig(objective="subtb", total_steps=77, subtb_lambda=0.5, seed=9)
@@ -517,6 +539,27 @@ class TestTrainEbm:
         with pytest.raises(ConfigError):
             train_ebm(cfg, m, s, np.ones((4, 3), dtype=np.int8), alternation=(0, 5))
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"p_updates": 0},
+            {"warmup": -3},
+            {"p_lr": -1.0},
+            {"p_lr": float("nan")},
+            {"p_lr": float("inf")},
+            {"neg_batch": 0},
+        ],
+    )
+    def test_rejects_bad_arguments_before_any_update(self, kwargs):
+        m = random_ising(cycle_graph(3), sigma=0.3, seed=0)
+        s = make_sampler(3, width=8)
+        params, weights = m.get_params().copy(), s.params.pack()
+        cfg = TrainConfig(objective="delta", total_steps=10, batch_size=4, eval_period=10)
+        with pytest.raises(ConfigError, match=next(iter(kwargs))):
+            train_ebm(cfg, m, s, np.ones((4, 3), dtype=np.int8), **kwargs)
+        assert np.array_equal(m.get_params(), params)
+        assert np.array_equal(s.params.pack(), weights)
+
 
 def three_var_latent_problem():
     dag = Imap.from_parents(3, (0, 1, 2), ((), (0,), (1,)))
@@ -600,6 +643,16 @@ class TestTrainEm:
             p_b.set_params(p_b.get_params() + 0.3 * p_b.log_reward_grad_mean(data))
         assert_allclose(p_a.get_params(), p_b.get_params(), rtol=1e-12)
         assert_allclose(rows[-1].nll, -np.mean(p_b.log_reward_batch(data)), rtol=1e-12)
+
+    def test_nothing_latent_checks_the_sampler(self):
+        dag, p_true, _, _ = three_var_latent_problem()
+        data = p_true.sample(50, 3)
+        cfg = TrainConfig(objective="delta", total_steps=1, eval_period=1)
+        with pytest.raises(ConfigError, match="variables"):
+            train_em(cfg, TabularBayesNetModel(dag), [], data, s=make_sampler(5, width=8))
+        s = make_sampler(3, width=8)
+        _, got, _ = train_em(cfg, TabularBayesNetModel(dag), [], data, s=s, rounds=1, m_steps=1)
+        assert got is s
 
     @pytest.mark.parametrize("knob", ["sub_dags_per_var", "stochastic_children_above"])
     def test_flip_matching_knobs_rejected(self, knob):
@@ -691,3 +744,120 @@ class TestTrainEm:
         mismatched = make_sampler(4, width=8)
         with pytest.raises(ConfigError, match="variables"):
             train_em(cfg, TabularBayesNetModel(dag), [1], data, s=mismatched)
+
+
+def assert_same_rows(got, want):
+    """Every metrics column but ``seconds``, exactly; NaN matches NaN."""
+
+    def columns(rows):
+        return np.array([(r.step, r.nll, r.mmd, r.loss, r.instantiated) for r in rows])
+
+    assert_array_equal(columns(got), columns(want))
+
+
+class TestOneTrainer:
+    """One trainer runs every sampler update of the four trainers, and each
+    trainer gives the bits of its loop as it stood before (the ``reference_*``
+    loops in ``oracles``): the packed weights, log Z, a separate flow network,
+    the model's parameters, and every metrics column but ``seconds``.  Maps
+    are redrawn every other step, so the map draws enter every run."""
+
+    @staticmethod
+    def ising():
+        m = random_ising(grid_graph(3, 3), sigma=0.5, seed=1)
+        return m, enumerate_exact(m).sample_matrix(32, 2)
+
+    @staticmethod
+    def config(seed, **knobs):
+        knobs = {"total_steps": 6, **knobs}
+        return TrainConfig(
+            batch_size=8, lr=1e-2, width=8, eval_period=2, imap_refresh_period=2, seed=seed, **knobs
+        )
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    @pytest.mark.parametrize(
+        "knobs",
+        [
+            {},
+            {"policy_kind": "eps-uniform", "policy_eps": 0.1},
+            {"sub_dags_per_var": 2},
+            {"stochastic_children_above": 1},
+            {"sub_dags_per_var": 2, "stochastic_children_above": 1},
+        ],
+        ids=["tempered", "eps-uniform", "sub-maps", "surrogate", "sub-maps-surrogate"],
+    )
+    def test_delta(self, knobs, seed):
+        m, eval_samples = self.ising()
+        cfg = self.config(seed, **knobs)
+        got, rows = train_delta(cfg, m, cfg.sampler(9), eval_samples=eval_samples)
+        want, want_rows = reference_train_delta(cfg, m, cfg.sampler(9), eval_samples=eval_samples)
+        assert np.array_equal(got.params.pack(), want.params.pack())
+        assert_same_rows(rows, want_rows)
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    @pytest.mark.parametrize("objective", ["tb", "db", "fl-db", "subtb", "fl-subtb"])
+    def test_balance_objectives(self, objective, seed):
+        m, eval_samples = self.ising()
+        cfg = self.config(seed, objective=objective, policy_kind="eps-uniform", policy_eps=0.1)
+        runs = []
+        for train in (train_gfn, reference_train_gfn):
+            logZ = LogZEstimate() if objective == "tb" else None
+            s, rows = train(cfg, m, cfg.sampler(9), logZ=logZ, eval_samples=eval_samples)
+            runs.append((s.params.pack(), rows, logZ and logZ.item()))
+        (got, rows, got_z), (want, want_rows, want_z) = runs
+        assert np.array_equal(got, want)
+        assert_same_rows(rows, want_rows)
+        assert got_z == want_z
+
+    def test_separate_flow_network(self):
+        m, eval_samples = self.ising()
+        cfg = self.config(5, objective="db")
+        runs = []
+        for train in (train_gfn, reference_train_gfn):
+            net_cfg = MaeConfig(
+                num_vars=9, width=8, blocks=1, activation="elu", flow_head=True, init_seed=7
+            )
+            net = MaeParams(net_cfg)
+            s, rows = train(cfg, m, make_sampler(9, width=8), flow=FlowHead(net))
+            runs.append((s.params.pack(), net.pack(), rows))
+        (got, got_net, rows), (want, want_net, want_rows) = runs
+        assert np.array_equal(got, want)
+        assert np.array_equal(got_net, want_net)
+        assert_same_rows(rows, want_rows)
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_ebm(self, seed):
+        truth = random_ising(cycle_graph(4), sigma=0.6, seed=2)
+        data = enumerate_exact(truth).sample_matrix(200, 11)
+        eval_samples = enumerate_exact(truth).sample_matrix(32, 12)
+        cfg = self.config(seed, total_steps=20)
+        runs = []
+        for train in (train_ebm, reference_train_ebm):
+            m = random_ising(cycle_graph(4), sigma=0.1, seed=4)
+            m, s, rows = train(
+                cfg, m, cfg.sampler(4), data, p_updates=5, alternation=(3, 2), warmup=2,
+                neg_batch=16, eval_samples=eval_samples,
+            )
+            runs.append((m.get_params(), s.params.pack(), rows))
+        (got_m, got, rows), (want_m, want, want_rows) = runs
+        assert np.array_equal(got_m, want_m)
+        assert np.array_equal(got, want)
+        assert_same_rows(rows, want_rows)
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    @pytest.mark.parametrize("latent", [[1], [1, 2], []], ids=["one", "two", "none"])
+    def test_em(self, latent, seed):
+        dag = Imap.from_parents(6, range(6), ((), (0,), (0,), (1, 2), (3,), (3, 4)))
+        rng = np.random.default_rng(4)
+        tables = {v: rng.normal(size=1 << len(dag.parents[v])) for v in range(6)}
+        data = TabularBayesNetModel(dag, tables).sample(100, 9)
+        data[:, latent] = 0
+        cfg = self.config(seed, total_steps=4)
+        runs = []
+        for train in (train_em, reference_train_em):
+            p, s, rows = train(cfg, TabularBayesNetModel(dag), latent, data, rounds=2, m_steps=3)
+            runs.append((p.get_params(), s and s.params.pack(), rows))
+        (got_p, got, rows), (want_p, want, want_rows) = runs
+        assert np.array_equal(got_p, want_p)
+        assert (got is None and want is None) if not latent else np.array_equal(got, want)
+        assert_same_rows(rows, want_rows)

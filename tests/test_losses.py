@@ -46,7 +46,7 @@ from flipmatch.graph import (
     sub_imap,
 )
 from flipmatch.harness import TrainConfig, latent_imap
-from flipmatch.harness.loops import _DeltaTrainer
+from flipmatch.harness.loops import _Trainer
 from flipmatch.losses import (
     LOGQ_FLOOR,
     FlowHead,
@@ -834,7 +834,7 @@ class TestSurrogateRowsMatchPerFlip:
             batch_size=32, width=12, seed=2, stochastic_children_above=self.ABOVE,
             sub_dags_per_var=2 if local else 0,
         )
-        trainer = _DeltaTrainer(cfg, m, s)
+        trainer = _Trainer(cfg, m, s)
         calls, seen = [], []
         masked_logits = MaeParams.masked_logits
         loss_batch = delta_loss_batch
@@ -870,10 +870,10 @@ class TestSurrogateRowsMatchPerFlip:
 
         def run(step):
             mae = MaeParams(MaeConfig(num_vars=16, width=12, blocks=2, activation=activation))
-            trainer = _DeltaTrainer(cfg, m, AmortizedSampler(mae))
+            trainer = _Trainer(cfg, m, AmortizedSampler(mae))
             return [step(trainer) for _ in range(5)], mae.pack()
 
-        (got, got_w), (want, want_w) = run(_DeltaTrainer.step), run(per_flip_trainer_step)
+        (got, got_w), (want, want_w) = run(_Trainer.step), run(per_flip_trainer_step)
         assert [n for _, n in got] == [n for _, n in want]
         assert_allclose([v for v, _ in got], [v for v, _ in want], rtol=1e-12, atol=0)
         assert_allclose(got_w, want_w, rtol=0, atol=1e-12)

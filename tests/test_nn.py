@@ -37,7 +37,7 @@ from flipmatch.graph import (
     sub_imap,
 )
 from flipmatch.harness import TrainConfig
-from flipmatch.harness.loops import _DeltaTrainer
+from flipmatch.harness.loops import _Trainer
 from flipmatch.losses import _term_table
 from flipmatch.nn import AdamState, MaeConfig, MaeParams, load_checkpoint, save_checkpoint, tape
 from flipmatch.nn import mae as mae_module
@@ -1333,7 +1333,7 @@ class TestNarrowRows:
         cfg = TrainConfig(
             objective="delta", total_steps=1, sub_dags_per_var=1, width=64, blocks=2, seed=0
         )
-        trainer = _DeltaTrainer(cfg, random_ising(g, sigma=0.2, seed=0), s)
+        trainer = _Trainer(cfg, random_ising(g, sigma=0.2, seed=0), s)
         tracemalloc.start()
         try:
             loss, _ = trainer.step()
@@ -1416,7 +1416,7 @@ class TestOneBufferBackward:
         cfg = TrainConfig(
             objective="delta", total_steps=1, sub_dags_per_var=1, width=64, blocks=2, seed=0
         )
-        trainer = _DeltaTrainer(cfg, random_ising(g, sigma=0.2, seed=0), s)
+        trainer = _Trainer(cfg, random_ising(g, sigma=0.2, seed=0), s)
         tracemalloc.start()
         try:
             loss, _ = trainer.step()
