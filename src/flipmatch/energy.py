@@ -49,8 +49,6 @@ __all__ = [
     "FactorGraphModel",
     "TabularBayesNetModel",
     "ExactTable",
-    "COMPLETED_FACTORS",
-    "ZERO_MASKED",
     "enumerate_exact",
     "ebm_param_grad",
     "all_states",
@@ -59,9 +57,6 @@ __all__ = [
     "write_model",
     "read_model",
 ]
-
-COMPLETED_FACTORS = "completed-factors"
-ZERO_MASKED = "zero-masked"
 
 _SIDECAR_MAGIC = b"DPGM"
 _SIDECAR_VERSION = 1
@@ -310,6 +305,8 @@ class EnergyModel:
     # -- evaluation ---------------------------------------------------------
 
     def log_reward_batch(self, X) -> np.ndarray:
+        """log R per row.  A 0 in a row gives the zero-masked reward: every
+        factor evaluated with 0 plugged in for its uninstantiated inputs."""
         X = _batch_values(X)
         out = np.zeros(X.shape[0])
         for f in self.factors:
@@ -358,27 +355,6 @@ class EnergyModel:
                 vals[:, at] = -1
                 out[i] += plus - f.log_value(vals)
         return out if np.ndim(u) else out[0]
-
-    def partial_reward_batch(self, X, mode: str = ZERO_MASKED) -> np.ndarray:
-        """Log reward of partial assignments.
-
-        completed-factors: sum only factors whose whole scope is instantiated.
-        zero-masked: evaluate every factor with 0 plugged in for masked inputs.
-        Both agree with the full log reward on full assignments.
-        """
-        X = _batch_values(X)
-        out = np.zeros(X.shape[0])
-        if mode == ZERO_MASKED:
-            for f in self.factors:
-                out += f.log_value(X[:, f.scope])
-            return out
-        if mode == COMPLETED_FACTORS:
-            for f in self.factors:
-                sel = np.flatnonzero(np.all(X[:, f.scope] != 0, axis=1))
-                if sel.size:
-                    out[sel] += f.log_value(X[np.ix_(sel, f.scope)])
-            return out
-        raise ValueError(f"unknown partial-reward mode: {mode!r}")
 
     # -- parameter learning --------------------------------------------------
 

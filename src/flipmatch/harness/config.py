@@ -72,8 +72,8 @@ class TrainConfig:
             ("eval_period", self.eval_period),
         )
         for name, value in positive:
-            if not value > 0:
-                raise ConfigError(f"{name} must be positive, got {value}")
+            if not 0 < value < float("inf"):
+                raise ConfigError(f"{name} must be positive and finite, got {value}")
         for name, value in (
             ("sub_dags_per_var", self.sub_dags_per_var),
             ("stochastic_children_above", self.stochastic_children_above),

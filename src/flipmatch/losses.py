@@ -16,9 +16,10 @@ scored instead by a single-child surrogate, from three of its terms' rows.
 Also here: the trajectory-balance family (full-trajectory, detailed per-step,
 and the λ-weighted sub-range decomposition) with learnable state flows, and
 the forward-looking flow that learns only a correction on top of the
-partially accumulated reward.  A trajectory's prefixes reach the network as
-one running sum of its first layer along the order (``prefix_trunk``); only
-the forward-looking reward reads them as |V|-wide masked rows.
+partially accumulated reward.  Both are read along the order, in O(|V|·n): a
+trajectory's prefixes reach the network as one running sum of its first layer
+(``prefix_trunk``), the forward-looking reward grows by one local reward delta
+per step, and every sub-range residual is a range sum of the per-step ones.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from collections.abc import Mapping
 
 import numpy as np
 
-from flipmatch.energy import ZERO_MASKED, EnergyModel
+from flipmatch.energy import EnergyModel
 from flipmatch.errors import (
     ConfigError,
     EmptyBatch,
@@ -82,31 +83,33 @@ class FlowHead:
     structurally.
     """
 
-    def __init__(
-        self,
-        params: MaeParams,
-        forward_looking: bool = False,
-        reward_mode: str = ZERO_MASKED,
-    ) -> None:
+    def __init__(self, params: MaeParams, forward_looking: bool = False) -> None:
         if params.w_flow is None:
             raise ConfigError("flow head requires a network built with one")
         self.params = params
         self.forward_looking = forward_looking
-        self.reward_mode = reward_mode
 
     def log_flows(self, m: EnergyModel, imap: Imap, X: np.ndarray) -> Tensor:
         """log F of every prefix of ``imap``'s order for full samples X, prefix-major.
 
         Block k holds the n samples masked to the first k order variables;
-        the last block, the samples themselves, is pinned to log R.
+        the last block, the samples themselves, is pinned to log R.  The
+        forward-looking reward is the zero-masked one, grown along the order
+        by one ``delta_log_reward_batch`` per step.
         """
-        X = np.asarray(X, dtype=np.float64)
+        states = np.asarray(X).astype(np.int8)
         out = self.params.flow(self.params.prefix_trunk(X, imap.order))
         if self.forward_looking:
-            out = out + m.partial_reward_batch(_prefix_rows(imap, X), self.reward_mode)
-        full = np.arange(out.shape[0]) >= len(imap.order) * len(X)
+            work, zeros = np.zeros_like(states), np.zeros(len(states), dtype=np.int8)
+            reward = [m.log_reward_batch(work)]
+            for v in imap.order:
+                work[:, v] = states[:, v]
+                step = m.delta_log_reward_batch(work, np.full(len(work), v), zeros)
+                reward.append(reward[-1] + step)
+            out = out + np.concatenate(reward)
+        full = np.arange(out.shape[0]) >= len(imap.order) * len(states)
         pinned = np.zeros(out.shape[0])
-        pinned[full] = m.log_reward_batch(X.astype(np.int8))
+        pinned[full] = m.log_reward_batch(states)
         return tape.where(full, tape.const(pinned), out)
 
 
@@ -383,18 +386,6 @@ def _step_rows(imap: Imap, X: np.ndarray):
     return masked_parent_rows(np.repeat(parents, n, axis=0), X, vs, at), vs, X[at, vs]
 
 
-def _prefix_rows(imap: Imap, X: np.ndarray) -> np.ndarray:
-    """Prefix encodings, prefix-major: block k holds X masked to the first k
-    order variables (block 0 all zeros, block |V| the full samples)."""
-    n, num_vars = X.shape
-    blocks = [np.zeros((n, num_vars))]
-    mask = np.zeros(num_vars, dtype=bool)
-    for v in imap.topo_order:
-        mask[v] = True
-        blocks.append(X * mask)
-    return np.concatenate(blocks, axis=0)
-
-
 def tb_loss_batch(s, imap: Imap, m: EnergyModel, X, logZ: LogZEstimate) -> Tensor:
     """Mean squared full-trajectory residual (log Z + log q - log R)²."""
     X = _require_full(imap, X)
@@ -407,15 +398,34 @@ def tb_loss_batch(s, imap: Imap, m: EnergyModel, X, logZ: LogZEstimate) -> Tenso
     return residual.square().mean()
 
 
-def db_trajectory_loss(s, imap: Imap, m: EnergyModel, X, flow) -> Tensor:
-    """Mean of the |V| per-step losses over a batch of full trajectories."""
+def _db_residuals(s, imap: Imap, m: EnergyModel, X, flow) -> Tensor:
+    """r_t = log F_t + log q_t - log F_{t+1} of every step t and sample,
+    step-major (|V|·n,): the per-step balance residuals."""
     X = _require_full(imap, X)
-    n, num_vars = X.shape
     flows = flow.log_flows(m, imap, X)  # ((V+1)*n,) prefix-major
     logq = _clamped_logq(s, *_step_rows(imap, X))  # (V*n,) step-major
-    idx = np.arange(num_vars * n)
-    residual = tape.gather_1d(flows, idx) + logq - tape.gather_1d(flows, idx + n)
-    return residual.square().mean()
+    idx = np.arange(len(imap.order) * len(X))
+    return tape.gather_1d(flows, idx) + logq - tape.gather_1d(flows, idx + len(X))
+
+
+def db_trajectory_loss(s, imap: Imap, m: EnergyModel, X, flow) -> Tensor:
+    """Mean of the |V| per-step losses over a batch of full trajectories."""
+    return _db_residuals(s, imap, m, X, flow).square().mean()
+
+
+def _range_sums(res: np.ndarray, opens: np.ndarray, carry: float):
+    """Total weight S, weighted residual sum M and weighted squared sum E of
+    the ranges (i, k) ending at each prefix k, a range opened at weight
+    opens[i] and carried by ``carry`` per step; its residual is res[i:k].sum()."""
+    S = np.zeros(len(res) + 1)
+    M = np.zeros((len(res) + 1, res.shape[1]))
+    E = np.zeros_like(M)
+    for k, r in enumerate(res):
+        s1 = S[k] + opens[k]
+        E[k + 1] = carry * (E[k] + 2.0 * r * M[k] + r * r * s1)
+        M[k + 1] = carry * (M[k] + r * s1)
+        S[k + 1] = carry * s1
+    return S, M, E
 
 
 def subtb_loss_batch(s, imap: Imap, m: EnergyModel, X, flow, lam: float) -> Tensor:
@@ -425,25 +435,26 @@ def subtb_loss_batch(s, imap: Imap, m: EnergyModel, X, flow, lam: float) -> Tens
     and the conditionals in between: adjacent ranges are the per-step terms,
     and the full range is the trajectory term with log F(∅) as the
     normalizer.  Per trajectory, term (i, j) carries weight λ^(j-i), and the
-    weighted sum is divided by the total weight.
+    weighted sum is divided by the total weight.  Range (i, j)'s residual is
+    the sum of the DB residuals r_i..r_{j-1}, so running sums along the order
+    give the loss and its gradient.  For λ > 1 the weights are scaled by
+    λ^-|V| to λ^-i·λ^-(|V|-j), which never overflow.
     """
-    if not lam > 0:
-        raise ConfigError("lambda must be positive")
-    X = _require_full(imap, X)
-    n, num_vars = X.shape
-    # flows (V+1, n) and step conditionals (V, n), both prefix-major
-    F = tape.reshape(flow.log_flows(m, imap, X), (num_vars + 1, n))
-    lq = tape.reshape(_clamped_logq(s, *_step_rows(imap, X)), (num_vars, n))
+    if not 0 < lam < np.inf:
+        raise ConfigError(f"lambda must be positive and finite, got {lam}")
+    r = _db_residuals(s, imap, m, X, flow)
+    res = r.data.reshape(len(imap.order), -1)  # (V, n)
+    # range (i, j) opens at opens[i], is carried and is read out at reads[j]
+    opens = np.cumprod(np.r_[1.0, np.full(len(res), 1.0 / max(lam, 1.0))])
+    carry, reads = min(float(lam), 1.0), opens[::-1]
+    S, M, E = _range_sums(res, opens, carry)
+    scale = 1.0 / (res.shape[1] * (reads[1:] @ S[1:]))
 
-    # C[k, s] = sum of the first k step log-probs; D = F - C; r(i<j) = D_i - D_j
-    lower = np.tril(np.ones((num_vars + 1, num_vars)), k=-1)
-    D = F - tape.matmul(tape.const(lower), lq)
+    def back(g):
+        # a range through step t is one ending at prefix t+1 and one, maybe
+        # empty, starting there; reversed, the latter open at reads[::-1] = opens
+        Sb, Mb, _ = _range_sums(res[::-1], opens, carry)
+        grad = M[1:] * (Sb[::-1, None][1:] + reads[1:, None]) + S[1:, None] * Mb[::-1][1:]
+        r.accumulate((2.0 * float(g) * scale) * grad.reshape(-1))
 
-    # per sample, sum over i<j of w_ij (D_i - D_j)^2 is D^T (diag(W 1) - W) D,
-    # W_ij = lam^|i-j| / (total weight) off the diagonal; 1/n folded in
-    k = np.arange(num_vars + 1)
-    W = np.power(float(lam), np.abs(k[:, None] - k[None, :]))
-    np.fill_diagonal(W, 0.0)
-    W /= W.sum() / 2
-    Q = (np.diag(W.sum(axis=1)) - W) / n
-    return (tape.matmul(tape.const(Q), D) * D).sum()
+    return tape._make(np.asarray((reads[1:] @ E[1:]).sum() * scale), (r,), back)

@@ -2,12 +2,12 @@
 
 A deliberately small tape: each op records its parents and a closure that
 pushes the output gradient back into them.  Only the shapes and operations the
-losses in this package need are provided — dense affine maps, an affine map
-that computes one picked output column per row, log-sigmoid (whose raw-array
-form, with the sigmoid's, serves the whole package), selects, gathers, segment
-sums, and reductions.  The network's trunk and logit head are not built from
-these ops: they record themselves as one node through ``_make``, with their
-own backward (see ``flipmatch.nn.mae``).  The correctness contract is
+losses in this package need are provided — an affine map that computes one
+picked output column per row, log-sigmoid (whose raw-array form, with the
+sigmoid's, serves the whole package), selects, gathers, segment sums, and
+reductions.  The network's trunk and logit head, and the subTB loss, are not
+built from these ops: they record themselves as one node through ``_make``,
+with their own backward (see ``flipmatch.nn.mae`` and ``flipmatch.losses``).  The correctness contract is
 agreement with central finite differences at 64-bit precision, which the
 test suite checks op by op and end to end.
 """
@@ -24,7 +24,6 @@ __all__ = [
     "Tensor",
     "const",
     "param",
-    "matmul",
     "log_sigmoid",
     "sigmoid_np",
     "log_sigmoid_np",
@@ -33,7 +32,6 @@ __all__ = [
     "pick_affine_grads",
     "gather_1d",
     "segment_sum",
-    "reshape",
     "clamp_min",
     "stop_gradient",
     "backward",
@@ -166,18 +164,6 @@ def mul(a, b) -> Tensor:
     return _make(out_data, (a, b), back)
 
 
-def matmul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-
-    def back(g):
-        if a.requires_grad:
-            a.accumulate(g @ b.data.T)
-        if b.requires_grad:
-            b.accumulate(a.data.T @ g)
-
-    return _make(a.data @ b.data, (a, b), back)
-
-
 def sigmoid_np(z) -> np.ndarray:
     """sigmoid(z) on a raw array, without overflow for either sign."""
     z = np.asarray(z, dtype=np.float64)
@@ -272,13 +258,6 @@ def segment_sum(x: Tensor, seg: np.ndarray, num_segments: int) -> Tensor:
         x.accumulate(g[seg])
 
     return _make(out_data, (x,), back)
-
-
-def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
-    def back(g):
-        x.accumulate(g.reshape(x.data.shape))
-
-    return _make(x.data.reshape(shape), (x,), back)
 
 
 def clamp_min(x: Tensor, floor: float) -> Tensor:

@@ -20,7 +20,6 @@ import numpy as np
 
 from flipmatch import losses
 from flipmatch.energy import (
-    ZERO_MASKED,
     EnergyModel,
     ExactTable,
     IsingModel,
@@ -63,7 +62,6 @@ from flipmatch.losses import (
     LogZEstimate,
     _check_flips,
     _clamped_logq,
-    _prefix_rows,
     _require_full,
     _step_rows,
     _surrogate_pairs,
@@ -190,8 +188,9 @@ def factors_touching(m: EnergyModel, u: int) -> tuple[int, ...]:
     return m._touching[u]
 
 
-def partial_reward(m: EnergyModel, x, mode: str = ZERO_MASKED) -> float:
-    return float(m.partial_reward_batch(_row(x)[None, :], mode)[0])
+def partial_reward(m: EnergyModel, x) -> float:
+    """Zero-masked reward of a partial assignment: log R with 0 at its masked variables."""
+    return float(m.log_reward_batch(_row(x)[None, :])[0])
 
 
 def delta_log_reward(m: EnergyModel, x, u: int, xu_new: int) -> float:
@@ -1311,13 +1310,47 @@ def running_intersection_holds(jt: JunctionTree) -> bool:
 
 # ---------------------------------------------------------------------------
 # state flows on |V|-wide masked rows, as the flow head read them before its
-# prefixes became a running sum of the first layer: any rows through the
-# dense first layer, and DB and subTB on the dense prefix rows.
+# prefixes became a running sum of the first layer and its reward a running
+# sum of local deltas: any rows through the dense first layer, and DB and
+# subTB on the dense prefix rows, subTB as a quadratic form on the tape's
+# dense product, which no loss of the package needs any more.
+
+
+def matmul(a, b) -> Tensor:
+    """a @ b on the tape."""
+    a, b = tape._as_tensor(a), tape._as_tensor(b)
+
+    def back(g):
+        if a.requires_grad:
+            a.accumulate(g @ b.data.T)
+        if b.requires_grad:
+            b.accumulate(a.data.T @ g)
+
+    return tape._make(a.data @ b.data, (a, b), back)
+
+
+def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
+    def back(g):
+        x.accumulate(g.reshape(x.data.shape))
+
+    return tape._make(x.data.reshape(shape), (x,), back)
 
 
 def correction_rows(flow: FlowHead, rows: np.ndarray) -> Tensor:
     """The flow head's output on masked rows, before any reward is added."""
     return flow.params.flow(dense_trunk(flow.params, rows))
+
+
+def _prefix_rows(imap: Imap, X: np.ndarray) -> np.ndarray:
+    """Prefix encodings, prefix-major: block k holds X masked to the first k
+    order variables (block 0 all zeros, block |V| the full samples)."""
+    n, num_vars = X.shape
+    blocks = [np.zeros((n, num_vars))]
+    mask = np.zeros(num_vars, dtype=bool)
+    for v in imap.topo_order:
+        mask[v] = True
+        blocks.append(X * mask)
+    return np.concatenate(blocks, axis=0)
 
 
 def log_flow_rows(flow, m: EnergyModel, rows: np.ndarray) -> Tensor:
@@ -1328,7 +1361,7 @@ def log_flow_rows(flow, m: EnergyModel, rows: np.ndarray) -> Tensor:
     full = np.all(rows != 0, axis=1)
     out = correction_rows(flow, rows)
     if flow.forward_looking:
-        out = out + m.partial_reward_batch(rows, flow.reward_mode)
+        out = out + m.log_reward_batch(rows)
     if not full.any():
         return out
     pinned = np.zeros(rows.shape[0])
@@ -1356,24 +1389,24 @@ def dense_subtb_loss_batch(s, imap: Imap, m: EnergyModel, X, flow, lam: float) -
     pm = _prefix_rows(imap, X)
     ss = np.repeat(np.arange(n), num_vars + 1)
     kk = np.tile(np.arange(num_vars + 1), n)
-    F = tape.reshape(log_flow_rows(flow, m, pm[kk * n + ss]), (n, num_vars + 1))
+    F = reshape(log_flow_rows(flow, m, pm[kk * n + ss]), (n, num_vars + 1))
     (values, cols), vs, signs = _step_rows(imap, X)
     perm = np.tile(np.arange(num_vars), n) * n + np.repeat(np.arange(n), num_vars)
     lq = _clamped_logq(s, (values[perm], cols[perm]), vs[perm], signs[perm])
-    lq = tape.reshape(lq, (n, num_vars))
+    lq = reshape(lq, (n, num_vars))
     lower = np.tril(np.ones((num_vars + 1, num_vars)), k=-1)
-    D = F - tape.matmul(lq, tape.const(lower.T))
+    D = F - matmul(lq, tape.const(lower.T))
     k = np.arange(num_vars + 1)
     W = np.power(float(lam), np.abs(k[:, None] - k[None, :]))
     np.fill_diagonal(W, 0.0)
     W /= W.sum() / 2
     Q = (np.diag(W.sum(axis=1)) - W) / n
-    return (tape.matmul(D, tape.const(Q)) * D).sum()
+    return (matmul(D, tape.const(Q)) * D).sum()
 
 
 # ---------------------------------------------------------------------------
 # subTB as an explicit sum over ranges: one residual column per (i, j) pair.
-# The library evaluates the same weighted sum as one quadratic form.
+# The library evaluates the same weighted sum as running sums along the order.
 
 
 def pair_subtb_loss_batch(s, imap, m, X, flow, lam: float) -> Tensor:
@@ -1382,13 +1415,13 @@ def pair_subtb_loss_batch(s, imap, m, X, flow, lam: float) -> Tensor:
     n, num_vars = X.shape
     sample_major = np.tile(np.arange(num_vars + 1), n) * n + np.repeat(np.arange(n), num_vars + 1)
     F = tape.gather_1d(flow.log_flows(m, imap, X), sample_major)
-    F = tape.reshape(F, (n, num_vars + 1))
+    F = reshape(F, (n, num_vars + 1))
     (values, cols), vs, signs = _step_rows(imap, X)
     perm = np.tile(np.arange(num_vars), n) * n + np.repeat(np.arange(n), num_vars)
     lq = _clamped_logq(s, (values[perm], cols[perm]), vs[perm], signs[perm])
-    lq = tape.reshape(lq, (n, num_vars))
+    lq = reshape(lq, (n, num_vars))
     lower = np.tril(np.ones((num_vars + 1, num_vars)), k=-1)
-    D = F - tape.matmul(lq, tape.const(lower.T))
+    D = F - matmul(lq, tape.const(lower.T))
 
     ii, jj, ww = [], [], []
     for a in range(num_vars + 1):
@@ -1401,7 +1434,7 @@ def pair_subtb_loss_batch(s, imap, m, X, flow, lam: float) -> Tensor:
     pairs[jj, np.arange(len(jj))] = -1.0
     weights = np.array(ww)
     weights = weights / weights.sum()
-    R = tape.matmul(D, tape.const(pairs))  # (n, n_pairs)
+    R = matmul(D, tape.const(pairs))  # (n, n_pairs)
     return tape.mul(R.square(), weights).sum() * (1.0 / n)
 
 
@@ -1505,7 +1538,7 @@ def db_loss(s, imap: Imap, m: EnergyModel, x_prefix, next_var: int, flow) -> Ten
     return residual.square().sum()
 
 
-def fl_flow(flow: FlowHead, m: EnergyModel, x, mode: str = ZERO_MASKED) -> Tensor:
+def fl_flow(flow: FlowHead, m: EnergyModel, x) -> Tensor:
     """Forward-looking log-flow of one partial assignment: correction + reward.
 
     No terminal substitution happens here — the balance losses pin terminals
@@ -1513,7 +1546,7 @@ def fl_flow(flow: FlowHead, m: EnergyModel, x, mode: str = ZERO_MASKED) -> Tenso
     """
     vals = _row(x)
     corr = correction_rows(flow, vals[None, :])
-    partial = partial_reward(m, vals, mode)
+    partial = partial_reward(m, vals)
     return corr.sum() + float(partial)
 
 

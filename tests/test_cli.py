@@ -298,6 +298,12 @@ class TestTrain:
         assert main(["train", "--model", model_file, "--config", cfg]) == 2
         assert "width" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field", ["lr", "aux_lr_multiplier"])
+    def test_infinite_rate_in_config_is_exit_2(self, model_file, tmp_path, capsys, field):
+        cfg = write_config(tmp_path, **{field: float("inf")})
+        assert main(["train", "--model", model_file, "--config", cfg]) == 2
+        assert field in capsys.readouterr().err
+
     def test_overflowing_model_is_exit_3(self, tmp_path):
         m = IsingModel(np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([1e308, 0.0]), 1.0)
         path = tmp_path / "hot.json"

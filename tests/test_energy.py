@@ -13,8 +13,6 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from flipmatch.energy import (
-    COMPLETED_FACTORS,
-    ZERO_MASKED,
     ConditionalFactor,
     EnergyModel,
     FactorGraphModel,
@@ -236,31 +234,20 @@ class TestDeltaLogReward:
 
 
 class TestPartialReward:
-    def test_empty_mask_completed_factors(self):
-        m = random_ising(chain_graph(3), seed=1)
-        assert partial_reward(m, np.zeros(3, dtype=np.int8), COMPLETED_FACTORS) == 0.0
+    """The zero-masked reward of a partial assignment is ``log_reward_batch``
+    on its row with 0 at the masked variables."""
 
     def test_full_mask_equals_log_reward(self):
         rng = np.random.default_rng(2)
         m = random_factor_lattice(2, 2, seed=3)
         x = rng.choice([-1, 1], size=4).astype(np.int8)
-        for mode in (COMPLETED_FACTORS, ZERO_MASKED):
-            assert_allclose(partial_reward(m, x, mode), -energy(m, x), atol=1e-12)
-
-    def test_chain_prefix_completed_factors(self):
-        m = random_ising(chain_graph(3), sigma=0.8, seed=4)
-        x = np.array([1, -1, 0])
-        # factors fully inside {0,1}: the (0,1) coupling and the two unaries
-        expected = (
-            2 * 0.8 * m.J[0, 1] * 1 * -1 + 0.8 * m.b[0] * 1 + 0.8 * m.b[1] * -1
-        )
-        assert_allclose(partial_reward(m, x, COMPLETED_FACTORS), expected)
+        assert_allclose(partial_reward(m, x), -energy(m, x), atol=1e-12)
 
     def test_zero_masked_kills_incomplete_bilinear_terms(self):
         m = random_ising(chain_graph(3), sigma=0.8, seed=4)
         x = np.array([1, -1, 0])
         expected = 2 * 0.8 * m.J[0, 1] * -1 + 0.8 * (m.b[0] - m.b[1])
-        assert_allclose(partial_reward(m, x, ZERO_MASKED), expected)
+        assert_allclose(partial_reward(m, x), expected)
 
     def test_zero_masked_mlp_evaluates_literally_at_zero(self):
         rng = np.random.default_rng(5)
@@ -268,7 +255,7 @@ class TestPartialReward:
         m = FactorGraphModel(2, [f])
         x = np.array([1, 0])
         by_hand = float(np.tanh(np.array([1.0, 0.0]) @ f.w1.T + f.b1) @ f.w2 + f.b2)
-        assert_allclose(partial_reward(m, x, ZERO_MASKED), by_hand)
+        assert_allclose(partial_reward(m, x), by_hand)
 
     def test_growth_touches_only_containing_factors(self):
         """Zero-masked: instantiating v changes only factors whose scope has v."""
@@ -277,7 +264,7 @@ class TestPartialReward:
         x = np.array([1, -1, 0, 0, 1, 0], dtype=np.int8)
         v = 2
         grown = with_value(x, v, 1)
-        diff = partial_reward(m, grown, ZERO_MASKED) - partial_reward(m, x, ZERO_MASKED)
+        diff = partial_reward(m, grown) - partial_reward(m, x)
         local = 0.0
         for k in factors_touching(m, v):
             f = m.factors[k]
@@ -287,10 +274,14 @@ class TestPartialReward:
             )
         assert_allclose(diff, local, atol=1e-12)
 
-    def test_unknown_mode_rejected(self):
-        m = two_var_ising()
-        with pytest.raises(ValueError):
-            partial_reward(m, np.zeros(2, dtype=np.int8), "other")
+    def test_ising_edge_table_matches_factor_loop(self):
+        # rows with zeros through Ising's edge table and through the generic
+        # sum over its factors
+        m = random_ising(grid_graph(4, 4), sigma=0.7, seed=3)
+        X = np.random.default_rng(4).choice([-1, 0, 1], size=(40, 16)).astype(np.int8)
+        want = EnergyModel.log_reward_batch(m, X)
+        assert np.abs(want).max() > 1.0
+        assert_allclose(m.log_reward_batch(X), want, rtol=1e-12, atol=1e-12)
 
 
 class TestConditionalFactor:

@@ -90,6 +90,10 @@ class TestTrainConfig:
             {"total_steps": 0},
             {"batch_size": -1},
             {"lr": 0.0},
+            {"lr": float("inf")},
+            {"lr": float("nan")},
+            {"aux_lr_multiplier": float("inf")},
+            {"subtb_lambda": float("inf")},
             {"activation": "tanh"},
             {"policy_kind": "greedy"},
             {"policy_eps": 1.5},
@@ -102,6 +106,10 @@ class TestTrainConfig:
     def test_rejects_bad_fields(self, kwargs):
         with pytest.raises(ConfigError):
             TrainConfig(**kwargs)
+
+    def test_infinite_temperature_is_the_uniform_policy(self):
+        pol = TrainConfig(policy_temperature=float("inf")).policy()
+        assert_array_equal(pol.plus_probability(np.array([-50.0, 0.0, 50.0])), 0.5)
 
     @pytest.mark.parametrize("objective", ["tb", "db", "fl-db", "subtb", "fl-subtb"])
     @pytest.mark.parametrize("knob", ["sub_dags_per_var", "stochastic_children_above"])

@@ -12,6 +12,8 @@ table against the per-flip loop it replaced.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,11 +21,10 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from flipmatch.energy import (
-    COMPLETED_FACTORS,
-    ZERO_MASKED,
     FactorGraphModel,
     IsingModel,
     MlpFactor,
+    TabularBayesNetModel,
     enumerate_exact,
     random_ising,
 )
@@ -51,7 +52,6 @@ from flipmatch.losses import (
     LOGQ_FLOOR,
     FlowHead,
     LogZEstimate,
-    _prefix_rows,
     _surrogate_pairs,
     db_trajectory_loss,
     delta_loss,
@@ -70,6 +70,7 @@ from oracles import (
     TabularSampler,
     _children,
     _flip_term_rows,
+    _prefix_rows,
     all_states,
     correction_rows,
     db_loss,
@@ -1061,7 +1062,40 @@ class TestSubTb:
         tiny = float(subtb_loss_batch(s, imap, m, X, flow, 1e-6).data)
         assert abs(tiny - db) < 1e-6
 
-    def test_quadratic_form_equals_pair_sum(self):
+    def test_lambda_validation(self):
+        m, imap, table = exact_setup()
+        s = fresh_sampler(5, flow_head=True)
+        flow = FlowHead(s.params)
+        X = table.sample_matrix(2, seed=0)
+        for lam in (0.0, -1.0, np.inf, np.nan):
+            with pytest.raises(ConfigError):
+                subtb_loss_batch(s, imap, m, X, flow, lam)
+
+    def test_forward_looking_step_memory(self):
+        # 16×16, 32 trajectories, width 64: the loss and its backward keep
+        # O(|V|·n) arrays beside the network's own (28.0 MB traced; 46.7 MB
+        # with |V|-wide prefix rows and (|V|+1)² matrices)
+        g = grid_graph(16, 16)
+        m = random_ising(g, sigma=0.2, seed=0)
+        imap = sample_imap(g, seed=1)
+        s = fresh_sampler(256, width=64, flow_head=True)
+        flow = FlowHead(s.params, forward_looking=True)
+        X = np.random.default_rng(2).choice([-1, 1], size=(32, 256)).astype(np.int8)
+        tracemalloc.start()
+        try:
+            tape.backward(subtb_loss_batch(s, imap, m, X, flow, 0.9))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 36e6
+
+
+class TestSubTbRangeSums:
+    """subTB's running sums along the order against one residual column per
+    range (``oracles.pair_subtb_loss_batch``) and finite differences, at λ on
+    both sides of 1, and finite where λ^|V| overflows."""
+
+    def test_equals_pair_sum(self):
         m, imap, table = exact_setup()
         s = randomized_sampler(5, seed=9, flow_head=True)
         flow = FlowHead(s.params, forward_looking=True)
@@ -1074,14 +1108,31 @@ class TestSubTb:
             for g_got, g_want in zip(collect_grads(params, got), collect_grads(params, want)):
                 assert_allclose(g_got, g_want, rtol=1e-10, atol=1e-14)
 
-    def test_lambda_validation(self):
-        m, imap, table = exact_setup()
-        s = fresh_sampler(5, flow_head=True)
+    @pytest.mark.parametrize("lam", [1e20, 1e300])
+    def test_large_lambda_keeps_the_full_range(self, lam):
+        # λ^|V| overflows on 16 spins; as λ grows the full range (0, |V|)
+        # outweighs every other, and the loss tends to the TB loss with
+        # log F(∅) as log Z
+        g = ladder_graph(8)
+        m = random_ising(g, sigma=0.5, seed=1)
+        imap = sample_imap(g, seed=2)
+        s = randomized_sampler(16, seed=3, flow_head=True)
         flow = FlowHead(s.params)
-        X = table.sample_matrix(2, seed=0)
-        for lam in (0.0, -1.0):
-            with pytest.raises(ConfigError):
-                subtb_loss_batch(s, imap, m, X, flow, lam)
+        X = np.random.default_rng(4).choice([-1, 1], size=(8, 16)).astype(np.int8)
+        got = float(subtb_loss_batch(s, imap, m, X, flow, lam).data)
+        log_f0 = flow.log_flows(m, imap, X).data[:8]
+        want = np.mean((log_f0 + s.log_prob_batch(imap, X) - m.log_reward_batch(X)) ** 2)
+        assert np.isfinite(got)
+        assert_allclose(got, want, rtol=1e-12)
+
+    def test_grad_above_one(self):
+        m, imap, table = exact_setup()
+        s = randomized_sampler(5, seed=7, flow_head=True)
+        flow = FlowHead(s.params, forward_looking=True)
+        X = np.random.default_rng(1).choice([-1.0, 1.0], size=(4, 5))
+        assert_grad_matches_fd(
+            lambda: subtb_loss_batch(s, imap, m, X, flow, 1.7), s.params.params
+        )
 
 
 class TestBalanceNeedsFullMap:
@@ -1166,23 +1217,30 @@ class TestStateValues:
 
 
 class TestFlowsMatchDense:
-    """State flows from the running sum of the first layer against the flow
-    head on the dense prefix rows (``oracles.log_flow_rows``), and DB and subTB
+    """State flows from the running sum of the first layer and the reward
+    grown by one local delta per step, against the flow head and the reward
+    on the dense prefix rows (``oracles.log_flow_rows``), and DB and subTB
     against their dense-prefix forms: values and every gradient within 1e-12
-    relative, in plain and forward-looking mode and both reward modes."""
+    relative, in plain and forward-looking mode, on MLP factors and on a
+    tabular Bayes net."""
 
-    MODES = [(False, ZERO_MASKED), (True, ZERO_MASKED), (True, COMPLETED_FACTORS)]
-    IDS = ["plain", "fl-zero-masked", "fl-completed"]
+    CASES = [(False, "mlp"), (True, "mlp"), (True, "bayes-net")]
+    IDS = ["plain", "fl", "fl-bayes-net"]
 
-    def build(self, forward_looking, reward_mode):
+    def build(self, forward_looking, model):
         g = grid_graph(3, 3)
         rng = np.random.default_rng(7)
-        factors = [MlpFactor.random(e, rng) for e in g.edges]
-        m = FactorGraphModel(9, factors)
+        if model == "mlp":
+            m = FactorGraphModel(9, [MlpFactor.random(e, rng) for e in g.edges])
+        else:
+            dag = sample_imap(g, seed=11)
+            m = TabularBayesNetModel(
+                dag, {v: rng.normal(size=1 << len(dag.parents[v])) for v in range(9)}
+            )
         imap = sample_imap(g, seed=4)
         assert not np.array_equal(imap.order, np.arange(9))
         s = randomized_sampler(9, seed=8, flow_head=True)
-        flow = FlowHead(s.params, forward_looking=forward_looking, reward_mode=reward_mode)
+        flow = FlowHead(s.params, forward_looking=forward_looking)
         X = rng.choice([-1.0, 1.0], size=(6, 9))
         return m, imap, s, flow, X
 
@@ -1196,16 +1254,16 @@ class TestFlowsMatchDense:
         for g, w in zip(got_g, want_g):
             assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max(initial=0.0)
 
-    @pytest.mark.parametrize("forward_looking, reward_mode", MODES, ids=IDS)
-    def test_log_flows(self, forward_looking, reward_mode):
-        m, imap, s, flow, X = self.build(forward_looking, reward_mode)
+    @pytest.mark.parametrize("forward_looking, model", CASES, ids=IDS)
+    def test_log_flows(self, forward_looking, model):
+        m, imap, s, flow, X = self.build(forward_looking, model)
         got = flow.log_flows(m, imap, X)
         want = log_flow_rows(flow, m, _prefix_rows(imap, X))
         self.same(s.params.params, got, want)
 
-    @pytest.mark.parametrize("forward_looking, reward_mode", MODES, ids=IDS)
-    def test_db_and_subtb(self, forward_looking, reward_mode):
-        m, imap, s, flow, X = self.build(forward_looking, reward_mode)
+    @pytest.mark.parametrize("forward_looking, model", CASES, ids=IDS)
+    def test_db_and_subtb(self, forward_looking, model):
+        m, imap, s, flow, X = self.build(forward_looking, model)
         args = (s, imap, m, X, flow)
         self.same(s.params.params, db_trajectory_loss(*args), dense_db_trajectory_loss(*args))
         self.same(s.params.params, subtb_loss_batch(*args, 0.8), dense_subtb_loss_batch(*args, 0.8))
@@ -1229,7 +1287,7 @@ class TestFlowParametrization:
         flow = FlowHead(s.params, forward_looking=True)
         x = np.array([1, -1, 0, 0], dtype=np.int8)
         val = float(fl_flow(flow, m, x).data)
-        assert_allclose(val, partial_reward(m, x, ZERO_MASKED), rtol=1e-12)
+        assert_allclose(val, partial_reward(m, x), rtol=1e-12)
 
     def test_full_assignment_adds_correction_to_reward(self):
         m = mlp_chain_model()
@@ -1251,17 +1309,6 @@ class TestFlowParametrization:
         # Ising factors all pass through zero, so there the flow is bare
         ising = random_ising(cycle_graph(4), sigma=0.5, seed=0)
         assert_allclose(float(fl_flow(flow, ising, empty).data), corr, rtol=1e-12)
-
-    def test_completed_factors_mode(self):
-        m = mlp_chain_model()
-        s = fresh_sampler(4, flow_head=True)
-        flow = FlowHead(s.params, forward_looking=True, reward_mode=COMPLETED_FACTORS)
-        x = np.array([1, -1, 0, 0], dtype=np.int8)
-        val = float(fl_flow(flow, m, x, COMPLETED_FACTORS).data)
-        assert_allclose(val, partial_reward(m, x, COMPLETED_FACTORS), rtol=1e-12)
-        assert_allclose(
-            float(log_flow_rows(flow, m, x[None, :]).data[0]), val, rtol=1e-12
-        )
 
     def test_terminal_flow_pinned_to_reward(self):
         m = mlp_chain_model()
