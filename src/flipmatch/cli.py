@@ -81,11 +81,14 @@ def _load_model(path: str):
         raise ConfigError(f"cannot read model from {path}: {exc}") from exc
 
 
-def _load_sampler(path: str) -> AmortizedSampler:
+def _load_sampler(path: str, num_vars: int) -> AmortizedSampler:
+    """The sampler a checkpoint holds, once it is checked to fit a model of num_vars variables."""
     try:
         mae = load_checkpoint(path)
     except (OSError, ValueError, KeyError) as exc:
         raise ConfigError(f"cannot read checkpoint from {path}: {exc}") from exc
+    if mae.num_vars != num_vars:
+        raise ConfigError(f"checkpoint built for {mae.num_vars} variables, model has {num_vars}")
     return AmortizedSampler(mae)
 
 
@@ -154,11 +157,7 @@ def cmd_train(args) -> int:
 
 def cmd_sample(args) -> int:
     m = _load_model(args.model)
-    s = _load_sampler(args.checkpoint)
-    if s.params.cfg.num_vars != m.num_vars:
-        raise ConfigError(
-            f"checkpoint built for {s.params.cfg.num_vars} variables, model has {m.num_vars}"
-        )
+    s = _load_sampler(args.checkpoint, m.num_vars)
     imap = sample_imap(interaction_graph(m), seed=args.imap_seed)
     X, _ = s.ancestral_sample(imap, Policy.on_policy(), args.n, seed=args.seed)
     _write_assignments(X, args.out)
@@ -170,7 +169,7 @@ def cmd_eval(args) -> int:
     if args.seed < 0:
         raise ConfigError(f"seed must be non-negative, got {args.seed}")
     m = _load_model(args.model)
-    s = _load_sampler(args.checkpoint)
+    s = _load_sampler(args.checkpoint, m.num_vars)
     imap = sample_imap(interaction_graph(m), seed=args.imap_seed)
     doc: dict = {"num_vars": m.num_vars}
     if args.samples:

@@ -65,6 +65,8 @@ class _Trainer:
 
     def __init__(self, cfg: TrainConfig, m: EnergyModel, s: AmortizedSampler,
                  rngs=None, aux=None, latent: tuple[int, ...] = (), data=None) -> None:
+        if s.num_vars != m.num_vars:
+            raise ConfigError(f"sampler built for {s.num_vars} variables, model has {m.num_vars}")
         self.cfg, self.m, self.s, self.aux, self.data = cfg, m, s, aux, data
         self.g = interaction_graph(m)
         self.policy = cfg.policy()

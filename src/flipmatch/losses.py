@@ -18,7 +18,7 @@ and the λ-weighted sub-range decomposition) with learnable state flows, and
 the forward-looking flow that learns only a correction on top of the
 partially accumulated reward.  Both are read along the order, in O(|V|·n): a
 trajectory's prefixes reach the network as one running sum of its first layer
-(``prefix_trunk``), the forward-looking reward grows by one local reward delta
+(``MaeParams.prefix_flows``), the forward-looking reward grows by one local reward delta
 per step, and every sub-range residual is a range sum of the per-step ones.
 """
 
@@ -75,7 +75,8 @@ class LogZEstimate:
 class FlowHead:
     """Learnable state flows on the prefixes of a sampling order.
 
-    Wraps a network with a scalar head on ``MaeParams.prefix_trunk``.  In
+    Wraps a network built with a flow head, whose output on every prefix
+    comes from ``MaeParams.prefix_flows`` in the network's one tape node.  In
     plain mode the head's output is log F directly; in forward-looking mode it
     is a log-space correction added to the partially accumulated reward, so
     the network only learns what the already-visible factors miss.  Terminal
@@ -98,7 +99,7 @@ class FlowHead:
         by one ``delta_log_reward_batch`` per step.
         """
         states = np.asarray(X).astype(np.int8)
-        out = self.params.flow(self.params.prefix_trunk(X, imap.order))
+        out = self.params.prefix_flows(X, imap.order)
         if self.forward_looking:
             work, zeros = np.zeros_like(states), np.zeros(len(states), dtype=np.int8)
             reward = [m.log_reward_batch(work)]

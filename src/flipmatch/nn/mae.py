@@ -16,26 +16,28 @@ indices, so its first layer reads just those rows of the input weights and,
 on the tape, sums its gradient back into just those rows; one batch may hold
 many variables, each with its own columns and its own number of them, as the
 sampler's wavefront walk and the losses need.  A separate learnable logit
-vector handles the no-information case (all-zero input), and an optional
-scalar head on the same trunk provides state-flow estimates for the
-balance-based objectives; as the first layer is linear, ``prefix_trunk``
-gives it every prefix of an order as one running sum along the order (MADE,
-Germain et al. 2015, arXiv:1502.03509).  Observed values reach a
-latent-variable posterior as parent columns too (see ``graph.Imap.given``),
-so the input has one coordinate per variable and nothing else.  The layer
-norms' epsilon is a constant, so a checkpoint's header rebuilds exactly the
-network that was saved.
+vector handles the no-information case (all-zero input).  A network may also
+carry a flow head, an affine head with one output column, that estimates the
+state flows of the balance-based objectives; as the first layer is linear,
+``prefix_flows`` reads it on every prefix of an order from one running sum
+along the order (MADE, Germain et al. 2015, arXiv:1502.03509).  Observed
+values reach a latent-variable posterior as parent columns too (see
+``graph.Imap.given``), so the input has one coordinate per variable and
+nothing else.  The layer norms' epsilon is a constant, so a checkpoint's
+header rebuilds exactly the network that was saved.
 
 The forward exists once, written in place on raw arrays, and every call runs
 its blocks on cache-sized row slices (``_BLOCK_ELEMENTS // width`` rows).
 The gradient-free call (``masked_logits_np``) keeps nothing.
-The taped calls (``masked_logits``, ``prefix_trunk``) record one tape node
-from the first layer's output to the logits, or to the trunk rows for the
-flow head, and keep only that output, the first layer's output and the last
-slice's intermediates.  The node's backward walks the slices last to first:
-it runs each earlier slice's blocks again from the first layer's output
-(gradient checkpointing, Chen et al. 2016, arXiv:1604.06174), pushes the
-gradient back through the head and the blocks, and at the end hands the
+The taped calls (``masked_logits`` and ``prefix_flows``) record one tape node
+from the first layer's output through the head, the logit head or the flow
+head, to one output per row, and keep only that output, the first layer's
+output and the last slice's intermediates.  Both heads are the same code: a
+row reads one column of the head's weights.  The node's backward walks the
+slices last to first: it runs each earlier slice's blocks again from the
+first layer's output (gradient checkpointing, Chen et al. 2016,
+arXiv:1604.06174), pushes the gradient back through the head and the
+blocks, and at the end hands the
 first layer's output gradient to the call's input-weight gradient, once on
 the whole batch.  That gradient is written into the first layer's output's
 own buffer, each slice's rows once the slice has run again, so the backward
@@ -194,13 +196,18 @@ class MaeParams:
     def num_vars(self) -> int:
         return self.cfg.num_vars
 
-    def prefix_trunk(self, X: np.ndarray, order) -> Tensor:
-        """Trunk rows of every prefix of ``order`` on the tape, prefix-major.
+    def prefix_flows(self, X: np.ndarray, order) -> Tensor:
+        """The flow head's output on every prefix of ``order``, prefix-major.
 
-        Returns ((|order| + 1) * n, width): block k holds the n rows of X
-        masked to order[:k], block 0 the empty prefix.
+        Returns ((|order| + 1) * n,): block k holds the n rows of X masked to
+        order[:k], block 0 the empty prefix.
         """
-        return self._taped_blocks(*self._prefix_first_layer(X, order))
+        if self.w_flow is None:
+            raise ShapeMismatch("this network was built without a flow head")
+        z, w_in_grad = self._prefix_first_layer(X, order)
+        return self._taped_blocks(
+            z, w_in_grad, (self.w_flow, self.b_flow, np.zeros(len(z), dtype=np.int8))
+        )
 
     def _prefix_first_layer(self, X: np.ndarray, order):
         """(z, w_in_grad): the first layer's output, without the bias, on every
@@ -237,9 +244,9 @@ class MaeParams:
 
         return z.reshape(-1, z.shape[2]), w_in_grad
 
-    def _taped_blocks(self, z: np.ndarray, w_in_grad, head=None) -> Tensor:
-        """The blocks on first-layer outputs z, then with ``head`` the logit of
-        variable head[i] for row i, recorded as one tape node.
+    def _taped_blocks(self, z: np.ndarray, w_in_grad, head) -> Tensor:
+        """The blocks on first-layer outputs z, then the head (w, b, cols):
+        h · w[:, cols[i]] + b[cols[i]] for row i, recorded as one tape node.
 
         The forward is ``_sliced_blocks_np``'s, slice by slice.  The node keeps z, its
         output and the last slice's intermediates; every other slice runs in
@@ -247,8 +254,9 @@ class MaeParams:
         runs it again and then overwrites z with its gradient.  ``w_in_grad``
         maps the gradient of z to the input weights' gradient.
         """
+        w, b, cols = head
         slices = _row_slices(*z.shape)
-        out = np.empty_like(z) if head is None else np.empty(len(z))
+        out = np.empty(len(z))
         last = None
         for s in slices:
             if s is slices[-1]:
@@ -257,10 +265,11 @@ class MaeParams:
                 last = saved, h
             else:
                 h = self._blocks_np(z[s].copy())
-            out[s] = h if head is None else self._head_np(h, head[s])
-        params = self._trunk_params + (() if head is None else (self.w_out, self.b_out))
+            out[s] = _head_np(h, w.data, b.data, cols[s])
         return tape._make(
-            out, params, lambda g: self._trunk_backward(z, w_in_grad, head, last, g)
+            out,
+            self._trunk_params + (w, b),
+            lambda g: self._trunk_backward(z, w_in_grad, head, last, g),
         )
 
     def _trunk_backward(self, z, w_in_grad, head, last, g: np.ndarray) -> None:
@@ -277,24 +286,20 @@ class MaeParams:
         weights and bias take theirs from the whole buffer at the end.  The
         tape runs this once per graph.
         """
+        w, b, cols = head
         slices = _row_slices(*z.shape)
         gz = z
-        if head is not None:
-            gw, gb = np.zeros_like(self.w_out.data), np.zeros_like(self.b_out.data)
+        gw, gb = np.zeros_like(w.data), np.zeros_like(b.data)
         for s in reversed(slices):
             if s is slices[-1]:
                 saved, h = last
             else:
                 saved = []
                 h = self._blocks_np(z[s].copy(), saved)
-            gh = g[s]
-            if head is not None:
-                tape.pick_affine_grads(h, gh, head[s], gw, gb)
-                gh = gh[:, None] * self.w_out.data.T[head[s]]
-            gz[s] = self._blocks_backward(saved, gh)
-        if head is not None:
-            self.w_out.accumulate(gw)
-            self.b_out.accumulate(gb)
+            pick_affine_grads(h, g[s], cols[s], gw, gb)
+            gz[s] = self._blocks_backward(saved, g[s][:, None] * w.data.T[cols[s]])
+        w.accumulate(gw)
+        b.accumulate(gb)
         self.w_in.accumulate(w_in_grad(gz))
         self.b_in.accumulate(gz.sum(axis=0))
 
@@ -322,14 +327,6 @@ class MaeParams:
                 g = g + gz @ wk.data.T
         return gz
 
-    def flow(self, trunk: Tensor) -> Tensor:
-        """Scalar state-flow estimate per row: (B, width) -> (B,)."""
-        if self.w_flow is None:
-            raise ShapeMismatch("this network was built without a flow head")
-        return tape.pick_affine(
-            trunk, self.w_flow, self.b_flow, np.zeros(trunk.shape[0], dtype=np.int64)
-        )
-
     def masked_logits(self, x: np.ndarray, vs, cols) -> Tensor:
         """Logit of variable vs[i] given input row i, on the gradient tape.
 
@@ -347,7 +344,9 @@ class MaeParams:
         rows, inv = self._distinct_rows(packed, vs) or (None, None)
         z = self._first_layer(packed, rows)
         w_in_grad = functools.partial(self._first_layer_grad, packed, rows=rows)
-        logits = self._taped_blocks(z, w_in_grad, vs if rows is None else vs[rows])
+        logits = self._taped_blocks(
+            z, w_in_grad, (self.w_out, self.b_out, vs if rows is None else vs[rows])
+        )
         if inv is not None:
             logits = tape.gather_1d(logits, inv)
         empty = ~(x != 0).any(axis=1)
@@ -490,10 +489,6 @@ class MaeParams:
             self._blocks_np(h[s])
         return h
 
-    def _head_np(self, h: np.ndarray, vs: np.ndarray) -> np.ndarray:
-        """Logit of variable vs[i] for trunk row i: (B, width) -> (B,)."""
-        return np.einsum("ij,ij->i", h, self.w_out.data.T[vs]) + self.b_out.data[vs]
-
     def _blocks_np(self, h: np.ndarray, saved: list | None = None) -> np.ndarray:
         """The trunk's blocks on first-layer outputs h (no bias yet); returns their output.
 
@@ -535,7 +530,8 @@ class MaeParams:
         packed = self._packed(x, cols)
         rows, inv = self._distinct_rows(packed, vs) or (None, None)
         h = self._first_layer(packed, rows)
-        logits = self._head_np(self._sliced_blocks_np(h), vs if rows is None else vs[rows])
+        head = vs if rows is None else vs[rows]
+        logits = _head_np(self._sliced_blocks_np(h), self.w_out.data, self.b_out.data, head)
         if inv is not None:
             logits = logits[inv]
         empty = ~(x != 0).any(axis=1)
@@ -624,6 +620,29 @@ def _row_slices(n: int, width: int) -> list[slice]:
     the given width: small enough that a slice's buffers stay in cache."""
     step = max(1, _BLOCK_ELEMENTS // width)
     return [slice(a, a + step) for a in range(0, n, step)]
+
+
+def _head_np(h: np.ndarray, w: np.ndarray, b: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The head on trunk rows h: h[i] · w[:, cols[i]] + b[cols[i]], (B, width) -> (B,).
+
+    Only the column each row reads is computed.  The logit head and the flow
+    head both run here, taped or not.
+    """
+    return np.einsum("ij,ij->i", h, w.T[cols]) + b[cols]
+
+
+def pick_affine_grads(h: np.ndarray, g: np.ndarray, cols: np.ndarray, gw, gb) -> None:
+    """Add the gradients of ``_head_np``'s w and b, for trunk rows h and
+    output gradient g, into gw and gb.
+
+    The rows of each column are summed with a sort and ``reduceat``.
+    """
+    order = np.argsort(cols, kind="stable")
+    sorted_cols = cols[order]
+    starts = np.flatnonzero(np.diff(sorted_cols, prepend=-1))
+    used = sorted_cols[starts]
+    gw[:, used] += np.add.reduceat(h[order] * g[order, None], starts, axis=0).T
+    gb[used] += np.add.reduceat(g[order], starts)
 
 
 def _count_runs(counts: np.ndarray, n: int, width: int):

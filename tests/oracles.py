@@ -76,9 +76,11 @@ from flipmatch.nn.mae import (
     _BLOCK_ELEMENTS,
     _LN_EPS,
     _count_runs,
+    _head_np,
     _matmul,
     _row_slices,
     _row_vars,
+    pick_affine_grads,
 )
 from flipmatch.nn.tape import Tensor, log_sigmoid_np, sigmoid_np
 from flipmatch.sampler import (
@@ -242,14 +244,34 @@ def trunk_np(mae, x: np.ndarray, cols=None) -> np.ndarray:
 def taped_trunk(mae, x: np.ndarray, cols) -> Tensor:
     """The trunk on compact input rows as one tape node, without a head."""
     packed = mae._packed(x, cols)
-    return mae._taped_blocks(mae._first_layer(packed), partial(mae._first_layer_grad, packed))
+    return _whole_batch_blocks(
+        mae, mae._first_layer(packed), partial(mae._first_layer_grad, packed)
+    )
 
 
-def dense_trunk(mae, x: np.ndarray) -> Tensor:
-    """The trunk on (B, input_width) masked rows as one tape node, through the
-    dense first layer: x @ w_in, whose input weights' gradient is x.T @ gz."""
-    x = np.asarray(x, dtype=np.float64)
-    return mae._taped_blocks(_matmul(x, mae.w_in.data), lambda gz: x.T @ gz)
+def pick_affine(x: Tensor, w: Tensor, b: Tensor, cols: np.ndarray) -> Tensor:
+    """out[i] = x[i] . w[:, cols[i]] + b[cols[i]]: the network's head as a
+    tape node of its own, on trunk rows recorded apart from it."""
+    cols = np.asarray(cols, dtype=np.int64)
+    w_rows = w.data.T[cols]  # (rows, width): row i is column cols[i] of w
+
+    def back(g):
+        if x.requires_grad:
+            x.accumulate(g[:, None] * w_rows)
+        gw, gb = np.zeros_like(w.data), np.zeros_like(b.data)
+        pick_affine_grads(x.data, g, cols, gw, gb)
+        if w.requires_grad:
+            w.accumulate(gw)
+        if b.requires_grad:
+            b.accumulate(gb)
+
+    out_data = np.einsum("ij,ij->i", x.data, w_rows) + b.data[cols]
+    return tape._make(out_data, (x, w, b), back)
+
+
+def flow_head(mae, trunk: Tensor) -> Tensor:
+    """The flow head as a ``pick_affine`` node on separately taped trunk rows."""
+    return pick_affine(trunk, mae.w_flow, mae.b_flow, np.zeros(trunk.shape[0], dtype=np.int64))
 
 
 def fit_sampler_exactly(mae, imaps, table) -> float:
@@ -553,20 +575,51 @@ def whole_batch_masked_logits(mae, x: np.ndarray, vs, cols) -> Tensor:
     distinct = mae._distinct_rows(packed, vs)
     if distinct is None:
         trunk = _whole_batch_blocks(mae, z, partial(mae._first_layer_grad, packed))
-        logits = tape.pick_affine(trunk, mae.w_out, mae.b_out, vs)
+        logits = pick_affine(trunk, mae.w_out, mae.b_out, vs)
     else:
         rows, inv = distinct
         trunk = _whole_batch_blocks(mae, z[rows], partial(mae._first_layer_grad, packed, rows=rows))
-        logits = tape.gather_1d(tape.pick_affine(trunk, mae.w_out, mae.b_out, vs[rows]), inv)
+        logits = tape.gather_1d(pick_affine(trunk, mae.w_out, mae.b_out, vs[rows]), inv)
     empty = ~(x != 0).any(axis=1)
     if not empty.any():
         return logits
     return tape.where(empty, tape.gather_1d(mae.marginals, vs), logits)
 
 
-def whole_batch_prefix_trunk(mae, X: np.ndarray, order) -> Tensor:
-    """``prefix_trunk`` run on the whole batch at once (see ``whole_batch_masked_logits``)."""
-    return _whole_batch_blocks(mae, *mae._prefix_first_layer(X, order))
+def whole_batch_prefix_flows(mae, X: np.ndarray, order) -> Tensor:
+    """``prefix_flows`` with the blocks run on the whole batch at once and the
+    flow head as a separate ``pick_affine`` node (see ``whole_batch_masked_logits``)."""
+    return flow_head(mae, _whole_batch_blocks(mae, *mae._prefix_first_layer(X, order)))
+
+
+def sliced_prefix_flows(mae, X: np.ndarray, order) -> Tensor:
+    """``prefix_flows`` as it was before the flow head ran inside the
+    network's tape node: the blocks as one node of their own, on the same
+    row slices, and the flow head as a separate ``pick_affine`` node on the
+    (rows, width) trunk output."""
+    z, w_in_grad = mae._prefix_first_layer(X, order)
+    slices = _row_slices(*z.shape)
+    trunk = np.empty_like(z)
+    last = None
+    for s in slices:
+        if s is slices[-1]:
+            last = []
+            trunk[s] = mae._blocks_np(z[s], last)
+        else:
+            trunk[s] = mae._blocks_np(z[s].copy())
+
+    def backward(g: np.ndarray) -> None:
+        gz = z
+        for s in reversed(slices):
+            saved = last
+            if s is not slices[-1]:
+                saved = []
+                mae._blocks_np(z[s].copy(), saved)
+            gz[s] = mae._blocks_backward(saved, g[s])
+        mae.w_in.accumulate(w_in_grad(gz))
+        mae.b_in.accumulate(gz.sum(axis=0))
+
+    return flow_head(mae, tape._make(trunk, mae._trunk_params, backward))
 
 
 def count_order_first_layer(mae, packed) -> np.ndarray:
@@ -631,11 +684,13 @@ def _all_rows_masked_logits(mae, x: np.ndarray, vs, cols) -> Tensor:
     z = mae._first_layer(packed)
     distinct = mae._distinct_rows(packed, vs)
     if distinct is None:
-        logits = mae._taped_blocks(z, partial(mae._first_layer_grad, packed), vs)
+        head = (mae.w_out, mae.b_out, vs)
+        logits = mae._taped_blocks(z, partial(mae._first_layer_grad, packed), head)
     else:
         rows, inv = distinct
         w_in_grad = partial(mae._first_layer_grad, packed, rows=rows)
-        logits = tape.gather_1d(mae._taped_blocks(z[rows], w_in_grad, vs[rows]), inv)
+        head = (mae.w_out, mae.b_out, vs[rows])
+        logits = tape.gather_1d(mae._taped_blocks(z[rows], w_in_grad, head), inv)
     empty = ~(x != 0).any(axis=1)
     if not empty.any():
         return logits
@@ -651,7 +706,7 @@ def _all_rows_masked_logits_np(mae, x: np.ndarray, vs, cols) -> np.ndarray:
     if distinct is not None:
         rows, inv = distinct
         h, head = h[rows], vs[rows]
-    logits = mae._head_np(mae._sliced_blocks_np(h), head)
+    logits = _head_np(mae._sliced_blocks_np(h), mae.w_out.data, mae.b_out.data, head)
     if distinct is not None:
         logits = logits[inv]
     empty = ~(x != 0).any(axis=1)
@@ -1337,8 +1392,12 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
 
 
 def correction_rows(flow: FlowHead, rows: np.ndarray) -> Tensor:
-    """The flow head's output on masked rows, before any reward is added."""
-    return flow.params.flow(dense_trunk(flow.params, rows))
+    """The flow head's output on masked rows, before any reward is added, as
+    one tape node through the dense first layer: rows @ w_in, whose input
+    weights' gradient is rows.T @ gz."""
+    mae, x = flow.params, np.asarray(rows, dtype=np.float64)
+    head = (mae.w_flow, mae.b_flow, np.zeros(len(x), dtype=np.int64))
+    return mae._taped_blocks(_matmul(x, mae.w_in.data), lambda gz: x.T @ gz, head)
 
 
 def _prefix_rows(imap: Imap, X: np.ndarray) -> np.ndarray:
@@ -2011,24 +2070,20 @@ class DenseIsingModel(IsingModel):
 
 def two_buffer_trunk_backward(mae, z, w_in_grad, head, last, g: np.ndarray) -> None:
     """``MaeParams._trunk_backward`` with gz in an array of its own beside z."""
+    w, b, cols = head
     slices = _row_slices(*z.shape)
     gz = np.empty_like(z)
-    if head is not None:
-        gw, gb = np.zeros_like(mae.w_out.data), np.zeros_like(mae.b_out.data)
+    gw, gb = np.zeros_like(w.data), np.zeros_like(b.data)
     for s in reversed(slices):
         if s is slices[-1]:
             saved, h = last
         else:
             saved = []
             h = mae._blocks_np(z[s].copy(), saved)
-        gh = g[s]
-        if head is not None:
-            tape.pick_affine_grads(h, gh, head[s], gw, gb)
-            gh = gh[:, None] * mae.w_out.data.T[head[s]]
-        gz[s] = mae._blocks_backward(saved, gh)
-    if head is not None:
-        mae.w_out.accumulate(gw)
-        mae.b_out.accumulate(gb)
+        pick_affine_grads(h, g[s], cols[s], gw, gb)
+        gz[s] = mae._blocks_backward(saved, g[s][:, None] * w.data.T[cols[s]])
+    w.accumulate(gw)
+    b.accumulate(gb)
     mae.w_in.accumulate(w_in_grad(gz))
     mae.b_in.accumulate(gz.sum(axis=0))
 

@@ -389,6 +389,18 @@ class TestSampleAndEval:
         write_model(IsingModel(np.zeros((5, 5)), np.zeros(5), 0.5), str(other))
         assert main(["sample", "--model", str(other), "--checkpoint", trained]) == 2
 
+    @pytest.mark.parametrize("command", ["sample", "eval"])
+    @pytest.mark.parametrize("ckpt_vars, model_vars", [(8, 12), (12, 8)])
+    def test_checkpoint_of_another_size(self, tmp_path, capsys, command, ckpt_vars, model_vars):
+        model, ckpt = str(tmp_path / "m.json"), str(tmp_path / "c.ckpt")
+        write_model(random_ising(grid_graph(2, model_vars // 2), 0.5, seed=0), model)
+        save_checkpoint(MaeParams(MaeConfig(num_vars=ckpt_vars, width=8, blocks=1)), ckpt)
+        extra = ["--exact-n", "8"] if command == "eval" else []
+        assert main([command, "--model", model, "--checkpoint", ckpt, *extra]) == 2
+        err = capsys.readouterr().err
+        assert f"checkpoint built for {ckpt_vars} variables, model has {model_vars}" in err
+        assert "Traceback" not in err
+
     def test_eval_scores_against_exact_samples(self, model_file, trained, capsys):
         code = main(
             ["eval", "--model", model_file, "--checkpoint", trained, "--exact-n", "1024"]

@@ -29,7 +29,7 @@ from flipmatch.errors import (
     PartialAssignment,
     ShapeMismatch,
 )
-from flipmatch.graph import Imap, chain_graph, cycle_graph, grid_graph, sample_imap
+from flipmatch.graph import Imap, chain_graph, cycle_graph, grid_graph, ladder_graph, sample_imap
 from flipmatch.harness import (
     METRIC_COLUMNS,
     OBJECTIVES,
@@ -567,6 +567,29 @@ class TestTrainEbm:
             train_ebm(cfg, m, s, np.ones((4, 3), dtype=np.int8), **kwargs)
         assert np.array_equal(m.get_params(), params)
         assert np.array_equal(s.params.pack(), weights)
+
+
+class TestSamplerOfAnotherSize:
+    """Every trainer refuses a sampler built for another number of variables
+    with one ConfigError naming both counts, before any update."""
+
+    @pytest.mark.parametrize("sampler_vars", [6, 12])
+    @pytest.mark.parametrize("trainer", ["delta", "delta-sub-maps", "tb", "fl-subtb", "ebm"])
+    def test_refused_naming_both_counts(self, trainer, sampler_vars):
+        m = random_ising(ladder_graph(4), sigma=0.3, seed=0)  # 8 spins
+        s = make_sampler(sampler_vars, width=8, flow_head=trainer == "fl-subtb")
+        weights = s.params.pack()
+        small = dict(total_steps=2, batch_size=4, eval_period=2)
+        with pytest.raises(ConfigError, match=f"built for {sampler_vars} variables, model has 8"):
+            if trainer.startswith("delta"):
+                sub_maps = int(trainer == "delta-sub-maps")
+                train_delta(TrainConfig(objective="delta", sub_dags_per_var=sub_maps, **small), m, s)
+            elif trainer == "ebm":
+                data = np.ones((4, 8), dtype=np.int8)
+                train_ebm(TrainConfig(objective="delta", **small), m, s, data)
+            else:
+                train_gfn(TrainConfig(objective=trainer, **small), m, s)
+        assert_array_equal(s.params.pack(), weights)
 
 
 def three_var_latent_problem():

@@ -55,14 +55,16 @@ from oracles import (
     masked_sigmoid,
     matmul,
     no_merging,
+    pick_affine,
     relative_error,
     reshape,
+    sliced_prefix_flows,
     sorted_copy_first_layer_grad,
     taped_trunk,
     trunk_np,
     two_buffer_trunk_backward,
     whole_batch_masked_logits,
-    whole_batch_prefix_trunk,
+    whole_batch_prefix_flows,
 )
 
 
@@ -158,15 +160,15 @@ class TestTapeOps:
         cols = np.array([4, 0, 2, 4, 2, 4])
         out_w = rng.normal(size=6)
         run_gradcheck(
-            [x, w, b], lambda a, m, c: tape.mul(tape.pick_affine(a, m, c, cols), out_w).sum()
+            [x, w, b], lambda a, m, c: tape.mul(pick_affine(a, m, c, cols), out_w).sum()
         )
         # forward is the dense affine map read at each row's column
-        out = tape.pick_affine(tape.const(x), tape.const(w), tape.const(b), cols)
+        out = pick_affine(tape.const(x), tape.const(w), tape.const(b), cols)
         assert_allclose(out.data, (x @ w + b)[np.arange(6), cols], rtol=1e-14)
 
     def test_pick_affine_empty_batch(self):
         w = tape.param(np.ones((3, 4)))
-        out = tape.pick_affine(tape.const(np.zeros((0, 3))), w, tape.param(np.zeros(4)), [])
+        out = pick_affine(tape.const(np.zeros((0, 3))), w, tape.param(np.zeros(4)), [])
         assert out.shape == (0,)
         tape.backward(out.sum())
         assert w.grad is None or not w.grad.any()
@@ -317,9 +319,9 @@ class TestMae:
         assert not np.array_equal(a.pack(), c.pack())
 
     def test_rejects_bad_input_width(self):
-        mae = MaeParams(small_config())
+        mae = MaeParams(small_config(flow_head=True))
         with pytest.raises(ShapeMismatch):
-            mae.prefix_trunk(np.zeros((2, 5)), range(4))
+            mae.prefix_flows(np.zeros((2, 5)), range(4))
         with pytest.raises(ShapeMismatch):
             trunk_np(mae, np.zeros((2, 5)))
 
@@ -399,17 +401,15 @@ class TestMae:
         mae = MaeParams(small_config())
         x = sample_inputs(mae.cfg, 2, seed=8)
         with pytest.raises(ShapeMismatch):
-            mae.flow(mae.prefix_trunk(x, range(4)))
+            mae.prefix_flows(x, range(4))
 
     def test_shapes(self):
         cfg = small_config(flow_head=True)
         mae = MaeParams(cfg)
         x = np.zeros((5, cfg.input_width))
         x[:, -1] = 1.0
-        h = mae.prefix_trunk(x, [3, 1])
-        assert h.shape == (15, cfg.width)
         assert mae.masked_logits(x, np.arange(5) % 4, every_column(x)).shape == (5,)
-        assert mae.flow(h).shape == (15,)
+        assert mae.prefix_flows(x, [3, 1]).shape == (15,)
 
     def test_exactly_one_aux_group(self):
         mae = MaeParams(small_config())
@@ -928,10 +928,12 @@ def prefix_batch(cfg: MaeConfig, order, n: int, seed: int):
     return X, rng.permutation(v)[: 1 if order == "one-var" else v]
 
 
-class TestPrefixTrunk:
-    """The trunk rows of every prefix of an order, from one running sum of
-    the first layer: against finite differences on every parameter, and
-    against the blocks run on the whole batch at once."""
+class TestPrefixFlows:
+    """The flow head on every prefix of an order, from one running sum of the
+    first layer and inside the network's one tape node: against finite
+    differences on every parameter, against the blocks run on the whole batch
+    at once, and against the flow head as a node of its own on the trunk
+    rows."""
 
     @pytest.mark.parametrize("activation", ["relu", "elu"])
     @pytest.mark.parametrize("order", ["shuffled", "one-var", "sliced"])
@@ -944,7 +946,7 @@ class TestPrefixTrunk:
         weights = np.random.default_rng(19).normal(size=(len(order) + 1) * len(X))
 
         def loss() -> Tensor:
-            return tape.mul(mae.flow(mae.prefix_trunk(X, order)), weights).sum()
+            return tape.mul(mae.prefix_flows(X, order), weights).sum()
 
         def loss_value(flat: np.ndarray) -> float:
             mae.unpack(flat)
@@ -975,20 +977,47 @@ class TestPrefixTrunk:
         randomize(mae, seed=57)
         X, order = prefix_batch(cfg, "shuffled", 6, seed=22)
         weights = np.random.default_rng(20).normal(size=(len(order) + 1) * len(X))
-        reference = whole_batch_prefix_trunk(mae, X, order)
-        want = network_grads(mae, tape.mul(mae.flow(reference), weights).sum())
+        reference = whole_batch_prefix_flows(mae, X, order)
+        want = network_grads(mae, tape.mul(reference, weights).sum())
         if slice_to is not None:
             slice_rows(monkeypatch, slice_to, cfg.width)
-        trunk = mae.prefix_trunk(X, order)
-        assert_array_equal(trunk.data, reference.data)
-        plain = mae._sliced_blocks_np(mae._prefix_first_layer(X, order)[0])
-        assert_array_equal(trunk.data, plain)
-        got = network_grads(mae, tape.mul(mae.flow(trunk), weights).sum())
+        flows = mae.prefix_flows(X, order)
+        assert_array_equal(flows.data, reference.data)
+        trunk = mae._sliced_blocks_np(mae._prefix_first_layer(X, order)[0])
+        plain = mae_module._head_np(trunk, mae.w_flow.data, mae.b_flow.data, np.zeros(len(trunk), int))
+        assert_array_equal(flows.data, plain)
+        got = network_grads(mae, tape.mul(flows, weights).sum())
         for name, g, w in zip(mae.names, got, want):
             if slice_to is None:
                 assert_array_equal(g, w, err_msg=name)
             else:
                 assert_allclose(g, w, rtol=0, atol=1e-12, err_msg=name)
+
+    @pytest.mark.parametrize("activation", ["relu", "elu"])
+    @pytest.mark.parametrize("slice_to", [None, 5], ids=["whole", "slices5"])
+    def test_matches_the_head_as_a_node_of_its_own(self, monkeypatch, activation, slice_to):
+        # the same slices with the flow head read off (rows, width) trunk
+        # rows by a node of its own: the flows and the trunk's gradients bit
+        # for bit; the head's own gradient, summed slice by slice, within
+        # 1e-12 in slices and bit for bit in one
+        cfg = small_config(activation=activation, blocks=3, flow_head=True)
+        mae = MaeParams(cfg)
+        randomize(mae, seed=59)
+        X, order = prefix_batch(cfg, "shuffled", 6, seed=29)
+        weights = np.random.default_rng(30).normal(size=(len(order) + 1) * len(X))
+        if slice_to is not None:
+            slice_rows(monkeypatch, slice_to, cfg.width)
+        reference = sliced_prefix_flows(mae, X, order)
+        want = network_grads(mae, tape.mul(reference, weights).sum())
+        flows = mae.prefix_flows(X, order)
+        assert_array_equal(flows.data, reference.data)
+        got = network_grads(mae, tape.mul(flows, weights).sum())
+        assert max(np.abs(g).max() for g in got) > 1e-2
+        for name, g, w in zip(mae.names, got, want):
+            if slice_to is not None and name in ("w_flow", "b_flow"):
+                assert_allclose(g, w, rtol=1e-12, atol=0, err_msg=name)
+            else:
+                assert_array_equal(g, w, err_msg=name)
 
     @pytest.mark.parametrize("order", ["shuffled", "one-var", "sliced"])
     def test_running_sums_are_the_cumsum_bits(self, order):
@@ -1013,7 +1042,7 @@ class TestPrefixTrunk:
         X = np.ones((2, 4))
         for x, order in [(np.ones((2, 5)), [0]), (X, [0, 0]), (X, [4]), (X, [-1]), (X, [[0]])]:
             with pytest.raises(ShapeMismatch):
-                mae.prefix_trunk(x, order)
+                mae.prefix_flows(x, order)
 
 
 def unique_column_batch(cfg: MaeConfig, form, seed: int):
@@ -1378,7 +1407,7 @@ class TestOneBufferBackward:
 
     @pytest.mark.parametrize("activation", ["relu", "elu"])
     @pytest.mark.parametrize("order", ["shuffled", "one-var", "sliced"])
-    def test_prefix_trunk_gradients(self, monkeypatch, activation, order):
+    def test_prefix_flows_gradients(self, monkeypatch, activation, order):
         cfg = small_config(activation=activation, blocks=2, flow_head=True)
         mae = MaeParams(cfg)
         randomize(mae, seed=72)
@@ -1386,7 +1415,7 @@ class TestOneBufferBackward:
         weights = np.random.default_rng(28).normal(size=(len(order) + 1) * len(X))
 
         def grads() -> list[np.ndarray]:
-            return network_grads(mae, tape.mul(mae.flow(mae.prefix_trunk(X, order)), weights).sum())
+            return network_grads(mae, tape.mul(mae.prefix_flows(X, order), weights).sum())
 
         got = grads()
         with monkeypatch.context() as mp:
