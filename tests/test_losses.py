@@ -61,7 +61,6 @@ from flipmatch.losses import (
     tb_loss_batch,
 )
 from flipmatch.nn import MaeConfig, MaeParams, tape
-from flipmatch.nn import mae as mae_module
 from flipmatch.sampler import AmortizedSampler, Policy
 
 from oracles import (
@@ -91,7 +90,6 @@ from oracles import (
     per_flip_step_loss,
     per_flip_trainer_step,
     per_u_delta_loss_batch,
-    sliced_prefix_flows,
     subtb_loss,
     tb_loss,
     tv_distance,
@@ -1137,46 +1135,6 @@ class TestSubTbRangeSums:
         assert_grad_matches_fd(
             lambda: subtb_loss_batch(s, imap, m, X, flow, 1.7), s.params.params
         )
-
-
-class TestFlowHeadInTheTrunk:
-    """The flow head read inside the network's one tape node gives the flows
-    and the DB and subTB losses, plain and forward-looking, of the flow head
-    as a node of its own on the trunk rows (``oracles.sliced_prefix_flows``)
-    bit for bit, and every gradient but the flow head's own bit for bit; the
-    flow head's, summed slice by slice, agree within 1e-12."""
-
-    @pytest.mark.parametrize("objective", ["db", "fl-db", "subtb", "fl-subtb"])
-    def test_losses_and_gradients(self, monkeypatch, objective):
-        g = ladder_graph(8)
-        m = random_ising(g, sigma=0.5, seed=1)
-        imap = sample_imap(g, seed=2)
-        s = randomized_sampler(16, seed=3, flow_head=True)
-        flow = FlowHead(s.params, forward_looking=objective.startswith("fl-"))
-        X = np.random.default_rng(4).choice([-1, 1], size=(16, 16)).astype(np.int8)
-        # 17 prefixes of 16 rows in slices of 40 rows
-        monkeypatch.setattr(mae_module, "_BLOCK_ELEMENTS", 40 * s.params.cfg.width)
-
-        def run():
-            if objective.endswith("subtb"):
-                loss = subtb_loss_batch(s, imap, m, X, flow, 0.9)
-            else:
-                loss = db_trajectory_loss(s, imap, m, X, flow)
-            flows = flow.log_flows(m, imap, X).data
-            return flows, loss.data, collect_grads(s.params.params, loss)
-
-        flows, loss, grads = run()
-        with monkeypatch.context() as mp:
-            mp.setattr(MaeParams, "prefix_flows", sliced_prefix_flows)
-            want_flows, want_loss, want_grads = run()
-        assert_array_equal(flows, want_flows)
-        assert_array_equal(loss.view(np.int64), want_loss.view(np.int64))
-        assert np.abs(grads[s.params.names.index("w_flow")]).max() > 1e-3
-        for name, got, want in zip(s.params.names, grads, want_grads):
-            if name in ("w_flow", "b_flow"):
-                assert_allclose(got, want, rtol=1e-12, atol=0, err_msg=name)
-            else:
-                assert_array_equal(got, want, err_msg=name)
 
 
 class TestBalanceNeedsFullMap:
